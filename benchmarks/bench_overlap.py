@@ -17,10 +17,9 @@ from common import RESULTS_DIR, emit, format_table, run_once
 
 from repro.cluster import Network, get_backend, get_machine
 from repro.collectives import TimedBucket, time_overlapped_step
-from repro.core import CGXConfig, CommunicationEngine, LayerInfo
-from repro.core.engine import group_for_transmission
+from repro.core import CGXConfig
 from repro.models import build_spec
-from repro.training.perf import _gradient_ready_times
+from repro.training.perf import package_ready_offsets, plan_step_packages
 
 JSON_PATH = os.path.join(RESULTS_DIR, "BENCH_overlap.json")
 
@@ -35,26 +34,21 @@ def _timed_step(model: str, scheme: str) -> dict:
     spec = build_spec(model)
     config = CGXConfig.cgx_default()
     config.scheme = scheme
-    engine = CommunicationEngine(config)
 
-    layers = [LayerInfo(t.name, t.numel, t.shape, t.kind)
-              for t in spec.backward_order()]
-    packages = group_for_transmission(engine.plan(layers, mode="cgx"),
-                                      config.fusion_bytes)
+    packages = plan_step_packages(spec, config, "cgx")
     batch = machine.gpu.max_batch_per_gpu(spec)
     compute_time = machine.gpu.step_compute_time(spec, batch)
-    ready = _gradient_ready_times(spec, compute_time)
+    offsets = package_ready_offsets(spec, config, compute_time, packages)
     forward_pos = {t.name: i for i, t in enumerate(spec.tensors)}
 
     buckets = [
         TimedBucket(
-            name=pkg.name, numel=pkg.numel, spec=pkg.spec,
-            ready=max(ready[layer.name] for layer in pkg.layers),
+            name=pkg.name, numel=pkg.numel, spec=pkg.spec, ready=offset,
             first_needed=min(forward_pos[layer.name]
                              for layer in pkg.layers),
             min_index=i,
         )
-        for i, pkg in enumerate(packages)
+        for i, (pkg, offset) in enumerate(zip(packages, offsets))
     ]
     net = Network(machine.topology(), get_backend(config.backend))
     timing = time_overlapped_step(net, list(range(machine.n_gpus)), buckets,

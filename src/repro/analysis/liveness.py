@@ -46,6 +46,7 @@ from repro.collectives.trace import ScheduleTrace, TraceEvent
 from .explore import (build_programs, explore, fair_schedule, greedy_run,
                       phase_segments)
 from .findings import Finding, sort_findings
+from .rules import lint_roots
 
 __all__ = ["DLV_RULES", "DEFAULT_EXPLORE_BUDGET", "analyze_segment",
            "analyze_trace_liveness", "lint_blocking", "verify_liveness",
@@ -351,26 +352,8 @@ def lint_blocking(roots: Sequence[str] | None = None) -> list[Finding]:
     """DLV006 over every python file under ``roots`` (default: the
     collectives and faults packages), occurrence-numbered for stable
     baseline fingerprints."""
-    from .rules import iter_python_files
-
-    roots = tuple(roots) if roots is not None else blocking_default_roots()
-    findings: list[Finding] = []
-    for path in iter_python_files(roots):
-        with open(path, encoding="utf-8") as handle:
-            source = handle.read()
-        rel = os.path.relpath(path)
-        findings.extend(lint_blocking_source(source, rel))
-    findings = sort_findings(findings)
-    seen: dict[tuple, int] = {}
-    numbered: list[Finding] = []
-    for finding in findings:
-        ident = (finding.rule, finding.path, finding.snippet)
-        numbered.append(Finding(
-            rule=finding.rule, path=finding.path, line=finding.line,
-            col=finding.col, message=finding.message, source=finding.source,
-            snippet=finding.snippet, occurrence=seen.get(ident, 0)))
-        seen[ident] = seen.get(ident, 0) + 1
-    return numbered
+    return lint_roots(roots if roots is not None
+                      else blocking_default_roots(), lint_blocking_source)
 
 
 # -- the full battery ---------------------------------------------------------

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import ast
 import os
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -62,6 +62,7 @@ from repro.core.engine import CommunicationEngine
 from repro.core.overlap import OverlapDelays, OverlapReport
 
 from .findings import Finding, sort_findings
+from .rules import lint_roots
 
 __all__ = ["OVL_RULES", "OverlapCase", "overlap_cases", "certify_case",
            "certify_trainer", "analyze_overlap_trace", "lint_grad_consumers",
@@ -635,32 +636,9 @@ def lint_grad_consumer_source(source: str, path: str) -> list[Finding]:
 def lint_grad_consumers(roots: Sequence[str] | None = None) -> list[Finding]:
     """OVL006 over the consumer-path modules (or explicit files/dirs),
     occurrence-numbered for stable baseline fingerprints."""
-    from .rules import iter_python_files
-
-    roots = tuple(roots) if roots is not None else consumer_default_roots()
-    files: list[str] = []
-    for root in roots:
-        if os.path.isdir(root):
-            files.extend(iter_python_files((root,)))
-        else:
-            files.append(root)
-    findings: list[Finding] = []
-    for path in files:
-        with open(path, encoding="utf-8") as handle:
-            source = handle.read()
-        rel = os.path.relpath(path)
-        findings.extend(lint_grad_consumer_source(source, rel))
-    findings = sort_findings(findings)
-    seen: dict[tuple[str, str, str], int] = {}
-    numbered: list[Finding] = []
-    for finding in findings:
-        ident = (finding.rule, finding.path, finding.snippet)
-        numbered.append(Finding(
-            rule=finding.rule, path=finding.path, line=finding.line,
-            col=finding.col, message=finding.message, source=finding.source,
-            snippet=finding.snippet, occurrence=seen.get(ident, 0)))
-        seen[ident] = seen.get(ident, 0) + 1
-    return numbered
+    return lint_roots(roots if roots is not None
+                      else consumer_default_roots(),
+                      lint_grad_consumer_source)
 
 
 # -- the full battery ---------------------------------------------------------

@@ -29,12 +29,13 @@ from __future__ import annotations
 import ast
 import os
 from collections import defaultdict
-from typing import Iterable, Iterator
+from dataclasses import replace
+from typing import Callable, Iterable, Iterator
 
 from .findings import Finding, sort_findings
 
 __all__ = ["RULES", "HOT_PATH_PARTS", "lint_source", "lint_file",
-           "iter_python_files", "run_lint"]
+           "iter_python_files", "lint_roots", "run_lint"]
 
 #: rule id -> one-line description (mirrored in docs/analysis.md)
 RULES = {
@@ -368,20 +369,34 @@ def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
                     yield os.path.join(dirpath, filename)
 
 
-def run_lint(paths: Iterable[str]) -> list[Finding]:
-    """Lint every python file under ``paths``; occurrence-number results."""
+def lint_roots(roots: Iterable[str],
+               linter: Callable[[str, str], list[Finding]],
+               relative: bool = True) -> list[Finding]:
+    """Run a per-source ``linter(source, path)`` over every python file
+    under ``roots``; sort and occurrence-number the results.
+
+    The one file-walk → lint → sort → number pipeline behind the static
+    rule families (REP, DLV006, OVL006, SCD007).  Occurrence numbers
+    disambiguate identical (rule, path, snippet) lines so baseline
+    fingerprints stay stable; ``relative`` reports paths relative to
+    the working directory, which keeps those fingerprints independent
+    of where the package is installed.
+    """
     findings: list[Finding] = []
-    for path in iter_python_files(paths):
-        findings.extend(lint_file(path))
-    findings = sort_findings(findings)
+    for path in iter_python_files(roots):
+        with open(path, encoding="utf-8") as handle:
+            source = handle.read()
+        findings.extend(
+            linter(source, os.path.relpath(path) if relative else path))
     seen: dict[tuple, int] = defaultdict(int)
     numbered = []
-    for finding in findings:
+    for finding in sort_findings(findings):
         ident = (finding.rule, finding.path, finding.snippet)
-        numbered.append(Finding(
-            rule=finding.rule, path=finding.path, line=finding.line,
-            col=finding.col, message=finding.message, source=finding.source,
-            snippet=finding.snippet, occurrence=seen[ident],
-        ))
+        numbered.append(replace(finding, occurrence=seen[ident]))
         seen[ident] += 1
     return numbered
+
+
+def run_lint(paths: Iterable[str]) -> list[Finding]:
+    """Lint every python file under ``paths``; occurrence-number results."""
+    return lint_roots(paths, lint_source, relative=False)

@@ -58,6 +58,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from .findings import Finding, sort_findings
+from .rules import lint_roots
 
 if TYPE_CHECKING:
     from repro.cluster import Network
@@ -599,25 +600,8 @@ def lint_job_tagging_source(source: str, path: str) -> list[Finding]:
 def lint_job_tagging(roots: Sequence[str] | None = None) -> list[Finding]:
     """SCD007 over the scheduler package and ``cluster/network.py``,
     occurrence-numbered for stable baseline fingerprints."""
-    from .rules import iter_python_files
-
-    roots = tuple(roots) if roots is not None else tagging_default_roots()
-    findings: list[Finding] = []
-    for path in iter_python_files(roots):
-        with open(path, encoding="utf-8") as handle:
-            source = handle.read()
-        findings.extend(lint_job_tagging_source(source, os.path.relpath(path)))
-    findings = sort_findings(findings)
-    seen: dict[tuple[str, str, str], int] = {}
-    numbered: list[Finding] = []
-    for finding in findings:
-        ident = (finding.rule, finding.path, finding.snippet)
-        numbered.append(Finding(
-            rule=finding.rule, path=finding.path, line=finding.line,
-            col=finding.col, message=finding.message, source=finding.source,
-            snippet=finding.snippet, occurrence=seen.get(ident, 0)))
-        seen[ident] = seen.get(ident, 0) + 1
-    return numbered
+    return lint_roots(roots if roots is not None
+                      else tagging_default_roots(), lint_job_tagging_source)
 
 
 # -- one cell, and the full battery -------------------------------------------

@@ -9,8 +9,8 @@ from .partial import PartialAllreduce
 from .ring import ring_allreduce
 from .sra import sra_allreduce
 from .timing import (SCHEMES, CollectiveTiming, OverlapStepTiming,
-                     TimedBucket, time_allreduce, time_overlapped_step,
-                     time_partial_allreduce)
+                     TimedBucket, drain_channel, time_allreduce,
+                     time_overlapped_step, time_partial_allreduce)
 from .trace import (BufferAccess, ScheduleTrace, TraceEvent, capture,
                     declare_buffer, emit_buffer_read, emit_buffer_update,
                     emit_buffer_write, emit_state_use, rank_scope)
@@ -50,6 +50,7 @@ __all__ = [
     "SCHEMES", "CollectiveTiming", "time_allreduce",
     "time_partial_allreduce", "PartialAllreduce",
     "TimedBucket", "OverlapStepTiming", "time_overlapped_step",
+    "drain_channel",
     "ScheduleTrace", "TraceEvent", "BufferAccess", "capture", "rank_scope",
     "declare_buffer", "emit_buffer_read", "emit_buffer_write",
     "emit_buffer_update", "emit_state_use",

@@ -12,14 +12,17 @@ buffer to obtain end-to-end step times.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable, Sequence, TypeVar
 
 from repro.cluster.network import Network
 from repro.compression import CompressionSpec
 from repro.compression.metrics import kernel_seconds
 
 __all__ = ["CollectiveTiming", "time_allreduce",
-           "time_partial_allreduce", "SCHEMES",
+           "time_partial_allreduce", "SCHEMES", "drain_channel",
            "TimedBucket", "OverlapStepTiming", "time_overlapped_step"]
+
+T = TypeVar("T")
 
 SCHEMES = ("sra", "ring", "tree", "allgather", "ps", "hier")
 
@@ -320,6 +323,44 @@ def _time_hier(sched: _Scheduler, ranks: list[int], numel: int,
     return t
 
 
+def drain_channel(items: Sequence[T], ready: Callable[[T], float],
+                  priority: Callable[[T], Any],
+                  land: Callable[[T, float], float]
+                  ) -> list[tuple[T, float, float]]:
+    """Drain ``items`` over one communication channel (free from t=0).
+
+    An item seals at ``ready(item)``; whenever the channel frees, the
+    sealed-but-unsent item with the smallest ``priority(item)`` (first
+    in ``items`` on ties) launches at ``max(channel free, its seal)``
+    and holds the channel until ``land(item, launch)``; with nothing
+    sealed the channel idles to the earliest seal.  The selection rule
+    is total, so the schedule is a pure function of the inputs.
+
+    This is the one first-needed-first-sent drain of the runtime: the
+    engine's bucket timeline (:func:`repro.core.overlap.schedule_buckets`,
+    ``land = launch + injected comm``) and both drains of
+    :func:`time_overlapped_step` (``land`` = the collective's end on the
+    simulated network) are callers that differ only in ``land``.
+
+    Returns ``(item, launch, landed)`` triples in launch order.
+    """
+    seals = [ready(item) for item in items]
+    pending = list(range(len(items)))
+    free = 0.0
+    launched: list[tuple[T, float, float]] = []
+    while pending:
+        sealed = [i for i in pending if seals[i] <= free]
+        if not sealed:
+            free = min(seals[i] for i in pending)
+            continue
+        chosen = min(sealed, key=lambda i: priority(items[i]))
+        pending.remove(chosen)
+        launch = max(free, seals[chosen])
+        free = land(items[chosen], launch)
+        launched.append((items[chosen], launch, free))
+    return launched
+
+
 @dataclass(frozen=True)
 class TimedBucket:
     """One fusion bucket queued for overlapped transmission.
@@ -381,40 +422,35 @@ def time_overlapped_step(
     if not buckets:
         end = compute_end if compute_end is not None else 0.0
         return OverlapStepTiming([], end, end, 0, 0)
-    if compute_end is None:
-        compute_end = max(b.ready for b in buckets)
+    backward_end = compute_end if compute_end is not None \
+        else max(b.ready for b in buckets)
 
-    pending = list(buckets)
-    intervals: list[tuple[str, float, float]] = []
-    wire_bytes = 0
-    kernel_calls = 0
-    free = 0.0
-    while pending:
-        sealed = [b for b in pending if b.ready <= free]
-        if not sealed:
-            free = min(b.ready for b in pending)
-            continue
-        chosen = min(sealed, key=lambda b: (b.first_needed, b.min_index))
-        pending.remove(chosen)
-        launch = max(free, chosen.ready)
-        timing = time_allreduce(network, ranks, chosen.numel, chosen.spec,
-                                scheme=scheme, ready=launch,
-                                chunk_streams=chunk_streams)
-        intervals.append((chosen.name, launch, timing.end))
-        wire_bytes += timing.wire_bytes
-        kernel_calls += timing.kernel_calls
-        free = timing.end
-    overlapped_end = max(compute_end, max(end for _, _, end in intervals))
+    def land_on(net: Network, timings: list[CollectiveTiming]
+                ) -> Callable[[TimedBucket, float], float]:
+        def land(bucket: TimedBucket, launch: float) -> float:
+            timings.append(time_allreduce(
+                net, ranks, bucket.numel, bucket.spec, scheme=scheme,
+                ready=launch, chunk_streams=chunk_streams))
+            return timings[-1].end
+        return land
 
-    baseline_net = Network(network.topology, network.backend)
-    t = compute_end
-    for bucket in sorted(buckets, key=lambda b: b.min_index):
-        timing = time_allreduce(baseline_net, ranks, bucket.numel,
-                                bucket.spec, scheme=scheme, ready=t,
-                                chunk_streams=chunk_streams)
-        t = timing.end
-    return OverlapStepTiming(intervals, overlapped_end, t,
-                             wire_bytes, kernel_calls)
+    timings: list[CollectiveTiming] = []
+    intervals = [
+        (bucket.name, launch, end) for bucket, launch, end in drain_channel(
+            buckets, lambda b: b.ready,
+            lambda b: (b.first_needed, b.min_index), land_on(network, timings))
+    ]
+    overlapped_end = max(backward_end, max(end for _, _, end in intervals))
+
+    # the sequential baseline is the degenerate schedule: every bucket
+    # seals at the end of backward and drains in emission order on a
+    # fresh network
+    baseline = drain_channel(
+        buckets, lambda b: backward_end, lambda b: b.min_index,
+        land_on(Network(network.topology, network.backend), []))
+    return OverlapStepTiming(intervals, overlapped_end, baseline[-1][2],
+                             sum(t.wire_bytes for t in timings),
+                             sum(t.kernel_calls for t in timings))
 
 
 def time_partial_allreduce(

@@ -15,6 +15,8 @@ over gradients.
 
 from __future__ import annotations
 
+from typing import Any, Callable, TypeVar
+
 import numpy as np
 
 from repro.collectives.trace import emit_overlap
@@ -25,6 +27,8 @@ from .engine import CommunicationEngine, ReductionReport
 from .overlap import OverlapDelays, OverlapReport
 
 __all__ = ["CGXDistributedDataParallel"]
+
+_Report = TypeVar("_Report", bound=ReductionReport)
 
 
 class CGXDistributedDataParallel:
@@ -71,25 +75,20 @@ class CGXDistributedDataParallel:
                 f"{len(self.replicas)} replicas")
         return ranks
 
-    def synchronize(self, participants: list[int] | None = None,
-                    average_over: int | None = None,
-                    members: list[int] | None = None) -> ReductionReport:
-        """Average gradients across replicas via the configured engine.
+    def _reduce_members(
+        self,
+        reduce: Callable[..., tuple[list[dict[str, np.ndarray]], _Report]],
+        participants: list[int] | None,
+        members: list[int] | None,
+        **mode_args: Any,
+    ) -> _Report:
+        """Gather member gradients, run ``reduce``, install the result.
 
-        Call after every worker has completed its backward pass.  Missing
-        gradients (parameters untouched this step) are treated as zeros.
-
-        ``participants`` restricts the reduction to a quorum (graceful
-        degradation; skipped ranks' gradients ride the engine's carry
-        buffers) and ``average_over`` re-normalizes the mean over the
-        number of actually contributing ranks (elastic membership).
-
-        ``members`` names the global ranks that exist this step — elastic
-        worlds exclude departed replicas entirely (their slots stay in
-        ``self.replicas`` so indices never shift, but they neither
-        contribute gradients nor receive the reduction).  ``participants``
-        is interpreted in global rank numbers and must be a subset of the
-        members.
+        The one member-aware gather/install of both synchronization
+        modes.  ``reduce`` is the engine entry point (``mode_args`` are
+        its mode-specific keywords); ``participants`` (global ranks, a
+        subset of the members) are translated to positions in the
+        member list.  Missing gradients are treated as zeros.
         """
         ranks = self._member_ranks(members)
         pos = {rank: i for i, rank in enumerate(ranks)}
@@ -112,10 +111,9 @@ class CGXDistributedDataParallel:
                     grads[name] = param.grad
             per_worker.append(grads)
 
-        reduced, report = self.engine.reduce(per_worker, self.rng,
-                                             mode=self.mode, average=True,
-                                             participants=local_participants,
-                                             average_over=average_over)
+        reduced, report = reduce(per_worker, self.rng, average=True,
+                                 participants=local_participants,
+                                 **mode_args)
         for rank in ranks:
             replica = self.replicas[rank]
             for name, param in replica.named_parameters():
@@ -125,6 +123,30 @@ class CGXDistributedDataParallel:
         self.last_report = report
         return report
 
+    def synchronize(self, participants: list[int] | None = None,
+                    average_over: int | None = None,
+                    members: list[int] | None = None) -> ReductionReport:
+        """Average gradients across replicas via the configured engine.
+
+        Call after every worker has completed its backward pass.  Missing
+        gradients (parameters untouched this step) are treated as zeros.
+
+        ``participants`` restricts the reduction to a quorum (graceful
+        degradation; skipped ranks' gradients ride the engine's carry
+        buffers) and ``average_over`` re-normalizes the mean over the
+        number of actually contributing ranks (elastic membership).
+
+        ``members`` names the global ranks that exist this step — elastic
+        worlds exclude departed replicas entirely (their slots stay in
+        ``self.replicas`` so indices never shift, but they neither
+        contribute gradients nor receive the reduction).  ``participants``
+        is interpreted in global rank numbers and must be a subset of the
+        members.
+        """
+        return self._reduce_members(
+            self.engine.reduce, participants, members,
+            mode=self.mode, average_over=average_over)
+
     def synchronize_overlapped(
         self,
         ready_order: list[str] | None = None,
@@ -133,6 +155,7 @@ class CGXDistributedDataParallel:
         step: int = 0,
         delays: OverlapDelays | None = None,
         measure_payload: bool = False,
+        members: list[int] | None = None,
     ) -> OverlapReport:
         """Overlapped-mode :meth:`synchronize` (cgx planning only).
 
@@ -142,33 +165,21 @@ class CGXDistributedDataParallel:
         buckets and drains them first-needed-first-sent.  Returns once
         every bucket has landed — the completion barrier — after which
         :meth:`mark_consumed` certifies consumption ordering.
+        ``participants`` / ``average_over`` / ``members`` mean what they
+        mean for :meth:`synchronize`; buckets are re-assembled every
+        call, so an elastic world may change between steps.
         """
         if self.mode != "cgx":
             raise ValueError(
                 f"overlapped synchronization requires cgx planning, "
                 f"not mode {self.mode!r} (blob mode reduces whole fusion "
                 f"buffers, which cannot enqueue per layer)")
-        per_worker = []
-        for replica in self.replicas:
-            grads = {}
-            for name, param in replica.named_parameters():
-                if param.grad is None:
-                    grads[name] = np.zeros(param.data.shape, dtype=np.float32)
-                else:
-                    grads[name] = param.grad
-            per_worker.append(grads)
-
-        reduced, report = self.engine.reduce_overlapped(
-            per_worker, self.rng, ready_order=ready_order, average=True,
-            participants=participants, average_over=average_over,
-            step=step, delays=delays, measure_payload=measure_payload)
-        for worker, replica in enumerate(self.replicas):
-            for name, param in replica.named_parameters():
-                param.grad = np.ascontiguousarray(
-                    reduced[worker][name], dtype=np.float32
-                )
-        self.last_report = report
-        self._landed = set(per_worker[0])
+        report = self._reduce_members(
+            self.engine.reduce_overlapped, participants, members,
+            ready_order=ready_order, average_over=average_over, step=step,
+            delays=delays, measure_payload=measure_payload)
+        self._landed = {name for name, _
+                        in self.replicas[0].named_parameters()}
         self._landed_step = step
         return report
 

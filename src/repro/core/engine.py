@@ -26,6 +26,7 @@ from repro.compression.topk import ErrorFeedback
 
 from .config import CGXConfig
 from .filters import LayerFilter, LayerInfo
+from .serialization import serialize_payload
 
 __all__ = ["Package", "CommunicationEngine", "ReductionReport",
            "group_for_transmission"]
@@ -67,6 +68,20 @@ class ReductionReport:
         if self.payload_bytes == 0:
             return 1.0
         return self.dense_bytes / self.payload_bytes
+
+
+@dataclass
+class _Reduction:
+    """One step's validated inputs and accumulating outputs — the state
+    :meth:`CommunicationEngine.reduce` and ``reduce_overlapped`` share."""
+
+    grads: list[dict[str, np.ndarray]]
+    rng: np.random.Generator
+    layers: list[LayerInfo]        # forward (dict) order
+    quorum: list[int]
+    scale: float                   # averaging factor applied on scatter
+    outputs: list[dict[str, np.ndarray]]
+    report: ReductionReport
 
 
 class CommunicationEngine:
@@ -145,8 +160,9 @@ class CommunicationEngine:
         A strict-subset quorum routes through :class:`PartialAllreduce`
         (carry buffers bank the skipped contributions); once degraded a
         package stays on the quorum reducer until its carries drain.
-        Shared by the sequential and overlapped data paths so both modes
-        see identical quorum/carry semantics per package name.
+        Keyed by package name, so sequential and overlapped mode (both
+        through :meth:`_reduce_and_account`) see identical quorum/carry
+        semantics.
         """
         world = len(buffers)
         compressor = self._compressor_for(package)
@@ -236,6 +252,75 @@ class CommunicationEngine:
                     and name in self._pending_residuals:
                 comp.load_residual_state(self._pending_residuals.pop(name))
 
+    def _begin_reduction(
+        self,
+        per_worker_grads: list[dict[str, np.ndarray]],
+        rng: np.random.Generator,
+        participants: list[int] | None,
+        average: bool,
+        average_over: int | None,
+        report: ReductionReport,
+    ) -> _Reduction:
+        """The one input-validation prologue of both reduction modes."""
+        if not per_worker_grads:
+            raise ValueError("need at least one worker")
+        names = list(per_worker_grads[0])
+        for i, grads in enumerate(per_worker_grads):
+            if list(grads) != names:
+                raise ValueError(f"worker {i} gradient names differ")
+        world = len(per_worker_grads)
+        layers = [
+            LayerInfo(name, per_worker_grads[0][name].size,
+                      tuple(per_worker_grads[0][name].shape))
+            for name in names
+        ]
+        quorum = sorted(set(participants)) if participants is not None \
+            else list(range(world))
+        if any(not 0 <= p < world for p in quorum):
+            raise ValueError("participant rank out of range")
+        if len(quorum) < world:
+            report.quorum_world = len(quorum)
+        report.dense_bytes = sum(layer.numel * 4 for layer in layers)
+        return _Reduction(
+            grads=per_worker_grads, rng=rng, layers=layers, quorum=quorum,
+            scale=1.0 / (average_over or world) if average else 1.0,
+            outputs=[dict() for _ in range(world)], report=report)
+
+    def _reduce_and_account(self, red: _Reduction, package: Package,
+                            measure_payload: bool = False) -> int:
+        """Gather → reduce → scatter → account, for one package.
+
+        The single per-package step of the data path; ``reduce`` runs it
+        in plan order, ``reduce_overlapped`` in bucket launch order.
+        With ``measure_payload`` the first worker's buffer is also
+        serialized once through a fresh stateless compressor and the
+        byte count returned (OVL002's ground truth), else 0.
+        """
+        world = len(red.grads)
+        buffers = [_gather_package(red.grads[w], package)
+                   for w in range(world)]
+        measured = 0
+        if measure_payload:
+            probe = make_compressor(package.spec)
+            compressed = probe.compress(
+                buffers[0].copy(), np.random.default_rng(0),
+                key=package.name)
+            measured = len(serialize_payload(compressed))
+        reduced, stats = self._reduce_package(
+            package, buffers, red.rng, red.quorum,
+            subset=len(red.quorum) < world)
+        for w in range(world):
+            _scatter_package(red.outputs[w], reduced[w] * red.scale, package)
+        report = red.report
+        report.packages += 1
+        report.wire_bytes += stats.wire_bytes
+        report.payload_bytes += package.wire_bytes()
+        report.compress_calls += stats.compress_calls
+        report.retries += stats.retries
+        report.retransmit_bytes += stats.retransmit_bytes
+        report.per_package.append((package.name, stats))
+        return measured
+
     def reduce(
         self,
         per_worker_grads: list[dict[str, np.ndarray]],
@@ -267,46 +352,11 @@ class CommunicationEngine:
         Returns:
             (per-worker reduced gradients, aggregate report).
         """
-        if not per_worker_grads:
-            raise ValueError("need at least one worker")
-        names = list(per_worker_grads[0])
-        for i, grads in enumerate(per_worker_grads):
-            if list(grads) != names:
-                raise ValueError(f"worker {i} gradient names differ")
-        world = len(per_worker_grads)
-        layers = [
-            LayerInfo(name, per_worker_grads[0][name].size,
-                      tuple(per_worker_grads[0][name].shape))
-            for name in names
-        ]
-        quorum = sorted(set(participants)) if participants is not None \
-            else list(range(world))
-        if any(not 0 <= p < world for p in quorum):
-            raise ValueError("participant rank out of range")
-        subset = len(quorum) < world
-        report = ReductionReport()
-        if subset:
-            report.quorum_world = len(quorum)
-        outputs: list[dict[str, np.ndarray]] = [dict() for _ in range(world)]
-
-        for package in self.plan(layers, mode=mode):
-            buffers = [
-                _gather_package(per_worker_grads[w], package) for w in range(world)
-            ]
-            reduced, stats = self._reduce_package(package, buffers, rng,
-                                                  quorum, subset)
-            scale = 1.0 / (average_over or world) if average else 1.0
-            for w in range(world):
-                _scatter_package(outputs[w], reduced[w] * scale, package)
-            report.packages += 1
-            report.wire_bytes += stats.wire_bytes
-            report.payload_bytes += package.wire_bytes()
-            report.compress_calls += stats.compress_calls
-            report.retries += stats.retries
-            report.retransmit_bytes += stats.retransmit_bytes
-            report.per_package.append((package.name, stats))
-        report.dense_bytes = sum(layer.numel * 4 for layer in layers)
-        return outputs, report
+        red = self._begin_reduction(per_worker_grads, rng, participants,
+                                    average, average_over, ReductionReport())
+        for package in self.plan(red.layers, mode=mode):
+            self._reduce_and_account(red, package)
+        return red.outputs, red.report
 
     def reduce_overlapped(
         self,
@@ -348,33 +398,18 @@ class CommunicationEngine:
         """
         from .overlap import (OverlapDelays, OverlapReport, assemble_buckets,
                               layer_ready_times, schedule_buckets)
-        from .serialization import serialize_payload
         from repro.collectives.trace import emit_overlap, timeline_position
 
-        if not per_worker_grads:
-            raise ValueError("need at least one worker")
-        names = list(per_worker_grads[0])
-        for i, grads in enumerate(per_worker_grads):
-            if list(grads) != names:
-                raise ValueError(f"worker {i} gradient names differ")
-        world = len(per_worker_grads)
-        quorum = sorted(set(participants)) if participants is not None \
-            else list(range(world))
-        if any(not 0 <= p < world for p in quorum):
-            raise ValueError("participant rank out of range")
-        subset = len(quorum) < world
-
+        report = OverlapReport()
+        red = self._begin_reduction(per_worker_grads, rng, participants,
+                                    average, average_over, report)
+        layers = {layer.name: layer for layer in red.layers}
         if ready_order is None:
-            ready_order = list(reversed(names))
-        if sorted(ready_order) != sorted(names):
+            ready_order = list(reversed(layers))
+        if sorted(ready_order) != sorted(layers):
             raise ValueError("ready_order must be a permutation of the "
                              "gradient names")
-        forward_pos = {name: i for i, name in enumerate(names)}
-        layers = {
-            name: LayerInfo(name, per_worker_grads[0][name].size,
-                            tuple(per_worker_grads[0][name].shape))
-            for name in names
-        }
+        forward_pos = {name: i for i, name in enumerate(layers)}
         # per-layer packages in emission order; the filter decides the
         # spec (filtered layers ride fp32 per-layer packages — bucket
         # fusion regroups them, replacing sequential mode's one fused
@@ -390,23 +425,17 @@ class CommunicationEngine:
                                    self.config.fusion_bytes)
         if delays is None:
             delays = OverlapDelays.default_for(
-                {name: layers[name].numel for name in names})
+                {name: info.numel for name, info in layers.items()})
         ready = layer_ready_times(ready_order, delays)
         launch_order = schedule_buckets(
             buckets, ready, lambda b: delays.bucket_comm(b.wire_bytes))
 
-        report = OverlapReport()
-        if subset:
-            report.quorum_world = len(quorum)
         report.buckets = list(buckets)
         report.compute_end = max(ready.values()) if ready else 0.0
         report.comm_total = sum(b.landed_t - b.launch_t for b in buckets)
         report.overlapped_time = max(
             [report.compute_end] + [b.landed_t for b in buckets])
         report.sequential_time = report.compute_end + report.comm_total
-        report.dense_bytes = sum(info.numel * 4 for info in layers.values())
-        outputs: list[dict[str, np.ndarray]] = [dict() for _ in range(world)]
-        scale = 1.0 / (average_over or world) if average else 1.0
 
         # chronology: emit lifecycle events in simulated-time order;
         # each bucket's data path executes at its landing, bracketed by
@@ -430,35 +459,15 @@ class CommunicationEngine:
                              first_needed=bucket.first_needed)
                 continue
             exec_start = timeline_position()
-            measured = 0
-            for package in bucket.packages:
-                buffers = [
-                    _gather_package(per_worker_grads[w], package)
-                    for w in range(world)
-                ]
-                if measure_payload:
-                    probe = make_compressor(package.spec)
-                    compressed = probe.compress(
-                        buffers[0].copy(), np.random.default_rng(0),
-                        key=package.name)
-                    measured += len(serialize_payload(compressed))
-                reduced, stats = self._reduce_package(package, buffers, rng,
-                                                      quorum, subset)
-                for w in range(world):
-                    _scatter_package(outputs[w], reduced[w] * scale, package)
-                report.packages += 1
-                report.wire_bytes += stats.wire_bytes
-                report.payload_bytes += package.wire_bytes()
-                report.compress_calls += stats.compress_calls
-                report.retries += stats.retries
-                report.retransmit_bytes += stats.retransmit_bytes
-                report.per_package.append((package.name, stats))
+            measured = sum(
+                self._reduce_and_account(red, package, measure_payload)
+                for package in bucket.packages)
             if measure_payload:
                 bucket.measured_bytes = measured
             bucket.exec_span = (exec_start, timeline_position())
             emit_overlap("reduce_landed", step, t, bucket=bucket.name,
                          first_needed=bucket.first_needed)
-        return outputs, report
+        return red.outputs, report
 
 
 def group_for_transmission(packages: list[Package],

@@ -23,7 +23,8 @@ the overlap certifier (:mod:`repro.analysis.overlap`) share:
 * :func:`schedule_buckets` — the event-driven single-channel timeline:
   a bucket seals when its last member gradient is ready, and whenever
   the channel frees the sealed bucket with the smallest
-  (first_needed, min_index) launches.
+  (first_needed, min_index) launches (one caller of the runtime's
+  single drain, :func:`repro.collectives.timing.drain_channel`).
 
 Everything here is simulated-time bookkeeping; the data-path math
 (compression, reduction, error feedback) is untouched — buckets are
@@ -36,6 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
+
+from repro.collectives.timing import drain_channel
 
 from .engine import Package, ReductionReport
 
@@ -209,18 +212,12 @@ def schedule_buckets(buckets: Sequence[OverlapBucket],
     """
     for bucket in buckets:
         bucket.ready_t = max(ready[name] for name in bucket.layer_names)
-    remaining = list(buckets)
-    free = 0.0
-    order: list[OverlapBucket] = []
-    while remaining:
-        sealed = [b for b in remaining if b.ready_t <= free]
-        if not sealed:
-            free = min(b.ready_t for b in remaining)
-            continue
-        chosen = min(sealed, key=lambda b: (b.first_needed, b.min_index))
-        chosen.launch_t = max(free, chosen.ready_t)
-        chosen.landed_t = chosen.launch_t + comm(chosen)
-        free = chosen.landed_t
-        order.append(chosen)
-        remaining.remove(chosen)
-    return order
+
+    def land(bucket: OverlapBucket, launch: float) -> float:
+        bucket.launch_t = launch
+        bucket.landed_t = launch + comm(bucket)
+        return bucket.landed_t
+
+    launched = drain_channel(buckets, lambda b: b.ready_t,
+                             lambda b: (b.first_needed, b.min_index), land)
+    return [bucket for bucket, _, _ in launched]

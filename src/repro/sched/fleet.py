@@ -11,8 +11,9 @@ rates and adaptive route selection (the psim-style knobs) apply on top.
 
 Each job's step plan (engine packages + gradient-ready offsets) is
 computed once at admission by :class:`JobRunner` and replayed per step
-with the job's current clock as the base — the fleet analog of
-``repro.training.perf.simulate_step``.
+with the job's current clock as the origin — the same
+``repro.training.perf.plan_step`` / ``replay_step`` pair that
+``simulate_step`` runs once from time zero on a private network.
 
 Event ordering is greedy list scheduling at step granularity: the
 pending step with the earliest *start* time is scheduled next (ties
@@ -31,12 +32,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.cluster import Network, Topology, get_backend, get_gpu
-from repro.cluster.backends import BackendModel
 from repro.cluster.gpu import GPUSpec
-from repro.collectives import time_allreduce
 from repro.models import ModelSpec, build_spec
-from repro.training.perf import (optimizer_time, package_ready_offsets,
-                                 plan_step_packages)
+from repro.training.perf import optimizer_time, plan_step, replay_step
 
 from .jobs import JobSpec, JobState
 from .placement import PLACEMENT_POLICIES, place
@@ -69,13 +67,8 @@ class JobRunner:
         self.compute_time = gpu.step_compute_time(model, batch)
         self.optimizer_time = optimizer_time(model)
         self.items_per_step = len(ranks) * batch * model.items_per_sample
-        if len(ranks) > 1:
-            packages = plan_step_packages(model, self.config, plan_mode)
-            offsets = package_ready_offsets(model, self.config,
-                                            self.compute_time, packages)
-            self.plan = sorted(zip(packages, offsets), key=lambda po: po[1])
-        else:
-            self.plan = []
+        self.plan = plan_step(model, self.config, self.compute_time,
+                              plan_mode) if len(ranks) > 1 else []
 
     def run_step(self, start: float,
                  network: Network | None = None) -> tuple[float, int]:
@@ -87,24 +80,11 @@ class JobRunner:
         identical plan and placement.
         """
         net = network if network is not None else self.network
-        last_end = start + self.compute_time
-        wire = 0
-        for package, offset in self.plan:
-            timing = time_allreduce(
-                net, self.ranks, package.numel, package.spec,
-                scheme=self.config.scheme, ready=start + offset,
-                chunk_streams=self.config.chunk_streams,
-                job=self.spec.job_id,
-            )
-            last_end = max(last_end, timing.end)
-            wire += timing.wire_bytes
-        return last_end + self.optimizer_time, wire
-
-    def isolated_step_time(self, backend: BackendModel | str) -> float:
-        """Step duration with this plan/placement on an empty network."""
-        probe = Network(self.network.topology, backend)
-        end, _ = self.run_step(0.0, network=probe)
-        return end
+        last_end, wire, _ = replay_step(net, self.ranks, self.plan,
+                                        self.config, start=start,
+                                        job=self.spec.job_id)
+        return (max(start + self.compute_time, last_end)
+                + self.optimizer_time, wire)
 
 
 @dataclass

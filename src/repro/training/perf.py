@@ -37,7 +37,8 @@ from repro.models import ModelSpec
 
 __all__ = ["StepTiming", "simulate_step", "simulate_machine_step",
            "single_gpu_step_time", "optimizer_time", "plan_step_packages",
-           "package_ready_offsets", "OPTIMIZER_BYTES_PER_PARAM"]
+           "package_ready_offsets", "plan_step", "replay_step",
+           "OPTIMIZER_BYTES_PER_PARAM"]
 
 #: bytes touched per parameter by the optimizer update (read grad, read
 #: and write momentum + weights)
@@ -92,12 +93,7 @@ def optimizer_time(spec: ModelSpec) -> float:
 
 def plan_step_packages(spec: ModelSpec, config: CGXConfig,
                        plan_mode: str = "cgx") -> list[Package]:
-    """One step's transmission plan: engine packages, fused per mode.
-
-    Shared by :func:`simulate_step` and the fleet scheduler's per-job
-    runners (``repro.sched.fleet``), which plan once per job and replay
-    the plan every step.
-    """
+    """One step's transmission plan: engine packages, fused per mode."""
     engine = CommunicationEngine(config)
     layers = [
         LayerInfo(t.name, t.numel, t.shape, t.kind)
@@ -147,6 +143,62 @@ def _gradient_ready_times(spec: ModelSpec, compute_time: float
         elapsed += max(tensor.flops, 1.0) / total_flops * backward_span
         ready[tensor.name] = forward_end + elapsed
     return ready
+
+
+def plan_step(spec: ModelSpec, config: CGXConfig, compute_time: float,
+              plan_mode: str = "cgx") -> list[tuple[Package, float]]:
+    """One step's launch plan: ``(package, ready offset)`` in seal order.
+
+    Pure in its arguments, so the fleet scheduler's per-job runners
+    (``repro.sched.fleet``) plan once at admission and hand the same
+    plan to :func:`replay_step` every step; :func:`simulate_step` plans
+    and replays once.
+    """
+    packages = plan_step_packages(spec, config, plan_mode)
+    offsets = package_ready_offsets(spec, config, compute_time, packages)
+    return sorted(zip(packages, offsets), key=lambda po: po[1])
+
+
+def replay_step(net: Network, ranks: list[int],
+                plan: list[tuple[Package, float]], config: CGXConfig,
+                start: float = 0.0, rank_scale: list[float] | None = None,
+                kernel_factor: float = 1.0, job: int | None = None
+                ) -> tuple[float, int, int]:
+    """Launch one step's packages on ``net``; the runtime's one replay.
+
+    Each package's collective starts on rank ``r`` at
+    ``start + offset * rank_scale[r]`` (``rank_scale`` defaults to all
+    ones) and contends with everything already scheduled on ``net`` —
+    earlier packages of this step, and on a shared fleet network other
+    jobs' steps.  ``start`` is the step origin on the network clock (a
+    fleet job's current time), ``job`` scopes every transfer and kernel
+    to the owning job.
+
+    Returns ``(last package end, wire bytes, kernel calls)``; the end
+    is ``start`` when the plan is empty.
+    """
+    scales = rank_scale if rank_scale is not None else [1.0] * len(ranks)
+    last_end = start
+    wire_total = 0
+    kernel_total = 0
+    for package, offset in plan:
+        pkg_ready = [start + offset * scale for scale in scales]
+        if package.spec.method == "powersgd":
+            end, wire, kernels = _schedule_powersgd(
+                net, ranks, package, max(pkg_ready), config, job=job)
+        else:
+            timing = time_allreduce(
+                net, ranks, package.numel, package.spec,
+                scheme=config.scheme, ready=pkg_ready,
+                chunk_streams=config.chunk_streams,
+                kernel_factor=kernel_factor, job=job,
+            )
+            end, wire, kernels = timing.end, timing.wire_bytes, \
+                timing.kernel_calls
+        last_end = max(last_end, end)
+        wire_total += wire
+        kernel_total += kernels
+    return last_end, wire_total, kernel_total
 
 
 def simulate_step(
@@ -200,42 +252,17 @@ def simulate_step(
                           items, ideal)
 
     net = network or Network(topology, get_backend(config.backend))
-    packages = plan_step_packages(spec, config, plan_mode)
     if compute_jitter is None:
         compute_jitter = [0.0] * n_gpus
     if len(compute_jitter) != n_gpus:
         raise ValueError("compute_jitter must give one factor per rank")
+    # per-rank emission times: stragglers emit (and so launch) later
     rank_scale = [1.0 + j for j in compute_jitter]
-    offsets = package_ready_offsets(spec, config, compute_time, packages)
-    slowest_compute = compute_time * max(rank_scale)
+    last_end, wire_total, kernel_total = replay_step(
+        net, ranks, plan_step(spec, config, compute_time, plan_mode), config,
+        rank_scale=rank_scale, kernel_factor=kernel_factor)
 
-    last_end = 0.0
-    wire_total = 0
-    kernel_total = 0
-    # Per-rank emission times (stragglers emit later); packages launch
-    # in seal order.
-    for package, offset in sorted(zip(packages, offsets),
-                                  key=lambda po: po[1]):
-        pkg_spec = package.spec
-        pkg_ready = [offset * scale for scale in rank_scale]
-        if pkg_spec.method == "powersgd":
-            end, wire, kernels = _schedule_powersgd(
-                net, ranks, package, max(pkg_ready), config
-            )
-        else:
-            timing = time_allreduce(
-                net, ranks, package.numel, pkg_spec,
-                scheme=config.scheme, ready=pkg_ready,
-                chunk_streams=config.chunk_streams,
-                kernel_factor=kernel_factor,
-            )
-            end, wire, kernels = timing.end, timing.wire_bytes, \
-                timing.kernel_calls
-        last_end = max(last_end, end)
-        wire_total += wire
-        kernel_total += kernels
-
-    compute_time = slowest_compute  # the step waits for the straggler
+    compute_time *= max(rank_scale)  # the step waits for the straggler
     optimizer = optimizer_time(spec)
     if config.cross_barrier:
         # Cross-barrier scheduling (BytePS-style): the communication tail
@@ -253,8 +280,8 @@ def simulate_step(
 
 
 def _schedule_powersgd(net: Network, ranks: list[int], package: Package,
-                       pkg_ready: float, config: CGXConfig
-                       ) -> tuple[float, int, int]:
+                       pkg_ready: float, config: CGXConfig,
+                       job: int | None = None) -> tuple[float, int, int]:
     """PowerSGD path: power-iteration kernels + dense allreduce of P, Q.
 
     The factors are associative, so they ride a *dense* collective; the
@@ -267,25 +294,26 @@ def _schedule_powersgd(net: Network, ranks: list[int], package: Package,
     if rows == 1 or cols == 1:
         timing = time_allreduce(net, ranks, layer.numel,
                                 CompressionSpec("none"),
-                                scheme=config.scheme, ready=pkg_ready)
+                                scheme=config.scheme, ready=pkg_ready,
+                                job=job)
         return timing.end, timing.wire_bytes, timing.kernel_calls
     rank_r = min(package.spec.rank, rows, cols)
     # two *dependent* collectives per matrix: allreduce P, orthonormalize,
     # compute Q = M^T P, allreduce Q (the PyTorch hook structure).
     mq_flops = 2.0 * rows * cols * rank_r
     kernel_p = kernel_seconds(layer.numel * 4, extra_flops=mq_flops)
-    starts = [net.run_kernel(g, "compress0", kernel_p, pkg_ready)
+    starts = [net.run_kernel(g, "compress0", kernel_p, pkg_ready, job=job)
               for g in ranks]
     p_timing = time_allreduce(net, ranks, rows * rank_r,
                               CompressionSpec("none"),
-                              scheme=config.scheme, ready=starts)
+                              scheme=config.scheme, ready=starts, job=job)
     ortho_flops = 2.0 * rows * rank_r * rank_r + 2.0 * rows * cols * rank_r
     kernel_q = kernel_seconds(layer.numel * 4, extra_flops=ortho_flops)
-    mid = [net.run_kernel(g, "compress0", kernel_q, t)
+    mid = [net.run_kernel(g, "compress0", kernel_q, t, job=job)
            for g, t in zip(ranks, p_timing.end_times)]
     q_timing = time_allreduce(net, ranks, cols * rank_r,
                               CompressionSpec("none"),
-                              scheme=config.scheme, ready=mid)
+                              scheme=config.scheme, ready=mid, job=job)
     wire = p_timing.wire_bytes + q_timing.wire_bytes
     kernels = p_timing.kernel_calls + q_timing.kernel_calls + 2 * len(ranks)
     return q_timing.end, wire, kernels

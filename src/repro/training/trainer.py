@@ -109,11 +109,6 @@ class DataParallelTrainer:
             self.fault_runtime = PlanRuntime(fault_plan, policy)
         self.elastic: ElasticCoordinator | None = None
         if fault_plan is not None and elastic_events(fault_plan):
-            if overlap:
-                raise ValueError(
-                    "elastic plans require overlap=False (the overlapped "
-                    "engine fixes its bucket plan per world size; respec "
-                    "on composition change is sequential-mode only)")
             assert self.fault_runtime is not None
             self.elastic = ElasticCoordinator(self.fault_runtime, world_size,
                                               supervised=supervised)
@@ -319,7 +314,8 @@ class DataParallelTrainer:
                 report = self.ddp.synchronize_overlapped(
                     ready_order=self._complete_ready_order(),
                     participants=participants, average_over=average_over,
-                    step=self._step_index, delays=self.overlap_delays)
+                    step=self._step_index, delays=self.overlap_delays,
+                    members=members)
                 # completion barrier: every consumer below (adaptive
                 # observation, clipping, optimizer) runs only after all
                 # buckets landed — certified statically by OVL001

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.compression import CompressionSpec
 from repro.core import AdaptiveController, CGXConfig
+from repro.core.overlap import OverlapDelays, OverlapReport
 from repro.faults import (CheckpointStore, ElasticCoordinator, FaultPlan,
                           PlanRuntime, check_drain_protocol, crash,
                           elastic_events, fleet_alpha_scale,
@@ -403,10 +405,57 @@ def test_restore_state_regrows_elastic_replicas(tmp_path):
     assert len(fresh.replicas) == WORLD + 2
 
 
-def test_elastic_plan_rejects_overlap_mode():
-    plan = make_campaign("spot-churn", WORLD)
-    with pytest.raises(ValueError, match="overlap=False"):
-        _trainer(plan, overlap=True)
+@pytest.mark.parametrize("supervised", [False, True],
+                         ids=["oracle", "supervised"])
+@pytest.mark.parametrize("campaign", ["spot-churn", "autoscale-burst"])
+def test_elastic_campaign_runs_overlapped(campaign, supervised):
+    """Elastic x overlap: membership changes between steps while every
+    step still hides injected comm under injected compute (the
+    patch-a-known-delay, assert-the-step-time-bound idiom of pytorch's
+    test_fully_shard_overlap), and the trained model matches the
+    sequential engine."""
+    recipe = get_recipe("mlp")
+    task = make_task("mlp", batch_size=recipe.batch_size, **recipe.kwargs())
+    names = [name for name, _ in task.build_model(0).named_parameters()]
+    delays = OverlapDelays.uniform(names, compute=1e-3, comm_latency=2e-3)
+    # deterministic compressor, one package per layer: both engine modes
+    # sum the same chunks in the same order
+    config = CGXConfig(
+        compression=CompressionSpec("topk", density=0.25,
+                                    error_feedback=True),
+        filtered_keywords=(), min_compress_numel=16, fusion_bytes=2048)
+
+    def run(overlap):
+        plan = make_campaign(campaign, WORLD)
+        trainer = DataParallelTrainer(
+            task, world_size=WORLD, config=config, recipe=recipe, seed=0,
+            fault_plan=plan, supervised=supervised, overlap=overlap,
+            overlap_delays=delays)
+        losses, reports = [], []
+        for _ in range(STEPS):
+            losses.append(trainer.train_step())
+            reports.append(trainer.ddp.last_report)
+        return plan, trainer, losses, reports
+
+    _, _, sequential_losses, _ = run(overlap=False)
+    plan, trainer, losses, reports = run(overlap=True)
+    runtime = trainer.fault_runtime
+    assert trainer.in_sync()
+    assert check_drain_protocol(plan, runtime.records) == []
+    assert runtime.counters.drain_missed == 0
+    assert runtime.counters.oracle_reads == 0
+    assert runtime.counters.graceful_exits > 0
+    assert runtime.counters.provision_admissions > 0
+    assert abs(losses[-1] - sequential_losses[-1]) < 1e-6
+    for report in reports:
+        assert isinstance(report, OverlapReport)
+        assert len(report.buckets) >= 2
+        # the bound: comm of all but the last-sealed bucket hides under
+        # the remaining backward compute
+        assert report.overlapped_time < report.sequential_time
+        assert report.overlap_ratio > 1.25
+    assert run(overlap=True)[1].fault_runtime.log_bytes() \
+        == runtime.log_bytes()
 
 
 def test_ddp_members_validation():

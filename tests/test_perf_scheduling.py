@@ -8,6 +8,7 @@ from repro.compression import CompressionSpec
 from repro.core import CGXConfig, CommunicationEngine, LayerInfo
 from repro.models import build_spec
 from repro.training import simulate_machine_step
+from repro.training.perf import plan_step, replay_step
 from repro.core.engine import group_for_transmission as _group_for_transmission
 
 RTX = get_machine("rtx3090-8x")
@@ -97,6 +98,24 @@ def test_powersgd_wire_far_below_dense():
                           compression=CompressionSpec("powersgd", rank=4))
     t = simulate_machine_step(RTX, spec, ps_config)
     assert t.wire_bytes < 0.25 * spec.gradient_bytes * 8
+
+
+def test_replayed_powersgd_step_is_fully_job_tagged():
+    # on a shared fleet network every busy second must belong to a job:
+    # the PowerSGD branch (power-iteration kernels + P/Q collectives)
+    # forwards the tag like the plain allreduce branch does
+    config = CGXConfig(backend="shm", scheme="sra",
+                       compression=CompressionSpec("powersgd", rank=4))
+    net = RTX.network(config.backend)
+    plan = plan_step(build_spec("resnet50"), config, compute_time=0.1)
+    assert any(pkg.spec.method == "powersgd" for pkg, _ in plan)
+    _, wire, kernels = replay_step(net, list(range(4)), plan, config,
+                                   start=2.0, job=3)
+    assert wire > 0 and kernels > 0
+    assert net.job_link_seconds(3) == {
+        name: busy for name, busy in net.pool.busy_seconds().items() if busy}
+    assert net.transferred_bytes(None) == 0
+    assert net.transferred_bytes(3) == wire
 
 
 def test_grace_no_overlap_shows_in_tail():

@@ -10,10 +10,11 @@ competitor's occupancy of the hot link.
 
 import pytest
 
-from repro.cluster import get_machine, make_cluster
-from repro.models import ModelSpec, TensorSpec
+from repro.cluster import Network, get_gpu, get_machine, make_cluster
+from repro.models import ModelSpec, TensorSpec, build_spec
 from repro.sched import (FleetSimulator, JobSpec, compute_metrics,
                          jain_fairness, percentile, sample_fleet)
+from repro.training.perf import simulate_step
 
 #: comm-dominated probe model: ~2M parameters of gradient with almost no
 #: compute, so step times are pure communication and contention math is
@@ -44,6 +45,25 @@ def test_fleet_validates_inputs():
     with pytest.raises(ValueError):   # bigger than the whole fleet
         FleetSimulator(topo, [JobSpec(1, "tinynet", 16, 0.0, 1)],
                        spec_library=LIB)
+
+
+@pytest.mark.parametrize("model,world,method", [
+    ("resnet50", 4, "cgx"), ("transformer_xl", 8, "cgx"),
+    ("vgg16", 2, "nccl")])
+def test_one_job_fleet_step_equals_simulate_step(model, world, method):
+    # the fleet runner and the single-job perf model replay the same
+    # plan through the same replay_step: a lone job's step duration and
+    # wire bytes are bit-exactly simulate_step's on the placed ranks
+    cluster = make_cluster("rtx3090-8x", 2)
+    job = JobSpec(1, model, world, 0.0, 1, method=method)
+    state = FleetSimulator(cluster, [job]).run().states[0]
+    config, plan_mode = job.build_config()
+    alone = simulate_step(build_spec(model), get_gpu("RTX3090"), cluster,
+                          config, plan_mode=plan_mode,
+                          ranks=list(state.ranks),
+                          network=Network(cluster, "shm"))
+    assert state.step_durations == [alone.step_time]
+    assert state.wire_bytes == alone.wire_bytes
 
 
 def test_disjoint_jobs_run_as_if_alone():

@@ -1,9 +1,11 @@
 """Property-based tests over the timed collective schedules."""
 
+from itertools import permutations
+
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Network, get_machine
-from repro.collectives import time_allreduce
+from repro.collectives import drain_channel, time_allreduce
 from repro.compression import CompressionSpec
 
 SCHEMES = ["sra", "ring", "tree", "allgather", "ps", "hier"]
@@ -111,3 +113,69 @@ def test_hier_respects_node_boundaries_on_cluster():
              if cluster.node_of[t.src] != cluster.node_of[t.dst]]
     assert cross
     assert all({src, dst} == {0, 4} for src, dst in cross)
+
+
+# -- the single-channel drain --------------------------------------------------
+
+def _serve(order, ready, duration):
+    """Launch/land times of serving items in ``order`` on one channel."""
+    free, schedule = 0.0, []
+    for i in order:
+        launch = max(free, ready[i])
+        free = launch + duration[i]
+        schedule.append((i, launch, free))
+    return schedule
+
+
+def _first_needed_first_sent(schedule, ready, priority):
+    """Every launch picks the lowest-(priority, index) item among those
+    sealed when the channel decides: at its free time, or — nothing
+    sealed yet — at the earliest pending seal."""
+    pending, free = {i for i, _, _ in schedule}, 0.0
+    for i, _, landed in schedule:
+        decide = max(free, min(ready[j] for j in pending))
+        sealed = [j for j in pending if ready[j] <= decide]
+        if (priority[i], i) != min((priority[j], j) for j in sealed):
+            return False
+        pending.remove(i)
+        free = landed
+    return True
+
+
+@given(items=st.lists(
+    st.tuples(st.sampled_from([0.0, 1e-3, 2e-3, 3.5e-3, 9e-3]),  # seal
+              st.integers(0, 3),                                  # priority
+              st.floats(1e-4, 5e-3)),                             # comm
+    min_size=1, max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_drain_channel_matches_brute_force(items):
+    ready, priority, duration = zip(*items)
+    launched = drain_channel(range(len(items)), lambda i: ready[i],
+                             lambda i: priority[i],
+                             lambda i, launch: launch + duration[i])
+    assert sorted(i for i, _, _ in launched) == list(range(len(items)))
+    for i, launch, landed in launched:
+        assert launch >= ready[i] and landed == launch + duration[i]
+    for (_, _, landed), (_, launch, _) in zip(launched, launched[1:]):
+        assert launch >= landed        # one channel: disjoint intervals
+    # of all n! service orders exactly one obeys the launch discipline,
+    # and it is the one drain_channel produced
+    obeying = [_serve(order, ready, duration)
+               for order in permutations(range(len(items)))
+               if _first_needed_first_sent(_serve(order, ready, duration),
+                                           ready, priority)]
+    assert obeying == [launched]
+
+
+@given(durations=st.lists(st.floats(1e-4, 5e-3), min_size=1, max_size=8),
+       seal=st.floats(0.0, 1e-2))
+@settings(max_examples=50, deadline=None)
+def test_drain_channel_degenerate_schedule_is_emission_order(durations, seal):
+    """Everything sealed at once, priority = emission index: the
+    sequential baseline — back-to-back in emission order from ``seal``."""
+    launched = drain_channel(range(len(durations)), lambda i: seal,
+                             lambda i: i,
+                             lambda i, launch: launch + durations[i])
+    assert launched == _serve(range(len(durations)),
+                              [seal] * len(durations), durations)
+    assert launched[0][1] == seal
