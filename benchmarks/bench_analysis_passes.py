@@ -1,9 +1,10 @@
 """Extension: wall-time budget of the static-analysis suite.
 
 CI runs ``python -m repro.analysis --all`` on every push, so the suite's
-cost is part of the development loop: this benchmark times each of the
-ten passes individually, measures the schedule simulator's throughput
-(trace events generated per second across the liveness battery), and
+cost is part of the development loop: this benchmark times each pass
+of the registry (``repro.analysis.registry.REGISTRY``) individually,
+measures the schedule simulator's throughput (trace events generated
+per second across the liveness battery), and
 persists both a human-readable table and a machine-readable
 ``BENCH_analysis.json`` for tooling to ratchet against.
 """
@@ -18,41 +19,16 @@ JSON_PATH = os.path.join(RESULTS_DIR, "BENCH_analysis.json")
 
 
 def _timed_passes() -> dict[str, float]:
-    """Wall-time per analysis pass, in seconds, in CI execution order."""
-    from repro.analysis.contracts import verify_contracts
-    from repro.analysis.health import verify_health
-    from repro.analysis.liveness import verify_liveness
-    from repro.analysis.overlap import verify_overlap
-    from repro.analysis.plans import verify_plans
-    from repro.analysis.races import verify_races
-    from repro.analysis.rules import run_lint
-    from repro.analysis.sched import verify_sched
-    from repro.analysis.schedule import verify_schedules
-    from repro.analysis.shapes import verify_shapes
-    from repro.faults.validate import (verify_crc_detection,
-                                       verify_fault_determinism,
-                                       verify_fault_schedules)
+    """Wall-time per registry pass, in seconds, in CI execution order."""
+    from repro.analysis.registry import REGISTRY
 
     src = os.path.join(os.path.dirname(__file__), "..", "src")
-    passes = {
-        "lint": lambda: run_lint([src]),
-        "schedule": verify_schedules,
-        "contracts": lambda: (verify_contracts() + verify_crc_detection()
-                              + verify_fault_determinism()),
-        "races": lambda: verify_races() + verify_fault_schedules(),
-        "plans": verify_plans,
-        "shapes": verify_shapes,
-        "health": verify_health,
-        "liveness": verify_liveness,
-        "overlap": verify_overlap,
-        "sched": verify_sched,
-    }
     timings = {}
-    for name, battery in passes.items():
+    for row in REGISTRY:
         start = time.perf_counter()
-        findings = battery()
-        timings[name] = time.perf_counter() - start
-        assert findings == [], f"{name} pass not clean: {findings[:3]}"
+        findings = row.run([src])
+        timings[row.name] = time.perf_counter() - start
+        assert findings == [], f"{row.name} pass not clean: {findings[:3]}"
     return timings
 
 
@@ -102,7 +78,7 @@ def test_bench_analysis_passes(benchmark):
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
-    assert set(payload["passes"]) == {
-        "lint", "schedule", "contracts", "races", "plans", "shapes",
-        "health", "liveness", "overlap", "sched"}
+    from repro.analysis.registry import REGISTRY
+
+    assert list(timings) == [row.name for row in REGISTRY]
     assert sim["events"] > 0 and sim["events_per_sec"] > 0

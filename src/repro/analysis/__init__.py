@@ -1,66 +1,11 @@
 """Domain-aware static analysis for the CGX reproduction.
 
-Eleven pillars (see ``docs/analysis.md``):
-
-* :mod:`repro.analysis.rules` — an AST linter with repo-specific
-  numerical-safety rules (REP001..REP006): float equality, default-dtype
-  allocations in hot paths, aliased error-feedback state, mutable
-  defaults, bare excepts, and in-place ops on ``split_chunks`` views.
-* :mod:`repro.analysis.schedule` — a collective-schedule verifier that
-  traces every registered reduction scheme on instrumented fake ranks
-  and checks the send/recv log for pairing symmetry, deadlock freedom,
-  wire-byte conservation against ``ReduceStats``, and bounded
-  recompression depth (SCH001..SCH007).
-* :mod:`repro.analysis.contracts` — a compressor-contract checker
-  (CON001..CON008) that abstractly executes every registered operator
-  (via :mod:`repro.analysis.abstract`) and verifies its declared
-  :class:`~repro.compression.CompressorContract`: shape/dtype
-  preservation, wire-byte exactness against real serialization,
-  state/rng behaviour, and error-feedback wiring through the engine.
-* :mod:`repro.analysis.races` — a happens-before race detector
-  (RACE001..RACE004) over buffer-access-annotated schedule traces:
-  unordered write/write and read/write on aliased memory, cross-rank
-  keyed-state sharing, and overlapping rank-local buffer declarations.
-* :mod:`repro.analysis.plans` — a bit-width plan certifier
-  (BWP001..BWP007) that proves, over a seeded instance battery and in
-  exact rational arithmetic, that every adaptive solver respects the
-  ``alpha * E4`` error budget, stays within a ratcheted factor of the
-  brute-force optimum, is monotone in the budget, respecs stably, and
-  only emits bit-widths the compressor contracts can realize.
-* :mod:`repro.analysis.shapes` — a shape/dtype pipeline interpreter
-  (SHP001..SHP005) that abstractly executes layer-filter → package plan
-  → compressor encode → serialization → scheme chunking for every
-  (model spec × compressor × reduction scheme) triple at full model
-  scale, checking coverage, fp32 dtype soundness, wire-size agreement
-  and chunk-partition conservation without touching real data.
-* :mod:`repro.analysis.health` — the failure-detection battery
-  (HLT001..HLT005): detector soundness and latency bounds, oracle-free
-  supervised recovery, bit-identical resume, checkpoint crash-safety.
-* :mod:`repro.analysis.liveness` — the deadlock & progress certifier
-  (DLV001..DLV006) over :mod:`repro.analysis.explore`, a small-world
-  DPOR interleaving explorer: per-phase wait-for graphs, orphan
-  endpoints, excluded-rank traffic, termination/conservation under
-  every interleaving at world 2..4, bounded wait under a fair
-  scheduler, and an AST pass for blocking calls that bypass the
-  ``deliver_chunk``/trace hooks — all across fault campaigns
-  (:mod:`repro.faults.cases`).
-* :mod:`repro.analysis.overlap` — the overlap-safety certifier
-  (OVL001..OVL006): use-before-reduce ordering, bucket-fusion
-  conservation, launch-priority discipline, in-flight compressor-state
-  attribution, the overlapped makespan bound, and the
-  ``.grad``-consumer AST pass.
-* :mod:`repro.analysis.sched` — the fleet-schedule certifier
-  (SCD001..SCD007): placement soundness, admission liveness/FIFO,
-  exact cross-job conservation, throttle semantics, isolation bounds,
-  fairness-metric validity, and the job-tagging AST pass.
-* :mod:`repro.analysis.elastic` — the elastic-membership certifier
-  (ELA001..ELA005): no ghost gradients from departed ranks, the
-  spot-drain protocol, convergence parity of grown/shrunk worlds,
-  exact feasibility of composition-change respecs, and byte-identical
-  same-seed campaign logs.
-
-Run ``python -m repro.analysis`` (or ``python -m repro analyze``); the
+Each pass is one row of :data:`repro.analysis.registry.REGISTRY`; the
+per-pillar prose and rule catalogs live in ``docs/analysis.md``.  Run
+``python -m repro.analysis`` (or ``python -m repro analyze``); the
 baseline workflow and output formats live in :mod:`repro.analysis.cli`.
+The passes:
+
 """
 
 from .abstract import (BehaviorObservation, RoundtripObservation,
@@ -82,6 +27,7 @@ from .plans import (DEFAULT_ALPHAS, OPTIMALITY_RATCHET, PLAN_RULES,
                     certify_optimality, certify_plan_contracts,
                     certify_solver, default_instances, verify_plans)
 from .races import RACE_RULES, analyze_callable, analyze_trace, verify_races
+from .registry import REGISTRY, AnalysisPass, pass_summary
 from .rules import HOT_PATH_PARTS, RULES, lint_file, lint_source, run_lint
 from .shapes import (SCHEME_MODELS, SHAPE_RULES, SchemeModel, WireSegment,
                      battery_specs, calibrate_payload_model,
@@ -92,8 +38,11 @@ from .schedule import (SchemeCase, default_cases,
                        verify_callable, verify_case, verify_schedules,
                        verify_trace)
 
+__doc__ = (__doc__ or "") + pass_summary() + "\n"
+
 __all__ = [
     "Finding", "JSON_REPORT_SCHEMA", "sort_findings",
+    "AnalysisPass", "REGISTRY",
     "RULES", "HOT_PATH_PARTS", "lint_source", "lint_file", "run_lint",
     "SchemeCase", "default_cases", "expected_recompression_bound",
     "trace_case", "verify_trace", "verify_case", "verify_schedules",

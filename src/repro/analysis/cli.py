@@ -1,55 +1,15 @@
 """Entry point: ``python -m repro.analysis`` / ``repro analyze``.
 
-Runs up to eleven passes and reports findings as text or JSON:
+Runs the passes of :data:`repro.analysis.registry.REGISTRY` (per-pillar
+prose: ``docs/analysis.md``) and reports findings as text or JSON:
 
-* **lint** — numerical-safety AST rules (REP) over the given paths;
-* **schedule** — collective-schedule verification (SCH);
-* **contracts** — compressor-contract checking (CON), plus the fault-
-  runtime contracts (FLT003 determinism, FLT004 CRC detection);
-* **races** — happens-before race detection (RACE), plus the schedule
-  and race batteries re-run under a lossy fault campaign (FLT001/002);
-* **plans** — adaptive bit-width plan certification (BWP): exact budget
-  feasibility, optimality-gap ratchet, controller respec stability;
-* **shapes** — the shape/dtype pipeline interpreter (SHP): abstract
-  execution of every (model x compressor x scheme) wire path;
-* **health** — the failure-detection battery (HLT): detector
-  soundness and latency bounds, oracle-free supervised recovery,
-  bit-identical resume, checkpoint-store crash-safety;
-* **liveness** — the deadlock & progress certifier (DLV): wait-for
-  cycles, orphan endpoints and excluded-rank traffic per barrier
-  phase, small-world DPOR interleaving exploration, bounded wait
-  under a fair scheduler, and the blocking-call AST pass;
-* **overlap** — the overlap-safety certifier (OVL): use-before-reduce
-  ordering, bucket-fusion conservation, launch-priority discipline,
-  in-flight compressor-state attribution and the makespan bound of
-  the engine's overlapped mode, plus the ``.grad``-consumer AST pass;
-* **sched** — the fleet-schedule certifier (SCD): placement soundness
-  replayed from the canonical fleet log, admission liveness and FIFO
-  order, exact cross-job conservation, throttle semantics, isolation
-  bounds against isolated replays, fairness-metric validity, and the
-  job-tagging AST pass over the scheduler and the shared network;
-* **elastic** — the elastic-membership certifier (ELA): no ghost
-  gradients from departed ranks, spot-drain protocol compliance,
-  convergence parity of grown/shrunk worlds against fixed baselines,
-  exact feasibility of every composition-change respec, and byte-
-  identical same-seed campaign logs.
-
-The first four run by default; ``--all`` runs all eleven (the CI
-configuration).  ``--contracts`` / ``--races`` / ``--plans`` /
-``--shapes`` / ``--health`` / ``--liveness`` / ``--overlap`` /
-``--sched`` / ``--elastic`` select *only* the named semantic passes
-(they combine with each other); ``--schedule-only`` keeps its PR-1
-meaning (schedule pass alone) and ``--no-schedule`` drops the schedule
-pass from the default set.
-
-Exit status: 0 when clean (or all findings baselined), 1 when new
-findings exist, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from typing import Sequence, TextIO
@@ -57,27 +17,30 @@ from typing import Sequence, TextIO
 from .baseline import (DEFAULT_BASELINE_PATH, load_baseline, split_baselined,
                        write_baseline)
 from .findings import Finding, sort_findings
-from .rules import run_lint
-from .schedule import verify_schedules
+from .registry import REGISTRY, pass_summary
 
 __all__ = ["build_parser", "main", "select_passes"]
 
-PASSES = ("lint", "schedule", "contracts", "races")
-ALL_PASSES = ("lint", "schedule", "contracts", "races", "plans", "shapes",
-              "health", "liveness", "overlap", "sched", "elastic")
+__doc__ = (__doc__ or "") + pass_summary() + """
+
+Pass selection is documented once, in ``docs/analysis.md`` (and
+``--help``).  Exit status: 0 when clean (or all findings baselined),
+1 when new findings exist, 2 on usage errors.
+"""
+
+PASSES = tuple(row.name for row in REGISTRY if row.default)
+ALL_PASSES = tuple(row.name for row in REGISTRY)
+#: rows selected by their own ``--<name>`` flag: all but lint (always
+#: path-driven) and schedule (``--schedule-only`` / ``--no-schedule``)
+_FLAGGED = tuple(row for row in REGISTRY
+                 if row.name not in ("lint", "schedule"))
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.analysis",
-        description="Static analysis: numerical-safety lint (REP), "
-                    "collective-schedule verification (SCH), compressor "
-                    "contracts (CON), happens-before races (RACE), "
-                    "adaptive-plan certification (BWP), shape/dtype "
-                    "pipeline interpretation (SHP), deadlock/progress "
-                    "certification (DLV), overlap-safety certification "
-                    "(OVL), fleet-schedule certification (SCD), "
-                    "elastic-membership certification (ELA).",
+        description="Static analysis: " + ", ".join(
+            f"{row.title} ({row.rules})" for row in REGISTRY) + ".",
     )
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files/directories to lint (default: src)")
@@ -94,48 +57,18 @@ def build_parser() -> argparse.ArgumentParser:
                       help="skip the collective-schedule verifier")
     mode.add_argument("--schedule-only", action="store_true",
                       help="run only the collective-schedule verifier")
-    parser.add_argument("--contracts", action="store_true",
-                        help="run only the compressor-contract checker "
-                             "(combines with the other pass flags)")
-    parser.add_argument("--races", action="store_true",
-                        help="run only the happens-before race detector "
-                             "(combines with the other pass flags)")
-    parser.add_argument("--plans", action="store_true",
-                        help="run only the bit-width plan certifier "
-                             "(combines with the other pass flags)")
-    parser.add_argument("--shapes", action="store_true",
-                        help="run only the shape/dtype pipeline "
-                             "interpreter (combines with the other "
-                             "pass flags)")
-    parser.add_argument("--health", action="store_true",
-                        help="run only the failure-detection battery "
-                             "(combines with the other pass flags)")
-    parser.add_argument("--liveness", action="store_true",
-                        help="run only the deadlock & progress "
-                             "certifier (combines with the other pass "
-                             "flags)")
-    parser.add_argument("--overlap", action="store_true",
-                        help="run only the overlap-safety certifier "
-                             "(combines with the other pass flags)")
-    parser.add_argument("--sched", action="store_true",
-                        help="run only the fleet-schedule certifier "
-                             "(combines with the other pass flags)")
-    parser.add_argument("--elastic", action="store_true",
-                        help="run only the elastic-membership certifier "
-                             "(combines with the other pass flags)")
+    for row in _FLAGGED:
+        parser.add_argument(f"--{row.name}", action="store_true",
+                            help=f"run only the {row.title} (combines "
+                                 f"with the other pass flags)")
     parser.add_argument("--all", dest="all_passes", action="store_true",
-                        help="run every battery (lint, schedule, "
-                             "contracts, races, plans, shapes, health, "
-                             "liveness, overlap, sched, elastic)")
+                        help=f"run every battery ({', '.join(ALL_PASSES)})")
     return parser
 
 
 def select_passes(args: argparse.Namespace) -> tuple[str, ...]:
-    """Which passes a parsed command line asks for (see module doc)."""
-    named = [name for name in ("contracts", "races", "plans", "shapes",
-                               "health", "liveness", "overlap", "sched",
-                               "elastic")
-             if getattr(args, name)]
+    """Which passes a parsed command line asks for (docs/analysis.md)."""
+    named = [row.name for row in _FLAGGED if getattr(args, row.name)]
     if args.all_passes:
         if args.schedule_only or args.no_schedule or named:
             raise SystemExit(
@@ -155,7 +88,7 @@ def select_passes(args: argparse.Namespace) -> tuple[str, ...]:
                 f"--{'/--'.join(named)} (schedule is already deselected)")
         return tuple(named)
     if args.no_schedule:
-        return ("lint", "contracts", "races")
+        return tuple(name for name in PASSES if name != "schedule")
     return PASSES
 
 
@@ -194,67 +127,16 @@ def main(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
         print(exc, file=sys.stderr)
         return 2
 
-    findings: list[Finding] = []
-    if "lint" in passes:
-        import os
-
+    selected = [row for row in REGISTRY if row.name in passes]
+    if any(row.lints_paths for row in selected):
         for path in args.paths:
             if not os.path.exists(path):
                 print(f"repro.analysis: path not found: {path}",
                       file=sys.stderr)
                 return 2
-        findings.extend(run_lint(args.paths))
-    if "schedule" in passes:
-        findings.extend(verify_schedules())
-    if "contracts" in passes:
-        from repro.faults.validate import (verify_crc_detection,
-                                           verify_fault_determinism)
-
-        from .contracts import verify_contracts
-
-        findings.extend(verify_contracts())
-        # fault-runtime contracts: CRC detection (FLT004) and seeded
-        # campaign reproducibility (FLT003)
-        findings.extend(verify_crc_detection())
-        findings.extend(verify_fault_determinism())
-    if "races" in passes:
-        from repro.faults.validate import verify_fault_schedules
-
-        from .races import verify_races
-
-        findings.extend(verify_races())
-        # re-run the schedule + race batteries under a lossy campaign so
-        # injected retransmissions cannot mask (or create) real hazards
-        # (FLT001/FLT002)
-        findings.extend(verify_fault_schedules())
-    if "plans" in passes:
-        from .plans import verify_plans
-
-        findings.extend(verify_plans())
-    if "shapes" in passes:
-        from .shapes import verify_shapes
-
-        findings.extend(verify_shapes())
-    if "health" in passes:
-        from .health import verify_health
-
-        findings.extend(verify_health())
-    if "liveness" in passes:
-        from .liveness import verify_liveness
-
-        findings.extend(verify_liveness())
-    if "overlap" in passes:
-        from .overlap import verify_overlap
-
-        findings.extend(verify_overlap())
-    if "sched" in passes:
-        from .sched import verify_sched
-
-        findings.extend(verify_sched())
-    if "elastic" in passes:
-        from .elastic import verify_elastic
-
-        findings.extend(verify_elastic())
+    findings: list[Finding] = []
+    for row in selected:
+        findings.extend(row.run(args.paths))
     findings = sort_findings(findings)
 
     if args.write_baseline:

@@ -63,11 +63,6 @@ CONTRACT_RULES = {
 }
 
 
-def _finding(rule: str, method: str, message: str) -> Finding:
-    return Finding(rule=rule, path=f"<contract:{method}>", line=0, col=0,
-                   message=message, source="contract", scheme=method)
-
-
 def _spec_label(spec: CompressionSpec) -> str:
     """Compact spec id for messages: distinguishes same-method probes."""
     parts = [spec.method]
@@ -83,13 +78,14 @@ def _check_operator(method: str, cls: type[Compressor]) -> list[Finding]:
     """CON001..CON005 + CON008 for one registered operator class."""
     contract = getattr(cls, "contract", None)
     if contract is None:
-        return [_finding("CON001", method,
-                         f"{cls.__name__} declares no CompressorContract")]
+        return [Finding.semantic(
+            "contract", "CON001",
+            f"{cls.__name__} declares no CompressorContract", method)]
     if contract.method != method:
-        return [_finding(
-            "CON001", method,
+        return [Finding.semantic(
+            "contract", "CON001",
             f"{cls.__name__}.contract.method is {contract.method!r} but the "
-            f"operator is registered as {method!r}")]
+            f"operator is registered as {method!r}", method)]
 
     findings: list[Finding] = []
     specs = probe_specs(method) or [CompressionSpec(method)]
@@ -98,51 +94,52 @@ def _check_operator(method: str, cls: type[Compressor]) -> list[Finding]:
             if contract.preserves_shape and (
                     obs.out_shape != obs.shape
                     or obs.out_numel != _numel(obs.shape)):
-                findings.append(_finding(
-                    "CON002", method,
+                findings.append(Finding.semantic(
+                    "contract", "CON002",
                     f"roundtrip of shape {obs.shape} returned shape "
-                    f"{obs.out_shape} ({_spec_label(spec)})"))
+                    f"{obs.out_shape} ({_spec_label(spec)})", method))
             if obs.out_dtype != contract.output_dtype:
-                findings.append(_finding(
-                    "CON002", method,
+                findings.append(Finding.semantic(
+                    "contract", "CON002",
                     f"decompress returned dtype {obs.out_dtype}, contract "
-                    f"declares {contract.output_dtype} ({_spec_label(spec)})"))
+                    f"declares {contract.output_dtype} ({_spec_label(spec)})",
+                    method))
             if contract.exact_wire_claim and not (
                     obs.claimed_bytes == obs.declared_bytes
                     == obs.measured_bytes):
-                findings.append(_finding(
-                    "CON003", method,
+                findings.append(Finding.semantic(
+                    "contract", "CON003",
                     f"shape {obs.shape} ({_spec_label(spec)}): wire_bytes "
                     f"claims {obs.claimed_bytes}, payload declares "
                     f"{obs.declared_bytes}, serialization measures "
-                    f"{obs.measured_bytes}"))
+                    f"{obs.measured_bytes}", method))
             if contract.lossless and not obs.exact:
-                findings.append(_finding(
-                    "CON008", method,
+                findings.append(Finding.semantic(
+                    "contract", "CON008",
                     f"shape {obs.shape} ({_spec_label(spec)}): roundtrip "
-                    f"declared lossless altered the tensor"))
+                    f"declared lossless altered the tensor", method))
 
         behavior = execute_behavior(cls, spec)
         if behavior.repeat_differs and not contract.stateful:
-            findings.append(_finding(
-                "CON004", method,
+            findings.append(Finding.semantic(
+                "contract", "CON004",
                 f"payload changed across identical repeat calls but the "
-                f"contract declares stateless ({_spec_label(spec)})"))
+                f"contract declares stateless ({_spec_label(spec)})", method))
         if contract.stateful and not behavior.repeat_differs:
-            findings.append(_finding(
-                "CON004", method,
+            findings.append(Finding.semantic(
+                "contract", "CON004",
                 f"contract declares stateful but repeated identical calls "
-                f"produced identical payloads ({_spec_label(spec)})"))
+                f"produced identical payloads ({_spec_label(spec)})", method))
         if behavior.rng_sensitive and not contract.uses_rng:
-            findings.append(_finding(
-                "CON005", method,
+            findings.append(Finding.semantic(
+                "contract", "CON005",
                 f"payload depends on the generator seed but the contract "
-                f"declares uses_rng=False ({_spec_label(spec)})"))
+                f"declares uses_rng=False ({_spec_label(spec)})", method))
         if contract.uses_rng and not behavior.rng_sensitive:
-            findings.append(_finding(
-                "CON005", method,
+            findings.append(Finding.semantic(
+                "contract", "CON005",
                 f"contract declares uses_rng=True but payloads were "
-                f"seed-invariant ({_spec_label(spec)})"))
+                f"seed-invariant ({_spec_label(spec)})", method))
     return findings
 
 
@@ -192,25 +189,25 @@ def check_engine_wiring(
             wrapped = isinstance(compressor, ErrorFeedback)
             if (contract.requires_error_feedback
                     and not contract.self_error_feedback and not wrapped):
-                findings.append(_finding(
-                    "CON006", method,
+                findings.append(Finding.semantic(
+                    "contract", "CON006",
                     f"package {package.name!r} uses {method} (requires "
                     f"error feedback) but the engine built a bare "
-                    f"{type(compressor).__name__}"))
+                    f"{type(compressor).__name__}", method))
             if contract.self_error_feedback and wrapped:
-                findings.append(_finding(
-                    "CON006", method,
+                findings.append(Finding.semantic(
+                    "contract", "CON006",
                     f"package {package.name!r}: {method} maintains its own "
                     f"residual but the engine double-wrapped it in "
-                    f"ErrorFeedback"))
+                    f"ErrorFeedback", method))
 
     respec = replay_adaptive_respec(engine_cls)
     if respec["rebuilt"] and not respec["carried"]:
-        findings.append(_finding(
-            "CON007", "topk",
+        findings.append(Finding.semantic(
+            "contract", "CON007",
             "adaptive same-method respec rebuilt the compressor and lost "
             f"{respec['residual_norm_before']:.3g} of accumulated "
-            "error-feedback residual (expected it to carry over)"))
+            "error-feedback residual (expected it to carry over)", "topk"))
     return findings
 
 

@@ -36,14 +36,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import AdaptiveController, certify_assignment
-from repro.core.config import CGXConfig
-from repro.faults import (FaultPlan, check_drain_protocol, make_campaign)
-from repro.training.recipes import get_recipe
-from repro.training.tasks import make_task
-from repro.training.trainer import DataParallelTrainer
+from repro.core import certify_assignment
+from repro.faults import check_drain_protocol, make_campaign
 
 from .findings import Finding
+from .health import WORLD, CampaignRecords
 
 __all__ = ["ELA_RULES", "ELASTIC_CAMPAIGNS", "LOSS_TOLERANCE",
            "verify_elastic", "verify_no_ghost_gradients",
@@ -51,10 +48,6 @@ __all__ = ["ELA_RULES", "ELASTIC_CAMPAIGNS", "LOSS_TOLERANCE",
            "verify_respec_feasibility", "verify_log_determinism"]
 
 LOSS_TOLERANCE = 0.02
-
-FAMILY = "mlp"
-WORLD = 4
-STEPS = 20
 
 #: the stock elastic campaigns the battery certifies
 ELASTIC_CAMPAIGNS = ("spot-churn", "autoscale-burst")
@@ -70,175 +63,146 @@ ELA_RULES: dict[str, str] = {
 }
 
 
-def _finding(rule: str, campaign: str, message: str) -> Finding:
-    return Finding(rule=rule, path=f"<elastic:{campaign}@world={WORLD}>",
-                   line=0, col=0, message=message, source="elastic",
-                   scheme=campaign, world=WORLD)
-
-
-def _trainer(plan: FaultPlan | None, supervised: bool = False,
-             adaptive: AdaptiveController | None = None,
-             seed: int = 0) -> DataParallelTrainer:
-    recipe = get_recipe(FAMILY)
-    task = make_task(FAMILY, batch_size=recipe.batch_size, **recipe.kwargs())
-    return DataParallelTrainer(
-        task, world_size=WORLD, config=CGXConfig.cgx_default(128),
-        recipe=recipe, seed=seed, fault_plan=plan, supervised=supervised,
-        adaptive=adaptive)
-
-
-def _run(trainer: DataParallelTrainer, steps: int) -> list[float]:
-    return [trainer.train_step() for _ in range(steps)]
-
-
 # -- ELA001: no ghost gradients ----------------------------------------------
 
-def verify_no_ghost_gradients() -> list[Finding]:
+def verify_no_ghost_gradients(records: CampaignRecords | None = None
+                              ) -> list[Finding]:
     """Departed ranks vanish from membership and stop updating."""
+    records = records or CampaignRecords()
     findings: list[Finding] = []
     for name in ELASTIC_CAMPAIGNS:
-        trainer = _trainer(make_campaign(name, WORLD))
-        coord = trainer.elastic
-        assert coord is not None
-        frozen: dict[int, dict[str, np.ndarray]] = {}
-        for _ in range(STEPS):
-            trainer.train_step()
-            for rank in coord.departed - set(frozen):
-                if rank >= len(trainer.replicas):
-                    continue   # warned before provisioning: never built
-                frozen[rank] = {
-                    p_name: param.data.copy()
-                    for p_name, param in
-                    trainer.replicas[rank].named_parameters()}
+        record = records.get(make_campaign(name, WORLD), supervised=False)
+        trainer = record.trainer
+        assert trainer.elastic is not None
         exit_steps = {dict(r.detail)["rank"]: r.step
-                      for r in trainer.fault_runtime.records
+                      for r in record.runtime.records
                       if r.kind == "spot_exit"}
-        for step, members in coord.history:
+        for step, members in trainer.elastic.history:
             for rank, exited_at in exit_steps.items():
                 if step > exited_at and rank in members:
-                    findings.append(_finding(
-                        "ELA001", name,
+                    findings.append(Finding.semantic(
+                        "elastic", "ELA001",
                         f"rank {rank} departed at step {exited_at} but "
-                        f"is a member again at step {step}"))
-        for rank, weights in frozen.items():
+                        f"is a member again at step {step}", name, WORLD))
+        for rank, weights in record.frozen.items():
             current = dict(trainer.replicas[rank].named_parameters())
             for p_name, snapshot in weights.items():
                 if not np.array_equal(snapshot, current[p_name].data):
-                    findings.append(_finding(
-                        "ELA001", name,
+                    findings.append(Finding.semantic(
+                        "elastic", "ELA001",
                         f"departed rank {rank}'s parameter {p_name} "
                         f"changed after it left the world (a reduction "
-                        f"reached a ghost)"))
+                        f"reached a ghost)", name, WORLD))
                     break
     return findings
 
 
 # -- ELA002: drain protocol ---------------------------------------------------
 
-def verify_drain_protocol() -> list[Finding]:
+def verify_drain_protocol(records: CampaignRecords | None = None
+                          ) -> list[Finding]:
     """Warned ranks drain before the deadline or degrade, never linger."""
+    records = records or CampaignRecords()
     findings: list[Finding] = []
     for name in ELASTIC_CAMPAIGNS:
         plan = make_campaign(name, WORLD)
-        trainer = _trainer(plan)
-        _run(trainer, STEPS)
-        runtime = trainer.fault_runtime
-        assert runtime is not None
+        runtime = records.get(plan, supervised=False).runtime
         for message in check_drain_protocol(plan, runtime.records):
-            findings.append(_finding("ELA002", name, message))
+            findings.append(Finding.semantic("elastic", "ELA002", message,
+                                             name, WORLD))
         if runtime.counters.drain_missed:
-            findings.append(_finding(
-                "ELA002", name,
+            findings.append(Finding.semantic(
+                "elastic", "ELA002",
                 f"{runtime.counters.drain_missed} missed drain(s) on a "
-                f"campaign whose clean drain path is reachable"))
+                f"campaign whose clean drain path is reachable",
+                name, WORLD))
     return findings
 
 
 # -- ELA003: convergence parity ----------------------------------------------
 
-def verify_convergence_parity() -> list[Finding]:
+def verify_convergence_parity(records: CampaignRecords | None = None
+                              ) -> list[Finding]:
     """Elastic worlds track the fixed-world loss; supervised stays blind."""
+    records = records or CampaignRecords()
     findings: list[Finding] = []
-    baseline = _run(_trainer(None), STEPS)
+    baseline = records.get(None, supervised=False).losses
     for name in ELASTIC_CAMPAIGNS:
         for supervised in (False, True):
             mode = "supervised" if supervised else "oracle"
-            trainer = _trainer(make_campaign(name, WORLD),
-                               supervised=supervised)
-            losses = _run(trainer, STEPS)
-            runtime = trainer.fault_runtime
-            assert runtime is not None
+            record = records.get(make_campaign(name, WORLD),
+                                 supervised=supervised)
+            losses = record.losses
             drift = abs(losses[-1] - baseline[-1])
             if not np.isfinite(losses[-1]) or drift > LOSS_TOLERANCE:
-                findings.append(_finding(
-                    "ELA003", name,
+                findings.append(Finding.semantic(
+                    "elastic", "ELA003",
                     f"{mode} final loss {losses[-1]:.6f} vs fixed-world "
                     f"{baseline[-1]:.6f} (drift {drift:.6f} > tolerance "
-                    f"{LOSS_TOLERANCE})"))
-            if supervised and runtime.counters.oracle_reads:
-                findings.append(_finding(
-                    "ELA003", name,
+                    f"{LOSS_TOLERANCE})", name, WORLD))
+            reads = record.runtime.counters.oracle_reads
+            if supervised and reads:
+                findings.append(Finding.semantic(
+                    "elastic", "ELA003",
                     f"supervised elastic decision path issued "
-                    f"{runtime.counters.oracle_reads} oracle read(s)"))
+                    f"{reads} oracle read(s)", name, WORLD))
     return findings
 
 
 # -- ELA004: respec feasibility ----------------------------------------------
 
-def verify_respec_feasibility() -> list[Finding]:
+def verify_respec_feasibility(records: CampaignRecords | None = None
+                              ) -> list[Finding]:
     """Every respec across every composition certifies in exact arithmetic."""
+    records = records or CampaignRecords()
     findings: list[Finding] = []
     for name in ELASTIC_CAMPAIGNS:
-        config = CGXConfig.cgx_default(128)
-        adaptive = AdaptiveController(config, period=5)
-        trainer = _trainer(make_campaign(name, WORLD), adaptive=adaptive)
-        _run(trainer, STEPS)
-        runtime = trainer.fault_runtime
-        assert runtime is not None
-        if not any(r.kind == "respec" for r in runtime.records):
-            findings.append(_finding(
-                "ELA004", name,
+        record = records.get(make_campaign(name, WORLD), supervised=False,
+                             adaptive=True)
+        adaptive = record.trainer.adaptive
+        assert adaptive is not None
+        if not any(r.kind == "respec" for r in record.runtime.records):
+            findings.append(Finding.semantic(
+                "elastic", "ELA004",
                 "no respec event was logged although the campaign "
-                "changes the world composition"))
+                "changes the world composition", name, WORLD))
         for i, entry in enumerate(adaptive.respec_history):
             if not entry["assignment"]:
                 continue
             if not certify_assignment(entry["stats"], entry["assignment"],
                                       alpha=entry["alpha"]):
-                findings.append(_finding(
-                    "ELA004", name,
+                findings.append(Finding.semantic(
+                    "elastic", "ELA004",
                     f"respec #{i} ({entry['trigger']}, world "
                     f"{entry['world']}) fails exact certification at "
-                    f"alpha={entry['alpha']:.3f}"))
+                    f"alpha={entry['alpha']:.3f}", name, WORLD))
     return findings
 
 
 # -- ELA005: reproducibility --------------------------------------------------
 
-def verify_log_determinism() -> list[Finding]:
+def verify_log_determinism(records: CampaignRecords | None = None
+                           ) -> list[Finding]:
     """Two same-seed runs per campaign: byte-identical canonical logs."""
+    records = records or CampaignRecords()
     findings: list[Finding] = []
     for name in ELASTIC_CAMPAIGNS:
-        logs = []
-        for _ in range(2):
-            trainer = _trainer(make_campaign(name, WORLD), supervised=True)
-            _run(trainer, STEPS)
-            assert trainer.fault_runtime is not None
-            logs.append(trainer.fault_runtime.log_bytes())
+        plan = make_campaign(name, WORLD)
+        logs = [records.get(plan, repeat=i).runtime.log_bytes()
+                for i in (0, 1)]
         if logs[0] != logs[1]:
-            findings.append(_finding(
-                "ELA005", name,
+            findings.append(Finding.semantic(
+                "elastic", "ELA005",
                 "two same-seed supervised elastic runs produced "
-                "different canonical event logs"))
+                "different canonical event logs", name, WORLD))
     return findings
 
 
 def verify_elastic() -> list[Finding]:
-    """Run the full ELA battery."""
-    findings: list[Finding] = []
-    findings.extend(verify_no_ghost_gradients())
-    findings.extend(verify_drain_protocol())
-    findings.extend(verify_convergence_parity())
-    findings.extend(verify_respec_feasibility())
-    findings.extend(verify_log_determinism())
-    return findings
+    """Run the full ELA battery, training each distinct cell once."""
+    records = CampaignRecords()
+    return [*verify_no_ghost_gradients(records),
+            *verify_drain_protocol(records),
+            *verify_convergence_parity(records),
+            *verify_respec_feasibility(records),
+            *verify_log_determinism(records)]

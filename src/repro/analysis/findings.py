@@ -1,105 +1,112 @@
 """Finding model shared by every analysis pass.
 
 A :class:`Finding` is one diagnostic: a rule id, a location (file:line
-for lint findings; a ``<schedule:scheme@world=N>``, ``<contract:method>``,
-``<race:scheme@world=N>``, ``<plan:solver>``, ``<shape:model>``,
-``<liveness:scheme@world=N/campaign>``, ``<overlap:scheme@world=N/model>``,
-``<sched:policy-routing@n=N/cell>`` or ``<elastic:campaign@world=N>``
-pseudo-path for the semantic
-passes) and a message.  Findings carry a stable *fingerprint* so a baseline file can
-grandfather existing ones while still failing the build on anything new
-(see :mod:`repro.analysis.baseline`).
+for lint findings; a ``<pass:scheme@world=N[/cell]>`` pseudo-path for
+the semantic passes) and a message.  How a semantic finding renders and
+what its fingerprint hashes is data — the per-source :data:`SOURCES`
+table — not a branch per pass.  Findings carry a stable *fingerprint*
+so a baseline file can grandfather existing ones while still failing
+the build on anything new (see :mod:`repro.analysis.baseline`).
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
-__all__ = ["Finding", "JSON_REPORT_SCHEMA", "sort_findings"]
+__all__ = ["Finding", "JSON_REPORT_SCHEMA", "SOURCES", "sort_findings"]
+
+
+class Source(NamedTuple):
+    """How one semantic pass's findings present themselves."""
+
+    label: str           # ``str.format`` template over scheme/world
+    cell_in_path: bool   # fingerprint by pseudo-path, not (scheme, world):
+                         # the path carries the campaign/model/fleet-cell
+                         # axis that scheme/world alone cannot distinguish
+
+
+_WORLD = "{scheme}@world={world}"
+
+#: ``Finding.source`` -> presentation, one row per semantic pass.  A
+#: source not listed here (``lint``, ``faults``) renders as a file
+#: location and fingerprints by (scheme, world).
+SOURCES: dict[str, Source] = {
+    "schedule": Source(_WORLD, False),
+    "contract": Source("{scheme}", False),
+    "race": Source(_WORLD, False),
+    "plan": Source("{scheme}", False),
+    "shape": Source(_WORLD, False),
+    "health": Source(_WORLD, False),
+    "liveness": Source(_WORLD, True),
+    "overlap": Source(_WORLD, True),
+    "sched": Source("{scheme}@jobs={world}", True),
+    "elastic": Source(_WORLD, True),
+}
 
 
 @dataclass(frozen=True)
 class Finding:
-    """One diagnostic from the linter or the schedule verifier."""
+    """One diagnostic from the linter or a semantic pass."""
 
     rule: str            # e.g. "REP001", "SCH005", "CON003", "BWP001"
     path: str            # file path, or a <pass:...> pseudo-path
     line: int            # 1-based; 0 for non-lint findings
     col: int             # 0-based; 0 for non-lint findings
     message: str
-    source: str = "lint"     # lint | schedule | contract | race | plan |
-                             # shape | health | liveness | overlap | sched |
-                             # elastic
-    snippet: str = ""        # stripped source line (lint findings)
+    source: str = "lint"     # "lint", "faults" or a key of SOURCES
+    snippet: str = ""        # stripped source line (file findings)
     scheme: str = ""         # reduction scheme, compression method, or solver
     world: int = 0           # world size (0 for lint/contract/plan findings)
     occurrence: int = field(default=0, compare=False)
+
+    @classmethod
+    def semantic(cls, source: str, rule: str, message: str, scheme: str = "",
+                 world: int = 0, path: str | None = None) -> Finding:
+        """A battery (non-file) finding.
+
+        ``path`` defaults to the source's render label as a pseudo-path,
+        ``<source:scheme[@world=N]>``; passes whose cells carry a further
+        axis (campaign, model, fleet cell) pass their case path.
+        """
+        if path is None:
+            label = SOURCES[source].label.format(scheme=scheme, world=world)
+            path = f"<{source}:{label}>"
+        return cls(rule=rule, path=path, line=0, col=0, message=message,
+                   source=source, scheme=scheme, world=world)
 
     @property
     def fingerprint(self) -> str:
         """Location-tolerant identity: survives unrelated line shifts.
 
         Lint findings — and any finding carrying a source snippet, such
-        as the liveness pass's DLV006 or the overlap pass's OVL006 file
-        diagnostics — hash (rule, path, stripped line text, occurrence
-        index among identical lines); semantic findings (schedule,
-        contract, race, liveness/overlap battery) hash (rule, scheme,
-        world, message).
+        as the DLV006 / OVL006 / SCD007 file diagnostics — hash (rule,
+        path, stripped line text, occurrence index among identical
+        lines); semantic findings hash (rule, pseudo-path, message) when
+        the source's path carries the cell, else (rule, scheme, world,
+        message).
         """
         if self.source == "lint" or self.snippet:
             raw = f"{self.rule}|{self.path}|{self.snippet}|{self.occurrence}"
-        elif self.source in ("liveness", "overlap", "sched", "elastic"):
-            # the pseudo-path carries the campaign/model/fleet-cell
-            # axis, which scheme/world alone cannot distinguish
+        elif self.source in SOURCES and SOURCES[self.source].cell_in_path:
             raw = f"{self.rule}|{self.path}|{self.message}"
         else:
             raw = f"{self.rule}|{self.scheme}|{self.world}|{self.message}"
         return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16]
 
     def to_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "source": self.source,
-            "snippet": self.snippet,
-            "scheme": self.scheme,
-            "world": self.world,
-            "fingerprint": self.fingerprint,
-        }
+        """Every field but the occurrence index, plus the fingerprint."""
+        data = asdict(self)
+        del data["occurrence"]
+        data["fingerprint"] = self.fingerprint
+        return data
 
     def render(self) -> str:
-        if self.source == "schedule":
-            return (f"schedule[{self.scheme}@world={self.world}]: "
-                    f"{self.rule} {self.message}")
-        if self.source == "contract":
-            return f"contract[{self.scheme}]: {self.rule} {self.message}"
-        if self.source == "race":
-            return (f"race[{self.scheme}@world={self.world}]: "
-                    f"{self.rule} {self.message}")
-        if self.source == "plan":
-            return f"plan[{self.scheme}]: {self.rule} {self.message}"
-        if self.source == "shape":
-            return (f"shape[{self.scheme}@world={self.world}]: "
-                    f"{self.rule} {self.message}")
-        if self.source == "health":
-            return (f"health[{self.scheme}@world={self.world}]: "
-                    f"{self.rule} {self.message}")
-        if self.source == "liveness" and not self.snippet:
-            return (f"liveness[{self.scheme}@world={self.world}]: "
-                    f"{self.rule} {self.message}")
-        if self.source == "overlap" and not self.snippet:
-            return (f"overlap[{self.scheme}@world={self.world}]: "
-                    f"{self.rule} {self.message}")
-        if self.source == "sched" and not self.snippet:
-            return (f"sched[{self.scheme}@jobs={self.world}]: "
-                    f"{self.rule} {self.message}")
-        if self.source == "elastic":
-            return (f"elastic[{self.scheme}@world={self.world}]: "
-                    f"{self.rule} {self.message}")
+        if self.source in SOURCES and not self.snippet:
+            label = SOURCES[self.source].label.format(scheme=self.scheme,
+                                                      world=self.world)
+            return f"{self.source}[{label}]: {self.rule} {self.message}"
         return f"{self.path}:{self.line}:{self.col + 1}: {self.rule} {self.message}"
 
 

@@ -39,13 +39,15 @@ from __future__ import annotations
 
 import os
 import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core import AdaptiveController
 from repro.core.config import CGXConfig
 from repro.faults import (CheckpointCorrupt, CheckpointStore, FaultPlan,
                           make_campaign, straggler)
-from repro.faults.health import HealthPolicy
+from repro.faults.plan import PlanRuntime
 from repro.training.recipes import get_recipe
 from repro.training.tasks import make_task
 from repro.training.trainer import DataParallelTrainer
@@ -53,10 +55,10 @@ from repro.training.trainer import DataParallelTrainer
 from .findings import Finding
 
 __all__ = ["HLT_RULES", "CRASH_LATENCY_BOUND", "STRAGGLER_LATENCY_BOUND",
-           "REJOIN_LATENCY_BOUND", "LOSS_TOLERANCE", "verify_health",
-           "verify_detector_soundness", "verify_detection_latency",
-           "verify_supervised_recovery", "verify_resume_determinism",
-           "verify_store_crash_safety"]
+           "REJOIN_LATENCY_BOUND", "LOSS_TOLERANCE", "CampaignRecord",
+           "CampaignRecords", "verify_health", "verify_detector_soundness",
+           "verify_detection_latency", "verify_supervised_recovery",
+           "verify_resume_determinism", "verify_store_crash_safety"]
 
 #: certified bounds (steps) and the convergence tolerance shared with
 #: the oracle-driven PR 3 battery
@@ -79,22 +81,68 @@ HLT_RULES: dict[str, str] = {
 }
 
 
-def _finding(rule: str, campaign: str, message: str) -> Finding:
-    return Finding(rule=rule, path=f"<health:{campaign}@world={WORLD}>",
-                   line=0, col=0, message=message, source="health",
-                   scheme=campaign, world=WORLD)
+# -- the campaign-trainer runner (shared with the ELA battery) ---------------
+
+@dataclass
+class CampaignRecord:
+    """What one campaign cell leaves behind for the pure checks."""
+
+    trainer: DataParallelTrainer    # in its final state
+    losses: list[float]             # one per step
+    #: weights of each departed replica, copied the step it left (ELA001)
+    frozen: dict[int, dict[str, np.ndarray]]
+
+    @property
+    def runtime(self) -> PlanRuntime:
+        assert self.trainer.fault_runtime is not None
+        return self.trainer.fault_runtime
 
 
-def _trainer(plan: FaultPlan | None, supervised: bool = True,
-             store: CheckpointStore | None = None,
-             health: HealthPolicy | None = None,
-             seed: int = 0) -> DataParallelTrainer:
-    recipe = get_recipe(FAMILY)
-    task = make_task(FAMILY, batch_size=recipe.batch_size, **recipe.kwargs())
-    return DataParallelTrainer(
-        task, world_size=WORLD, config=CGXConfig.cgx_default(128),
-        recipe=recipe, seed=seed, fault_plan=plan, supervised=supervised,
-        health=health, store=store)
+class CampaignRecords:
+    """The one mlp/world-4 campaign trainer behind the HLT and ELA checks.
+
+    :meth:`get` trains a ``(plan, supervised, adaptive)`` cell for
+    :data:`STEPS` steps once and memoizes its record, so checks handed
+    one shared instance — a whole battery — train each distinct cell
+    once.  A check called without one makes its own, i.e. still runs
+    standalone.  ``repeat`` names an independent same-seed rerun (the
+    determinism rules compare two).
+    """
+
+    def __init__(self) -> None:
+        self._records: dict[tuple, CampaignRecord] = {}
+
+    @staticmethod
+    def trainer(plan: FaultPlan | None, supervised: bool = True,
+                adaptive: bool = False,
+                store: CheckpointStore | None = None) -> DataParallelTrainer:
+        recipe = get_recipe(FAMILY)
+        task = make_task(FAMILY, batch_size=recipe.batch_size,
+                         **recipe.kwargs())
+        controller = AdaptiveController(CGXConfig.cgx_default(128),
+                                        period=5) if adaptive else None
+        return DataParallelTrainer(
+            task, world_size=WORLD, config=CGXConfig.cgx_default(128),
+            recipe=recipe, seed=0, fault_plan=plan, supervised=supervised,
+            adaptive=controller, store=store)
+
+    def get(self, plan: FaultPlan | None, supervised: bool = True,
+            adaptive: bool = False, repeat: int = 0) -> CampaignRecord:
+        key = (plan, supervised, adaptive, repeat)
+        if key not in self._records:
+            trainer = self.trainer(plan, supervised, adaptive)
+            record = CampaignRecord(trainer, [], {})
+            for _ in range(STEPS):
+                record.losses.append(trainer.train_step())
+                departed = trainer.elastic.departed if trainer.elastic else ()
+                for rank in sorted(set(departed) - set(record.frozen)):
+                    if rank >= len(trainer.replicas):
+                        continue   # warned before provisioning: never built
+                    record.frozen[rank] = {
+                        name: param.data.copy() for name, param in
+                        trainer.replicas[rank].named_parameters()}
+            self._records[key] = record
+        return self._records[key]
 
 
 def _run(trainer: DataParallelTrainer, steps: int) -> list[float]:
@@ -103,158 +151,153 @@ def _run(trainer: DataParallelTrainer, steps: int) -> list[float]:
 
 # -- HLT001: zero false positives -------------------------------------------
 
-def verify_detector_soundness() -> list[Finding]:
+def verify_detector_soundness(records: CampaignRecords | None = None
+                              ) -> list[Finding]:
     """No alarms on campaigns that inject nothing alarm-worthy."""
+    records = records or CampaignRecords()
     findings: list[Finding] = []
     for name, plan in (("fault-free", None),
                        ("lossy-link", make_campaign("lossy-link", WORLD))):
-        trainer = _trainer(plan)
-        _run(trainer, STEPS)
-        assert trainer.fault_runtime is not None
-        counters = trainer.fault_runtime.counters
+        counters = records.get(plan).runtime.counters
         for counter in ("suspected_crashes", "false_suspicions",
                         "straggler_demotions", "escalations"):
             value = getattr(counters, counter)
             if value:
-                findings.append(_finding(
-                    "HLT001", name,
+                findings.append(Finding.semantic(
+                    "health", "HLT001",
                     f"{counter}={value} after {STEPS} supervised steps "
-                    f"with no crash or over-budget straggler injected"))
+                    f"with no crash or over-budget straggler injected",
+                    name, WORLD))
     return findings
 
 
 # -- HLT002: bounded detection latency ---------------------------------------
 
-def _first_event(trainer: DataParallelTrainer, kind: str,
-                 rank: int) -> int | None:
-    assert trainer.fault_runtime is not None
-    for record in trainer.fault_runtime.records:
-        if record.kind == kind and dict(record.detail).get("rank") == rank:
-            return record.step
+def _first_event(record: CampaignRecord, kind: str, rank: int) -> int | None:
+    for event in record.runtime.records:
+        if event.kind == kind and dict(event.detail).get("rank") == rank:
+            return event.step
     return None
 
 
-def verify_detection_latency() -> list[Finding]:
+def verify_detection_latency(records: CampaignRecords | None = None
+                             ) -> list[Finding]:
     """Crash, rejoin and straggler events noticed within the bounds."""
+    records = records or CampaignRecords()
     findings: list[Finding] = []
 
+    def late(campaign: str, message: str) -> None:
+        findings.append(Finding.semantic("health", "HLT002", message,
+                                         campaign, WORLD))
+
     # crash at step 4, rejoin at step 9 (stock campaign, rank 3)
-    plan = make_campaign("crash-rejoin", WORLD)
-    trainer = _trainer(plan)
-    _run(trainer, STEPS)
-    suspected = _first_event(trainer, "suspect_crash", WORLD - 1)
+    record = records.get(make_campaign("crash-rejoin", WORLD))
+    suspected = _first_event(record, "suspect_crash", WORLD - 1)
     if suspected is None:
-        findings.append(_finding(
-            "HLT002", "crash-rejoin",
-            f"rank {WORLD - 1} crash at step 4 never suspected in "
-            f"{STEPS} steps"))
+        late("crash-rejoin",
+             f"rank {WORLD - 1} crash at step 4 never suspected in "
+             f"{STEPS} steps")
     elif suspected - 4 > CRASH_LATENCY_BOUND:
-        findings.append(_finding(
-            "HLT002", "crash-rejoin",
-            f"crash at step 4 suspected at step {suspected} "
-            f"(latency {suspected - 4} > bound {CRASH_LATENCY_BOUND})"))
-    admitted = _first_event(trainer, "admit_rejoin", WORLD - 1)
+        late("crash-rejoin",
+             f"crash at step 4 suspected at step {suspected} "
+             f"(latency {suspected - 4} > bound {CRASH_LATENCY_BOUND})")
+    admitted = _first_event(record, "admit_rejoin", WORLD - 1)
     if admitted is None:
-        findings.append(_finding(
-            "HLT002", "crash-rejoin",
-            f"rank {WORLD - 1} rejoin at step 9 never admitted in "
-            f"{STEPS} steps"))
+        late("crash-rejoin",
+             f"rank {WORLD - 1} rejoin at step 9 never admitted in "
+             f"{STEPS} steps")
     elif admitted - 9 > REJOIN_LATENCY_BOUND:
-        findings.append(_finding(
-            "HLT002", "crash-rejoin",
-            f"rejoin at step 9 admitted at step {admitted} "
-            f"(latency {admitted - 9} > bound {REJOIN_LATENCY_BOUND})"))
+        late("crash-rejoin",
+             f"rejoin at step 9 admitted at step {admitted} "
+             f"(latency {admitted - 9} > bound {REJOIN_LATENCY_BOUND})")
 
     # persistent over-budget straggler from step 4 on rank 2
     hard = FaultPlan("straggler-hard", WORLD, 0,
                      (straggler(4, None, rank=2, factor=2.5),))
-    trainer = _trainer(hard)
-    _run(trainer, STEPS)
-    demoted = _first_event(trainer, "demote_straggler", 2)
+    demoted = _first_event(records.get(hard), "demote_straggler", 2)
     if demoted is None:
-        findings.append(_finding(
-            "HLT002", "straggler-hard",
-            f"2.5x straggler from step 4 never demoted in {STEPS} steps"))
+        late("straggler-hard",
+             f"2.5x straggler from step 4 never demoted in {STEPS} steps")
     elif demoted - 4 > STRAGGLER_LATENCY_BOUND:
-        findings.append(_finding(
-            "HLT002", "straggler-hard",
-            f"straggler onset at step 4 demoted at step {demoted} "
-            f"(latency {demoted - 4} > bound {STRAGGLER_LATENCY_BOUND})"))
+        late("straggler-hard",
+             f"straggler onset at step 4 demoted at step {demoted} "
+             f"(latency {demoted - 4} > bound {STRAGGLER_LATENCY_BOUND})")
     return findings
 
 
 # -- HLT003: oracle-free recovery parity -------------------------------------
 
-def verify_supervised_recovery() -> list[Finding]:
+def verify_supervised_recovery(records: CampaignRecords | None = None
+                               ) -> list[Finding]:
     """Supervised convergence matches the oracle path, without the oracle."""
+    records = records or CampaignRecords()
     findings: list[Finding] = []
     for name in ("crash-rejoin", "straggler"):
         plan = make_campaign(name, WORLD)
-        sup = _trainer(plan)
-        sup_losses = _run(sup, STEPS)
-        oracle = _trainer(plan, supervised=False)
-        oracle_losses = _run(oracle, STEPS)
-        assert sup.fault_runtime is not None
-        reads = sup.fault_runtime.counters.oracle_reads
+        sup = records.get(plan)
+        sup_loss = sup.losses[-1]
+        oracle_loss = records.get(plan, supervised=False).losses[-1]
+        reads = sup.runtime.counters.oracle_reads
         if reads:
-            findings.append(_finding(
-                "HLT003", name,
+            findings.append(Finding.semantic(
+                "health", "HLT003",
                 f"supervised decision path issued {reads} StepFaults "
-                f"oracle read(s); recovery must use observations only"))
-        drift = abs(sup_losses[-1] - oracle_losses[-1])
-        if not np.isfinite(sup_losses[-1]) or drift > LOSS_TOLERANCE:
-            findings.append(_finding(
-                "HLT003", name,
-                f"supervised final loss {sup_losses[-1]:.6f} vs oracle "
-                f"{oracle_losses[-1]:.6f} (drift {drift:.6f} > "
-                f"tolerance {LOSS_TOLERANCE})"))
+                f"oracle read(s); recovery must use observations only",
+                name, WORLD))
+        drift = abs(sup_loss - oracle_loss)
+        if not np.isfinite(sup_loss) or drift > LOSS_TOLERANCE:
+            findings.append(Finding.semantic(
+                "health", "HLT003",
+                f"supervised final loss {sup_loss:.6f} vs oracle "
+                f"{oracle_loss:.6f} (drift {drift:.6f} > "
+                f"tolerance {LOSS_TOLERANCE})", name, WORLD))
     return findings
 
 
 # -- HLT004: resume determinism ----------------------------------------------
 
-def verify_resume_determinism() -> list[Finding]:
+def verify_resume_determinism(records: CampaignRecords | None = None
+                              ) -> list[Finding]:
     """A store-restored fresh trainer replays training bit-identically."""
+    records = records or CampaignRecords()
     findings: list[Finding] = []
+
+    def differs(campaign: str, message: str) -> None:
+        findings.append(Finding.semantic("health", "HLT004", message,
+                                         campaign, WORLD))
+
     with tempfile.TemporaryDirectory() as tmp:
         store = CheckpointStore(tmp, keep=3)
-        ref = _trainer(None, store=store)
+        ref = records.trainer(None, store=store)
         ref_losses = _run(ref, 14)
 
         loaded = store.load_latest()
         if loaded is None:
-            return [_finding("HLT004", "fault-free",
-                             "supervised run with a store attached "
-                             "published no checkpoints")]
+            differs("fault-free", "supervised run with a store attached "
+                                  "published no checkpoints")
+            return findings
         step, state = loaded
-        resumed = _trainer(None)
+        resumed = records.trainer(None)
         resumed.restore_state(state)
         resumed_losses = _run(resumed, 14 - step)
         if resumed_losses != ref_losses[step:]:
-            findings.append(_finding(
-                "HLT004", "fault-free",
-                f"losses after restoring step {step} differ from the "
-                f"uninterrupted run (resume is not bit-identical)"))
+            differs("fault-free",
+                    f"losses after restoring step {step} differ from the "
+                    f"uninterrupted run (resume is not bit-identical)")
         for (name, a), b in zip(
                 ref.replicas[0].named_parameters(),
                 (p for _, p in resumed.replicas[0].named_parameters())):
             if not np.array_equal(a.data, b.data):
-                findings.append(_finding(
-                    "HLT004", "fault-free",
-                    f"parameter {name} differs after resumed training"))
+                differs("fault-free",
+                        f"parameter {name} differs after resumed training")
                 break
 
     # two same-seed supervised chaos runs: byte-identical event logs
-    logs = []
-    for _ in range(2):
-        trainer = _trainer(make_campaign("crash-rejoin", WORLD))
-        _run(trainer, STEPS)
-        assert trainer.fault_runtime is not None
-        logs.append(trainer.fault_runtime.log_bytes())
+    plan = make_campaign("crash-rejoin", WORLD)
+    logs = [records.get(plan, repeat=i).runtime.log_bytes() for i in (0, 1)]
     if logs[0] != logs[1]:
-        findings.append(_finding(
-            "HLT004", "crash-rejoin",
-            "two same-seed supervised runs produced different event logs"))
+        differs("crash-rejoin",
+                "two same-seed supervised runs produced different event logs")
     return findings
 
 
@@ -263,19 +306,23 @@ def verify_resume_determinism() -> list[Finding]:
 def verify_store_crash_safety() -> list[Finding]:
     """Torn and corrupt checkpoint files are detected and survived."""
     findings: list[Finding] = []
+
+    def unsafe(message: str) -> None:
+        findings.append(Finding.semantic("health", "HLT005", message,
+                                         "fault-free", WORLD))
+
+    trainer = CampaignRecords.trainer
     with tempfile.TemporaryDirectory() as tmp:
         store = CheckpointStore(tmp, keep=3)
-        ref = _trainer(None, store=store)
-        _run(ref, 10)   # checkpoints at steps 5 and 10
+        _run(trainer(None, store=store), 10)   # checkpoints at steps 5 and 10
         steps = store.steps()
         if len(steps) < 2:
-            return [_finding("HLT005", "fault-free",
-                             f"expected >= 2 checkpoints, store has "
-                             f"{steps}")]
+            unsafe(f"expected >= 2 checkpoints, store has {steps}")
+            return findings
         older, newest = steps[-2], steps[-1]
 
         # the reference continuation from the older checkpoint
-        base = _trainer(None)
+        base = trainer(None)
         base.restore_state(store.load(older))
         base_losses = _run(base, 4)
 
@@ -288,19 +335,15 @@ def verify_store_crash_safety() -> list[Finding]:
         loaded = store.load_latest(
             on_corrupt=lambda step, exc: detected.append(step))
         if loaded is None or loaded[0] != older or detected != [newest]:
-            findings.append(_finding(
-                "HLT005", "fault-free",
-                f"truncated checkpoint {newest} not detected with "
-                f"fallback to {older} (got {loaded and loaded[0]}, "
-                f"detected={detected})"))
+            unsafe(f"truncated checkpoint {newest} not detected with "
+                   f"fallback to {older} (got {loaded and loaded[0]}, "
+                   f"detected={detected})")
         else:
-            resumed = _trainer(None)
+            resumed = trainer(None)
             resumed.restore_state(loaded[1])
             if _run(resumed, 4) != base_losses:
-                findings.append(_finding(
-                    "HLT005", "fault-free",
-                    f"training resumed from fallback checkpoint {older} "
-                    f"was not bit-identical to a direct restore"))
+                unsafe(f"training resumed from fallback checkpoint {older} "
+                       f"was not bit-identical to a direct restore")
 
         # 2) garbled payload byte in the (intact) older checkpoint
         path = store.path_for(older)
@@ -310,10 +353,8 @@ def verify_store_crash_safety() -> list[Finding]:
             fh.write(raw)
         try:
             store.load(older)
-            findings.append(_finding(
-                "HLT005", "fault-free",
-                f"garbled payload byte in checkpoint {older} not "
-                f"detected by CRC validation"))
+            unsafe(f"garbled payload byte in checkpoint {older} not "
+                   f"detected by CRC validation")
         except CheckpointCorrupt:
             pass
 
@@ -323,23 +364,18 @@ def verify_store_crash_safety() -> list[Finding]:
         with open(stray, "wb") as fh:
             fh.write(b"half-written garbage")
         if 99999999 in store.steps():
-            findings.append(_finding(
-                "HLT005", "fault-free",
-                "a .tmp staging file is visible as a checkpoint"))
+            unsafe("a .tmp staging file is visible as a checkpoint")
         store.save({"x": np.zeros(4, dtype=np.float32)}, 12)
         if os.path.exists(stray):
-            findings.append(_finding(
-                "HLT005", "fault-free",
-                "stray .tmp from a killed writer survived the next save"))
+            unsafe("stray .tmp from a killed writer survived the next save")
     return findings
 
 
 def verify_health() -> list[Finding]:
-    """Run the full HLT battery."""
-    findings: list[Finding] = []
-    findings.extend(verify_detector_soundness())
-    findings.extend(verify_detection_latency())
-    findings.extend(verify_supervised_recovery())
-    findings.extend(verify_resume_determinism())
-    findings.extend(verify_store_crash_safety())
-    return findings
+    """Run the full HLT battery, training each distinct cell once."""
+    records = CampaignRecords()
+    return [*verify_detector_soundness(records),
+            *verify_detection_latency(records),
+            *verify_supervised_recovery(records),
+            *verify_resume_determinism(records),
+            *verify_store_crash_safety()]

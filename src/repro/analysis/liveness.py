@@ -46,7 +46,7 @@ from repro.collectives.trace import ScheduleTrace, TraceEvent
 from .explore import (build_programs, explore, fair_schedule, greedy_run,
                       phase_segments)
 from .findings import Finding, sort_findings
-from .rules import lint_roots
+from .rules import SourceFile, call_name, lint_roots
 
 __all__ = ["DLV_RULES", "DEFAULT_EXPLORE_BUDGET", "analyze_segment",
            "analyze_trace_liveness", "lint_blocking", "verify_liveness",
@@ -65,12 +65,6 @@ DLV_RULES = {
 #: their event count, so hitting this means something is very wrong —
 #: and it is reported as DLV004, never swallowed
 DEFAULT_EXPLORE_BUDGET = 200_000
-
-
-def _finding(rule: str, path: str, message: str, scheme: str = "",
-             world: int = 0) -> Finding:
-    return Finding(rule=rule, path=path, line=0, col=0, message=message,
-                   source="liveness", scheme=scheme, world=world)
 
 
 # -- wait-for graph over one barrier phase ------------------------------------
@@ -103,12 +97,12 @@ def analyze_segment(label: str, events: Sequence[TraceEvent], path: str,
             bad = {event.src, event.dst} & excluded_set
             if bad and (event.kind, event.match_key()) not in flagged:
                 flagged.add((event.kind, event.match_key()))
-                findings.append(_finding(
-                    "DLV003", path,
+                findings.append(Finding.semantic(
+                    "liveness", "DLV003",
                     f"phase {label!r}: {event.kind} {event.src}->"
                     f"{event.dst} (tag {event.tag!r}) names excluded "
                     f"rank(s) {sorted(bad)} — traffic routed to a rank "
-                    f"the quorum removed", scheme, world))
+                    f"the quorum removed", scheme, world, path))
 
     programs = build_programs(events)
 
@@ -120,18 +114,18 @@ def analyze_segment(label: str, events: Sequence[TraceEvent], path: str,
     for key in sorted(set(sends) | set(recvs)):
         src, dst, step, nbytes, tag = key
         if recvs[key] > sends[key]:
-            findings.append(_finding(
-                "DLV002", path,
+            findings.append(Finding.semantic(
+                "liveness", "DLV002",
                 f"phase {label!r}: rank {dst} blocks on "
                 f"{recvs[key] - sends[key]} recv(s) {src}->{dst} "
                 f"(tag {tag!r}, step {step}) with no matching send in "
-                f"the phase", scheme, world))
+                f"the phase", scheme, world, path))
         elif sends[key] > recvs[key]:
-            findings.append(_finding(
-                "DLV002", path,
+            findings.append(Finding.semantic(
+                "liveness", "DLV002",
                 f"phase {label!r}: {sends[key] - recvs[key]} send(s) "
                 f"{src}->{dst} (tag {tag!r}, step {step}) are never "
-                f"received in the phase", scheme, world))
+                f"received in the phase", scheme, world, path))
 
     # DLV001: run to the (unique) maximal-progress fixpoint; a stuck
     # rank whose sender exists is waiting on another stuck rank, so the
@@ -151,20 +145,20 @@ def analyze_segment(label: str, events: Sequence[TraceEvent], path: str,
             waits = "; ".join(
                 f"rank {r} blocked on {greedy.blocked[r].describe()}"
                 for r in cycle)
-            findings.append(_finding(
-                "DLV001", path,
+            findings.append(Finding.semantic(
+                "liveness", "DLV001",
                 f"phase {label!r}: wait-for cycle {chain} ({waits})",
-                scheme, world))
+                scheme, world, path))
         elif not any(f.rule == "DLV002" for f in findings):
             # defensive: stuck without a cycle or an orphan should be
             # impossible; surface it rather than certifying
             blocked = ", ".join(
                 f"rank {r} on {op.describe()}"
                 for r, op in sorted(greedy.blocked.items()))
-            findings.append(_finding(
-                "DLV001", path,
+            findings.append(Finding.semantic(
+                "liveness", "DLV001",
                 f"phase {label!r}: execution stuck without a wait-for "
-                f"cycle ({blocked})", scheme, world))
+                f"cycle ({blocked})", scheme, world, path))
     return findings
 
 
@@ -176,26 +170,26 @@ def explore_segment(label: str, events: Sequence[TraceEvent], path: str,
     programs = build_programs(events)
     result = explore(programs, budget=budget)
     if result.budget_exhausted:
-        findings.append(_finding(
-            "DLV004", path,
+        findings.append(Finding.semantic(
+            "liveness", "DLV004",
             f"phase {label!r}: exploration budget of {budget} "
             f"transitions exhausted after {result.interleavings} "
             f"complete interleaving(s) — termination not certified",
-            scheme, world))
+            scheme, world, path))
         return findings
     for blocked in result.deadlocks:
         detail = ", ".join(f"rank {r} on {op.describe()}"
                            for r, op in sorted(blocked.items()))
-        findings.append(_finding(
-            "DLV004", path,
+        findings.append(Finding.semantic(
+            "liveness", "DLV004",
             f"phase {label!r}: a reachable interleaving deadlocks "
-            f"({detail})", scheme, world))
+            f"({detail})", scheme, world, path))
     if len(result.residues) > 1:
-        findings.append(_finding(
-            "DLV004", path,
+        findings.append(Finding.semantic(
+            "liveness", "DLV004",
             f"phase {label!r}: {len(result.residues)} distinct final "
             f"message residues across interleavings — message counts "
-            f"are not conserved", scheme, world))
+            f"are not conserved", scheme, world, path))
     return findings
 
 
@@ -209,11 +203,11 @@ def fair_segment(label: str, events: Sequence[TraceEvent], path: str,
         return []
     bound = result.bound(world or (max(programs) + 1 if programs else 1))
     if result.max_wait > bound:
-        return [_finding(
-            "DLV005", path,
+        return [Finding.semantic(
+            "liveness", "DLV005",
             f"phase {label!r}: a blocked recv waited {result.max_wait} "
             f"fair scheduler rounds (bound {bound} for longest program "
-            f"{result.longest}) for its matching send", scheme, world)]
+            f"{result.longest}) for its matching send", scheme, world, path)]
     return []
 
 
@@ -241,10 +235,10 @@ def analyze_trace_liveness(trace: ScheduleTrace, path: str,
                                         world, budget))
         findings.extend(fair_segment(label, events, path, scheme, world))
     if undrained_carries:
-        findings.append(_finding(
-            "DLV005", path,
+        findings.append(Finding.semantic(
+            "liveness", "DLV005",
             "carries remain banked after the drain phase — a skipped "
-            "gradient is stranded forever", scheme, world))
+            "gradient is stranded forever", scheme, world, path))
     return sort_findings(findings)
 
 
@@ -276,75 +270,39 @@ def blocking_default_roots() -> tuple[str, ...]:
             os.path.dirname(os.path.abspath(repro.faults.__file__)))
 
 
-def _own_calls(func: ast.AST) -> Iterable[ast.Call]:
-    """Call nodes in ``func``'s body, excluding nested function defs."""
-    stack = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            continue
-        if isinstance(node, ast.Call):
-            yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _call_name(call: ast.Call) -> tuple[str | None, str]:
-    """(qualifier, name) of a call: ``time.sleep`` -> ("time", "sleep")."""
-    func = call.func
-    if isinstance(func, ast.Name):
-        return None, func.id
-    if isinstance(func, ast.Attribute):
-        if isinstance(func.value, ast.Name):
-            return func.value.id, func.attr
-        return "", func.attr
-    return None, ""
-
-
 def lint_blocking_source(source: str, path: str) -> list[Finding]:
     """DLV006 over one file's source text."""
     findings: list[Finding] = []
-    lines = source.splitlines()
-    tree = ast.parse(source, filename=path)
+    file = SourceFile(source, path)
     basename = os.path.basename(path)
 
-    def snippet(lineno: int) -> str:
-        return lines[lineno - 1].strip() if 0 < lineno <= len(lines) else ""
-
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        calls = list(_own_calls(node))
-        names = {_call_name(call) for call in calls}
-        bare = {name for _, name in names}
+    for func, nodes in file.functions():
+        calls = [node for node in nodes if isinstance(node, ast.Call)]
+        bare = {call_name(call)[1] for call in calls}
 
         emits = bare & {"emit_send", "emit_recv"}
         if emits and "deliver_chunk" not in bare \
                 and basename not in _EMIT_EXEMPT_MODULES \
-                and node.name not in _EMIT_EXEMPT_FUNCTIONS \
-                and not node.name.startswith("emit_"):
-            findings.append(Finding(
-                rule="DLV006", path=path, line=node.lineno,
-                col=node.col_offset,
-                message=f"function {node.name!r} emits "
-                        f"{'/'.join(sorted(emits))} without routing the "
-                        f"payload through deliver_chunk — the transfer "
-                        f"blocks invisibly to fault injection",
-                source="liveness", snippet=snippet(node.lineno)))
+                and func.name not in _EMIT_EXEMPT_FUNCTIONS \
+                and not func.name.startswith("emit_"):
+            findings.append(file.finding(
+                "DLV006", func,
+                f"function {func.name!r} emits "
+                f"{'/'.join(sorted(emits))} without routing the "
+                f"payload through deliver_chunk — the transfer "
+                f"blocks invisibly to fault injection", "liveness"))
 
         for call in calls:
-            qualifier, name = _call_name(call)
+            qualifier, name = call_name(call)
             blocking = (qualifier, name) in _BLOCKING_MODULE_CALLS or (
                 qualifier is not None and name in _BLOCKING_METHODS)
             if blocking:
                 label = f"{qualifier}.{name}" if qualifier else name
-                findings.append(Finding(
-                    rule="DLV006", path=path, line=call.lineno,
-                    col=call.col_offset,
-                    message=f"raw blocking primitive {label!r} in "
-                            f"{node.name!r} bypasses the deliver_chunk/"
-                            f"trace hooks — unauditable blocking",
-                    source="liveness", snippet=snippet(call.lineno)))
+                findings.append(file.finding(
+                    "DLV006", call,
+                    f"raw blocking primitive {label!r} in "
+                    f"{func.name!r} bypasses the deliver_chunk/"
+                    f"trace hooks — unauditable blocking", "liveness"))
     return findings
 
 

@@ -50,6 +50,8 @@ from __future__ import annotations
 
 import ast
 import os
+import zlib
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -62,7 +64,7 @@ from repro.core.engine import CommunicationEngine
 from repro.core.overlap import OverlapDelays, OverlapReport
 
 from .findings import Finding, sort_findings
-from .rules import lint_roots
+from .rules import SourceFile, call_name, lint_roots
 
 __all__ = ["OVL_RULES", "OverlapCase", "overlap_cases", "certify_case",
            "certify_trainer", "analyze_overlap_trace", "lint_grad_consumers",
@@ -92,26 +94,22 @@ UNIFORM_COMM = 2e-3
 TIME_EPS = 1e-9
 
 
+@dataclass(frozen=True)
 class OverlapCase:
     """One battery cell: a scheme, a world size and a model shape."""
 
-    def __init__(self, scheme: str, world: int, model: str):
-        self.scheme = scheme
-        self.world = world
-        self.model = model
+    scheme: str
+    world: int
+    model: str
 
     @property
     def path(self) -> str:
         return f"<overlap:{self.scheme}@world={self.world}/{self.model}>"
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"OverlapCase({self.scheme!r}, {self.world}, {self.model!r})"
-
-
-def _finding(rule: str, path: str, message: str, scheme: str = "",
-             world: int = 0) -> Finding:
-    return Finding(rule=rule, path=path, line=0, col=0, message=message,
-                   source="overlap", scheme=scheme, world=world)
+    @property
+    def cell(self) -> tuple[str, int, str]:
+        """``Finding.semantic``'s (scheme, world, path) for this cell."""
+        return self.scheme, self.world, self.path
 
 
 # -- the battery's models and configuration -----------------------------------
@@ -179,8 +177,9 @@ def _run_cell(case: OverlapCase) -> tuple[ScheduleTrace,
     node_of = _node_of(case.world) if case.scheme == "hier" else None
     engine = CommunicationEngine(config, node_of=node_of)
     rng = np.random.default_rng(7)
-    grad_rng = np.random.default_rng(
-        abs(hash((case.scheme, case.world, case.model))) % (2**32))
+    # stable per-cell seed (hash() of a str-carrying tuple is salted per
+    # process, which would certify different data on every run)
+    grad_rng = np.random.default_rng(zlib.crc32(case.path.encode()))
     delays = OverlapDelays.uniform(names, compute=UNIFORM_COMPUTE,
                                    comm_latency=UNIFORM_COMM,
                                    comm_per_byte=0.0)
@@ -243,10 +242,9 @@ def check_use_before_reduce(case: OverlapCase, trace: ScheduleTrace,
         step_ids = list(range(len(reports)))
 
     def chain_violation(step: int, layer: str, detail: str) -> None:
-        findings.append(_finding(
-            "OVL001", case.path,
-            f"step {step}, layer {layer!r}: {detail}",
-            case.scheme, case.world))
+        findings.append(Finding.semantic(
+            "overlap", "OVL001",
+            f"step {step}, layer {layer!r}: {detail}", *case.cell))
 
     for step, report in zip(step_ids, reports):
         kinds = by_step.get(step, {})
@@ -302,35 +300,35 @@ def check_fusion_conservation(case: OverlapCase,
         covered = [layer for bucket in report.buckets
                    for layer in bucket.layer_names]
         if sorted(covered) != expected:
-            findings.append(_finding(
-                "OVL002", case.path,
+            findings.append(Finding.semantic(
+                "overlap", "OVL002",
                 f"step {step}: buckets cover {sorted(covered)} but the "
                 f"model has {expected} — a layer reduced twice or "
-                f"dropped", case.scheme, case.world))
+                f"dropped", *case.cell))
             continue
         for bucket in report.buckets:
             dense = sum(numel_of[layer] * 4 for layer in bucket.layer_names)
             if bucket.dense_bytes != dense:
-                findings.append(_finding(
-                    "OVL002", case.path,
+                findings.append(Finding.semantic(
+                    "overlap", "OVL002",
                     f"step {step}, {bucket.name}: dense accounting "
                     f"{bucket.dense_bytes} B != member total {dense} B",
-                    case.scheme, case.world))
+                    *case.cell))
             claimed = sum(pkg.spec.wire_bytes(pkg.numel)
                           for pkg in bucket.packages)
             if bucket.wire_bytes != claimed:
-                findings.append(_finding(
-                    "OVL002", case.path,
+                findings.append(Finding.semantic(
+                    "overlap", "OVL002",
                     f"step {step}, {bucket.name}: wire accounting "
                     f"{bucket.wire_bytes} B != per-layer spec total "
-                    f"{claimed} B", case.scheme, case.world))
+                    f"{claimed} B", *case.cell))
             if bucket.measured_bytes >= 0 \
                     and bucket.measured_bytes != claimed:
-                findings.append(_finding(
-                    "OVL002", case.path,
+                findings.append(Finding.semantic(
+                    "overlap", "OVL002",
                     f"step {step}, {bucket.name}: serialized payload "
                     f"measures {bucket.measured_bytes} B but the spec "
-                    f"claims {claimed} B", case.scheme, case.world))
+                    f"claims {claimed} B", *case.cell))
     return findings
 
 
@@ -344,19 +342,18 @@ def check_priority(case: OverlapCase,
         recorded = sorted(report.buckets, key=lambda b: b.launch_t)
         for bucket in report.buckets:
             if bucket.launch_t < bucket.ready_t - TIME_EPS:
-                findings.append(_finding(
-                    "OVL003", case.path,
+                findings.append(Finding.semantic(
+                    "overlap", "OVL003",
                     f"step {step}, {bucket.name}: launched at "
                     f"{bucket.launch_t:.6f} before sealing at "
-                    f"{bucket.ready_t:.6f}", case.scheme, case.world))
+                    f"{bucket.ready_t:.6f}", *case.cell))
         for prev, nxt in zip(recorded, recorded[1:]):
             if nxt.launch_t < prev.landed_t - TIME_EPS:
-                findings.append(_finding(
-                    "OVL003", case.path,
+                findings.append(Finding.semantic(
+                    "overlap", "OVL003",
                     f"step {step}: {nxt.name} launched at "
                     f"{nxt.launch_t:.6f} while {prev.name} still held "
-                    f"the channel until {prev.landed_t:.6f}",
-                    case.scheme, case.world))
+                    f"the channel until {prev.landed_t:.6f}", *case.cell))
         # replay: at each free point the sealed bucket with the smallest
         # (first_needed, min_index) must go next.  Seal comparisons are
         # exact (no epsilon) to mirror the scheduler's own predicate —
@@ -370,13 +367,13 @@ def check_priority(case: OverlapCase,
                            key=lambda b: (b.first_needed, b.min_index))
                 if (best.first_needed, best.min_index) < \
                         (bucket.first_needed, bucket.min_index):
-                    findings.append(_finding(
-                        "OVL003", case.path,
+                    findings.append(Finding.semantic(
+                        "overlap", "OVL003",
                         f"step {step}: {bucket.name} (first_needed "
                         f"{bucket.first_needed}) launched ahead of "
                         f"sealed {best.name} (first_needed "
                         f"{best.first_needed}) — priority inversion",
-                        case.scheme, case.world))
+                        *case.cell))
             remaining.remove(bucket)
     return findings
 
@@ -397,11 +394,10 @@ def check_state_attribution(case: OverlapCase, trace: ScheduleTrace,
         for bucket in report.buckets:
             lo, hi = bucket.exec_span
             if lo < 0:
-                findings.append(_finding(
-                    "OVL004", case.path,
+                findings.append(Finding.semantic(
+                    "overlap", "OVL004",
                     f"step {step}, {bucket.name}: no execution span "
-                    f"recorded — the reduction never ran",
-                    case.scheme, case.world))
+                    f"recorded — the reduction never ran", *case.cell))
                 continue
             spans.append((step, bucket.name, lo, hi))
 
@@ -415,31 +411,30 @@ def check_state_attribution(case: OverlapCase, trace: ScheduleTrace,
         containing = [(step, name) for step, name, lo, hi in spans
                       if lo <= pos < hi]
         if not containing:
-            findings.append(_finding(
-                "OVL004", case.path,
+            findings.append(Finding.semantic(
+                "overlap", "OVL004",
                 f"state key {item.buffer} accessed at timeline position "
-                f"{pos}, outside every bucket's execution span",
-                case.scheme, case.world))
+                f"{pos}, outside every bucket's execution span", *case.cell))
             continue
         for step, name in containing:
             owners.setdefault((step, item.buffer), set()).add(name)
     for (step, key), buckets in sorted(owners.items()):
         if len(buckets) > 1:
-            findings.append(_finding(
-                "OVL004", case.path,
+            findings.append(Finding.semantic(
+                "overlap", "OVL004",
                 f"step {step}: state key {key} touched by "
                 f"{len(buckets)} buckets ({', '.join(sorted(buckets))}) "
                 f"— two in-flight reductions share residual state",
-                case.scheme, case.world))
+                *case.cell))
 
     # the happens-before race detector over the overlapped timeline:
     # an unordered conflict the span bookkeeping cannot express
     race_scheme = "sra" if case.scheme == "partial" else case.scheme
     for race in analyze_trace(trace, race_scheme, case.world):
-        findings.append(_finding(
-            "OVL004", case.path,
+        findings.append(Finding.semantic(
+            "overlap", "OVL004",
             f"happens-before conflict in the overlapped timeline: "
-            f"[{race.rule}] {race.message}", case.scheme, case.world))
+            f"[{race.rule}] {race.message}", *case.cell))
     return findings
 
 
@@ -463,21 +458,21 @@ def check_makespan(case: OverlapCase, reports: Sequence[OverlapReport]
         bound = max(report.compute_end, report.comm_total) \
             + max(max(comm), fill) + 1e-6
         if report.overlapped_time > bound:
-            findings.append(_finding(
-                "OVL005", case.path,
+            findings.append(Finding.semantic(
+                "overlap", "OVL005",
                 f"step {step}: overlapped makespan "
                 f"{report.overlapped_time:.6f}s exceeds the bound "
                 f"{bound:.6f}s (compute {report.compute_end:.6f}s, "
                 f"comm {report.comm_total:.6f}s) — the channel idled "
-                f"with sealed buckets pending", case.scheme, case.world))
+                f"with sealed buckets pending", *case.cell))
         limit = EFFECTIVENESS_FACTOR * report.sequential_time
         if len(report.buckets) >= 2 and report.overlapped_time > limit:
-            findings.append(_finding(
-                "OVL005", case.path,
+            findings.append(Finding.semantic(
+                "overlap", "OVL005",
                 f"step {step}: overlapped step {report.overlapped_time:.6f}s"
                 f" is not {EFFECTIVENESS_FACTOR:.1f}x under the sequential "
                 f"{report.sequential_time:.6f}s — overlap bought "
-                f"nothing", case.scheme, case.world))
+                f"nothing", *case.cell))
     return findings
 
 
@@ -565,27 +560,6 @@ def consumer_default_roots() -> tuple[str, ...]:
             os.path.abspath(repro.nn.optim.__file__))
 
 
-def _own_nodes(func: ast.AST) -> Iterable[ast.AST]:
-    """Nodes in ``func``'s body, excluding nested function defs."""
-    stack = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _call_bare_name(call: ast.Call) -> str:
-    func = call.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return ""
-
-
 def _is_grad_consumer(func: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
     for deco in func.decorator_list:
         name = deco.id if isinstance(deco, ast.Name) else (
@@ -598,38 +572,29 @@ def _is_grad_consumer(func: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
 def lint_grad_consumer_source(source: str, path: str) -> list[Finding]:
     """OVL006 over one file's source text."""
     findings: list[Finding] = []
-    lines = source.splitlines()
-    tree = ast.parse(source, filename=path)
-
-    def snippet(lineno: int) -> str:
-        return lines[lineno - 1].strip() if 0 < lineno <= len(lines) else ""
-
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if node.name in _EXEMPT_FUNCTIONS or _is_grad_consumer(node):
+    file = SourceFile(source, path)
+    for func, nodes in file.functions():
+        if func.name in _EXEMPT_FUNCTIONS or _is_grad_consumer(func):
             continue
         grad_reads = [
-            inner for inner in _own_nodes(node)
-            if isinstance(inner, ast.Attribute) and inner.attr == "grad"
-            and isinstance(inner.ctx, ast.Load)
+            node for node in nodes
+            if isinstance(node, ast.Attribute) and node.attr == "grad"
+            and isinstance(node.ctx, ast.Load)
         ]
         if not grad_reads:
             continue
-        calls = {_call_bare_name(inner) for inner in _own_nodes(node)
-                 if isinstance(inner, ast.Call)}
+        calls = {call_name(node)[1] for node in nodes
+                 if isinstance(node, ast.Call)}
         if calls & _BARRIER_CALLS:
             continue
         first = min(grad_reads, key=lambda n: (n.lineno, n.col_offset))
-        findings.append(Finding(
-            rule="OVL006", path=path, line=first.lineno,
-            col=first.col_offset,
-            message=f"function {node.name!r} reads .grad without a "
-                    f"completion-barrier call "
-                    f"({'/'.join(sorted(_BARRIER_CALLS))}) and without "
-                    f"@grad_consumer — in overlapped mode it may observe "
-                    f"an unreduced gradient",
-            source="overlap", snippet=snippet(first.lineno)))
+        findings.append(file.finding(
+            "OVL006", first,
+            f"function {func.name!r} reads .grad without a "
+            f"completion-barrier call "
+            f"({'/'.join(sorted(_BARRIER_CALLS))}) and without "
+            f"@grad_consumer — in overlapped mode it may observe "
+            f"an unreduced gradient", "overlap"))
     return findings
 
 

@@ -179,21 +179,16 @@ def default_instances(seed: int = 2024) -> list[PlanInstance]:
 Assigner = Callable[..., "dict[str, int]"]
 
 
-def _finding(rule: str, solver: str, message: str) -> Finding:
-    return Finding(rule=rule, path=f"<plan:{solver}>", line=0, col=0,
-                   message=message, source="plan", scheme=solver)
-
-
 def _run_solver(solver: str, assigner: Assigner, instance: PlanInstance,
                 alpha: float) -> "tuple[dict[str, int] | None, list[Finding]]":
     """One solver run; crashes become BWP002 findings, not exceptions."""
     try:
         bits = assigner(instance.stats, alpha=alpha)
     except Exception as exc:  # noqa: BLE001 - any crash is a finding
-        return None, [_finding(
-            "BWP002", solver,
+        return None, [Finding.semantic(
+            "plan", "BWP002",
             f"{instance.name} alpha={alpha}: solver raised "
-            f"{type(exc).__name__}: {exc}")]
+            f"{type(exc).__name__}: {exc}", solver)]
     return bits, []
 
 
@@ -211,39 +206,39 @@ def certify_solver(solver: str, assigner: Assigner,
 
     expected = {s.name for s in instance.stats}
     if set(bits) != expected:
-        findings.append(_finding(
-            "BWP002", solver,
+        findings.append(Finding.semantic(
+            "plan", "BWP002",
             f"{instance.name} alpha={alpha}: assignment covers "
-            f"{len(bits)} layers, instance has {len(expected)}"))
+            f"{len(bits)} layers, instance has {len(expected)}", solver))
         return bits, findings
     stray = sorted({b for b in bits.values() if b not in ladder})
     if stray:
-        findings.append(_finding(
-            "BWP002", solver,
+        findings.append(Finding.semantic(
+            "plan", "BWP002",
             f"{instance.name} alpha={alpha}: emitted bit-width(s) {stray} "
-            f"outside the requested ladder {ladder}"))
+            f"outside the requested ladder {ladder}", solver))
     static_cost = assignment_cost_bits(
         instance.stats, {s.name: 4 for s in instance.stats})
     cost = assignment_cost_bits(instance.stats, bits)
     if cost > static_cost:
-        findings.append(_finding(
-            "BWP002", solver,
+        findings.append(Finding.semantic(
+            "plan", "BWP002",
             f"{instance.name} alpha={alpha}: transmits {cost} bits, worse "
-            f"than the uniform static {static_cost}"))
+            f"than the uniform static {static_cost}", solver))
     if not certify_assignment(instance.stats, bits, alpha):
-        findings.append(_finding(
-            "BWP001", solver,
+        findings.append(Finding.semantic(
+            "plan", "BWP001",
             f"{instance.name} alpha={alpha}: exact error exceeds the "
-            f"alpha*E4 budget (float rounding masked the violation)"))
+            f"alpha*E4 budget (float rounding masked the violation)", solver))
     for width in sorted(set(bits.values())):
         try:
             bucket = resolve_bucket(width)
             CompressionSpec("qsgd", bits=width, bucket_size=bucket)
         except (ValueError, KeyError) as exc:
-            findings.append(_finding(
-                "BWP004", solver,
+            findings.append(Finding.semantic(
+                "plan", "BWP004",
                 f"{instance.name} alpha={alpha}: emitted width {width} "
-                f"does not resolve to an executable spec: {exc}"))
+                f"does not resolve to an executable spec: {exc}", solver))
     return bits, findings
 
 
@@ -272,11 +267,11 @@ def certify_optimality(solver: str, assigner: Assigner,
             if ratio > worst:
                 worst, worst_at = ratio, f"{instance.name} alpha={alpha}"
     if worst > bound:
-        findings.append(_finding(
-            "BWP003", solver,
+        findings.append(Finding.semantic(
+            "plan", "BWP003",
             f"worst-case overhead {worst:.3f}x over the brute-force "
             f"optimum (at {worst_at}) exceeds the ratcheted bound "
-            f"{bound:.2f}x"))
+            f"{bound:.2f}x", solver))
     return findings
 
 
@@ -293,10 +288,10 @@ def _certify_monotonicity(solver: str, assigner: Assigner,
     findings = []
     for (a_lo, c_lo), (a_hi, c_hi) in zip(costs, costs[1:]):
         if c_hi > c_lo:
-            findings.append(_finding(
-                "BWP005", solver,
+            findings.append(Finding.semantic(
+                "plan", "BWP005",
                 f"{instance.name}: alpha={a_hi} transmits {c_hi} bits, "
-                f"more than the {c_lo} at the tighter alpha={a_lo}"))
+                f"more than the {c_lo} at the tighter alpha={a_lo}", solver))
     return findings
 
 
@@ -333,32 +328,32 @@ def certify_controller_stability(
         if controller.observe(dict(grads)):
             observed.append(dict(controller.assignments))
     if len(observed) < 2:
-        findings.append(_finding(
-            "BWP006", solver,
+        findings.append(Finding.semantic(
+            "plan", "BWP006",
             f"controller produced {len(observed)} reassignments in "
-            f"{2 * period} stationary steps (period={period})"))
+            f"{2 * period} stationary steps (period={period})", solver))
         return findings
     if observed[0] != observed[1]:
         flipped = sorted(name for name in observed[0]
                          if observed[0].get(name) != observed[1].get(name))
-        findings.append(_finding(
-            "BWP006", solver,
+        findings.append(Finding.semantic(
+            "plan", "BWP006",
             f"stationary statistics flipped assignments across respecs "
-            f"(layers {flipped})"))
+            f"(layers {flipped})", solver))
     for name, width in observed[-1].items():
         spec = config.per_layer.get(name)
         if spec is None:
-            findings.append(_finding(
-                "BWP006", solver,
+            findings.append(Finding.semantic(
+                "plan", "BWP006",
                 f"assignment names {name!r} but no per-layer spec was "
-                f"written"))
+                f"written", solver))
             continue
         if spec.bits != width or spec.bucket_size != resolve_bucket(width):
-            findings.append(_finding(
-                "BWP006", solver,
+            findings.append(Finding.semantic(
+                "plan", "BWP006",
                 f"per-layer spec for {name!r} carries bits={spec.bits} "
                 f"bucket={spec.bucket_size}, assignment says {width} "
-                f"(bucket {resolve_bucket(width)})"))
+                f"(bucket {resolve_bucket(width)})", solver))
     return findings
 
 
@@ -376,25 +371,26 @@ def certify_plan_contracts(
     contract = getattr(cls, "contract", None) if cls else None
     findings: list[Finding] = []
     if contract is None:
-        findings.append(_finding(
-            "BWP007", solver,
+        findings.append(Finding.semantic(
+            "plan", "BWP007",
             f"{instance.name} alpha={alpha}: plan targets method "
-            f"{method!r} which has no registered contract"))
+            f"{method!r} which has no registered contract", solver))
         return findings
     if contract.supported_bits is None:
-        findings.append(_finding(
-            "BWP007", solver,
+        findings.append(Finding.semantic(
+            "plan", "BWP007",
             f"{instance.name} alpha={alpha}: plan assigns bit-widths to "
-            f"method {method!r} whose contract declares no supported_bits"))
+            f"method {method!r} whose contract declares no supported_bits",
+            solver))
         return findings
     unsupported = sorted({b for b in bits.values()
                           if b not in contract.supported_bits})
     if unsupported:
-        findings.append(_finding(
-            "BWP007", solver,
+        findings.append(Finding.semantic(
+            "plan", "BWP007",
             f"{instance.name} alpha={alpha}: plan names bits "
             f"{unsupported} not in {method!r}'s declared supported_bits "
-            f"{tuple(contract.supported_bits)}"))
+            f"{tuple(contract.supported_bits)}", solver))
     return findings
 
 

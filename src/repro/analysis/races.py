@@ -39,21 +39,15 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Sequence, Union
 
-import numpy as np
-
-from repro.collectives.trace import (
-    BufferAccess,
-    ScheduleTrace,
-    TraceEvent,
-    capture,
-)
-from repro.compression import CompressionSpec, make_compressor
+from repro.collectives.trace import BufferAccess, ScheduleTrace, TraceEvent
+from repro.compression import CompressionSpec
 
 from .findings import Finding, sort_findings
-from .schedule import SchemeCase, default_cases, trace_case
+from .schedule import (SchemeCase, default_cases, trace_case,
+                       trace_collective)
 
 __all__ = ["RACE_RULES", "analyze_trace", "verify_races",
-           "analyze_callable", "race_path"]
+           "analyze_callable"]
 
 RACE_RULES = {
     "RACE001": "unsynchronized write/write on aliased buffers",
@@ -61,10 +55,6 @@ RACE_RULES = {
     "RACE003": "keyed compressor state shared across ranks unordered",
     "RACE004": "buffers declared rank-local overlap in memory",
 }
-
-
-def race_path(scheme: str, world: int) -> str:
-    return f"<race:{scheme}@world={world}>"
 
 
 def _node_rank(item: Union[TraceEvent, BufferAccess]) -> int:
@@ -106,11 +96,8 @@ def _ancestor_sets(timeline: list) -> list[int]:
 def analyze_trace(trace: ScheduleTrace, scheme: str,
                   world: int) -> list[Finding]:
     """Race-check one captured timeline; [] means race-free."""
-    path = race_path(scheme, world)
-
     def finding(rule: str, message: str) -> Finding:
-        return Finding(rule=rule, path=path, line=0, col=0, message=message,
-                       source="race", scheme=scheme, world=world)
+        return Finding.semantic("race", rule, message, scheme, world)
 
     timeline = trace.timeline
     anc = _ancestor_sets(timeline)
@@ -202,11 +189,5 @@ def analyze_callable(fn: Callable, world: int, scheme: str = "custom",
     for toy schemes (the negative-control tests inject a deliberately
     racy reduction here and assert the detector catches it).
     """
-    spec = spec or CompressionSpec("qsgd", bits=4, bucket_size=32)
-    compressor = make_compressor(spec)
-    rng = np.random.default_rng(seed)
-    buffers = [np.asarray(rng.normal(size=numel), dtype=np.float32)
-               for _ in range(world)]
-    with capture() as trace:
-        fn(buffers, compressor, rng, key="verify")
+    trace, _ = trace_collective(fn, world, numel, spec, seed)
     return analyze_trace(trace, scheme, world)

@@ -34,8 +34,9 @@ from typing import Callable, Iterable, Iterator
 
 from .findings import Finding, sort_findings
 
-__all__ = ["RULES", "HOT_PATH_PARTS", "lint_source", "lint_file",
-           "iter_python_files", "lint_roots", "run_lint"]
+__all__ = ["RULES", "HOT_PATH_PARTS", "SourceFile", "call_name",
+           "lint_source", "lint_file", "iter_python_files", "lint_roots",
+           "run_lint"]
 
 #: rule id -> one-line description (mirrored in docs/analysis.md)
 RULES = {
@@ -114,27 +115,70 @@ def _target_names(target: ast.AST) -> Iterator[str]:
         yield from _target_names(target.value)
 
 
-class _FileChecker:
-    def __init__(self, tree: ast.Module, path: str, lines: list[str],
-                 hot_path: bool) -> None:
-        self.tree = tree
+def call_name(call: ast.Call) -> tuple[str | None, str]:
+    """(qualifier, name) of a call: ``time.sleep`` -> ("time", "sleep");
+    a bare ``f()`` has qualifier ``None``, a deeper chain ``""``."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return None, func.id
+    if isinstance(func, ast.Attribute):
+        if isinstance(func.value, ast.Name):
+            return func.value.id, func.attr
+        return "", func.attr
+    return None, ""
+
+
+class SourceFile:
+    """One parsed python file, as every file rule sees it (REP, DLV006,
+    OVL006, SCD007): the function-scope walk and the snippet-carrying
+    :class:`Finding` constructor."""
+
+    def __init__(self, source: str, path: str) -> None:
         self.path = path
-        self.lines = lines
+        self.lines = source.splitlines()
+        self.tree = ast.parse(source, filename=path)
+
+    def finding(self, rule: str, node: ast.AST, message: str,
+                source: str = "lint") -> Finding:
+        """A diagnostic anchored at ``node``, carrying its source line."""
+        line = getattr(node, "lineno", 0)
+        snippet = self.lines[line - 1].strip() if 0 < line <= len(self.lines) \
+            else ""
+        return Finding(rule=rule, path=self.path, line=line,
+                       col=getattr(node, "col_offset", 0), message=message,
+                       source=source, snippet=snippet)
+
+    def functions(self) -> Iterator[
+            tuple[ast.FunctionDef | ast.AsyncFunctionDef, list[ast.AST]]]:
+        """Every function definition with the nodes of its *own* scope:
+        nested defs and lambdas are excluded (nested defs are yielded as
+        functions of their own)."""
+        for func in ast.walk(self.tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            own: list[ast.AST] = []
+            stack = list(ast.iter_child_nodes(func))
+            while stack:
+                node = stack.pop()
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                    continue
+                own.append(node)
+                stack.extend(ast.iter_child_nodes(node))
+            yield func, own
+
+
+class _FileChecker:
+    def __init__(self, file: SourceFile, hot_path: bool) -> None:
+        self.file = file
         self.hot_path = hot_path
         self.findings: list[Finding] = []
 
     def emit(self, rule: str, node: ast.AST, message: str) -> None:
-        line = getattr(node, "lineno", 0)
-        snippet = self.lines[line - 1].strip() if 0 < line <= len(self.lines) \
-            else ""
-        self.findings.append(Finding(
-            rule=rule, path=self.path, line=line,
-            col=getattr(node, "col_offset", 0), message=message,
-            snippet=snippet,
-        ))
+        self.findings.append(self.file.finding(rule, node, message))
 
     def run(self) -> list[Finding]:
-        for node in ast.walk(self.tree):
+        for node in ast.walk(self.file.tree):
             if isinstance(node, ast.Compare):
                 self._check_float_equality(node)
             elif isinstance(node, ast.Call):
@@ -145,8 +189,8 @@ class _FileChecker:
                 self.emit("REP005", node,
                           "bare 'except:' swallows every error including "
                           "KeyboardInterrupt; name the exceptions")
-        self._check_scope(self.tree.body, params=())
-        for node in ast.walk(self.tree):
+        self._check_scope(self.file.tree.body, params=())
+        for node in ast.walk(self.file.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = node.args
                 params = tuple(
@@ -341,8 +385,7 @@ def lint_source(source: str, path: str = "<string>",
     """Lint python ``source``; ``hot_path`` defaults from the path."""
     if hot_path is None:
         hot_path = _is_hot_path(path)
-    tree = ast.parse(source, filename=path)
-    checker = _FileChecker(tree, path, source.splitlines(), hot_path)
+    checker = _FileChecker(SourceFile(source, path), hot_path)
     return sort_findings(checker.run())
 
 

@@ -19,13 +19,13 @@ scheduler's own bookkeeping.
             or a job's step chain is torn (gaps, overlaps, a finish
             time that is not the last step's end).
 ``SCD003``  cross-job conservation broken, checked in **exact
-            arithmetic**: per-job busy seconds summed as
-            :class:`fractions.Fraction` must equal pool totals, the
+            arithmetic**: no busy second may go untagged (untagged
+            ledger seconds summed as :class:`fractions.Fraction`), the
             float counters must bit-match a replay of the audit
             ledger, per-job wire bytes (integers) must agree between
-            the jobs' own counters and the network's tag counters, no
-            busy second may go untagged, and ``clear_trace(job)``
-            must provably not perturb any other job's counters.
+            the jobs' own counters and the network's tag counters, and
+            ``clear_trace(job)`` must provably not perturb any other
+            job's counters.
 ``SCD004``  throttle semantics broken: a declared bandwidth share does
             not scale effective bandwidth bit-exactly (battery shares
             are dyadic, so the scaling is exact in floats), a
@@ -54,11 +54,10 @@ from __future__ import annotations
 import ast
 import json
 import os
-from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from .findings import Finding, sort_findings
-from .rules import lint_roots
+from .rules import SourceFile, call_name, lint_roots
 
 if TYPE_CHECKING:
     from repro.cluster import Network
@@ -84,12 +83,6 @@ SCD_RULES = {
 _CEILING_SLACK = 1e-9
 
 
-def _finding(rule: str, path: str, message: str, scheme: str = "",
-             world: int = 0) -> Finding:
-    return Finding(rule=rule, path=path, line=0, col=0, message=message,
-                   source="sched", scheme=scheme, world=world)
-
-
 # -- SCD001/SCD002: replay the canonical fleet log ----------------------------
 
 def verify_fleet_log(payload: Mapping[str, Any], path: str) -> list[Finding]:
@@ -109,7 +102,8 @@ def verify_fleet_log(payload: Mapping[str, Any], path: str) -> list[Finding]:
     world = len(specs)
 
     def emit(rule: str, message: str) -> None:
-        findings.append(_finding(rule, path, message, scheme, world))
+        findings.append(Finding.semantic(
+            "sched", rule, message, scheme, world, path))
 
     arrived: list[int] = []
     admitted: list[int] = []
@@ -208,12 +202,16 @@ def verify_fleet_log(payload: Mapping[str, Any], path: str) -> list[Finding]:
     return findings
 
 
+def _cell(result: FleetResult, path: str) -> tuple[str, int, str]:
+    """``Finding.semantic``'s (scheme, world, path) for one fleet cell."""
+    return f"{result.policy}-{result.routing}", len(result.states), path
+
+
 def _certify_log(result: FleetResult, path: str) -> list[Finding]:
     """SCD001/SCD002 on the canonical log, plus the state cross-checks
     that need the live states (queue-wait accounting)."""
     payload = json.loads(result.log_bytes().decode("utf-8"))
     findings = verify_fleet_log(payload, path)
-    scheme = f"{result.policy}-{result.routing}"
     arrive_t = {r["job"]: r["t"] for r in result.records
                 if r["event"] == "arrive"}
     admit_t = {r["job"]: r["t"] for r in result.records
@@ -224,11 +222,10 @@ def _certify_log(result: FleetResult, path: str) -> list[Finding]:
             continue
         logged = admit_t[job] - arrive_t[job]
         if state.queue_wait != logged:
-            findings.append(_finding(
-                "SCD002", path,
+            findings.append(Finding.semantic(
+                "sched", "SCD002",
                 f"job {job} accounts queue_wait={state.queue_wait!r} but "
-                f"the event log says {logged!r}", scheme,
-                len(result.states)))
+                f"the event log says {logged!r}", *_cell(result, path)))
     return findings
 
 
@@ -236,11 +233,10 @@ def _certify_log(result: FleetResult, path: str) -> list[Finding]:
 
 def _certify_conservation(result: FleetResult, path: str) -> list[Finding]:
     findings: list[Finding] = []
-    scheme = f"{result.policy}-{result.routing}"
-    world = len(result.states)
+    cell = _cell(result, path)
 
     def emit(message: str) -> None:
-        findings.append(_finding("SCD003", path, message, scheme, world))
+        findings.append(Finding.semantic("sched", "SCD003", message, *cell))
 
     network = result.network
     pool = network.pool
@@ -265,13 +261,8 @@ def _certify_conservation(result: FleetResult, path: str) -> list[Finding]:
         if replay_by_job != resource.busy_by_job:
             emit(f"resource {name}: live per-job seconds disagree with "
                  f"the ledger replay — per-job accounting leaked")
-        # (c) exact conservation: per-job Fractions sum to the total
-        by_job = resource.exact_busy_by_job()
-        if sum(by_job.values(), Fraction(0)) != resource.exact_busy_seconds():
-            emit(f"resource {name}: per-job exact seconds do not sum to "
-                 f"the resource total (Fraction arithmetic)")
 
-    # (d) wire bytes: the jobs' own counters (fed by the collectives'
+    # (c) wire bytes: the jobs' own counters (fed by the collectives'
     # ReduceStats) vs the network's per-tag integers — two independent
     # accounting paths that must agree exactly
     total_states = 0
@@ -289,7 +280,7 @@ def _certify_conservation(result: FleetResult, path: str) -> list[Finding]:
              f"{total_states}, the network carried "
              f"{network.total_transferred_bytes()}")
 
-    # (e) clear_trace(job) must not perturb any other job's counters
+    # (d) clear_trace(job) must not perturb any other job's counters
     if result.states:
         victim = result.states[0].spec.job_id
         before_busy = {name: dict(res.busy_by_job)
@@ -329,11 +320,10 @@ def _certify_throttles(result: FleetResult, path: str,
 
     make_network = network_cls or DefaultNetwork
     findings: list[Finding] = []
-    scheme = f"{result.policy}-{result.routing}"
-    world = len(result.states)
+    cell = _cell(result, path)
 
     def emit(message: str) -> None:
-        findings.append(_finding("SCD004", path, message, scheme, world))
+        findings.append(Finding.semantic("sched", "SCD004", message, *cell))
 
     topology = result.topology
     backend = result.network.backend
@@ -391,11 +381,10 @@ def _certify_throttles(result: FleetResult, path: str,
 
 def _certify_isolation(result: FleetResult, path: str) -> list[Finding]:
     findings: list[Finding] = []
-    scheme = f"{result.policy}-{result.routing}"
-    world = len(result.states)
+    cell = _cell(result, path)
 
     def emit(message: str) -> None:
-        findings.append(_finding("SCD005", path, message, scheme, world))
+        findings.append(Finding.semantic("sched", "SCD005", message, *cell))
 
     step_ends: dict[int, list[float]] = {}
     for record in result.records:
@@ -470,11 +459,10 @@ def _certify_fairness(result: FleetResult, path: str) -> list[Finding]:
     from repro.sched.metrics import compute_metrics, isolated_step_times
 
     findings: list[Finding] = []
-    scheme = f"{result.policy}-{result.routing}"
-    world = len(result.states)
+    cell = _cell(result, path)
 
     def emit(message: str) -> None:
-        findings.append(_finding("SCD006", path, message, scheme, world))
+        findings.append(Finding.semantic("sched", "SCD006", message, *cell))
 
     try:
         metrics = compute_metrics(result)
@@ -503,7 +491,8 @@ def _certify_metric_degenerates(path: str = "<sched:degenerate>"
     findings: list[Finding] = []
 
     def emit(message: str) -> None:
-        findings.append(_finding("SCD006", path, message))
+        findings.append(Finding.semantic(
+            "sched", "SCD006", message, "", 0, path))
 
     probes: list[tuple[str, Callable[[], float], float]] = [
         ("jain_fairness([])", lambda: jain_fairness([]), 1.0),
@@ -568,32 +557,23 @@ def _carries_job_tag(call: ast.Call) -> bool:
 
 def lint_job_tagging_source(source: str, path: str) -> list[Finding]:
     """SCD007 over one file's source text."""
-    from .liveness import _call_name, _own_calls
-
     findings: list[Finding] = []
-    lines = source.splitlines()
-    tree = ast.parse(source, filename=path)
-
-    def snippet(lineno: int) -> str:
-        return lines[lineno - 1].strip() if 0 < lineno <= len(lines) else ""
-
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    file = SourceFile(source, path)
+    for func, nodes in file.functions():
+        if func.name in _TAG_EXEMPT_FUNCTIONS:
             continue
-        if node.name in _TAG_EXEMPT_FUNCTIONS:
-            continue
-        for call in _own_calls(node):
-            qualifier, name = _call_name(call)
+        for call in nodes:
+            if not isinstance(call, ast.Call):
+                continue
+            qualifier, name = call_name(call)
             if name not in _TAGGED_CALLS or qualifier is None:
                 continue
             if not _carries_job_tag(call):
-                findings.append(Finding(
-                    rule="SCD007", path=path, line=call.lineno,
-                    col=call.col_offset,
-                    message=f"{qualifier}.{name}(...) in {node.name!r} "
-                            f"carries no job tag — its busy time and "
-                            f"bytes vanish from per-job accounting",
-                    source="sched", snippet=snippet(call.lineno)))
+                findings.append(file.finding(
+                    "SCD007", call,
+                    f"{qualifier}.{name}(...) in {func.name!r} "
+                    f"carries no job tag — its busy time and "
+                    f"bytes vanish from per-job accounting", "sched"))
     return findings
 
 

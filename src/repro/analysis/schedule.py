@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -43,7 +44,8 @@ from repro.compression import CompressionSpec, make_compressor
 
 from .findings import Finding, sort_findings
 
-__all__ = ["SchemeCase", "default_cases", "trace_case", "verify_trace",
+__all__ = ["SchemeCase", "default_cases", "trace_collective", "trace_case",
+           "verify_trace",
            "verify_case", "verify_schedules", "verify_callable",
            "expected_recompression_bound"]
 
@@ -56,10 +58,6 @@ class SchemeCase:
     world: int
     node_of: tuple[int, ...] | None = None
     participants: tuple[int, ...] | None = None
-
-    @property
-    def path(self) -> str:
-        return f"<schedule:{self.scheme}@world={self.world}>"
 
 
 def default_cases() -> list[SchemeCase]:
@@ -95,28 +93,42 @@ def expected_recompression_bound(scheme: str, world: int) -> int:
     return world  # unknown scheme: the loosest defensible bound
 
 
+def trace_collective(fn: Callable, world: int, numel: int = 97,
+                     spec: CompressionSpec | None = None, seed: int = 0,
+                     ) -> tuple[ScheduleTrace, Any]:
+    """Run ``fn(buffers, compressor, rng, key=...)`` on synthetic
+    fake-rank buffers, capturing its events: ``(trace, fn's result)``.
+
+    The one collective tracer behind :func:`trace_case`,
+    :func:`verify_callable` and :func:`~repro.analysis.races
+    .analyze_callable`.
+    """
+    compressor = make_compressor(
+        spec or CompressionSpec("qsgd", bits=4, bucket_size=32))
+    rng = np.random.default_rng(seed)
+    buffers = [np.asarray(rng.normal(size=numel), dtype=np.float32)
+               for _ in range(world)]
+    with capture() as trace:
+        result = fn(buffers, compressor, rng, key="verify")
+    return trace, result
+
+
 def trace_case(case: SchemeCase, numel: int = 97,
                spec: CompressionSpec | None = None, seed: int = 0,
                ) -> tuple[ScheduleTrace, ReduceStats]:
-    """Run one scheme on synthetic fake-rank buffers, capturing events."""
-    spec = spec or CompressionSpec("qsgd", bits=4, bucket_size=32)
-    compressor = make_compressor(spec)
-    rng = np.random.default_rng(seed)
-    buffers = [np.asarray(rng.normal(size=numel), dtype=np.float32)
-               for _ in range(case.world)]
-    with capture() as trace:
-        if case.scheme == "partial":
-            reducer = PartialAllreduce(case.world)
-            _, stats = reducer.reduce(
+    """Run one registered scheme on fake ranks, capturing events."""
+    if case.scheme == "partial":
+        def quorum_reduce(buffers: list, compressor: Any, rng: Any,
+                          key: str) -> Any:
+            return PartialAllreduce(case.world).reduce(
                 buffers, list(case.participants or range(case.world)),
-                compressor, rng, key="verify",
-            )
-        else:
-            _, stats = ALGORITHMS[case.scheme](
-                buffers, compressor, rng, key="verify",
-                **({"node_of": list(case.node_of)}
-                   if case.node_of is not None else {}),
-            )
+                compressor, rng, key=key)
+        scheme: Callable = quorum_reduce
+    elif case.node_of is not None:
+        scheme = partial(ALGORITHMS[case.scheme], node_of=list(case.node_of))
+    else:
+        scheme = ALGORITHMS[case.scheme]
+    trace, (_, stats) = trace_collective(scheme, case.world, numel, spec, seed)
     return trace, stats
 
 
@@ -126,10 +138,8 @@ def verify_trace(trace: ScheduleTrace, stats: ReduceStats,
     findings: list[Finding] = []
 
     def emit(rule: str, message: str) -> None:
-        findings.append(Finding(
-            rule=rule, path=case.path, line=0, col=0, message=message,
-            source="schedule", scheme=case.scheme, world=case.world,
-        ))
+        findings.append(Finding.semantic("schedule", rule, message,
+                                         case.scheme, case.world))
 
     sends = Counter(e.match_key() for e in trace.sends)
     recvs = Counter(e.match_key() for e in trace.recvs)
@@ -201,12 +211,5 @@ def verify_callable(fn: Callable, world: int, scheme: str = "custom",
     the hook for testing toy or third-party schemes without touching the
     :data:`~repro.collectives.ALGORITHMS` registry.
     """
-    case = SchemeCase(scheme, world)
-    spec = CompressionSpec("qsgd", bits=4, bucket_size=32)
-    compressor = make_compressor(spec)
-    rng = np.random.default_rng(seed)
-    buffers = [np.asarray(rng.normal(size=numel), dtype=np.float32)
-               for _ in range(world)]
-    with capture() as trace:
-        _, stats = fn(buffers, compressor, rng, key="verify")
-    return verify_trace(trace, stats, case)
+    trace, (_, stats) = trace_collective(fn, world, numel, seed=seed)
+    return verify_trace(trace, stats, SchemeCase(scheme, world))

@@ -246,13 +246,6 @@ def battery_specs() -> list[CompressionSpec]:
     ]
 
 
-def _finding(rule: str, model: str, scheme: str, world: int,
-             message: str) -> Finding:
-    return Finding(rule=rule, path=f"<shape:{model}>", line=0, col=0,
-                   message=message, source="shape", scheme=scheme,
-                   world=world)
-
-
 def calibrate_payload_model(
     registry: "dict[str, type[Compressor]] | None" = None,
     shapes: Sequence[tuple[int, ...]] = PROBE_SHAPES,
@@ -269,6 +262,7 @@ def calibrate_payload_model(
     rng = np.random.default_rng(7)
     findings: list[Finding] = []
     for method in sorted(registry):
+        cell = (method, 0, "<shape:calibration>")
         for spec in probe_specs(method):
             compressor = registry[method](spec)
             for shape in shapes:
@@ -279,17 +273,18 @@ def calibrate_payload_model(
                     symbolic_payload(spec, array.size, shape))
                 measured = measured_wire_bytes(compressed)
                 if symbolic != measured:
-                    findings.append(_finding(
-                        "SHP003", "calibration", method, 0,
+                    findings.append(Finding.semantic(
+                        "shape", "SHP003",
                         f"symbolic model predicts {symbolic}B for "
                         f"{method} on shape {shape}, real payload "
-                        f"serializes to {measured}B"))
+                        f"serializes to {measured}B", *cell))
                 decoded = compressor.decompress(compressed)
                 if str(decoded.dtype) != "float32":
-                    findings.append(_finding(
-                        "SHP002", "calibration", method, 0,
+                    findings.append(Finding.semantic(
+                        "shape", "SHP002",
                         f"{method} decompress returned {decoded.dtype} "
-                        f"on shape {shape}; the accumulate path is fp32"))
+                        f"on shape {shape}; the accumulate path is fp32",
+                        *cell))
     return findings
 
 
@@ -298,54 +293,56 @@ def _check_plan(model_name: str, model: ModelSpec, packages: list,
                 ) -> list[Finding]:
     """SHP001/SHP002/SHP005: per-plan checks, scheme-independent."""
     findings: list[Finding] = []
+    cell = (method, 0, f"<shape:{model_name}>")
     expected = {t.name: t for t in model.tensors}
     seen: list[str] = []
     for package in packages:
         for layer in package.layers:
             seen.append(layer.name)
         if package.numel != sum(l.numel for l in package.layers):
-            findings.append(_finding(
-                "SHP001", model_name, method, 0,
+            findings.append(Finding.semantic(
+                "shape", "SHP001",
                 f"package {package.name!r} claims {package.numel} "
-                f"elements but its layers sum differently"))
+                f"elements but its layers sum differently", *cell))
     dropped = sorted(set(expected) - set(seen))
     if dropped:
-        findings.append(_finding(
-            "SHP001", model_name, method, 0,
-            f"plan drops {len(dropped)} tensor(s): {dropped[:5]}"))
+        findings.append(Finding.semantic(
+            "shape", "SHP001",
+            f"plan drops {len(dropped)} tensor(s): {dropped[:5]}", *cell))
     duplicated = sorted({name for name in seen if seen.count(name) > 1})
     if duplicated:
-        findings.append(_finding(
-            "SHP001", model_name, method, 0,
-            f"plan reduces tensor(s) twice: {duplicated[:5]}"))
+        findings.append(Finding.semantic(
+            "shape", "SHP001",
+            f"plan reduces tensor(s) twice: {duplicated[:5]}", *cell))
     for layer_name in seen:
         tensor = expected.get(layer_name)
         if tensor is None:
-            findings.append(_finding(
-                "SHP001", model_name, method, 0,
-                f"plan invents tensor {layer_name!r}"))
+            findings.append(Finding.semantic(
+                "shape", "SHP001",
+                f"plan invents tensor {layer_name!r}", *cell))
 
     for package in packages:
         cls = registry.get(package.spec.method)
         contract = getattr(cls, "contract", None) if cls else None
         if contract is None:
-            findings.append(_finding(
-                "SHP001", model_name, method, 0,
+            findings.append(Finding.semantic(
+                "shape", "SHP001",
                 f"package {package.name!r} uses method "
-                f"{package.spec.method!r} with no registered contract"))
+                f"{package.spec.method!r} with no registered contract", *cell))
             continue
         if not contract.preserves_shape:
-            findings.append(_finding(
-                "SHP001", model_name, method, 0,
+            findings.append(Finding.semantic(
+                "shape", "SHP001",
                 f"package {package.name!r}: method "
                 f"{package.spec.method!r} does not preserve shape; the "
-                f"scatter step slices the flat buffer back into layers"))
+                f"scatter step slices the flat buffer back into layers",
+                *cell))
         if contract.output_dtype != "float32":
-            findings.append(_finding(
-                "SHP002", model_name, method, 0,
+            findings.append(Finding.semantic(
+                "shape", "SHP002",
                 f"package {package.name!r}: {package.spec.method!r} "
                 f"decodes to {contract.output_dtype}, narrowing the "
-                f"fp32 accumulate path"))
+                f"fp32 accumulate path", *cell))
         # the engine ravels every buffer before compressing (see
         # _gather_package), so the accounting must match the 1-D view
         claimed = package.wire_bytes()
@@ -353,11 +350,11 @@ def _check_plan(model_name: str, model: ModelSpec, packages: list,
             symbolic_payload(package.spec, package.numel,
                              (package.numel,)))
         if claimed != symbolic:
-            findings.append(_finding(
-                "SHP005", model_name, method, 0,
+            findings.append(Finding.semantic(
+                "shape", "SHP005",
                 f"package {package.name!r} ({package.numel} elements) "
                 f"reports {claimed}B but the raveled buffer serializes "
-                f"to {symbolic}B symbolically"))
+                f"to {symbolic}B symbolically", *cell))
     return findings
 
 
@@ -366,6 +363,7 @@ def _check_chunks(model_name: str, package: Package, scheme: SchemeModel,
                   node_of: "list[int] | None") -> list[Finding]:
     """SHP003/SHP004: per-scheme chunk checks for one package."""
     findings: list[Finding] = []
+    cell = (f"{method}/{scheme.name}", world, f"<shape:{model_name}>")
     numel = package.numel
     whole_bytes = package.spec.wire_bytes(numel)
     for phase, bounds in scheme.phases(numel, world, node_of):
@@ -378,32 +376,32 @@ def _check_chunks(model_name: str, package: Package, scheme: SchemeModel,
                     symbolic_payload(package.spec, end - start,
                                      (end - start,)))
                 for start, end in bounds) - whole_bytes
-            findings.append(_finding(
-                "SHP004", model_name, f"{method}/{scheme.name}", world,
+            findings.append(Finding.semantic(
+                "shape", "SHP004",
                 f"{where}: partitions into {len(bounds)} chunks for "
                 f"{world} ranks; per-chunk metadata inflates the wire "
                 f"by {max(extra, 0)}B over the whole-buffer "
-                f"{whole_bytes}B"))
+                f"{whole_bytes}B", *cell))
             continue
         for start, end in bounds:
             if start != cursor or end < start:
-                findings.append(_finding(
-                    "SHP004", model_name, f"{method}/{scheme.name}", world,
+                findings.append(Finding.semantic(
+                    "shape", "SHP004",
                     f"{where}: chunk [{start}, {end}) breaks contiguous "
-                    f"coverage at offset {cursor}"))
+                    f"coverage at offset {cursor}", *cell))
                 sound = False
                 break
             if end == start and numel >= len(bounds):
-                findings.append(_finding(
-                    "SHP004", model_name, f"{method}/{scheme.name}", world,
+                findings.append(Finding.semantic(
+                    "shape", "SHP004",
                     f"{where}: empty chunk at offset {start} despite "
-                    f"{numel} elements across {len(bounds)} chunks"))
+                    f"{numel} elements across {len(bounds)} chunks", *cell))
                 sound = False
             cursor = end
         if sound and cursor != numel:
-            findings.append(_finding(
-                "SHP004", model_name, f"{method}/{scheme.name}", world,
-                f"{where}: chunks cover {cursor} of {numel} elements"))
+            findings.append(Finding.semantic(
+                "shape", "SHP004",
+                f"{where}: chunks cover {cursor} of {numel} elements", *cell))
             sound = False
         if not sound:
             continue
@@ -413,10 +411,10 @@ def _check_chunks(model_name: str, package: Package, scheme: SchemeModel,
             symbolic = symbolic_wire_bytes(
                 symbolic_payload(package.spec, chunk_numel, (chunk_numel,)))
             if claimed != symbolic:
-                findings.append(_finding(
-                    "SHP003", model_name, f"{method}/{scheme.name}", world,
+                findings.append(Finding.semantic(
+                    "shape", "SHP003",
                     f"{where}: chunk [{start}, {end}) claims {claimed}B "
-                    f"on the wire but serializes to {symbolic}B"))
+                    f"on the wire but serializes to {symbolic}B", *cell))
     return findings
 
 
@@ -442,10 +440,11 @@ def interpret_pipeline(
             node_of = [rank // 2 for rank in range(world)] \
                 if scheme.name == "hier" else None
             if scheme.accumulator_dtype != "float32":
-                findings.append(_finding(
-                    "SHP002", model_name, f"{method}/{scheme.name}", world,
+                findings.append(Finding.semantic(
+                    "shape", "SHP002",
                     f"scheme accumulates decoded chunks into "
-                    f"{scheme.accumulator_dtype}; gradients are fp32"))
+                    f"{scheme.accumulator_dtype}; gradients are fp32",
+                    f"{method}/{scheme.name}", world, f"<shape:{model_name}>"))
             for package in packages:
                 findings.extend(_check_chunks(
                     model_name, package, scheme, world, method, node_of))

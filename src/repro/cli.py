@@ -81,49 +81,11 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--list", action="store_true", dest="list_all",
                      help="list available experiments")
 
-    ana = sub.add_parser("analyze",
-                         help="run the static-analysis suite (lint + "
-                              "schedule verifier + contracts + races + "
-                              "plan certifier + shape interpreter)")
-    ana.add_argument("paths", nargs="*", default=["src"],
-                     help="files/directories to lint (default: src)")
-    ana.add_argument("--format", dest="fmt", default="text",
-                     choices=("text", "json"))
-    ana.add_argument("--baseline", default=None,
-                     help="findings allowlist file")
-    ana.add_argument("--write-baseline", action="store_true")
-    ana.add_argument("--no-schedule", action="store_true")
-    ana.add_argument("--schedule-only", action="store_true")
-    ana.add_argument("--contracts", action="store_true",
-                     help="run only the compressor-contract checker "
-                          "(combines with the other pass flags)")
-    ana.add_argument("--races", action="store_true",
-                     help="run only the happens-before race detector "
-                          "(combines with the other pass flags)")
-    ana.add_argument("--plans", action="store_true",
-                     help="run only the bit-width plan certifier "
-                          "(combines with the other pass flags)")
-    ana.add_argument("--shapes", action="store_true",
-                     help="run only the shape/dtype pipeline interpreter "
-                          "(combines with the other pass flags)")
-    ana.add_argument("--health", action="store_true",
-                     help="run only the failure-detection battery "
-                          "(combines with the other pass flags)")
-    ana.add_argument("--liveness", action="store_true",
-                     help="run only the deadlock & progress certifier "
-                          "(combines with the other pass flags)")
-    ana.add_argument("--overlap", action="store_true",
-                     help="run only the overlap-safety certifier "
-                          "(combines with the other pass flags)")
-    ana.add_argument("--sched", action="store_true",
-                     help="run only the fleet-schedule certifier "
-                          "(combines with the other pass flags)")
-    ana.add_argument("--elastic", action="store_true",
-                     help="run only the elastic-membership certifier "
-                          "(combines with the other pass flags)")
-    ana.add_argument("--all", dest="all_passes", action="store_true",
-                     help="run every battery, including plans, shapes, "
-                          "health, liveness, overlap, sched and elastic")
+    # every argument after ``analyze`` goes to repro.analysis.cli.main
+    # untouched (see main): its parser is the only one declaring them
+    sub.add_parser("analyze", add_help=False,
+                   help="run the static-analysis suite (flags: "
+                        "python -m repro analyze --help)")
 
     flt = sub.add_parser("faults",
                          help="run a named chaos campaign against real "
@@ -329,41 +291,6 @@ def _cmd_experiment(args, out) -> int:
     return pytest.main([bench, "--benchmark-only", "-q", "-s"])
 
 
-def _cmd_analyze(args, out) -> int:
-    from repro.analysis.cli import main as analysis_main
-
-    argv = list(args.paths) + ["--format", args.fmt]
-    if args.baseline:
-        argv += ["--baseline", args.baseline]
-    if args.write_baseline:
-        argv.append("--write-baseline")
-    if args.no_schedule:
-        argv.append("--no-schedule")
-    if args.schedule_only:
-        argv.append("--schedule-only")
-    if args.contracts:
-        argv.append("--contracts")
-    if args.races:
-        argv.append("--races")
-    if args.plans:
-        argv.append("--plans")
-    if args.shapes:
-        argv.append("--shapes")
-    if args.health:
-        argv.append("--health")
-    if args.liveness:
-        argv.append("--liveness")
-    if args.overlap:
-        argv.append("--overlap")
-    if args.sched:
-        argv.append("--sched")
-    if args.elastic:
-        argv.append("--elastic")
-    if args.all_passes:
-        argv.append("--all")
-    return analysis_main(argv, out=out)
-
-
 def _cmd_faults(args, out) -> int:
     from repro.faults import CAMPAIGNS, ResiliencePolicy, make_campaign
     from repro.training import RECIPES, train_family
@@ -518,13 +445,19 @@ def _cmd_topology(args, out) -> int:
 def main(argv: list[str] | None = None, out=None) -> int:
     """Entry point; returns a process exit code."""
     out = out or sys.stdout
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "analyze":
+        from repro.analysis.cli import main as analysis_main
+
+        return analysis_main(rest, out=out)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     commands = {
         "simulate": _cmd_simulate,
         "train": _cmd_train,
         "topology": _cmd_topology,
         "experiment": _cmd_experiment,
-        "analyze": _cmd_analyze,
         "faults": _cmd_faults,
         "sched": _cmd_sched,
     }

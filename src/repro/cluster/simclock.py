@@ -16,8 +16,9 @@ additionally needs *exact* conservation evidence — float accumulation
 is order-sensitive, so "per-job seconds sum to the pool total" cannot
 be checked to tolerance without hiding real accounting leaks.  With
 :meth:`ResourcePool.enable_audit` every occupation is appended to a
-per-resource ledger of ``(job, duration)`` entries; the exact accessors
-sum those ledgers in :class:`fractions.Fraction` arithmetic (every
+per-resource ledger of ``(job, duration)`` entries; the certifier
+replays those ledgers bit-for-bit against the live float counters and
+sums untagged entries in :class:`fractions.Fraction` arithmetic (every
 float is an exact rational), so conservation holds with **equality**
 or not at all.
 """
@@ -63,25 +64,14 @@ class Resource:
             self.ledger.append((job, duration))
         return start, end
 
-    # -- exact (Fraction) conservation accessors --------------------------
-    def exact_busy_seconds(self) -> Fraction:
-        """Exact total occupied seconds (requires an audit ledger)."""
+    # -- conservation audit ---------------------------------------------
+    def audit_ledger(self) -> list[tuple[int | None, float]]:
+        """The occupation ledger; raises unless auditing is enabled."""
         if self.ledger is None:
             raise RuntimeError(
                 f"resource {self.name}: exact accounting needs "
                 f"ResourcePool.enable_audit() before simulating")
-        return sum((Fraction(d) for _, d in self.ledger), Fraction(0))
-
-    def exact_busy_by_job(self) -> dict[int | None, Fraction]:
-        """Exact occupied seconds per job tag (``None`` = untagged)."""
-        if self.ledger is None:
-            raise RuntimeError(
-                f"resource {self.name}: exact accounting needs "
-                f"ResourcePool.enable_audit() before simulating")
-        by_job: dict[int | None, Fraction] = {}
-        for job, duration in self.ledger:
-            by_job[job] = by_job.get(job, Fraction(0)) + Fraction(duration)
-        return by_job
+        return self.ledger
 
     def replay_float_accumulation(self) -> tuple[float, dict[int, float]]:
         """Re-fold the ledger with float addition, in commit order.
@@ -91,13 +81,9 @@ class Resource:
         counters: any mutation path that bumps a counter without
         appending to the ledger (or vice versa) is an accounting leak.
         """
-        if self.ledger is None:
-            raise RuntimeError(
-                f"resource {self.name}: exact accounting needs "
-                f"ResourcePool.enable_audit() before simulating")
         total = 0.0
         by_job: dict[int, float] = {}
-        for job, duration in self.ledger:
+        for job, duration in self.audit_ledger():
             total += duration
             if job is not None:
                 by_job[job] = by_job.get(job, 0.0) + duration
@@ -200,22 +186,7 @@ class ResourcePool:
             if job in res.busy_by_job
         }
 
-    # -- exact (Fraction) conservation accessors --------------------------
-    def exact_busy_seconds(self) -> dict[str, Fraction]:
-        """Exact occupied seconds per resource (requires
-        :meth:`enable_audit` before simulating)."""
-        return {name: res.exact_busy_seconds()
-                for name, res in self._resources.items()}
-
-    def exact_job_busy_seconds(self, job: int) -> dict[str, Fraction]:
-        """Exact seconds each resource spent serving ``job``."""
-        result: dict[str, Fraction] = {}
-        for name, res in self._resources.items():
-            by_job = res.exact_busy_by_job()
-            if job in by_job:
-                result[name] = by_job[job]
-        return result
-
+    # -- exact (Fraction) conservation accessor ---------------------------
     def exact_untagged_seconds(self) -> dict[str, Fraction]:
         """Exact seconds occupied with no job tag, per resource.
 
@@ -225,7 +196,11 @@ class ResourcePool:
         """
         result: dict[str, Fraction] = {}
         for name, res in self._resources.items():
-            untagged = res.exact_busy_by_job().get(None, Fraction(0))
+            # only untagged entries are folded into Fractions: a clean
+            # fleet's ledgers hold none
+            untagged = sum((Fraction(duration)
+                            for job, duration in res.audit_ledger()
+                            if job is None), Fraction(0))
             if untagged:
                 result[name] = untagged
         return result

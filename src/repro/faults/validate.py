@@ -3,9 +3,10 @@
 Injected faults rewrite the message log (retransmitted payloads add
 send/recv pairs) and consume extra randomness, so they could in
 principle hide a schedule asymmetry or a data race behind noise — or
-introduce one of their own.  This pass closes that hole; it is
-registered with the :mod:`repro.analysis` contract and race passes so
-CI runs it alongside SCH/RACE/CON:
+introduce one of their own.  These batteries close that hole; they are
+runners of the ``contracts`` and ``races`` rows of
+:data:`repro.analysis.registry.REGISTRY`, so CI runs them alongside
+SCH/RACE/CON:
 
 ``FLT001``  a schedule invariant (SCH001..SCH007) is violated while a
             lossy campaign is injecting into the data path.
@@ -31,7 +32,7 @@ from .plan import PlanRuntime, make_campaign
 from .policy import ResiliencePolicy
 
 __all__ = ["FAULT_RULES", "verify_fault_schedules", "verify_fault_determinism",
-           "verify_crc_detection", "verify_faults", "fault_path"]
+           "verify_crc_detection", "fault_path"]
 
 FAULT_RULES = {
     "FLT001": "schedule invariant violated under fault injection",
@@ -74,20 +75,15 @@ def verify_fault_schedules(cases=_FAULT_CASES, seed: int = 0
         runtime = _campaign_runtime(case.world, seed)
         with inject_data_path(runtime):
             trace, stats = trace_case(case, seed=seed)
-        for inner in verify_trace(trace, stats, case):
-            findings.append(Finding(
-                rule="FLT001", path=fault_path(case.scheme, case.world),
-                line=0, col=0, source="faults", scheme=case.scheme,
-                world=case.world,
-                message=f"[{inner.rule}] under lossy-link injection: "
-                        f"{inner.message}"))
-        for inner in analyze_trace(trace, case.scheme, case.world):
-            findings.append(Finding(
-                rule="FLT002", path=fault_path(case.scheme, case.world),
-                line=0, col=0, source="faults", scheme=case.scheme,
-                world=case.world,
-                message=f"[{inner.rule}] under lossy-link injection: "
-                        f"{inner.message}"))
+        for rule, inners in (
+                ("FLT001", verify_trace(trace, stats, case)),
+                ("FLT002", analyze_trace(trace, case.scheme, case.world))):
+            for inner in inners:
+                findings.append(Finding.semantic(
+                    "faults", rule,
+                    f"[{inner.rule}] under lossy-link injection: "
+                    f"{inner.message}", case.scheme, case.world,
+                    fault_path(case.scheme, case.world)))
     return sort_findings(findings)
 
 
@@ -105,12 +101,12 @@ def verify_fault_determinism(world: int = 4, seed: int = 7) -> list[Finding]:
                     trace_case(SchemeCase("sra", world), seed=seed)
             logs.append(runtime.log_bytes())
         if logs[0] != logs[1]:
-            findings.append(Finding(
-                rule="FLT003", path=fault_path(campaign, world), line=0,
-                col=0, source="faults", scheme=campaign, world=world,
-                message=f"campaign {campaign!r} with seed {seed} produced "
-                        f"two different fault event logs "
-                        f"({len(logs[0])}B vs {len(logs[1])}B)"))
+            findings.append(Finding.semantic(
+                "faults", "FLT003",
+                f"campaign {campaign!r} with seed {seed} produced two "
+                f"different fault event logs "
+                f"({len(logs[0])}B vs {len(logs[1])}B)",
+                campaign, world, fault_path(campaign, world)))
     return sort_findings(findings)
 
 
@@ -134,17 +130,9 @@ def verify_crc_detection(seed: int = 3) -> list[Finding]:
         if corrupted is wire:  # pragma: no cover - all specs carry payload
             continue
         if payload_crc(corrupted) == payload_crc(wire):
-            findings.append(Finding(
-                rule="FLT004", path=f"<faults:crc@{spec.method}>", line=0,
-                col=0, source="faults", scheme=spec.method, world=1,
-                message=f"{spec.method}: single-byte corruption left the "
-                        f"payload CRC unchanged"))
-    return sort_findings(findings)
-
-
-def verify_faults() -> list[Finding]:
-    """The full fault-validation battery; [] means clean."""
-    findings = list(verify_fault_schedules())
-    findings.extend(verify_fault_determinism())
-    findings.extend(verify_crc_detection())
+            findings.append(Finding.semantic(
+                "faults", "FLT004",
+                f"{spec.method}: single-byte corruption left the payload "
+                f"CRC unchanged", spec.method, 1,
+                f"<faults:crc@{spec.method}>"))
     return sort_findings(findings)

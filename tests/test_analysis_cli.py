@@ -5,6 +5,8 @@ import json
 import os
 import shutil
 
+import pytest
+
 from repro.analysis import JSON_REPORT_SCHEMA
 from repro.analysis.cli import main as analysis_main
 from repro.cli import main as repro_main
@@ -126,28 +128,24 @@ def test_no_schedule_rejects_contracts_combination():
     assert code == 2
 
 
-def test_contract_findings_flow_through_baseline(tmp_path):
-    import repro.analysis.cli as cli_mod
+def test_contract_findings_flow_through_baseline(tmp_path, monkeypatch):
+    import repro.analysis.schedule as schedule_mod
     from repro.analysis.findings import Finding
 
-    injected = [Finding(rule="CON003", path="<contract:qsgd>", line=0,
-                        col=0, message="synthetic drift", source="contract",
-                        scheme="qsgd")]
-    original = cli_mod.__dict__.get("verify_schedules")
-    try:
-        # splice a synthetic contract finding into the schedule hook so
-        # the full report/baseline path exercises the new source kind
-        cli_mod.verify_schedules = lambda: injected
-        baseline = tmp_path / "base.json"
-        code, out = run_cli(["--schedule-only", "--baseline", str(baseline),
-                             "--write-baseline"])
-        assert code == 0
-        code, out = run_cli(["--schedule-only", "--baseline", str(baseline)])
-        assert code == 0 and "(1 baselined)" in out
-        code, out = run_cli(["--schedule-only"])
-        assert code == 1 and "contract[qsgd]: CON003" in out
-    finally:
-        cli_mod.verify_schedules = original
+    injected = [Finding.semantic("contract", "CON003", "synthetic drift",
+                                 "qsgd")]
+    # splice a synthetic contract finding into the schedule row's runner
+    # (the registry resolves it by module attribute at call time) so the
+    # full report/baseline path exercises the new source kind
+    monkeypatch.setattr(schedule_mod, "verify_schedules", lambda: injected)
+    baseline = tmp_path / "base.json"
+    code, out = run_cli(["--schedule-only", "--baseline", str(baseline),
+                         "--write-baseline"])
+    assert code == 0
+    code, out = run_cli(["--schedule-only", "--baseline", str(baseline)])
+    assert code == 0 and "(1 baselined)" in out
+    code, out = run_cli(["--schedule-only"])
+    assert code == 1 and "contract[qsgd]: CON003" in out
 
 
 def test_json_report_includes_contract_and_race_findings():
@@ -195,28 +193,41 @@ def test_schedule_only_rejects_plans_combination():
     assert code == 2
 
 
+def _stub_every_runner(monkeypatch, ran, planted=()):
+    """Replace every registry runner with a recorder; ``planted`` findings
+    come back from the ``plans`` row."""
+    import importlib
+
+    from repro.analysis.registry import REGISTRY
+
+    for row in REGISTRY:
+        for runner in row.runners:
+            module, _, function = runner.partition(":")
+
+            def stub(*paths, name=row.name):
+                ran.append(name)
+                return list(planted) if name == "plans" else []
+            monkeypatch.setattr(importlib.import_module(module), function,
+                                stub)
+
+
 def test_all_flag_runs_every_battery(monkeypatch, tmp_path):
-    """--all invokes every battery and merges their exit status."""
-    import repro.analysis.cli as cli_mod
-    import repro.analysis.plans as plans_mod
-    import repro.analysis.shapes as shapes_mod
+    """--all invokes every row's runners, in registry order, and merges
+    their exit status (the real batteries run in CI and in each pass's
+    own test module)."""
     from repro.analysis.findings import Finding
+    from repro.analysis.registry import REGISTRY
 
     ran = []
-    planted = [Finding(rule="BWP001", path="<plan:kmeans>", line=0, col=0,
-                       message="synthetic budget breach", source="plan",
-                       scheme="kmeans")]
-    monkeypatch.setattr(cli_mod, "verify_schedules",
-                        lambda: ran.append("schedule") or [])
-    monkeypatch.setattr(plans_mod, "verify_plans",
-                        lambda: ran.append("plans") or planted)
-    monkeypatch.setattr(shapes_mod, "verify_shapes",
-                        lambda: ran.append("shapes") or [])
+    planted = [Finding.semantic("plan", "BWP001", "synthetic budget breach",
+                                "kmeans")]
+    _stub_every_runner(monkeypatch, ran, planted)
     src_file = tmp_path / "clean.py"
     src_file.write_text("x = 1\n")
 
     code, out = run_cli([str(src_file), "--all"])
-    assert {"schedule", "plans", "shapes"} <= set(ran)
+    assert ran == [row.name for row in REGISTRY for _ in row.runners]
+    assert len(set(ran)) == 11
     assert code == 1
     assert "plan[kmeans]: BWP001" in out
 
@@ -385,3 +396,149 @@ def test_sched_findings_round_trip_through_json_and_baseline(tmp_path,
     assert code == 0
     code, out = run_cli(["--sched", "--baseline", str(baseline)])
     assert code == 0 and "(1 baselined)" in out
+
+
+# -- a finding's presentation is a table row -----------------------------------
+
+#: (source, rule, path, scheme, world, snippet) -> (render, fingerprint),
+#: expected strings recorded at the commit before findings.SOURCES existed
+GOLDEN = [
+    ("schedule", "SCH002", "<schedule:ring@world=4>", "ring", 4, "",
+     "schedule[ring@world=4]: SCH002 planted", "67ff0aba2cf5f53b"),
+    ("contract", "CON003", "<contract:qsgd>", "qsgd", 0, "",
+     "contract[qsgd]: CON003 planted", "f661d59fa8168d16"),
+    ("race", "RACE001", "<race:toy@world=3>", "toy", 3, "",
+     "race[toy@world=3]: RACE001 planted", "33e882fcc63e0b6e"),
+    ("plan", "BWP001", "<plan:kmeans>", "kmeans", 0, "",
+     "plan[kmeans]: BWP001 planted", "b02f15d374f01924"),
+    ("shape", "SHP003", "<shape:vgg16>", "qsgd/sra", 4, "",
+     "shape[qsgd/sra@world=4]: SHP003 planted", "1424b98fb44b55da"),
+    ("health", "HLT002", "<health:crash-rejoin@world=4>", "crash-rejoin", 4,
+     "", "health[crash-rejoin@world=4]: HLT002 planted", "65c3a532bd8780f1"),
+    ("liveness", "DLV001", "<liveness:ring@world=4/none>", "ring", 4, "",
+     "liveness[ring@world=4]: DLV001 planted", "c7e43becf6e19289"),
+    ("overlap", "OVL003", "<overlap:sra@world=2/stack>", "sra", 2, "",
+     "overlap[sra@world=2]: OVL003 planted", "d63ca7881b17dfbf"),
+    ("sched", "SCD005", "<sched:packed-static@n=12/x>", "packed-static", 12,
+     "", "sched[packed-static@jobs=12]: SCD005 planted", "e19bba3df54ab268"),
+    ("elastic", "ELA003", "<elastic:spot-churn@world=4>", "spot-churn", 4, "",
+     "elastic[spot-churn@world=4]: ELA003 planted", "3ac87d598890deab"),
+    ("faults", "FLT001", "<faults:sra@world=4>", "sra", 4, "",
+     "<faults:sra@world=4>:0:1: FLT001 planted", "b41a996f07618766"),
+    ("liveness", "DLV006", "src/repro/collectives/x.py", "", 0,
+     "time.sleep(1)",
+     "src/repro/collectives/x.py:12:5: DLV006 planted", "d183519eb895b737"),
+    ("overlap", "OVL006", "src/repro/nn/optim.py", "", 0, "p.data -= p.grad",
+     "src/repro/nn/optim.py:12:5: OVL006 planted", "aab10d56be394ff1"),
+    ("sched", "SCD007", "src/repro/sched/fleet.py", "", 0,
+     "net.transfer(a, b, n, t)",
+     "src/repro/sched/fleet.py:12:5: SCD007 planted", "3a95e668ed71427f"),
+]
+
+
+@pytest.mark.parametrize("source,rule,path,scheme,world,snippet,render,"
+                         "fingerprint", GOLDEN,
+                         ids=[f"{g[0]}-{g[1]}" for g in GOLDEN])
+def test_finding_render_and_fingerprint_golden(source, rule, path, scheme,
+                                               world, snippet, render,
+                                               fingerprint):
+    from repro.analysis.findings import Finding
+
+    if snippet:
+        finding = Finding(rule=rule, path=path, line=12, col=4,
+                          message="planted", source=source, snippet=snippet)
+    else:
+        finding = Finding.semantic(source, rule, "planted", scheme, world,
+                                   path)
+        label = render[len(source) + 1:render.find("]")]
+        if path == f"<{source}:{label}>":   # the default pseudo-path
+            assert Finding.semantic(source, rule, "planted", scheme,
+                                    world) == finding
+    assert finding.render() == render
+    assert finding.fingerprint == fingerprint
+    assert finding.to_dict()["fingerprint"] == fingerprint
+    assert list(finding.to_dict()) == [
+        "rule", "path", "line", "col", "message", "source", "snippet",
+        "scheme", "world", "fingerprint"]
+
+
+def test_every_semantic_source_has_a_golden_row():
+    from repro.analysis.findings import SOURCES
+
+    assert set(SOURCES) <= {g[0] for g in GOLDEN}
+    assert len(SOURCES) == 10
+
+
+# -- `repro analyze` hands its argv to repro.analysis untouched ----------------
+
+@pytest.mark.parametrize("argv,stubbed", [
+    (["--schedule-only"], False),
+    (["--contracts", "--races"], False),
+    (["--all", "--format", "json"], True),
+    (["--all", "--plans"], False),             # usage error
+    (["--no-schedule", "--races"], False),     # usage error
+], ids=["schedule-only", "contracts+races", "all-stubbed", "usage-all+plans",
+        "usage-no-schedule+races"])
+def test_repro_analyze_equals_python_m_repro_analysis(argv, stubbed,
+                                                      monkeypatch, tmp_path,
+                                                      capsys):
+    if stubbed:
+        from repro.analysis.findings import Finding
+
+        src_file = tmp_path / "clean.py"
+        src_file.write_text("x = 1\n")
+        argv = [str(src_file), *argv]
+        _stub_every_runner(monkeypatch, [], [Finding.semantic(
+            "plan", "BWP003", "synthetic gap regression", "bayes")])
+    direct_code, direct_out = run_cli(argv)
+    direct_err = capsys.readouterr().err
+    out = io.StringIO()
+    code = repro_main(["analyze", *argv], out=out)
+    assert (code, out.getvalue()) == (direct_code, direct_out)
+    assert capsys.readouterr().err == direct_err
+    if stubbed:
+        assert code == 1 and json.loads(direct_out)["summary"]["new"] == 1
+
+
+def test_repro_cli_declares_no_analysis_flag_of_its_own():
+    from repro.cli import build_parser
+
+    analyze = build_parser()._subparsers._group_actions[0].choices["analyze"]
+    assert [a.dest for a in analyze._actions] == []
+    with pytest.raises(SystemExit) as exc:    # argparse-level usage error
+        repro_main(["analyze", "--no-such-flag"])
+    assert exc.value.code == 2
+
+
+# -- one prose copy: docs, --help and README agree with the registry -----------
+
+def test_docs_help_and_readme_agree_with_the_registry():
+    import re
+
+    from repro.analysis.cli import build_parser
+    from repro.analysis.registry import REGISTRY
+
+    root = os.path.join(os.path.dirname(__file__), "..")
+    with open(os.path.join(root, "docs", "analysis.md")) as handle:
+        docs = handle.read()
+    headings = re.findall(r"^## Pillar (\d+): the (.+) \((\w+) rules\)$",
+                          docs, flags=re.M)
+    assert headings == [(str(i + 1), row.title, row.rules)
+                        for i, row in enumerate(REGISTRY)]
+
+    help_text = " ".join(build_parser().format_help().split())
+    for row in REGISTRY:
+        assert f"{row.title} ({row.rules})" in help_text.replace("- ", "-")
+        if row.name not in ("lint", "schedule"):
+            assert f"--{row.name} " in help_text
+    assert ", ".join(row.name for row in REGISTRY) in help_text
+
+    with open(os.path.join(root, "README.md")) as handle:
+        readme = handle.read()
+    words = ["zero", "one", "two", "three", "four", "five", "six", "seven",
+             "eight", "nine", "ten", "eleven", "twelve", "thirteen",
+             "fourteen", "fifteen"]
+    counts = set(re.findall(r"all (\w+) passes", readme + docs))
+    assert counts == {words[len(REGISTRY)]}
+    for row in REGISTRY:
+        assert f"{row.title} ({row.rules}" in readme
