@@ -74,9 +74,8 @@ def verify_no_ghost_gradients(records: CampaignRecords | None = None
         record = records.get(make_campaign(name, WORLD), supervised=False)
         trainer = record.trainer
         assert trainer.elastic is not None
-        exit_steps = {dict(r.detail)["rank"]: r.step
-                      for r in record.runtime.records
-                      if r.kind == "spot_exit"}
+        exit_steps = {detail["rank"]: step for step, detail
+                      in record.runtime.records_of("spot_exit")}
         for step, members in trainer.elastic.history:
             for rank, exited_at in exit_steps.items():
                 if step > exited_at and rank in members:
@@ -161,7 +160,7 @@ def verify_respec_feasibility(records: CampaignRecords | None = None
                              adaptive=True)
         adaptive = record.trainer.adaptive
         assert adaptive is not None
-        if not any(r.kind == "respec" for r in record.runtime.records):
+        if not any(record.runtime.records_of("respec")):
             findings.append(Finding.semantic(
                 "elastic", "ELA004",
                 "no respec event was logged although the campaign "

@@ -173,13 +173,6 @@ def verify_detector_soundness(records: CampaignRecords | None = None
 
 # -- HLT002: bounded detection latency ---------------------------------------
 
-def _first_event(record: CampaignRecord, kind: str, rank: int) -> int | None:
-    for event in record.runtime.records:
-        if event.kind == kind and dict(event.detail).get("rank") == rank:
-            return event.step
-    return None
-
-
 def verify_detection_latency(records: CampaignRecords | None = None
                              ) -> list[Finding]:
     """Crash, rejoin and straggler events noticed within the bounds."""
@@ -192,7 +185,7 @@ def verify_detection_latency(records: CampaignRecords | None = None
 
     # crash at step 4, rejoin at step 9 (stock campaign, rank 3)
     record = records.get(make_campaign("crash-rejoin", WORLD))
-    suspected = _first_event(record, "suspect_crash", WORLD - 1)
+    suspected = record.runtime.first_step("suspect_crash", WORLD - 1)
     if suspected is None:
         late("crash-rejoin",
              f"rank {WORLD - 1} crash at step 4 never suspected in "
@@ -201,7 +194,7 @@ def verify_detection_latency(records: CampaignRecords | None = None
         late("crash-rejoin",
              f"crash at step 4 suspected at step {suspected} "
              f"(latency {suspected - 4} > bound {CRASH_LATENCY_BOUND})")
-    admitted = _first_event(record, "admit_rejoin", WORLD - 1)
+    admitted = record.runtime.first_step("admit_rejoin", WORLD - 1)
     if admitted is None:
         late("crash-rejoin",
              f"rank {WORLD - 1} rejoin at step 9 never admitted in "
@@ -214,7 +207,7 @@ def verify_detection_latency(records: CampaignRecords | None = None
     # persistent over-budget straggler from step 4 on rank 2
     hard = FaultPlan("straggler-hard", WORLD, 0,
                      (straggler(4, None, rank=2, factor=2.5),))
-    demoted = _first_event(records.get(hard), "demote_straggler", 2)
+    demoted = records.get(hard).runtime.first_step("demote_straggler", 2)
     if demoted is None:
         late("straggler-hard",
              f"2.5x straggler from step 4 never demoted in {STEPS} steps")

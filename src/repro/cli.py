@@ -352,19 +352,10 @@ def _cmd_faults(args, out) -> int:
     print(f"{baseline.metric_name:10s} "
           f"fault-free {baseline.final_metric:.4g}  ->  "
           f"faulty {faulty.final_metric:.4g}", file=out)
-    summary = faulty.fault_summary or {}
-    for name in ("deliveries", "lost", "corrupt_detected", "retries",
-                 "retransmit_bytes", "forced_deliveries", "quorum_steps",
-                 "crashes", "rejoins", "checkpoint_restores",
-                 "heartbeats", "heartbeat_misses", "suspected_crashes",
-                 "false_suspicions", "rejoin_admissions",
-                 "straggler_demotions", "escalations", "oracle_reads",
-                 "store_writes", "store_corrupt_detected",
-                 "preempt_warnings", "graceful_exits", "drain_missed",
-                 "spot_reclaims", "provisions", "provision_admissions",
-                 "respecs"):
-        if summary.get(name):
-            print(f"  {name:22s} {summary[name]}", file=out)
+    # FaultCounters field order; every non-zero counter is shown
+    for name, value in (faulty.fault_summary or {}).items():
+        if value:
+            print(f"  {name:22s} {value}", file=out)
     if args.log:
         with open(args.log, "wb") as handle:
             handle.write(runtime.log_bytes())

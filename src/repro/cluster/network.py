@@ -136,6 +136,19 @@ class Network:
                  job: int | None = None) -> float:
         """Send ``nbytes`` from GPU ``src`` to ``dst``; returns end time.
 
+        ``job`` tags the transfer for shared (multi-job) networks: link
+        busy time is attributed to the job, the job's throttle rate
+        scales its effective bandwidth, and trace records land in the
+        job's lane.
+        """
+        if src == dst:
+            return ready
+        return self._walk(src, dst, nbytes, ready, job, 1.0)
+
+    def _walk(self, src: int, dst: int, nbytes: int, ready: float,
+              job: int | None, slow: float) -> float:
+        """The one link walk: route, per-link service, ledgers, trace.
+
         Store-and-forward: the message traverses its route link by link,
         occupying each link only for that link's own service time
         (``bytes / link_bandwidth + latency``).  On direct NVLink paths
@@ -145,20 +158,18 @@ class Network:
         which is how 14 GB/s point-to-point collapses toward ~1 GB/s of
         8-way all-reduce bandwidth.
 
-        ``job`` tags the transfer for shared (multi-job) networks: link
-        busy time is attributed to the job, the job's throttle rate
-        scales its effective bandwidth, and trace records land in the
-        job's lane.
+        ``slow`` (private to fault-aware subclasses) stretches every
+        link's service time; ``1.0 * x == x`` keeps plain ones bit-exact.
         """
-        if src == dst:
-            return ready
         start_overall = ready + self.backend.alpha
         scaled = nbytes * self.backend.copy_factor
         throttle = self.job_throttle(job)
-        route = self._select_route(src, dst, start_overall, scaled, throttle)
+        route = self._select_route(src, dst, start_overall, scaled, throttle,
+                                   slow)
         t = start_overall
         for link in route:
-            service = scaled / (link.bandwidth * throttle) + link.latency
+            service = slow * (scaled / (link.bandwidth * throttle)
+                              + link.latency)
             t = self._schedule_link(link, t, service, job)
         self._job_bytes[job] = self._job_bytes.get(job, 0) + nbytes
         if self._trace_enabled:
@@ -189,8 +200,8 @@ class Network:
                 bins[b] = bins.get(b, 0.0) + overlap
             b += 1
 
-    def _select_route(self, src: int, dst: int, start: float,
-                      scaled: float, throttle: float) -> list[Link]:
+    def _select_route(self, src: int, dst: int, start: float, scaled: float,
+                      throttle: float, slow: float) -> list[Link]:
         """Pick the candidate route that finishes earliest right now.
 
         Static policy (and pairs without registered detours) always use
@@ -206,7 +217,8 @@ class Network:
         for route in self.topology.candidate_paths(src, dst):
             t = start
             for link in route:
-                service = scaled / (link.bandwidth * throttle) + link.latency
+                service = slow * (scaled / (link.bandwidth * throttle)
+                                  + link.latency)
                 t = self.pool.get(link.name).peek(t) + service
             if t < best_end:   # strict: ties keep the earlier (primary) route
                 best_end = t

@@ -11,7 +11,8 @@ mechanism and policy:
 * :mod:`~repro.faults.policy` — the recovery knobs
   (:class:`ResiliencePolicy`), campaign accounting
   (:class:`FaultCounters`), and the pure decision functions
-  (:func:`select_participants`, :func:`plan_fallback`).
+  (:func:`select_members` over the shared :func:`quorum_floor` rule,
+  :func:`plan_fallback`).
 * :mod:`~repro.faults.inject` — the hooks that make both execution
   paths observe a plan: :class:`FaultChannel` for the real-numpy
   collectives and :class:`FaultyNetwork` for the timed makespan model.
@@ -30,8 +31,10 @@ mechanism and policy:
   demotion and rejoin, consumed by the deadlock & progress certifier
   (DLV001..DLV006) in :mod:`repro.analysis.liveness`.
 * :mod:`~repro.faults.elastic` — elastic membership: the
-  :class:`ElasticCoordinator` control plane for spot-preemption drain
-  (``preempt_warning``) and autoscale growth (``provision``), the
+  :class:`ElasticCoordinator` control plane every fault runtime owns
+  (a fixed world is the coordinator that never receives a notice), for
+  spot-preemption drain (``preempt_warning``) and autoscale growth
+  (``provision``), the
   ``spot-churn`` / ``autoscale-burst`` campaigns, and the pure
   drain-protocol audit behind the ELA battery in
   :mod:`repro.analysis.elastic`.
@@ -41,9 +44,8 @@ from .cases import (LIVENESS_CAMPAIGNS, LivenessAux, LivenessCase,
                     liveness_cases, trace_liveness_case)
 from .elastic import (DEFAULT_GPU, DRAIN_TOLERANCE, ElasticCoordinator,
                       ElasticDecision, autoscale_burst_campaign,
-                      check_drain_protocol, elastic_events,
-                      fleet_alpha_scale, gpu_compute_scale,
-                      spot_churn_campaign)
+                      check_drain_protocol, fleet_alpha_scale,
+                      gpu_compute_scale, spot_churn_campaign)
 from .health import (VERDICTS, HealthMonitor, HealthPolicy,
                      HeartbeatTransport, PhiAccrualDetector, RankHealth,
                      Supervisor, SupervisorDecision)
@@ -54,8 +56,8 @@ from .plan import (CAMPAIGNS, FaultEvent, FaultPlan, FaultRecord, PlanRuntime,
                    make_campaign, message_loss, oracle_guard,
                    payload_corruption, preempt_warning, provision, straggler)
 from .policy import (FaultBudgetExceeded, FaultCounters, LinkDownError,
-                     ResiliencePolicy, plan_fallback, select_members,
-                     select_participants)
+                     ResiliencePolicy, plan_fallback, quorum_floor,
+                     select_members)
 from .store import CheckpointCorrupt, CheckpointStore
 
 __all__ = [
@@ -64,11 +66,10 @@ __all__ = [
     "straggler", "crash", "preempt_warning", "provision",
     "CAMPAIGNS", "make_campaign", "oracle_guard",
     "ResiliencePolicy", "FaultCounters", "FaultBudgetExceeded",
-    "LinkDownError", "select_participants", "select_members",
-    "plan_fallback",
+    "LinkDownError", "quorum_floor", "select_members", "plan_fallback",
     "DEFAULT_GPU", "DRAIN_TOLERANCE", "ElasticCoordinator",
-    "ElasticDecision", "elastic_events", "fleet_alpha_scale",
-    "gpu_compute_scale", "check_drain_protocol", "spot_churn_campaign",
+    "ElasticDecision", "fleet_alpha_scale", "gpu_compute_scale",
+    "check_drain_protocol", "spot_churn_campaign",
     "autoscale_burst_campaign",
     "FaultChannel", "FaultyNetwork", "inject_data_path", "payload_crc",
     "corrupt_payload",

@@ -1,9 +1,9 @@
 """Elastic membership: spot-preemption drain and autoscale growth.
 
-The fault runtime through PR 5 *survives* a fixed world — crashed ranks
-are carried by the quorum machinery and rejoin through peer state
-transfer — but the world itself never changes size.  This module adds
-the two cloud-economics events that change it:
+Every fault runtime owns an :class:`ElasticCoordinator`, the control
+plane that answers "who is in this step".  A plan without control-plane
+events never delivers it a notice, so a fixed world is simply the
+coordinator at rest; two cloud-economics events change the world:
 
 * **Spot preemption** — the provider delivers a ``preempt_warning``
   (the "2-minute warning") to one machine; the trainer keeps the rank
@@ -11,25 +11,25 @@ the two cloud-economics events that change it:
   PartialAllreduce` carries drain, checkpoints through the attached
   :class:`~repro.faults.store.CheckpointStore`, and removes the rank
   from membership *before* the deadline.  A rank that cannot drain in
-  time (quorum floor, concurrent crash) degrades to the existing crash
-  path: the plan's physics kills it at the deadline and the carry
-  machinery absorbs it, so behavior is never worse than a crash.
+  time (quorum floor, concurrent crash) degrades to the crash path: the
+  plan's physics kills it at the deadline and the carry machinery
+  absorbs it, so behavior is never worse than a crash.
 * **Autoscale provisioning** — a ``provision`` event boots a fresh
   machine with a heterogeneous GPU envelope from
   :data:`repro.cluster.gpu.GPUS`.  The new rank is admitted through the
-  existing rejoin state-transfer path (warm start from a live peer); in
+  rejoin state-transfer path (warm start from a live peer); in
   supervised mode admission additionally waits for the
   :class:`~repro.faults.health.Supervisor` to confirm the machine's
   heartbeats healthy, so growth is observation-driven, not oracular.
 
-The :class:`ElasticCoordinator` is the control plane.  It consumes only
-*delivered notices* (:meth:`~repro.faults.plan.StepFaults.
-preempt_notices` / :meth:`~repro.faults.plan.StepFaults.
-provision_notices`) plus the engine's drain status — never the fault
-physics — so the supervised mode's zero-oracle-read guarantee (HLT003)
-survives elasticity.  Every membership transition lands in the
-runtime's canonical byte-identical event log; the ELA001..ELA005
-battery in :mod:`repro.analysis.elastic` certifies the protocol.
+The coordinator consumes only *delivered notices*
+(:meth:`~repro.faults.plan.StepFaults.preempt_notices` /
+:meth:`~repro.faults.plan.StepFaults.provision_notices`) plus the
+engine's drain status — never the fault physics — so the supervised
+mode's zero-oracle-read guarantee (HLT003) survives elasticity.  Every
+membership transition lands in the runtime's canonical byte-identical
+event log; the ELA001..ELA005 battery in :mod:`repro.analysis.elastic`
+certifies the protocol.
 """
 
 from __future__ import annotations
@@ -41,11 +41,11 @@ from typing import Iterable
 from repro.cluster.gpu import get_gpu
 
 from .plan import (CAMPAIGNS, FaultPlan, FaultRecord, PlanRuntime, StepFaults,
-                   preempt_warning, provision, straggler)
+                   preempt_warning, provision, records_of, straggler)
 from .policy import ResiliencePolicy
 
 __all__ = ["DEFAULT_GPU", "DRAIN_TOLERANCE", "ElasticDecision",
-           "ElasticCoordinator", "elastic_events", "fleet_alpha_scale",
+           "ElasticCoordinator", "fleet_alpha_scale",
            "gpu_compute_scale", "check_drain_protocol",
            "spot_churn_campaign", "autoscale_burst_campaign"]
 
@@ -56,12 +56,6 @@ DEFAULT_GPU = "RTX3090"
 #: norms are many orders of magnitude larger; dead members bank exact
 #: zeros, which must not block composition changes
 DRAIN_TOLERANCE = 1e-12
-
-
-def elastic_events(plan: FaultPlan) -> bool:
-    """Whether the plan carries any control-plane (elastic) events."""
-    return any(e.kind in ("preempt_warning", "provision")
-               for e in plan.events)
 
 
 def gpu_compute_scale(gpu: str, reference: str = DEFAULT_GPU) -> float:
@@ -109,7 +103,7 @@ class ElasticDecision:
 
 
 class ElasticCoordinator:
-    """Membership state machine for elastic campaigns (control plane).
+    """Membership state machine of one fault runtime (control plane).
 
     Holds the authoritative member set, the draining map (member ->
     absolute deadline step), the departed set and the per-rank GPU
@@ -166,10 +160,6 @@ class ElasticCoordinator:
         like a rejoining rank.
         """
         return sorted(self.members | set(self._pending))
-
-    def is_provisioned(self, rank: int) -> bool:
-        """Whether ``rank`` entered (or will enter) via a provision."""
-        return rank in self._announced
 
     def gpu_scale(self, rank: int) -> float:
         """Heterogeneous compute envelope of ``rank`` (1.0 = reference).
@@ -301,21 +291,18 @@ def check_drain_protocol(plan: FaultPlan,
     records = list(records)
     violations: list[str] = []
     exits: dict[int, int] = {}
+    for step, detail in records_of(records, "spot_exit"):
+        rank = int(detail["rank"])
+        if rank in exits:
+            violations.append(
+                f"rank {rank} exited twice (steps {exits[rank]} "
+                f"and {step})")
+        exits.setdefault(rank, step)
     missed: dict[int, int] = {}
-    unjoined: set[int] = set()
-    for rec in records:
-        detail = dict(rec.detail)
-        if rec.kind == "spot_exit":
-            rank = int(detail["rank"])
-            if rank in exits:
-                violations.append(
-                    f"rank {rank} exited twice (steps {exits[rank]} "
-                    f"and {rec.step})")
-            exits.setdefault(rank, rec.step)
-        elif rec.kind == "drain_missed":
-            missed.setdefault(int(detail["rank"]), rec.step)
-        elif rec.kind == "preempt_unjoined":
-            unjoined.add(int(detail["rank"]))
+    for step, detail in records_of(records, "drain_missed"):
+        missed.setdefault(int(detail["rank"]), step)
+    unjoined = {int(detail["rank"]) for _, detail
+                in records_of(records, "preempt_unjoined")}
     for event in plan.events:
         if event.kind != "preempt_warning" or event.rank is None:
             continue
@@ -340,16 +327,13 @@ def check_drain_protocol(plan: FaultPlan,
             f"{deadline}) but neither drained out nor degraded to the "
             f"crash path")
     # a departed rank must never reappear in a later membership snapshot
-    for rec in records:
-        if rec.kind != "membership":
-            continue
-        present = {int(r) for r in dict(rec.detail)["members"].split(",")
-                   if r != ""}
+    for step, detail in records_of(records, "membership"):
+        present = {int(r) for r in detail["members"].split(",") if r != ""}
         for rank, exit_step in exits.items():
-            if rec.step > exit_step and rank in present:
+            if step > exit_step and rank in present:
                 violations.append(
                     f"departed rank {rank} (exited step {exit_step}) "
-                    f"reappears in the membership at step {rec.step}")
+                    f"reappears in the membership at step {step}")
     return violations
 
 

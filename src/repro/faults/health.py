@@ -1,7 +1,7 @@
 """Autonomous failure detection: heartbeats, phi-accrual, supervision.
 
 PR 3's recovery machinery is oracle-driven — the trainer and
-:func:`~repro.faults.policy.select_participants` read crash/straggler
+:func:`~repro.faults.policy.select_members` read crash/straggler
 facts straight out of the injected :class:`~repro.faults.plan.FaultPlan`,
 which no real deployment can do.  This module closes the loop with the
 three pieces a real cluster uses:
@@ -46,7 +46,7 @@ from repro.cluster.topology import Topology, nvlink_mesh
 
 from .inject import FaultyNetwork
 from .plan import PlanRuntime
-from .policy import ResiliencePolicy
+from .policy import ResiliencePolicy, quorum_floor
 
 __all__ = ["VERDICTS", "HealthPolicy", "PhiAccrualDetector", "RankHealth",
            "HealthMonitor", "HeartbeatTransport", "Supervisor",
@@ -136,7 +136,7 @@ class PhiAccrualDetector:
     phi ~ 1 means a 10% chance the rank is fine, ~3 means 0.1%.
     """
 
-    def __init__(self, policy: HealthPolicy):
+    def __init__(self, policy: HealthPolicy) -> None:
         self.policy = policy
         self.last: float | None = None
         self.intervals: deque[float] = deque(maxlen=policy.window)
@@ -207,7 +207,8 @@ class HealthMonitor:
     the window's end.
     """
 
-    def __init__(self, world: int, health: HealthPolicy | None = None):
+    def __init__(self, world: int,
+                 health: HealthPolicy | None = None) -> None:
         if world < 1:
             raise ValueError("world must be >= 1")
         self.world = world
@@ -342,7 +343,7 @@ class HeartbeatTransport:
     def __init__(self, runtime: PlanRuntime, world: int,
                  health: HealthPolicy | None = None, monitor_rank: int = 0,
                  topology: Topology | None = None,
-                 capacity: int | None = None):
+                 capacity: int | None = None) -> None:
         if not 0 <= monitor_rank < world:
             raise ValueError("monitor_rank out of range")
         if capacity is not None and capacity < world:
@@ -404,7 +405,7 @@ class HeartbeatTransport:
 
 @dataclass(frozen=True)
 class SupervisorDecision:
-    """What the supervisor decided for one step, from observations only."""
+    """One step's membership decision (the oracle fills it from the plan)."""
 
     step: int
     participants: tuple[int, ...]       # this step's reduction quorum
@@ -426,7 +427,7 @@ class Supervisor:
 
     def __init__(self, world: int, policy: ResiliencePolicy | None = None,
                  health: HealthPolicy | None = None,
-                 runtime: PlanRuntime | None = None):
+                 runtime: PlanRuntime | None = None) -> None:
         self.world = world
         self.policy = policy or ResiliencePolicy()
         self.health = health or HealthPolicy()
@@ -492,23 +493,15 @@ class Supervisor:
         # world in classic supervised runs, the machines that currently
         # exist under elastic membership
         assessed = sorted(cards)
-        demoted = [r for r in assessed
-                   if r not in self.believed_dead
-                   and cards[r].verdict == "straggler"]
-        participants = [r for r in assessed
-                        if r not in self.believed_dead and r not in demoted]
-        floor = max(1, math.ceil(
-            self.policy.min_quorum_fraction * max(len(assessed), 1)))
-        if len(participants) < floor and demoted:
-            readmit = sorted(demoted, key=lambda r: (cards[r].lag, r))
-            while len(participants) < floor and readmit:
-                rank = readmit.pop(0)
-                demoted.remove(rank)
-                participants.append(rank)
-            participants.sort()
-        if not participants:
-            alive = [r for r in assessed if r not in self.believed_dead]
-            participants = alive[:1] if alive else assessed[:1] or [0]
+        stragglers = [r for r in assessed
+                      if r not in self.believed_dead
+                      and cards[r].verdict == "straggler"]
+        participants = quorum_floor(
+            assessed, self.believed_dead, stragglers,
+            self.policy.min_quorum_fraction, lambda r: cards[r].lag)
+        demoted = [r for r in stragglers if r not in participants]
+        if not participants:   # everyone is believed dead
+            participants = assessed[:1] or [0]
         for rank in demoted:
             self._record("demote_straggler", rank=rank)
             if counters is not None:

@@ -30,9 +30,12 @@ real-numpy path report one deterministic campaign.
 from __future__ import annotations
 
 import zlib
+from contextlib import AbstractContextManager
+
+import numpy as np
 
 from repro.cluster.backends import BackendModel
-from repro.cluster.network import Network, TransferRecord
+from repro.cluster.network import Network
 from repro.cluster.topology import Topology
 from repro.collectives.base import ReduceStats, wire_faults
 from repro.collectives.trace import emit_recv, emit_send, translate_rank
@@ -51,7 +54,7 @@ def payload_crc(wire: Compressed) -> int:
     return zlib.crc32(serialize_payload(wire))
 
 
-def corrupt_payload(wire: Compressed, rng) -> Compressed:
+def corrupt_payload(wire: Compressed, rng: np.random.Generator) -> Compressed:
     """A copy of ``wire`` with one payload byte bit-flipped.
 
     The flipped byte is chosen by ``rng`` over the concatenated payload
@@ -72,7 +75,7 @@ def corrupt_payload(wire: Compressed, rng) -> Compressed:
 class FaultChannel:
     """Data-path interceptor for one campaign (see module docstring)."""
 
-    def __init__(self, runtime: PlanRuntime):
+    def __init__(self, runtime: PlanRuntime) -> None:
         self.runtime = runtime
 
     def deliver(self, wire: Compressed, stats: ReduceStats, src: int,
@@ -115,9 +118,11 @@ class FaultChannel:
                     # absorbs the error (measured, not modeled)
                     counters.corrupt_delivered += 1
                     return corrupted
-                if payload_crc(corrupted) == crc:  # pragma: no cover
-                    counters.corrupt_delivered += 1
-                    return corrupted
+                if payload_crc(corrupted) == crc:
+                    # the flip hit a byte the wire encoding does not
+                    # carry (top-k indices are int64 in memory, int32 on
+                    # the wire): the message itself arrived intact
+                    return wire
                 counters.corrupt_detected += 1
 
             attempt += 1
@@ -143,7 +148,7 @@ class FaultChannel:
             emit_recv(dst, src, wire.nbytes, step=step, tag=retry_tag)
 
 
-def inject_data_path(runtime: PlanRuntime):
+def inject_data_path(runtime: PlanRuntime) -> AbstractContextManager[None]:
     """Context manager installing a :class:`FaultChannel` for ``runtime``.
 
     Usage::
@@ -160,12 +165,22 @@ class FaultyNetwork(Network):
     Drop-in replacement for :class:`~repro.cluster.network.Network`
     (``simulate_step`` accepts it via its ``network=`` argument); the
     bound :class:`PlanRuntime`'s step cursor selects which faults bite.
+    Only the plan lookups, the loss draw and the retry/back-off loop
+    live here; every traversal is the base class's one link walk.
     """
 
     def __init__(self, topology: Topology, backend: BackendModel | str,
-                 runtime: PlanRuntime):
+                 runtime: PlanRuntime) -> None:
         super().__init__(topology, backend)
         self.runtime = runtime
+
+    def _route_faults(self, src: int, dst: int) -> tuple[bool, float, float]:
+        """``(down, slowdown, p_fail)`` of ``src -> dst`` at this step."""
+        faults = self.runtime.faults()
+        p_fail = 1.0 - (1.0 - faults.loss_probability(src, dst)) \
+            * (1.0 - faults.corrupt_probability(src, dst))
+        return (faults.route_down(src, dst),
+                faults.link_slow_factor(src, dst), p_fail)
 
     def transfer(self, src: int, dst: int, nbytes: int, ready: float,
                  job: int | None = None) -> float:
@@ -173,19 +188,16 @@ class FaultyNetwork(Network):
             return ready
         runtime = self.runtime
         policy = runtime.policy
-        faults = runtime.faults()
-        if faults.route_down(src, dst):
+        down, slow, p_fail = self._route_faults(src, dst)
+        if down:
             runtime.record("link_down_hit", src=src, dst=dst)
             raise LinkDownError(
-                f"route {src}->{dst} is down at step {faults.step}")
-        slow = faults.link_slow_factor(src, dst)
-        p_fail = 1.0 - (1.0 - faults.loss_probability(src, dst)) \
-            * (1.0 - faults.corrupt_probability(src, dst))
+                f"route {src}->{dst} is down at step {runtime.step}")
 
         attempt = 0
         t = ready
         while True:
-            end = self._traverse(src, dst, nbytes, t, slow, job=job)
+            end = self._walk(src, dst, nbytes, t, job, slow)
             if p_fail <= 0.0 or float(runtime.rng.random()) >= p_fail:
                 return end
             runtime.record("timed_retry", src=src, dst=dst, attempt=attempt)
@@ -209,33 +221,13 @@ class FaultyNetwork(Network):
         """
         if src == dst:
             return ready
-        runtime = self.runtime
-        faults = runtime.faults()
-        if faults.route_down(src, dst):
+        down, slow, p_fail = self._route_faults(src, dst)
+        if down:
             return None
-        slow = faults.link_slow_factor(src, dst)
-        p_fail = 1.0 - (1.0 - faults.loss_probability(src, dst)) \
-            * (1.0 - faults.corrupt_probability(src, dst))
-        end = self._traverse(src, dst, nbytes, ready, slow)
-        if p_fail > 0.0 and float(runtime.rng.random()) < p_fail:
+        end = self._walk(src, dst, nbytes, ready, None, slow)
+        if p_fail > 0.0 and float(self.runtime.rng.random()) < p_fail:
             return None
         return end
-
-    def _traverse(self, src: int, dst: int, nbytes: int, ready: float,
-                  slow: float, job: int | None = None) -> float:
-        """One store-and-forward traversal with a slowdown factor."""
-        start_overall = ready + self.backend.alpha
-        t = start_overall
-        scaled = nbytes * self.backend.copy_factor
-        throttle = self.job_throttle(job)
-        for link in self.topology.path(src, dst):
-            service = slow * (scaled / (link.bandwidth * throttle)
-                              + link.latency)
-            t = self._schedule_link(link, t, service, job)
-        if self._trace_enabled:
-            self.trace.append(TransferRecord(src, dst, nbytes,
-                                             start_overall, t, job))
-        return t
 
     def run_kernel(self, gpu: int, engine: str, duration: float,
                    ready: float, job: int | None = None) -> float:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import contextlib
 import json
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -433,6 +433,19 @@ class FaultRecord:
         return out
 
 
+def records_of(records: Iterable[FaultRecord], kind: str
+               ) -> Iterator[tuple[int, dict[str, Any]]]:
+    """Every ``kind`` occurrence of a canonical log as ``(step, detail)``.
+
+    The one reader of the record log: log order, ``detail`` rebuilt as
+    a dict once per matching record.  Takes any iterable of records so
+    audits can run over an edited (tampered) log as well as a live one.
+    """
+    for rec in records:
+        if rec.kind == kind:
+            yield rec.step, dict(rec.detail)
+
+
 class PlanRuntime:
     """A plan bound to its generator, policy, counters and event log.
 
@@ -489,6 +502,15 @@ class PlanRuntime:
         self.records.append(
             FaultRecord(self.step, kind, tuple(sorted(detail.items())))
         )
+
+    def records_of(self, kind: str) -> Iterator[tuple[int, dict[str, Any]]]:
+        """This run's ``kind`` records as ``(step, detail)``, in log order."""
+        return records_of(self.records, kind)
+
+    def first_step(self, kind: str, rank: int) -> int | None:
+        """Step of the first ``kind`` record about ``rank``, if any."""
+        return next((step for step, detail in self.records_of(kind)
+                     if detail.get("rank") == rank), None)
 
     def log_bytes(self) -> bytes:
         """Canonical byte encoding of the event log (determinism check)."""

@@ -4,8 +4,9 @@ A :class:`ResiliencePolicy` bundles the recovery knobs — bounded retry
 with exponential backoff, CRC verification of payloads, the straggler
 budget beyond which a rank is demoted to quorum (carry-buffer) mode,
 and the minimum quorum the engine will accept.  Pure decision logic
-lives here too: :func:`select_participants` (who contributes this step)
-and :func:`plan_fallback` (how the timed collective routes around dead
+lives here too: :func:`select_members` (who contributes this step, over
+the one :func:`quorum_floor` rule the heartbeat supervisor shares) and
+:func:`plan_fallback` (how the timed collective routes around dead
 links).  The mechanisms that *apply* these decisions are in
 :mod:`repro.faults.inject`, :mod:`repro.core.engine` and
 :mod:`repro.training.trainer`.
@@ -15,13 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Collection, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover
     from .plan import StepFaults
 
 __all__ = ["ResiliencePolicy", "FaultCounters", "FaultBudgetExceeded",
-           "LinkDownError", "select_participants", "select_members",
+           "LinkDownError", "quorum_floor", "select_members",
            "plan_fallback"]
 
 
@@ -67,7 +68,7 @@ class ResiliencePolicy:
     min_quorum_fraction: float = 0.5
     strict: bool = False
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         for name in ("timeout", "backoff_base", "backoff_factor",
@@ -144,40 +145,44 @@ class FaultCounters:
         return out
 
 
-def select_participants(faults: "StepFaults", policy: ResiliencePolicy
-                        ) -> list[int]:
-    """Which ranks contribute to this step's reduction.
+def quorum_floor(pool: Iterable[int], dead: Collection[int],
+                 demoted: Iterable[int], fraction: float,
+                 preference: Callable[[int], float]) -> list[int]:
+    """One step's quorum over ``pool`` (sorted) — the only floor rule.
 
-    Dead ranks are always excluded.  Live ranks whose compute scale
-    exceeds ``policy.straggler_budget`` are demoted to carry mode —
-    unless that would shrink the quorum below
-    ``min_quorum_fraction * world``, in which case the least-slow
-    demoted ranks are re-admitted (deterministically) until the quorum
-    is legal.
+    Dead ranks never contribute.  Live ranks in ``demoted`` (the
+    caller's stragglers) are left out, unless the quorum would fall
+    below ``max(1, ceil(fraction * |pool|))``: then the demoted ranks
+    with the lowest ``(preference(rank), rank)`` are re-admitted until
+    the floor holds.
     """
-    return select_members(faults, policy, range(faults.world))
+    ranks = sorted(set(pool))
+    out = set(demoted)
+    live = [r for r in ranks if r not in dead]
+    kept = [r for r in live if r not in out]
+    floor = max(1, math.ceil(fraction * len(ranks)))
+    readmit = sorted((r for r in live if r in out),
+                     key=lambda r: (preference(r), r))
+    return sorted(kept + readmit[:max(0, floor - len(kept))])
 
 
 def select_members(faults: "StepFaults", policy: ResiliencePolicy,
-                   members: "Iterable[int]") -> list[int]:
-    """:func:`select_participants` over an elastic membership.
+                   members: Iterable[int]) -> list[int]:
+    """Which of ``members`` contribute to this step's reduction (oracle).
 
-    Identical decision logic, but the candidate set and the quorum
-    floor come from the coordinator's current ``members`` rather than
-    the plan's fixed world — provisioned ranks join the straggler
-    budget the moment they are admitted, departed ranks never reappear.
+    Dead ranks are excluded; live ranks whose compute scale exceeds
+    ``policy.straggler_budget`` are demoted to carry mode, the least
+    slow re-admitted first when :func:`quorum_floor` binds.  ``members``
+    is the coordinator's current membership, so provisioned ranks join
+    the straggler budget once admitted and departed ranks never
+    reappear.
     """
     pool = sorted(set(members))
     dead = faults.dead_ranks()
-    live = [r for r in pool if r not in dead]
-    floor = max(1, math.ceil(policy.min_quorum_fraction * len(pool)))
-    kept = [r for r in live
-            if faults.compute_scale(r) <= policy.straggler_budget]
-    if len(kept) < floor:
-        demoted = sorted((r for r in live if r not in kept),
-                         key=lambda r: (faults.compute_scale(r), r))
-        kept = sorted(kept + demoted[:floor - len(kept)])
-    return sorted(kept)
+    slow = [r for r in pool if r not in dead
+            and faults.compute_scale(r) > policy.straggler_budget]
+    return quorum_floor(pool, dead, slow, policy.min_quorum_fraction,
+                        faults.compute_scale)
 
 
 def plan_fallback(faults: "StepFaults", ranks: list[int]

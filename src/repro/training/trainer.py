@@ -21,9 +21,8 @@ from repro.core import AdaptiveController, CGXConfig, \
 from repro.faults import (DRAIN_TOLERANCE, CheckpointStore, ElasticCoordinator,
                           FaultPlan, HealthMonitor, HealthPolicy,
                           HeartbeatTransport, PlanRuntime, ResiliencePolicy,
-                          Supervisor, elastic_events, fleet_alpha_scale,
-                          inject_data_path, oracle_guard, select_members,
-                          select_participants)
+                          Supervisor, SupervisorDecision, fleet_alpha_scale,
+                          inject_data_path, oracle_guard, select_members)
 from repro.nn.amp import AmpLevel, apply_grad_precision
 from repro.nn.optim import Adam, SGD, clip_grad_norm
 
@@ -97,6 +96,10 @@ class DataParallelTrainer:
         self.optimizers = [self._make_optimizer(r) for r in self.replicas]
         self._rng = np.random.default_rng(seed + 1)
         self.fault_runtime: PlanRuntime | None = None
+        # every fault runtime owns its membership control plane: a plan
+        # without preempt_warning/provision events never delivers it a
+        # notice, so a fixed world is just the coordinator at rest
+        self.elastic: ElasticCoordinator | None = None
         if supervised and fault_plan is None:
             # supervised mode always runs the health loop, even with
             # nothing injected (the zero-false-positive baseline)
@@ -107,9 +110,6 @@ class DataParallelTrainer:
                     f"fault plan is for world {fault_plan.world}, "
                     f"trainer has {world_size} workers")
             self.fault_runtime = PlanRuntime(fault_plan, policy)
-        self.elastic: ElasticCoordinator | None = None
-        if fault_plan is not None and elastic_events(fault_plan):
-            assert self.fault_runtime is not None
             self.elastic = ElasticCoordinator(self.fault_runtime, world_size,
                                               supervised=supervised)
         self.supervised = supervised
@@ -168,15 +168,16 @@ class DataParallelTrainer:
         """One synchronized step; returns the mean live-worker loss.
 
         With a fault plan attached, the step first advances the plan's
-        cursor: crashed ranks skip compute and contribute zeros (their
-        optimizer state freezes until rejoin), ranks over the straggler
-        budget are demoted to the carry-buffer quorum, and the mean is
-        re-normalized over the contributing ranks.  Rejoining ranks
-        adopt a live peer's weights and optimizer state before the step.
+        cursor and takes one membership decision, applied once: crashed
+        ranks skip compute and contribute zeros (their optimizer state
+        freezes until rejoin), ranks over the straggler budget are
+        demoted to the carry-buffer quorum, the mean is re-normalized
+        over the contributing ranks, and (re)joining ranks first adopt a
+        live peer's weights and optimizer state.
 
-        In ``supervised`` mode the recovery decisions above come from
-        the heartbeat-fed :class:`~repro.faults.health.Supervisor`
-        instead of the plan oracle: the plan still *causes* crashes and
+        The oracle mode fills the decision record from the plan.  In
+        ``supervised`` mode the heartbeat-fed :class:`~repro.faults.
+        health.Supervisor` makes it: the plan still *causes* crashes and
         slowdowns (it is the physics), but membership, demotion, rejoin
         admission and escalation are driven purely by observed beats —
         an :func:`~repro.faults.plan.oracle_guard` tripwire counts any
@@ -186,111 +187,88 @@ class DataParallelTrainer:
         if self._pending_escalation:
             self._restore_from_store()
         self._step_index += 1
-        runtime = self.fault_runtime
+        step = self._step_index
         coord = self.elastic
-        participants: list[int] | None = None
-        average_over: int | None = None
-        dead: set[int] = set()
-        members: list[int] | None = None
-        joined: tuple[int, ...] = ()
-        drained = True
-        if runtime is not None:
-            faults = runtime.advance(self._step_index)
-            dead = faults.dead_ranks()
-        if coord is not None:
-            # control plane: delivered notices only, never the physics
-            booted = coord.poll_notices(self._step_index, faults)
-            drained = self.ddp.engine.banked_carry_norm() <= DRAIN_TOLERANCE
-            for rank in booted:
-                self._ensure_replica(rank)
-                if self.supervised:
-                    assert self.monitor is not None \
-                        and self.supervisor is not None
-                    self.monitor.activate(rank, self._step_index)
-                    self.supervisor.register_provision(rank)
+        if coord is None:   # no fault plan at all: nothing to decide
+            return self._run_members(self._member_ranks(), None, None, set())
+        runtime = coord.runtime
+        faults = runtime.advance(step)
+        dead = faults.dead_ranks()
+        # control plane: delivered notices only, never the physics
+        booted = coord.poll_notices(step, faults)
+        drained = self.ddp.engine.banked_carry_norm() <= DRAIN_TOLERANCE
+        for rank in booted:
+            self._ensure_replica(rank)
+        decision: SupervisorDecision | None = None
         if self.supervised:
-            assert runtime is not None and self.heartbeat is not None \
-                and self.monitor is not None and self.supervisor is not None
-            beat_ranks = coord.machine_ranks() if coord is not None else None
-            scale_of = coord.gpu_scale if coord is not None else None
-            arrivals = self.heartbeat.beats(self._step_index, ranks=beat_ranks,
-                                            compute_scale_of=scale_of)
+            assert self.heartbeat is not None and self.monitor is not None \
+                and self.supervisor is not None
+            for rank in booted:
+                self.monitor.activate(rank, step)
+                self.supervisor.register_provision(rank)
+            arrivals = self.heartbeat.beats(
+                step, ranks=coord.machine_ranks(),
+                compute_scale_of=coord.gpu_scale)
             with oracle_guard() as reads:
-                cards = self.monitor.observe(self._step_index, arrivals)
-                decision = self.supervisor.decide(self._step_index, cards)
+                cards = self.monitor.observe(step, arrivals)
+                decision = self.supervisor.decide(step, cards)
             runtime.counters.oracle_reads += len(reads)
             # accounting (not a decision): a fresh suspicion of a rank
             # that is actually alive is a false positive
             for rank in decision.newly_suspected:
                 if rank not in dead:
                     runtime.counters.false_suspicions += 1
-            if coord is not None:
-                coord.confirm(decision.admitted)
-                edec = coord.admit(self._step_index, drained)
-                members = list(edec.members)
-                joined = edec.joined
-                for rank in joined:
-                    self._adopt_peer_state(rank, set(decision.believed_dead))
-                for rank in decision.admitted:
-                    if not coord.is_provisioned(rank):
-                        self._adopt_peer_state(rank,
-                                               set(decision.believed_dead))
-            else:
-                for rank in decision.admitted:
-                    self._adopt_peer_state(rank, set(decision.believed_dead))
-            self._dead_prev = set(decision.believed_dead)
-            if members is not None:
-                mset = set(members)
-                quorum = [r for r in decision.participants if r in mset]
-                if quorum and len(quorum) < len(members):
-                    participants = quorum
-                    runtime.counters.quorum_steps += 1
-                believed = set(decision.believed_dead) & mset
-                if believed:
-                    average_over = len(members) - len(believed)
-            else:
-                if len(decision.participants) < self.world_size:
-                    participants = list(decision.participants)
-                    runtime.counters.quorum_steps += 1
-                if decision.believed_dead:
-                    average_over = (self.world_size
-                                    - len(decision.believed_dead))
             if decision.escalate:
                 runtime.counters.escalations += 1
                 if self.store is not None:
                     self._pending_escalation = True
-        elif runtime is not None:
-            if coord is not None:
-                edec = coord.admit(self._step_index, drained)
-                members = list(edec.members)
-                joined = edec.joined
-                for rank in joined:
-                    self._adopt_peer_state(rank, dead)
-            for rank in sorted(self._dead_prev - dead):
-                self._adopt_peer_state(rank, dead)
-            self._dead_prev = set(dead)
-            if members is not None:
-                quorum = select_members(faults, runtime.policy, members)
-                dead_members = dead & set(members)
-                if len(quorum) < len(members):
-                    participants = quorum
-                    runtime.counters.quorum_steps += 1
-                if dead_members:
-                    average_over = len(members) - len(dead_members)
-            else:
-                quorum = select_participants(faults, runtime.policy)
-                if len(quorum) < self.world_size:
-                    participants = quorum
-                    runtime.counters.quorum_steps += 1
-                if dead:
-                    average_over = self.world_size - len(dead)
+            coord.confirm(decision.admitted)
+        edec = coord.admit(step, drained)
+        members, joined = list(edec.members), edec.joined
+        if decision is None:
+            # the oracle fills the same record from the plan's physics
+            decision = SupervisorDecision(
+                step=step,
+                participants=tuple(select_members(faults, runtime.policy,
+                                                  members)),
+                believed_dead=frozenset(dead),
+                admitted=tuple(sorted(self._dead_prev - dead)),
+                demoted=(), newly_suspected=(), escalate=False)
 
+        # the one application of the decision, whoever made it
+        believed = set(decision.believed_dead)
+        readmitted = [r for r in decision.admitted
+                      if r in members and r not in joined]
+        for rank in (*joined, *readmitted):
+            self._adopt_peer_state(rank, believed)
+        self._dead_prev = believed
+        participants: list[int] | None = None
+        average_over: int | None = None
+        quorum = [r for r in decision.participants if r in members]
+        if quorum and len(quorum) < len(members):
+            participants = quorum
+            runtime.counters.quorum_steps += 1
+        missing = believed.intersection(members)
+        if missing:
+            average_over = len(members) - len(missing)
+
+        loss = self._run_members(members, participants, average_over, dead)
+        self._elastic_end_step(coord, runtime, joined, dead)
+        if self.supervised and self.store is not None \
+                and step % self.health.checkpoint_every == 0:
+            self.store.save(self.capture_state(), step)
+            runtime.counters.store_writes += 1
+            runtime.record("store_write")
+        return loss
+
+    def _run_members(self, members: list[int],
+                     participants: list[int] | None,
+                     average_over: int | None, dead: set[int]) -> float:
+        """Compute, reduce and apply one step over a decided membership."""
         losses = []
         self._ready_order = []
         self._ready_seen = set()
-        compute_ranks = members if members is not None \
-            else range(len(self.replicas))
-        for rank in compute_ranks:
+        for rank in members:
             replica = self.replicas[rank]
             replica.zero_grad()
             if rank in dead:
@@ -307,9 +285,8 @@ class DataParallelTrainer:
                                                           self.amp_level)
             losses.append(loss)
 
-        inject = inject_data_path(runtime) if runtime is not None \
-            else nullcontext()
-        with inject:
+        with nullcontext() if self.fault_runtime is None \
+                else inject_data_path(self.fault_runtime):
             if self.overlap:
                 report = self.ddp.synchronize_overlapped(
                     ready_order=self._complete_ready_order(),
@@ -325,43 +302,29 @@ class DataParallelTrainer:
                                               average_over=average_over,
                                               members=members)
         self._last_report = report
-        ref = self._reference_rank()
         if self.adaptive is not None:
             grads = {name: param.grad
                      for name, param in
-                     self.replicas[ref].named_parameters()
+                     self.replicas[members[0]].named_parameters()
                      if param.grad is not None}
             self.adaptive.observe(grads)
         if self.recipe.grad_clip > 0:
             # clipping needs the synchronized global norm; apply per
             # replica after reduction (identical values on each).
-            for rank in compute_ranks:
+            for rank in members:
                 clip_grad_norm(self.replicas[rank].parameters(),
                                self.recipe.grad_clip)
-        for rank in compute_ranks:
+        for rank in members:
             if rank not in dead:
                 self.optimizers[rank].step()
-        if coord is not None:
-            assert runtime is not None
-            self._elastic_end_step(coord, runtime, joined, dead)
-        if self.supervised and self.store is not None \
-                and self._step_index % self.health.checkpoint_every == 0:
-            self.store.save(self.capture_state(), self._step_index)
-            if runtime is not None:
-                runtime.counters.store_writes += 1
-                runtime.record("store_write")
         return float(np.mean(losses))
 
-    def _reference_rank(self) -> int:
-        """Lowest current member: the replica evaluation/statistics read.
-
-        Rank 0 in fixed worlds; under elastic membership rank 0 itself
-        may have been preempted away, so the reference follows the
-        lowest live member (all members hold identical weights).
-        """
-        if self.elastic is not None:
-            return min(self.elastic.members)
-        return 0
+    def _member_ranks(self) -> list[int]:
+        """The ranks that exist right now, ascending: the coordinator's
+        members, or the whole fixed world when no fault plan is attached."""
+        if self.elastic is None:
+            return list(range(self.world_size))
+        return self.elastic.member_list()
 
     def _ensure_replica(self, rank: int) -> None:
         """Grow the replica/optimizer lists to cover a provisioned rank.
@@ -424,9 +387,7 @@ class DataParallelTrainer:
     # -- fault recovery ----------------------------------------------------
     def _adopt_peer_state(self, rank: int, dead: set[int]) -> None:
         """A rejoining ``rank`` copies weights + optimizer state from a peer."""
-        pool = self.elastic.member_list() if self.elastic is not None \
-            else range(self.world_size)
-        peers = [r for r in pool
+        peers = [r for r in self._member_ranks()
                  if r != rank and r not in dead and r not in self._dead_prev]
         if not peers:
             return  # no healthy source; keep the stale weights
@@ -550,8 +511,10 @@ class DataParallelTrainer:
             wire_total += self._last_report.wire_bytes
             retries_total += self._last_report.retries
             if step % eval_every == 0 or step == steps:
+                # the lowest member stands for all (identical weights);
+                # rank 0 itself may have been preempted away
                 metric = self.task.evaluate(
-                    self.replicas[self._reference_rank()])
+                    self.replicas[self._member_ranks()[0]])
                 history.append({"step": step, "loss": loss, "metric": metric})
         return TrainResult(
             task=self.task.name,
@@ -568,9 +531,7 @@ class DataParallelTrainer:
         )
 
     def in_sync(self) -> bool:
-        if self.elastic is not None:
-            return self.ddp.check_in_sync(members=self.elastic.member_list())
-        return self.ddp.check_in_sync()
+        return self.ddp.check_in_sync(members=self._member_ranks())
 
 
 def train_family(

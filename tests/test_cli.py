@@ -153,3 +153,28 @@ def test_sched_json_and_trace_output(tmp_path):
     assert 0 < payload["fairness"] <= 1
     events = json.loads(trace.read_text())["traceEvents"]
     assert any(e["ph"] == "M" for e in events)      # per-job lanes
+
+
+def test_faults_prints_every_nonzero_counter(monkeypatch):
+    # --no-crc lets corruptions through; the counter that explains the
+    # blown-up loss (corrupt_delivered) used to be missing from a
+    # hand-kept print list — now every non-zero counter is shown
+    from repro.training.trainer import DataParallelTrainer
+
+    results = []
+    real_train = DataParallelTrainer.train
+
+    def spy(self, *args, **kwargs):
+        results.append(real_train(self, *args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(DataParallelTrainer, "train", spy)
+    code, text = run_cli(["faults", "lossy-link", "--no-crc",
+                          "--steps", "12"])
+    assert code == 0
+    summary = results[-1].fault_summary   # the faulty run, after the baseline
+    printed = {line.split()[0]: int(line.split()[1])
+               for line in text.splitlines() if line.startswith("  ")}
+    assert printed == {name: value for name, value in summary.items()
+                       if value}
+    assert printed["corrupt_delivered"] > 0

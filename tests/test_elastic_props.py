@@ -10,13 +10,18 @@ the state-space corners two fixed campaigns can only sample:
 * whenever a clean drain is reachable (alive, drained, ahead of the
   deadline, headroom above the floor) the warned rank takes it, and
   every warned member either drains out or degrades exactly at its
-  deadline — the pure log audit stays clean on every trajectory.
+  deadline — the pure log audit stays clean on every trajectory;
+* the one quorum-floor rule equals both rules it replaced (the oracle's
+  scale-keyed one and the supervisor's lag-keyed one).
 """
+
+import math
 
 from hypothesis import given, settings, strategies as st
 
 from repro.faults import (ElasticCoordinator, FaultPlan, PlanRuntime,
-                          check_drain_protocol, preempt_warning, provision)
+                          check_drain_protocol, preempt_warning, provision,
+                          quorum_floor)
 
 GPUS = ("RTX3090", "V100", "A6000", "RTX2080Ti")
 HORIZON = 16
@@ -89,8 +94,8 @@ def test_membership_invariants_under_random_trajectories(plan, drain_flags):
     assert missed == []
 
     # no double-admit: each provisioned rank joins at most once
-    admits = [dict(r.detail)["rank"] for r in runtime.records
-              if r.kind == "admit_provisioned"]
+    admits = [detail["rank"] for _, detail
+              in runtime.records_of("admit_provisioned")]
     assert len(admits) == len(set(admits))
     assert runtime.counters.provision_admissions == len(admits)
 
@@ -119,3 +124,72 @@ def test_same_trajectory_is_deterministic(plan, drain_flags):
     a, _, _ = _drive(plan, drain_flags)
     b, _, _ = _drive(plan, drain_flags)
     assert a.log_bytes() == b.log_bytes()
+
+
+# -- the shared quorum-floor rule vs the two rules it replaced ---------------
+
+def _scale_keyed_reference(pool, dead, scale, budget, fraction):
+    """PR-13 ``select_members`` body, verbatim (oracle, scale-keyed)."""
+    pool = sorted(set(pool))
+    live = [r for r in pool if r not in dead]
+    floor = max(1, math.ceil(fraction * len(pool)))
+    kept = [r for r in live if scale[r] <= budget]
+    if len(kept) < floor:
+        demoted = sorted((r for r in live if r not in kept),
+                         key=lambda r: (scale[r], r))
+        kept = sorted(kept + demoted[:floor - len(kept)])
+    return sorted(kept)
+
+
+def _lag_keyed_reference(assessed, believed_dead, stragglers, lag, fraction):
+    """PR-13 ``Supervisor.decide`` quorum block, verbatim (lag-keyed)."""
+    assessed = sorted(assessed)
+    demoted = [r for r in assessed
+               if r not in believed_dead and r in stragglers]
+    participants = [r for r in assessed
+                    if r not in believed_dead and r not in demoted]
+    floor = max(1, math.ceil(fraction * max(len(assessed), 1)))
+    if len(participants) < floor and demoted:
+        readmit = sorted(demoted, key=lambda r: (lag[r], r))
+        while len(participants) < floor and readmit:
+            rank = readmit.pop(0)
+            demoted.remove(rank)
+            participants.append(rank)
+        participants.sort()
+    return participants, demoted
+
+
+@st.composite
+def quorum_cases(draw):
+    pool = draw(st.lists(st.integers(0, 11), unique=True, max_size=8))
+    dead = set(draw(st.lists(st.sampled_from(pool), unique=True))
+               ) if pool else set()
+    # coarse values on purpose: ties must break by rank
+    weight = {r: draw(st.sampled_from((1.0, 1.2, 2.0, 2.5, 3.0, 4.5)))
+              for r in pool}
+    fraction = draw(st.floats(min_value=0.05, max_value=1.0))
+    return pool, dead, weight, fraction
+
+
+@given(case=quorum_cases(),
+       budget=st.sampled_from((1.0, 2.0, 2.5, 4.0)))
+@settings(max_examples=300, deadline=None)
+def test_quorum_floor_equals_both_replaced_rules(case, budget):
+    pool, dead, weight, fraction = case
+    floor = max(1, math.ceil(fraction * len(pool)))
+    live = [r for r in pool if r not in dead]
+    slow = [r for r in live if weight[r] > budget]
+
+    quorum = quorum_floor(pool, dead, slow, fraction, weight.__getitem__)
+    assert quorum == _scale_keyed_reference(pool, dead, weight, budget,
+                                            fraction)
+    participants, demoted = _lag_keyed_reference(pool, dead, set(slow),
+                                                 weight, fraction)
+    assert quorum == participants
+    assert [r for r in sorted(slow) if r not in quorum] == demoted
+
+    assert quorum == sorted(quorum)
+    assert not set(quorum) & dead and set(quorum) <= set(pool)
+    assert len(quorum) >= min(floor, len(live))
+    # demotion is honoured whenever the floor allows it
+    assert len(quorum) == max(len(live) - len(slow), min(floor, len(live)))

@@ -16,6 +16,7 @@ from repro.faults import (
     FaultEvent,
     FaultPlan,
     FaultyNetwork,
+    HeartbeatTransport,
     LinkDownError,
     PlanRuntime,
     ResiliencePolicy,
@@ -29,7 +30,7 @@ from repro.faults import (
     payload_corruption,
     payload_crc,
     plan_fallback,
-    select_participants,
+    select_members,
     straggler,
 )
 from repro.training import train_family
@@ -148,7 +149,7 @@ def test_select_participants_excludes_dead_and_demotes_stragglers():
         crash(rank=2, at=0),
         straggler(0, None, rank=3, factor=3.0),
     ))
-    kept = select_participants(plan.at_step(0), ResiliencePolicy())
+    kept = select_members(plan.at_step(0), ResiliencePolicy(), range(4))
     assert kept == [0, 1]
 
 
@@ -156,7 +157,7 @@ def test_select_participants_respects_quorum_floor():
     # every live rank is over budget; the floor re-admits the least slow
     plan = FaultPlan("floor", 4, 0, tuple(
         straggler(0, None, rank=r, factor=2.5 + r) for r in range(4)))
-    kept = select_participants(plan.at_step(0), ResiliencePolicy())
+    kept = select_members(plan.at_step(0), ResiliencePolicy(), range(4))
     assert kept == [0, 1]   # ceil(0.5 * 4) = 2, slowest dropped first
 
 
@@ -317,6 +318,64 @@ def test_faulty_network_lossy_route_retries_with_backoff():
     end = net.transfer(0, 1, 1 << 20, 0.0)
     assert end > healthy_end
     assert runtime.counters.retries > 0
+
+
+def test_faulty_network_shares_the_plain_link_walk():
+    # fault-free plan: same arrival AND the same per-job accounting as a
+    # plain Network (the forked walk used to skip the byte ledger)
+    runtime = PlanRuntime(FaultPlan("fault-free", 4, 0))
+    plain = Network(nvlink_mesh(4))
+    faulty = FaultyNetwork(nvlink_mesh(4), "shm", runtime)
+    for src, dst, nbytes in ((0, 1, 1 << 20), (0, 2, 4096), (3, 1, 777)):
+        assert faulty.transfer(src, dst, nbytes, 0.0, job=3) \
+            == plain.transfer(src, dst, nbytes, 0.0, job=3)
+    assert faulty.transferred_bytes(3) == plain.transferred_bytes(3) \
+        == (1 << 20) + 4096 + 777
+    assert faulty.total_transferred_bytes() \
+        == plain.total_transferred_bytes()
+    assert faulty.job_link_seconds(3) == plain.job_link_seconds(3)
+    assert runtime.records == []
+
+
+def test_faulty_network_retry_counts_bytes_per_traversal():
+    plan = FaultPlan("retry", 4, 3,
+                     (message_loss(0, None, probability=0.9, src=0, dst=1),))
+    runtime = PlanRuntime(plan)
+    net = FaultyNetwork(nvlink_mesh(4), "shm", runtime)
+    net.enable_trace()
+    nbytes = 1 << 20
+    net.transfer(0, 1, nbytes, 0.0, job=7)
+    traversals = runtime.counters.retries + 1
+    assert traversals > 1
+    assert len(net.trace) == traversals
+    assert net.transferred_bytes(7) == nbytes * traversals
+    assert runtime.counters.retransmit_bytes == nbytes * (traversals - 1)
+
+
+def test_heartbeat_arrivals_match_a_plain_network_replay():
+    # crash-rejoin degrades no link, so every beat's arrival is the
+    # plain store-and-forward time of the same send sequence, a dead
+    # rank's silence is the only gap, and nothing is logged as lost
+    world = 4
+    runtime = PlanRuntime(make_campaign("crash-rejoin", world=world))
+    transport = HeartbeatTransport(runtime, world)
+    plain = Network(nvlink_mesh(world))
+    health = transport.health
+    for step in range(1, 21):
+        faults = runtime.advance(step)
+        arrivals = transport.beats(step)
+        emits = sorted(
+            (step * health.interval + health.compute_cost * health.interval
+             * faults.compute_scale(rank), rank)
+            for rank in range(world) if rank not in faults.dead_ranks())
+        expected = {rank: None for rank in faults.dead_ranks()}
+        for emit, rank in emits:
+            expected[rank] = plain.transfer(rank, 0, health.heartbeat_bytes,
+                                            emit)
+        assert arrivals == expected
+    assert not any(runtime.records_of("hb_lost"))
+    assert runtime.counters.heartbeat_misses == 0
+    assert runtime.counters.heartbeats == 20 * world - 5   # steps 4..8 dead
 
 
 def test_faulty_network_scales_straggler_kernels():

@@ -259,6 +259,37 @@ def test_supervised_fault_free_run_raises_no_alarms():
     assert c.heartbeats > 0
 
 
+@pytest.mark.parametrize("overlap", [False, True],
+                         ids=["sequential", "overlap"])
+def test_fault_free_modes_are_bit_identical(overlap):
+    # no plan, an oracle-mode fault-free plan and the same plan under
+    # the heartbeat supervisor all take the one decision path and must
+    # train bit-identically: a coordinator that never receives a notice
+    # and a supervisor that never suspects anyone decide nothing
+    recipe = get_recipe("mlp")
+    task = make_task("mlp", batch_size=recipe.batch_size, **recipe.kwargs())
+    config = CGXConfig(compression=CompressionSpec("qsgd", bits=4))
+
+    def run(plan, supervised):
+        trainer = DataParallelTrainer(
+            task, world_size=4, config=config, recipe=recipe, seed=0,
+            fault_plan=plan, supervised=supervised, overlap=overlap)
+        return trainer, [trainer.train_step().hex() for _ in range(10)]
+
+    _, baseline = run(None, False)
+    oracle, oracle_losses = run(FaultPlan("fault-free", 4, 0), False)
+    sup, sup_losses = run(FaultPlan("fault-free", 4, 0), True)
+    assert baseline == oracle_losses == sup_losses
+    assert sup.fault_runtime.counters.oracle_reads == 0
+    assert sup.fault_runtime.counters.heartbeats == 10 * 4
+    for trainer in (oracle, sup):
+        assert trainer.in_sync()
+        assert trainer.fault_runtime.counters.quorum_steps == 0
+        assert trainer.elastic.history == [
+            (step, (0, 1, 2, 3)) for step in range(1, 11)]
+        assert not any(trainer.fault_runtime.records_of("state_transfer"))
+
+
 def test_supervised_escalation_restores_from_durable_store(tmp_path):
     # one rank flaps crash/rejoin three times: the third suspicion must
     # escalate to a checkpoint restore instead of yet another transfer
