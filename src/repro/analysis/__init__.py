@@ -33,7 +33,7 @@ from .shapes import (SCHEME_MODELS, SHAPE_RULES, SchemeModel, WireSegment,
                      battery_specs, calibrate_payload_model,
                      interpret_pipeline, symbolic_payload,
                      symbolic_wire_bytes, verify_shapes)
-from .schedule import (SchemeCase, default_cases,
+from .schedule import (SCH_RULES, SchemeCase, default_cases,
                        expected_recompression_bound, trace_case,
                        verify_callable, verify_case, verify_schedules,
                        verify_trace)
@@ -44,7 +44,8 @@ __all__ = [
     "Finding", "JSON_REPORT_SCHEMA", "sort_findings",
     "AnalysisPass", "REGISTRY",
     "RULES", "HOT_PATH_PARTS", "lint_source", "lint_file", "run_lint",
-    "SchemeCase", "default_cases", "expected_recompression_bound",
+    "SCH_RULES", "SchemeCase", "default_cases",
+    "expected_recompression_bound",
     "trace_case", "verify_trace", "verify_case", "verify_schedules",
     "verify_callable",
     "CONTRACT_RULES", "verify_contracts", "check_engine_wiring",

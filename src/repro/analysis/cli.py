@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.analysis",
         description="Static analysis: " + ", ".join(
-            f"{row.title} ({row.rules})" for row in REGISTRY) + ".",
+            f"{row.title} ({row.family})" for row in REGISTRY) + ".",
     )
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files/directories to lint (default: src)")

@@ -5,33 +5,8 @@ Each compression operator declares a
 declaration against *observed* behaviour from
 :mod:`repro.analysis.abstract` — no source inspection, so a contract
 violation means the operator genuinely misbehaves, not that it is
-written in an unexpected style.
+written in an unexpected style.  The rules:
 
-Rules:
-
-``CON001``  operator has no contract, or the contract's ``method`` does
-            not match the registry name it is registered under.
-``CON002``  roundtrip broke shape/numel/dtype preservation despite
-            ``preserves_shape`` / ``output_dtype`` claiming otherwise.
-``CON003``  wire-byte drift: ``spec.wire_bytes``, ``Compressed.nbytes``
-            and the measured serialized payload size disagree while the
-            contract claims ``exact_wire_claim``.
-``CON004``  statefulness mismatch: repeated compression of identical
-            input under identically-seeded fresh generators differs for
-            an operator declared stateless (or never differs for one
-            declared stateful — a stale declaration).
-``CON005``  rng mismatch: payload depends on the generator seed for an
-            operator declared rng-free, or is seed-invariant for one
-            declared stochastic.
-``CON006``  an error-feedback-requiring method is wired into the engine
-            without :class:`~repro.compression.ErrorFeedback` (methods
-            with ``self_error_feedback``, e.g. DGC, are exempt — and
-            must NOT be double-wrapped).
-``CON007``  the engine drops accumulated error-feedback residuals when
-            the adaptive policy reassigns a layer's spec without
-            changing the method.
-``CON008``  lossless claim violated: a roundtrip declared bit-exact
-            altered at least one element.
 """
 
 from __future__ import annotations
@@ -47,7 +22,7 @@ from .abstract import (
     replay_adaptive_respec,
     replay_engine_wiring,
 )
-from .findings import Finding
+from .findings import CellFindings, Finding, rule_table
 
 __all__ = ["CONTRACT_RULES", "verify_contracts", "check_engine_wiring"]
 
@@ -61,6 +36,7 @@ CONTRACT_RULES = {
     "CON007": "error-feedback residuals dropped on same-method respec",
     "CON008": "lossless claim violated by roundtrip",
 }
+__doc__ = rule_table(__doc__, CONTRACT_RULES)
 
 
 def _spec_label(spec: CompressionSpec) -> str:
@@ -76,71 +52,63 @@ def _spec_label(spec: CompressionSpec) -> str:
 
 def _check_operator(method: str, cls: type[Compressor]) -> list[Finding]:
     """CON001..CON005 + CON008 for one registered operator class."""
+    out = CellFindings("contract", CONTRACT_RULES, method)
     contract = getattr(cls, "contract", None)
     if contract is None:
-        return [Finding.semantic(
-            "contract", "CON001",
-            f"{cls.__name__} declares no CompressorContract", method)]
+        out.emit("CON001", f"{cls.__name__} declares no CompressorContract")
+        return out
     if contract.method != method:
-        return [Finding.semantic(
-            "contract", "CON001",
-            f"{cls.__name__}.contract.method is {contract.method!r} but the "
-            f"operator is registered as {method!r}", method)]
+        out.emit("CON001",
+                 f"{cls.__name__}.contract.method is {contract.method!r} but "
+                 f"the operator is registered as {method!r}")
+        return out
 
-    findings: list[Finding] = []
     specs = probe_specs(method) or [CompressionSpec(method)]
     for spec in specs:
         for obs in execute_roundtrips(cls, spec):
             if contract.preserves_shape and (
                     obs.out_shape != obs.shape
                     or obs.out_numel != _numel(obs.shape)):
-                findings.append(Finding.semantic(
-                    "contract", "CON002",
-                    f"roundtrip of shape {obs.shape} returned shape "
-                    f"{obs.out_shape} ({_spec_label(spec)})", method))
+                out.emit("CON002",
+                         f"roundtrip of shape {obs.shape} returned shape "
+                         f"{obs.out_shape} ({_spec_label(spec)})")
             if obs.out_dtype != contract.output_dtype:
-                findings.append(Finding.semantic(
-                    "contract", "CON002",
-                    f"decompress returned dtype {obs.out_dtype}, contract "
-                    f"declares {contract.output_dtype} ({_spec_label(spec)})",
-                    method))
+                out.emit("CON002",
+                         f"decompress returned dtype {obs.out_dtype}, "
+                         f"contract declares {contract.output_dtype} "
+                         f"({_spec_label(spec)})")
             if contract.exact_wire_claim and not (
                     obs.claimed_bytes == obs.declared_bytes
                     == obs.measured_bytes):
-                findings.append(Finding.semantic(
-                    "contract", "CON003",
-                    f"shape {obs.shape} ({_spec_label(spec)}): wire_bytes "
-                    f"claims {obs.claimed_bytes}, payload declares "
-                    f"{obs.declared_bytes}, serialization measures "
-                    f"{obs.measured_bytes}", method))
+                out.emit("CON003",
+                         f"shape {obs.shape} ({_spec_label(spec)}): "
+                         f"wire_bytes claims {obs.claimed_bytes}, payload "
+                         f"declares {obs.declared_bytes}, serialization measures "
+                         f"{obs.measured_bytes}")
             if contract.lossless and not obs.exact:
-                findings.append(Finding.semantic(
-                    "contract", "CON008",
-                    f"shape {obs.shape} ({_spec_label(spec)}): roundtrip "
-                    f"declared lossless altered the tensor", method))
+                out.emit("CON008",
+                         f"shape {obs.shape} ({_spec_label(spec)}): roundtrip "
+                         f"declared lossless altered the tensor")
 
         behavior = execute_behavior(cls, spec)
         if behavior.repeat_differs and not contract.stateful:
-            findings.append(Finding.semantic(
-                "contract", "CON004",
-                f"payload changed across identical repeat calls but the "
-                f"contract declares stateless ({_spec_label(spec)})", method))
+            out.emit("CON004",
+                     f"payload changed across identical repeat calls but the "
+                     f"contract declares stateless ({_spec_label(spec)})")
         if contract.stateful and not behavior.repeat_differs:
-            findings.append(Finding.semantic(
-                "contract", "CON004",
-                f"contract declares stateful but repeated identical calls "
-                f"produced identical payloads ({_spec_label(spec)})", method))
+            out.emit("CON004",
+                     f"contract declares stateful but repeated identical "
+                     f"calls produced identical payloads "
+                     f"({_spec_label(spec)})")
         if behavior.rng_sensitive and not contract.uses_rng:
-            findings.append(Finding.semantic(
-                "contract", "CON005",
-                f"payload depends on the generator seed but the contract "
-                f"declares uses_rng=False ({_spec_label(spec)})", method))
+            out.emit("CON005",
+                     f"payload depends on the generator seed but the contract "
+                     f"declares uses_rng=False ({_spec_label(spec)})")
         if contract.uses_rng and not behavior.rng_sensitive:
-            findings.append(Finding.semantic(
-                "contract", "CON005",
-                f"contract declares uses_rng=True but payloads were "
-                f"seed-invariant ({_spec_label(spec)})", method))
-    return findings
+            out.emit("CON005",
+                     f"contract declares uses_rng=True but payloads were "
+                     f"seed-invariant ({_spec_label(spec)})")
+    return out
 
 
 def _numel(shape: tuple[int, ...]) -> int:
@@ -178,7 +146,7 @@ def check_engine_wiring(
             if method in registry:
                 configs.append(CGXConfig(compression=spec))
 
-    findings: list[Finding] = []
+    out = CellFindings("contract", CONTRACT_RULES)
     for config in configs:
         for package, compressor in replay_engine_wiring(config, engine_cls):
             method = package.spec.method
@@ -189,26 +157,23 @@ def check_engine_wiring(
             wrapped = isinstance(compressor, ErrorFeedback)
             if (contract.requires_error_feedback
                     and not contract.self_error_feedback and not wrapped):
-                findings.append(Finding.semantic(
-                    "contract", "CON006",
-                    f"package {package.name!r} uses {method} (requires "
-                    f"error feedback) but the engine built a bare "
-                    f"{type(compressor).__name__}", method))
+                out.emit("CON006",
+                         f"package {package.name!r} uses {method} (requires "
+                         f"error feedback) but the engine built a bare "
+                         f"{type(compressor).__name__}", method)
             if contract.self_error_feedback and wrapped:
-                findings.append(Finding.semantic(
-                    "contract", "CON006",
-                    f"package {package.name!r}: {method} maintains its own "
-                    f"residual but the engine double-wrapped it in "
-                    f"ErrorFeedback", method))
+                out.emit("CON006",
+                         f"package {package.name!r}: {method} maintains its "
+                         f"own residual but the engine double-wrapped it in "
+                         f"ErrorFeedback", method)
 
     respec = replay_adaptive_respec(engine_cls)
     if respec["rebuilt"] and not respec["carried"]:
-        findings.append(Finding.semantic(
-            "contract", "CON007",
-            "adaptive same-method respec rebuilt the compressor and lost "
-            f"{respec['residual_norm_before']:.3g} of accumulated "
-            "error-feedback residual (expected it to carry over)", "topk"))
-    return findings
+        out.emit("CON007",
+                 "adaptive same-method respec rebuilt the compressor and lost "
+                 f"{respec['residual_norm_before']:.3g} of accumulated "
+                 "error-feedback residual (expected it to carry over)", "topk")
+    return out
 
 
 def verify_contracts(

@@ -1,35 +1,12 @@
 """Elastic-membership certification battery (ELA001..ELA005).
 
-Dynamic-analysis rules certifying the elastic autoscaling + spot-
-preemption layer (:mod:`repro.faults.elastic` plus its trainer, engine
-and adaptive-controller integration):
+Certifies the elastic autoscaling + spot-preemption layer
+(:mod:`repro.faults.elastic` plus its trainer, engine and
+adaptive-controller integration) over the stock elastic campaigns, in
+oracle and supervised modes.  Like HLT, the battery reads the fault
+plan freely; the supervised decision path alone is barred from the
+oracle.  The rules:
 
-* **ELA001** — no ghost gradients: once a rank departs (graceful spot
-  exit), no later step's membership contains it and its replica's
-  weights never change again — departed machines neither contribute
-  gradients nor consume reductions.
-* **ELA002** — drain protocol: every warned rank either exits strictly
-  before its reclaim deadline or is recorded as a missed drain exactly
-  at the deadline (degrade-to-crash); on the stock campaigns the clean
-  path must hold — zero missed drains.  The audit is the pure
-  :func:`~repro.faults.elastic.check_drain_protocol` over the
-  canonical log, so a tampered run is caught from the log alone.
-* **ELA003** — convergence parity: elastically grown/shrunk worlds
-  converge within ``LOSS_TOLERANCE`` of the fixed-world baseline, in
-  both oracle and supervised (observation-driven) modes; supervised
-  elastic recovery keeps ``counters.oracle_reads == 0`` (HLT003's
-  guarantee survives elasticity).
-* **ELA004** — respec feasibility: every bit-width respec the adaptive
-  controller performed across the run — periodic or triggered by a
-  composition change — is certified feasible in exact rational
-  arithmetic (:func:`~repro.core.adaptive.certify_assignment`) at the
-  effective (fleet-scaled) error budget it was computed under.
-* **ELA005** — reproducibility: two same-seed runs of each elastic
-  campaign produce byte-identical canonical event logs.
-
-Like the HLT certifier, the battery reads the fault plan freely (it is
-grading against ground truth); the supervised decision path alone is
-barred from the oracle.
 """
 
 from __future__ import annotations
@@ -39,7 +16,7 @@ import numpy as np
 from repro.core import certify_assignment
 from repro.faults import check_drain_protocol, make_campaign
 
-from .findings import Finding
+from .findings import CellFindings, Finding, rule_table
 from .health import WORLD, CampaignRecords
 
 __all__ = ["ELA_RULES", "ELASTIC_CAMPAIGNS", "LOSS_TOLERANCE",
@@ -61,6 +38,7 @@ ELA_RULES: dict[str, str] = {
               "certifiably feasible at its error budget",
     "ELA005": "same-seed elastic campaigns were not byte-identical",
 }
+__doc__ = rule_table(__doc__, ELA_RULES)
 
 
 # -- ELA001: no ghost gradients ----------------------------------------------
@@ -69,7 +47,7 @@ def verify_no_ghost_gradients(records: CampaignRecords | None = None
                               ) -> list[Finding]:
     """Departed ranks vanish from membership and stop updating."""
     records = records or CampaignRecords()
-    findings: list[Finding] = []
+    out = CellFindings("elastic", ELA_RULES, world=WORLD)
     for name in ELASTIC_CAMPAIGNS:
         record = records.get(make_campaign(name, WORLD), supervised=False)
         trainer = record.trainer
@@ -79,21 +57,19 @@ def verify_no_ghost_gradients(records: CampaignRecords | None = None
         for step, members in trainer.elastic.history:
             for rank, exited_at in exit_steps.items():
                 if step > exited_at and rank in members:
-                    findings.append(Finding.semantic(
-                        "elastic", "ELA001",
-                        f"rank {rank} departed at step {exited_at} but "
-                        f"is a member again at step {step}", name, WORLD))
+                    out.emit("ELA001",
+                             f"rank {rank} departed at step {exited_at} but "
+                             f"is a member again at step {step}", name)
         for rank, weights in record.frozen.items():
             current = dict(trainer.replicas[rank].named_parameters())
             for p_name, snapshot in weights.items():
                 if not np.array_equal(snapshot, current[p_name].data):
-                    findings.append(Finding.semantic(
-                        "elastic", "ELA001",
-                        f"departed rank {rank}'s parameter {p_name} "
-                        f"changed after it left the world (a reduction "
-                        f"reached a ghost)", name, WORLD))
+                    out.emit("ELA001",
+                             f"departed rank {rank}'s parameter {p_name} "
+                             f"changed after it left the world (a reduction "
+                             f"reached a ghost)", name)
                     break
-    return findings
+    return out
 
 
 # -- ELA002: drain protocol ---------------------------------------------------
@@ -102,20 +78,17 @@ def verify_drain_protocol(records: CampaignRecords | None = None
                           ) -> list[Finding]:
     """Warned ranks drain before the deadline or degrade, never linger."""
     records = records or CampaignRecords()
-    findings: list[Finding] = []
+    out = CellFindings("elastic", ELA_RULES, world=WORLD)
     for name in ELASTIC_CAMPAIGNS:
         plan = make_campaign(name, WORLD)
         runtime = records.get(plan, supervised=False).runtime
         for message in check_drain_protocol(plan, runtime.records):
-            findings.append(Finding.semantic("elastic", "ELA002", message,
-                                             name, WORLD))
+            out.emit("ELA002", message, name)
         if runtime.counters.drain_missed:
-            findings.append(Finding.semantic(
-                "elastic", "ELA002",
-                f"{runtime.counters.drain_missed} missed drain(s) on a "
-                f"campaign whose clean drain path is reachable",
-                name, WORLD))
-    return findings
+            out.emit("ELA002",
+                     f"{runtime.counters.drain_missed} missed drain(s) on a "
+                     f"campaign whose clean drain path is reachable", name)
+    return out
 
 
 # -- ELA003: convergence parity ----------------------------------------------
@@ -124,7 +97,7 @@ def verify_convergence_parity(records: CampaignRecords | None = None
                               ) -> list[Finding]:
     """Elastic worlds track the fixed-world loss; supervised stays blind."""
     records = records or CampaignRecords()
-    findings: list[Finding] = []
+    out = CellFindings("elastic", ELA_RULES, world=WORLD)
     baseline = records.get(None, supervised=False).losses
     for name in ELASTIC_CAMPAIGNS:
         for supervised in (False, True):
@@ -134,18 +107,15 @@ def verify_convergence_parity(records: CampaignRecords | None = None
             losses = record.losses
             drift = abs(losses[-1] - baseline[-1])
             if not np.isfinite(losses[-1]) or drift > LOSS_TOLERANCE:
-                findings.append(Finding.semantic(
-                    "elastic", "ELA003",
-                    f"{mode} final loss {losses[-1]:.6f} vs fixed-world "
-                    f"{baseline[-1]:.6f} (drift {drift:.6f} > tolerance "
-                    f"{LOSS_TOLERANCE})", name, WORLD))
+                out.emit("ELA003",
+                         f"{mode} final loss {losses[-1]:.6f} vs fixed-world "
+                         f"{baseline[-1]:.6f} (drift {drift:.6f} > tolerance "
+                         f"{LOSS_TOLERANCE})", name)
             reads = record.runtime.counters.oracle_reads
             if supervised and reads:
-                findings.append(Finding.semantic(
-                    "elastic", "ELA003",
-                    f"supervised elastic decision path issued "
-                    f"{reads} oracle read(s)", name, WORLD))
-    return findings
+                out.emit("ELA003", f"supervised elastic decision path issued "
+                                   f"{reads} oracle read(s)", name)
+    return out
 
 
 # -- ELA004: respec feasibility ----------------------------------------------
@@ -154,28 +124,26 @@ def verify_respec_feasibility(records: CampaignRecords | None = None
                               ) -> list[Finding]:
     """Every respec across every composition certifies in exact arithmetic."""
     records = records or CampaignRecords()
-    findings: list[Finding] = []
+    out = CellFindings("elastic", ELA_RULES, world=WORLD)
     for name in ELASTIC_CAMPAIGNS:
         record = records.get(make_campaign(name, WORLD), supervised=False,
                              adaptive=True)
         adaptive = record.trainer.adaptive
         assert adaptive is not None
         if not any(record.runtime.records_of("respec")):
-            findings.append(Finding.semantic(
-                "elastic", "ELA004",
-                "no respec event was logged although the campaign "
-                "changes the world composition", name, WORLD))
+            out.emit("ELA004",
+                     "no respec event was logged although the campaign "
+                     "changes the world composition", name)
         for i, entry in enumerate(adaptive.respec_history):
             if not entry["assignment"]:
                 continue
             if not certify_assignment(entry["stats"], entry["assignment"],
                                       alpha=entry["alpha"]):
-                findings.append(Finding.semantic(
-                    "elastic", "ELA004",
-                    f"respec #{i} ({entry['trigger']}, world "
-                    f"{entry['world']}) fails exact certification at "
-                    f"alpha={entry['alpha']:.3f}", name, WORLD))
-    return findings
+                out.emit("ELA004",
+                         f"respec #{i} ({entry['trigger']}, world "
+                         f"{entry['world']}) fails exact certification at "
+                         f"alpha={entry['alpha']:.3f}", name)
+    return out
 
 
 # -- ELA005: reproducibility --------------------------------------------------
@@ -184,17 +152,16 @@ def verify_log_determinism(records: CampaignRecords | None = None
                            ) -> list[Finding]:
     """Two same-seed runs per campaign: byte-identical canonical logs."""
     records = records or CampaignRecords()
-    findings: list[Finding] = []
+    out = CellFindings("elastic", ELA_RULES, world=WORLD)
     for name in ELASTIC_CAMPAIGNS:
         plan = make_campaign(name, WORLD)
         logs = [records.get(plan, repeat=i).runtime.log_bytes()
                 for i in (0, 1)]
         if logs[0] != logs[1]:
-            findings.append(Finding.semantic(
-                "elastic", "ELA005",
-                "two same-seed supervised elastic runs produced "
-                "different canonical event logs", name, WORLD))
-    return findings
+            out.emit("ELA005",
+                     "two same-seed supervised elastic runs produced "
+                     "different canonical event logs", name)
+    return out
 
 
 def verify_elastic() -> list[Finding]:

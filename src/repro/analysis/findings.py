@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
-__all__ = ["Finding", "JSON_REPORT_SCHEMA", "SOURCES", "sort_findings"]
+__all__ = ["Finding", "CellFindings", "JSON_REPORT_SCHEMA", "SOURCES",
+           "rule_table", "sort_findings"]
 
 
 class Source(NamedTuple):
@@ -108,6 +109,39 @@ class Finding:
                                                       world=self.world)
             return f"{self.source}[{label}]: {self.rule} {self.message}"
         return f"{self.path}:{self.line}:{self.col + 1}: {self.rule} {self.message}"
+
+
+class CellFindings(list):
+    """The findings of one battery cell: a list that knows its cell.
+
+    A check binds ``(source, rules, scheme, world, path)`` once and then
+    emits ``(rule, message)`` pairs; a rule id missing from the pass's
+    table is a programming error, refused here.
+    """
+
+    def __init__(self, source: str, rules: Mapping[str, str],
+                 scheme: str = "", world: int = 0,
+                 path: str | None = None) -> None:
+        super().__init__()
+        self.source, self.rules = source, rules
+        self.scheme, self.world, self.path = scheme, world, path
+
+    def emit(self, rule: str, message: str, scheme: str | None = None
+             ) -> None:
+        """Append one finding; ``scheme`` overrides the cell's (the HLT
+        checks name a campaign per finding)."""
+        if rule not in self.rules:
+            raise KeyError(f"{rule} is not in the {self.source} rule table")
+        self.append(Finding.semantic(
+            self.source, rule, message,
+            self.scheme if scheme is None else scheme, self.world, self.path))
+
+
+def rule_table(intro: str | None, rules: Mapping[str, str]) -> str:
+    """A pass module's docstring: its intro, then its rule table (the
+    one per-rule copy in code; the long form is docs/analysis.md)."""
+    return (intro or "") + "\n".join(
+        f"``{rule}``  {text}" for rule, text in rules.items()) + "\n"
 
 
 def sort_findings(findings: list[Finding]) -> list[Finding]:

@@ -1,38 +1,12 @@
 """Health-layer certification battery (HLT001..HLT005).
 
-Dynamic-analysis rules certifying the ``repro.health`` surface — the
-phi-accrual failure detector, the observation-driven supervisor, and
-the durable checkpoint store (:mod:`repro.faults.health`,
-:mod:`repro.faults.store`):
+Certifies the phi-accrual failure detector, the observation-driven
+supervisor and the durable checkpoint store (:mod:`repro.faults.health`,
+:mod:`repro.faults.store`) on short supervised mlp/world-4 campaigns.
+The certifier reads the fault plan freely (it grades against ground
+truth); only the *decision path* is barred from the oracle, which
+``counters.oracle_reads`` measures.  The rules:
 
-* **HLT001** — zero false positives: supervised campaigns that inject
-  no crash and no over-budget straggler (fault-free, and lossy-link
-  with its 12% heartbeat loss) must produce no crash suspicion, no
-  false suspicion and no straggler demotion.
-* **HLT002** — bounded detection latency: on a crash campaign the
-  first ``suspect_crash`` record must land within
-  ``CRASH_LATENCY_BOUND`` steps of the injected crash (and the rejoin
-  admission within ``REJOIN_LATENCY_BOUND`` of the rejoin); on a
-  persistent over-budget straggler campaign the first
-  ``demote_straggler`` within ``STRAGGLER_LATENCY_BOUND`` of onset.
-* **HLT003** — oracle-free recovery parity: supervised training on the
-  stock ``crash-rejoin`` and ``straggler`` campaigns must converge
-  within ``LOSS_TOLERANCE`` of the oracle-driven baseline, with
-  ``counters.oracle_reads == 0`` — the
-  :func:`~repro.faults.plan.oracle_guard` tripwire proves the decision
-  path never touched the plan.
-* **HLT004** — resume determinism: a fresh trainer restored from the
-  durable store must replay the remaining steps bit-identically
-  (losses and final weights), and two same-seed supervised runs must
-  produce byte-identical event logs.
-* **HLT005** — store crash-safety: a truncated checkpoint, a garbled
-  payload byte, and a stray ``.tmp`` from a killed writer must all be
-  detected, with fallback to the newest valid checkpoint and training
-  resuming bit-identically from it.
-
-The certifier reads the fault plan freely — it grades the detector
-against ground truth.  Only the *decision path* is barred from the
-oracle, which is exactly what the guard measures.
 """
 
 from __future__ import annotations
@@ -40,6 +14,7 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -52,7 +27,7 @@ from repro.training.recipes import get_recipe
 from repro.training.tasks import make_task
 from repro.training.trainer import DataParallelTrainer
 
-from .findings import Finding
+from .findings import CellFindings, Finding, rule_table
 
 __all__ = ["HLT_RULES", "CRASH_LATENCY_BOUND", "STRAGGLER_LATENCY_BOUND",
            "REJOIN_LATENCY_BOUND", "LOSS_TOLERANCE", "CampaignRecord",
@@ -79,6 +54,7 @@ HLT_RULES: dict[str, str] = {
     "HLT004": "resumed training was not bit-identical",
     "HLT005": "checkpoint store failed to survive a torn or corrupt file",
 }
+__doc__ = rule_table(__doc__, HLT_RULES)
 
 
 # -- the campaign-trainer runner (shared with the ELA battery) ---------------
@@ -155,7 +131,7 @@ def verify_detector_soundness(records: CampaignRecords | None = None
                               ) -> list[Finding]:
     """No alarms on campaigns that inject nothing alarm-worthy."""
     records = records or CampaignRecords()
-    findings: list[Finding] = []
+    out = CellFindings("health", HLT_RULES, world=WORLD)
     for name, plan in (("fault-free", None),
                        ("lossy-link", make_campaign("lossy-link", WORLD))):
         counters = records.get(plan).runtime.counters
@@ -163,12 +139,11 @@ def verify_detector_soundness(records: CampaignRecords | None = None
                         "straggler_demotions", "escalations"):
             value = getattr(counters, counter)
             if value:
-                findings.append(Finding.semantic(
-                    "health", "HLT001",
-                    f"{counter}={value} after {STEPS} supervised steps "
-                    f"with no crash or over-budget straggler injected",
-                    name, WORLD))
-    return findings
+                out.emit("HLT001",
+                         f"{counter}={value} after {STEPS} supervised steps "
+                         f"with no crash or over-budget straggler injected",
+                         name)
+    return out
 
 
 # -- HLT002: bounded detection latency ---------------------------------------
@@ -177,45 +152,37 @@ def verify_detection_latency(records: CampaignRecords | None = None
                              ) -> list[Finding]:
     """Crash, rejoin and straggler events noticed within the bounds."""
     records = records or CampaignRecords()
-    findings: list[Finding] = []
-
-    def late(campaign: str, message: str) -> None:
-        findings.append(Finding.semantic("health", "HLT002", message,
-                                         campaign, WORLD))
+    out = CellFindings("health", HLT_RULES, world=WORLD)
+    late = partial(out.emit, "HLT002", scheme="crash-rejoin")
 
     # crash at step 4, rejoin at step 9 (stock campaign, rank 3)
     record = records.get(make_campaign("crash-rejoin", WORLD))
     suspected = record.runtime.first_step("suspect_crash", WORLD - 1)
     if suspected is None:
-        late("crash-rejoin",
-             f"rank {WORLD - 1} crash at step 4 never suspected in "
+        late(f"rank {WORLD - 1} crash at step 4 never suspected in "
              f"{STEPS} steps")
     elif suspected - 4 > CRASH_LATENCY_BOUND:
-        late("crash-rejoin",
-             f"crash at step 4 suspected at step {suspected} "
+        late(f"crash at step 4 suspected at step {suspected} "
              f"(latency {suspected - 4} > bound {CRASH_LATENCY_BOUND})")
     admitted = record.runtime.first_step("admit_rejoin", WORLD - 1)
     if admitted is None:
-        late("crash-rejoin",
-             f"rank {WORLD - 1} rejoin at step 9 never admitted in "
+        late(f"rank {WORLD - 1} rejoin at step 9 never admitted in "
              f"{STEPS} steps")
     elif admitted - 9 > REJOIN_LATENCY_BOUND:
-        late("crash-rejoin",
-             f"rejoin at step 9 admitted at step {admitted} "
+        late(f"rejoin at step 9 admitted at step {admitted} "
              f"(latency {admitted - 9} > bound {REJOIN_LATENCY_BOUND})")
 
     # persistent over-budget straggler from step 4 on rank 2
     hard = FaultPlan("straggler-hard", WORLD, 0,
                      (straggler(4, None, rank=2, factor=2.5),))
     demoted = records.get(hard).runtime.first_step("demote_straggler", 2)
+    late = partial(out.emit, "HLT002", scheme="straggler-hard")
     if demoted is None:
-        late("straggler-hard",
-             f"2.5x straggler from step 4 never demoted in {STEPS} steps")
+        late(f"2.5x straggler from step 4 never demoted in {STEPS} steps")
     elif demoted - 4 > STRAGGLER_LATENCY_BOUND:
-        late("straggler-hard",
-             f"straggler onset at step 4 demoted at step {demoted} "
+        late(f"straggler onset at step 4 demoted at step {demoted} "
              f"(latency {demoted - 4} > bound {STRAGGLER_LATENCY_BOUND})")
-    return findings
+    return out
 
 
 # -- HLT003: oracle-free recovery parity -------------------------------------
@@ -224,7 +191,7 @@ def verify_supervised_recovery(records: CampaignRecords | None = None
                                ) -> list[Finding]:
     """Supervised convergence matches the oracle path, without the oracle."""
     records = records or CampaignRecords()
-    findings: list[Finding] = []
+    out = CellFindings("health", HLT_RULES, world=WORLD)
     for name in ("crash-rejoin", "straggler"):
         plan = make_campaign(name, WORLD)
         sup = records.get(plan)
@@ -232,19 +199,17 @@ def verify_supervised_recovery(records: CampaignRecords | None = None
         oracle_loss = records.get(plan, supervised=False).losses[-1]
         reads = sup.runtime.counters.oracle_reads
         if reads:
-            findings.append(Finding.semantic(
-                "health", "HLT003",
-                f"supervised decision path issued {reads} StepFaults "
-                f"oracle read(s); recovery must use observations only",
-                name, WORLD))
+            out.emit("HLT003",
+                     f"supervised decision path issued {reads} StepFaults "
+                     f"oracle read(s); recovery must use observations only",
+                     name)
         drift = abs(sup_loss - oracle_loss)
         if not np.isfinite(sup_loss) or drift > LOSS_TOLERANCE:
-            findings.append(Finding.semantic(
-                "health", "HLT003",
-                f"supervised final loss {sup_loss:.6f} vs oracle "
-                f"{oracle_loss:.6f} (drift {drift:.6f} > "
-                f"tolerance {LOSS_TOLERANCE})", name, WORLD))
-    return findings
+            out.emit("HLT003",
+                     f"supervised final loss {sup_loss:.6f} vs oracle "
+                     f"{oracle_loss:.6f} (drift {drift:.6f} > "
+                     f"tolerance {LOSS_TOLERANCE})", name)
+    return out
 
 
 # -- HLT004: resume determinism ----------------------------------------------
@@ -253,11 +218,8 @@ def verify_resume_determinism(records: CampaignRecords | None = None
                               ) -> list[Finding]:
     """A store-restored fresh trainer replays training bit-identically."""
     records = records or CampaignRecords()
-    findings: list[Finding] = []
-
-    def differs(campaign: str, message: str) -> None:
-        findings.append(Finding.semantic("health", "HLT004", message,
-                                         campaign, WORLD))
+    out = CellFindings("health", HLT_RULES, "fault-free", WORLD)
+    differs = partial(out.emit, "HLT004")
 
     with tempfile.TemporaryDirectory() as tmp:
         store = CheckpointStore(tmp, keep=3)
@@ -266,43 +228,38 @@ def verify_resume_determinism(records: CampaignRecords | None = None
 
         loaded = store.load_latest()
         if loaded is None:
-            differs("fault-free", "supervised run with a store attached "
-                                  "published no checkpoints")
-            return findings
+            differs("supervised run with a store attached published no "
+                    "checkpoints")
+            return out
         step, state = loaded
         resumed = records.trainer(None)
         resumed.restore_state(state)
         resumed_losses = _run(resumed, 14 - step)
         if resumed_losses != ref_losses[step:]:
-            differs("fault-free",
-                    f"losses after restoring step {step} differ from the "
+            differs(f"losses after restoring step {step} differ from the "
                     f"uninterrupted run (resume is not bit-identical)")
         for (name, a), b in zip(
                 ref.replicas[0].named_parameters(),
                 (p for _, p in resumed.replicas[0].named_parameters())):
             if not np.array_equal(a.data, b.data):
-                differs("fault-free",
-                        f"parameter {name} differs after resumed training")
+                differs(f"parameter {name} differs after resumed training")
                 break
 
     # two same-seed supervised chaos runs: byte-identical event logs
     plan = make_campaign("crash-rejoin", WORLD)
     logs = [records.get(plan, repeat=i).runtime.log_bytes() for i in (0, 1)]
     if logs[0] != logs[1]:
-        differs("crash-rejoin",
-                "two same-seed supervised runs produced different event logs")
-    return findings
+        out.emit("HLT004", "two same-seed supervised runs produced "
+                           "different event logs", "crash-rejoin")
+    return out
 
 
 # -- HLT005: store crash-safety ----------------------------------------------
 
 def verify_store_crash_safety() -> list[Finding]:
     """Torn and corrupt checkpoint files are detected and survived."""
-    findings: list[Finding] = []
-
-    def unsafe(message: str) -> None:
-        findings.append(Finding.semantic("health", "HLT005", message,
-                                         "fault-free", WORLD))
+    out = CellFindings("health", HLT_RULES, "fault-free", WORLD)
+    unsafe = partial(out.emit, "HLT005")
 
     trainer = CampaignRecords.trainer
     with tempfile.TemporaryDirectory() as tmp:
@@ -311,7 +268,7 @@ def verify_store_crash_safety() -> list[Finding]:
         steps = store.steps()
         if len(steps) < 2:
             unsafe(f"expected >= 2 checkpoints, store has {steps}")
-            return findings
+            return out
         older, newest = steps[-2], steps[-1]
 
         # the reference continuation from the older checkpoint
@@ -361,7 +318,7 @@ def verify_store_crash_safety() -> list[Finding]:
         store.save({"x": np.zeros(4, dtype=np.float32)}, 12)
         if os.path.exists(stray):
             unsafe("stray .tmp from a killed writer survived the next save")
-    return findings
+    return out
 
 
 def verify_health() -> list[Finding]:

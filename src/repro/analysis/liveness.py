@@ -2,50 +2,27 @@
 
 The schedule verifier (SCH) proves each scheme's send/recv log is
 *symmetric*; this pass proves the schedules cannot *stop making
-progress* — under fault campaigns that reshape them (retransmits,
-quorum demotion, carry drains, rejoin) and under any rank interleaving
-a real transport's scheduler might pick.
+progress* — under fault campaigns that reshape them and under any rank
+interleaving a real transport might pick.  The execution model is
+eager sends, blocking recvs and a barrier between
+:func:`~repro.collectives.trace.phase_scope` spans; the battery lives
+in :mod:`repro.faults.cases`, the exploration machinery in
+:mod:`repro.analysis.explore`.  The rules:
 
-``DLV001``  wait-for cycle among blocked ranks — a potential deadlock.
-``DLV002``  a blocking endpoint that can never match inside its barrier
-            phase: a recv whose send does not exist, or a send no rank
-            ever consumes (a rendezvous sender would block forever).
-``DLV003``  an event names a quorum-excluded (crashed) rank: the
-            degraded-mode schedule still routes traffic to or from a
-            rank the supervisor removed.
-``DLV004``  the small-world interleaving exploration could not certify
-            the segment: a deadlocking interleaving exists, final
-            message residues disagree across interleavings, or the
-            exploration budget was exhausted (soundness not
-            established).
-``DLV005``  bounded wait violated: under a fair round-robin scheduler a
-            blocked recv waited more rounds than
-            :meth:`~repro.analysis.explore.FairRunResult.bound` allows
-            for its matching send — or a partial-allreduce drain phase
-            left carries banked (a gradient stranded forever).
-``DLV006``  a blocking-call pattern in ``collectives``/``faults``
-            bypasses the ``deliver_chunk``/trace hooks, so the fault
-            channel and this certifier cannot see it.
-
-The execution model (eager sends, blocking recvs, barrier between
-:func:`~repro.collectives.trace.phase_scope` spans) matches the
-simulated data path; the battery of (scheme x world x campaign) cases
-lives in :mod:`repro.faults.cases`, the exploration machinery in
-:mod:`repro.analysis.explore`.
 """
 
 from __future__ import annotations
 
 import ast
 import os
-from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
-from repro.collectives.trace import ScheduleTrace, TraceEvent
+from repro.collectives.trace import (ScheduleTrace, TraceEvent,
+                                     match_messages)
 
 from .explore import (build_programs, explore, fair_schedule, greedy_run,
                       phase_segments)
-from .findings import Finding, sort_findings
+from .findings import CellFindings, Finding, rule_table, sort_findings
 from .rules import SourceFile, call_name, lint_roots
 
 __all__ = ["DLV_RULES", "DEFAULT_EXPLORE_BUDGET", "analyze_segment",
@@ -60,6 +37,7 @@ DLV_RULES = {
     "DLV005": "bounded wait violated or carries left undrained",
     "DLV006": "blocking call bypasses the deliver_chunk/trace hooks",
 }
+__doc__ = rule_table(__doc__, DLV_RULES)
 
 #: transition budget per explored segment; clean segments are linear in
 #: their event count, so hitting this means something is very wrong —
@@ -88,49 +66,43 @@ def analyze_segment(label: str, events: Sequence[TraceEvent], path: str,
                     scheme: str = "", world: int = 0,
                     excluded: Iterable[int] = ()) -> list[Finding]:
     """DLV001/002/003 over one barrier phase of a trace."""
-    findings: list[Finding] = []
+    out = CellFindings("liveness", DLV_RULES, scheme, world, path)
     excluded_set = set(excluded)
 
     if excluded_set:
         flagged: set = set()
         for event in events:
             bad = {event.src, event.dst} & excluded_set
-            if bad and (event.kind, event.match_key()) not in flagged:
-                flagged.add((event.kind, event.match_key()))
-                findings.append(Finding.semantic(
-                    "liveness", "DLV003",
-                    f"phase {label!r}: {event.kind} {event.src}->"
-                    f"{event.dst} (tag {event.tag!r}) names excluded "
-                    f"rank(s) {sorted(bad)} — traffic routed to a rank "
-                    f"the quorum removed", scheme, world, path))
-
-    programs = build_programs(events)
+            if bad and event not in flagged:
+                flagged.add(event)
+                out.emit("DLV003",
+                         f"phase {label!r}: {event.kind} {event.src}->"
+                         f"{event.dst} (tag {event.tag!r}) names excluded "
+                         f"rank(s) {sorted(bad)} — traffic routed to a rank "
+                         f"the quorum removed")
 
     # DLV002 (static): per-key count mismatch inside the phase.  A recv
     # beyond the phase's sends waits on a message that cannot arrive
     # before the barrier; a send beyond its recvs is never consumed.
-    sends = Counter(e.match_key() for e in events if e.kind == "send")
-    recvs = Counter(e.match_key() for e in events if e.kind == "recv")
-    for key in sorted(set(sends) | set(recvs)):
+    match = match_messages(events)
+    for key in sorted(set(match.orphan_sends) | set(match.orphan_recvs)):
         src, dst, step, nbytes, tag = key
-        if recvs[key] > sends[key]:
-            findings.append(Finding.semantic(
-                "liveness", "DLV002",
-                f"phase {label!r}: rank {dst} blocks on "
-                f"{recvs[key] - sends[key]} recv(s) {src}->{dst} "
-                f"(tag {tag!r}, step {step}) with no matching send in "
-                f"the phase", scheme, world, path))
-        elif sends[key] > recvs[key]:
-            findings.append(Finding.semantic(
-                "liveness", "DLV002",
-                f"phase {label!r}: {sends[key] - recvs[key]} send(s) "
-                f"{src}->{dst} (tag {tag!r}, step {step}) are never "
-                f"received in the phase", scheme, world, path))
+        if key in match.orphan_recvs:
+            out.emit("DLV002",
+                     f"phase {label!r}: rank {dst} blocks on "
+                     f"{match.orphan_recvs[key]} recv(s) {src}->{dst} "
+                     f"(tag {tag!r}, step {step}) with no matching send in "
+                     f"the phase")
+        else:
+            out.emit("DLV002",
+                     f"phase {label!r}: {match.orphan_sends[key]} send(s) "
+                     f"{src}->{dst} (tag {tag!r}, step {step}) are never "
+                     f"received in the phase")
 
     # DLV001: run to the (unique) maximal-progress fixpoint; a stuck
     # rank whose sender exists is waiting on another stuck rank, so the
     # blocked set carries a wait-for cycle.
-    greedy = greedy_run(programs)
+    greedy = greedy_run(build_programs(events))
     if not greedy.completed:
         edges: dict[int, list[int]] = {}
         for rank, op in sorted(greedy.blocked.items()):
@@ -145,70 +117,61 @@ def analyze_segment(label: str, events: Sequence[TraceEvent], path: str,
             waits = "; ".join(
                 f"rank {r} blocked on {greedy.blocked[r].describe()}"
                 for r in cycle)
-            findings.append(Finding.semantic(
-                "liveness", "DLV001",
-                f"phase {label!r}: wait-for cycle {chain} ({waits})",
-                scheme, world, path))
-        elif not any(f.rule == "DLV002" for f in findings):
+            out.emit("DLV001",
+                     f"phase {label!r}: wait-for cycle {chain} ({waits})")
+        elif not any(f.rule == "DLV002" for f in out):
             # defensive: stuck without a cycle or an orphan should be
             # impossible; surface it rather than certifying
             blocked = ", ".join(
                 f"rank {r} on {op.describe()}"
                 for r, op in sorted(greedy.blocked.items()))
-            findings.append(Finding.semantic(
-                "liveness", "DLV001",
-                f"phase {label!r}: execution stuck without a wait-for "
-                f"cycle ({blocked})", scheme, world, path))
-    return findings
+            out.emit("DLV001",
+                     f"phase {label!r}: execution stuck without a wait-for "
+                     f"cycle ({blocked})")
+    return out
 
 
 def explore_segment(label: str, events: Sequence[TraceEvent], path: str,
                     scheme: str = "", world: int = 0,
                     budget: int = DEFAULT_EXPLORE_BUDGET) -> list[Finding]:
     """DLV004: certify every interleaving of one phase terminates."""
-    findings: list[Finding] = []
-    programs = build_programs(events)
-    result = explore(programs, budget=budget)
+    out = CellFindings("liveness", DLV_RULES, scheme, world, path)
+    result = explore(build_programs(events), budget=budget)
     if result.budget_exhausted:
-        findings.append(Finding.semantic(
-            "liveness", "DLV004",
-            f"phase {label!r}: exploration budget of {budget} "
-            f"transitions exhausted after {result.interleavings} "
-            f"complete interleaving(s) — termination not certified",
-            scheme, world, path))
-        return findings
+        out.emit("DLV004",
+                 f"phase {label!r}: exploration budget of {budget} "
+                 f"transitions exhausted after {result.interleavings} "
+                 f"complete interleaving(s) — termination not certified")
+        return out
     for blocked in result.deadlocks:
         detail = ", ".join(f"rank {r} on {op.describe()}"
                            for r, op in sorted(blocked.items()))
-        findings.append(Finding.semantic(
-            "liveness", "DLV004",
-            f"phase {label!r}: a reachable interleaving deadlocks "
-            f"({detail})", scheme, world, path))
+        out.emit("DLV004", f"phase {label!r}: a reachable interleaving "
+                           f"deadlocks ({detail})")
     if len(result.residues) > 1:
-        findings.append(Finding.semantic(
-            "liveness", "DLV004",
-            f"phase {label!r}: {len(result.residues)} distinct final "
-            f"message residues across interleavings — message counts "
-            f"are not conserved", scheme, world, path))
-    return findings
+        out.emit("DLV004",
+                 f"phase {label!r}: {len(result.residues)} distinct final "
+                 f"message residues across interleavings — message counts "
+                 f"are not conserved")
+    return out
 
 
 def fair_segment(label: str, events: Sequence[TraceEvent], path: str,
                  scheme: str = "", world: int = 0) -> list[Finding]:
     """DLV005: bounded wait under a fair round-robin scheduler."""
+    out = CellFindings("liveness", DLV_RULES, scheme, world, path)
     programs = build_programs(events)
     result = fair_schedule(programs)
-    if not result.completed:
-        # the wait-for analysis reports the deadlock itself (DLV001/2)
-        return []
-    bound = result.bound(world or (max(programs) + 1 if programs else 1))
-    if result.max_wait > bound:
-        return [Finding.semantic(
-            "liveness", "DLV005",
-            f"phase {label!r}: a blocked recv waited {result.max_wait} "
-            f"fair scheduler rounds (bound {bound} for longest program "
-            f"{result.longest}) for its matching send", scheme, world, path)]
-    return []
+    # an incomplete run is the wait-for analysis's to report (DLV001/2)
+    if result.completed:
+        bound = result.bound(world or (max(programs) + 1 if programs else 1))
+        if result.max_wait > bound:
+            out.emit("DLV005",
+                     f"phase {label!r}: a blocked recv waited "
+                     f"{result.max_wait} fair scheduler rounds (bound "
+                     f"{bound} for longest program {result.longest}) for "
+                     f"its matching send")
+    return out
 
 
 def analyze_trace_liveness(trace: ScheduleTrace, path: str,
@@ -225,21 +188,20 @@ def analyze_trace_liveness(trace: ScheduleTrace, path: str,
     campaign, not of the whole trace (a crashed rank participates
     legitimately before its crash and after its rejoin).
     """
-    findings: list[Finding] = []
+    out = CellFindings("liveness", DLV_RULES, scheme, world, path)
     excluded_by_phase = excluded_by_phase or {}
     for label, events in phase_segments(trace):
-        findings.extend(analyze_segment(
+        out.extend(analyze_segment(
             label, events, path, scheme, world,
             excluded_by_phase.get(label, ())))
-        findings.extend(explore_segment(label, events, path, scheme,
-                                        world, budget))
-        findings.extend(fair_segment(label, events, path, scheme, world))
+        out.extend(explore_segment(label, events, path, scheme,
+                                   world, budget))
+        out.extend(fair_segment(label, events, path, scheme, world))
     if undrained_carries:
-        findings.append(Finding.semantic(
-            "liveness", "DLV005",
-            "carries remain banked after the drain phase — a skipped "
-            "gradient is stranded forever", scheme, world, path))
-    return sort_findings(findings)
+        out.emit("DLV005",
+                 "carries remain banked after the drain phase — a skipped "
+                 "gradient is stranded forever")
+    return sort_findings(out)
 
 
 # -- DLV006: static AST pass over collectives/ and faults/ --------------------
@@ -317,8 +279,7 @@ def lint_blocking(roots: Sequence[str] | None = None) -> list[Finding]:
 # -- the full battery ---------------------------------------------------------
 
 def verify_liveness(worlds: tuple[int, ...] = (2, 3, 4),
-                    budget: int = DEFAULT_EXPLORE_BUDGET,
-                    with_blocking_lint: bool = True) -> list[Finding]:
+                    budget: int = DEFAULT_EXPLORE_BUDGET) -> list[Finding]:
     """Certify every (scheme x world x campaign) cell; [] means clean."""
     from repro.faults.cases import liveness_cases, trace_liveness_case
 
@@ -329,6 +290,5 @@ def verify_liveness(worlds: tuple[int, ...] = (2, 3, 4),
             trace, case.path, scheme=case.scheme, world=case.world,
             excluded_by_phase=aux.phase_excluded,
             undrained_carries=aux.undrained_carries, budget=budget))
-    if with_blocking_lint:
-        findings.extend(lint_blocking())
+    findings.extend(lint_blocking())
     return sort_findings(findings)

@@ -3,47 +3,12 @@
 The overlapped engine mode (:meth:`~repro.core.engine.CommunicationEngine
 .reduce_overlapped`) enqueues each layer's reduction as its backward
 finishes, fuses transmission buckets and drains them first-needed-first-
-sent.  That concurrency buys step time but opens failure modes the
-sequential data path cannot have: an optimizer reading a gradient whose
-reduction has not landed, a layer reduced twice (or dropped) by the
-bucket fusion, a starved bucket, error-feedback residuals touched by two
-in-flight reductions.  This pass certifies the overlapped schedule on
-the real data path, cell by cell.
+sent.  This pass certifies that schedule on the real data path: every
+cell of the cell table x two model shapes runs a normal step, an
+adaptive respec, a quorum demotion and a carry drain, and one extra
+cell drives the full trainer (module grad-ready hooks, DDP barrier).
+Long form: ``docs/analysis.md`` pillar 9.  The rules:
 
-``OVL001``  use-before-reduce: a gradient consumed before its bucket's
-            reduction landed — the happens-before chain grad_ready ->
-            reduce_enqueued -> reduce_landed -> grad_consumed must hold
-            per layer per step, in event positions and simulated time,
-            including adaptive-respec and quorum-demotion steps.
-``OVL002``  fusion conservation: the buckets of one step must partition
-            the layer set exactly once, and the bucket byte accounting
-            (dense and wire) must match both the per-layer spec arithmetic
-            and the serialized payload ground truth.
-``OVL003``  priority inversion: the launch order disagrees with the
-            first-needed-first-sent discipline (smallest
-            (first_needed, min_index) among sealed buckets), or the
-            single channel overlapped two transfers.
-``OVL004``  in-flight state hazard: a keyed compressor-state access
-            (error-feedback residuals, quorum carries) lands outside any
-            bucket's execution span, one state key is touched by two
-            buckets in one step, or the happens-before race detector
-            (RACE rules) finds an unordered conflict in the overlapped
-            timeline.
-``OVL005``  overlap ineffectiveness: under injected uniform delays the
-            certified step time must stay within the makespan bound
-            ``max(compute, comm) + max(largest transfer, fill) + eps``
-            and beat the synchronize-at-the-end baseline by the expected
-            margin.
-``OVL006``  a function on the optimizer/trainer path reads ``.grad``
-            without calling a completion-barrier API and without the
-            ``@grad_consumer`` marker — a consumer the barrier cannot
-            see (static AST pass).
-
-The battery sweeps every reduction scheme (plus the quorum reducer)
-across world sizes and two model shapes, four steps per cell: a normal
-step, an adaptive respec, a quorum demotion and a carry drain — the
-schedule reshapes the certifier must survive.  One extra cell drives the
-full trainer (module grad-ready hooks, DDP barrier) end to end.
 """
 
 from __future__ import annotations
@@ -56,14 +21,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.collectives import (SINGLE_MEMBER_CELLS, SchemeCell,
+                               default_quorum, scheme_cell, scheme_cells)
 from repro.collectives.timing import SCHEMES
-from repro.collectives.trace import OverlapEvent, ScheduleTrace, capture
+from repro.collectives.trace import (BufferAccess, OverlapEvent,
+                                     ScheduleTrace, capture, emit_overlap)
 from repro.compression import CompressionSpec
 from repro.core.config import CGXConfig
 from repro.core.engine import CommunicationEngine
 from repro.core.overlap import OverlapDelays, OverlapReport
 
-from .findings import Finding, sort_findings
+from .findings import CellFindings, Finding, rule_table, sort_findings
+from .races import analyze_trace
 from .rules import SourceFile, call_name, lint_roots
 
 __all__ = ["OVL_RULES", "OverlapCase", "overlap_cases", "certify_case",
@@ -79,6 +48,7 @@ OVL_RULES = {
     "OVL005": "overlapped step time misses the makespan bound",
     "OVL006": ".grad consumer bypasses the completion barrier",
 }
+__doc__ = rule_table(__doc__, OVL_RULES)
 
 #: steps each battery cell runs: a clean step, an adaptive respec, a
 #: quorum demotion, and a full-participation drain
@@ -107,9 +77,21 @@ class OverlapCase:
         return f"<overlap:{self.scheme}@world={self.world}/{self.model}>"
 
     @property
-    def cell(self) -> tuple[str, int, str]:
-        """``Finding.semantic``'s (scheme, world, path) for this cell."""
-        return self.scheme, self.world, self.path
+    def row(self) -> SchemeCell:
+        """This cell's table row (the explicit one where there is one)."""
+        return SINGLE_MEMBER_CELLS.get((self.scheme, self.world)) \
+            or scheme_cell(self.scheme, self.world)
+
+    @property
+    def engine_scheme(self) -> str:
+        """What the engine runs: the quorum column is the engine's
+        ``participants`` path over SRA."""
+        return "sra" if self.row.participants is not None else self.scheme
+
+    def findings(self) -> CellFindings:
+        """An empty collector bound to this cell."""
+        return CellFindings("overlap", OVL_RULES, self.scheme, self.world,
+                            self.path)
 
 
 # -- the battery's models and configuration -----------------------------------
@@ -133,23 +115,16 @@ def _cell_config(scheme: str) -> CGXConfig:
     return CGXConfig(
         compression=CompressionSpec("qsgd", bits=4, bucket_size=32,
                                     error_feedback=True),
-        scheme="sra" if scheme == "partial" else scheme,
+        scheme=scheme,
         fusion_bytes=768,          # two 96-element fp32 layers per bucket
         min_compress_numel=64,
     )
 
 
-def _node_of(world: int) -> list[int]:
-    """Two-node placement for the hierarchical scheme."""
-    return [0 if r < (world + 1) // 2 else 1 for r in range(world)]
-
-
 def overlap_cases(worlds: Sequence[int] = (2, 3, 4)) -> list[OverlapCase]:
     """Every (scheme x world x model) battery cell."""
-    schemes = SCHEMES + ("partial",)
-    return [OverlapCase(scheme, world, model)
-            for scheme in schemes
-            for world in worlds
+    return [OverlapCase(cell.scheme, cell.world, model)
+            for cell in scheme_cells(worlds, (*SCHEMES, "partial"))
             for model in ("stack", "mixed")]
 
 
@@ -161,8 +136,6 @@ def _consume_all(names: Iterable[str], step: int, t: float) -> None:
     Mirrors :meth:`~repro.core.ddp.CGXDistributedDataParallel
     .mark_consumed` for engine-driven cells that have no DDP wrapper.
     """
-    from repro.collectives.trace import emit_overlap
-
     for name in names:
         emit_overlap("grad_consumed", step, t, layer=name)
 
@@ -173,9 +146,11 @@ def _run_cell(case: OverlapCase) -> tuple[ScheduleTrace,
     """Drive :meth:`reduce_overlapped` through the four-step campaign."""
     layers = _model_layers(case.model)
     names = [name for name, _ in layers]
-    config = _cell_config(case.scheme)
-    node_of = _node_of(case.world) if case.scheme == "hier" else None
-    engine = CommunicationEngine(config, node_of=node_of)
+    row = case.row
+    quorum_column = row.participants is not None
+    config = _cell_config(case.engine_scheme)
+    engine = CommunicationEngine(
+        config, node_of=list(row.node_of) if row.node_of else None)
     rng = np.random.default_rng(7)
     # stable per-cell seed (hash() of a str-carrying tuple is salted per
     # process, which would certify different data on every run)
@@ -184,7 +159,7 @@ def _run_cell(case: OverlapCase) -> tuple[ScheduleTrace,
                                    comm_latency=UNIFORM_COMM,
                                    comm_per_byte=0.0)
     ready_order = list(reversed(names))
-    quorum = list(range(case.world - 1)) if case.world > 1 else [0]
+    quorum = list(row.participants or default_quorum(case.world))
 
     reports: list[OverlapReport] = []
     with capture() as trace:
@@ -195,12 +170,12 @@ def _run_cell(case: OverlapCase) -> tuple[ScheduleTrace,
                 for _ in range(case.world)
             ]
             # step 1 reshapes the plan (adaptive respec); the quorum
-            # reducer takes over on step 2 (and step 1 for the partial
+            # reducer takes over on step 2 (and step 1 for the quorum
             # column); step 3 drains the carries at full participation
             if step == 1:
                 config.per_layer["layer3"] = CompressionSpec(
                     "qsgd", bits=8, bucket_size=32, error_feedback=True)
-            demoted = step == 2 or (case.scheme == "partial" and step == 1)
+            demoted = step == 2 or (quorum_column and step == 1)
             participants = quorum if demoted else None
             _, report = engine.reduce_overlapped(
                 per_worker, rng, ready_order=ready_order,
@@ -236,15 +211,10 @@ def check_use_before_reduce(case: OverlapCase, trace: ScheduleTrace,
     ``step_ids`` maps each report to the step number its events carry
     (the trainer numbers steps from 1; the engine battery from 0).
     """
-    findings: list[Finding] = []
+    out = case.findings()
     by_step = _events_by_step(trace)
     if step_ids is None:
         step_ids = list(range(len(reports)))
-
-    def chain_violation(step: int, layer: str, detail: str) -> None:
-        findings.append(Finding.semantic(
-            "overlap", "OVL001",
-            f"step {step}, layer {layer!r}: {detail}", *case.cell))
 
     for step, report in zip(step_ids, reports):
         kinds = by_step.get(step, {})
@@ -258,8 +228,8 @@ def check_use_before_reduce(case: OverlapCase, trace: ScheduleTrace,
         for layer in names:
             bucket = bucket_of.get(layer)
             if bucket is None:
-                chain_violation(step, layer,
-                                "no bucket carries this layer's reduction")
+                out.emit("OVL001", f"step {step}, layer {layer!r}: no bucket "
+                                   f"carries this layer's reduction")
                 continue
             r, e = ready.get(layer), enqueued.get(bucket)
             ld, c = landed.get(bucket), consumed.get(layer)
@@ -268,10 +238,9 @@ def check_use_before_reduce(case: OverlapCase, trace: ScheduleTrace,
                         ("reduce_landed", ld), ("grad_consumed", c))
                        if ev is None]
             if missing:
-                chain_violation(
-                    step, layer,
-                    f"lifecycle event(s) {', '.join(missing)} missing "
-                    f"from the trace")
+                out.emit("OVL001",
+                         f"step {step}, layer {layer!r}: lifecycle event(s) "
+                         f"{', '.join(missing)} missing from the trace")
                 continue
             assert r and e and ld and c
             for before, after, what in (
@@ -279,11 +248,11 @@ def check_use_before_reduce(case: OverlapCase, trace: ScheduleTrace,
                     (e, ld, "landed before it was enqueued"),
                     (ld, c, "consumed before its reduction landed")):
                 if after.t < before.t - TIME_EPS or after.pos < before.pos:
-                    chain_violation(
-                        step, layer,
-                        f"{what} (t {before.t:.6f} -> {after.t:.6f}, "
-                        f"pos {before.pos} -> {after.pos})")
-    return findings
+                    out.emit("OVL001",
+                             f"step {step}, layer {layer!r}: {what} "
+                             f"(t {before.t:.6f} -> {after.t:.6f}, "
+                             f"pos {before.pos} -> {after.pos})")
+    return out
 
 
 # -- OVL002: fusion conservation ----------------------------------------------
@@ -293,43 +262,38 @@ def check_fusion_conservation(case: OverlapCase,
                               layers: Sequence[tuple[str, int]]
                               ) -> list[Finding]:
     """OVL002: buckets partition the layers; byte accounting is exact."""
-    findings: list[Finding] = []
+    out = case.findings()
     expected = sorted(name for name, _ in layers)
     numel_of = dict(layers)
     for step, report in enumerate(reports):
         covered = [layer for bucket in report.buckets
                    for layer in bucket.layer_names]
         if sorted(covered) != expected:
-            findings.append(Finding.semantic(
-                "overlap", "OVL002",
-                f"step {step}: buckets cover {sorted(covered)} but the "
-                f"model has {expected} — a layer reduced twice or "
-                f"dropped", *case.cell))
+            out.emit("OVL002",
+                     f"step {step}: buckets cover {sorted(covered)} but the "
+                     f"model has {expected} — a layer reduced twice or "
+                     f"dropped")
             continue
         for bucket in report.buckets:
             dense = sum(numel_of[layer] * 4 for layer in bucket.layer_names)
             if bucket.dense_bytes != dense:
-                findings.append(Finding.semantic(
-                    "overlap", "OVL002",
-                    f"step {step}, {bucket.name}: dense accounting "
-                    f"{bucket.dense_bytes} B != member total {dense} B",
-                    *case.cell))
+                out.emit("OVL002",
+                         f"step {step}, {bucket.name}: dense accounting "
+                         f"{bucket.dense_bytes} B != member total {dense} B")
             claimed = sum(pkg.spec.wire_bytes(pkg.numel)
                           for pkg in bucket.packages)
             if bucket.wire_bytes != claimed:
-                findings.append(Finding.semantic(
-                    "overlap", "OVL002",
-                    f"step {step}, {bucket.name}: wire accounting "
-                    f"{bucket.wire_bytes} B != per-layer spec total "
-                    f"{claimed} B", *case.cell))
+                out.emit("OVL002",
+                         f"step {step}, {bucket.name}: wire accounting "
+                         f"{bucket.wire_bytes} B != per-layer spec total "
+                         f"{claimed} B")
             if bucket.measured_bytes >= 0 \
                     and bucket.measured_bytes != claimed:
-                findings.append(Finding.semantic(
-                    "overlap", "OVL002",
-                    f"step {step}, {bucket.name}: serialized payload "
-                    f"measures {bucket.measured_bytes} B but the spec "
-                    f"claims {claimed} B", *case.cell))
-    return findings
+                out.emit("OVL002",
+                         f"step {step}, {bucket.name}: serialized payload "
+                         f"measures {bucket.measured_bytes} B but the spec "
+                         f"claims {claimed} B")
+    return out
 
 
 # -- OVL003: launch-priority discipline ---------------------------------------
@@ -337,23 +301,21 @@ def check_fusion_conservation(case: OverlapCase,
 def check_priority(case: OverlapCase,
                    reports: Sequence[OverlapReport]) -> list[Finding]:
     """OVL003: replay the channel and compare against the recorded order."""
-    findings: list[Finding] = []
+    out = case.findings()
     for step, report in enumerate(reports):
         recorded = sorted(report.buckets, key=lambda b: b.launch_t)
         for bucket in report.buckets:
             if bucket.launch_t < bucket.ready_t - TIME_EPS:
-                findings.append(Finding.semantic(
-                    "overlap", "OVL003",
-                    f"step {step}, {bucket.name}: launched at "
-                    f"{bucket.launch_t:.6f} before sealing at "
-                    f"{bucket.ready_t:.6f}", *case.cell))
+                out.emit("OVL003",
+                         f"step {step}, {bucket.name}: launched at "
+                         f"{bucket.launch_t:.6f} before sealing at "
+                         f"{bucket.ready_t:.6f}")
         for prev, nxt in zip(recorded, recorded[1:]):
             if nxt.launch_t < prev.landed_t - TIME_EPS:
-                findings.append(Finding.semantic(
-                    "overlap", "OVL003",
-                    f"step {step}: {nxt.name} launched at "
-                    f"{nxt.launch_t:.6f} while {prev.name} still held "
-                    f"the channel until {prev.landed_t:.6f}", *case.cell))
+                out.emit("OVL003",
+                         f"step {step}: {nxt.name} launched at "
+                         f"{nxt.launch_t:.6f} while {prev.name} still held "
+                         f"the channel until {prev.landed_t:.6f}")
         # replay: at each free point the sealed bucket with the smallest
         # (first_needed, min_index) must go next.  Seal comparisons are
         # exact (no epsilon) to mirror the scheduler's own predicate —
@@ -367,15 +329,13 @@ def check_priority(case: OverlapCase,
                            key=lambda b: (b.first_needed, b.min_index))
                 if (best.first_needed, best.min_index) < \
                         (bucket.first_needed, bucket.min_index):
-                    findings.append(Finding.semantic(
-                        "overlap", "OVL003",
-                        f"step {step}: {bucket.name} (first_needed "
-                        f"{bucket.first_needed}) launched ahead of "
-                        f"sealed {best.name} (first_needed "
-                        f"{best.first_needed}) — priority inversion",
-                        *case.cell))
+                    out.emit("OVL003",
+                             f"step {step}: {bucket.name} (first_needed "
+                             f"{bucket.first_needed}) launched ahead of "
+                             f"sealed {best.name} (first_needed "
+                             f"{best.first_needed}) — priority inversion")
             remaining.remove(bucket)
-    return findings
+    return out
 
 
 # -- OVL004: in-flight compressor-state attribution ---------------------------
@@ -384,20 +344,15 @@ def check_state_attribution(case: OverlapCase, trace: ScheduleTrace,
                             reports: Sequence[OverlapReport]
                             ) -> list[Finding]:
     """OVL004: state accesses stay inside exactly one bucket's execution."""
-    from repro.collectives.trace import BufferAccess
-
-    from .races import analyze_trace
-
-    findings: list[Finding] = []
+    out = case.findings()
     spans: list[tuple[int, str, int, int]] = []   # (step, bucket, lo, hi)
     for step, report in enumerate(reports):
         for bucket in report.buckets:
             lo, hi = bucket.exec_span
             if lo < 0:
-                findings.append(Finding.semantic(
-                    "overlap", "OVL004",
-                    f"step {step}, {bucket.name}: no execution span "
-                    f"recorded — the reduction never ran", *case.cell))
+                out.emit("OVL004",
+                         f"step {step}, {bucket.name}: no execution span "
+                         f"recorded — the reduction never ran")
                 continue
             spans.append((step, bucket.name, lo, hi))
 
@@ -411,31 +366,26 @@ def check_state_attribution(case: OverlapCase, trace: ScheduleTrace,
         containing = [(step, name) for step, name, lo, hi in spans
                       if lo <= pos < hi]
         if not containing:
-            findings.append(Finding.semantic(
-                "overlap", "OVL004",
-                f"state key {item.buffer} accessed at timeline position "
-                f"{pos}, outside every bucket's execution span", *case.cell))
+            out.emit("OVL004",
+                     f"state key {item.buffer} accessed at timeline position "
+                     f"{pos}, outside every bucket's execution span")
             continue
         for step, name in containing:
             owners.setdefault((step, item.buffer), set()).add(name)
     for (step, key), buckets in sorted(owners.items()):
         if len(buckets) > 1:
-            findings.append(Finding.semantic(
-                "overlap", "OVL004",
-                f"step {step}: state key {key} touched by "
-                f"{len(buckets)} buckets ({', '.join(sorted(buckets))}) "
-                f"— two in-flight reductions share residual state",
-                *case.cell))
+            out.emit("OVL004",
+                     f"step {step}: state key {key} touched by "
+                     f"{len(buckets)} buckets ({', '.join(sorted(buckets))}) "
+                     f"— two in-flight reductions share residual state")
 
     # the happens-before race detector over the overlapped timeline:
     # an unordered conflict the span bookkeeping cannot express
-    race_scheme = "sra" if case.scheme == "partial" else case.scheme
-    for race in analyze_trace(trace, race_scheme, case.world):
-        findings.append(Finding.semantic(
-            "overlap", "OVL004",
-            f"happens-before conflict in the overlapped timeline: "
-            f"[{race.rule}] {race.message}", *case.cell))
-    return findings
+    for race in analyze_trace(trace, case.engine_scheme, case.world):
+        out.emit("OVL004",
+                 f"happens-before conflict in the overlapped timeline: "
+                 f"[{race.rule}] {race.message}")
+    return out
 
 
 # -- OVL005: makespan bound and overlap effectiveness -------------------------
@@ -449,7 +399,7 @@ EFFECTIVENESS_FACTOR = 0.8
 def check_makespan(case: OverlapCase, reports: Sequence[OverlapReport]
                    ) -> list[Finding]:
     """OVL005: bound + effectiveness under the injected uniform delays."""
-    findings: list[Finding] = []
+    out = case.findings()
     for step, report in enumerate(reports):
         if not report.buckets:
             continue
@@ -458,22 +408,21 @@ def check_makespan(case: OverlapCase, reports: Sequence[OverlapReport]
         bound = max(report.compute_end, report.comm_total) \
             + max(max(comm), fill) + 1e-6
         if report.overlapped_time > bound:
-            findings.append(Finding.semantic(
-                "overlap", "OVL005",
-                f"step {step}: overlapped makespan "
-                f"{report.overlapped_time:.6f}s exceeds the bound "
-                f"{bound:.6f}s (compute {report.compute_end:.6f}s, "
-                f"comm {report.comm_total:.6f}s) — the channel idled "
-                f"with sealed buckets pending", *case.cell))
+            out.emit("OVL005",
+                     f"step {step}: overlapped makespan "
+                     f"{report.overlapped_time:.6f}s exceeds the bound "
+                     f"{bound:.6f}s (compute {report.compute_end:.6f}s, "
+                     f"comm {report.comm_total:.6f}s) — the channel idled "
+                     f"with sealed buckets pending")
         limit = EFFECTIVENESS_FACTOR * report.sequential_time
         if len(report.buckets) >= 2 and report.overlapped_time > limit:
-            findings.append(Finding.semantic(
-                "overlap", "OVL005",
-                f"step {step}: overlapped step {report.overlapped_time:.6f}s"
-                f" is not {EFFECTIVENESS_FACTOR:.1f}x under the sequential "
-                f"{report.sequential_time:.6f}s — overlap bought "
-                f"nothing", *case.cell))
-    return findings
+            out.emit("OVL005",
+                     f"step {step}: overlapped step "
+                     f"{report.overlapped_time:.6f}s is not "
+                     f"{EFFECTIVENESS_FACTOR:.1f}x under the sequential "
+                     f"{report.sequential_time:.6f}s — overlap bought "
+                     f"nothing")
+    return out
 
 
 # -- putting one cell together ------------------------------------------------
@@ -483,13 +432,12 @@ def analyze_overlap_trace(case: OverlapCase, trace: ScheduleTrace,
                           layers: Sequence[tuple[str, int]]) -> list[Finding]:
     """All dynamic OVL rules over one cell's captured campaign."""
     names = [name for name, _ in layers]
-    findings: list[Finding] = []
-    findings.extend(check_use_before_reduce(case, trace, reports, names))
-    findings.extend(check_fusion_conservation(case, reports, layers))
-    findings.extend(check_priority(case, reports))
-    findings.extend(check_state_attribution(case, trace, reports))
-    findings.extend(check_makespan(case, reports))
-    return sort_findings(findings)
+    return sort_findings([
+        *check_use_before_reduce(case, trace, reports, names),
+        *check_fusion_conservation(case, reports, layers),
+        *check_priority(case, reports),
+        *check_state_attribution(case, trace, reports),
+        *check_makespan(case, reports)])
 
 
 def certify_case(case: OverlapCase) -> list[Finding]:
@@ -515,7 +463,8 @@ def certify_trainer(world: int = 3, steps: int = 2) -> list[Finding]:
     task = make_task("mlp", batch_size=8)
     trainer = DataParallelTrainer(task, world_size=world, config=config,
                                   seed=0, overlap=True)
-    names = [name for name, _ in trainer.replicas[0].named_parameters()]
+    layers = [(name, param.numel) for name, param
+              in trainer.replicas[0].named_parameters()]
     reports: list[OverlapReport] = []
     step_ids: list[int] = []
     with capture() as trace:
@@ -525,15 +474,12 @@ def certify_trainer(world: int = 3, steps: int = 2) -> list[Finding]:
             assert isinstance(report, OverlapReport)
             reports.append(report)
             step_ids.append(trainer._step_index)
-    findings: list[Finding] = []
-    findings.extend(check_use_before_reduce(
-        case, trace, reports, names, step_ids=step_ids))
-    layers = [(name, param.numel) for name, param
-              in trainer.replicas[0].named_parameters()]
-    findings.extend(check_fusion_conservation(case, reports, layers))
-    findings.extend(check_priority(case, reports))
-    findings.extend(check_state_attribution(case, trace, reports))
-    return sort_findings(findings)
+    return sort_findings([
+        *check_use_before_reduce(case, trace, reports,
+                                 [name for name, _ in layers], step_ids),
+        *check_fusion_conservation(case, reports, layers),
+        *check_priority(case, reports),
+        *check_state_attribution(case, trace, reports)])
 
 
 # -- OVL006: static AST pass over the gradient-consumer path ------------------
@@ -608,13 +554,11 @@ def lint_grad_consumers(roots: Sequence[str] | None = None) -> list[Finding]:
 
 # -- the full battery ---------------------------------------------------------
 
-def verify_overlap(worlds: tuple[int, ...] = (2, 3, 4),
-                   with_consumer_lint: bool = True) -> list[Finding]:
+def verify_overlap(worlds: tuple[int, ...] = (2, 3, 4)) -> list[Finding]:
     """Certify every (scheme x world x model) cell; [] means clean."""
     findings: list[Finding] = []
     for case in overlap_cases(worlds):
         findings.extend(certify_case(case))
     findings.extend(certify_trainer())
-    if with_consumer_lint:
-        findings.extend(lint_grad_consumers())
+    findings.extend(lint_grad_consumers())
     return sort_findings(findings)

@@ -3,38 +3,12 @@
 The adaptive compression problem (paper Section 5, Algorithm 1) picks
 per-layer bit-widths minimizing transmitted bytes subject to the total
 compression error staying within ``alpha * E4``.  The solvers in
-:mod:`repro.core.adaptive` are heuristics; nothing in the test suite
-*proves* that what they emit respects the budget, stays close to
-optimal, or is even executable by the compressors the plan names.
-L-GreCo and QSGD both show the budget constraint and the quantizer's
-error model are exactly where layerwise schemes silently go wrong.
+:mod:`repro.core.adaptive` are heuristics, so this pass certifies every
+registered solver over a seeded battery of instances (synthetic
+families + ``synthetic_stats_for_spec`` over every full-size model
+spec), comparing errors in exact rational arithmetic and bytes as exact
+integers.  Long form: ``docs/analysis.md`` pillar 5.  The rules:
 
-This pass certifies every registered solver over a seeded battery of
-instances (synthetic families + ``synthetic_stats_for_spec`` over every
-full-size model spec):
-
-``BWP001``  budget feasibility: the assignment's error exceeds
-            ``alpha * E4`` under *exact rational arithmetic* (squared
-            errors compared as ``Fraction``s — no float spot-checks).
-``BWP002``  structural soundness: the solver lost/invented layers,
-            emitted widths outside the requested ladder, crashed, or
-            transmits more than the uniform static assignment (exact
-            integer byte comparison).
-``BWP003``  optimality-gap regression: on small instances the
-            heuristic's byte overhead over the exact brute-force
-            optimum (:func:`~repro.core.adaptive.brute_force_assign`)
-            exceeds the ratcheted per-solver bound.
-``BWP004``  bits→bucket resolvability: an emitted width does not
-            resolve through :func:`~repro.core.adaptive.resolve_bucket`
-            or yields a ``CompressionSpec`` that fails validation.
-``BWP005``  alpha-monotonicity: a larger error budget made the solver
-            transmit *more* bytes.
-``BWP006``  respec stability: ``AdaptiveController.reassign`` under
-            stationary statistics flips assignments between periods, or
-            writes per-layer specs that disagree with the assignment.
-``BWP007``  plan/contract agreement: the plan names a bit-width that no
-            registered compressor contract declares in
-            ``supported_bits`` for the configured method.
 """
 
 from __future__ import annotations
@@ -58,7 +32,7 @@ from repro.core.adaptive import (
 from repro.models import available_specs, build_spec
 
 from .abstract import default_registry
-from .findings import Finding
+from .findings import CellFindings, Finding, rule_table
 
 __all__ = [
     "PLAN_RULES",
@@ -82,6 +56,7 @@ PLAN_RULES = {
     "BWP006": "controller respec is unstable or incoherent",
     "BWP007": "plan names bits no compressor contract supports",
 }
+__doc__ = rule_table(__doc__, PLAN_RULES)
 
 DEFAULT_ALPHAS: tuple[float, ...] = (1.5, 2.0, 3.0)
 
@@ -180,16 +155,15 @@ Assigner = Callable[..., "dict[str, int]"]
 
 
 def _run_solver(solver: str, assigner: Assigner, instance: PlanInstance,
-                alpha: float) -> "tuple[dict[str, int] | None, list[Finding]]":
+                alpha: float) -> "tuple[dict[str, int] | None, CellFindings]":
     """One solver run; crashes become BWP002 findings, not exceptions."""
+    out = CellFindings("plan", PLAN_RULES, solver)
     try:
-        bits = assigner(instance.stats, alpha=alpha)
+        return assigner(instance.stats, alpha=alpha), out
     except Exception as exc:  # noqa: BLE001 - any crash is a finding
-        return None, [Finding.semantic(
-            "plan", "BWP002",
-            f"{instance.name} alpha={alpha}: solver raised "
-            f"{type(exc).__name__}: {exc}", solver)]
-    return bits, []
+        out.emit("BWP002", f"{instance.name} alpha={alpha}: solver raised "
+                           f"{type(exc).__name__}: {exc}")
+        return None, out
 
 
 def certify_solver(solver: str, assigner: Assigner,
@@ -200,46 +174,40 @@ def certify_solver(solver: str, assigner: Assigner,
     from repro.core.adaptive import DEFAULT_BITWIDTHS
 
     ladder = tuple(sorted(set(bitwidths or DEFAULT_BITWIDTHS)))
-    bits, findings = _run_solver(solver, assigner, instance, alpha)
+    bits, out = _run_solver(solver, assigner, instance, alpha)
     if bits is None:
-        return None, findings
+        return None, out
 
     expected = {s.name for s in instance.stats}
     if set(bits) != expected:
-        findings.append(Finding.semantic(
-            "plan", "BWP002",
-            f"{instance.name} alpha={alpha}: assignment covers "
-            f"{len(bits)} layers, instance has {len(expected)}", solver))
-        return bits, findings
+        out.emit("BWP002", f"{instance.name} alpha={alpha}: assignment covers "
+                           f"{len(bits)} layers, instance has {len(expected)}")
+        return bits, out
     stray = sorted({b for b in bits.values() if b not in ladder})
     if stray:
-        findings.append(Finding.semantic(
-            "plan", "BWP002",
-            f"{instance.name} alpha={alpha}: emitted bit-width(s) {stray} "
-            f"outside the requested ladder {ladder}", solver))
+        out.emit("BWP002",
+                 f"{instance.name} alpha={alpha}: emitted bit-width(s) "
+                 f"{stray} outside the requested ladder {ladder}")
     static_cost = assignment_cost_bits(
         instance.stats, {s.name: 4 for s in instance.stats})
     cost = assignment_cost_bits(instance.stats, bits)
     if cost > static_cost:
-        findings.append(Finding.semantic(
-            "plan", "BWP002",
-            f"{instance.name} alpha={alpha}: transmits {cost} bits, worse "
-            f"than the uniform static {static_cost}", solver))
+        out.emit("BWP002",
+                 f"{instance.name} alpha={alpha}: transmits {cost} bits, "
+                 f"worse than the uniform static {static_cost}")
     if not certify_assignment(instance.stats, bits, alpha):
-        findings.append(Finding.semantic(
-            "plan", "BWP001",
-            f"{instance.name} alpha={alpha}: exact error exceeds the "
-            f"alpha*E4 budget (float rounding masked the violation)", solver))
+        out.emit("BWP001",
+                 f"{instance.name} alpha={alpha}: exact error exceeds the "
+                 f"alpha*E4 budget (float rounding masked the violation)")
     for width in sorted(set(bits.values())):
         try:
             bucket = resolve_bucket(width)
             CompressionSpec("qsgd", bits=width, bucket_size=bucket)
         except (ValueError, KeyError) as exc:
-            findings.append(Finding.semantic(
-                "plan", "BWP004",
-                f"{instance.name} alpha={alpha}: emitted width {width} "
-                f"does not resolve to an executable spec: {exc}", solver))
-    return bits, findings
+            out.emit("BWP004",
+                     f"{instance.name} alpha={alpha}: emitted width {width} "
+                     f"does not resolve to an executable spec: {exc}")
+    return bits, out
 
 
 def certify_optimality(solver: str, assigner: Assigner,
@@ -251,7 +219,7 @@ def certify_optimality(solver: str, assigner: Assigner,
     bound = (ratchet or OPTIMALITY_RATCHET).get(solver)
     if bound is None:
         return []
-    findings: list[Finding] = []
+    out = CellFindings("plan", PLAN_RULES, solver)
     worst = 1.0
     worst_at = ""
     for instance in instances:
@@ -267,12 +235,11 @@ def certify_optimality(solver: str, assigner: Assigner,
             if ratio > worst:
                 worst, worst_at = ratio, f"{instance.name} alpha={alpha}"
     if worst > bound:
-        findings.append(Finding.semantic(
-            "plan", "BWP003",
-            f"worst-case overhead {worst:.3f}x over the brute-force "
-            f"optimum (at {worst_at}) exceeds the ratcheted bound "
-            f"{bound:.2f}x", solver))
-    return findings
+        out.emit("BWP003",
+                 f"worst-case overhead {worst:.3f}x over the brute-force "
+                 f"optimum (at {worst_at}) exceeds the ratcheted bound "
+                 f"{bound:.2f}x")
+    return out
 
 
 def _certify_monotonicity(solver: str, assigner: Assigner,
@@ -285,14 +252,13 @@ def _certify_monotonicity(solver: str, assigner: Assigner,
         if bits is None or set(bits) != {s.name for s in instance.stats}:
             return []  # breakage is certify_solver's finding, not BWP005's
         costs.append((alpha, assignment_cost_bits(instance.stats, bits)))
-    findings = []
+    out = CellFindings("plan", PLAN_RULES, solver)
     for (a_lo, c_lo), (a_hi, c_hi) in zip(costs, costs[1:]):
         if c_hi > c_lo:
-            findings.append(Finding.semantic(
-                "plan", "BWP005",
-                f"{instance.name}: alpha={a_hi} transmits {c_hi} bits, "
-                f"more than the {c_lo} at the tighter alpha={a_lo}", solver))
-    return findings
+            out.emit("BWP005",
+                     f"{instance.name}: alpha={a_hi} transmits {c_hi} bits, "
+                     f"more than the {c_lo} at the tighter alpha={a_lo}")
+    return out
 
 
 def _stationary_grads(seed: int = 0) -> "dict[str, np.ndarray]":
@@ -319,7 +285,7 @@ def certify_controller_stability(
     into the config must agree with the emitted assignment (bits match,
     bucket resolves through :func:`resolve_bucket`).
     """
-    findings: list[Finding] = []
+    out = CellFindings("plan", PLAN_RULES, solver)
     config = CGXConfig.cgx_default()
     controller = controller_cls(config, method=solver, period=period)
     grads = _stationary_grads(seed)
@@ -328,33 +294,29 @@ def certify_controller_stability(
         if controller.observe(dict(grads)):
             observed.append(dict(controller.assignments))
     if len(observed) < 2:
-        findings.append(Finding.semantic(
-            "plan", "BWP006",
-            f"controller produced {len(observed)} reassignments in "
-            f"{2 * period} stationary steps (period={period})", solver))
-        return findings
+        out.emit("BWP006",
+                 f"controller produced {len(observed)} reassignments in "
+                 f"{2 * period} stationary steps (period={period})")
+        return out
     if observed[0] != observed[1]:
         flipped = sorted(name for name in observed[0]
                          if observed[0].get(name) != observed[1].get(name))
-        findings.append(Finding.semantic(
-            "plan", "BWP006",
-            f"stationary statistics flipped assignments across respecs "
-            f"(layers {flipped})", solver))
+        out.emit("BWP006",
+                 f"stationary statistics flipped assignments across respecs "
+                 f"(layers {flipped})")
     for name, width in observed[-1].items():
         spec = config.per_layer.get(name)
         if spec is None:
-            findings.append(Finding.semantic(
-                "plan", "BWP006",
-                f"assignment names {name!r} but no per-layer spec was "
-                f"written", solver))
+            out.emit("BWP006",
+                     f"assignment names {name!r} but no per-layer spec was "
+                     f"written")
             continue
         if spec.bits != width or spec.bucket_size != resolve_bucket(width):
-            findings.append(Finding.semantic(
-                "plan", "BWP006",
-                f"per-layer spec for {name!r} carries bits={spec.bits} "
-                f"bucket={spec.bucket_size}, assignment says {width} "
-                f"(bucket {resolve_bucket(width)})", solver))
-    return findings
+            out.emit("BWP006",
+                     f"per-layer spec for {name!r} carries bits={spec.bits} "
+                     f"bucket={spec.bucket_size}, assignment says {width} "
+                     f"(bucket {resolve_bucket(width)})")
+    return out
 
 
 def certify_plan_contracts(
@@ -369,29 +331,26 @@ def certify_plan_contracts(
     registry = registry or default_registry()
     cls = registry.get(method)
     contract = getattr(cls, "contract", None) if cls else None
-    findings: list[Finding] = []
+    out = CellFindings("plan", PLAN_RULES, solver)
     if contract is None:
-        findings.append(Finding.semantic(
-            "plan", "BWP007",
-            f"{instance.name} alpha={alpha}: plan targets method "
-            f"{method!r} which has no registered contract", solver))
-        return findings
+        out.emit("BWP007",
+                 f"{instance.name} alpha={alpha}: plan targets method "
+                 f"{method!r} which has no registered contract")
+        return out
     if contract.supported_bits is None:
-        findings.append(Finding.semantic(
-            "plan", "BWP007",
-            f"{instance.name} alpha={alpha}: plan assigns bit-widths to "
-            f"method {method!r} whose contract declares no supported_bits",
-            solver))
-        return findings
+        out.emit("BWP007",
+                 f"{instance.name} alpha={alpha}: plan assigns bit-widths "
+                 f"to method {method!r} whose contract declares no "
+                 f"supported_bits")
+        return out
     unsupported = sorted({b for b in bits.values()
                           if b not in contract.supported_bits})
     if unsupported:
-        findings.append(Finding.semantic(
-            "plan", "BWP007",
-            f"{instance.name} alpha={alpha}: plan names bits "
-            f"{unsupported} not in {method!r}'s declared supported_bits "
-            f"{tuple(contract.supported_bits)}", solver))
-    return findings
+        out.emit("BWP007",
+                 f"{instance.name} alpha={alpha}: plan names bits "
+                 f"{unsupported} not in {method!r}'s declared supported_bits "
+                 f"{tuple(contract.supported_bits)}")
+    return out
 
 
 def verify_plans(

@@ -3,46 +3,26 @@
 The collectives execute every rank's data path in one process, so a
 schedule that *would* race on real transports — two ranks writing one
 buffer with no message ordering them — still produces deterministic
-results here and passes every numeric test.  This pass reconstructs the
-concurrency the schedule implies and flags exactly those hazards.
+results here and passes every numeric test.  From a
+:class:`~repro.collectives.trace.ScheduleTrace` timeline this pass
+builds the happens-before order — program order per rank, plus a
+matched send before its recv (the pairs of
+:func:`~repro.collectives.trace.match_messages`); emission order
+between ranks is *not* an ordering — and flags concurrent accesses to
+aliased storage (byte spans for memory, labels for keyed state).
+Long form: ``docs/analysis.md`` pillar 4.  The rules:
 
-From a :class:`~repro.collectives.trace.ScheduleTrace` timeline
-(send/recv endpoints interleaved with :class:`BufferAccess` records in
-emission order) it builds the happens-before partial order:
-
-* **program order** — each rank's operations in emission order;
-* **message order** — a matched send happens-before its recv (matching
-  replays the log: a recv consumes the earliest prior unmatched send
-  with the same ``(src, dst, step, nbytes, tag)``).
-
-Emission order between different ranks is *not* an ordering — it is one
-arbitrary interleaving of a schedule that real transports are free to
-reorder.  Two accesses are concurrent unless connected through the
-graph, and concurrent accesses to aliased storage race:
-
-``RACE001``  write/write on overlapping memory spans, unordered.
-``RACE002``  read/write on overlapping memory spans, unordered.
-``RACE003``  keyed compressor state (error-feedback residuals, warm
-             starts, carries) touched by two ranks, unordered — on real
-             ranks each process holds its own dict, so a shared key
-             means the simulation relies on cross-rank shared state.
-``RACE004``  buffers declared rank-local overlap in memory (static
-             check on :func:`declare_buffer` declarations; no access
-             needs to be observed for this to be a latent bug).
-
-Aliasing is address-based for memory (absolute byte spans, kept valid
-by the trace's keepalive pins) and label-based for keyed state.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Sequence, Union
 
-from repro.collectives.trace import BufferAccess, ScheduleTrace, TraceEvent
+from repro.collectives.trace import (BufferAccess, ScheduleTrace, TraceEvent,
+                                     match_messages)
 from repro.compression import CompressionSpec
 
-from .findings import Finding, sort_findings
+from .findings import CellFindings, Finding, rule_table, sort_findings
 from .schedule import (SchemeCase, default_cases, trace_case,
                        trace_collective)
 
@@ -55,6 +35,7 @@ RACE_RULES = {
     "RACE003": "keyed compressor state shared across ranks unordered",
     "RACE004": "buffers declared rank-local overlap in memory",
 }
+__doc__ = rule_table(__doc__, RACE_RULES)
 
 
 def _node_rank(item: Union[TraceEvent, BufferAccess]) -> int:
@@ -70,24 +51,15 @@ def _ancestor_sets(timeline: list) -> list[int]:
     ``i``.  Built in one forward pass: program-order edge from the
     rank's previous node, message edge from the matched send.
     """
+    sender_of = {recv: send for send, recv in match_messages(timeline).pairs}
     anc = [0] * len(timeline)
     last_of_rank: dict[int, int] = {}
-    unmatched_sends: dict[tuple, deque[int]] = {}
     for i, item in enumerate(timeline):
         mask = 0
         rank = _node_rank(item)
-        prev = last_of_rank.get(rank)
-        if prev is not None:
-            mask |= anc[prev] | (1 << prev)
-        if isinstance(item, TraceEvent):
-            if item.kind == "send":
-                unmatched_sends.setdefault(item.match_key(),
-                                           deque()).append(i)
-            else:
-                queue = unmatched_sends.get(item.match_key())
-                if queue:
-                    sender = queue.popleft()
-                    mask |= anc[sender] | (1 << sender)
+        for prev in (last_of_rank.get(rank), sender_of.get(i)):
+            if prev is not None:
+                mask |= anc[prev] | (1 << prev)
         anc[i] = mask
         last_of_rank[rank] = i
     return anc
@@ -96,9 +68,7 @@ def _ancestor_sets(timeline: list) -> list[int]:
 def analyze_trace(trace: ScheduleTrace, scheme: str,
                   world: int) -> list[Finding]:
     """Race-check one captured timeline; [] means race-free."""
-    def finding(rule: str, message: str) -> Finding:
-        return Finding.semantic("race", rule, message, scheme, world)
-
+    out = CellFindings("race", RACE_RULES, scheme, world)
     timeline = trace.timeline
     anc = _ancestor_sets(timeline)
     access_nodes = [(i, item) for i, item in enumerate(timeline)
@@ -128,15 +98,14 @@ def analyze_trace(trace: ScheduleTrace, scheme: str,
             key = (rule, a.kind, b.kind, a.rank, b.rank, a.buffer, b.buffer)
             races[key] = races.get(key, 0) + 1
 
-    findings = []
     for (rule, kind_a, kind_b, rank_a, rank_b, buf_a, buf_b), count \
             in sorted(races.items()):
         where = (f"state key {buf_a}" if rule == "RACE003"
                  else f"aliased memory ({buf_a!r} / {buf_b!r})")
-        findings.append(finding(
+        out.emit(
             rule,
             f"rank {rank_a} {kind_a} and rank {rank_b} {kind_b} on {where} "
-            f"with no happens-before ordering ({count} occurrence(s))"))
+            f"with no happens-before ordering ({count} occurrence(s))")
 
     seen_overlaps: set[tuple] = set()
     for a_pos in range(len(trace.declared)):
@@ -152,11 +121,11 @@ def analyze_trace(trace: ScheduleTrace, scheme: str,
             if key in seen_overlaps:
                 continue
             seen_overlaps.add(key)
-            findings.append(finding(
+            out.emit(
                 "RACE004",
                 f"rank {rank_a} buffer {name_a!r} and rank {rank_b} buffer "
-                f"{name_b!r} declared rank-local but share {overlap} bytes"))
-    return sort_findings(findings)
+                f"{name_b!r} declared rank-local but share {overlap} bytes")
+    return sort_findings(out)
 
 
 #: spec battery for the registered-scheme sweep: the stateless default

@@ -23,10 +23,21 @@ class AnalysisPass:
 
     name: str                  # ``--<name>`` flag and BENCH row
     title: str                 # one-liner; docs/analysis.md's pillar heading
-    rules: str                 # rule-family prefix
+    rules: str                 # ``"module:TABLE"``: {rule id: one-liner}
     runners: tuple[str, ...]   # ``"module:function"`` batteries, in order
     default: bool = False      # runs when no selection flag is given
     lints_paths: bool = False  # runners take the command line's paths
+
+    @property
+    def rule_table(self) -> dict[str, str]:
+        """The pass's one rule table (its module's docstring, the
+        per-cell collectors and the docs agreement test all read it)."""
+        return pkgutil.resolve_name(self.rules)
+
+    @property
+    def family(self) -> str:
+        """Rule-family prefix (``SCD``), read off the table's keys."""
+        return next(iter(self.rule_table)).rstrip("0123456789")
 
     def run(self, paths: Sequence[str] = ()) -> list[Finding]:
         """Run every battery of this pass and concatenate the findings.
@@ -44,14 +55,18 @@ class AnalysisPass:
 
 
 REGISTRY: tuple[AnalysisPass, ...] = (
-    AnalysisPass("lint", "numerical-safety linter", "REP",
+    AnalysisPass("lint", "numerical-safety linter",
+                 "repro.analysis.rules:RULES",
                  ("repro.analysis.rules:run_lint",),
                  default=True, lints_paths=True),
-    AnalysisPass("schedule", "collective-schedule verifier", "SCH",
+    AnalysisPass("schedule", "collective-schedule verifier",
+                 "repro.analysis.schedule:SCH_RULES",
                  ("repro.analysis.schedule:verify_schedules",), default=True),
     # plus the fault-runtime contracts: CRC detection (FLT004) and
-    # seeded campaign reproducibility (FLT003)
-    AnalysisPass("contracts", "compressor-contract checker", "CON",
+    # seeded campaign reproducibility (FLT003); the FLT rules keep their
+    # own table, ``repro.faults.validate:FAULT_RULES``
+    AnalysisPass("contracts", "compressor-contract checker",
+                 "repro.analysis.contracts:CONTRACT_RULES",
                  ("repro.analysis.contracts:verify_contracts",
                   "repro.faults.validate:verify_crc_detection",
                   "repro.faults.validate:verify_fault_determinism"),
@@ -59,23 +74,31 @@ REGISTRY: tuple[AnalysisPass, ...] = (
     # plus the schedule + race batteries re-run under a lossy campaign,
     # so injected retransmissions cannot mask (or create) real hazards
     # (FLT001/FLT002)
-    AnalysisPass("races", "happens-before race detector", "RACE",
+    AnalysisPass("races", "happens-before race detector",
+                 "repro.analysis.races:RACE_RULES",
                  ("repro.analysis.races:verify_races",
                   "repro.faults.validate:verify_fault_schedules"),
                  default=True),
-    AnalysisPass("plans", "bit-width plan certifier", "BWP",
+    AnalysisPass("plans", "bit-width plan certifier",
+                 "repro.analysis.plans:PLAN_RULES",
                  ("repro.analysis.plans:verify_plans",)),
-    AnalysisPass("shapes", "shape/dtype pipeline interpreter", "SHP",
+    AnalysisPass("shapes", "shape/dtype pipeline interpreter",
+                 "repro.analysis.shapes:SHAPE_RULES",
                  ("repro.analysis.shapes:verify_shapes",)),
-    AnalysisPass("health", "failure-detection battery", "HLT",
+    AnalysisPass("health", "failure-detection battery",
+                 "repro.analysis.health:HLT_RULES",
                  ("repro.analysis.health:verify_health",)),
-    AnalysisPass("liveness", "deadlock & progress certifier", "DLV",
+    AnalysisPass("liveness", "deadlock & progress certifier",
+                 "repro.analysis.liveness:DLV_RULES",
                  ("repro.analysis.liveness:verify_liveness",)),
-    AnalysisPass("overlap", "overlap-safety certifier", "OVL",
+    AnalysisPass("overlap", "overlap-safety certifier",
+                 "repro.analysis.overlap:OVL_RULES",
                  ("repro.analysis.overlap:verify_overlap",)),
-    AnalysisPass("sched", "fleet-schedule certifier", "SCD",
+    AnalysisPass("sched", "fleet-schedule certifier",
+                 "repro.analysis.sched:SCD_RULES",
                  ("repro.analysis.sched:verify_sched",)),
-    AnalysisPass("elastic", "elastic-membership certifier", "ELA",
+    AnalysisPass("elastic", "elastic-membership certifier",
+                 "repro.analysis.elastic:ELA_RULES",
                  ("repro.analysis.elastic:verify_elastic",)),
 )
 
@@ -83,5 +106,5 @@ REGISTRY: tuple[AnalysisPass, ...] = (
 def pass_summary() -> str:
     """The registry as prose: one ``name — title (RULES)`` line per pass."""
     return "\n".join(
-        f"* {row.name} — {row.title} ({row.rules}"
+        f"* {row.name} — {row.title} ({row.family}"
         f"{'; default' if row.default else ''})" for row in REGISTRY)

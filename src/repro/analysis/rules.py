@@ -4,24 +4,11 @@ The rules encode the failure modes that matter for a lossy-compression
 training system (PAPER.md section 3): silent precision changes, aliased
 error-feedback state, and in-place mutation of shared chunk views.
 None of them crash at runtime — they corrupt results quietly, which is
-exactly why they are checked statically.
+exactly why they are checked statically.  REP002 applies to the hot
+paths only (:data:`HOT_PATH_PARTS`); for REP006, ``view[:] = ...``
+stores into freshly allocated output buffers are the supported pattern
+and not flagged.  The rules:
 
-Rules:
-
-* **REP001** — float equality via ``==``/``!=`` against a float literal.
-* **REP002** — default-dtype (float64) array creation (``np.zeros`` /
-  ``empty`` / ``ones`` / ``full`` / ``arange`` without ``dtype=``) in the
-  compression/collectives hot paths, where a silent float64 upcast both
-  doubles wire maths and changes quantization error.
-* **REP003** — storing a reference to a caller-owned array (parameter or
-  alias) into error-feedback/carry state without ``.copy()``; the next
-  in-place update then corrupts the caller's gradient.
-* **REP004** — mutable default argument.
-* **REP005** — bare ``except:``.
-* **REP006** — in-place (augmented) assignment on a chunk view returned
-  by ``split_chunks``; accumulating into a view silently accumulates
-  into the parent buffer.  (``view[:] = ...`` stores into freshly
-  allocated output buffers are the supported pattern and not flagged.)
 """
 
 from __future__ import annotations
@@ -32,7 +19,7 @@ from collections import defaultdict
 from dataclasses import replace
 from typing import Callable, Iterable, Iterator
 
-from .findings import Finding, sort_findings
+from .findings import Finding, rule_table, sort_findings
 
 __all__ = ["RULES", "HOT_PATH_PARTS", "SourceFile", "call_name",
            "lint_source", "lint_file", "iter_python_files", "lint_roots",
@@ -47,6 +34,7 @@ RULES = {
     "REP005": "bare except",
     "REP006": "in-place op on a chunk view returned by split_chunks",
 }
+__doc__ = rule_table(__doc__, RULES)
 
 #: a file whose path contains one of these directory names is "hot path"
 #: for REP002 (where float64 upcasts change wire sizes and error)

@@ -1,52 +1,12 @@
 """Fleet-schedule certifier (Pillar 10, rules SCD001..SCD007).
 
 The fleet scheduler (:mod:`repro.sched`) runs concurrent training jobs
-on one shared link-resource pool.  Its promises — no GPU double-booking,
-starvation-free FIFO admission, leak-free per-job accounting, honest
-throttles, contention that can only *delay* — are exactly the claims a
-multi-tenant middleware must keep, so this pass certifies them over the
-seeded battery in :mod:`repro.sched.battery` (~30 fleets, 4–200 jobs,
-every placement policy, both routing policies) instead of trusting the
-scheduler's own bookkeeping.
+on one shared link-resource pool.  This pass certifies its promises —
+no GPU double-booking, starvation-free FIFO admission, leak-free
+per-job accounting, honest throttles, contention that can only *delay*
+— over the seeded battery in :mod:`repro.sched.battery` instead of
+trusting the scheduler's own bookkeeping.  The rules:
 
-``SCD001``  placement unsound: an admitted job's GPUs are missing,
-            duplicated, out of range, or overlap a concurrent job's
-            span — replayed from the canonical fleet log, not from the
-            placer's data structures.
-``SCD002``  admission liveness/FIFO broken: an arrived job never
-            admits or never finishes, admissions leave arrival order,
-            queue-wait accounting disagrees with the event-log deltas,
-            or a job's step chain is torn (gaps, overlaps, a finish
-            time that is not the last step's end).
-``SCD003``  cross-job conservation broken, checked in **exact
-            arithmetic**: no busy second may go untagged (untagged
-            ledger seconds summed as :class:`fractions.Fraction`), the
-            float counters must bit-match a replay of the audit
-            ledger, per-job wire bytes (integers) must agree between
-            the jobs' own counters and the network's tag counters, and
-            ``clear_trace(job)`` must provably not perturb any other
-            job's counters.
-``SCD004``  throttle semantics broken: a declared bandwidth share does
-            not scale effective bandwidth bit-exactly (battery shares
-            are dyadic, so the scaling is exact in floats), a
-            throttled transfer beats the unthrottled one, or a
-            departed job's throttle was not released.
-``SCD005``  isolation bounds violated: some fleet step ends *earlier*
-            than its isolated replay (contention must only delay — a
-            bit-wise lower bound), a job whose links no concurrent
-            competitor touched is not **bit-identical** to its
-            isolated replay, or a contended job's total delay exceeds
-            the time its shared-link competitors were concurrently
-            resident (the full-serialization ceiling).
-``SCD006``  fairness-metric validity: Jain fairness outside ``(0, 1]``,
-            degenerate inputs (empty/single/all-zero) raising instead
-            of degrading, or a nondeterministic isolated-baseline
-            replay.
-``SCD007``  job-tag lint over ``src/repro/sched/`` and
-            ``cluster/network.py``: a ``transfer``/``run_kernel``/
-            ``time_allreduce``-class call without a job tag silently
-            corrupts per-job accounting (the leakage class SCD003
-            would only catch at run time).
 """
 
 from __future__ import annotations
@@ -54,9 +14,10 @@ from __future__ import annotations
 import ast
 import json
 import os
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
-from .findings import Finding, sort_findings
+from .findings import CellFindings, Finding, rule_table, sort_findings
 from .rules import SourceFile, call_name, lint_roots
 
 if TYPE_CHECKING:
@@ -76,6 +37,7 @@ SCD_RULES = {
     "SCD006": "fairness metric invalid or baseline replay nondeterministic",
     "SCD007": "untagged transfer/kernel call (job-tag plumbing gap)",
 }
+__doc__ = rule_table(__doc__, SCD_RULES)
 
 #: slack for the SCD005 full-serialization ceiling only; every equality
 #: in this pass (SCD003 conservation, SCD004 scaling, SCD005 disjoint
@@ -85,7 +47,7 @@ _CEILING_SLACK = 1e-9
 
 # -- SCD001/SCD002: replay the canonical fleet log ----------------------------
 
-def verify_fleet_log(payload: Mapping[str, Any], path: str) -> list[Finding]:
+def verify_fleet_log(payload: Mapping[str, Any], path: str) -> CellFindings:
     """Placement soundness and admission liveness from the log alone.
 
     Works on any parsed :meth:`FleetResult.log_bytes` payload — including
@@ -93,17 +55,15 @@ def verify_fleet_log(payload: Mapping[str, Any], path: str) -> list[Finding]:
     so it trusts nothing but the event stream and the job table in the
     log header.
     """
-    findings: list[Finding] = []
     fleet = payload.get("fleet", {})
     records = payload.get("records", [])
-    scheme = f"{fleet.get('policy', '?')}-{fleet.get('routing', '?')}"
     n_gpus = int(fleet.get("n_gpus", 0))
     specs = {int(job["job_id"]): job for job in fleet.get("jobs", [])}
-    world = len(specs)
-
-    def emit(rule: str, message: str) -> None:
-        findings.append(Finding.semantic(
-            "sched", rule, message, scheme, world, path))
+    out = CellFindings(
+        "sched", SCD_RULES,
+        f"{fleet.get('policy', '?')}-{fleet.get('routing', '?')}",
+        len(specs), path)
+    emit = out.emit
 
     arrived: list[int] = []
     admitted: list[int] = []
@@ -199,51 +159,47 @@ def verify_fleet_log(payload: Mapping[str, Any], path: str) -> list[Finding]:
     if admitted != expected:
         emit("SCD002", f"admission order {admitted} leaves the FIFO "
                        f"arrival order {expected}")
-    return findings
+    return out
 
 
-def _cell(result: FleetResult, path: str) -> tuple[str, int, str]:
-    """``Finding.semantic``'s (scheme, world, path) for one fleet cell."""
-    return f"{result.policy}-{result.routing}", len(result.states), path
+def _cell(result: FleetResult, path: str) -> CellFindings:
+    """An empty collector bound to one fleet cell."""
+    return CellFindings("sched", SCD_RULES,
+                        f"{result.policy}-{result.routing}",
+                        len(result.states), path)
 
 
 def _certify_log(result: FleetResult, path: str) -> list[Finding]:
     """SCD001/SCD002 on the canonical log, plus the state cross-checks
     that need the live states (queue-wait accounting)."""
-    payload = json.loads(result.log_bytes().decode("utf-8"))
-    findings = verify_fleet_log(payload, path)
-    arrive_t = {r["job"]: r["t"] for r in result.records
-                if r["event"] == "arrive"}
-    admit_t = {r["job"]: r["t"] for r in result.records
-               if r["event"] == "admit"}
+    out = verify_fleet_log(json.loads(result.log_bytes().decode("utf-8")),
+                           path)
+    arrive_t = {r["job"]: r["t"] for r in result.records_of("arrive")}
+    admit_t = {r["job"]: r["t"] for r in result.records_of("admit")}
     for state in result.states:
         job = state.spec.job_id
         if job not in admit_t or state.queue_wait is None:
             continue
         logged = admit_t[job] - arrive_t[job]
         if state.queue_wait != logged:
-            findings.append(Finding.semantic(
-                "sched", "SCD002",
-                f"job {job} accounts queue_wait={state.queue_wait!r} but "
-                f"the event log says {logged!r}", *_cell(result, path)))
-    return findings
+            out.emit("SCD002",
+                     f"job {job} accounts queue_wait={state.queue_wait!r} "
+                     f"but the event log says {logged!r}")
+    return out
 
 
 # -- SCD003: exact cross-job conservation -------------------------------------
 
 def _certify_conservation(result: FleetResult, path: str) -> list[Finding]:
-    findings: list[Finding] = []
-    cell = _cell(result, path)
-
-    def emit(message: str) -> None:
-        findings.append(Finding.semantic("sched", "SCD003", message, *cell))
+    out = _cell(result, path)
+    emit = partial(out.emit, "SCD003")
 
     network = result.network
     pool = network.pool
     if not pool.audited:
         emit("cell ran without the conservation audit ledger — exact "
              "accounting cannot be certified (enable audit=True)")
-        return findings
+        return out
 
     # (a) tag leakage: in a fleet every occupation belongs to a job
     for name, seconds in sorted(pool.exact_untagged_seconds().items()):
@@ -308,7 +264,7 @@ def _certify_conservation(result: FleetResult, path: str) -> list[Finding]:
             emit(f"clear_trace({victim}) perturbed the per-job byte "
                  f"counters")
         network.trace = saved_trace   # the check must not consume evidence
-    return findings
+    return out
 
 
 # -- SCD004: throttle semantics -----------------------------------------------
@@ -319,11 +275,8 @@ def _certify_throttles(result: FleetResult, path: str,
     from repro.cluster import Network as DefaultNetwork
 
     make_network = network_cls or DefaultNetwork
-    findings: list[Finding] = []
-    cell = _cell(result, path)
-
-    def emit(message: str) -> None:
-        findings.append(Finding.semantic("sched", "SCD004", message, *cell))
+    out = _cell(result, path)
+    emit = partial(out.emit, "SCD004")
 
     topology = result.topology
     backend = result.network.backend
@@ -374,22 +327,18 @@ def _certify_throttles(result: FleetResult, path: str,
                 result.network.job_throttle(state.spec.job_id) < 1.0:
             emit(f"job {state.spec.job_id} departed but its throttle "
                  f"was never released")
-    return findings
+    return out
 
 
 # -- SCD005: isolation bounds -------------------------------------------------
 
 def _certify_isolation(result: FleetResult, path: str) -> list[Finding]:
-    findings: list[Finding] = []
-    cell = _cell(result, path)
-
-    def emit(message: str) -> None:
-        findings.append(Finding.semantic("sched", "SCD005", message, *cell))
+    out = _cell(result, path)
+    emit = partial(out.emit, "SCD005")
 
     step_ends: dict[int, list[float]] = {}
-    for record in result.records:
-        if record["event"] == "step":
-            step_ends.setdefault(record["job"], []).append(record["end"])
+    for record in result.records_of("step"):
+        step_ends.setdefault(record["job"], []).append(record["end"])
 
     spans: dict[int, tuple[float, float]] = {}
     links: dict[int, set[str]] = {}
@@ -450,7 +399,7 @@ def _certify_isolation(result: FleetResult, path: str) -> list[Finding]:
                      f"{ceiling!r}s its shared-link competitors were "
                      f"concurrently resident — more than full "
                      f"serialization")
-    return findings
+    return out
 
 
 # -- SCD006: fairness-metric validity -----------------------------------------
@@ -458,17 +407,14 @@ def _certify_isolation(result: FleetResult, path: str) -> list[Finding]:
 def _certify_fairness(result: FleetResult, path: str) -> list[Finding]:
     from repro.sched.metrics import compute_metrics, isolated_step_times
 
-    findings: list[Finding] = []
-    cell = _cell(result, path)
-
-    def emit(message: str) -> None:
-        findings.append(Finding.semantic("sched", "SCD006", message, *cell))
+    out = _cell(result, path)
+    emit = partial(out.emit, "SCD006")
 
     try:
         metrics = compute_metrics(result)
     except Exception as exc:   # noqa: B902 — the finding *is* the report
         emit(f"compute_metrics raised {type(exc).__name__}: {exc}")
-        return findings
+        return out
     if not 0.0 < metrics.fairness <= 1.0:
         emit(f"Jain fairness {metrics.fairness!r} outside (0, 1]")
     if metrics.p95_queue_wait > metrics.max_queue_wait:
@@ -480,7 +426,7 @@ def _certify_fairness(result: FleetResult, path: str) -> list[Finding]:
     if isolated_step_times(result) != isolated_step_times(result):
         emit("isolated-baseline replay is nondeterministic: two replays "
              "of the same result disagree")
-    return findings
+    return out
 
 
 def _certify_metric_degenerates(path: str = "<sched:degenerate>"
@@ -488,11 +434,8 @@ def _certify_metric_degenerates(path: str = "<sched:degenerate>"
     """SCD006 on the metric helpers' degenerate inputs (once per run)."""
     from repro.sched.metrics import jain_fairness, percentile
 
-    findings: list[Finding] = []
-
-    def emit(message: str) -> None:
-        findings.append(Finding.semantic(
-            "sched", "SCD006", message, "", 0, path))
+    out = CellFindings("sched", SCD_RULES, path=path)
+    emit = partial(out.emit, "SCD006")
 
     probes: list[tuple[str, Callable[[], float], float]] = [
         ("jain_fairness([])", lambda: jain_fairness([]), 1.0),
@@ -515,14 +458,14 @@ def _certify_metric_degenerates(path: str = "<sched:degenerate>"
         value = jain_fairness(vector)
         if not 0.0 < value <= 1.0:
             emit(f"jain_fairness({vector}) = {value!r} outside (0, 1]")
-    return findings
+    return out
 
 
 # -- SCD007: job-tag lint over sched/ and the shared network ------------------
 
 #: calls that schedule work on the shared pool and must carry a job tag
 _TAGGED_CALLS = {
-    "transfer", "transfer_latency_only", "run_kernel", "schedule",
+    "transfer", "run_kernel", "schedule",
     "schedule_path", "time_allreduce", "time_partial_allreduce",
 }
 
@@ -595,13 +538,11 @@ def certify_fleet(result: FleetResult, path: str,
     throttle probes from; tests inject a doctored class to prove the
     rule fires.
     """
-    findings: list[Finding] = []
-    findings.extend(_certify_log(result, path))
-    findings.extend(_certify_conservation(result, path))
-    findings.extend(_certify_throttles(result, path, network_cls))
-    findings.extend(_certify_isolation(result, path))
-    findings.extend(_certify_fairness(result, path))
-    return sort_findings(findings)
+    return sort_findings([*_certify_log(result, path),
+                          *_certify_conservation(result, path),
+                          *_certify_throttles(result, path, network_cls),
+                          *_certify_isolation(result, path),
+                          *_certify_fairness(result, path)])
 
 
 def verify_sched(cases: Sequence[FleetCase] | None = None,

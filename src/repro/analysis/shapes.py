@@ -2,40 +2,14 @@
 
 A gradient travels layer-filter → package plan → ravel → compressor
 encode → :func:`~repro.core.serialization.serialize_payload` →
-reduction-scheme chunking before any byte moves.  Each stage has its own
-shape/dtype/byte conventions, and the unit tests only ever exercise the
-composition on tiny tensors — never on the 137M-element embeddings in
-``models/specs.py``, where padding, bucket metadata and chunk boundaries
-actually bite.
+reduction-scheme chunking before any byte moves.  This pass propagates
+*abstract* tensors — (shape, dtype, byte-layout), no data — through
+that pipeline for every (model spec × compressor × reduction scheme)
+triple at full model scale, where padding, bucket metadata and chunk
+boundaries actually bite; the symbolic model is grounded by a
+calibration sweep against real serialized payloads.  Long form:
+``docs/analysis.md`` pillar 6.  The rules:
 
-This pass propagates *abstract* tensors — (shape, dtype, byte-layout),
-no data — through the full pipeline for every (model spec × compressor
-× reduction scheme) triple, at full model scale, in milliseconds:
-
-``SHP001``  plan coverage: a model tensor is dropped or duplicated by
-            the package plan, a package miscounts its elements, or the
-            method cannot restore the flat buffer the scatter step
-            slices back into layers.
-``SHP002``  dtype soundness: a decode or scheme accumulator narrows the
-            fp32 accumulate path (or drifts to a wider dtype the wire
-            claims don't cover).
-``SHP003``  wire-size agreement: the symbolic serialized size of a
-            chunk disagrees with ``spec.wire_bytes`` — the number the
-            perf model, Fig. 7/10 accounting and the adaptive objective
-            all trust.  The symbolic model itself is grounded by a
-            calibration sweep against real serialized payloads on probe
-            tensors.
-``SHP004``  chunk-partition soundness: a scheme's chunking fails to
-            cover the buffer contiguously without overlap, emits empty
-            chunks, or partitions a phase into more chunks than ranks —
-            per-chunk metadata (bucket scales, packing slack, sparsifier
-            floors) scales with chunk count, so an over-chunking scheme
-            silently inflates the wire.
-``SHP005``  package-accounting agreement: ``Package.wire_bytes()`` (the
-            engine's ``payload_bytes`` report) disagrees with the
-            symbolic serialization of the *raveled* buffer the engine
-            actually hands the operator — e.g. a matrix-shape-aware
-            claim for a data path that only ever sees 1-D buffers.
 """
 
 from __future__ import annotations
@@ -51,7 +25,7 @@ from repro.core.serialization import measured_wire_bytes
 from repro.models import ModelSpec, available_specs, build_spec
 
 from .abstract import PROBE_SHAPES, default_registry, probe_specs
-from .findings import Finding
+from .findings import CellFindings, Finding, rule_table
 
 __all__ = [
     "SHAPE_RULES",
@@ -73,6 +47,7 @@ SHAPE_RULES = {
     "SHP004": "scheme chunk partition is unsound or inflates metadata",
     "SHP005": "package accounting disagrees with the raveled data path",
 }
+__doc__ = rule_table(__doc__, SHAPE_RULES)
 
 
 
@@ -260,9 +235,8 @@ def calibrate_payload_model(
     """
     registry = registry or default_registry()
     rng = np.random.default_rng(7)
-    findings: list[Finding] = []
+    out = CellFindings("shape", SHAPE_RULES, path="<shape:calibration>")
     for method in sorted(registry):
-        cell = (method, 0, "<shape:calibration>")
         for spec in probe_specs(method):
             compressor = registry[method](spec)
             for shape in shapes:
@@ -273,76 +247,64 @@ def calibrate_payload_model(
                     symbolic_payload(spec, array.size, shape))
                 measured = measured_wire_bytes(compressed)
                 if symbolic != measured:
-                    findings.append(Finding.semantic(
-                        "shape", "SHP003",
-                        f"symbolic model predicts {symbolic}B for "
-                        f"{method} on shape {shape}, real payload "
-                        f"serializes to {measured}B", *cell))
+                    out.emit("SHP003",
+                             f"symbolic model predicts {symbolic}B for "
+                             f"{method} on shape {shape}, real payload "
+                             f"serializes to {measured}B", method)
                 decoded = compressor.decompress(compressed)
                 if str(decoded.dtype) != "float32":
-                    findings.append(Finding.semantic(
-                        "shape", "SHP002",
-                        f"{method} decompress returned {decoded.dtype} "
-                        f"on shape {shape}; the accumulate path is fp32",
-                        *cell))
-    return findings
+                    out.emit("SHP002",
+                             f"{method} decompress returned {decoded.dtype} "
+                             f"on shape {shape}; the accumulate path is fp32",
+                             method)
+    return out
 
 
 def _check_plan(model_name: str, model: ModelSpec, packages: list,
                 method: str, registry: "dict[str, type[Compressor]]",
                 ) -> list[Finding]:
     """SHP001/SHP002/SHP005: per-plan checks, scheme-independent."""
-    findings: list[Finding] = []
-    cell = (method, 0, f"<shape:{model_name}>")
+    out = CellFindings("shape", SHAPE_RULES, method, 0,
+                       f"<shape:{model_name}>")
     expected = {t.name: t for t in model.tensors}
     seen: list[str] = []
     for package in packages:
         for layer in package.layers:
             seen.append(layer.name)
         if package.numel != sum(l.numel for l in package.layers):
-            findings.append(Finding.semantic(
-                "shape", "SHP001",
-                f"package {package.name!r} claims {package.numel} "
-                f"elements but its layers sum differently", *cell))
+            out.emit("SHP001",
+                     f"package {package.name!r} claims {package.numel} "
+                     f"elements but its layers sum differently")
     dropped = sorted(set(expected) - set(seen))
     if dropped:
-        findings.append(Finding.semantic(
-            "shape", "SHP001",
-            f"plan drops {len(dropped)} tensor(s): {dropped[:5]}", *cell))
+        out.emit("SHP001",
+                 f"plan drops {len(dropped)} tensor(s): {dropped[:5]}")
     duplicated = sorted({name for name in seen if seen.count(name) > 1})
     if duplicated:
-        findings.append(Finding.semantic(
-            "shape", "SHP001",
-            f"plan reduces tensor(s) twice: {duplicated[:5]}", *cell))
+        out.emit("SHP001", f"plan reduces tensor(s) twice: {duplicated[:5]}")
     for layer_name in seen:
         tensor = expected.get(layer_name)
         if tensor is None:
-            findings.append(Finding.semantic(
-                "shape", "SHP001",
-                f"plan invents tensor {layer_name!r}", *cell))
+            out.emit("SHP001", f"plan invents tensor {layer_name!r}")
 
     for package in packages:
         cls = registry.get(package.spec.method)
         contract = getattr(cls, "contract", None) if cls else None
         if contract is None:
-            findings.append(Finding.semantic(
-                "shape", "SHP001",
-                f"package {package.name!r} uses method "
-                f"{package.spec.method!r} with no registered contract", *cell))
+            out.emit("SHP001",
+                     f"package {package.name!r} uses method "
+                     f"{package.spec.method!r} with no registered contract")
             continue
         if not contract.preserves_shape:
-            findings.append(Finding.semantic(
-                "shape", "SHP001",
-                f"package {package.name!r}: method "
-                f"{package.spec.method!r} does not preserve shape; the "
-                f"scatter step slices the flat buffer back into layers",
-                *cell))
+            out.emit("SHP001",
+                     f"package {package.name!r}: method "
+                     f"{package.spec.method!r} does not preserve shape; the "
+                     f"scatter step slices the flat buffer back into layers")
         if contract.output_dtype != "float32":
-            findings.append(Finding.semantic(
-                "shape", "SHP002",
-                f"package {package.name!r}: {package.spec.method!r} "
-                f"decodes to {contract.output_dtype}, narrowing the "
-                f"fp32 accumulate path", *cell))
+            out.emit("SHP002",
+                     f"package {package.name!r}: {package.spec.method!r} "
+                     f"decodes to {contract.output_dtype}, narrowing the "
+                     f"fp32 accumulate path")
         # the engine ravels every buffer before compressing (see
         # _gather_package), so the accounting must match the 1-D view
         claimed = package.wire_bytes()
@@ -350,20 +312,19 @@ def _check_plan(model_name: str, model: ModelSpec, packages: list,
             symbolic_payload(package.spec, package.numel,
                              (package.numel,)))
         if claimed != symbolic:
-            findings.append(Finding.semantic(
-                "shape", "SHP005",
-                f"package {package.name!r} ({package.numel} elements) "
-                f"reports {claimed}B but the raveled buffer serializes "
-                f"to {symbolic}B symbolically", *cell))
-    return findings
+            out.emit("SHP005",
+                     f"package {package.name!r} ({package.numel} elements) "
+                     f"reports {claimed}B but the raveled buffer serializes "
+                     f"to {symbolic}B symbolically")
+    return out
 
 
 def _check_chunks(model_name: str, package: Package, scheme: SchemeModel,
                   world: int, method: str,
                   node_of: "list[int] | None") -> list[Finding]:
     """SHP003/SHP004: per-scheme chunk checks for one package."""
-    findings: list[Finding] = []
-    cell = (f"{method}/{scheme.name}", world, f"<shape:{model_name}>")
+    out = CellFindings("shape", SHAPE_RULES, f"{method}/{scheme.name}", world,
+                       f"<shape:{model_name}>")
     numel = package.numel
     whole_bytes = package.spec.wire_bytes(numel)
     for phase, bounds in scheme.phases(numel, world, node_of):
@@ -376,32 +337,28 @@ def _check_chunks(model_name: str, package: Package, scheme: SchemeModel,
                     symbolic_payload(package.spec, end - start,
                                      (end - start,)))
                 for start, end in bounds) - whole_bytes
-            findings.append(Finding.semantic(
-                "shape", "SHP004",
-                f"{where}: partitions into {len(bounds)} chunks for "
-                f"{world} ranks; per-chunk metadata inflates the wire "
-                f"by {max(extra, 0)}B over the whole-buffer "
-                f"{whole_bytes}B", *cell))
+            out.emit("SHP004",
+                     f"{where}: partitions into {len(bounds)} chunks for "
+                     f"{world} ranks; per-chunk metadata inflates the wire "
+                     f"by {max(extra, 0)}B over the whole-buffer "
+                     f"{whole_bytes}B")
             continue
         for start, end in bounds:
             if start != cursor or end < start:
-                findings.append(Finding.semantic(
-                    "shape", "SHP004",
-                    f"{where}: chunk [{start}, {end}) breaks contiguous "
-                    f"coverage at offset {cursor}", *cell))
+                out.emit("SHP004",
+                         f"{where}: chunk [{start}, {end}) breaks contiguous "
+                         f"coverage at offset {cursor}")
                 sound = False
                 break
             if end == start and numel >= len(bounds):
-                findings.append(Finding.semantic(
-                    "shape", "SHP004",
-                    f"{where}: empty chunk at offset {start} despite "
-                    f"{numel} elements across {len(bounds)} chunks", *cell))
+                out.emit("SHP004",
+                         f"{where}: empty chunk at offset {start} despite "
+                         f"{numel} elements across {len(bounds)} chunks")
                 sound = False
             cursor = end
         if sound and cursor != numel:
-            findings.append(Finding.semantic(
-                "shape", "SHP004",
-                f"{where}: chunks cover {cursor} of {numel} elements", *cell))
+            out.emit("SHP004",
+                     f"{where}: chunks cover {cursor} of {numel} elements")
             sound = False
         if not sound:
             continue
@@ -411,11 +368,10 @@ def _check_chunks(model_name: str, package: Package, scheme: SchemeModel,
             symbolic = symbolic_wire_bytes(
                 symbolic_payload(package.spec, chunk_numel, (chunk_numel,)))
             if claimed != symbolic:
-                findings.append(Finding.semantic(
-                    "shape", "SHP003",
-                    f"{where}: chunk [{start}, {end}) claims {claimed}B "
-                    f"on the wire but serializes to {symbolic}B", *cell))
-    return findings
+                out.emit("SHP003",
+                         f"{where}: chunk [{start}, {end}) claims {claimed}B "
+                         f"on the wire but serializes to {symbolic}B")
+    return out
 
 
 def interpret_pipeline(
@@ -433,22 +389,22 @@ def interpret_pipeline(
     method = config.compression.method
     engine = CommunicationEngine(config)
     packages = engine.plan(model.layer_infos())
-    findings = _check_plan(model_name, model, packages, method, registry)
+    out = _check_plan(model_name, model, packages, method, registry)
 
     for scheme in schemes.values():
         for world in worlds:
             node_of = [rank // 2 for rank in range(world)] \
                 if scheme.name == "hier" else None
             if scheme.accumulator_dtype != "float32":
-                findings.append(Finding.semantic(
+                out.append(Finding.semantic(
                     "shape", "SHP002",
                     f"scheme accumulates decoded chunks into "
                     f"{scheme.accumulator_dtype}; gradients are fp32",
                     f"{method}/{scheme.name}", world, f"<shape:{model_name}>"))
             for package in packages:
-                findings.extend(_check_chunks(
+                out.extend(_check_chunks(
                     model_name, package, scheme, world, method, node_of))
-    return findings
+    return out
 
 
 def _adaptive_config(base: CompressionSpec) -> CGXConfig:

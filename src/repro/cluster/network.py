@@ -177,11 +177,6 @@ class Network:
                 TransferRecord(src, dst, nbytes, start_overall, t, job))
         return t
 
-    def transfer_latency_only(self, src: int, dst: int, ready: float,
-                              job: int | None = None) -> float:
-        """A zero-byte control message (barriers, handshakes)."""
-        return self.transfer(src, dst, 1, ready, job=job)
-
     def _schedule_link(self, link: Link, ready: float, service: float,
                        job: int | None) -> float:
         start, end = self.pool.get(link.name).schedule(ready, service, job=job)

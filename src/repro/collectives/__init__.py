@@ -1,5 +1,9 @@
 """Compression-aware collectives: data paths and timed schedules."""
 
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
 from .allgather import allgather_allreduce
 from .base import (ReduceStats, accumulate_chunk, check_buffers, chunk_bounds,
                    compress_chunk, decompress_chunk, split_chunks, store_chunk)
@@ -41,12 +45,96 @@ def allreduce(scheme, buffers, compressor, rng, key="", node_of=None):
     return ALGORITHMS[scheme](buffers, compressor, rng, key=key)
 
 
+# -- the certifier's cell table ----------------------------------------------
+
+@dataclass(frozen=True)
+class SchemeCell:
+    """One (scheme, world, placement/quorum) row every battery replays.
+
+    ``node_of`` only means something to ``hier`` and ``participants``
+    only to the quorum reducer (``partial``); ``None`` is the callee's
+    own default — one node, full participation.
+    """
+
+    scheme: str
+    world: int
+    node_of: tuple[int, ...] | None = None
+    participants: tuple[int, ...] | None = None
+
+
+#: the table's scheme axis: the registered data paths, then the quorum reducer
+CELL_SCHEMES = (*sorted(ALGORITHMS), "partial")
+
+#: explicit rows, which the batteries that want them add by name: a
+#: quorum that is not the default prefix (late delivery to interleaved
+#: laggards), and hier on single-member nodes (two one-GPU machines) —
+#: outside the schedule verifier's envelope, because the node broadcast
+#: books a payload with no receiver, but the overlap battery runs them
+EXPLICIT_CELLS = (SchemeCell("partial", 5, participants=(0, 2, 4)),)
+SINGLE_MEMBER_CELLS = {
+    (cell.scheme, cell.world): cell
+    for cell in (SchemeCell("hier", 2, node_of=(0, 1)),
+                 SchemeCell("hier", 3, node_of=(0, 0, 1)))}
+
+
+def node_placement(world: int) -> tuple[int, ...]:
+    """Two balanced nodes when each holds >= 2 ranks, else one node.
+
+    A single-member node degenerates hierarchical reduction (its
+    broadcast books a payload with no receiver), so worlds below four
+    keep every rank on one node — the scheme's plain-SRA fallback.
+    """
+    half = world // 2
+    return tuple(int(half >= 2 and rank >= half) for rank in range(world))
+
+
+def default_quorum(world: int) -> tuple[int, ...]:
+    """A strict quorum: about 3/4 of the ranks, always leaving a laggard."""
+    return tuple(range(max(1, min(world - 1, math.ceil(0.75 * world)))))
+
+
+def scheme_cell(scheme: str, world: int) -> SchemeCell:
+    """The table's ``(scheme, world)`` row: the default placement for
+    ``hier``, the default quorum for ``partial``."""
+    return SchemeCell(scheme, world,
+                      node_placement(world) if scheme == "hier" else None,
+                      default_quorum(world) if scheme == "partial" else None)
+
+
+def scheme_cells(worlds: Sequence[int],
+                 schemes: Sequence[str] = CELL_SCHEMES) -> list[SchemeCell]:
+    """The cell table: every scheme x world row, scheme-major."""
+    return [scheme_cell(scheme, world)
+            for scheme in schemes for world in worlds]
+
+
+def run_cell(cell, buffers, compressor, rng, key="", reducer=None,
+             node_of=None, participants=None):
+    """Run ``cell``'s scheme once on ``buffers``: ``(outputs, ReduceStats)``.
+
+    The one invoker behind every battery.  ``node_of`` / ``participants``
+    override the row's own (a demoted phase reduces over survivors);
+    a caller that needs carries to outlive the call (drain phases)
+    passes the :class:`PartialAllreduce` it keeps as ``reducer``.
+    """
+    if cell.scheme == "partial":
+        quorum = participants or cell.participants or range(len(buffers))
+        reducer = reducer or PartialAllreduce(len(buffers))
+        return reducer.reduce(buffers, list(quorum), compressor, rng, key=key)
+    placement = node_of or cell.node_of
+    return allreduce(cell.scheme, buffers, compressor, rng, key=key,
+                     node_of=list(placement) if placement else None)
+
+
 __all__ = [
     "ReduceStats", "chunk_bounds", "check_buffers", "split_chunks",
     "compress_chunk", "decompress_chunk", "accumulate_chunk", "store_chunk",
     "sra_allreduce", "ring_allreduce", "tree_allreduce",
     "allgather_allreduce", "ps_allreduce", "hierarchical_allreduce",
     "ALGORITHMS", "allreduce",
+    "SchemeCell", "CELL_SCHEMES", "EXPLICIT_CELLS", "SINGLE_MEMBER_CELLS",
+    "node_placement",
+    "default_quorum", "scheme_cell", "scheme_cells", "run_cell",
     "SCHEMES", "CollectiveTiming", "time_allreduce",
     "time_partial_allreduce", "PartialAllreduce",
     "TimedBucket", "OverlapStepTiming", "time_overlapped_step",

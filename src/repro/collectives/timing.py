@@ -49,13 +49,12 @@ class _Scheduler:
     """Shared helpers binding a network, a spec and kernel accounting."""
 
     def __init__(self, network: Network, spec: CompressionSpec,
-                 extra_flops_per_elem: float = 0.0, streams: int = 1,
-                 kernel_factor: float = 1.0, job: int | None = None):
+                 streams: int = 1, kernel_factor: float = 1.0,
+                 job: int | None = None):
         self.net = network
         self.spec = spec
         # "fake" compression only truncates the send; it runs no kernel
         self.compressing = spec.method not in ("none", "fake")
-        self.extra_flops_per_elem = extra_flops_per_elem
         self.streams = max(1, streams)
         self.kernel_factor = kernel_factor
         self.job = job
@@ -67,9 +66,7 @@ class _Scheduler:
         """Charge one compress/decompress kernel; returns end time."""
         if not self.compressing:
             return ready
-        duration = self.kernel_factor * kernel_seconds(
-            numel * 4, extra_flops=self.extra_flops_per_elem * numel
-        )
+        duration = self.kernel_factor * kernel_seconds(numel * 4)
         stream = self._stream_rr.get(gpu, 0)
         self._stream_rr[gpu] = (stream + 1) % self.streams
         self.kernel_calls += 1
@@ -94,7 +91,6 @@ def time_allreduce(
     scheme: str = "sra",
     ready: list[float] | float = 0.0,
     chunk_streams: int = 1,
-    extra_flops_per_elem: float = 0.0,
     kernel_factor: float = 1.0,
     job: int | None = None,
 ) -> CollectiveTiming:
@@ -110,8 +106,6 @@ def time_allreduce(
         ready: per-rank gradient-ready times (scalar = same for all).
         chunk_streams: parallel compression streams per GPU (the SRA
             chunk-parallel optimization worth ~5% in the paper).
-        extra_flops_per_elem: additional per-element compression compute
-            (PowerSGD's matmuls).
         kernel_factor: multiplier on kernel durations (QNCCL's constrained
             in-library kernels pay ~2x).
         job: owning job id on a shared (multi-job) network — every
@@ -128,8 +122,7 @@ def time_allreduce(
     if world == 1:
         return CollectiveTiming([ready[0]], 0, 0)
 
-    sched = _Scheduler(network, spec, extra_flops_per_elem, chunk_streams,
-                       kernel_factor, job=job)
+    sched = _Scheduler(network, spec, chunk_streams, kernel_factor, job=job)
     start = [sched.op_start(t) for t in ready]
 
     dispatch = {

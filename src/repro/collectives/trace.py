@@ -31,6 +31,7 @@ lifetime.  The happens-before race detector over these records lives in
 
 from __future__ import annotations
 
+from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
@@ -46,6 +47,8 @@ __all__ = [
     "TraceEvent",
     "BufferAccess",
     "OverlapEvent",
+    "MessageMatch",
+    "match_messages",
     "ScheduleTrace",
     "capture",
     "rank_scope",
@@ -149,6 +152,54 @@ class OverlapEvent:
     bucket: str = ""
     first_needed: int = -1
     pos: int = 0
+
+
+@dataclass(frozen=True)
+class MessageMatch:
+    """How the sends and recvs of one event sequence pair up."""
+
+    #: (send position, recv position) per matched message, in recv order;
+    #: positions index the sequence handed to :func:`match_messages`
+    pairs: tuple[tuple[int, int], ...]
+    #: match key -> sends no recv consumes / recvs no send satisfies
+    orphan_sends: Counter
+    orphan_recvs: Counter
+    #: recvs emitted ahead of a send that does exist for their key
+    early_recvs: int
+
+
+def match_messages(items: Sequence[object]) -> MessageMatch:
+    """Pair sends with recvs by :meth:`TraceEvent.match_key`, FIFO.
+
+    The one matcher behind SCH001-003, the happens-before message edges
+    (RACE, and through it FLT/OVL) and DLV002.  ``items`` is a whole
+    trace's events, one phase segment, or a ``timeline`` (non-event
+    records are skipped, positions still index ``items``).  Replays the
+    log: a recv consumes the earliest prior unmatched send with its
+    key; one that finds none pairs with nothing — it is *early* if the
+    key's sends cover its recvs overall, an orphan otherwise.
+    """
+    pending: dict[tuple, deque[int]] = {}
+    sends: Counter = Counter()
+    recvs: Counter = Counter()
+    pairs: list[tuple[int, int]] = []
+    unpaired: list[tuple] = []
+    for pos, item in enumerate(items):
+        if not isinstance(item, TraceEvent):
+            continue
+        key = item.match_key()
+        if item.kind == "send":
+            sends[key] += 1
+            pending.setdefault(key, deque()).append(pos)
+        else:
+            recvs[key] += 1
+            if pending.get(key):
+                pairs.append((pending[key].popleft(), pos))
+            else:
+                unpaired.append(key)
+    return MessageMatch(
+        tuple(pairs), sends - recvs, recvs - sends,
+        sum(1 for key in unpaired if sends[key] >= recvs[key]))
 
 
 class ScheduleTrace:

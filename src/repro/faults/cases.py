@@ -31,26 +31,28 @@ between sequential collective calls):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.collectives import ALGORITHMS, PartialAllreduce
+from repro.collectives import (PartialAllreduce, SchemeCell, default_quorum,
+                               run_cell, scheme_cells)
 from repro.collectives.trace import (ScheduleTrace, capture, phase_scope,
                                      rank_scope)
 from repro.compression import CompressionSpec, Compressor, make_compressor
 
 from .inject import inject_data_path
-from .plan import CAMPAIGNS, PlanRuntime, make_campaign
+from .plan import FIXED_WORLD_CAMPAIGNS, PlanRuntime, make_campaign
 from .policy import ResiliencePolicy
 
 __all__ = ["LivenessCase", "LivenessAux", "liveness_cases",
            "trace_liveness_case", "LIVENESS_CAMPAIGNS"]
 
-#: campaign axes of the battery; "none" is the fault-free control
-LIVENESS_CAMPAIGNS = ("none",) + tuple(sorted(CAMPAIGNS))
+#: campaign axes of the battery; "none" is the fault-free control.  The
+#: elastic campaigns resize the world, which these fixed-world scripts
+#: do not model (the ELA battery certifies them).
+LIVENESS_CAMPAIGNS = ("none",) + FIXED_WORLD_CAMPAIGNS
 
 #: the step every injecting campaign is sampled at (inside the loss
 #: window of lossy-link, the crash window of crash-rejoin, and the
@@ -62,14 +64,11 @@ _REJOIN_STEP = 9
 
 
 @dataclass(frozen=True)
-class LivenessCase:
-    """One (scheme, world, campaign) cell of the liveness battery."""
+class LivenessCase(SchemeCell):
+    """One (scheme, world, campaign) cell of the liveness battery: a
+    row of the cell table plus the campaign axis."""
 
-    scheme: str
-    world: int
-    campaign: str                                 # one of LIVENESS_CAMPAIGNS
-    node_of: tuple[int, ...] | None = None        # hier topology
-    participants: tuple[int, ...] | None = None   # partial quorum
+    campaign: str = "none"                        # one of LIVENESS_CAMPAIGNS
     excluded: tuple[int, ...] = ()                # ranks dead at _FAULT_STEP
     seed: int = 0
 
@@ -92,26 +91,7 @@ class LivenessAux:
     phase_excluded: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
 
-def _hier_node_of(world: int) -> tuple[int, ...]:
-    """Two balanced nodes when the world can fill them, else one node.
-
-    A single-member node degenerates hierarchical reduction, so worlds
-    below four keep every rank on one node (the scheme then runs its
-    documented single-node fallback: plain SRA).
-    """
-    if world < 4:
-        return tuple(0 for _ in range(world))
-    half = world // 2
-    return tuple(0 if r < half else 1 for r in range(world))
-
-
-def _partial_participants(world: int) -> tuple[int, ...]:
-    """A strict quorum: roughly 3/4 of ranks, always leaving a laggard."""
-    count = min(world - 1, max(1, math.ceil(0.75 * world)))
-    return tuple(range(count))
-
-
-def liveness_cases(worlds: tuple[int, ...] = (2, 3, 4)
+def liveness_cases(worlds: Sequence[int] = (2, 3, 4)
                    ) -> list[LivenessCase]:
     """The full battery: every scheme x world x campaign cell.
 
@@ -120,22 +100,17 @@ def liveness_cases(worlds: tuple[int, ...] = (2, 3, 4)
     list stays in lockstep with
     :func:`~repro.faults.plan.make_campaign`.
     """
-    schemes = sorted(ALGORITHMS) + ["partial"]
     cases: list[LivenessCase] = []
-    for scheme in schemes:
-        for world in worlds:
-            node_of = _hier_node_of(world) if scheme == "hier" else None
-            participants = (_partial_participants(world)
-                            if scheme == "partial" else None)
-            for campaign in LIVENESS_CAMPAIGNS:
-                excluded: tuple[int, ...] = ()
-                if campaign == "crash-rejoin":
-                    plan = make_campaign(campaign, world=world)
-                    excluded = tuple(sorted(
-                        plan.at_step(_FAULT_STEP).dead_ranks()))
-                cases.append(LivenessCase(
-                    scheme, world, campaign, node_of=node_of,
-                    participants=participants, excluded=excluded))
+    for cell in scheme_cells(worlds):
+        for campaign in LIVENESS_CAMPAIGNS:
+            excluded: tuple[int, ...] = ()
+            if campaign == "crash-rejoin":
+                plan = make_campaign(campaign, world=cell.world)
+                excluded = tuple(sorted(
+                    plan.at_step(_FAULT_STEP).dead_ranks()))
+            cases.append(LivenessCase(
+                cell.scheme, cell.world, cell.node_of, cell.participants,
+                campaign=campaign, excluded=excluded))
     return cases
 
 
@@ -150,8 +125,10 @@ class _CaseRunner:
         self.buffers = [
             np.asarray(self.rng.normal(size=numel), dtype=np.float32)
             for _ in range(case.world)]
+        # the quorum column keeps one reducer so the drain phase can
+        # fold in the carries the quorum phase banked
         self.reducer = (PartialAllreduce(case.world)
-                        if case.scheme == "partial" else None)
+                        if case.participants is not None else None)
         self.aux = LivenessAux()
 
     def phase(self, label: str, body: Callable[[], None]) -> None:
@@ -159,29 +136,10 @@ class _CaseRunner:
         with phase_scope(label):
             body()
 
-    def collective(self, buffers: list[np.ndarray], key: str,
-                   node_of: tuple[int, ...] | None = None,
-                   participants: list[int] | None = None,
-                   reducer: PartialAllreduce | None = None) -> None:
-        """One collective call with this case's scheme on ``buffers``."""
-        scheme = self.case.scheme
-        if scheme == "partial":
-            reducer = reducer if reducer is not None else self.reducer
-            assert reducer is not None
-            quorum = (participants if participants is not None
-                      else list(self.case.participants
-                                or range(len(buffers))))
-            reducer.reduce(buffers, quorum, self.compressor, self.rng,
-                           key=key)
-            return
-        kwargs: dict = {}
-        if scheme == "hier":
-            chosen = (node_of if node_of is not None
-                      else (self.case.node_of
-                            or _hier_node_of(len(buffers))))
-            kwargs["node_of"] = list(chosen)
-        ALGORITHMS[scheme](buffers, self.compressor, self.rng, key=key,
-                           **kwargs)
+    def reduce(self, participants: Sequence[int] | None = None) -> None:
+        """One full-world collective call of this case's cell."""
+        run_cell(self.case, self.buffers, self.compressor, self.rng,
+                 key="live", reducer=self.reducer, participants=participants)
 
     # -- campaign scripts ----------------------------------------------
 
@@ -190,62 +148,53 @@ class _CaseRunner:
         """One reduction step (plus the partial drain step)."""
         if runtime is not None and inject_step is not None:
             runtime.advance(inject_step)
-        label = "step" if inject_step is None else f"step{inject_step}"
-        self.phase(label, lambda: self.collective(self.buffers, key="live"))
+        self.phase("step" if inject_step is None else f"step{inject_step}",
+                   self.reduce)
         if self.reducer is not None:
             # full participation folds in every banked carry
-            self.phase("drain", lambda: self.collective(
-                self.buffers, key="live",
-                participants=list(range(self.case.world))))
+            self.phase("drain",
+                       lambda: self.reduce(range(self.case.world)))
             self.aux.undrained_carries |= self.reducer.has_carries()
 
     def run_crash_rejoin(self, runtime: PlanRuntime) -> None:
         """full -> demoted (survivor quorum) -> rejoined, one trace."""
         case = self.case
         runtime.advance(_FAULT_STEP - 1)
-        self.phase("full", lambda: self.collective(self.buffers, key="live"))
+        self.phase("full", self.reduce)
 
         runtime.advance(_FAULT_STEP)
         dead = runtime.faults().dead_ranks()
         live = [r for r in range(case.world) if r not in dead]
         self.aux.phase_excluded["demoted"] = tuple(sorted(dead))
         if len(live) >= 2:
+            # the supervisor rebuilds the group over survivors (re-ranked
+            # through rank_scope).  The quorum column runs a strict
+            # quorum inside it — the late path among live ranks only —
+            # then a drain call that empties the carries
             survivors = [self.buffers[r] for r in live]
-            if case.scheme == "partial":
-                # the supervisor rebuilds the group over survivors; a
-                # strict quorum inside it exercises the late path among
-                # live ranks only, then a drain call empties the carries
+            quorums: list[Sequence[int] | None] = [None]
+            demoted = None
+            if self.reducer is not None:
                 demoted = PartialAllreduce(len(live))
-                quorum = list(range(len(live) - 1)) or [0]
+                quorums = [default_quorum(len(live)), range(len(live))]
+            node_of = (_rebalance_nodes(tuple(case.node_of[r] for r in live))
+                       if case.node_of is not None else None)
 
-                def demoted_body() -> None:
-                    with rank_scope(live):
-                        demoted.reduce(survivors, quorum, self.compressor,
-                                       self.rng, key="demoted")
-                        demoted.reduce(survivors, list(range(len(live))),
-                                       self.compressor, self.rng,
-                                       key="demoted")
+            def demoted_body() -> None:
+                with rank_scope(live):
+                    for quorum in quorums:
+                        run_cell(case, survivors, self.compressor, self.rng,
+                                 key="demoted", reducer=demoted,
+                                 node_of=node_of, participants=quorum)
 
-                self.phase("demoted", demoted_body)
+            self.phase("demoted", demoted_body)
+            if demoted is not None:
                 self.aux.undrained_carries |= demoted.has_carries()
-            else:
-                node_of = None
-                if case.scheme == "hier":
-                    base = case.node_of or _hier_node_of(case.world)
-                    node_of = _rebalance_nodes(tuple(base[r] for r in live))
-
-                def demoted_body() -> None:
-                    with rank_scope(live):
-                        self.collective(survivors, key="demoted",
-                                        node_of=node_of)
-
-                self.phase("demoted", demoted_body)
         # a single survivor has nobody to reduce with: the engine skips
         # the collective for that step (nothing to certify)
 
         runtime.advance(_REJOIN_STEP)
-        self.phase("rejoined",
-                   lambda: self.collective(self.buffers, key="live"))
+        self.phase("rejoined", self.reduce)
 
 
 def _rebalance_nodes(node_of: tuple[int, ...]) -> tuple[int, ...]:

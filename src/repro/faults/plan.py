@@ -30,7 +30,8 @@ __all__ = [
     "FAULT_KINDS", "FaultEvent", "FaultPlan", "StepFaults", "FaultRecord",
     "PlanRuntime", "link_slowdown", "link_outage", "message_loss",
     "payload_corruption", "straggler", "crash", "preempt_warning",
-    "provision", "CAMPAIGNS", "make_campaign", "oracle_guard",
+    "provision", "CAMPAIGNS", "FIXED_WORLD_CAMPAIGNS", "make_campaign",
+    "oracle_guard",
 ]
 
 #: every fault class the engine can inject.  ``preempt_warning`` and
@@ -563,6 +564,11 @@ CAMPAIGNS: dict = {
     "lossy-link": _lossy_link_campaign,
     "crash-rejoin": _crash_rejoin_campaign,
 }
+
+#: the campaigns above, captured before ``faults.elastic`` registers its
+#: world-resizing ones into :data:`CAMPAIGNS`: the batteries that script
+#: a fixed world (liveness, FLT003, CI's chaos step) sweep exactly these
+FIXED_WORLD_CAMPAIGNS = tuple(sorted(CAMPAIGNS))
 
 
 def make_campaign(name: str, world: int = 4, seed: int = 0) -> FaultPlan:

@@ -6,29 +6,23 @@ principle hide a schedule asymmetry or a data race behind noise — or
 introduce one of their own.  These batteries close that hole; they are
 runners of the ``contracts`` and ``races`` rows of
 :data:`repro.analysis.registry.REGISTRY`, so CI runs them alongside
-SCH/RACE/CON:
+SCH/RACE/CON.  The rules:
 
-``FLT001``  a schedule invariant (SCH001..SCH007) is violated while a
-            lossy campaign is injecting into the data path.
-``FLT002``  the happens-before race detector finds a hazard that only
-            exists under injection.
-``FLT003``  two runs of one campaign under one seed produce different
-            fault event logs — the reproducibility contract is broken.
-``FLT004``  a corrupted payload's CRC collides with the original, so
-            retransmit-on-corrupt would deliver garbage.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.findings import Finding, sort_findings
+from repro.analysis.findings import (CellFindings, Finding, rule_table,
+                                     sort_findings)
 from repro.analysis.races import analyze_trace
-from repro.analysis.schedule import SchemeCase, trace_case, verify_trace
+from repro.analysis.schedule import trace_case, verify_trace
+from repro.collectives import scheme_cell
 from repro.compression import CompressionSpec, make_compressor
 
 from .inject import corrupt_payload, inject_data_path, payload_crc
-from .plan import PlanRuntime, make_campaign
+from .plan import FIXED_WORLD_CAMPAIGNS, PlanRuntime, make_campaign
 from .policy import ResiliencePolicy
 
 __all__ = ["FAULT_RULES", "verify_fault_schedules", "verify_fault_determinism",
@@ -40,17 +34,14 @@ FAULT_RULES = {
     "FLT003": "fault campaign is not seed-deterministic",
     "FLT004": "CRC fails to detect payload corruption",
 }
+__doc__ = rule_table(__doc__, FAULT_RULES)
 
-#: the scheme battery the injection sweep runs (one case per schedule
-#: shape; hierarchical is covered through its nested SRA calls)
-_FAULT_CASES = (
-    SchemeCase("sra", 4),
-    SchemeCase("ring", 4),
-    SchemeCase("tree", 5),
-    SchemeCase("allgather", 3),
-    SchemeCase("ps", 4),
-    SchemeCase("partial", 4, participants=(0, 1, 2)),
-)
+#: the rows the injection sweep runs, scheme -> world: one per schedule
+#: shape (hierarchical is covered through its nested SRA calls)
+_FAULT_WORLDS = {"sra": 4, "ring": 4, "tree": 5, "allgather": 3, "ps": 4,
+                 "partial": 4}
+_FAULT_CASES = tuple(scheme_cell(scheme, world)
+                     for scheme, world in _FAULT_WORLDS.items())
 
 #: a fault step well inside every campaign's loss/corruption window
 _INJECT_STEP = 4
@@ -72,6 +63,8 @@ def verify_fault_schedules(cases=_FAULT_CASES, seed: int = 0
     """Re-run the SCH + RACE batteries with a lossy campaign installed."""
     findings: list[Finding] = []
     for case in cases:
+        out = CellFindings("faults", FAULT_RULES, case.scheme, case.world,
+                           fault_path(case.scheme, case.world))
         runtime = _campaign_runtime(case.world, seed)
         with inject_data_path(runtime):
             trace, stats = trace_case(case, seed=seed)
@@ -79,18 +72,16 @@ def verify_fault_schedules(cases=_FAULT_CASES, seed: int = 0
                 ("FLT001", verify_trace(trace, stats, case)),
                 ("FLT002", analyze_trace(trace, case.scheme, case.world))):
             for inner in inners:
-                findings.append(Finding.semantic(
-                    "faults", rule,
-                    f"[{inner.rule}] under lossy-link injection: "
-                    f"{inner.message}", case.scheme, case.world,
-                    fault_path(case.scheme, case.world)))
+                out.emit(rule, f"[{inner.rule}] under lossy-link injection: "
+                               f"{inner.message}")
+        findings.extend(out)
     return sort_findings(findings)
 
 
 def verify_fault_determinism(world: int = 4, seed: int = 7) -> list[Finding]:
     """One campaign, one seed, two runs: the event logs must be bytes-equal."""
     findings: list[Finding] = []
-    for campaign in ("straggler", "lossy-link", "crash-rejoin"):
+    for campaign in FIXED_WORLD_CAMPAIGNS:
         logs = []
         for _ in range(2):
             runtime = PlanRuntime(
@@ -98,7 +89,7 @@ def verify_fault_determinism(world: int = 4, seed: int = 7) -> list[Finding]:
             for step in range(1, 12):
                 runtime.advance(step)
                 with inject_data_path(runtime):
-                    trace_case(SchemeCase("sra", world), seed=seed)
+                    trace_case(scheme_cell("sra", world), seed=seed)
             logs.append(runtime.log_bytes())
         if logs[0] != logs[1]:
             findings.append(Finding.semantic(

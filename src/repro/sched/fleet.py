@@ -29,7 +29,7 @@ import heapq
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from repro.cluster import Network, Topology, get_backend, get_gpu
 from repro.cluster.gpu import GPUSpec
@@ -128,6 +128,15 @@ class FleetResult:
         return json.dumps(payload, sort_keys=True,
                           separators=(",", ":")).encode("utf-8")
 
+    def records_of(self, kind: str, job: int | None = None
+                   ) -> Iterator[dict]:
+        """This run's ``kind`` records (of ``job`` only, if given), in
+        log order — the one reader of the fleet event log, like
+        :func:`repro.faults.plan.records_of` for the fault log."""
+        for record in self.records:
+            if record["event"] == kind and job in (None, record["job"]):
+                yield record
+
     def metrics(self) -> FleetMetrics:
         """Fleet-level metrics (lazy import avoids a module cycle)."""
         from .metrics import compute_metrics
@@ -158,12 +167,8 @@ class FleetResult:
                         route_policy=self.routing)
         if spec.throttle < 1.0:
             probe.set_job_throttle(job_id, spec.throttle)
-        ends: list[float] = []
-        for record in self.records:
-            if record["event"] == "step" and record["job"] == job_id:
-                end, _ = runner.run_step(record["t"], network=probe)
-                ends.append(end)
-        return ends
+        return [runner.run_step(record["t"], network=probe)[0]
+                for record in self.records_of("step", job_id)]
 
 
 class FleetSimulator:

@@ -523,12 +523,12 @@ def test_docs_help_and_readme_agree_with_the_registry():
         docs = handle.read()
     headings = re.findall(r"^## Pillar (\d+): the (.+) \((\w+) rules\)$",
                           docs, flags=re.M)
-    assert headings == [(str(i + 1), row.title, row.rules)
+    assert headings == [(str(i + 1), row.title, row.family)
                         for i, row in enumerate(REGISTRY)]
 
     help_text = " ".join(build_parser().format_help().split())
     for row in REGISTRY:
-        assert f"{row.title} ({row.rules})" in help_text.replace("- ", "-")
+        assert f"{row.title} ({row.family})" in help_text.replace("- ", "-")
         if row.name not in ("lint", "schedule"):
             assert f"--{row.name} " in help_text
     assert ", ".join(row.name for row in REGISTRY) in help_text
@@ -541,4 +541,4 @@ def test_docs_help_and_readme_agree_with_the_registry():
     counts = set(re.findall(r"all (\w+) passes", readme + docs))
     assert counts == {words[len(REGISTRY)]}
     for row in REGISTRY:
-        assert f"{row.title} ({row.rules}" in readme
+        assert f"{row.title} ({row.family}" in readme

@@ -269,4 +269,9 @@ def test_behavior_probe_detects_powersgd_state():
 
 
 def test_contract_rules_table_complete():
-    assert set(CONTRACT_RULES) == {f"CON00{i}" for i in range(1, 9)}
+    from repro.analysis.registry import REGISTRY
+
+    (row,) = [r for r in REGISTRY if r.name == "contracts"]
+    assert row.rule_table is CONTRACT_RULES and row.family == "CON"
+    # key completeness (code literals, docs rows) is the one agreement
+    # test's job: tests/test_analysis_cells.py

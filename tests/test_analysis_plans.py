@@ -45,7 +45,13 @@ def test_battery_covers_every_model_spec_and_degenerate_corners():
 
 
 def test_every_rule_has_a_description():
-    assert sorted(PLAN_RULES) == [f"BWP00{i}" for i in range(1, 8)]
+    from repro.analysis.registry import REGISTRY
+
+    (row,) = [r for r in REGISTRY if r.name == "plans"]
+    assert row.rule_table is PLAN_RULES and row.family == "BWP"
+    assert all(PLAN_RULES.values())
+    # key completeness (code literals, docs rows) is the one agreement
+    # test's job: tests/test_analysis_cells.py
     assert set(OPTIMALITY_RATCHET) == set(ASSIGNERS)
 
 

@@ -217,7 +217,12 @@ def test_stateful_compressor_on_real_scheme_clean():
 
 
 def test_race_rules_table_complete():
-    assert set(RACE_RULES) == {f"RACE00{i}" for i in range(1, 5)}
+    from repro.analysis.registry import REGISTRY
+
+    (row,) = [r for r in REGISTRY if r.name == "races"]
+    assert row.rule_table is RACE_RULES and row.family == "RACE"
+    # key completeness (code literals, docs rows) is the one agreement
+    # test's job: tests/test_analysis_cells.py
 
 
 def test_capture_isolated_per_trace():

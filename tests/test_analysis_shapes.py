@@ -42,7 +42,13 @@ def test_scheme_models_cover_every_registered_scheme():
 
 
 def test_every_rule_has_a_description():
-    assert sorted(SHAPE_RULES) == [f"SHP00{i}" for i in range(1, 6)]
+    from repro.analysis.registry import REGISTRY
+
+    (row,) = [r for r in REGISTRY if r.name == "shapes"]
+    assert row.rule_table is SHAPE_RULES and row.family == "SHP"
+    assert all(SHAPE_RULES.values())
+    # key completeness (code literals, docs rows) is the one agreement
+    # test's job: tests/test_analysis_cells.py
 
 
 # -- the symbolic payload model matches reality -------------------------------
