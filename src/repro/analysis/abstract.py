@@ -30,20 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.compression import (
-    Compressor,
-    CompressionSpec,
-    DGCCompressor,
-    FakeCompressor,
-    FP16Compressor,
-    IdentityCompressor,
-    NUQSGDCompressor,
-    OneBitCompressor,
-    PowerSGDCompressor,
-    QSGDCompressor,
-    TopKCompressor,
-)
-from repro.compression.topk import ErrorFeedback
+from repro.compression import METHODS, CompressionSpec, Compressor, ErrorFeedback
 from repro.core import CGXConfig, CommunicationEngine, Package
 from repro.core.filters import LayerInfo
 from repro.core.serialization import measured_wire_bytes, serialize_payload
@@ -70,18 +57,8 @@ PROBE_SHAPES: tuple[tuple[int, ...], ...] = (
 
 
 def default_registry() -> dict[str, type[Compressor]]:
-    """Method -> operator class, mirroring :func:`make_compressor`."""
-    return {
-        "none": IdentityCompressor,
-        "fp16": FP16Compressor,
-        "qsgd": QSGDCompressor,
-        "nuq": NUQSGDCompressor,
-        "topk": TopKCompressor,
-        "powersgd": PowerSGDCompressor,
-        "fake": FakeCompressor,
-        "onebit": OneBitCompressor,
-        "dgc": DGCCompressor,
-    }
+    """A copy of the one method -> operator class table."""
+    return dict(METHODS)
 
 
 def probe_specs(method: str) -> list[CompressionSpec]:

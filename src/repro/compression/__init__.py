@@ -1,6 +1,9 @@
-"""Gradient compression operators: QSGD, TopK, PowerSGD, fake, identity."""
+"""Gradient compression operators, one class per :data:`METHODS` entry —
+identity (``none``), ``fp16``, ``qsgd``, ``nuq``, ``onebit``, ``topk``,
+``dgc``, ``powersgd``, ``fake`` — each declaring the
+:class:`CompressorContract` the certifier checks."""
 
-from .base import Compressed, CompressionSpec, Compressor, make_compressor
+from .base import METHODS, Compressed, CompressionSpec, Compressor, make_compressor, register
 from .contracts import CompressorContract
 from .dgc import DGCCompressor
 from .fake import FakeCompressor
@@ -20,7 +23,7 @@ from .topk import ErrorFeedback, TopKCompressor
 
 __all__ = [
     "Compressed", "CompressionSpec", "Compressor", "make_compressor",
-    "CompressorContract",
+    "METHODS", "register", "CompressorContract",
     "FakeCompressor", "FP16Compressor", "IdentityCompressor",
     "NUQSGDCompressor", "exponential_levels",
     "OneBitCompressor", "DGCCompressor",

@@ -6,6 +6,12 @@ gradients) and the performance model (wire-size and kernel-cost
 accounting) consume.  :func:`make_compressor` instantiates the matching
 operator.
 
+A method is one :class:`Compressor` subclass: it declares its contract,
+parameter validation, wire size and payload field order, and
+:func:`register` enters it into :data:`METHODS`, the one table spec
+validation, :func:`make_compressor`, the wire encoding and the contract
+checker read.
+
 Wire-size accounting is exact: e.g. 4-bit QSGD with bucket size 128
 costs ``numel * 4 bits`` of payload plus one fp32 scale per bucket,
 which is the 4-bit + metadata layout CGX transmits.
@@ -14,18 +20,28 @@ which is the 4-bit + metadata layout CGX transmits.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, ClassVar
+from typing import Any, ClassVar, Optional, TypeVar
 
 import numpy as np
 
 from .contracts import CompressorContract
 
-if TYPE_CHECKING:  # pragma: no cover
-    from typing import Any
-
-__all__ = ["CompressionSpec", "Compressed", "Compressor", "make_compressor"]
+__all__ = ["CompressionSpec", "Compressed", "Compressor", "METHODS",
+           "register", "make_compressor"]
 
 FP32_BYTES = 4
+Shape = Optional[tuple[int, ...]]
+
+#: the one ``method -> operator class`` table, filled by :func:`register`
+METHODS: dict[str, type[Compressor]] = {}
+
+
+def operator_class(method: str) -> type[Compressor]:
+    """The registered class implementing ``method``."""
+    try:
+        return METHODS[method]
+    except KeyError:
+        raise ValueError(f"unknown compression method {method!r}") from None
 
 
 @dataclass(frozen=True)
@@ -38,7 +54,7 @@ class CompressionSpec:
             ``onebit`` = Seide et al. 1-bit SGD; ``dgc`` = Deep Gradient
             Compression with momentum correction).
         bits: quantization bit-width (qsgd/nuq), including the sign bit.
-        bucket_size: elements per quantization bucket (qsgd/nuq).
+        bucket_size: elements per quantization bucket (qsgd/nuq/onebit).
         density: fraction of elements kept (topk).
         rank: decomposition rank (powersgd).
         ratio: transmitted fraction is ``1/ratio`` (fake).
@@ -62,56 +78,16 @@ class CompressionSpec:
     error_feedback: bool = False
     wire_dtype_bits: int = 0
 
-    def __post_init__(self):
-        if self.method not in ("none", "fp16", "qsgd", "nuq", "topk",
-                               "powersgd", "fake", "onebit", "dgc"):
-            raise ValueError(f"unknown compression method {self.method!r}")
-        if self.method in ("qsgd", "nuq"):
-            if not 2 <= self.bits <= 8:
-                raise ValueError(f"qsgd bits must be in [2, 8], got {self.bits}")
-            if self.bucket_size < 1:
-                raise ValueError("bucket_size must be >= 1")
-            if self.scaling not in ("max", "l2"):
-                raise ValueError(f"unknown scaling {self.scaling!r}")
-        if self.method in ("topk", "dgc") and not 0 < self.density <= 1:
-            raise ValueError(f"density must be in (0, 1], got {self.density}")
-        if self.method == "powersgd" and self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if self.method == "fake" and self.ratio < 1:
-            raise ValueError("fake ratio must be >= 1")
+    def __post_init__(self) -> None:
+        operator_class(self.method).validate(self)
 
-    def wire_bytes(self, numel: int, shape: tuple[int, ...] | None = None) -> int:
+    def wire_bytes(self, numel: int, shape: Shape = None) -> int:
         """Exact transmitted bytes for a tensor of ``numel`` elements."""
         if numel == 0:
             return 0
-        if self.method == "none":
-            return numel * FP32_BYTES
-        if self.method == "fp16":
-            return numel * 2
-        if self.method in ("qsgd", "nuq"):
-            buckets = -(-numel // self.bucket_size)
-            code_bits = self.wire_dtype_bits or self.bits
-            payload_bits = numel * code_bits
-            return -(-payload_bits // 8) + buckets * FP32_BYTES
-        if self.method in ("topk", "dgc"):
-            k = max(1, int(numel * self.density))
-            return k * (4 + FP32_BYTES)  # int32 index + fp32 value
-        if self.method == "onebit":
-            buckets = -(-numel // self.bucket_size)
-            return -(-numel // 8) + buckets * 2 * FP32_BYTES
-        if self.method == "powersgd":
-            rows, cols = _matrix_shape(numel, shape)
-            if rows == 1 or cols == 1:
-                return numel * FP32_BYTES  # 1-D tensors stay uncompressed
-            # the operator clamps the rank to the matrix dimensions, so
-            # the claim must too or small layers over-report their bytes
-            return (rows + cols) * min(self.rank, rows, cols) * FP32_BYTES
-        if self.method == "fake":
-            return max(1, int(numel / self.ratio)) * FP32_BYTES
-        raise AssertionError(f"unreachable method {self.method}")
+        return METHODS[self.method].wire_bytes(self, numel, shape)
 
-    def compression_ratio(self, numel: int,
-                          shape: tuple[int, ...] | None = None) -> float:
+    def compression_ratio(self, numel: int, shape: Shape = None) -> float:
         """Dense fp32 bytes divided by wire bytes."""
         return numel * FP32_BYTES / self.wire_bytes(numel, shape)
 
@@ -120,15 +96,6 @@ class CompressionSpec:
         """Copy of this spec with a different bit-width (adaptive path)."""
         return replace(self, bits=bits,
                        bucket_size=bucket_size or self.bucket_size)
-
-
-def _matrix_shape(numel: int, shape: tuple[int, ...] | None) -> tuple[int, int]:
-    """The (rows, cols) view PowerSGD uses for a tensor."""
-    if shape is None or len(shape) < 2:
-        return 1, numel
-    rows = shape[0]
-    cols = numel // rows
-    return rows, cols
 
 
 @dataclass
@@ -155,22 +122,41 @@ class Compressor:
     (typically ``(worker, layer_name)``).
     """
 
-    #: declared invariants; every operator registered in
-    #: :func:`make_compressor` must override this (checked by CON001)
+    #: declared invariants; :func:`register` refuses a class without
+    #: one (and CON001 reports one injected past it)
     contract: ClassVar[CompressorContract | None] = None
+    #: payload field names in wire order: the wire encoding is the
+    #: concatenation of these arrays' bytes (a field the payload omits,
+    #: like PowerSGD's 1-D fallback, is skipped)
+    fields: ClassVar[tuple[str, ...]] = ()
 
     def __init__(self, spec: CompressionSpec):
         self.spec = spec
 
+    @classmethod
+    def validate(cls, spec: CompressionSpec) -> None:
+        """Raise ``ValueError`` for parameters this method cannot run."""
+
+    @classmethod
+    def wire_bytes(cls, spec: CompressionSpec, numel: int, shape: Shape) -> int:
+        """Exact transmitted bytes of a ``numel >= 1`` element tensor."""
+        raise NotImplementedError
+
+    @classmethod
+    def wire_arrays(cls, compressed: Compressed) -> list[np.ndarray]:
+        """The payload arrays as they travel, in wire order."""
+        return [compressed.payload[name] for name in cls.fields
+                if name in compressed.payload]
+
     def compress(self, array: np.ndarray, rng: np.random.Generator,
-                 key: "Any" = None) -> Compressed:
+                 key: Any = None) -> Compressed:
         raise NotImplementedError
 
     def decompress(self, compressed: Compressed) -> np.ndarray:
         raise NotImplementedError
 
     def roundtrip(self, array: np.ndarray, rng: np.random.Generator,
-                  key: "Any" = None) -> np.ndarray:
+                  key: Any = None) -> np.ndarray:
         return self.decompress(self.compress(array, rng, key=key))
 
     def error_norm(self, array: np.ndarray, rng: np.random.Generator) -> float:
@@ -179,26 +165,17 @@ class Compressor:
         return float(np.linalg.norm(array.ravel() - restored.ravel()))
 
 
+_C = TypeVar("_C", bound=type[Compressor])
+
+
+def register(cls: _C) -> _C:
+    """Class decorator entering an operator into :data:`METHODS`."""
+    if cls.contract is None:
+        raise TypeError(f"{cls.__name__} declares no CompressorContract")
+    METHODS[cls.contract.method] = cls
+    return cls
+
+
 def make_compressor(spec: CompressionSpec) -> Compressor:
     """Instantiate the operator implementing ``spec``."""
-    from .dgc import DGCCompressor
-    from .fake import FakeCompressor
-    from .none import FP16Compressor, IdentityCompressor
-    from .nuq import NUQSGDCompressor
-    from .onebit import OneBitCompressor
-    from .powersgd import PowerSGDCompressor
-    from .qsgd import QSGDCompressor
-    from .topk import TopKCompressor
-
-    table = {
-        "none": IdentityCompressor,
-        "fp16": FP16Compressor,
-        "qsgd": QSGDCompressor,
-        "nuq": NUQSGDCompressor,
-        "topk": TopKCompressor,
-        "powersgd": PowerSGDCompressor,
-        "fake": FakeCompressor,
-        "onebit": OneBitCompressor,
-        "dgc": DGCCompressor,
-    }
-    return table[spec.method](spec)
+    return operator_class(spec.method)(spec)

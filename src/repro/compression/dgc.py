@@ -19,15 +19,19 @@ uncoordinated callers.
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
-from .base import Compressed, CompressionSpec, Compressor
+from .base import Compressed, CompressionSpec, register
 from .contracts import CompressorContract
+from .topk import Sparsifier, top_indices
 
 __all__ = ["DGCCompressor"]
 
 
-class DGCCompressor(Compressor):
+@register
+class DGCCompressor(Sparsifier):
     """TopK with momentum correction and density warm-up."""
 
     contract = CompressorContract("dgc", stateful=True,
@@ -46,7 +50,7 @@ class DGCCompressor(Compressor):
         self._velocity: dict = {}
         self._steps: dict = {}
 
-    def current_density(self, key) -> float:
+    def current_density(self, key: Any) -> float:
         """Warm-up schedule: exponential ramp to the target density."""
         step = self._steps.get(key, 0)
         if self.warmup_steps <= 0 or step >= self.warmup_steps:
@@ -58,7 +62,7 @@ class DGCCompressor(Compressor):
         return float(np.exp(log_density))
 
     def compress(self, array: np.ndarray, rng: np.random.Generator,
-                 key=None) -> Compressed:
+                 key: Any = None) -> Compressed:
         flat = np.asarray(array, dtype=np.float32).ravel()
         momentum = self._momentum_buf.get(key)
         if momentum is None or momentum.shape != flat.shape:
@@ -70,12 +74,7 @@ class DGCCompressor(Compressor):
         momentum = self.momentum * momentum + flat
         velocity = velocity + momentum
 
-        density = self.current_density(key)
-        k = max(1, int(flat.size * density))
-        if k >= flat.size:
-            indices = np.arange(flat.size, dtype=np.int64)
-        else:
-            indices = np.sort(np.argpartition(np.abs(velocity), -k)[-k:])
+        indices = top_indices(velocity, self.current_density(key))
         values = velocity[indices].copy()
 
         # masking: transmitted coordinates reset both accumulators
@@ -85,15 +84,9 @@ class DGCCompressor(Compressor):
         self._velocity[key] = velocity
         self._steps[key] = self._steps.get(key, 0) + 1
 
-        payload = {"indices": indices.astype(np.int64), "values": values}
-        nbytes = int(indices.size * 8)
+        payload = {"indices": indices, "values": values}
         return Compressed(self.spec, flat.size, tuple(np.shape(array)),
-                          payload, nbytes)
-
-    def decompress(self, compressed: Compressed) -> np.ndarray:
-        out = np.zeros(compressed.numel, dtype=np.float32)
-        out[compressed.payload["indices"]] = compressed.payload["values"]
-        return out.reshape(compressed.shape)
+                          payload, int(indices.size * 8))
 
     def reset(self) -> None:
         self._momentum_buf.clear()

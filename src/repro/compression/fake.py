@@ -10,21 +10,34 @@ experiments, never accuracy experiments.
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
-from .base import Compressed, Compressor
+from .base import FP32_BYTES, Compressed, CompressionSpec, Compressor, Shape, register
 from .contracts import CompressorContract
 
 __all__ = ["FakeCompressor"]
 
 
+@register
 class FakeCompressor(Compressor):
     """Transmit only the first ``numel / ratio`` elements."""
 
     contract = CompressorContract("fake")
+    fields = ("head",)
+
+    @classmethod
+    def validate(cls, spec: CompressionSpec) -> None:
+        if spec.ratio < 1:
+            raise ValueError(f"fake ratio must be >= 1, got {spec.ratio}")
+
+    @classmethod
+    def wire_bytes(cls, spec: CompressionSpec, numel: int, shape: Shape) -> int:
+        return max(1, int(numel / spec.ratio)) * FP32_BYTES
 
     def compress(self, array: np.ndarray, rng: np.random.Generator,
-                 key=None) -> Compressed:
+                 key: Any = None) -> Compressed:
         flat = np.asarray(array, dtype=np.float32).ravel()
         k = max(1, int(flat.size / self.spec.ratio))
         return Compressed(self.spec, flat.size, tuple(np.shape(array)),

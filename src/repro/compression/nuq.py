@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Compressed, CompressionSpec, Compressor
+from .base import CompressionSpec, register
 from .contracts import CompressorContract
-from .qsgd import pack_codes, unpack_codes
+from .qsgd import BucketQuantizer
 
 __all__ = ["NUQSGDCompressor", "exponential_levels"]
 
@@ -39,12 +39,13 @@ def exponential_levels(bits: int) -> np.ndarray:
     return np.concatenate([[0.0], ladder])
 
 
-class NUQSGDCompressor(Compressor):
+@register
+class NUQSGDCompressor(BucketQuantizer):
     """Bucketed stochastic quantizer over exponential levels.
 
-    Uses the same wire format as QSGD (packed codes + one fp32 scale per
-    bucket), so :meth:`CompressionSpec.wire_bytes` accounting carries
-    over unchanged; only the level placement differs.
+    Fills the QSGD frame (same wire format: packed codes + one fp32
+    scale per bucket, so the wire accounting carries over unchanged);
+    only the level placement differs.
     """
 
     contract = CompressorContract("nuq", uses_rng=True,
@@ -54,24 +55,8 @@ class NUQSGDCompressor(Compressor):
         super().__init__(spec)
         self.levels = exponential_levels(spec.bits)
 
-    def _bucketize(self, flat: np.ndarray) -> np.ndarray:
-        size = min(self.spec.bucket_size, max(1, flat.size))
-        n_buckets = -(-flat.size // size)
-        padded = np.zeros(n_buckets * size, dtype=np.float32)
-        padded[: flat.size] = flat
-        return padded.reshape(n_buckets, size)
-
-    def compress(self, array: np.ndarray, rng: np.random.Generator,
-                 key=None) -> Compressed:
-        flat = np.asarray(array, dtype=np.float32).ravel()
-        buckets = self._bucketize(flat)
-        if self.spec.scaling == "l2":
-            scales = np.linalg.norm(buckets, axis=1)
-        else:
-            scales = np.max(np.abs(buckets), axis=1)
-        safe = np.where(scales > 0, scales, 1.0)
-        normalized = np.abs(buckets) / safe[:, None]   # in [0, 1]
-
+    def _quantize(self, normalized: np.ndarray,
+                  rng: np.random.Generator) -> np.ndarray:
         # stochastic rounding between the surrounding exponential levels
         idx_hi = np.searchsorted(self.levels, normalized, side="left")
         idx_hi = np.clip(idx_hi, 1, len(self.levels) - 1)
@@ -80,30 +65,7 @@ class NUQSGDCompressor(Compressor):
         span = np.maximum(hi - lo, 1e-12)
         prob_up = np.clip((normalized - lo) / span, 0.0, 1.0)
         go_up = rng.random(size=normalized.shape) < prob_up
-        level_idx = (idx_hi - 1 + go_up).astype(np.uint8)
+        return (idx_hi - 1 + go_up).astype(np.uint8)
 
-        sign_bit = (buckets < 0).astype(np.uint8)
-        codes = (level_idx | (sign_bit << (self.spec.bits - 1))).ravel()
-        codes = codes[: flat.size]
-        payload = {
-            "codes": pack_codes(codes, self.spec.bits),
-            "norms": scales.astype(np.float32),
-        }
-        return Compressed(self.spec, flat.size, tuple(np.shape(array)),
-                          payload, self.spec.wire_bytes(flat.size))
-
-    def decompress(self, compressed: Compressed) -> np.ndarray:
-        spec = compressed.spec
-        codes = unpack_codes(compressed.payload["codes"], spec.bits,
-                             compressed.numel)
-        sign_mask = np.uint8(1 << (spec.bits - 1))
-        signs = np.where(codes & sign_mask, -1.0, 1.0).astype(np.float32)
-        level_idx = (codes & (sign_mask - np.uint8(1))).astype(np.int64)
-        values = signs * self.levels[level_idx].astype(np.float32)
-        size = min(spec.bucket_size, max(1, compressed.numel))
-        n_buckets = -(-compressed.numel // size)
-        padded = np.zeros(n_buckets * size, dtype=np.float32)
-        padded[: compressed.numel] = values
-        padded = padded.reshape(n_buckets, size)
-        padded *= compressed.payload["norms"][:, None]
-        return padded.ravel()[: compressed.numel].reshape(compressed.shape)
+    def _dequantize(self, level: np.ndarray) -> np.ndarray:
+        return self.levels[level.astype(np.int64)].astype(np.float32)

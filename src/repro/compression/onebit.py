@@ -10,31 +10,37 @@ feedback (the residual trick originated with this method).
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
-from .base import Compressed, Compressor
+from .base import FP32_BYTES, Compressed, CompressionSpec, Compressor, Shape, register
 from .contracts import CompressorContract
-from .qsgd import pack_codes, unpack_codes
+from .qsgd import bucketize, check_bucket_size, pack_codes, unpack_codes
 
 __all__ = ["OneBitCompressor"]
 
 
+@register
 class OneBitCompressor(Compressor):
     """Per-bucket sign quantization with two-sided mean reconstruction."""
 
     contract = CompressorContract("onebit", requires_error_feedback=True)
+    fields = ("signs", "pos_mean", "neg_mean")
 
-    def _bucketize(self, flat: np.ndarray) -> np.ndarray:
-        size = min(self.spec.bucket_size, max(1, flat.size))
-        n_buckets = -(-flat.size // size)
-        padded = np.zeros(n_buckets * size, dtype=np.float32)
-        padded[: flat.size] = flat
-        return padded.reshape(n_buckets, size)
+    @classmethod
+    def validate(cls, spec: CompressionSpec) -> None:
+        check_bucket_size(spec)
+
+    @classmethod
+    def wire_bytes(cls, spec: CompressionSpec, numel: int, shape: Shape) -> int:
+        n_buckets = -(-numel // spec.bucket_size)
+        return -(-numel // 8) + n_buckets * 2 * FP32_BYTES
 
     def compress(self, array: np.ndarray, rng: np.random.Generator,
-                 key=None) -> Compressed:
+                 key: Any = None) -> Compressed:
         flat = np.asarray(array, dtype=np.float32).ravel()
-        buckets = self._bucketize(flat)
+        buckets = bucketize(flat, self.spec.bucket_size)
         negative = buckets < 0
 
         pos_sum = np.where(~negative, buckets, 0.0).sum(axis=1)
@@ -56,12 +62,8 @@ class OneBitCompressor(Compressor):
     def decompress(self, compressed: Compressed) -> np.ndarray:
         signs = unpack_codes(compressed.payload["signs"], 1,
                              compressed.numel).astype(bool)
-        size = min(compressed.spec.bucket_size, max(1, compressed.numel))
-        n_buckets = -(-compressed.numel // size)
-        padded_signs = np.zeros(n_buckets * size, dtype=bool)
-        padded_signs[: compressed.numel] = signs
-        padded_signs = padded_signs.reshape(n_buckets, size)
+        negative = bucketize(signs, compressed.spec.bucket_size)
         pos = compressed.payload["pos_mean"][:, None]
         neg = compressed.payload["neg_mean"][:, None]
-        values = np.where(padded_signs, neg, pos).astype(np.float32)
+        values = np.where(negative, neg, pos).astype(np.float32)
         return values.ravel()[: compressed.numel].reshape(compressed.shape)

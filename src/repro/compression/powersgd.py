@@ -17,12 +17,25 @@ Reproduced behaviours the paper relies on:
 
 from __future__ import annotations
 
+import zlib
+from typing import Any
+
 import numpy as np
 
-from .base import Compressed, CompressionSpec, Compressor, _matrix_shape
+from .base import FP32_BYTES, Compressed, CompressionSpec, Compressor, Shape, register
 from .contracts import CompressorContract
 
 __all__ = ["PowerSGDCompressor", "orthonormalize"]
+
+
+def _factor_shape(spec: CompressionSpec, numel: int, shape: Shape
+                  ) -> tuple[int, int, int]:
+    """``(rows, cols, rank)`` of the matrix view PowerSGD factors: the
+    rank is clamped to the matrix, and 0 for 1-D tensors (sent dense)."""
+    if shape is None or len(shape) < 2:
+        return 1, numel, 0
+    rows, cols = shape[0], numel // shape[0]
+    return rows, cols, 0 if 1 in (rows, cols) else min(spec.rank, rows, cols)
 
 
 def orthonormalize(matrix: np.ndarray, eps: float = 1e-8) -> np.ndarray:
@@ -41,22 +54,35 @@ def orthonormalize(matrix: np.ndarray, eps: float = 1e-8) -> np.ndarray:
     return out
 
 
+@register
 class PowerSGDCompressor(Compressor):
     """Rank-``r`` power-iteration compressor with warm-started Q."""
 
     contract = CompressorContract("powersgd", stateful=True,
                                   requires_error_feedback=True)
+    fields = ("dense", "p", "q")  # 1-D tensors send "dense" only
+
+    @classmethod
+    def validate(cls, spec: CompressionSpec) -> None:
+        if spec.rank < 1:
+            raise ValueError(f"powersgd rank must be >= 1, got {spec.rank}")
+
+    @classmethod
+    def wire_bytes(cls, spec: CompressionSpec, numel: int, shape: Shape) -> int:
+        rows, cols, rank = _factor_shape(spec, numel, shape)
+        if not rank:
+            return numel * FP32_BYTES  # 1-D tensors stay uncompressed
+        # the operator's clamped rank, or small layers over-report
+        return (rows + cols) * rank * FP32_BYTES
 
     def __init__(self, spec: CompressionSpec):
         super().__init__(spec)
         self._q_memory: dict = {}
 
-    def _q_for(self, key, cols: int, rank: int) -> np.ndarray:
+    def _q_for(self, key: Any, cols: int, rank: int) -> np.ndarray:
         q = self._q_memory.get(key)
         if q is None or q.shape != (cols, rank):
             # stable per-key seed (hash() is salted per process)
-            import zlib
-
             digest = zlib.crc32(repr(key).encode()) if key is not None else 0
             rng = np.random.default_rng(digest)
             q = orthonormalize(
@@ -66,21 +92,18 @@ class PowerSGDCompressor(Compressor):
         return q
 
     def compress(self, array: np.ndarray, rng: np.random.Generator,
-                 key=None) -> Compressed:
+                 key: Any = None) -> Compressed:
         shape = tuple(np.shape(array))
         numel = int(np.size(array))
-        rows, cols = _matrix_shape(numel, shape)
-        if rows == 1 or cols == 1:
+        rows, cols, rank = _factor_shape(self.spec, numel, shape)
+        if not rank:
             payload = {"dense": np.asarray(array, dtype=np.float32).ravel().copy()}
-            return Compressed(self.spec, numel, shape, payload,
-                              self.spec.wire_bytes(numel, shape))
-        rank = min(self.spec.rank, rows, cols)
-        matrix = np.asarray(array, dtype=np.float32).reshape(rows, cols)
-        q = self._q_for(key, cols, rank)
-        p = orthonormalize(matrix @ q)
-        q_new = matrix.T @ p
-        self._q_memory[key] = q_new
-        payload = {"p": p, "q": q_new.copy()}
+        else:
+            matrix = np.asarray(array, dtype=np.float32).reshape(rows, cols)
+            p = orthonormalize(matrix @ self._q_for(key, cols, rank))
+            q_new = matrix.T @ p
+            self._q_memory[key] = q_new
+            payload = {"p": p, "q": q_new.copy()}
         return Compressed(self.spec, numel, shape, payload,
                           self.spec.wire_bytes(numel, shape))
 
@@ -90,16 +113,13 @@ class PowerSGDCompressor(Compressor):
         p, q = compressed.payload["p"], compressed.payload["q"]
         return (p @ q.T).reshape(compressed.shape)
 
-    def flops(self, numel: int, shape: tuple[int, ...] | None) -> float:
+    def flops(self, numel: int, shape: Shape) -> float:
         """Compression compute cost: 3 matmuls + orthonormalization.
 
         This is the "Technical Issue 1" cost that makes decomposition
         methods slower than single-pass quantization at line rate.
         """
-        rows, cols = _matrix_shape(numel, shape)
-        if rows == 1 or cols == 1:
-            return 0.0
-        rank = min(self.spec.rank, rows, cols)
+        rows, cols, rank = _factor_shape(self.spec, numel, shape)
         matmuls = 3 * 2.0 * rows * cols * rank     # MQ, M^T P, P Q^T
         gram_schmidt = 2.0 * rows * rank * rank
         return matmuls + gram_schmidt

@@ -12,16 +12,22 @@ size matches :meth:`CompressionSpec.wire_bytes`.
 Bucketing trades metadata overhead for accuracy: larger buckets
 compress harder but have higher per-element error — the trade-off the
 paper resolves at 4 bits / bucket 128 as its default.
+
+The encoding is one frame, :class:`BucketQuantizer`, which QSGD and
+NUQSGD (:mod:`.nuq`) fill with a level rule; 1-bit SGD reuses its
+bucketing.
 """
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
-from .base import Compressed, CompressionSpec, Compressor
+from .base import FP32_BYTES, Compressed, CompressionSpec, Compressor, Shape, register
 from .contracts import CompressorContract
 
-__all__ = ["QSGDCompressor", "pack_codes", "unpack_codes"]
+__all__ = ["BucketQuantizer", "QSGDCompressor", "pack_codes", "unpack_codes"]
 
 
 def pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:
@@ -46,7 +52,102 @@ def unpack_codes(packed: np.ndarray, bits: int, count: int) -> np.ndarray:
     return np.packbits(padded, axis=1).ravel()
 
 
-class QSGDCompressor(Compressor):
+def bucketize(flat: np.ndarray, bucket_size: int) -> np.ndarray:
+    """``flat`` as ``(n_buckets, size)``, zero-padding the tail (a
+    decoder re-bucketizes its values and drops the tail again)."""
+    # clamped to the tensor: a GRACE-style bucket_size=2**30 allocates
+    # one tensor-sized bucket, not 4 GiB
+    size = min(bucket_size, max(1, flat.size))
+    n_buckets = -(-flat.size // size)
+    padded = np.zeros(n_buckets * size, dtype=flat.dtype)
+    padded[: flat.size] = flat
+    return padded.reshape(n_buckets, size)
+
+
+def check_bucket_size(spec: CompressionSpec) -> None:
+    if spec.bucket_size < 1:
+        raise ValueError(f"{spec.method} bucket_size must be >= 1, "
+                         f"got {spec.bucket_size}")
+
+
+class BucketQuantizer(Compressor):
+    """The bucketed-quantizer frame (not itself a method): bucketing,
+    scaling, the sign bit, packing and wire accounting.  A subclass
+    supplies :meth:`_quantize` (magnitudes in [0, 1] -> uint8 level,
+    rounding with the shared generator) and its inverse."""
+
+    fields = ("codes", "norms")
+
+    @classmethod
+    def validate(cls, spec: CompressionSpec) -> None:
+        if not 2 <= spec.bits <= 8:
+            raise ValueError(f"{spec.method} bits must be in [2, 8], "
+                             f"got {spec.bits}")
+        check_bucket_size(spec)
+        if spec.scaling not in ("max", "l2"):
+            raise ValueError(f"{spec.method}: unknown scaling {spec.scaling!r}")
+        if spec.wire_dtype_bits not in (0, 8, 16, 32):  # so always >= bits
+            raise ValueError(f"{spec.method} wire_dtype_bits must be 0 (packed)"
+                             f", 8, 16 or 32, got {spec.wire_dtype_bits}")
+
+    @classmethod
+    def wire_bytes(cls, spec: CompressionSpec, numel: int, shape: Shape) -> int:
+        code_bits = spec.wire_dtype_bits or spec.bits
+        n_buckets = -(-numel // spec.bucket_size)
+        return -(-numel * code_bits // 8) + n_buckets * FP32_BYTES
+
+    @classmethod
+    def wire_arrays(cls, compressed: Compressed) -> list[np.ndarray]:
+        codes, norms = super().wire_arrays(compressed)
+        spec = compressed.spec
+        if spec.wire_dtype_bits:
+            # GRACE: one fixed-width integer per code
+            codes = unpack_codes(codes, spec.bits, compressed.numel).astype(
+                f"uint{spec.wire_dtype_bits}")
+        return [codes, norms]
+
+    def _quantize(self, normalized: np.ndarray,
+                  rng: np.random.Generator) -> np.ndarray:
+        raise NotImplementedError
+
+    def _dequantize(self, level: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def compress(self, array: np.ndarray, rng: np.random.Generator,
+                 key: Any = None) -> Compressed:
+        spec = self.spec
+        flat = np.asarray(array, dtype=np.float32).ravel()
+        buckets = bucketize(flat, spec.bucket_size)
+        if spec.scaling == "l2":
+            norms = np.linalg.norm(buckets, axis=1)
+        else:
+            norms = np.max(np.abs(buckets), axis=1)
+        safe_norms = np.where(norms > 0, norms, 1.0)
+        level = self._quantize(np.abs(buckets) / safe_norms[:, None], rng)
+        sign_bit = (buckets < 0).astype(np.uint8)
+        codes = (level | (sign_bit << (spec.bits - 1))).ravel()
+        codes = codes[: flat.size]  # drop tail padding codes
+        payload = {
+            "codes": pack_codes(codes, spec.bits),
+            "norms": norms.astype(np.float32),
+        }
+        return Compressed(spec, flat.size, tuple(np.shape(array)), payload,
+                          spec.wire_bytes(flat.size))
+
+    def decompress(self, compressed: Compressed) -> np.ndarray:
+        spec = compressed.spec
+        codes = unpack_codes(compressed.payload["codes"], spec.bits,
+                             compressed.numel)
+        sign_mask = np.uint8(1 << (spec.bits - 1))
+        signs = np.where(codes & sign_mask, -1.0, 1.0).astype(np.float32)
+        values = signs * self._dequantize(codes & (sign_mask - np.uint8(1)))
+        buckets = bucketize(values, spec.bucket_size)
+        buckets *= compressed.payload["norms"][:, None]
+        return buckets.ravel()[: compressed.numel].reshape(compressed.shape)
+
+
+@register
+class QSGDCompressor(BucketQuantizer):
     """Stochastic uniform quantizer over fixed-size buckets."""
 
     contract = CompressorContract("qsgd", uses_rng=True,
@@ -55,55 +156,14 @@ class QSGDCompressor(Compressor):
     def __init__(self, spec: CompressionSpec):
         super().__init__(spec)
         self.levels = 2 ** (spec.bits - 1) - 1  # quantization levels per sign
-        if self.levels < 1:
-            raise ValueError(f"bits={spec.bits} leaves no quantization levels")
 
-    def _bucketize(self, flat: np.ndarray) -> np.ndarray:
-        """View as (n_buckets, bucket_size), zero-padding the tail."""
-        size = min(self.spec.bucket_size, max(1, flat.size))
-        n_buckets = -(-flat.size // size)
-        padded = np.zeros(n_buckets * size, dtype=np.float32)
-        padded[: flat.size] = flat
-        return padded.reshape(n_buckets, size)
-
-    def compress(self, array: np.ndarray, rng: np.random.Generator,
-                 key=None) -> Compressed:
-        flat = np.asarray(array, dtype=np.float32).ravel()
-        buckets = self._bucketize(flat)
-        if self.spec.scaling == "l2":
-            norms = np.linalg.norm(buckets, axis=1)
-        else:
-            norms = np.max(np.abs(buckets), axis=1)
-        safe_norms = np.where(norms > 0, norms, 1.0)
-        normalized = np.abs(buckets) / safe_norms[:, None]  # in [0, 1]
+    def _quantize(self, normalized: np.ndarray,
+                  rng: np.random.Generator) -> np.ndarray:
         scaled = normalized * self.levels
         lower = np.floor(scaled)
         prob = scaled - lower
         lower += rng.random(size=lower.shape) < prob
-        level = np.minimum(lower, self.levels).astype(np.uint8)
-        sign_bit = (buckets < 0).astype(np.uint8)
-        codes = (level | (sign_bit << (self.spec.bits - 1))).ravel()
-        codes = codes[: flat.size]  # drop tail padding codes
-        packed = pack_codes(codes, self.spec.bits)
-        payload = {
-            "codes": packed,
-            "norms": norms.astype(np.float32),
-        }
-        return Compressed(self.spec, flat.size, tuple(np.shape(array)), payload,
-                          self.spec.wire_bytes(flat.size))
+        return np.minimum(lower, self.levels).astype(np.uint8)
 
-    def decompress(self, compressed: Compressed) -> np.ndarray:
-        spec = compressed.spec
-        codes = unpack_codes(compressed.payload["codes"], spec.bits,
-                             compressed.numel)
-        sign_mask = np.uint8(1 << (spec.bits - 1))
-        signs = np.where(codes & sign_mask, -1.0, 1.0).astype(np.float32)
-        levels = (codes & (sign_mask - np.uint8(1))).astype(np.float32)
-        values = signs * levels / self.levels
-        size = min(spec.bucket_size, max(1, compressed.numel))
-        n_buckets = -(-compressed.numel // size)
-        padded = np.zeros(n_buckets * size, dtype=np.float32)
-        padded[: compressed.numel] = values
-        padded = padded.reshape(n_buckets, size)
-        padded *= compressed.payload["norms"][:, None]
-        return padded.ravel()[: compressed.numel].reshape(compressed.shape)
+    def _dequantize(self, level: np.ndarray) -> np.ndarray:
+        return level.astype(np.float32) / self.levels

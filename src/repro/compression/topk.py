@@ -11,40 +11,64 @@ model and training stalls, which our tests verify.
 from __future__ import annotations
 
 import ast
+from typing import Any
 
 import numpy as np
 
-from .base import Compressed, CompressionSpec, Compressor
+from .base import FP32_BYTES, Compressed, CompressionSpec, Compressor, Shape, register
 from .contracts import CompressorContract
 
-__all__ = ["TopKCompressor", "ErrorFeedback"]
+__all__ = ["Sparsifier", "TopKCompressor", "ErrorFeedback", "top_indices"]
 
 
-class TopKCompressor(Compressor):
+def top_indices(flat: np.ndarray, density: float) -> np.ndarray:
+    """Sorted int32 indices of the ``max(1, numel * density)`` largest ``|x|``."""
+    k = max(1, int(flat.size * density))
+    if k >= flat.size:
+        return np.arange(flat.size, dtype=np.int32)
+    return np.sort(np.argpartition(np.abs(flat), -k)[-k:]).astype(np.int32)
+
+
+class Sparsifier(Compressor):
+    """The (index, value)-pair frame (not itself a method): wire accounting
+    and scatter decode; a subclass's ``compress`` calls :func:`top_indices`."""
+
+    fields = ("indices", "values")
+
+    @classmethod
+    def validate(cls, spec: CompressionSpec) -> None:
+        if not 0 < spec.density <= 1:
+            raise ValueError(f"{spec.method} density must be in (0, 1], "
+                             f"got {spec.density}")
+
+    @classmethod
+    def wire_bytes(cls, spec: CompressionSpec, numel: int, shape: Shape) -> int:
+        k = max(1, int(numel * spec.density))
+        return k * (4 + FP32_BYTES)  # int32 index + fp32 value
+
+    def decompress(self, compressed: Compressed) -> np.ndarray:
+        indices = compressed.payload["indices"]
+        # a payload crosses a (possibly corrupting) channel: entries whose
+        # index left [0, numel) are dropped, and negatives never wrap
+        valid = (indices >= 0) & (indices < compressed.numel)
+        out = np.zeros(compressed.numel, dtype=np.float32)
+        out[indices[valid]] = compressed.payload["values"][valid]
+        return out.reshape(compressed.shape)
+
+
+@register
+class TopKCompressor(Sparsifier):
     """Keep the ``density`` fraction of largest-magnitude elements."""
 
     contract = CompressorContract("topk", requires_error_feedback=True)
 
     def compress(self, array: np.ndarray, rng: np.random.Generator,
-                 key=None) -> Compressed:
+                 key: Any = None) -> Compressed:
         flat = np.asarray(array, dtype=np.float32).ravel()
-        k = max(1, int(flat.size * self.spec.density))
-        if k >= flat.size:
-            indices = np.arange(flat.size, dtype=np.int64)
-        else:
-            indices = np.argpartition(np.abs(flat), -k)[-k:]
-            indices = np.sort(indices)
-        payload = {
-            "indices": indices.astype(np.int64),
-            "values": flat[indices].copy(),
-        }
+        indices = top_indices(flat, self.spec.density)
+        payload = {"indices": indices, "values": flat[indices].copy()}
         return Compressed(self.spec, flat.size, tuple(np.shape(array)), payload,
                           self.spec.wire_bytes(flat.size))
-
-    def decompress(self, compressed: Compressed) -> np.ndarray:
-        out = np.zeros(compressed.numel, dtype=np.float32)
-        out[compressed.payload["indices"]] = compressed.payload["values"]
-        return out.reshape(compressed.shape)
 
 
 class ErrorFeedback:

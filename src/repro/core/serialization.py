@@ -18,10 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 
-import numpy as np
-
-from repro.compression import Compressed, CompressionSpec
-from repro.compression.qsgd import pack_codes, unpack_codes
+from repro.compression import METHODS, Compressed, CompressionSpec
 
 from .config import CGXConfig
 
@@ -103,61 +100,21 @@ def load_config(path: str) -> CGXConfig:
 
 # -- compressed wire format --------------------------------------------------
 
-def _codes_at_width(codes: np.ndarray, code_bits: int) -> bytes:
-    """Encode quantization codes at a fixed bit-width.
-
-    ``code_bits <= 8`` bit-packs (the CGX kernel layout); 16 and 32 use
-    one fixed-width integer per code (the GRACE wire-dtype layout, where
-    e.g. 4-bit codes still travel one byte each when
-    ``wire_dtype_bits=8``).
-    """
-    if code_bits <= 8:
-        return pack_codes(codes, code_bits).tobytes()
-    if code_bits == 16:
-        return codes.astype(np.uint16).tobytes()
-    if code_bits == 32:
-        return codes.astype(np.uint32).tobytes()
-    raise ValueError(f"unsupported code width {code_bits}")
-
-
 def serialize_payload(compressed: Compressed) -> bytes:
     """Byte-exact wire encoding of one compressed tensor's payload.
 
-    Every method's layout matches what
+    The wire layout *is* the payload layout: the concatenated bytes of
+    the arrays the operator class names in wire order — what
     :meth:`~repro.compression.base.CompressionSpec.wire_bytes` accounts
-    for: quantizers send codes at ``wire_dtype_bits or bits`` width plus
-    one fp32 scale per bucket, sparsifiers send int32 index + fp32 value
-    pairs, PowerSGD sends its fp32 factors.  Shape/numel metadata is
-    negotiated once at plan time and never travels per step, so it is
-    deliberately not part of the encoding.
+    for.  Shape/numel metadata is negotiated once at plan time and
+    never travels per step, so it is deliberately not part of the
+    encoding.
     """
-    spec = compressed.spec
-    payload = compressed.payload
-    method = spec.method
-    if method == "none":
-        return payload["values"].astype(np.float32).tobytes()
-    if method == "fp16":
-        return payload["values"].astype(np.float16).tobytes()
-    if method in ("qsgd", "nuq"):
-        code_bits = spec.wire_dtype_bits or spec.bits
-        codes = unpack_codes(payload["codes"], spec.bits, compressed.numel)
-        return (_codes_at_width(codes, code_bits)
-                + payload["norms"].astype(np.float32).tobytes())
-    if method in ("topk", "dgc"):
-        return (payload["indices"].astype(np.int32).tobytes()
-                + payload["values"].astype(np.float32).tobytes())
-    if method == "onebit":
-        return (payload["signs"].tobytes()
-                + payload["pos_mean"].astype(np.float32).tobytes()
-                + payload["neg_mean"].astype(np.float32).tobytes())
-    if method == "powersgd":
-        if "dense" in payload:
-            return payload["dense"].astype(np.float32).tobytes()
-        return (payload["p"].astype(np.float32).tobytes()
-                + payload["q"].astype(np.float32).tobytes())
-    if method == "fake":
-        return payload["head"].astype(np.float32).tobytes()
-    raise ValueError(f"no wire encoding for method {method!r}")
+    method = compressed.spec.method
+    if method not in METHODS:
+        raise ValueError(f"no wire encoding for method {method!r}")
+    return b"".join(array.tobytes()
+                    for array in METHODS[method].wire_arrays(compressed))
 
 
 def measured_wire_bytes(compressed: Compressed) -> int:

@@ -7,8 +7,10 @@ Two injectors, one plan:
   logical point-to-point message the schemes move (the same sites that
   emit ``send``/``recv`` trace events) is passed through
   :meth:`FaultChannel.deliver`, which draws loss/corruption outcomes
-  from the plan's generator, CRC-checks payloads against the byte-exact
-  :func:`repro.core.serialization.serialize_payload` encoding, and
+  from the plan's generator, flips one byte of a corrupted payload
+  (every payload byte is a wire byte, so the CRC32 of the byte-exact
+  :func:`repro.core.serialization.serialize_payload` encoding always
+  catches it — rule FLT004), and
   performs bounded retransmission with full wire/trace accounting —
   every retry adds bytes to ``ReduceStats`` *and* a matching send/recv
   event pair, so the schedule verifier's wire-conservation rule
@@ -99,7 +101,6 @@ class FaultChannel:
         if p_loss <= 0.0 and p_corrupt <= 0.0:
             return wire
 
-        crc = payload_crc(wire) if policy.crc_check else None
         attempt = 0
         while True:
             draw = float(runtime.rng.random())
@@ -113,16 +114,16 @@ class FaultChannel:
                 corrupted = corrupt_payload(wire, runtime.rng)
                 runtime.record("payload_corrupt", src=gsrc, dst=gdst,
                                tag=tag, attempt=attempt)
-                if crc is None:
+                if not policy.crc_check:
                     # no CRC: the receiver decodes garbage and training
                     # absorbs the error (measured, not modeled)
                     counters.corrupt_delivered += 1
                     return corrupted
-                if payload_crc(corrupted) == crc:
-                    # the flip hit a byte the wire encoding does not
-                    # carry (top-k indices are int64 in memory, int32 on
-                    # the wire): the message itself arrived intact
-                    return wire
+                if corrupted is wire:
+                    return wire       # an empty message has no byte to flip
+                # every payload byte is a wire byte and a flipped byte
+                # always changes a CRC32 (FLT004 certifies it per
+                # method), so the receiver's check cannot miss
                 counters.corrupt_detected += 1
 
             attempt += 1

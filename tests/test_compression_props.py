@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compression import (
+    METHODS,
     CompressionSpec,
+    Compressor,
+    IdentityCompressor,
     make_compressor,
+    register,
     measure_error,
     model_wire_bytes,
     kernel_seconds,
@@ -121,6 +125,64 @@ def test_compression_ratio_definition():
 def test_unknown_method_rejected():
     with pytest.raises(ValueError):
         CompressionSpec("zstd")
+
+
+# every case constructed fine at PR 17's parent (or named the wrong
+# method) and crashed or silently mis-encoded later
+@pytest.mark.parametrize("kwargs, names", [
+    (dict(method="onebit", bucket_size=0), "onebit bucket_size"),
+    (dict(method="nuq", bucket_size=0), "nuq bucket_size"),
+    (dict(method="qsgd", bits=8, wire_dtype_bits=4), "qsgd wire_dtype_bits"),
+    (dict(method="qsgd", wire_dtype_bits=12), "qsgd wire_dtype_bits"),
+    (dict(method="nuq", wire_dtype_bits=7), "nuq wire_dtype_bits"),
+    (dict(method="nuq", bits=9), "nuq bits"),
+    (dict(method="nuq", scaling="minmax"), "nuq.*scaling"),
+    (dict(method="dgc", density=0.0), "dgc density"),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_invalid_spec_fails_at_construction_naming_method_and_field(
+        kwargs, names):
+    from repro.core.serialization import spec_from_dict
+
+    with pytest.raises(ValueError, match=names):
+        CompressionSpec(**kwargs)
+    with pytest.raises(ValueError, match=names):
+        spec_from_dict(kwargs)     # the --config path
+
+
+def _operator_classes(cls=Compressor):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _operator_classes(sub)
+
+
+def test_method_table_is_the_set_of_declared_contracts():
+    from repro.analysis.abstract import default_registry
+
+    declared = {cls.contract.method: cls for cls in _operator_classes()
+                if cls.__module__.startswith("repro.compression.")
+                and "contract" in vars(cls)}
+    assert METHODS == declared          # nothing unregistered, no frame in
+    registry = default_registry()
+    assert registry == METHODS and registry is not METHODS   # a copy
+    for method, cls in METHODS.items():
+        assert cls.fields, method
+        assert make_compressor(CompressionSpec(method)).__class__ is cls
+
+
+def test_register_refuses_a_class_without_a_contract():
+    class Bare(Compressor):
+        pass
+
+    with pytest.raises(TypeError, match="Bare declares no CompressorContract"):
+        register(Bare)
+    assert Bare not in METHODS.values()
+    # a frame's subclass inherits no contract either
+    with pytest.raises(TypeError):
+        register(type("Hook", (Compressor,), {"contract": None}))
+    # and a contract does not register by itself: subclassing is inert
+    before = dict(METHODS)
+    type("Shadow", (IdentityCompressor,), {})
+    assert METHODS == before
 
 
 def test_with_bits_copies_spec():

@@ -194,6 +194,49 @@ def test_corrupt_payload_flips_exactly_one_byte():
     assert payload_crc(wire) == crc               # original untouched
 
 
+@pytest.mark.parametrize("method", ["topk", "dgc"])
+def test_every_sparsifier_corruption_is_a_wire_corruption(method):
+    # at PR 17's parent indices were int64 in memory, int32 on the wire:
+    # of 400 draws 96 left the CRC unchanged and 189 raised IndexError
+    comp = make_compressor(CompressionSpec(method, density=0.25))
+    x = np.random.default_rng(0).standard_normal(97).astype(np.float32)
+    wire = comp.compress(x, np.random.default_rng(0), key="k")
+    assert wire.payload["indices"].dtype == np.int32
+    crc = payload_crc(wire)
+    clean = comp.decompress(wire)
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        bad = corrupt_payload(wire, rng)
+        assert payload_crc(bad) != crc
+        out = comp.decompress(bad)        # garbage in, no exception out
+        assert out.shape == clean.shape and out.dtype == np.float32
+
+
+def test_sparsifier_decode_drops_out_of_range_indices():
+    comp = make_compressor(CompressionSpec("topk", density=0.5))
+    wire = comp.compress(np.arange(1, 9, dtype=np.float32),
+                         np.random.default_rng(0))
+    wire.payload["indices"][:] = [-1, 3, 8, 2**31 - 1]
+    out = comp.decompress(wire)
+    kept = wire.payload["values"][1]
+    np.testing.assert_array_equal(out, [0, 0, 0, kept, 0, 0, 0, 0])
+
+
+# undetected garbage may blow the loss up (measured, not modeled): the
+# claim is only that nothing raises
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("seed", range(5))
+def test_topk_trains_through_undetected_corruption(seed):
+    config = CGXConfig(compression=CompressionSpec(
+        "topk", density=0.25, error_feedback=True))
+    result = train_family(
+        "mlp", world_size=4, config=config, steps=20, seed=seed,
+        fault_plan=make_campaign("lossy-link", world=4, seed=seed),
+        policy=ResiliencePolicy(crc_check=False))
+    assert result.steps == 20
+    assert result.fault_summary["corrupt_delivered"] > 0
+
+
 @pytest.mark.parametrize("scheme", ["sra", "ring", "tree", "allgather", "ps"])
 def test_lossy_channel_still_reduces_exactly(scheme):
     world = 4
@@ -244,6 +287,22 @@ def test_corruption_without_crc_is_delivered():
     # replicas still agree: broadcasts decode one canonical wire copy
     for out in outs[1:]:
         np.testing.assert_array_equal(out, outs[0])
+
+
+def test_corruption_drawn_on_an_empty_chunk_arrives_intact():
+    # numel < world leaves empty chunks; a corruption drawn on one has no
+    # byte to flip: it is logged, but neither "detected" nor retried
+    world = 4
+    bufs = [np.arange(2, dtype=np.float32) + r for r in range(world)]
+    runtime = PlanRuntime(lossy_plan(world, p_loss=0.0, p_corrupt=0.5))
+    with inject_data_path(runtime):
+        allreduce("sra", bufs, make_compressor(CompressionSpec("qsgd", bits=4)),
+                  np.random.default_rng(0))
+    counters = runtime.counters
+    drawn = len(list(runtime.records_of("payload_corrupt")))
+    assert 0 < counters.corrupt_detected < drawn
+    assert counters.retries == counters.corrupt_detected
+    assert counters.corrupt_delivered == 0
 
 
 def test_strict_policy_raises_when_budget_exhausted():

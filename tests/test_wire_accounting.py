@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compression import CompressionSpec, make_compressor
+from repro.compression import METHODS, CompressionSpec, make_compressor
 from repro.core.serialization import measured_wire_bytes, serialize_payload
 
 # one strategy per method, drawing the spec parameters that change the
@@ -78,6 +78,14 @@ def test_wire_claim_equals_serialized_payload(label, data):
     assert len(payload) == claimed, \
         f"{label} {shape}: serialized {len(payload)} != claim {claimed}"
     assert measured_wire_bytes(compressed) == len(payload)
+    if spec.wire_dtype_bits == 0:
+        # the wire layout is the payload layout: declared fields, in
+        # declared order, byte for byte
+        fields = METHODS[spec.method].fields
+        assert set(compressed.payload) <= set(fields)
+        assert payload == b"".join(compressed.payload[name].tobytes()
+                                   for name in fields
+                                   if name in compressed.payload)
 
 
 def test_padded_wire_format_is_wider_than_packed():
