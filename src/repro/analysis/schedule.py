@@ -47,10 +47,12 @@ __doc__ = rule_table(__doc__, SCH_RULES)
 #: of the cell table in :mod:`repro.collectives`
 SchemeCase = SchemeCell
 
-#: schemes whose rows are not the grid's worlds 2..5: hierarchical needs
-#: >= 2 members per node (below world 4 it is its one-node SRA fallback)
-#: and 6 adds three-member nodes; the quorum reducer runs the default
-#: strict quorum at 4 plus the explicit interleaved-laggard row
+#: schemes whose rows are not the grid's worlds 2..5: hierarchical's
+#: default placement has two nodes from world 4 up (below, it is the
+#: one-node SRA fallback) and 6 adds three-member nodes; the quorum
+#: reducer runs the default strict quorum at 4 plus the explicit
+#: interleaved-laggard row.  The degenerate rows verify clean too; they
+#: are swept by tier-1, not by this battery
 _SCHEME_WORLDS = {"hier": (4, 6), "partial": (4,)}
 
 

@@ -1,8 +1,14 @@
 """Compression-aware collectives: data paths and timed schedules."""
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
+
+import numpy as np
+
+from repro.compression import Compressor
 
 from .allgather import allgather_allreduce
 from .base import (ReduceStats, accumulate_chunk, check_buffers, chunk_bounds,
@@ -21,7 +27,7 @@ from .trace import (BufferAccess, ScheduleTrace, TraceEvent, capture,
 from .tree import tree_allreduce
 
 #: scheme name -> data-path implementation
-ALGORITHMS = {
+ALGORITHMS: dict[str, Callable[..., tuple[list[np.ndarray], ReduceStats]]] = {
     "sra": sra_allreduce,
     "ring": ring_allreduce,
     "tree": tree_allreduce,
@@ -31,7 +37,10 @@ ALGORITHMS = {
 }
 
 
-def allreduce(scheme, buffers, compressor, rng, key="", node_of=None):
+def allreduce(scheme: str, buffers: list[np.ndarray], compressor: Compressor,
+              rng: np.random.Generator, key: str = "",
+              node_of: list[int] | None = None,
+              ) -> tuple[list[np.ndarray], ReduceStats]:
     """Dispatch to a data-path collective by scheme name.
 
     ``node_of`` (node index per rank) only applies to the hierarchical
@@ -67,9 +76,9 @@ CELL_SCHEMES = (*sorted(ALGORITHMS), "partial")
 
 #: explicit rows, which the batteries that want them add by name: a
 #: quorum that is not the default prefix (late delivery to interleaved
-#: laggards), and hier on single-member nodes (two one-GPU machines) —
-#: outside the schedule verifier's envelope, because the node broadcast
-#: books a payload with no receiver, but the overlap battery runs them
+#: laggards), and hier on single-member nodes (two one-GPU machines:
+#: the intra-node reduction and the node broadcast have nobody to send
+#: to) — the overlap battery's small-world rows
 EXPLICIT_CELLS = (SchemeCell("partial", 5, participants=(0, 2, 4)),)
 SINGLE_MEMBER_CELLS = {
     (cell.scheme, cell.world): cell
@@ -80,9 +89,10 @@ SINGLE_MEMBER_CELLS = {
 def node_placement(world: int) -> tuple[int, ...]:
     """Two balanced nodes when each holds >= 2 ranks, else one node.
 
-    A single-member node degenerates hierarchical reduction (its
-    broadcast books a payload with no receiver), so worlds below four
-    keep every rank on one node — the scheme's plain-SRA fallback.
+    A single-member node degenerates hierarchical reduction (it pays
+    the hierarchy's five quantizations for no intra-node traffic), so
+    worlds below four keep every rank on one node — the scheme's
+    plain-SRA fallback.  ``SINGLE_MEMBER_CELLS`` are the degenerate rows.
     """
     half = world // 2
     return tuple(int(half >= 2 and rank >= half) for rank in range(world))
@@ -108,8 +118,12 @@ def scheme_cells(worlds: Sequence[int],
             for scheme in schemes for world in worlds]
 
 
-def run_cell(cell, buffers, compressor, rng, key="", reducer=None,
-             node_of=None, participants=None):
+def run_cell(cell: SchemeCell, buffers: list[np.ndarray],
+             compressor: Compressor, rng: np.random.Generator, key: str = "",
+             reducer: PartialAllreduce | None = None,
+             node_of: Sequence[int] | None = None,
+             participants: Sequence[int] | None = None,
+             ) -> tuple[list[np.ndarray], ReduceStats]:
     """Run ``cell``'s scheme once on ``buffers``: ``(outputs, ReduceStats)``.
 
     The one invoker behind every battery.  ``node_of`` / ``participants``

@@ -15,9 +15,8 @@ import numpy as np
 
 from repro.compression import Compressor
 
-from .base import (ReduceStats, check_buffers, compress_chunk,
-                   decompress_chunk, deliver_chunk)
-from .trace import declare_buffer, emit_recv, emit_send
+from .base import ReduceStats, broadcast_chunk, check_buffers
+from .trace import declare_buffer
 
 __all__ = ["allgather_allreduce"]
 
@@ -35,23 +34,13 @@ def allgather_allreduce(
     for rank, buf in enumerate(buffers):
         declare_buffer(rank, buf, name=f"{key}/input")
 
-    decoded = []
-    for rank in range(world):
-        wire = compress_chunk(compressor, buffers[rank].ravel(), rng,
-                              key=f"{key}/{rank}", stats=stats,
-                              rank=rank, tag=f"bcast/{rank}")
-        # one encode, broadcast to world-1 peers
-        stats.wire_bytes += wire.nbytes * max(0, world - 2)
-        for dst in range(world):
-            if dst != rank:
-                emit_send(rank, dst, wire.nbytes, step=0, tag=f"bcast/{rank}")
-                # per-receiver fault accounting; decoding stays canonical
-                deliver_chunk(wire, stats, rank, dst, step=0,
-                              tag=f"bcast/{rank}")
-        decoded.append(decompress_chunk(compressor, wire, stats))
-        for dst in range(world):
-            if dst != rank:
-                emit_recv(dst, rank, wire.nbytes, step=0, tag=f"bcast/{rank}")
+    # one encode per rank, broadcast to its world-1 peers
+    decoded = [
+        broadcast_chunk(compressor, rng, stats, buffers[rank].ravel(),
+                        f"{key}/{rank}", rank,
+                        [(rank, dst, 0) for dst in range(world) if dst != rank],
+                        f"bcast/{rank}")
+        for rank in range(world)]
 
     total = np.sum(decoded, axis=0, dtype=np.float32)
     stats.max_recompressions = 1

@@ -15,20 +15,22 @@ dividing afterwards (in full precision, which adds no error).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, fields
+from typing import Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
 from repro.compression import Compressor
+from repro.compression.base import Compressed
 from repro.compression.topk import ErrorFeedback
 
 from .trace import (emit_buffer_read, emit_buffer_update, emit_buffer_write,
-                    emit_state_use, tracing_active)
+                    emit_recv, emit_send, emit_state_use, tracing_active)
 
 __all__ = ["ReduceStats", "chunk_bounds", "split_chunks", "check_buffers",
            "compress_chunk", "decompress_chunk", "accumulate_chunk",
-           "store_chunk", "wire_faults", "deliver_chunk", "faults_active"]
+           "store_chunk", "wire_faults", "deliver_chunk",
+           "Message", "send_chunks", "broadcast_chunk"]
 
 
 @dataclass
@@ -45,35 +47,52 @@ class ReduceStats:
     retries: int = 0             # fault-channel retransmissions
     retransmit_bytes: int = 0    # extra wire bytes those retries moved
 
-    def record_send(self, nbytes: int) -> None:
+    def record_send(self, nbytes: int, retry: bool = False) -> None:
+        """Book one payload crossing the wire (``retry``: a fault-channel
+        retransmission, which is counted as such on top)."""
         self.wire_bytes += nbytes
+        if retry:
+            self.retries += 1
+            self.retransmit_bytes += nbytes
+
+    def absorb(self, sub: "ReduceStats") -> None:
+        """Roll a nested collective's counters into this one: every field
+        but the call's identity and the depth, which the composing scheme
+        sets (parallel stages take a max, sequential ones add)."""
+        for field in fields(self):
+            if field.name not in ("scheme", "world_size", "numel",
+                                  "max_recompressions"):
+                setattr(self, field.name, getattr(self, field.name)
+                        + getattr(sub, field.name))
 
 
 # -- fault-channel hook ------------------------------------------------------
 #
-# The schemes in this package move payloads between ranks at the same
-# sites that emit send/recv trace events.  A fault channel (installed by
-# repro.faults via wire_faults) intercepts those payloads without the
-# collectives importing the faults package — which would be circular,
-# since faults imports this module.  The hook is a single None check per
-# logical message when no campaign is running.
+# Every payload the two message primitives below move passes through
+# deliver_chunk.  A fault channel (installed by repro.faults via
+# wire_faults) intercepts it there without the collectives importing the
+# faults package — which would be circular, since faults imports this
+# module.  The hook is a single None check per logical message when no
+# campaign is running.
 
-_channel = None
+class DeliveryChannel(Protocol):
+    """What :func:`wire_faults` installs (normally a
+    :class:`~repro.faults.inject.FaultChannel`)."""
+
+    def deliver(self, wire: Compressed, stats: ReduceStats, src: int,
+                dst: int, step: int, tag: str) -> Compressed:
+        """The payload ``dst`` should decode."""
 
 
-def faults_active() -> bool:
-    """Whether a fault channel is currently installed."""
-    return _channel is not None
+_channel: DeliveryChannel | None = None
 
 
 @contextmanager
-def wire_faults(channel) -> Iterator[None]:
+def wire_faults(channel: DeliveryChannel) -> Iterator[None]:
     """Install ``channel`` as the active fault interceptor.
 
-    ``channel`` must expose ``deliver(wire, stats, src, dst, step, tag)``
-    returning the payload the receiver should decode (normally a
-    :class:`~repro.faults.inject.FaultChannel`).  Channels nest like
-    traces: the innermost wins, the previous one is restored on exit.
+    Channels nest like traces: the innermost wins, the previous one is
+    restored on exit.
     """
     global _channel
     previous = _channel
@@ -84,16 +103,14 @@ def wire_faults(channel) -> Iterator[None]:
         _channel = previous
 
 
-def deliver_chunk(wire, stats: ReduceStats, src: int, dst: int,
-                  step: int = 0, tag: str = ""):
+def deliver_chunk(wire: Compressed, stats: ReduceStats, src: int, dst: int,
+                  step: int = 0, tag: str = "") -> Compressed:
     """Pass one logical point-to-point payload through the fault channel.
 
-    Schemes call this between the encode (``compress_chunk``/
-    ``emit_send``) and decode (``emit_recv``/``decompress_chunk``) sites
-    of every message.  With no channel installed it returns ``wire``
-    unchanged; under a campaign it may account retransmissions into
-    ``stats`` and, when CRC checking is disabled, hand back a corrupted
-    payload for the receiver to absorb.
+    With no channel installed it returns ``wire`` unchanged; under a
+    campaign it may book retransmissions into ``stats`` and, when CRC
+    checking is disabled, hand back a corrupted payload for the receiver
+    to absorb.
     """
     if _channel is None:
         return wire
@@ -133,7 +150,7 @@ def check_buffers(buffers: list[np.ndarray]) -> int:
     return numel
 
 
-def _uses_keyed_state(compressor) -> bool:
+def _uses_keyed_state(compressor: Compressor) -> bool:
     """Whether compressing under a key touches per-key mutable state."""
     if isinstance(compressor, ErrorFeedback):
         return True
@@ -142,9 +159,11 @@ def _uses_keyed_state(compressor) -> bool:
 
 
 def compress_chunk(compressor: Compressor, chunk: np.ndarray,
-                   rng: np.random.Generator, key, stats: ReduceStats,
-                   rank: int | None = None, tag: str = ""):
-    """Compress one chunk, updating stats; returns the wire object.
+                   rng: np.random.Generator, key: str, stats: ReduceStats,
+                   rank: int | None = None, tag: str = "") -> Compressed:
+    """Compress one chunk, counting the kernel call; returns the wire
+    object.  No bytes are booked here — an encoding nobody receives
+    crosses no wire; the message primitives book per send.
 
     ``rank`` attributes the access under an active trace: a buffer read
     of ``chunk``, plus a state use of ``key`` when the compressor keeps
@@ -156,11 +175,10 @@ def compress_chunk(compressor: Compressor, chunk: np.ndarray,
             emit_state_use(rank, key, tag=tag or str(key))
     compressed = compressor.compress(chunk, rng, key=key)
     stats.compress_calls += 1
-    stats.record_send(compressed.nbytes)
     return compressed
 
 
-def decompress_chunk(compressor: Compressor, compressed,
+def decompress_chunk(compressor: Compressor, compressed: Compressed,
                      stats: ReduceStats) -> np.ndarray:
     stats.decompress_calls += 1
     return compressor.decompress(compressed)
@@ -182,3 +200,71 @@ def store_chunk(target: np.ndarray, value: np.ndarray,
         emit_buffer_write(rank, target, tag=tag)
     target[:] = value
     return target
+
+
+# -- the two message primitives ----------------------------------------------
+#
+# A reduction scheme is who sends which chunk to whom and how often it is
+# re-quantized; *how* a message moves is the same everywhere and lives
+# here: encode -> book the bytes per edge -> emit_send -> deliver_chunk
+# -> decode -> emit_recv.  Bytes are booked where they are sent, so
+# ``wire_bytes`` equals the traced send bytes on every cell.
+
+class Message(NamedTuple):
+    """One point-to-point payload: ``chunk`` of ``src``, encoded under the
+    compressor state ``key``, for ``dst`` at schedule ``step``."""
+
+    chunk: np.ndarray
+    key: str
+    src: int
+    dst: int
+    step: int
+    tag: str
+
+
+def send_chunks(compressor: Compressor, rng: np.random.Generator,
+                stats: ReduceStats, messages: Iterable[Message],
+                ) -> Iterator[np.ndarray]:
+    """Point-to-point: what each receiver decodes, in ``messages`` order.
+
+    Post half, for the whole round before anything lands (ranks of a
+    simultaneous round all encode their pre-round state): encode, book,
+    ``emit_send``.  Land half, one message per iteration so the receiver
+    folds each payload in before the next lands: the fault channel, the
+    ``recv`` endpoint, the decode of whatever the channel delivered.
+    """
+    posted = []
+    for chunk, key, src, dst, step, tag in messages:
+        wire = compress_chunk(compressor, chunk, rng, key, stats,
+                              rank=src, tag=tag)
+        stats.record_send(wire.nbytes)
+        emit_send(src, dst, wire.nbytes, step, tag)
+        posted.append((wire, src, dst, step, tag))
+    for wire, src, dst, step, tag in posted:
+        wire = deliver_chunk(wire, stats, src, dst, step, tag)
+        emit_recv(dst, src, wire.nbytes, step, tag)
+        yield decompress_chunk(compressor, wire, stats)
+
+
+def broadcast_chunk(compressor: Compressor, rng: np.random.Generator,
+                    stats: ReduceStats, chunk: np.ndarray, key: str,
+                    root: int, edges: Sequence[tuple[int, int, int]],
+                    tag: str) -> np.ndarray:
+    """Fan-out: ``root`` encodes ``chunk`` once and the payload is
+    forwarded verbatim along ``edges`` (``(src, dst, step)``, in sending
+    order — a star, a ring's hop chain, a tree's edge list).
+
+    Every edge is booked and passes the fault channel (retransmissions
+    are per receiver), but all ranks adopt the one canonical decode
+    returned here, so replicas stay bit-identical whatever a link did.
+    """
+    wire = compress_chunk(compressor, chunk, rng, key, stats,
+                          rank=root, tag=tag)
+    for src, dst, step in edges:
+        stats.record_send(wire.nbytes)
+        emit_send(src, dst, wire.nbytes, step, tag)
+        deliver_chunk(wire, stats, src, dst, step, tag)
+    decoded = decompress_chunk(compressor, wire, stats)
+    for src, dst, step in edges:
+        emit_recv(dst, src, wire.nbytes, step, tag)
+    return decoded

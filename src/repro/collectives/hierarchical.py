@@ -21,10 +21,9 @@ import numpy as np
 
 from repro.compression import Compressor
 
-from .base import (ReduceStats, check_buffers, compress_chunk,
-                   decompress_chunk, deliver_chunk)
+from .base import ReduceStats, broadcast_chunk, check_buffers
 from .sra import sra_allreduce
-from .trace import emit_recv, emit_send, phase_scope, rank_scope
+from .trace import phase_scope, rank_scope
 
 __all__ = ["hierarchical_allreduce"]
 
@@ -63,9 +62,7 @@ def hierarchical_allreduce(
         with phase_scope(f"hier/intra{node}"), rank_scope(members[node]):
             reduced, sub = sra_allreduce(local, compressor, rng,
                                          key=f"{key}/intra{node}")
-        stats.wire_bytes += sub.wire_bytes
-        stats.compress_calls += sub.compress_calls
-        stats.decompress_calls += sub.decompress_calls
+        stats.absorb(sub)
         node_sum[node] = reduced[0]
 
     # Stage 2: inter-node allreduce among the leaders.
@@ -74,9 +71,7 @@ def hierarchical_allreduce(
     with phase_scope("hier/inter"), rank_scope(leaders):
         reduced, sub = sra_allreduce(leader_buffers, compressor, rng,
                                      key=f"{key}/inter")
-    stats.wire_bytes += sub.wire_bytes
-    stats.compress_calls += sub.compress_calls
-    stats.decompress_calls += sub.decompress_calls
+    stats.absorb(sub)
 
     # Stage 3: leaders broadcast the global sum to their local peers.
     # The payload is encoded once and forwarded verbatim (equivalently:
@@ -84,26 +79,11 @@ def hierarchical_allreduce(
     # every rank on every node decodes bit-identical values — replicas
     # must not diverge across nodes.
     with phase_scope("hier/bcast"):
-        wire = compress_chunk(compressor, reduced[0].ravel(), rng,
-                              key=f"{key}/bcast", stats=stats,
-                              rank=leaders[0], tag="bcast")
-        follower_count = sum(len(members[node]) - 1 for node in nodes)
-        stats.wire_bytes += wire.nbytes * max(0, follower_count - 1)
-        for node in nodes:
-            leader = members[node][0]
-            for peer in members[node][1:]:
-                emit_send(leader, peer, wire.nbytes, step=2, tag="bcast")
-                # per-peer fault accounting, like every other broadcast
-                # site; decoding stays canonical so replicas cannot
-                # diverge across nodes
-                deliver_chunk(wire, stats, leader, peer, step=2, tag="bcast")
-        decoded = decompress_chunk(compressor, wire, stats).reshape(
-            buffers[0].shape
-        )
-        for node in nodes:
-            leader = members[node][0]
-            for peer in members[node][1:]:
-                emit_recv(peer, leader, wire.nbytes, step=2, tag="bcast")
+        decoded = broadcast_chunk(
+            compressor, rng, stats, reduced[0].ravel(), f"{key}/bcast",
+            leaders[0], [(members[node][0], peer, 2) for node in nodes
+                         for peer in members[node][1:]],
+            "bcast").reshape(buffers[0].shape)
     outputs = [decoded.copy() for _ in range(world)]
     stats.max_recompressions = 5
     return outputs, stats

@@ -13,9 +13,9 @@ import numpy as np
 
 from repro.compression import Compressor
 
-from .base import (ReduceStats, accumulate_chunk, check_buffers,
-                   compress_chunk, decompress_chunk, deliver_chunk)
-from .trace import declare_buffer, emit_recv, emit_send
+from .base import (Message, ReduceStats, accumulate_chunk, broadcast_chunk,
+                   check_buffers, send_chunks)
+from .trace import declare_buffer
 
 __all__ = ["ps_allreduce"]
 
@@ -35,25 +35,14 @@ def ps_allreduce(
 
     total = buffers[0].astype(np.float32).ravel().copy()
     for rank in range(1, world):
-        wire = compress_chunk(compressor, buffers[rank].ravel(), rng,
-                              key=f"{key}/push/{rank}", stats=stats,
-                              rank=rank, tag=f"push/{rank}")
-        emit_send(rank, 0, wire.nbytes, step=0, tag=f"push/{rank}")
-        wire = deliver_chunk(wire, stats, rank, 0, step=0, tag=f"push/{rank}")
-        emit_recv(0, rank, wire.nbytes, step=0, tag=f"push/{rank}")
-        accumulate_chunk(total, decompress_chunk(compressor, wire, stats),
-                         rank=0, tag="push/agg")
+        (value,) = send_chunks(compressor, rng, stats, [Message(
+            buffers[rank].ravel(), f"{key}/push/{rank}", rank, 0, 0,
+            f"push/{rank}")])
+        accumulate_chunk(total, value, rank=0, tag="push/agg")
 
-    wire = compress_chunk(compressor, total, rng, key=f"{key}/bcast",
-                          stats=stats, rank=0, tag="bcast")
-    stats.wire_bytes += wire.nbytes * max(0, world - 2)
-    for rank in range(1, world):
-        emit_send(0, rank, wire.nbytes, step=1, tag="bcast")
-        # per-worker fault accounting; decoding stays canonical
-        deliver_chunk(wire, stats, 0, rank, step=1, tag="bcast")
-    result = decompress_chunk(compressor, wire, stats)
-    for rank in range(1, world):
-        emit_recv(rank, 0, wire.nbytes, step=1, tag="bcast")
+    result = broadcast_chunk(compressor, rng, stats, total, f"{key}/bcast", 0,
+                             [(0, rank, 1) for rank in range(1, world)],
+                             "bcast")
     stats.max_recompressions = 2
     shaped = result.reshape(buffers[0].shape)
     return [shaped.copy() for _ in range(world)], stats

@@ -21,11 +21,9 @@ import numpy as np
 
 from repro.compression import Compressor
 
-from .base import (ReduceStats, check_buffers, compress_chunk,
-                   decompress_chunk, deliver_chunk)
+from .base import ReduceStats, broadcast_chunk, check_buffers
 from .sra import sra_allreduce
-from .trace import (emit_recv, emit_send, emit_state_use, phase_scope,
-                    rank_scope)
+from .trace import emit_state_use, phase_scope, rank_scope
 
 __all__ = ["PartialAllreduce"]
 
@@ -87,39 +85,26 @@ class PartialAllreduce:
                 else carry + grad
 
         # reduce among the quorum, then one broadcast payload for everyone
+        stats = ReduceStats("partial", len(participants), numel)
         with phase_scope("partial/quorum"), rank_scope(participants):
-            reduced, stats = sra_allreduce(contributions, compressor, rng,
-                                           key=f"{key}/quorum")
-        stats.scheme = "partial"
-        laggards = self.world - len(participants)
-        if laggards == 0:
+            reduced, sub = sra_allreduce(contributions, compressor, rng,
+                                         key=f"{key}/quorum")
+        stats.absorb(sub)
+        late_ranks = [r for r in range(self.world) if r not in participants]
+        if not late_ranks:
             # full participation: the quorum SRA already delivered
             # identical results to every rank — encoding a late
-            # broadcast here would inflate wire_bytes and add a third
-            # quantization round nobody consumes
+            # broadcast here would add a third quantization round
+            # nobody consumes
             stats.max_recompressions = 2
             return reduced, stats
-        total = reduced[0]
 
         with phase_scope("partial/late"):
-            wire = compress_chunk(compressor, total.ravel(), rng,
-                                  key=f"{key}/late", stats=stats,
-                                  rank=participants[0], tag="late")
-            stats.wire_bytes += wire.nbytes * (laggards - 1)
-            late_ranks = [r for r in range(self.world)
-                          if r not in participants]
-            for rank in late_ranks:
-                emit_send(participants[0], rank, wire.nbytes, step=2,
-                          tag="late")
-                # per-laggard fault accounting; decoding stays canonical
-                deliver_chunk(wire, stats, participants[0], rank, step=2,
-                              tag="late")
-            decoded = decompress_chunk(compressor, wire, stats).reshape(
-                buffers[0].shape
-            )
-            for rank in late_ranks:
-                emit_recv(rank, participants[0], wire.nbytes, step=2,
-                          tag="late")
+            decoded = broadcast_chunk(
+                compressor, rng, stats, reduced[0].ravel(), f"{key}/late",
+                participants[0],
+                [(participants[0], rank, 2) for rank in late_ranks],
+                "late").reshape(buffers[0].shape)
         # every rank adopts the identical decoded payload
         outputs = [decoded.copy() for _ in range(self.world)]
         # quorum SRA quantizes twice; the late broadcast re-encodes once more

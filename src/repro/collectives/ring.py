@@ -15,17 +15,9 @@ import numpy as np
 
 from repro.compression import Compressor
 
-from .base import (
-    ReduceStats,
-    accumulate_chunk,
-    check_buffers,
-    compress_chunk,
-    decompress_chunk,
-    deliver_chunk,
-    split_chunks,
-    store_chunk,
-)
-from .trace import declare_buffer, emit_recv, emit_send
+from .base import (Message, ReduceStats, accumulate_chunk, broadcast_chunk,
+                   check_buffers, send_chunks, split_chunks, store_chunk)
+from .trace import declare_buffer
 
 __all__ = ["ring_allreduce"]
 
@@ -52,53 +44,27 @@ def ring_allreduce(
     ]
 
     # Phase 1: reduce-scatter.  In step s, rank r sends chunk (r - s) mod N
-    # to rank r+1, which accumulates it.
+    # to rank r+1, which accumulates it; a step is one simultaneous round.
     for step in range(world - 1):
-        transfers = []
-        for rank in range(world):
-            chunk_id = (rank - step) % world
-            wire = compress_chunk(compressor, work[rank][chunk_id], rng,
-                                  key=f"{key}/rs/{step}/{rank}", stats=stats,
-                                  rank=rank, tag=f"rs/{step}/{rank}")
-            emit_send(rank, (rank + 1) % world, wire.nbytes, step=step,
-                      tag=f"rs/{step}/{rank}")
-            transfers.append((rank, chunk_id, wire))
-        for rank, chunk_id, wire in transfers:
-            nxt = (rank + 1) % world
-            wire = deliver_chunk(wire, stats, rank, nxt, step=step,
-                                 tag=f"rs/{step}/{rank}")
-            emit_recv(nxt, rank, wire.nbytes, step=step,
-                      tag=f"rs/{step}/{rank}")
-            accumulate_chunk(work[nxt][chunk_id],
-                             decompress_chunk(compressor, wire, stats),
-                             rank=nxt, tag=f"rs/acc/{step}/{nxt}")
+        round_ = [Message(work[rank][(rank - step) % world],
+                          f"{key}/rs/{step}/{rank}", rank, (rank + 1) % world,
+                          step, f"rs/{step}/{rank}") for rank in range(world)]
+        for msg, value in zip(round_, send_chunks(compressor, rng, stats,
+                                                  round_)):
+            accumulate_chunk(work[msg.dst][(msg.src - step) % world], value,
+                             rank=msg.dst, tag=f"rs/acc/{step}/{msg.dst}")
 
     # After N-1 steps, rank r holds the full sum of chunk (r + 1) mod N.
     # Phase 2: allgather.  Each owner compresses its final chunk once and
-    # the payload is forwarded around the ring unchanged.
+    # the payload hops the ring verbatim: rank -> rank+1 -> ... (N-1 hops).
     final_payloads = {}
     for rank in range(world):
         owned = (rank + 1) % world
-        wire = compress_chunk(compressor, work[rank][owned], rng,
-                              key=f"{key}/ag/{rank}", stats=stats,
-                              rank=rank, tag=f"ag/{owned}")
-        stats.wire_bytes += wire.nbytes * (world - 2)  # forwarded N-1 hops total
-        # the payload hops the ring verbatim: rank -> rank+1 -> ... (N-1 hops)
-        for hop in range(world - 1):
-            src = (rank + hop) % world
-            dst = (rank + hop + 1) % world
-            emit_send(src, dst, wire.nbytes, step=world - 1 + hop,
-                      tag=f"ag/{owned}")
-            # per-hop fault accounting; the forwarded payload every rank
-            # decodes stays the owner's canonical encoding
-            deliver_chunk(wire, stats, src, dst, step=world - 1 + hop,
-                          tag=f"ag/{owned}")
-        final_payloads[owned] = decompress_chunk(compressor, wire, stats)
-        for hop in range(world - 1):
-            src = (rank + hop) % world
-            dst = (rank + hop + 1) % world
-            emit_recv(dst, src, wire.nbytes, step=world - 1 + hop,
-                      tag=f"ag/{owned}")
+        final_payloads[owned] = broadcast_chunk(
+            compressor, rng, stats, work[rank][owned], f"{key}/ag/{rank}",
+            rank, [((rank + hop) % world, (rank + hop + 1) % world,
+                    world - 1 + hop) for hop in range(world - 1)],
+            f"ag/{owned}")
 
     outputs = []
     for rank in range(world):

@@ -19,17 +19,9 @@ import numpy as np
 
 from repro.compression import Compressor
 
-from .base import (
-    ReduceStats,
-    accumulate_chunk,
-    check_buffers,
-    compress_chunk,
-    decompress_chunk,
-    deliver_chunk,
-    split_chunks,
-    store_chunk,
-)
-from .trace import declare_buffer, emit_recv, emit_send
+from .base import (Message, ReduceStats, accumulate_chunk, broadcast_chunk,
+                   check_buffers, send_chunks, split_chunks, store_chunk)
+from .trace import declare_buffer
 
 __all__ = ["sra_allreduce"]
 
@@ -65,43 +57,25 @@ def sra_allreduce(
         for rank in range(world):
             if rank == owner:
                 continue
-            wire = compress_chunk(
-                compressor, per_rank_chunks[rank][owner], rng,
-                key=f"{key}/sr/{owner}/{rank}", stats=stats,
-                rank=rank, tag=f"sr/{owner}/{rank}",
-            )
-            emit_send(rank, owner, wire.nbytes, step=0,
-                      tag=f"sr/{owner}/{rank}")
-            wire = deliver_chunk(wire, stats, rank, owner, step=0,
-                                 tag=f"sr/{owner}/{rank}")
-            emit_recv(owner, rank, wire.nbytes, step=0,
-                      tag=f"sr/{owner}/{rank}")
-            accumulate_chunk(total, decompress_chunk(compressor, wire, stats),
-                             rank=owner, tag=f"sr/agg/{owner}")
+            tag = f"sr/{owner}/{rank}"
+            (value,) = send_chunks(compressor, rng, stats, [Message(
+                per_rank_chunks[rank][owner], f"{key}/{tag}", rank, owner,
+                0, tag)])
+            accumulate_chunk(total, value, rank=owner, tag=f"sr/agg/{owner}")
         aggregated.append(total)
 
     # Round 2: allgather.  Owner compresses its aggregate once; all ranks
-    # (owner included) decode the same payload.
+    # (owner included) adopt the same decode.  A lone rank still encodes
+    # and decodes its aggregate (the quantization is the scheme's), but
+    # with nobody to send to it books no bytes.
     outputs = [np.empty(numel, dtype=np.float32) for _ in range(world)]
     out_chunks = [split_chunks(out, world) for out in outputs]
     for owner in range(world):
-        wire = compress_chunk(compressor, aggregated[owner], rng,
-                              key=f"{key}/ag/{owner}", stats=stats,
-                              rank=owner, tag=f"ag/{owner}")
-        # broadcast costs world-1 sends of the same payload
-        stats.wire_bytes += wire.nbytes * (world - 2) if world > 1 else 0
-        for dst in range(world):
-            if dst != owner:
-                emit_send(owner, dst, wire.nbytes, step=1, tag=f"ag/{owner}")
-                # broadcast payloads are delivered per receiver for fault
-                # accounting; all ranks decode the canonical wire object,
-                # preserving the replicas-stay-identical invariant
-                deliver_chunk(wire, stats, owner, dst, step=1,
-                              tag=f"ag/{owner}")
-        decoded = decompress_chunk(compressor, wire, stats)
+        decoded = broadcast_chunk(
+            compressor, rng, stats, aggregated[owner], f"{key}/ag/{owner}",
+            owner, [(owner, dst, 1) for dst in range(world) if dst != owner],
+            f"ag/{owner}")
         for rank in range(world):
-            if rank != owner:
-                emit_recv(rank, owner, wire.nbytes, step=1, tag=f"ag/{owner}")
             store_chunk(out_chunks[rank][owner], decoded, rank=rank,
                         tag=f"ag/out/{owner}")
     stats.max_recompressions = 2

@@ -18,6 +18,8 @@ from repro.cluster.network import Network
 from repro.compression import CompressionSpec
 from repro.compression.metrics import kernel_seconds
 
+from .base import chunk_bounds
+
 __all__ = ["CollectiveTiming", "time_allreduce",
            "time_partial_allreduce", "SCHEMES", "drain_channel",
            "TimedBucket", "OverlapStepTiming", "time_overlapped_step"]
@@ -41,8 +43,8 @@ class CollectiveTiming:
 
 
 def _chunk_sizes(numel: int, n_chunks: int) -> list[int]:
-    base, extra = divmod(numel, n_chunks)
-    return [base + (1 if i < extra else 0) for i in range(n_chunks)]
+    """Element counts of the data path's chunks (one chunking rule)."""
+    return [end - start for start, end in chunk_bounds(numel, n_chunks)]
 
 
 class _Scheduler:

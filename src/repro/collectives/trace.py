@@ -2,12 +2,14 @@
 
 The collectives in this package execute the *data path* of each
 reduction scheme in-process, so there is no real transport whose
-send/recv calls could be intercepted.  Instead each scheme is
-instrumented at the points where payloads logically move between ranks:
-it emits one ``send`` event at the encode/transmit site and one ``recv``
-event at the decode/accumulate site, per logical point-to-point
-message (broadcasts emit one event pair per receiving rank, matching
-the ``ReduceStats.wire_bytes`` accounting).
+send/recv calls could be intercepted.  Instead the two message
+primitives every scheme is written on (:func:`~repro.collectives.base
+.send_chunks`, :func:`~repro.collectives.base.broadcast_chunk`) emit one
+``send`` event where a payload is transmitted and one ``recv`` event
+where it is consumed, per logical point-to-point message (broadcasts
+emit one event pair per receiving rank); the line that emits a send
+also books its bytes, so ``ReduceStats.wire_bytes`` is the traced send
+bytes.
 
 The hooks are no-ops unless a :class:`ScheduleTrace` has been installed
 with :func:`capture`, so the data path pays one ``None`` check per
@@ -235,7 +237,8 @@ class ScheduleTrace:
         self.events.append(event)
         self.timeline.append(event)
 
-    def record_access(self, access: BufferAccess, array=None) -> None:
+    def record_access(self, access: BufferAccess,
+                      array: np.ndarray | None = None) -> None:
         self.accesses.append(access)
         self.timeline.append(access)
         if array is not None:
@@ -321,7 +324,8 @@ def emit_recv(dst: int, src: int, nbytes: int, step: int,
                               int(nbytes), tag, blocking=True))
 
 
-def _record_mem_access(kind: str, rank: int, array, tag: str) -> None:
+def _record_mem_access(kind: str, rank: int, array: np.ndarray,
+                       tag: str) -> None:
     if _active is None:
         return
     arr = np.asarray(array)
@@ -333,22 +337,22 @@ def _record_mem_access(kind: str, rank: int, array, tag: str) -> None:
     )
 
 
-def emit_buffer_read(rank: int, array, tag: str = "") -> None:
+def emit_buffer_read(rank: int, array: np.ndarray, tag: str = "") -> None:
     """Record that ``rank`` reads ``array`` (e.g. to compress it)."""
     _record_mem_access("read", rank, array, tag)
 
 
-def emit_buffer_write(rank: int, array, tag: str = "") -> None:
+def emit_buffer_write(rank: int, array: np.ndarray, tag: str = "") -> None:
     """Record that ``rank`` overwrites ``array`` (e.g. ``buf[:] = x``)."""
     _record_mem_access("write", rank, array, tag)
 
 
-def emit_buffer_update(rank: int, array, tag: str = "") -> None:
+def emit_buffer_update(rank: int, array: np.ndarray, tag: str = "") -> None:
     """Record an in-place read-modify-write (e.g. ``buf += x``)."""
     _record_mem_access("update", rank, array, tag)
 
 
-def emit_state_use(rank: int, key, tag: str = "") -> None:
+def emit_state_use(rank: int, key: object, tag: str = "") -> None:
     """Record that ``rank`` reads+writes keyed compressor state.
 
     Error-feedback residuals, PowerSGD warm-start memory and DGC
@@ -386,7 +390,7 @@ def timeline_position() -> int:
     return len(_active.timeline)
 
 
-def declare_buffer(rank: int, array, name: str = "") -> None:
+def declare_buffer(rank: int, array: np.ndarray, name: str = "") -> None:
     """Declare ``array`` as ``rank``'s private input/output buffer.
 
     Declarations feed the static aliasing check (RACE004): two ranks

@@ -14,9 +14,9 @@ import numpy as np
 
 from repro.compression import Compressor
 
-from .base import (ReduceStats, accumulate_chunk, check_buffers,
-                   compress_chunk, decompress_chunk, deliver_chunk)
-from .trace import declare_buffer, emit_recv, emit_send
+from .base import (Message, ReduceStats, accumulate_chunk, broadcast_chunk,
+                   check_buffers, send_chunks)
+from .trace import declare_buffer
 
 __all__ = ["tree_allreduce"]
 
@@ -42,18 +42,12 @@ def tree_allreduce(
     while stride < world:
         for receiver in range(0, world - stride, 2 * stride):
             sender = receiver + stride
-            wire = compress_chunk(compressor, partial[sender], rng,
-                                  key=f"{key}/up/{stride}/{sender}", stats=stats,
-                                  rank=sender, tag=f"up/{stride}/{sender}")
-            emit_send(sender, receiver, wire.nbytes, step=depth,
-                      tag=f"up/{stride}/{sender}")
-            wire = deliver_chunk(wire, stats, sender, receiver, step=depth,
-                                 tag=f"up/{stride}/{sender}")
-            emit_recv(receiver, sender, wire.nbytes, step=depth,
-                      tag=f"up/{stride}/{sender}")
-            accumulate_chunk(partial[receiver],
-                             decompress_chunk(compressor, wire, stats),
-                             rank=receiver, tag=f"up/acc/{receiver}")
+            tag = f"up/{stride}/{sender}"
+            (value,) = send_chunks(compressor, rng, stats, [Message(
+                partial[sender], f"{key}/{tag}", sender, receiver, depth,
+                tag)])
+            accumulate_chunk(partial[receiver], value, rank=receiver,
+                             tag=f"up/acc/{receiver}")
             edges.append((receiver, sender, depth))
         stride *= 2
         depth += 1
@@ -62,20 +56,10 @@ def tree_allreduce(
     # down the tree verbatim so every rank decodes the same values.  The
     # forwarding retraces the reduce edges parent->child in reverse stride
     # order (the edge reduced at step k is broadcast at step 2*depth-1-k).
-    wire = compress_chunk(compressor, partial[0], rng, key=f"{key}/down",
-                          stats=stats, rank=0, tag="down")
-    stats.wire_bytes += wire.nbytes * max(0, world - 2)
-    for parent, child, k in reversed(edges):
-        emit_send(parent, child, wire.nbytes, step=2 * depth - 1 - k,
-                  tag="down")
-        # per-edge fault accounting; every rank decodes the root's
-        # canonical payload
-        deliver_chunk(wire, stats, parent, child, step=2 * depth - 1 - k,
-                      tag="down")
-    result = decompress_chunk(compressor, wire, stats)
-    for parent, child, k in reversed(edges):
-        emit_recv(child, parent, wire.nbytes, step=2 * depth - 1 - k,
-                  tag="down")
+    result = broadcast_chunk(
+        compressor, rng, stats, partial[0], f"{key}/down", 0,
+        [(parent, child, 2 * depth - 1 - k)
+         for parent, child, k in reversed(edges)], "down")
     stats.max_recompressions = depth + 1
     shaped = result.reshape(buffers[0].shape)
     return [shaped.copy() for _ in range(world)], stats

@@ -89,9 +89,9 @@ class CommunicationEngine:
 
     def __init__(self, config: CGXConfig | None = None,
                  node_of: list[int] | None = None):
+        #: may be replaced between steps (a frontend following its
+        #: session); compressor state carries over, see _compressor_for
         self.config = config or CGXConfig()
-        self.filter = LayerFilter(self.config.filtered_keywords,
-                                  self.config.min_compress_numel)
         self.node_of = node_of  # rank -> node, for the hierarchical scheme
         self._compressors: dict[str, Compressor | ErrorFeedback] = {}
         # per-package quorum reducers, created on first degraded step so
@@ -100,6 +100,12 @@ class CommunicationEngine:
         # residuals restored from a checkpoint before their package's
         # compressor exists; consumed lazily by _compressor_for
         self._pending_residuals: dict[str, dict] = {}
+
+    @property
+    def filter(self) -> LayerFilter:
+        """The current config's full-precision filter."""
+        return LayerFilter(self.config.filtered_keywords,
+                           self.config.min_compress_numel)
 
     # -- planning ----------------------------------------------------------
     def plan(self, layers: list[LayerInfo], mode: str = "cgx") -> list[Package]:
@@ -415,9 +421,10 @@ class CommunicationEngine:
         # fusion regroups them, replacing sequential mode's one fused
         # "filtered" package)
         fp32 = CompressionSpec("none")
+        excluded = self.filter.excluded
         packages = [
             Package(name, (layers[name],),
-                    fp32 if self.filter.excluded(layers[name])
+                    fp32 if excluded(layers[name])
                     else self.config.spec_for(name))
             for name in ready_order
         ]

@@ -20,7 +20,6 @@ import numpy as np
 from repro.nn.module import Module
 
 from .api import CGXSession
-from .engine import CommunicationEngine
 from .filters import LayerInfo
 
 __all__ = ["EagerFrontend", "GraphFrontend"]
@@ -32,19 +31,21 @@ class _FrontendBase:
     def __init__(self, session: CGXSession, seed: int = 0):
         self.session = session
         self.rng = np.random.default_rng(seed)
-
-    def _engine(self) -> CommunicationEngine:
-        return self.session.engine()
+        # one engine for the frontend's lifetime: error-feedback
+        # residuals and quorum carries live on it across steps
+        self._engine = session.engine()
 
     def reduce(self, per_worker_grads: list[dict[str, np.ndarray]]):
         raise NotImplementedError
 
 
 class EagerFrontend(_FrontendBase):
-    """Define-by-run: layout discovered from the gradients each step."""
+    """Define-by-run: layout discovered from the gradients each step,
+    under whatever the session is configured with at that step."""
 
     def reduce(self, per_worker_grads: list[dict[str, np.ndarray]]):
-        reduced, report = self._engine().reduce(per_worker_grads, self.rng)
+        self._engine.config = self.session.config
+        reduced, report = self._engine.reduce(per_worker_grads, self.rng)
         return reduced, report
 
 
@@ -60,7 +61,6 @@ class GraphFrontend(_FrontendBase):
                  seed: int = 0):
         super().__init__(session, seed)
         self._layers: list[LayerInfo] | None = None
-        self._engine_cache: CommunicationEngine | None = None
         if model is not None:
             self.capture_model(model)
 
@@ -72,7 +72,7 @@ class GraphFrontend(_FrontendBase):
     def capture(self, layout: list[tuple[str, int]]) -> None:
         self.session.register_model(layout)
         self._layers = self.session.layers
-        self._engine_cache = self.session.engine()
+        self._engine = self.session.engine()
 
     def reduce(self, per_worker_grads: list[dict[str, np.ndarray]]):
         if self._layers is None:
@@ -84,5 +84,5 @@ class GraphFrontend(_FrontendBase):
                 "gradient layout changed after graph capture: "
                 f"missing={sorted(names - seen)}, new={sorted(seen - names)}"
             )
-        reduced, report = self._engine_cache.reduce(per_worker_grads, self.rng)
+        reduced, report = self._engine.reduce(per_worker_grads, self.rng)
         return reduced, report

@@ -141,9 +141,7 @@ class FaultChannel:
             # schedule verifier as a fresh matched send/recv pair
             counters.retries += 1
             counters.retransmit_bytes += wire.nbytes
-            stats.retries += 1
-            stats.retransmit_bytes += wire.nbytes
-            stats.wire_bytes += wire.nbytes
+            stats.record_send(wire.nbytes, retry=True)
             retry_tag = f"{tag}#retry{attempt}"
             emit_send(src, dst, wire.nbytes, step=step, tag=retry_tag)
             emit_recv(dst, src, wire.nbytes, step=step, tag=retry_tag)

@@ -6,7 +6,9 @@ import pytest
 from repro.analysis import (SchemeCase, default_cases,
                             expected_recompression_bound, trace_case,
                             verify_callable, verify_schedules, verify_trace)
-from repro.collectives import ALGORITHMS
+from repro.analysis.schedule import verify_case
+from repro.collectives import (ALGORITHMS, EXPLICIT_CELLS, SINGLE_MEMBER_CELLS,
+                               scheme_cells)
 from repro.collectives.base import ReduceStats, check_buffers
 from repro.collectives.trace import capture, emit_recv, emit_send
 
@@ -29,6 +31,19 @@ def test_trace_pairs_and_conserves_bytes(case):
     assert len(trace.sends) == len(trace.recvs)
     assert trace.send_bytes() == stats.wire_bytes
     assert verify_trace(trace, stats, case) == []
+
+
+@pytest.mark.parametrize(
+    "case", scheme_cells((1, 2, 3, 4, 5)) + list(EXPLICIT_CELLS)
+    + list(SINGLE_MEMBER_CELLS.values()),
+    ids=lambda c: f"{c.scheme}-w{c.world}"
+    f"{'-n' + ''.join(map(str, c.node_of)) if c.node_of else ''}")
+def test_degenerate_cells_verify_clean_too(case):
+    """Bytes are booked per send, so SCH001-SCH007 hold outside the
+    default grid as well: a lone rank, a one-rank quorum, one-GPU nodes
+    (nine of these rows counted a payload nobody receives — SCH005)."""
+    findings = verify_case(case)
+    assert findings == [], [f.render() for f in findings]
 
 
 def _asymmetric_allreduce(buffers, compressor, rng, key=""):

@@ -1,11 +1,17 @@
 """Data-path tests for the compression-aware collectives."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.collectives import allreduce, chunk_bounds, split_chunks
+from repro.collectives import (CELL_SCHEMES, SchemeCell, allreduce,
+                               chunk_bounds, run_cell, split_chunks)
+from repro.collectives.trace import capture, match_messages
 from repro.compression import CompressionSpec, make_compressor
+from repro.faults import (FaultPlan, PlanRuntime, inject_data_path,
+                          message_loss, payload_corruption)
 
 SCHEMES = ["sra", "ring", "tree", "allgather", "ps"]
 
@@ -204,3 +210,45 @@ def test_hierarchical_rejects_bad_node_map():
     with pytest.raises(ValueError):
         allreduce("hier", bufs, make_compressor(CompressionSpec()),
                   np.random.default_rng(0), node_of=[0, 1])
+
+
+# -- wire conservation, by construction ------------------------------------------
+
+@st.composite
+def random_cells(draw):
+    """Any scheme, worlds 1-6, any node placement / non-empty quorum."""
+    scheme = draw(st.sampled_from(CELL_SCHEMES))
+    world = draw(st.integers(1, 6))
+    node_of = participants = None
+    if scheme == "hier":
+        node_of = tuple(draw(st.lists(st.integers(0, 2), min_size=world,
+                                      max_size=world)))
+    if scheme == "partial":
+        participants = tuple(draw(st.sets(st.integers(0, world - 1),
+                                          min_size=1)))
+    return SchemeCell(scheme, world, node_of, participants)
+
+
+@given(cell=random_cells(), numel=st.integers(1, 200),
+       lossy=st.booleans(), seed=st.integers(0, 50))
+@settings(max_examples=150, deadline=None)
+def test_stats_book_every_traced_send_property(cell, numel, lossy, seed):
+    """Bytes are booked where they are sent: on any cell, degenerate or
+    not, with or without a fault channel, ``wire_bytes`` is the traced
+    send bytes, every send lands, and ``retries`` counts the
+    retransmitted sends."""
+    bufs = make_buffers(cell.world, numel, seed=seed)
+    comp = make_compressor(CompressionSpec("qsgd", bits=4, bucket_size=32))
+    runtime = PlanRuntime(FaultPlan("prop", cell.world, seed, (
+        message_loss(0, None, probability=0.2),
+        payload_corruption(0, None, probability=0.1))))
+    channel = inject_data_path(runtime) if lossy else nullcontext()
+    with capture() as trace, channel:
+        _, stats = run_cell(cell, bufs, comp, np.random.default_rng(seed))
+    match = match_messages(trace.events)
+    assert trace.send_bytes() == stats.wire_bytes
+    assert len(match.pairs) == len(trace.sends) == len(trace.recvs)
+    assert not match.orphan_sends and not match.early_recvs
+    retried = [e for e in trace.sends if "#retry" in e.tag]
+    assert stats.retries == len(retried) == runtime.counters.retries
+    assert stats.retransmit_bytes == sum(e.nbytes for e in retried)

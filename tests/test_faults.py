@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import Network, nvlink_mesh
-from repro.collectives import allreduce
+from repro.collectives import SchemeCell, allreduce, run_cell, scheme_cell
 from repro.collectives.partial import PartialAllreduce
 from repro.compression import CompressionSpec, make_compressor
 from repro.core import CGXConfig, CommunicationEngine
@@ -254,6 +254,28 @@ def test_lossy_channel_still_reduces_exactly(scheme):
     assert runtime.counters.corrupt_delivered == 0
     assert stats.retries == runtime.counters.retries
     assert stats.retransmit_bytes == runtime.counters.retransmit_bytes
+
+
+@pytest.mark.parametrize("cell", [
+    SchemeCell("hier", 4, node_of=(0, 0, 1, 1)), scheme_cell("partial", 4)],
+    ids=["hier", "partial"])
+def test_nested_collectives_roll_up_their_retry_counters(cell):
+    """hier summed its sub-collectives' wire bytes (retransmissions
+    included) but dropped their retries: 11 booked of 77 performed."""
+    runtime = PlanRuntime(make_campaign("lossy-link", world=4, seed=0))
+    runtime.advance(5)
+    comp = make_compressor(CompressionSpec("qsgd", bits=4))
+    rng = np.random.default_rng(0)
+    retries = retransmit_bytes = 0
+    with inject_data_path(runtime):
+        for step in range(20):
+            _, stats = run_cell(cell, make_buffers(4, numel=4000, seed=step),
+                                comp, rng)
+            retries += stats.retries
+            retransmit_bytes += stats.retransmit_bytes
+    assert runtime.counters.retries > 0
+    assert retries == runtime.counters.retries
+    assert retransmit_bytes == runtime.counters.retransmit_bytes
 
 
 def test_retransmits_add_wire_bytes():

@@ -98,6 +98,50 @@ def test_graph_frontend_matches_eager_results():
         np.testing.assert_array_equal(reduced_e[0][name], reduced_g[0][name])
 
 
+def _topk_ef_session():
+    from repro.compression import CompressionSpec
+    from repro.core import CGXConfig
+
+    return CGXSession(CGXConfig(compression=CompressionSpec(
+        "topk", density=0.1, error_feedback=True)))
+
+
+def test_eager_frontend_keeps_compressor_state_across_steps():
+    """A fresh engine per step threw the error-feedback residuals away:
+    eager agreed with graph on step 0 and diverged from step 1."""
+    eager = EagerFrontend(_topk_ef_session(), seed=9)
+    graph = GraphFrontend(_topk_ef_session(),
+                          model=build_model("mlp", seed=0), seed=9)
+    for step in range(3):
+        grads = worker_grads(seed=step)
+        reduced_e, _ = eager.reduce(grads)
+        reduced_g, _ = graph.reduce(grads)
+        for name in reduced_e[0]:
+            np.testing.assert_array_equal(reduced_e[0][name],
+                                          reduced_g[0][name], err_msg=name)
+
+
+def test_eager_frontend_follows_session_changes_between_steps():
+    from repro.compression import CompressionSpec
+
+    def exact(reduced, name):
+        mean = (grads[0][name] + grads[1][name]) / 2
+        return np.allclose(reduced[0][name], mean, rtol=1e-6)
+
+    session = _topk_ef_session()
+    eager = EagerFrontend(session)
+    grads = worker_grads()
+    reduced, _ = eager.reduce(grads)
+    assert not exact(reduced, "2.weight") and not exact(reduced, "0.weight")
+    # an in-place per-layer override, then a replaced config object
+    session.set_layer_compression("2.weight", CompressionSpec("none"))
+    reduced, _ = eager.reduce(grads)
+    assert exact(reduced, "2.weight") and not exact(reduced, "0.weight")
+    session.exclude_layer("0.weight")
+    reduced, _ = eager.reduce(grads)
+    assert exact(reduced, "2.weight") and exact(reduced, "0.weight")
+
+
 def test_graph_frontend_rejects_layout_change():
     frontend = GraphFrontend(CGXSession(), model=build_model("mlp", seed=0))
     grads = worker_grads()
