@@ -130,7 +130,7 @@ class Compressor:
     #: like PowerSGD's 1-D fallback, is skipped)
     fields: ClassVar[tuple[str, ...]] = ()
 
-    def __init__(self, spec: CompressionSpec):
+    def __init__(self, spec: CompressionSpec) -> None:
         self.spec = spec
 
     @classmethod

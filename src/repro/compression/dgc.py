@@ -39,7 +39,8 @@ class DGCCompressor(Sparsifier):
                                   self_error_feedback=True)
 
     def __init__(self, spec: CompressionSpec, momentum: float = 0.9,
-                 warmup_steps: int = 0, initial_density: float = 0.25):
+                 warmup_steps: int = 0, initial_density: float = 0.25
+                 ) -> None:
         super().__init__(spec)
         if not 0 <= momentum < 1:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")

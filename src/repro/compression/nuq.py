@@ -51,9 +51,10 @@ class NUQSGDCompressor(BucketQuantizer):
     contract = CompressorContract("nuq", uses_rng=True,
                                   supported_bits=(2, 3, 4, 5, 6, 7, 8))
 
-    def __init__(self, spec: CompressionSpec):
-        super().__init__(spec)
+    def __init__(self, spec: CompressionSpec) -> None:
+        # set first: the frame tabulates _dequantize when it is built
         self.levels = exponential_levels(spec.bits)
+        super().__init__(spec)
 
     def _quantize(self, normalized: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:

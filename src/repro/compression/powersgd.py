@@ -75,7 +75,7 @@ class PowerSGDCompressor(Compressor):
         # the operator's clamped rank, or small layers over-report
         return (rows + cols) * rank * FP32_BYTES
 
-    def __init__(self, spec: CompressionSpec):
+    def __init__(self, spec: CompressionSpec) -> None:
         super().__init__(spec)
         self._q_memory: dict = {}
 

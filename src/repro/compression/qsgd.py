@@ -30,38 +30,126 @@ from .contracts import CompressorContract
 __all__ = ["BucketQuantizer", "QSGDCompressor", "pack_codes", "unpack_codes"]
 
 
-def pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:
-    """Pack small unsigned integers (< 2^bits) into a uint8 byte stream."""
-    if codes.size == 0:
-        return np.empty(0, dtype=np.uint8)
+def _group_layout(bits: int) -> tuple[int, int, tuple[tuple[int, int, int], ...]]:
+    """Where each code of one *group* sits in the MSB-first byte stream.
+
+    A group is the shortest run of ``bits``-wide codes that fills whole
+    bytes (two 4-bit codes -> one byte, eight 3-bit codes -> three).
+    Returns ``(codes per group, bytes per group, pieces)``; a piece
+    ``(byte, code, shift)`` says that ``code << shift`` (``>> -shift``
+    when negative: the head of a code straddling two bytes) lands in
+    ``byte``.  Pieces are ordered by byte and by code at once.
+    """
+    group = next(g for g in (1, 2, 4, 8) if g * bits % 8 == 0)
+    pieces = []
+    for code in range(group):
+        end = (code + 1) * bits
+        for byte in range(code * bits // 8, (end - 1) // 8 + 1):
+            pieces.append((byte, code, 8 * (byte + 1) - end))
+    return group, group * bits // 8, tuple(pieces)
+
+
+_LAYOUTS = {bits: _group_layout(bits) for bits in range(1, 9)}
+
+
+def _layout(bits: int) -> tuple[int, int, tuple[tuple[int, int, int], ...]]:
     if not 1 <= bits <= 8:
         raise ValueError(f"bits must be in [1, 8], got {bits}")
+    return _LAYOUTS[bits]
+
+
+def _shifted(column: np.ndarray, shift: int,
+             out: np.ndarray | None = None) -> np.ndarray:
+    if shift >= 0:
+        return np.left_shift(column, shift, out=out)
+    return np.right_shift(column, -shift, out=out)
+
+
+def pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:
+    """Pack unsigned integers into a uint8 byte stream, ``bits`` bits
+    each, most significant bit first.  Only the low ``bits`` bits of a
+    code travel: higher bits are masked off, never bled into the
+    neighbouring code."""
+    group, width, pieces = _layout(bits)
+    count = codes.size
     codes = codes.astype(np.uint8, copy=False)
-    bit_matrix = np.unpackbits(codes[:, None], axis=1)[:, 8 - bits:]
-    return np.packbits(bit_matrix.ravel())
+    if bits == 1:
+        # a 1-bit code is a bit: packbits is already the word-level
+        # kernel (5x the column loop below at every size)
+        return np.packbits(codes & np.uint8(1))
+    n_groups = -(-count // group)
+    columns = np.zeros((n_groups, group), dtype=np.uint8)  # tail codes 0
+    np.bitwise_and(codes, np.uint8((1 << bits) - 1),
+                   out=columns.reshape(-1)[:count])
+    packed = np.empty((n_groups, width), dtype=np.uint8)
+    filled = -1
+    for byte, code, shift in pieces:
+        if byte != filled:
+            _shifted(columns[:, code], shift, out=packed[:, byte])
+            filled = byte
+        else:
+            packed[:, byte] |= _shifted(columns[:, code], shift)
+    return packed.reshape(-1)[: -(-count * bits // 8)]
 
 
 def unpack_codes(packed: np.ndarray, bits: int, count: int) -> np.ndarray:
     """Inverse of :func:`pack_codes`; returns ``count`` codes."""
-    if count == 0:
-        return np.empty(0, dtype=np.uint8)
-    bit_stream = np.unpackbits(packed)[: count * bits]
-    bit_matrix = bit_stream.reshape(count, bits)
-    padded = np.zeros((count, 8), dtype=np.uint8)
-    padded[:, 8 - bits:] = bit_matrix
-    return np.packbits(padded, axis=1).ravel()
+    group, width, pieces = _layout(bits)
+    needed = -(-count * bits // 8)
+    if packed.size < needed:
+        raise ValueError(f"{count} {bits}-bit codes need {needed} bytes, "
+                         f"got {packed.size}")
+    if bits == 1:
+        return np.unpackbits(packed, count=count)
+    n_groups = -(-count // group)
+    if packed.size != n_groups * width:
+        padded = np.zeros(n_groups * width, dtype=np.uint8)
+        padded[:needed] = packed[:needed]
+        packed = padded
+    rows = packed.reshape(n_groups, width)
+    codes = np.empty((n_groups, group), dtype=np.uint8)
+    filled = -1
+    for byte, code, shift in pieces:
+        # what pack moved left by ``shift`` moves back right
+        if code != filled:
+            _shifted(rows[:, byte], -shift, out=codes[:, code])
+            filled = code
+        else:
+            codes[:, code] |= _shifted(rows[:, byte], -shift)
+    codes &= np.uint8((1 << bits) - 1)
+    return codes.reshape(-1)[:count]
+
+
+def _bucket_shape(numel: int, bucket_size: int) -> tuple[int, int]:
+    """``(n_buckets, size)`` — the size clamped to the tensor, so a
+    GRACE-style bucket_size=2**30 makes one tensor-sized bucket, not
+    4 GiB."""
+    size = min(bucket_size, max(1, numel))
+    return -(-numel // size), size
 
 
 def bucketize(flat: np.ndarray, bucket_size: int) -> np.ndarray:
-    """``flat`` as ``(n_buckets, size)``, zero-padding the tail (a
-    decoder re-bucketizes its values and drops the tail again)."""
-    # clamped to the tensor: a GRACE-style bucket_size=2**30 allocates
-    # one tensor-sized bucket, not 4 GiB
-    size = min(bucket_size, max(1, flat.size))
-    n_buckets = -(-flat.size // size)
+    """``flat`` as ``(n_buckets, size)``: a view when the buckets divide
+    it, else a copy with the tail zero-padded."""
+    n_buckets, size = _bucket_shape(flat.size, bucket_size)
+    if n_buckets * size == flat.size:
+        return flat.reshape(n_buckets, size)
     padded = np.zeros(n_buckets * size, dtype=flat.dtype)
     padded[: flat.size] = flat
     return padded.reshape(n_buckets, size)
+
+
+def scale_buckets(values: np.ndarray, norms: np.ndarray,
+                  bucket_size: int) -> None:
+    """Multiply each bucket of the flat ``values`` by its norm, in place
+    (the short tail bucket included, without padding it out)."""
+    _, size = _bucket_shape(values.size, bucket_size)
+    whole = values.size // size
+    body = values[: whole * size].reshape(whole, size)
+    with np.errstate(invalid="ignore"):  # 0 * inf: a diverged bucket
+        body *= norms[:whole, None]
+        if whole * size < values.size:
+            values[whole * size:] *= norms[whole]
 
 
 def check_bucket_size(spec: CompressionSpec) -> None:
@@ -106,8 +194,19 @@ class BucketQuantizer(Compressor):
                 f"uint{spec.wire_dtype_bits}")
         return [codes, norms]
 
+    def __init__(self, spec: CompressionSpec) -> None:
+        super().__init__(spec)
+        # every code's value, sign applied (code 2^(bits-1) is -0.0),
+        # tabulated from the subclass's own level rule
+        codes = np.arange(2 ** spec.bits, dtype=np.uint8)
+        sign_mask = np.uint8(1 << (spec.bits - 1))
+        signs = np.where(codes & sign_mask, -1.0, 1.0).astype(np.float32)
+        self._values = signs * self._dequantize(codes & (sign_mask - np.uint8(1)))
+
     def _quantize(self, normalized: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
+        """Levels of ``normalized`` (a scratch array the rule may
+        overwrite), drawing one float64 per element from ``rng``."""
         raise NotImplementedError
 
     def _dequantize(self, level: np.ndarray) -> np.ndarray:
@@ -118,15 +217,22 @@ class BucketQuantizer(Compressor):
         spec = self.spec
         flat = np.asarray(array, dtype=np.float32).ravel()
         buckets = bucketize(flat, spec.bucket_size)
+        magnitudes = np.abs(buckets)
         if spec.scaling == "l2":
             norms = np.linalg.norm(buckets, axis=1)
         else:
-            norms = np.max(np.abs(buckets), axis=1)
-        safe_norms = np.where(norms > 0, norms, 1.0)
-        level = self._quantize(np.abs(buckets) / safe_norms[:, None], rng)
-        sign_bit = (buckets < 0).astype(np.uint8)
-        codes = (level | (sign_bit << (spec.bits - 1))).ravel()
-        codes = codes[: flat.size]  # drop tail padding codes
+            norms = np.max(magnitudes, axis=1)
+        finite = np.isfinite(norms)
+        if not finite.all():
+            # a NaN/Inf bucket carries its non-finite scale and level-0
+            # codes, not whatever the platform casts NaN to
+            magnitudes[~finite] = 0.0
+        magnitudes /= np.where(norms > 0, norms, 1.0)[:, None]
+        level = self._quantize(magnitudes, rng)
+        sign_bit = (buckets < 0).view(np.uint8)
+        sign_bit <<= spec.bits - 1
+        level |= sign_bit
+        codes = level.reshape(-1)[: flat.size]  # drop tail padding codes
         payload = {
             "codes": pack_codes(codes, spec.bits),
             "norms": norms.astype(np.float32),
@@ -138,12 +244,9 @@ class BucketQuantizer(Compressor):
         spec = compressed.spec
         codes = unpack_codes(compressed.payload["codes"], spec.bits,
                              compressed.numel)
-        sign_mask = np.uint8(1 << (spec.bits - 1))
-        signs = np.where(codes & sign_mask, -1.0, 1.0).astype(np.float32)
-        values = signs * self._dequantize(codes & (sign_mask - np.uint8(1)))
-        buckets = bucketize(values, spec.bucket_size)
-        buckets *= compressed.payload["norms"][:, None]
-        return buckets.ravel()[: compressed.numel].reshape(compressed.shape)
+        values = self._values.take(codes)
+        scale_buckets(values, compressed.payload["norms"], spec.bucket_size)
+        return values.reshape(compressed.shape)
 
 
 @register
@@ -153,17 +256,18 @@ class QSGDCompressor(BucketQuantizer):
     contract = CompressorContract("qsgd", uses_rng=True,
                                   supported_bits=(2, 3, 4, 5, 6, 7, 8))
 
-    def __init__(self, spec: CompressionSpec):
-        super().__init__(spec)
+    def __init__(self, spec: CompressionSpec) -> None:
+        # set first: the frame tabulates _dequantize when it is built
         self.levels = 2 ** (spec.bits - 1) - 1  # quantization levels per sign
+        super().__init__(spec)
 
     def _quantize(self, normalized: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
-        scaled = normalized * self.levels
-        lower = np.floor(scaled)
-        prob = scaled - lower
-        lower += rng.random(size=lower.shape) < prob
-        return np.minimum(lower, self.levels).astype(np.uint8)
+        normalized *= self.levels
+        lower = np.floor(normalized)
+        normalized -= lower  # probability of rounding up
+        lower += rng.random(size=lower.shape) < normalized
+        return np.minimum(lower, self.levels, out=lower).astype(np.uint8)
 
     def _dequantize(self, level: np.ndarray) -> np.ndarray:
         return level.astype(np.float32) / self.levels

@@ -80,7 +80,7 @@ class ErrorFeedback:
     State is keyed by an arbitrary hashable (worker id, layer name).
     """
 
-    def __init__(self, compressor: Compressor):
+    def __init__(self, compressor: Compressor) -> None:
         self.compressor = compressor
         self._residuals: dict = {}
 
@@ -89,7 +89,7 @@ class ErrorFeedback:
         return self.compressor.spec
 
     def compress(self, array: np.ndarray, rng: np.random.Generator,
-                 key=None) -> Compressed:
+                 key: Any = None) -> Compressed:
         flat = np.asarray(array, dtype=np.float32).copy()
         residual = self._residuals.get(key)
         # a quorum change repartitions collective chunks, so a stored
@@ -107,7 +107,7 @@ class ErrorFeedback:
         return self.compressor.decompress(compressed)
 
     def roundtrip(self, array: np.ndarray, rng: np.random.Generator,
-                  key=None) -> np.ndarray:
+                  key: Any = None) -> np.ndarray:
         return self.decompress(self.compress(array, rng, key=key))
 
     def adopt_residuals(self, other: "ErrorFeedback") -> None:
@@ -135,7 +135,7 @@ class ErrorFeedback:
             for k, v in state.items()
         }
 
-    def residual_norm(self, key) -> float:
+    def residual_norm(self, key: Any) -> float:
         residual = self._residuals.get(key)
         if residual is None:
             return 0.0

@@ -1,5 +1,7 @@
 """Tests for 1-bit SGD and Deep Gradient Compression."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,30 @@ def test_onebit_zero_bucket_safe():
 
 def _dgc(density=0.1, **kwargs):
     return DGCCompressor(CompressionSpec("dgc", density=density), **kwargs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_onebit_non_finite_bucket_is_silent_and_contained(bad):
+    """Signs come from a comparison, never a NaN cast: no warning, the
+    same sign bytes as for any other value of that sign, and only the
+    bad value's side of its own bucket decodes non-finite."""
+    comp = make_compressor(CompressionSpec("onebit", bucket_size=128))
+    x = np.random.default_rng(0).normal(size=300).astype(np.float32)
+    x[130] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compressed = comp.compress(x, np.random.default_rng(1))
+        out = comp.decompress(compressed)
+    x[130] = -1.0 if bad < 0 else 1.0
+    clean = comp.compress(x, np.random.default_rng(1))
+    np.testing.assert_array_equal(compressed.payload["signs"],
+                                  clean.payload["signs"])
+    mean = "neg_mean" if bad < 0 else "pos_mean"
+    assert not np.isfinite(compressed.payload[mean][1])
+    same_side = (x[128:256] < 0) == (bad < 0)
+    assert not np.isfinite(out[128:256][same_side]).any()
+    assert np.isfinite(out[128:256][~same_side]).all()
+    assert np.isfinite(out[:128]).all() and np.isfinite(out[256:]).all()
 
 
 def test_dgc_transmits_k_values():

@@ -1,5 +1,7 @@
 """Tests for bucketed QSGD quantization and bit packing."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,98 @@ def test_pack_unpack_roundtrip(codes, bits):
     packed = pack_codes(arr, bits)
     restored = unpack_codes(packed, bits, len(arr))
     np.testing.assert_array_equal(restored, arr)
+
+
+def _reference_pack(codes: np.ndarray, bits: int) -> np.ndarray:
+    """``pack_codes`` as it stood before the word-level kernels (PR 22's
+    parent, verbatim): the oracle for the byte layout."""
+    if codes.size == 0:
+        return np.empty(0, dtype=np.uint8)
+    if not 1 <= bits <= 8:
+        raise ValueError(f"bits must be in [1, 8], got {bits}")
+    codes = codes.astype(np.uint8, copy=False)
+    bit_matrix = np.unpackbits(codes[:, None], axis=1)[:, 8 - bits:]
+    return np.packbits(bit_matrix.ravel())
+
+
+def _reference_unpack(packed: np.ndarray, bits: int, count: int) -> np.ndarray:
+    """``unpack_codes`` of PR 22's parent, verbatim."""
+    if count == 0:
+        return np.empty(0, dtype=np.uint8)
+    bit_stream = np.unpackbits(packed)[: count * bits]
+    bit_matrix = bit_stream.reshape(count, bits)
+    padded = np.zeros((count, 8), dtype=np.uint8)
+    padded[:, 8 - bits:] = bit_matrix
+    return np.packbits(padded, axis=1).ravel()
+
+
+def _assert_matches_reference(codes: np.ndarray, bits: int) -> None:
+    packed = pack_codes(codes, bits)
+    reference = _reference_pack(codes, bits)
+    assert packed.dtype == np.uint8
+    np.testing.assert_array_equal(packed, reference)
+    unpacked = unpack_codes(reference, bits, codes.size)
+    assert unpacked.dtype == np.uint8
+    np.testing.assert_array_equal(
+        unpacked, _reference_unpack(reference, bits, codes.size))
+
+
+@given(
+    data=st.data(),
+    bits=st.integers(1, 8),
+    size=st.one_of(st.sampled_from([0, 1, 7, 8, 9, 300]), st.integers(0, 300)),
+)
+@settings(max_examples=120, deadline=None)
+def test_kernels_match_the_reference_byte_for_byte(data, bits, size):
+    codes = data.draw(st.lists(st.integers(0, (1 << bits) - 1),
+                               min_size=size, max_size=size))
+    _assert_matches_reference(np.array(codes, dtype=np.uint8), bits)
+
+
+@pytest.mark.parametrize("bits", range(1, 9))
+@pytest.mark.parametrize("size", [100003, 2 ** 17])
+def test_kernels_match_the_reference_on_large_streams(bits, size):
+    rng = np.random.default_rng([bits, size])
+    codes = rng.integers(0, 1 << bits, size=size).astype(np.uint8)
+    _assert_matches_reference(codes, bits)
+
+
+def test_out_of_range_codes_are_masked_not_bled_into_neighbours():
+    np.testing.assert_array_equal(
+        pack_codes(np.array([31, 1], dtype=np.uint8), 4), [0xF1])
+    rng = np.random.default_rng(0)
+    wide = rng.integers(0, 256, size=1001).astype(np.uint8)
+    for bits in range(1, 9):
+        np.testing.assert_array_equal(
+            pack_codes(wide, bits),
+            pack_codes(wide & np.uint8((1 << bits) - 1), bits))
+        np.testing.assert_array_equal(pack_codes(wide, bits),
+                                      _reference_pack(wide, bits))
+    # wider integer dtypes wrap to a byte first, as before
+    np.testing.assert_array_equal(pack_codes(np.array([300, 1]), 4), [0xC1])
+
+
+@pytest.mark.parametrize("bits", [0, 9, -1])
+def test_pack_and_unpack_validate_the_width_first(bits):
+    with pytest.raises(ValueError, match=r"bits must be in \[1, 8\]"):
+        pack_codes(np.empty(0, dtype=np.uint8), bits)
+    with pytest.raises(ValueError, match=r"bits must be in \[1, 8\]"):
+        unpack_codes(np.zeros(4, dtype=np.uint8), bits, 2)
+    with pytest.raises(ValueError, match=r"bits must be in \[1, 8\]"):
+        unpack_codes(np.zeros(4, dtype=np.uint8), bits, 0)
+
+
+def test_unpack_rejects_a_short_payload_naming_both_sizes():
+    with pytest.raises(ValueError, match=r"need 5 bytes, got 1"):
+        unpack_codes(np.zeros(1, dtype=np.uint8), 4, 10)
+    with pytest.raises(ValueError, match=r"need 4 bytes, got 3"):
+        unpack_codes(np.zeros(3, dtype=np.uint8), 3, 9)
+    with pytest.raises(ValueError, match=r"need 2 bytes, got 1"):
+        unpack_codes(np.zeros(1, dtype=np.uint8), 1, 9)
+    # a longer payload is fine: only the leading bytes are read
+    np.testing.assert_array_equal(
+        unpack_codes(np.array([0xAB, 0xCD, 0xEF], dtype=np.uint8), 4, 3),
+        [0xA, 0xB, 0xC])
 
 
 def test_pack_achieves_bit_density():
@@ -161,3 +255,32 @@ def test_huge_bucket_size_does_not_overallocate():
     assert out.shape == x.shape
     rel = np.linalg.norm(out - x) / np.linalg.norm(x)
     assert rel < 1.0
+
+
+@pytest.mark.parametrize("method", ["qsgd", "nuq"])
+@pytest.mark.parametrize("scaling", ["max", "l2"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_bucket_gets_level_zero_codes_and_keeps_its_scale(
+        method, scaling, bad):
+    """A diverged bucket must not put ``NaN.astype(uint8)`` (platform
+    dependent, with a RuntimeWarning) on the wire."""
+    spec = CompressionSpec(method, bits=4, bucket_size=128, scaling=scaling)
+    comp = make_compressor(spec)
+    x = np.random.default_rng(0).normal(size=300).astype(np.float32)
+    x[130] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compressed = comp.compress(x, np.random.default_rng(1))
+        out = comp.decompress(compressed)
+    codes = unpack_codes(compressed.payload["codes"], 4, x.size)
+    assert not np.isfinite(compressed.payload["norms"][1])
+    np.testing.assert_array_equal(codes[128:256] & 0x7, 0)  # level bits
+    np.testing.assert_array_equal(codes[128:256] >> 3, x[128:256] < 0)
+    assert not np.isfinite(out[128:256]).any()
+    # the healthy buckets are quantized exactly as without the bad value
+    x[130] = 0.5
+    clean = comp.compress(x, np.random.default_rng(1))
+    clean_codes = unpack_codes(clean.payload["codes"], 4, x.size)
+    for bucket in (slice(0, 128), slice(256, 300)):
+        np.testing.assert_array_equal(codes[bucket], clean_codes[bucket])
+        assert np.isfinite(out[bucket]).all()
