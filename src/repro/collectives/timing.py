@@ -26,8 +26,6 @@ __all__ = ["CollectiveTiming", "time_allreduce",
 
 T = TypeVar("T")
 
-SCHEMES = ("sra", "ring", "tree", "allgather", "ps", "hier")
-
 
 @dataclass
 class CollectiveTiming:
@@ -63,20 +61,30 @@ class _Scheduler:
         self.wire_bytes = 0
         self.kernel_calls = 0
         self._stream_rr: dict[int, int] = {}
+        self._engine_names = [f"compress{s}" for s in range(self.streams)]
+        #: chunk numel -> (kernel seconds, wire bytes); a collective has
+        #: one or two distinct chunk sizes, each priced once
+        self._prices: dict[int, tuple[float, int]] = {}
+
+    def _price(self, numel: int) -> tuple[float, int]:
+        price = self._prices[numel] = (
+            self.kernel_factor * kernel_seconds(numel * 4),
+            self.spec.wire_bytes(numel))
+        return price
 
     def kernel(self, gpu: int, numel: int, ready: float) -> float:
         """Charge one compress/decompress kernel; returns end time."""
         if not self.compressing:
             return ready
-        duration = self.kernel_factor * kernel_seconds(numel * 4)
+        duration, _ = self._prices.get(numel) or self._price(numel)
         stream = self._stream_rr.get(gpu, 0)
         self._stream_rr[gpu] = (stream + 1) % self.streams
         self.kernel_calls += 1
-        return self.net.run_kernel(gpu, f"compress{stream}", duration, ready,
-                                   job=self.job)
+        return self.net.run_kernel(gpu, self._engine_names[stream], duration,
+                                   ready, job=self.job)
 
     def send(self, src: int, dst: int, numel: int, ready: float) -> float:
-        nbytes = self.spec.wire_bytes(numel)
+        _, nbytes = self._prices.get(numel) or self._price(numel)
         self.wire_bytes += nbytes
         return self.net.transfer(src, dst, nbytes, ready, job=self.job)
 
@@ -127,17 +135,9 @@ def time_allreduce(
     sched = _Scheduler(network, spec, chunk_streams, kernel_factor, job=job)
     start = [sched.op_start(t) for t in ready]
 
-    dispatch = {
-        "sra": _time_sra,
-        "ring": _time_ring,
-        "tree": _time_tree,
-        "allgather": _time_allgather,
-        "ps": _time_ps,
-        "hier": _time_hier,
-    }
-    if scheme not in dispatch:
+    if scheme not in _TIMED_SCHEMES:
         raise KeyError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-    end_times = dispatch[scheme](sched, ranks, dense_numel, start)
+    end_times = _TIMED_SCHEMES[scheme](sched, ranks, dense_numel, start)
     return CollectiveTiming(end_times, sched.wire_bytes, sched.kernel_calls)
 
 
@@ -316,6 +316,12 @@ def _time_hier(sched: _Scheduler, ranks: list[int], numel: int,
             arrive = sched.send(ranks[leader], ranks[i], numel, ready)
             t[i] = sched.kernel(ranks[i], numel, arrive)
     return t
+
+
+_TIMED_SCHEMES = {"sra": _time_sra, "ring": _time_ring, "tree": _time_tree,
+                  "allgather": _time_allgather, "ps": _time_ps,
+                  "hier": _time_hier}
+SCHEMES = tuple(_TIMED_SCHEMES)
 
 
 def drain_channel(items: Sequence[T], ready: Callable[[T], float],

@@ -6,6 +6,7 @@ from repro.cluster import (
     BACKENDS,
     GPUS,
     Link,
+    Network,
     Resource,
     ResourcePool,
     Topology,
@@ -16,6 +17,7 @@ from repro.cluster import (
     nvlink_mesh,
     pcie_dual_root,
 )
+from repro.cluster.network import ROUTE_POLICIES
 from repro.models import build_spec
 
 
@@ -41,12 +43,53 @@ def test_resource_rejects_negative_duration():
         Resource("x").schedule(0.0, -1.0)
 
 
+def test_resource_rejects_nan_and_names_itself():
+    r = Resource("host0.mem.up")
+    with pytest.raises(ValueError, match=r"resource host0\.mem\.up: "
+                                         r"invalid duration nan"):
+        r.schedule(0.0, float("nan"))
+    with pytest.raises(ValueError, match="invalid duration -1e-12"):
+        r.schedule(0.0, -1e-12)
+    # a rejected task leaves the timeline untouched
+    assert (r.busy_until, r.busy_time) == (0.0, 0.0)
+    assert r.schedule(2.0, -0.0) == (2.0, 2.0)   # negative zero is zero
+
+
+def test_network_transfer_rejects_nan_bytes():
+    for policy in ROUTE_POLICIES:
+        net = Network(nvlink_mesh(4), route_policy=policy)
+        with pytest.raises(ValueError, match=r"resource nvlink\.g0g1\.up: "
+                                             r"invalid duration nan"):
+            net.transfer(0, 1, float("nan"), 0.0)
+        assert set(net.pool.busy_seconds().values()) == {0.0}
+
+
 def test_pool_schedule_path_waits_for_all():
     pool = ResourcePool()
     pool.get("a").schedule(0.0, 3.0)
     start, end = pool.schedule_path(["a", "b"], 0.0, 1.0)
     assert start == 3.0 and end == 4.0
     assert pool.get("b").busy_until == 4.0
+
+
+def test_audit_ledgers_replay_the_live_counters_under_mixed_traffic():
+    # every occupation goes through Resource.schedule, so no writer can
+    # bump a counter without appending to the ledger (SCD003's premise)
+    net = Network(pcie_dual_root(4))
+    net.enable_conservation_audit()
+    pool = net.pool
+    pool.get("pcie.g0.up").schedule(0.0, 0.1, job=1)
+    pool.schedule_path(["pcie.g0.up", "hostmem.r0.up", "scratch"], 0.0, 0.3,
+                       job=2)
+    pool.schedule_path(["scratch"], 0.0, 0.7)            # untagged
+    net.run_kernel(0, "compress0", 0.2, 0.0, job=1)
+    net.transfer(0, 3, 1 << 20, 0.0, job=2)
+    net.transfer(3, 0, 1 << 18, 0.0)
+    for name, resource in pool.resources().items():
+        assert resource.replay_float_accumulation() == \
+            (resource.busy_time, resource.busy_by_job), name
+    assert [len(pool.get(n).audit_ledger())
+            for n in ("pcie.g0.up", "scratch", "gpu0.compress0")] == [3, 2, 1]
 
 
 def test_pool_reset_and_utilization():

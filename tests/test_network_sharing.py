@@ -7,7 +7,10 @@ neighbor's accounting), psim-style throttle rates, adaptive route
 selection, and the binned link-load timelines.
 """
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Network, make_cluster, nvlink_mesh
 
@@ -123,3 +126,122 @@ def test_kernels_are_job_tagged_too():
     net = Network(nvlink_mesh(4))
     net.run_kernel(0, "compress", 0.5, 0.0, job=3)
     assert net.job_link_seconds(3) == {"gpu0.compress": 0.5}
+
+
+def _reference_bin_load(bins, width, start, end):
+    """The pre-PR-23 binning loop, verbatim: the float-for-float oracle
+    of ``Network._bin_load`` (same loop, ``min``/``max`` calls inlined)."""
+    b = int(start / width)
+    while b * width < end:
+        lo, hi = b * width, (b + 1) * width
+        overlap = min(end, hi) - max(start, lo)
+        if overlap > 0:
+            bins[b] = bins.get(b, 0.0) + overlap
+        b += 1
+
+
+def _assert_bins_equal_reference(width, intervals):
+    """``intervals``: ((bin, where in it), bins spanned) — ``where`` is a
+    fraction of the bin, or +-inf for one ulp above / below its edge."""
+    net = Network(nvlink_mesh(4))
+    net.enable_link_loads(width)
+    want = {}
+    for (b, where), spanned in intervals:
+        start = max(0.0, math.nextafter(b * width, where)
+                    if math.isinf(where) else (b + where) * width)
+        end = start + spanned * width
+        net._bin_load("link", start, end)
+        _reference_bin_load(want, width, start, end)
+    assert net.link_loads() == {"link": want}   # floats compared exactly
+
+
+_start = st.tuples(st.integers(0, 400),
+                   st.one_of(st.sampled_from([0.0, -math.inf, math.inf]),
+                             st.floats(0.0, 1.0, exclude_max=True)))
+_bins_spanned = st.one_of(st.just(0.0), st.floats(0.0, 0.99),
+                          st.floats(0.0, 70.0), st.integers(1, 30))
+
+
+@given(intervals=st.lists(st.tuples(_start, _bins_spanned),
+                          min_size=1, max_size=40),
+       width=st.sampled_from([0.01, 0.001, 0.25]))
+@settings(max_examples=200, deadline=None)
+def test_bin_load_equals_the_reference_loop(intervals, width):
+    # edges included: int(start / width) lands one bin high just below
+    # some of them (bin 35 at width 0.01), and the loop's answer there
+    # is part of the pinned link loads
+    _assert_bins_equal_reference(width, intervals)
+
+
+# -- resolve-once lifetime: what a network binds, and what it must not --------
+
+def test_networks_on_one_topology_share_no_resource():
+    # sched.metrics.isolated_step_times probes each job on a fresh
+    # network over the fleet's topology: the probe must start empty
+    topo = nvlink_mesh(4)
+    busy, probe = Network(topo), Network(topo)
+    busy.transfer(0, 1, 64 * MB, 0.0, job=1)
+    busy.run_kernel(0, "compress0", 0.5, 0.0, job=1)
+    assert probe.transfer(0, 1, MB, 0.0) == Network(topo).transfer(0, 1, MB, 0.0)
+    probe.run_kernel(0, "compress0", 0.1, 0.0)
+    mine, theirs = busy.pool.resources(), probe.pool.resources()
+    assert set(mine) == set(theirs)
+    assert not any(mine[name] is theirs[name] for name in mine)
+    assert probe.pool.busy_seconds()["gpu0.compress0"] == 0.1
+
+
+@pytest.mark.parametrize("policy", ["static", "adaptive"])
+def test_transfer_after_reset_equals_a_fresh_network(policy):
+    topo = make_cluster("dgx1", 2)
+    fresh, reused = (Network(topo, route_policy=policy) for _ in range(2))
+    reused.transfer(0, 9, 32 * MB, 0.0, job=1)
+    reused.run_kernel(0, "compress0", 0.25, 0.0, job=1)
+    reused.reset()
+    assert reused.transfer(0, 9, 4 * MB, 0.0, job=2) \
+        == fresh.transfer(0, 9, 4 * MB, 0.0, job=2)
+    assert reused.run_kernel(0, "compress0", 0.5, 0.0, job=2) \
+        == fresh.run_kernel(0, "compress0", 0.5, 0.0, job=2)
+    assert reused.pool.busy_seconds() == fresh.pool.busy_seconds()
+    assert reused.job_link_seconds(1) == {}
+
+
+def test_peeking_a_detour_leaves_it_untouched():
+    topo = nvlink_mesh(4)
+    net = Network(topo, route_policy="adaptive")
+    net.transfer(0, 1, MB, 0.0, job=1)    # idle ring: the primary wins
+    primary = set(topo.routes[(0, 1)])
+    detour = {name for alt in topo.alt_routes[(0, 1)] for name in alt}
+    resources = net.pool.resources()
+    assert detour <= set(resources)       # peeked, so resolved...
+    for name in detour - primary:         # ...but never occupied
+        assert resources[name].busy_time == 0.0
+        assert resources[name].busy_until == 0.0
+    assert all(resources[name].busy_time > 0 for name in primary)
+
+
+@pytest.mark.parametrize("policy", ["static", "adaptive"])
+def test_a_pair_with_no_links_binds_to_one_empty_route(policy):
+    # transfer() returns before the walk when src == dst; a subclass
+    # that walks anyway must find a route under either policy
+    net = Network(nvlink_mesh(4), route_policy=policy)
+    for _ in range(2):   # resolved, then served from the binding
+        assert net._walk(2, 2, 64, 1.0, None, 1.0) == 1.0 + net.backend.alpha
+    assert net._routes[(2, 2)] == ((),)
+    assert net.pool.resources() == {}
+
+
+def test_throttle_set_between_transfers_applies_to_the_second():
+    topo = make_cluster("rtx3090-8x", 2)
+    net = Network(topo)
+    free = net.transfer(0, 8, 16 * MB, 0.0, job=1)    # binds the 0 -> 8 route
+    net.set_job_throttle(1, 0.5)
+    later = 10.0                                       # every link idle again
+    throttled = net.transfer(0, 8, 16 * MB, later, job=1)
+
+    expected = Network(topo)
+    expected.set_job_throttle(1, 0.5)
+    assert throttled == expected.transfer(0, 8, 16 * MB, later, job=1)
+    assert throttled - later > free
+    net.clear_job_throttle(1)
+    assert net.transfer(0, 8, 16 * MB, 2 * later, job=1) \
+        == Network(topo).transfer(0, 8, 16 * MB, 2 * later, job=1)

@@ -1,0 +1,179 @@
+"""Golden replay of the timed path: ``cluster.Network`` and
+``collectives.timing`` are bit-identical to the recorded parent.
+
+``tests/fixtures/timing_golden.json`` was recorded on a clean checkout of
+PR 23's parent (a9329bf, before routes and engines were resolved once per
+network) by running :func:`replay_all` with that tree on ``PYTHONPATH``.
+It pins, for a 24-job ``sample_fleet`` on 4 nodes under the benchmark
+suite's four campaign shapes, the canonical log, the metrics document and
+the pool's ``busy_seconds()`` *in iteration order* (resource creation
+order is part of the contract); the binned link loads; every resource's
+audit ledger; ``simulate_step`` / ``time_overlapped_step`` outputs as
+``float.hex()``; and one ``FaultyNetwork`` step with a slowed link.
+"""
+
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.cluster import Network, get_backend, get_machine, make_cluster
+from repro.collectives import TimedBucket, time_overlapped_step
+from repro.core import CGXConfig
+from repro.faults import FaultyNetwork, PlanRuntime, make_campaign
+from repro.models import build_spec
+from repro.sched import FleetSimulator, compute_metrics, sample_fleet
+from repro.training import perf
+
+GOLDEN = Path(__file__).parent / "fixtures" / "timing_golden.json"
+SEED = 7
+NODES = 4
+#: the benchmark suite's campaign shapes: (machine, gpu, policy, routing)
+CAMPAIGNS = {
+    "packed": ("rtx3090-8x", "RTX3090", "packed", "static"),
+    "spread": ("rtx3090-8x", "RTX3090", "spread", "static"),
+    "numa": ("rtx3090-8x", "RTX3090", "numa", "static"),
+    "adaptive": ("dgx1", "V100", "packed", "adaptive"),
+}
+STEP_MODELS = ("resnet50", "bert", "transformer_xl")
+STEP_MACHINES = ("rtx3090-8x", "dgx1")
+STEP_METHODS = {"nccl": (CGXConfig.baseline_nccl, "fused"),
+                "cgx": (CGXConfig.cgx_default, "cgx")}
+
+
+def _sha(data) -> str:
+    if not isinstance(data, bytes):
+        data = data.encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def _campaign(name: str, **options):
+    machine, gpu, policy, routing = CAMPAIGNS[name]
+    jobs = sample_fleet(24, seed=SEED, worlds=(2, 4, 8))
+    return FleetSimulator(make_cluster(machine, NODES), jobs, gpu=gpu,
+                          policy=policy, routing=routing, seed=SEED,
+                          **options).run()
+
+
+def replay_campaign(name: str) -> dict:
+    result = _campaign(name)
+    metrics = compute_metrics(result).to_dict()
+    return {
+        "log": _sha(result.log_bytes()),
+        "metrics": _sha(json.dumps(metrics, sort_keys=True)),
+        "busy_seconds": _sha(
+            repr(list(result.network.pool.busy_seconds().items()))),
+    }
+
+
+def replay_link_loads() -> str:
+    loads = _campaign("packed", link_load_bin=0.01).network.link_loads()
+    return _sha(repr(sorted((name, sorted(bins.items()))
+                            for name, bins in loads.items())))
+
+
+def replay_ledgers() -> str:
+    pool = _campaign("packed", audit=True).network.pool
+    return _sha(repr([(name, res.audit_ledger())
+                      for name, res in pool.resources().items()]))
+
+
+def _hex_fields(timing) -> dict:
+    return {key: value.hex() if isinstance(value, float) else value
+            for key, value in dataclasses.asdict(timing).items()}
+
+
+def replay_steps() -> dict:
+    rows = {}
+    for model in STEP_MODELS:
+        spec = build_spec(model)
+        for machine in STEP_MACHINES:
+            for method, (config, plan_mode) in STEP_METHODS.items():
+                rows[f"{model}|{machine}|{method}"] = _hex_fields(
+                    perf.simulate_machine_step(get_machine(machine), spec,
+                                               config(), plan_mode=plan_mode))
+    hier = CGXConfig.cgx_default()
+    hier.scheme = "hier"
+    rows["resnet50|2 nodes|hier"] = _hex_fields(perf.simulate_step(
+        build_spec("resnet50"), get_machine("rtx3090-8x").gpu,
+        make_cluster("rtx3090-8x", 2), hier))
+    return rows
+
+
+def replay_overlapped_step() -> dict:
+    machine, spec = get_machine("rtx3090-8x"), build_spec("vgg16")
+    config = CGXConfig.cgx_default()
+    packages = perf.plan_step_packages(spec, config, "cgx")
+    compute = machine.gpu.step_compute_time(
+        spec, machine.gpu.max_batch_per_gpu(spec))
+    ready = perf.package_ready_offsets(spec, config, compute, packages)
+    position = {t.name: i for i, t in enumerate(spec.tensors)}
+    buckets = [TimedBucket(pkg.name, pkg.numel, pkg.spec, offset,
+                           min(position[layer.name] for layer in pkg.layers),
+                           i)
+               for i, (pkg, offset) in enumerate(zip(packages, ready))]
+    net = Network(machine.topology(), get_backend(config.backend))
+    timing = time_overlapped_step(net, list(range(machine.n_gpus)), buckets,
+                                  compute_end=compute)
+    return {"intervals": _sha(repr([(name, a.hex(), b.hex())
+                                    for name, a, b in timing.intervals])),
+            "overlapped_end": timing.overlapped_end.hex(),
+            "sequential_end": timing.sequential_end.hex(),
+            "wire_bytes": timing.wire_bytes,
+            "kernel_calls": timing.kernel_calls}
+
+
+def replay_faulty_step() -> dict:
+    """A ``lossy-link`` step past step 3, where 0 -> 1 runs at half speed."""
+    machine, spec = get_machine("dgx1"), build_spec("resnet50")
+    runtime = PlanRuntime(make_campaign("lossy-link", world=4, seed=SEED))
+    runtime.advance(5)
+    assert runtime.faults().link_slow_factor(0, 1) != 1.0
+    topology = machine.topology(4)
+    timing = perf.simulate_step(
+        spec, machine.gpu, topology, CGXConfig.cgx_default(),
+        network=FaultyNetwork(topology, "shm", runtime))
+    counters = runtime.counters
+    return {"step_time": timing.step_time.hex(),
+            "wire_bytes": timing.wire_bytes,
+            "retries": counters.retries,
+            "retransmit_bytes": counters.retransmit_bytes,
+            "forced_deliveries": counters.forced_deliveries,
+            "log": _sha(runtime.log_bytes())}
+
+
+def replay_all() -> dict:
+    """Everything the fixture records (the recorder dumps this as JSON)."""
+    record = {f"campaign|{name}": replay_campaign(name) for name in CAMPAIGNS}
+    record["link_loads|packed"] = replay_link_loads()
+    record["ledgers|packed"] = replay_ledgers()
+    record["steps"] = replay_steps()
+    record["overlapped_step|vgg16"] = replay_overlapped_step()
+    record["faulty_step|lossy-link"] = replay_faulty_step()
+    return record
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("name", CAMPAIGNS)
+def test_fleet_campaign_replays_the_parent(name, recorded):
+    assert replay_campaign(name) == recorded[f"campaign|{name}"]
+
+
+def test_link_loads_and_ledgers_replay_the_parent(recorded):
+    assert replay_link_loads() == recorded["link_loads|packed"]
+    assert replay_ledgers() == recorded["ledgers|packed"]
+
+
+def test_simulated_steps_replay_the_parent(recorded):
+    assert replay_steps() == recorded["steps"]
+    assert replay_overlapped_step() == recorded["overlapped_step|vgg16"]
+
+
+def test_faulty_network_step_replays_the_parent(recorded):
+    assert replay_faulty_step() == recorded["faulty_step|lossy-link"]
