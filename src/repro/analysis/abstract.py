@@ -67,10 +67,10 @@ def probe_specs(method: str) -> list[CompressionSpec]:
     qsgd gets the l2-scaling variant and the GRACE ``wire_dtype_bits=8``
     wire format (4-bit codes travelling one byte each); powersgd gets a
     rank far above any probe matrix dimension so the clamp is exercised.
+    A method with no row (none, fp16, one just registered) is probed at
+    its default parameters, so registering an operator certifies it.
     """
     table: dict[str, list[CompressionSpec]] = {
-        "none": [CompressionSpec("none")],
-        "fp16": [CompressionSpec("fp16")],
         "qsgd": [
             CompressionSpec("qsgd", bits=4, bucket_size=32),
             CompressionSpec("qsgd", bits=3, bucket_size=7, scaling="l2"),
@@ -87,7 +87,7 @@ def probe_specs(method: str) -> list[CompressionSpec]:
         "onebit": [CompressionSpec("onebit", bucket_size=32)],
         "dgc": [CompressionSpec("dgc", density=0.05)],
     }
-    return table.get(method, [])
+    return table.get(method) or [CompressionSpec(method)]
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,9 @@ written in an unexpected style.  The rules:
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+
 from repro.compression import CompressionSpec, Compressor, ErrorFeedback
 from repro.core import CGXConfig, CommunicationEngine
 
@@ -63,12 +66,11 @@ def _check_operator(method: str, cls: type[Compressor]) -> list[Finding]:
                  f"the operator is registered as {method!r}")
         return out
 
-    specs = probe_specs(method) or [CompressionSpec(method)]
-    for spec in specs:
+    for spec in probe_specs(method):
         for obs in execute_roundtrips(cls, spec):
             if contract.preserves_shape and (
                     obs.out_shape != obs.shape
-                    or obs.out_numel != _numel(obs.shape)):
+                    or obs.out_numel != math.prod(obs.shape)):
                 out.emit("CON002",
                          f"roundtrip of shape {obs.shape} returned shape "
                          f"{obs.out_shape} ({_spec_label(spec)})")
@@ -111,13 +113,6 @@ def _check_operator(method: str, cls: type[Compressor]) -> list[Finding]:
     return out
 
 
-def _numel(shape: tuple[int, ...]) -> int:
-    n = 1
-    for dim in shape:
-        n *= dim
-    return n
-
-
 def check_engine_wiring(
     configs: list[CGXConfig] | None = None,
     engine_cls: type[CommunicationEngine] = CommunicationEngine,
@@ -126,8 +121,10 @@ def check_engine_wiring(
     """CON006/CON007: replay engine planning and adaptive respec.
 
     Args:
-        configs: engine configs to replay; defaults to one config per
-            EF-relevant method so every wiring path is exercised.
+        configs: engine configs to replay; defaults to the CGX default
+            plus one per method whose contract requires error feedback
+            (its first probe spec, wrapped unless it keeps its own
+            residual), so every wiring path is exercised.
         engine_cls: injectable for fixtures (a legacy engine class that
             drops residuals triggers CON007).
         registry: method -> class map; contracts are read from it.
@@ -135,16 +132,12 @@ def check_engine_wiring(
     registry = registry or default_registry()
     if configs is None:
         configs = [CGXConfig.cgx_default(128)]
-        for method, spec in (
-            ("topk", CompressionSpec("topk", density=0.1,
-                                     error_feedback=True)),
-            ("powersgd", CompressionSpec("powersgd", rank=4,
-                                         error_feedback=True)),
-            ("onebit", CompressionSpec("onebit", error_feedback=True)),
-            ("dgc", CompressionSpec("dgc", density=0.05)),
-        ):
-            if method in registry:
-                configs.append(CGXConfig(compression=spec))
+        for method, cls in registry.items():
+            contract = getattr(cls, "contract", None)
+            if contract is not None and contract.requires_error_feedback:
+                configs.append(CGXConfig(compression=replace(
+                    probe_specs(method)[0],
+                    error_feedback=not contract.self_error_feedback)))
 
     out = CellFindings("contract", CONTRACT_RULES)
     for config in configs:

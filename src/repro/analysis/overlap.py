@@ -26,10 +26,11 @@ from repro.collectives import (SINGLE_MEMBER_CELLS, SchemeCell,
 from repro.collectives.timing import SCHEMES
 from repro.collectives.trace import (BufferAccess, OverlapEvent,
                                      ScheduleTrace, capture, emit_overlap)
-from repro.compression import CompressionSpec
+from repro.compression import CompressionSpec, make_compressor
 from repro.core.config import CGXConfig
-from repro.core.engine import CommunicationEngine
-from repro.core.overlap import OverlapDelays, OverlapReport
+from repro.core.engine import CommunicationEngine, _gather_package
+from repro.core.overlap import OverlapBucket, OverlapDelays, OverlapReport
+from repro.core.serialization import measured_wire_bytes
 
 from .findings import CellFindings, Finding, rule_table, sort_findings
 from .races import analyze_trace
@@ -140,10 +141,14 @@ def _consume_all(names: Iterable[str], step: int, t: float) -> None:
         emit_overlap("grad_consumed", step, t, layer=name)
 
 
+#: one worker's named gradients for one step
+Grads = dict[str, np.ndarray]
+
+
 def _run_cell(case: OverlapCase) -> tuple[ScheduleTrace,
-                                          list[OverlapReport],
-                                          OverlapDelays]:
-    """Drive :meth:`reduce_overlapped` through the four-step campaign."""
+                                          list[OverlapReport], list[Grads]]:
+    """Drive :meth:`reduce_overlapped` through the four-step campaign;
+    also returns worker 0's gradients per step (OVL002's ground truth)."""
     layers = _model_layers(case.model)
     names = [name for name, _ in layers]
     row = case.row
@@ -162,6 +167,7 @@ def _run_cell(case: OverlapCase) -> tuple[ScheduleTrace,
     quorum = list(row.participants or default_quorum(case.world))
 
     reports: list[OverlapReport] = []
+    fed: list[Grads] = []
     with capture() as trace:
         for step in range(CELL_STEPS):
             per_worker = [
@@ -181,10 +187,11 @@ def _run_cell(case: OverlapCase) -> tuple[ScheduleTrace,
                 per_worker, rng, ready_order=ready_order,
                 participants=participants,
                 average_over=len(quorum) if demoted else None,
-                step=step, delays=delays, measure_payload=True)
+                step=step, delays=delays)
             _consume_all(names, step, report.overlapped_time)
             reports.append(report)
-    return trace, reports, delays
+            fed.append(per_worker[0])
+    return trace, reports, fed
 
 
 # -- OVL001: the per-layer happens-before chain -------------------------------
@@ -257,11 +264,23 @@ def check_use_before_reduce(case: OverlapCase, trace: ScheduleTrace,
 
 # -- OVL002: fusion conservation ----------------------------------------------
 
+def _serialized_bytes(bucket: OverlapBucket, grads: Grads) -> int:
+    """What the bucket's payloads measure on the wire: each inner
+    package's buffer through a fresh stateless compressor, serialized."""
+    return sum(
+        measured_wire_bytes(make_compressor(pkg.spec).compress(
+            _gather_package(grads, pkg).copy(), np.random.default_rng(0),
+            key=pkg.name))
+        for pkg in bucket.packages)
+
+
 def check_fusion_conservation(case: OverlapCase,
                               reports: Sequence[OverlapReport],
-                              layers: Sequence[tuple[str, int]]
-                              ) -> list[Finding]:
-    """OVL002: buckets partition the layers; byte accounting is exact."""
+                              layers: Sequence[tuple[str, int]],
+                              fed: Sequence[Grads] = ()) -> list[Finding]:
+    """OVL002: buckets partition the layers; byte accounting is exact —
+    also against what ``fed`` (one worker's gradients per report)
+    actually serializes to, where given."""
     out = case.findings()
     expected = sorted(name for name, _ in layers)
     numel_of = dict(layers)
@@ -287,12 +306,14 @@ def check_fusion_conservation(case: OverlapCase,
                          f"step {step}, {bucket.name}: wire accounting "
                          f"{bucket.wire_bytes} B != per-layer spec total "
                          f"{claimed} B")
-            if bucket.measured_bytes >= 0 \
-                    and bucket.measured_bytes != claimed:
+            if not fed:
+                continue
+            measured = _serialized_bytes(bucket, fed[step])
+            if measured != claimed:
                 out.emit("OVL002",
                          f"step {step}, {bucket.name}: serialized payload "
-                         f"measures {bucket.measured_bytes} B but the spec "
-                         f"claims {claimed} B")
+                         f"measures {measured} B but the spec claims "
+                         f"{claimed} B")
     return out
 
 
@@ -429,22 +450,27 @@ def check_makespan(case: OverlapCase, reports: Sequence[OverlapReport]
 
 def analyze_overlap_trace(case: OverlapCase, trace: ScheduleTrace,
                           reports: Sequence[OverlapReport],
-                          layers: Sequence[tuple[str, int]]) -> list[Finding]:
-    """All dynamic OVL rules over one cell's captured campaign."""
+                          layers: Sequence[tuple[str, int]],
+                          fed: Sequence[Grads] = (),
+                          step_ids: Sequence[int] | None = None,
+                          makespan: bool = True) -> list[Finding]:
+    """All dynamic OVL rules over one cell's captured campaign (``fed``
+    and ``step_ids`` as the checks take them; ``makespan=False`` for a
+    cell whose delays were not injected, where OVL005 is not exact)."""
     names = [name for name, _ in layers]
     return sort_findings([
-        *check_use_before_reduce(case, trace, reports, names),
-        *check_fusion_conservation(case, reports, layers),
+        *check_use_before_reduce(case, trace, reports, names, step_ids),
+        *check_fusion_conservation(case, reports, layers, fed),
         *check_priority(case, reports),
         *check_state_attribution(case, trace, reports),
-        *check_makespan(case, reports)])
+        *(check_makespan(case, reports) if makespan else ())])
 
 
 def certify_case(case: OverlapCase) -> list[Finding]:
     """Run one battery cell and certify its trace; [] means clean."""
-    trace, reports, _ = _run_cell(case)
+    trace, reports, fed = _run_cell(case)
     return analyze_overlap_trace(case, trace, reports,
-                                 _model_layers(case.model))
+                                 _model_layers(case.model), fed)
 
 
 def certify_trainer(world: int = 3, steps: int = 2) -> list[Finding]:
@@ -474,12 +500,8 @@ def certify_trainer(world: int = 3, steps: int = 2) -> list[Finding]:
             assert isinstance(report, OverlapReport)
             reports.append(report)
             step_ids.append(trainer._step_index)
-    return sort_findings([
-        *check_use_before_reduce(case, trace, reports,
-                                 [name for name, _ in layers], step_ids),
-        *check_fusion_conservation(case, reports, layers),
-        *check_priority(case, reports),
-        *check_state_attribution(case, trace, reports)])
+    return analyze_overlap_trace(case, trace, reports, layers,
+                                 step_ids=step_ids, makespan=False)
 
 
 # -- OVL006: static AST pass over the gradient-consumer path ------------------

@@ -21,6 +21,7 @@ from repro.compression import CompressionSpec, Compressor
 from repro.core import CGXConfig
 from repro.core.adaptive import (
     ASSIGNERS,
+    DEFAULT_BITWIDTHS,
     AdaptiveController,
     LayerStat,
     assignment_cost_bits,
@@ -154,29 +155,63 @@ def default_instances(seed: int = 2024) -> list[PlanInstance]:
 Assigner = Callable[..., "dict[str, int]"]
 
 
-def _run_solver(solver: str, assigner: Assigner, instance: PlanInstance,
-                alpha: float) -> "tuple[dict[str, int] | None, CellFindings]":
-    """One solver run; crashes become BWP002 findings, not exceptions."""
-    out = CellFindings("plan", PLAN_RULES, solver)
-    try:
-        return assigner(instance.stats, alpha=alpha), out
-    except Exception as exc:  # noqa: BLE001 - any crash is a finding
-        out.emit("BWP002", f"{instance.name} alpha={alpha}: solver raised "
-                           f"{type(exc).__name__}: {exc}")
-        return None, out
+class PlanSolutions:
+    """One battery's solver runs and exact optima, each computed once.
+
+    Checks handed one shared instance read the same record; a check
+    called without one makes its own, i.e. still runs standalone.
+    """
+
+    def __init__(self, assigners: "Mapping[str, Assigner]") -> None:
+        self.assigners = assigners
+        self._solved: dict[tuple, tuple] = {}
+        self._optima: dict[tuple, dict[str, int]] = {}
+
+    def solve(self, solver: str, instance: PlanInstance, alpha: float
+              ) -> "tuple[dict[str, int] | None, list[Finding]]":
+        """The assignment, or ``None`` and the BWP002 finding the crash
+        became (crashes are findings, not exceptions)."""
+        key = (solver, instance, alpha)
+        if key not in self._solved:
+            out = CellFindings("plan", PLAN_RULES, solver)
+            bits = None
+            try:
+                bits = self.assigners[solver](instance.stats, alpha=alpha)
+            except Exception as exc:  # noqa: BLE001 - any crash is a finding
+                out.emit("BWP002",
+                         f"{instance.name} alpha={alpha}: solver raised "
+                         f"{type(exc).__name__}: {exc}")
+            self._solved[key] = (bits, out)
+        return self._solved[key]
+
+    def complete(self, solver: str, instance: PlanInstance, alpha: float
+                 ) -> "dict[str, int] | None":
+        """The assignment if it covers exactly the instance's layers
+        (breakage is :func:`certify_solver`'s finding, nobody else's)."""
+        bits, _ = self.solve(solver, instance, alpha)
+        if bits is None or set(bits) != {s.name for s in instance.stats}:
+            return None
+        return bits
+
+    def optimum(self, instance: PlanInstance, alpha: float) -> "dict[str, int]":
+        if (instance, alpha) not in self._optima:
+            self._optima[instance, alpha] = brute_force_assign(
+                instance.stats, alpha=alpha)
+        return self._optima[instance, alpha]
 
 
 def certify_solver(solver: str, assigner: Assigner,
                    instance: PlanInstance, alpha: float,
                    bitwidths: tuple[int, ...] | None = None,
+                   solutions: PlanSolutions | None = None,
                    ) -> "tuple[dict[str, int] | None, list[Finding]]":
     """BWP001/BWP002/BWP004 for one (solver, instance, alpha) cell."""
-    from repro.core.adaptive import DEFAULT_BITWIDTHS
-
     ladder = tuple(sorted(set(bitwidths or DEFAULT_BITWIDTHS)))
-    bits, out = _run_solver(solver, assigner, instance, alpha)
+    solutions = solutions or PlanSolutions({solver: assigner})
+    bits, crashed = solutions.solve(solver, instance, alpha)
     if bits is None:
-        return None, out
+        return None, crashed
+    out = CellFindings("plan", PLAN_RULES, solver)
 
     expected = {s.name for s in instance.stats}
     if set(bits) != expected:
@@ -214,11 +249,13 @@ def certify_optimality(solver: str, assigner: Assigner,
                        instances: Iterable[PlanInstance],
                        alphas: Sequence[float] = DEFAULT_ALPHAS,
                        ratchet: Mapping[str, float] | None = None,
+                       solutions: PlanSolutions | None = None,
                        ) -> list[Finding]:
     """BWP003: worst-case byte overhead vs the exact optimum, ratcheted."""
     bound = (ratchet or OPTIMALITY_RATCHET).get(solver)
     if bound is None:
         return []
+    solutions = solutions or PlanSolutions({solver: assigner})
     out = CellFindings("plan", PLAN_RULES, solver)
     worst = 1.0
     worst_at = ""
@@ -226,11 +263,11 @@ def certify_optimality(solver: str, assigner: Assigner,
         if not instance.small:
             continue
         for alpha in alphas:
-            optimum = brute_force_assign(instance.stats, alpha=alpha)
-            opt_cost = assignment_cost_bits(instance.stats, optimum)
-            bits, crashed = _run_solver(solver, assigner, instance, alpha)
-            if bits is None or set(bits) != {s.name for s in instance.stats}:
-                continue  # certify_solver already reports the breakage
+            opt_cost = assignment_cost_bits(
+                instance.stats, solutions.optimum(instance, alpha))
+            bits = solutions.complete(solver, instance, alpha)
+            if bits is None:
+                continue
             ratio = assignment_cost_bits(instance.stats, bits) / opt_cost
             if ratio > worst:
                 worst, worst_at = ratio, f"{instance.name} alpha={alpha}"
@@ -244,13 +281,16 @@ def certify_optimality(solver: str, assigner: Assigner,
 
 def _certify_monotonicity(solver: str, assigner: Assigner,
                           instance: PlanInstance,
-                          alphas: Sequence[float]) -> list[Finding]:
+                          alphas: Sequence[float],
+                          solutions: PlanSolutions | None = None
+                          ) -> list[Finding]:
     """BWP005: transmitted bytes must not grow with the error budget."""
+    solutions = solutions or PlanSolutions({solver: assigner})
     costs: list[tuple[float, int]] = []
     for alpha in sorted(alphas):
-        bits, crashed = _run_solver(solver, assigner, instance, alpha)
-        if bits is None or set(bits) != {s.name for s in instance.stats}:
-            return []  # breakage is certify_solver's finding, not BWP005's
+        bits = solutions.complete(solver, instance, alpha)
+        if bits is None:
+            return []
         costs.append((alpha, assignment_cost_bits(instance.stats, bits)))
     out = CellFindings("plan", PLAN_RULES, solver)
     for (a_lo, c_lo), (a_hi, c_hi) in zip(costs, costs[1:]):
@@ -370,20 +410,22 @@ def verify_plans(
     assigners = assigners or dict(ASSIGNERS)
     instances = list(instances) if instances is not None \
         else default_instances()
+    solutions = PlanSolutions(assigners)
     findings: list[Finding] = []
     for solver in sorted(assigners):
         assigner = assigners[solver]
         for instance in instances:
             for alpha in alphas:
-                bits, cell = certify_solver(solver, assigner, instance, alpha)
+                bits, cell = certify_solver(solver, assigner, instance, alpha,
+                                            solutions=solutions)
                 findings.extend(cell)
                 if bits is not None and not cell:
                     findings.extend(certify_plan_contracts(
                         solver, bits, instance, alpha, registry=registry))
-            findings.extend(
-                _certify_monotonicity(solver, assigner, instance, alphas))
+            findings.extend(_certify_monotonicity(
+                solver, assigner, instance, alphas, solutions))
         findings.extend(certify_optimality(solver, assigner, instances,
-                                           alphas, ratchet))
+                                           alphas, ratchet, solutions))
         if solver in ASSIGNERS and controller_cls is not None:
             findings.extend(certify_controller_stability(
                 solver, controller_cls=controller_cls))

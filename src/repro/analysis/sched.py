@@ -423,7 +423,10 @@ def _certify_fairness(result: FleetResult, path: str) -> list[Finding]:
     if metrics.completed > metrics.n_jobs:
         emit(f"{metrics.completed} completions out of {metrics.n_jobs} "
              f"job(s)")
-    if isolated_step_times(result) != isolated_step_times(result):
+    # the baselines the metrics were computed from vs one fresh replay
+    replay = isolated_step_times(result)
+    if any(entry["isolated_step_time"] != replay.get(entry["job"])
+           for entry in metrics.per_job if "isolated_step_time" in entry):
         emit("isolated-baseline replay is nondeterministic: two replays "
              "of the same result disagree")
     return out

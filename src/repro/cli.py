@@ -26,6 +26,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.cluster import MACHINES, get_machine
@@ -235,40 +236,30 @@ def _cmd_train(args, out) -> int:
     return 0
 
 
-#: experiment id -> benchmark file (relative to the repository root)
-EXPERIMENTS = {
-    "fig1": "bench_fig1_compression_sweep.py",
-    "fig3": "bench_fig3_throughput.py",
-    "fig4": "bench_fig4_adaptive_training.py",
-    "fig6": "bench_fig6_overhead.py",
-    "fig8": "bench_fig8_topology.py",
-    "fig9": "bench_fig9_frameworks.py",
-    "fig10": "bench_fig10_reductions.py",
-    "fig11": "bench_fig11_backends.py",
-    "table1": "bench_table1_gpus.py",
-    "table2": "bench_table2_machines.py",
-    "table3": "bench_table3_accuracy.py",
-    "table4": "bench_table4_cloud.py",
-    "table5": "bench_table5_multinode.py",
-    "table6": "bench_table6_frameworks.py",
-    "table7": "bench_table7_adaptive.py",
-    "table8": "bench_table8_ceiling.py",
-    "heterogeneous": "bench_heterogeneous.py",
-    "ablation-quantizers": "bench_ablation_quantizers.py",
-    "ablation-buckets": "bench_ablation_bucket_size.py",
-    "ablation-filters": "bench_ablation_filters.py",
-    "ablation-scheduling": "bench_ablation_scheduling.py",
-    "stragglers": "bench_stragglers.py",
-    "pareto": "bench_pareto_compressors.py",
-    "partial-sync": "bench_partial_sync.py",
-    "model-sweep": "bench_model_size_sweep.py",
-    "fleet": "bench_fleet_scheduler.py",
-}
+_BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__)))), "benchmarks")
+
+#: short ids kept for the two experiments ``--help`` and the tests name
+_EXPERIMENT_ALIASES = {"fig3": "fig3-throughput", "table7": "table7-adaptive"}
+
+
+def _discover_experiments() -> dict[str, str]:
+    """experiment id -> benchmark file: every ``benchmarks/bench_*.py``
+    under its stem minus ``bench_`` with ``_`` as ``-``, plus the aliases."""
+    if not os.path.isdir(_BENCH_DIR):
+        return {}
+    found = {name[len("bench_"):-len(".py")].replace("_", "-"): name
+             for name in os.listdir(_BENCH_DIR)
+             if name.startswith("bench_") and name.endswith(".py")}
+    found.update({alias: found[target] for alias, target
+                  in _EXPERIMENT_ALIASES.items() if target in found})
+    return found
+
+
+EXPERIMENTS = _discover_experiments()
 
 
 def _cmd_experiment(args, out) -> int:
-    import os
-
     if args.list_all or args.name is None:
         print("available experiments:", file=out)
         for name, bench in sorted(EXPERIMENTS.items()):
@@ -278,17 +269,12 @@ def _cmd_experiment(args, out) -> int:
         print(f"unknown experiment {args.name!r}; run with --list",
               file=sys.stderr)
         return 2
-    repo_root = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))))
-    bench = os.path.join(repo_root, "benchmarks", EXPERIMENTS[args.name])
-    if not os.path.exists(bench):
-        print(f"benchmark file not found: {bench}", file=sys.stderr)
-        return 2
     import pytest
 
     print(f"running {EXPERIMENTS[args.name]} "
           f"(results land in benchmarks/results/)", file=out)
-    return pytest.main([bench, "--benchmark-only", "-q", "-s"])
+    return pytest.main([os.path.join(_BENCH_DIR, EXPERIMENTS[args.name]),
+                        "--benchmark-only", "-q", "-s"])
 
 
 def _cmd_faults(args, out) -> int:

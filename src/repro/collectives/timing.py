@@ -404,7 +404,6 @@ def time_overlapped_step(
     buckets: list[TimedBucket],
     scheme: str = "sra",
     compute_end: float | None = None,
-    chunk_streams: int = 1,
 ) -> OverlapStepTiming:
     """Time one training step's gradient exchange with and without overlap.
 
@@ -431,7 +430,7 @@ def time_overlapped_step(
         def land(bucket: TimedBucket, launch: float) -> float:
             timings.append(time_allreduce(
                 net, ranks, bucket.numel, bucket.spec, scheme=scheme,
-                ready=launch, chunk_streams=chunk_streams))
+                ready=launch))
             return timings[-1].end
         return land
 

@@ -154,7 +154,6 @@ class CGXDistributedDataParallel:
         average_over: int | None = None,
         step: int = 0,
         delays: OverlapDelays | None = None,
-        measure_payload: bool = False,
         members: list[int] | None = None,
     ) -> OverlapReport:
         """Overlapped-mode :meth:`synchronize` (cgx planning only).
@@ -177,7 +176,7 @@ class CGXDistributedDataParallel:
         report = self._reduce_members(
             self.engine.reduce_overlapped, participants, members,
             ready_order=ready_order, average_over=average_over, step=step,
-            delays=delays, measure_payload=measure_payload)
+            delays=delays)
         self._landed = {name for name, _
                         in self.replicas[0].named_parameters()}
         self._landed_step = step

@@ -26,7 +26,6 @@ from repro.compression.topk import ErrorFeedback
 
 from .config import CGXConfig
 from .filters import LayerFilter, LayerInfo
-from .serialization import serialize_payload
 
 __all__ = ["Package", "CommunicationEngine", "ReductionReport",
            "group_for_transmission"]
@@ -292,26 +291,16 @@ class CommunicationEngine:
             scale=1.0 / (average_over or world) if average else 1.0,
             outputs=[dict() for _ in range(world)], report=report)
 
-    def _reduce_and_account(self, red: _Reduction, package: Package,
-                            measure_payload: bool = False) -> int:
+    def _reduce_and_account(self, red: _Reduction, package: Package
+                            ) -> None:
         """Gather → reduce → scatter → account, for one package.
 
         The single per-package step of the data path; ``reduce`` runs it
         in plan order, ``reduce_overlapped`` in bucket launch order.
-        With ``measure_payload`` the first worker's buffer is also
-        serialized once through a fresh stateless compressor and the
-        byte count returned (OVL002's ground truth), else 0.
         """
         world = len(red.grads)
         buffers = [_gather_package(red.grads[w], package)
                    for w in range(world)]
-        measured = 0
-        if measure_payload:
-            probe = make_compressor(package.spec)
-            compressed = probe.compress(
-                buffers[0].copy(), np.random.default_rng(0),
-                key=package.name)
-            measured = len(serialize_payload(compressed))
         reduced, stats = self._reduce_package(
             package, buffers, red.rng, red.quorum,
             subset=len(red.quorum) < world)
@@ -325,7 +314,6 @@ class CommunicationEngine:
         report.retries += stats.retries
         report.retransmit_bytes += stats.retransmit_bytes
         report.per_package.append((package.name, stats))
-        return measured
 
     def reduce(
         self,
@@ -374,7 +362,6 @@ class CommunicationEngine:
         average_over: int | None = None,
         step: int = 0,
         delays=None,
-        measure_payload: bool = False,
     ):
         """Overlapped-mode reduction: per-layer enqueue, fused buckets.
 
@@ -395,9 +382,7 @@ class CommunicationEngine:
         overlap events in simulated-time order onto the active trace;
         ``delays`` (an :class:`~repro.core.overlap.OverlapDelays`)
         injects the compute/transfer intervals, defaulting to a
-        size-proportional envelope.  ``measure_payload`` additionally
-        serializes each inner package once through a fresh stateless
-        compressor, grounding the bucket byte accounting (OVL002).
+        size-proportional envelope.
 
         Returns (per-worker reduced gradients,
         :class:`~repro.core.overlap.OverlapReport`).
@@ -466,11 +451,8 @@ class CommunicationEngine:
                              first_needed=bucket.first_needed)
                 continue
             exec_start = timeline_position()
-            measured = sum(
-                self._reduce_and_account(red, package, measure_payload)
-                for package in bucket.packages)
-            if measure_payload:
-                bucket.measured_bytes = measured
+            for package in bucket.packages:
+                self._reduce_and_account(red, package)
             bucket.exec_span = (exec_start, timeline_position())
             emit_overlap("reduce_landed", step, t, bucket=bucket.name,
                          first_needed=bucket.first_needed)

@@ -106,9 +106,7 @@ class OverlapBucket:
     them); ``min_index`` is the smallest emission index, the
     deterministic tie-break.  ``ready_t``/``launch_t``/``landed_t``
     are filled by :func:`schedule_buckets`; ``exec_span`` brackets the
-    trace-timeline positions of the bucket's data-path records and
-    ``measured_bytes`` holds the serialize_payload ground truth when
-    the engine measures it (OVL002).
+    trace-timeline positions of the bucket's data-path records.
     """
 
     name: str
@@ -120,7 +118,6 @@ class OverlapBucket:
     ready_t: float = 0.0
     launch_t: float = 0.0
     landed_t: float = 0.0
-    measured_bytes: int = -1
     exec_span: tuple[int, int] = (-1, -1)
 
     @property

@@ -366,11 +366,6 @@ class StepFaults:
                  and self.step >= e.deadline}
         return dead
 
-    def live_ranks(self) -> list[int]:
-        _oracle_note("live_ranks")
-        dead = self.dead_ranks()
-        return [r for r in range(self.world) if r not in dead]
-
     def loss_probability(self, src: int, dst: int) -> float:
         _oracle_note("loss_probability")
         return _combined_probability(self.events, "message_loss", src, dst)
@@ -393,10 +388,6 @@ class StepFaults:
         return any(e.kind == "link_down"
                    and e.matches_route(src, dst, directed=False)
                    for e in self.events)
-
-    def any_faults(self) -> bool:
-        _oracle_note("any_faults")
-        return bool(self.events)
 
     # -- control-plane notices (NOT oracle reads) ---------------------------
     #

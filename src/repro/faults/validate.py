@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.analysis.abstract import probe_specs
 from repro.analysis.findings import (CellFindings, Finding, rule_table,
                                      sort_findings)
 from repro.analysis.races import analyze_trace
 from repro.analysis.schedule import trace_case, verify_trace
 from repro.collectives import scheme_cell
-from repro.compression import CompressionSpec, make_compressor
+from repro.compression import METHODS, make_compressor
 
 from .inject import corrupt_payload, inject_data_path, payload_crc
 from .plan import FIXED_WORLD_CAMPAIGNS, PlanRuntime, make_campaign
@@ -102,28 +103,22 @@ def verify_fault_determinism(world: int = 4, seed: int = 7) -> list[Finding]:
 
 
 def verify_crc_detection(seed: int = 3) -> list[Finding]:
-    """Corrupt every method's wire payload; the CRC must always change."""
+    """Corrupt every registered method's wire payload (each of its
+    ``probe_specs``); the CRC must always change."""
     findings: list[Finding] = []
     rng = np.random.default_rng(seed)
-    specs = (
-        CompressionSpec("none"),
-        CompressionSpec("fp16"),
-        CompressionSpec("qsgd", bits=4, bucket_size=32),
-        CompressionSpec("nuq", bits=4, bucket_size=32),
-        CompressionSpec("topk", density=0.25, error_feedback=True),
-        CompressionSpec("onebit", bucket_size=32),
-    )
-    for spec in specs:
-        compressor = make_compressor(spec)
-        array = np.asarray(rng.normal(size=129), dtype=np.float32)
-        wire = compressor.compress(array, rng, key="crc")
-        corrupted = corrupt_payload(wire, rng)
-        if corrupted is wire:  # pragma: no cover - all specs carry payload
-            continue
-        if payload_crc(corrupted) == payload_crc(wire):
-            findings.append(Finding.semantic(
-                "faults", "FLT004",
-                f"{spec.method}: single-byte corruption left the payload "
-                f"CRC unchanged", spec.method, 1,
-                f"<faults:crc@{spec.method}>"))
+    for method in METHODS:
+        for spec in probe_specs(method):
+            compressor = make_compressor(spec)
+            array = np.asarray(rng.normal(size=129), dtype=np.float32)
+            wire = compressor.compress(array, rng, key="crc")
+            corrupted = corrupt_payload(wire, rng)
+            if corrupted is wire:  # pragma: no cover - all carry payload
+                continue
+            if payload_crc(corrupted) == payload_crc(wire):
+                findings.append(Finding.semantic(
+                    "faults", "FLT004",
+                    f"{spec.method}: single-byte corruption left the payload "
+                    f"CRC unchanged", spec.method, 1,
+                    f"<faults:crc@{spec.method}>"))
     return sort_findings(findings)

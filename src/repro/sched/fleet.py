@@ -149,12 +149,23 @@ class FleetResult:
                 for name in self.network.job_link_seconds(job_id)
                 if not name.startswith("gpu")}
 
+    def isolated_probe(self, job_id: int) -> Network:
+        """The empty network the job would have had alone — this fleet's
+        topology, backend and routing, the job's own throttle: the one
+        contention-free baseline behind :meth:`isolated_replay` and
+        :func:`repro.sched.metrics.isolated_step_times`."""
+        probe = Network(self.topology, self.network.backend,
+                        route_policy=self.routing)
+        throttle = self.runners[job_id].spec.throttle
+        if throttle < 1.0:
+            probe.set_job_throttle(job_id, throttle)
+        return probe
+
     def isolated_replay(self, job_id: int) -> list[float]:
         """Recorded step end times, replayed as if the job ran alone.
 
-        Replays the job's precomputed plan on a fresh network over the
-        same topology/backend/routing (with the job's own throttle
-        registered), launching every step at its *recorded* start time.
+        Replays the job's precomputed plan on its :meth:`isolated_probe`,
+        launching every step at its *recorded* start time.
         Contention can only delay — resource starts are
         ``max(ready, busy_until)`` and float ``+``/``max`` are monotone
         — so each fleet step end is >= its replayed end, and for a job
@@ -162,11 +173,7 @@ class FleetResult:
         two are bit-identical (certifier rule SCD005).
         """
         runner = self.runners[job_id]
-        spec = runner.spec
-        probe = Network(self.topology, self.network.backend,
-                        route_policy=self.routing)
-        if spec.throttle < 1.0:
-            probe.set_job_throttle(job_id, spec.throttle)
+        probe = self.isolated_probe(job_id)
         return [runner.run_step(record["t"], network=probe)[0]
                 for record in self.records_of("step", job_id)]
 

@@ -12,7 +12,10 @@ the numbers the scheduling literature argues about:
   time ÷ achieved mean step time, in ``(0, 1]``), so a fleet where
   contention hits every job equally scores 1.0 and one that starves a
   subset scores toward ``1/n``.  Isolated baselines replay each job's
-  exact plan and placement on an empty clone of the network.
+  exact plan and placement on the network it would have had alone —
+  same topology, backend and routing, its own throttle — so slowdown
+  measures contention only (and is >= 1 up to clock-origin rounding
+  wherever contention can only delay, which SCD005 certifies).
 * **link load** — busiest shared resources by busy-seconds, plus the
   binned per-link timelines when the simulator recorded them.
 """
@@ -20,8 +23,6 @@ the numbers the scheduling literature argues about:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from repro.cluster import Network
 
 from .fleet import FleetResult
 
@@ -83,7 +84,9 @@ class FleetMetrics:
     p95_queue_wait: float
     max_queue_wait: float
     fairness: float                 # Jain index over per-job efficiencies
-    mean_slowdown: float            # achieved / isolated step time, >= 1.0-ish
+    #: achieved / isolated step time; the isolated run keeps the job's
+    #: routing and throttle, so only contention moves it off 1.0
+    mean_slowdown: float
     max_slowdown: float
     total_wire_bytes: int
     per_job: list[dict] = field(default_factory=list)
@@ -116,16 +119,14 @@ class FleetMetrics:
 def isolated_step_times(result: FleetResult) -> dict[int, float]:
     """Each job's contention-free step time, with its fleet placement.
 
-    Replays every job's precomputed plan on a fresh network over the
-    same topology and backend — the counterfactual "this job had the
-    cluster to itself" that slowdown and fairness are measured against.
+    Replays every job's precomputed plan once on its
+    :meth:`~repro.sched.fleet.FleetResult.isolated_probe` — the network
+    the job would have had alone (same routing, its own throttle), the
+    counterfactual slowdown and fairness are measured against.
     """
-    baselines: dict[int, float] = {}
-    for job_id, runner in result.runners.items():
-        probe = Network(result.topology, result.network.backend)
-        end, _ = runner.run_step(0.0, network=probe)
-        baselines[job_id] = end
-    return baselines
+    return {job_id: runner.run_step(
+                0.0, network=result.isolated_probe(job_id))[0]
+            for job_id, runner in result.runners.items()}
 
 
 def compute_metrics(result: FleetResult, top_links: int = 8) -> FleetMetrics:

@@ -385,6 +385,14 @@ class DataParallelTrainer:
         return order
 
     # -- fault recovery ----------------------------------------------------
+    def _pour_state(self, rank: int, weights: dict[str, np.ndarray],
+                    optimizer_state: dict) -> None:
+        """Overwrite replica ``rank``'s weights and optimizer state."""
+        for name, param in self.replicas[rank].named_parameters():
+            param.data[...] = weights[name]
+            param.grad = None
+        self.optimizers[rank].load_state_dict(optimizer_state)
+
     def _adopt_peer_state(self, rank: int, dead: set[int]) -> None:
         """A rejoining ``rank`` copies weights + optimizer state from a peer."""
         peers = [r for r in self._member_ranks()
@@ -392,39 +400,15 @@ class DataParallelTrainer:
         if not peers:
             return  # no healthy source; keep the stale weights
         source = peers[0]
-        src_params = dict(self.replicas[source].named_parameters())
-        for name, param in self.replicas[rank].named_parameters():
-            param.data[...] = src_params[name].data
-            param.grad = None
-        self.optimizers[rank].load_state_dict(
+        self._pour_state(
+            rank,
+            {name: param.data for name, param
+             in self.replicas[source].named_parameters()},
             self.optimizers[source].state_dict())
         if self.fault_runtime is not None:
             self.fault_runtime.counters.checkpoint_restores += 1
             self.fault_runtime.record("state_transfer", rank=rank,
                                       source=source)
-
-    def checkpoint(self) -> dict:
-        """Snapshot replica 0's weights + optimizer state (all in-sync).
-
-        Every array in the snapshot is deep-copied: an optimizer whose
-        ``state_dict`` hands back live buffers must not let later
-        training mutate a checkpoint taken earlier.
-        """
-        weights = {name: param.data.copy()
-                   for name, param in self.replicas[0].named_parameters()}
-        return {"step": self._step_index, "weights": weights,
-                "optimizer": _clone_tree(self.optimizers[0].state_dict())}
-
-    def restore(self, snapshot: dict) -> None:
-        """Reset every replica to a :meth:`checkpoint` snapshot."""
-        for replica, optimizer in zip(self.replicas, self.optimizers):
-            for name, param in replica.named_parameters():
-                param.data[...] = snapshot["weights"][name]
-                param.grad = None
-            optimizer.load_state_dict(snapshot["optimizer"])
-        self._step_index = int(snapshot["step"])
-        if self.fault_runtime is not None:
-            self.fault_runtime.counters.checkpoint_restores += 1
 
     # -- durable full-state checkpoints ------------------------------------
     def capture_state(self) -> dict:
@@ -433,7 +417,9 @@ class DataParallelTrainer:
         Per-rank weights and optimizer state (crashed ranks' state is
         legitimately stale), the step index, the data-order cursor, both
         RNG stream states, and the engine's stateful pieces (error-
-        feedback residuals, quorum carry buffers).
+        feedback residuals, quorum carry buffers).  Every array is
+        deep-copied: an optimizer whose ``state_dict`` hands back live
+        buffers must not let later training mutate an earlier snapshot.
         """
         return {
             "schema": 1,
@@ -459,13 +445,9 @@ class DataParallelTrainer:
         before their state is poured back in.
         """
         self._ensure_replica(len(state["weights"]) - 1)
-        for rank, (replica, optimizer) in enumerate(
-                zip(self.replicas, self.optimizers)):
-            weights = state["weights"][rank]
-            for name, param in replica.named_parameters():
-                param.data[...] = weights[name]
-                param.grad = None
-            optimizer.load_state_dict(state["optimizers"][rank])
+        for rank in range(len(self.replicas)):
+            self._pour_state(rank, state["weights"][rank],
+                             state["optimizers"][rank])
         self._step_index = int(state["step"])
         self._batches_drawn = int(state["batches_drawn"])
         self._rng.bit_generator.state = state["trainer_rng"]

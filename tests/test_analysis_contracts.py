@@ -2,6 +2,7 @@
 registry/engine come back clean."""
 
 import numpy as np
+import pytest
 
 from repro.analysis.abstract import (
     PROBE_SHAPES,
@@ -17,12 +18,14 @@ from repro.analysis.contracts import (
     verify_contracts,
 )
 from repro.compression import (
+    METHODS,
     Compressed,
     CompressionSpec,
     CompressorContract,
     ErrorFeedback,
     IdentityCompressor,
     make_compressor,
+    register,
 )
 from repro.core import CGXConfig, CommunicationEngine
 
@@ -226,6 +229,67 @@ def test_con007_current_engine_carries_residuals():
     respec = replay_adaptive_respec()
     assert respec["rebuilt"] and respec["carried"]
     assert "CON007" not in rules_of(check_engine_wiring())
+
+
+# -- every registered method is certified, with no list kept in analysis/ -------
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_flt004_probes_every_registered_method(method, monkeypatch):
+    # the hand-kept spec list never corrupted a dgc, powersgd or fake payload
+    import repro.faults.validate as validate
+    from repro.faults.inject import corrupt_payload
+
+    corrupted = []
+
+    def recording(wire, rng):
+        corrupted.append(wire.spec)
+        return corrupt_payload(wire, rng)
+
+    monkeypatch.setattr(validate, "corrupt_payload", recording)
+    assert validate.verify_crc_detection() == []
+    assert [s for s in corrupted if s.method == method] == probe_specs(method)
+
+
+def test_flt004_fires_when_the_crc_misses_a_flipped_byte(monkeypatch):
+    import repro.faults.validate as validate
+
+    monkeypatch.setattr(validate, "payload_crc", lambda wire: 0)
+    findings = validate.verify_crc_detection()
+    assert rules_of(findings) == {"FLT004"}
+    assert {f.scheme for f in findings} == set(METHODS)
+    assert all(f.path == f"<faults:crc@{f.scheme}>" for f in findings)
+
+
+@pytest.fixture
+def fixture_method():
+    """A method that exists only in this test, entered with ``@register``."""
+    @register
+    class Mirror(IdentityCompressor):
+        contract = CompressorContract("mirror", lossless=True,
+                                      requires_error_feedback=True)
+
+    yield "mirror"
+    del METHODS["mirror"]
+
+
+def test_registered_method_is_certified_without_touching_analysis(
+        fixture_method, monkeypatch):
+    import repro.faults.validate as validate
+
+    assert probe_specs(fixture_method) == [CompressionSpec(fixture_method)]
+    assert verify_contracts() == []          # probed, wired with EF, clean
+    assert validate.verify_crc_detection() == []
+    monkeypatch.setattr(validate, "payload_crc", lambda wire: 0)
+    assert fixture_method in {
+        f.scheme for f in validate.verify_crc_detection()}
+
+    class BareEngine(CommunicationEngine):
+        def _compressor_for(self, package):
+            return make_compressor(package.spec)
+
+    # the EF configs come from ``contract.requires_error_feedback``
+    assert any(f.rule == "CON006" and f.scheme == fixture_method
+               for f in check_engine_wiring(engine_cls=BareEngine))
 
 
 # -- CON008: lossless violated -------------------------------------------------

@@ -162,16 +162,42 @@ def test_ovl002_fires_on_dropped_bucket():
 
 
 def test_ovl002_fires_on_byte_mismatch():
-    case, _, reports, layers = fresh_cell()
+    case = OverlapCase("sra", 2, "stack")
+    _, reports, fed = _run_cell(case)
+    layers = _model_layers("stack")
+    assert check_fusion_conservation(case, reports, layers, fed) == []
     reports[1].buckets[0].dense_bytes += 4
     reports[2].buckets[0].wire_bytes += 1
-    reports[3].buckets[0].measured_bytes += 1
-    findings = check_fusion_conservation(case, reports, layers)
+    # the serialized ground truth is measured by the certifier from the
+    # gradients the cell fed: one quantization bucket short of what the
+    # spec was sized for, the payload no longer matches the claim
+    short = reports[3].buckets[0].layer_names[0]
+    fed[3] = {**fed[3], short: fed[3][short][:-32]}
+    findings = check_fusion_conservation(case, reports, layers, fed)
     assert rules_of(findings) == {"OVL002"}
     messages = " | ".join(f.message for f in findings)
     assert "dense accounting" in messages
     assert "wire accounting" in messages
     assert "serialized payload" in messages
+    # without the fed gradients only the two accounting legs can speak
+    assert "serialized payload" not in " | ".join(
+        f.message for f in check_fusion_conservation(case, reports, layers))
+
+
+def test_overlapped_entry_points_take_no_certifier_option():
+    """``measure_payload`` was set by the certifier alone; the ground
+    truth is now computed in ``analysis/overlap.py``."""
+    import inspect
+
+    from repro.core.ddp import CGXDistributedDataParallel
+    from repro.core.engine import CommunicationEngine
+    from repro.core.overlap import OverlapBucket
+
+    for fn in (CommunicationEngine.reduce_overlapped,
+               CGXDistributedDataParallel.synchronize_overlapped):
+        assert "measure_payload" not in inspect.signature(fn).parameters
+    assert "measured_bytes" not in {
+        f.name for f in dataclasses.fields(OverlapBucket)}
 
 
 # -- OVL003: launch priority --------------------------------------------------

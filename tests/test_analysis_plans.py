@@ -77,6 +77,15 @@ def crasher(stats, alpha=2.0, bitwidths=None):
     raise RuntimeError("solver exploded")
 
 
+def wasteful(stats, alpha=2.0, bitwidths=None):
+    return {s.name: 8 for s in stats}  # always feasible, never frugal
+
+
+def moody(stats, alpha=2.0, bitwidths=None):
+    width = 8 if alpha > 2.0 else 4  # more budget -> more bytes
+    return {s.name: width for s in stats}
+
+
 def test_budget_violation_fires_bwp001():
     _, findings = certify_solver("bad", budget_buster, SMALL, alpha=1.5)
     assert "BWP001" in rules_of(findings)
@@ -102,19 +111,12 @@ def test_crashing_solver_fires_bwp002_not_an_exception():
 
 
 def test_wasteful_solver_fires_bwp003():
-    def wasteful(stats, alpha=2.0, bitwidths=None):
-        return {s.name: 8 for s in stats}  # always feasible, never frugal
-
     findings = certify_optimality("kmeans", wasteful, [SMALL],
                                   alphas=(2.0,))
     assert rules_of(findings) == ["BWP003"]
 
 
 def test_non_monotone_solver_fires_bwp005():
-    def moody(stats, alpha=2.0, bitwidths=None):
-        width = 8 if alpha > 2.0 else 4  # more budget -> more bytes
-        return {s.name: width for s in stats}
-
     findings = verify_plans(assigners={"moody": moody}, instances=[SMALL],
                             alphas=(1.5, 3.0), controller_cls=None)
     assert "BWP005" in rules_of(findings)
@@ -126,6 +128,67 @@ def test_verify_plans_end_to_end_on_broken_solver():
     assert "BWP001" in rules_of(findings)
     assert all(f.source == "plan" and f.scheme == "bad" for f in findings)
     assert all(f.path == "<plan:bad>" for f in findings)
+
+
+# -- records, not re-runs -----------------------------------------------------
+
+def test_verify_plans_solves_each_cell_once(monkeypatch):
+    """One ``PlanSolutions`` record per battery: BWP001/003/005 read the
+    same solver run, BWP003 of every solver the same exact optimum."""
+    from collections import Counter
+
+    import repro.analysis.plans as plans
+
+    instances = default_instances()
+    name_of = {id(i.stats): i.name for i in instances}
+    solved, optima = Counter(), Counter()
+
+    def counting(solver, assigner):
+        def wrapped(stats, alpha=2.0, bitwidths=None):
+            solved[solver, name_of[id(stats)], alpha] += 1
+            return assigner(stats, alpha=alpha)
+        return wrapped
+
+    def counting_brute_force(stats, alpha=2.0, **kwargs):
+        optima[name_of[id(stats)], alpha] += 1
+        return brute_force(stats, alpha=alpha, **kwargs)
+
+    brute_force = plans.brute_force_assign
+    monkeypatch.setattr(plans, "brute_force_assign", counting_brute_force)
+    assert verify_plans(
+        assigners={name: counting(name, fn) for name, fn in ASSIGNERS.items()},
+        instances=instances) == []
+    small = [i for i in instances if i.small]
+    assert set(solved.values()) == set(optima.values()) == {1}
+    assert len(solved) == len(ASSIGNERS) * len(instances) * len(DEFAULT_ALPHAS)
+    assert len(optima) == len(small) * len(DEFAULT_ALPHAS)
+    assert (len(solved), len(optima)) == (180, 27)   # 441 / 81 per-check
+
+
+#: fingerprints of ``verify_plans`` over the six broken solvers on SMALL
+#: with every ratchet at 1.25x, recorded at 5a4e06a — when each check
+#: still re-ran the solver itself
+BROKEN_SOLVER_FINGERPRINTS = [
+    "c8f845b92d3d1b1c", "8a15a2b93569b61f", "fb2432b015c784d8", "67d4c6dd28bc0993",
+    "212eb3e0350c7490", "9ce1247ed2c3ef6c", "e205ad6ecc13de9a", "8e3dd6c63791649e",
+    "7a02205a6a736904", "b76b88230d06bd08", "05bda544d8b04a27", "f867ce2037a65233",
+    "43b5bc0d36679068", "3ea92cd2ae2f553c", "782a052a1525e5b5", "39cf585f53a2701d",
+    "98227e9c436efbd9", "d02d66fe57b1b1d8", "04a8607784e02cd2", "25569ae14de0a552",
+    "aba9753e8d5653c3", "487219808b04f2fd", "c7a2cd60988d0399", "dc8ecb3e1ac5b9f2",
+    "e036f6d727115924", "18863fa6872e19ea",
+]
+
+
+def test_shared_record_reports_what_the_per_check_solves_reported():
+    broken = {fn.__name__: fn for fn in (budget_buster, ladder_escaper,
+                                         layer_loser, crasher, wasteful,
+                                         moody)}
+    findings = verify_plans(assigners=broken, instances=[SMALL],
+                            ratchet=dict.fromkeys(broken, 1.25),
+                            controller_cls=None)
+    assert [f.fingerprint for f in findings] == BROKEN_SOLVER_FINGERPRINTS
+    assert rules_of(findings) == ["BWP001", "BWP002", "BWP003", "BWP004",
+                                  "BWP005"]
 
 
 # -- BWP006: controller respec stability --------------------------------------

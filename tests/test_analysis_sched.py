@@ -409,6 +409,26 @@ def test_scd006_out_of_range_jain_flagged(clean_result, monkeypatch):
     assert "outside (0, 1]" in messages_of(findings)
 
 
+def test_scd006_nondeterministic_baseline_replay_flagged(clean_result,
+                                                         monkeypatch):
+    import repro.sched.metrics as metrics_mod
+
+    real = metrics_mod.isolated_step_times
+    replays = []
+
+    def drifting(result):
+        replays.append(len(replays))
+        return {job: t + replays[-1] * 1e-9
+                for job, t in real(result).items()}
+
+    monkeypatch.setattr(metrics_mod, "isolated_step_times", drifting)
+    findings = _certify_fairness(clean_result, PATH)
+    assert rules_of(findings) == {"SCD006"}
+    assert "nondeterministic" in messages_of(findings)
+    # the baselines compute_metrics computed vs ONE fresh replay
+    assert replays == [0, 1]
+
+
 def test_scd006_raising_percentile_flagged(monkeypatch):
     import repro.sched.metrics as metrics_mod
 

@@ -112,6 +112,23 @@ def test_experiment_registry_files_exist():
         assert os.path.exists(os.path.join(bench_dir, bench)), bench
 
 
+def test_experiment_list_shows_every_bench_file():
+    """The table is the directory: a new ``bench_*.py`` is runnable
+    through ``repro experiment`` without editing ``cli.py``."""
+    import os
+
+    bench_dir = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
+    files = [name for name in os.listdir(bench_dir)
+             if name.startswith("bench_") and name.endswith(".py")]
+    code, text = run_cli(["experiment", "--list"])
+    assert code == 0 and len(files) >= 30
+    listed = dict(line.split() for line in text.splitlines()[1:])
+    assert set(listed.values()) == set(files)
+    assert listed["overlap"] == "bench_overlap.py"
+    assert listed["fault-campaigns"] == "bench_fault_campaigns.py"
+    assert listed["fig3"] == listed["fig3-throughput"]
+
+
 def test_simulate_with_config_file(tmp_path):
     from repro.core import CGXConfig
     from repro.core.serialization import dump_config

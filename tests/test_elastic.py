@@ -295,6 +295,9 @@ def test_autoscale_burst_grows_then_sheds():
     _run(trainer)
     coord = trainer.elastic
     assert len(coord.members) == 5       # +2 provisioned, -1 preempted
+    counters = trainer.fault_runtime.counters
+    assert counters.preempt_warnings > 0 and counters.graceful_exits > 0
+    assert counters.provision_admissions > 0 and counters.drain_missed == 0
     assert coord.rank_gpus[5] == "A6000"
     assert trainer.in_sync()
 

@@ -33,6 +33,7 @@ from repro.faults import (
     select_members,
     straggler,
 )
+from repro.faults.plan import FIXED_WORLD_CAMPAIGNS
 from repro.training import train_family
 from repro.training.recipes import get_recipe
 from repro.training.tasks import make_task
@@ -521,6 +522,19 @@ def test_trainer_crash_rejoin_counters_and_convergence():
     assert abs(faulty.final_loss - clean.final_loss) < 0.02
 
 
+@pytest.mark.parametrize("campaign,engaged", [
+    ("straggler", "quorum_steps"), ("lossy-link", "retries"),
+    ("crash-rejoin", "crashes")])
+def test_fixed_world_campaigns_engage_and_converge(campaign, engaged):
+    assert campaign in FIXED_WORLD_CAMPAIGNS
+    config = CGXConfig(compression=CompressionSpec("qsgd", bits=4))
+    clean = train_family("mlp", world_size=4, config=config, steps=20, seed=0)
+    run = train_family("mlp", world_size=4, config=config, steps=20, seed=0,
+                       fault_plan=make_campaign(campaign, world=4, seed=0))
+    assert abs(run.final_loss - clean.final_loss) < 0.02
+    assert run.fault_summary[engaged] > 0, run.fault_summary
+
+
 def test_trainer_checkpoint_restore_round_trip():
     recipe = get_recipe("mlp")
     task = make_task("mlp", batch_size=recipe.batch_size, **recipe.kwargs())
@@ -528,12 +542,12 @@ def test_trainer_checkpoint_restore_round_trip():
     trainer = DataParallelTrainer(task, world_size=2, config=config, seed=0)
     for _ in range(3):
         trainer.train_step()
-    snapshot = trainer.checkpoint()
+    snapshot = trainer.capture_state()
     before = {name: param.data.copy()
               for name, param in trainer.replicas[0].named_parameters()}
     for _ in range(3):
         trainer.train_step()
-    trainer.restore(snapshot)
+    trainer.restore_state(snapshot)
     assert trainer._step_index == snapshot["step"]
     for replica in trainer.replicas:
         for name, param in replica.named_parameters():
@@ -686,9 +700,10 @@ def test_checkpoint_snapshot_survives_live_state_dict_refs(monkeypatch):
         return {"velocity": leaky._velocity}
 
     monkeypatch.setattr(leaky, "state_dict", live_refs)
-    snapshot = trainer.checkpoint()
+    snapshot = trainer.capture_state()
     monkeypatch.undo()
-    frozen = {k: v.copy() for k, v in snapshot["optimizer"]["velocity"].items()}
+    frozen = {k: v.copy()
+              for k, v in snapshot["optimizers"][0]["velocity"].items()}
 
     for _ in range(4):
         trainer.train_step()
@@ -696,5 +711,6 @@ def test_checkpoint_snapshot_survives_live_state_dict_refs(monkeypatch):
     assert any(not np.array_equal(leaky._velocity[k], frozen[k])
                for k in frozen)
     for k, v in frozen.items():
-        np.testing.assert_array_equal(snapshot["optimizer"]["velocity"][k], v)
+        np.testing.assert_array_equal(
+            snapshot["optimizers"][0]["velocity"][k], v)
     del real_state

@@ -290,6 +290,24 @@ def test_fault_free_modes_are_bit_identical(overlap):
         assert not any(trainer.fault_runtime.records_of("state_transfer"))
 
 
+def test_supervised_crash_rejoin_recovers_on_heartbeats_alone():
+    from repro.faults import make_campaign
+    from repro.training import train_family
+
+    config = CGXConfig(compression=CompressionSpec("qsgd", bits=4))
+    oracle, sup = (
+        train_family("mlp", world_size=4, config=config, steps=20, seed=0,
+                     fault_plan=make_campaign("crash-rejoin"),
+                     supervised=supervised)
+        for supervised in (False, True))
+    assert abs(sup.final_loss - oracle.final_loss) < 0.02
+    counters = sup.fault_summary
+    assert counters["suspected_crashes"] > 0
+    assert counters["rejoin_admissions"] > 0
+    assert counters.get("false_suspicions", 0) == 0
+    assert counters.get("oracle_reads", 0) == 0
+
+
 def test_supervised_escalation_restores_from_durable_store(tmp_path):
     # one rank flaps crash/rejoin three times: the third suspicion must
     # escalate to a checkpoint restore instead of yet another transfer

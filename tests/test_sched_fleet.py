@@ -167,6 +167,33 @@ def test_adaptive_routing_fleet_completes_deterministically():
     assert all(s.status == "done" for s in a.states)
 
 
+@pytest.mark.parametrize("throttle_stride", [0, 2])
+def test_slowdown_is_measured_on_the_network_the_job_would_have_had_alone(
+        throttle_stride):
+    # the isolated baseline keeps the fleet's routing and the job's own
+    # throttle, so "faster than having the cluster to itself" cannot be
+    # reported (static-routed, unthrottled baselines read 0.9985 here)
+    from repro.sched.battery import apply_throttles
+    from repro.sched.metrics import isolated_step_times
+
+    jobs = sample_fleet(8, seed=102, models=("resnet50",), steps_range=(2, 5))
+    if throttle_stride:
+        jobs = apply_throttles(jobs, stride=throttle_stride)
+    result = FleetSimulator(make_cluster("dgx1", 2), jobs, gpu="V100",
+                            routing="adaptive", seed=102).run()
+    metrics = compute_metrics(result)
+    assert metrics.completed == 8
+    for entry in metrics.per_job:
+        assert entry["slowdown"] >= 1 - 1e-12, entry
+    baselines = isolated_step_times(result)
+    for job_id, runner in result.runners.items():
+        # one probe constructor behind both isolated-replay paths
+        probe = result.isolated_probe(job_id)
+        assert probe.route_policy == "adaptive"
+        assert probe.job_throttle(job_id) == runner.spec.throttle
+        assert baselines[job_id] == runner.run_step(0.0, network=probe)[0]
+
+
 def test_arrivals_respect_the_clock():
     # a job arriving later never starts earlier, even if GPUs are free
     topo = get_machine("rtx3090-8x").topology()

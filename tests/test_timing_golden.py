@@ -10,6 +10,12 @@ the pool's ``busy_seconds()`` *in iteration order* (resource creation
 order is part of the contract); the binned link loads; every resource's
 audit ledger; ``simulate_step`` / ``time_overlapped_step`` outputs as
 ``float.hex()``; and one ``FaultyNetwork`` step with a slowed link.
+
+One hash is younger: the adaptive campaign's ``metrics`` was re-recorded
+at PR 24, which moved the isolated baselines onto the fleet's routing
+(``isolated_step_time`` / ``slowdown`` per job, hence ``fairness`` and
+``mean_slowdown``, and nothing else in that document; its ``log`` and
+``busy_seconds`` and the three static campaigns are a9329bf's).
 """
 
 import dataclasses
