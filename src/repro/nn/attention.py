@@ -7,6 +7,8 @@ experiments (paper Table 3, Figure 4).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import functional as F
@@ -59,7 +61,7 @@ class MultiHeadSelfAttention(Module):
         qkv = self.qkv(x)
         q, k, v = np.split(qkv, 3, axis=-1)
         q, k, v = self._split_heads(q), self._split_heads(k), self._split_heads(v)
-        scale = 1.0 / np.sqrt(self.head_dim)
+        scale = 1.0 / math.sqrt(self.head_dim)   # a Python float keeps float32
         scores = np.einsum("bhqd,bhkd->bhqk", q, k, optimize=True) * scale
         if self.causal:
             seq = x.shape[1]
@@ -71,6 +73,7 @@ class MultiHeadSelfAttention(Module):
         return self.proj(self._merge_heads(out_heads))
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
+        assert self._cache is not None, "backward before forward"
         q, k, v, attn, scale = self._cache
         grad_merged = self.proj.backward(grad)
         grad_heads = self._split_heads(grad_merged)

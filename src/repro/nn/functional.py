@@ -4,9 +4,15 @@ These functions are the computational core of the :mod:`repro.nn` layers.
 Each ``*_backward`` takes the upstream gradient plus whatever the forward
 pass cached, and returns gradients for the forward inputs.  Keeping the
 math here lets the layer classes stay small and testable.
+
+Everything computes in its input's dtype: a constant that enters array
+arithmetic in :mod:`repro.nn` is a Python float or a float32 array, never
+a numpy float64 scalar, which NumPy 2 (NEP 50) lets promote float32 arrays.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -14,6 +20,7 @@ __all__ = [
     "relu",
     "relu_backward",
     "gelu",
+    "gelu_tanh",
     "gelu_backward",
     "tanh",
     "tanh_backward",
@@ -26,7 +33,7 @@ __all__ = [
     "col2im",
 ]
 
-_GELU_C = np.sqrt(2.0 / np.pi)
+_GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -39,18 +46,23 @@ def relu_backward(grad: np.ndarray, x: np.ndarray) -> np.ndarray:
     return grad * (x > 0.0)
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
+def gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """tanh of GELU's inner polynomial; forward and backward share it."""
+    return np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+
+
+def gelu(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
     """Gaussian error linear unit (tanh approximation, as used by BERT/GPT)."""
-    inner = _GELU_C * (x + 0.044715 * x**3)
-    return 0.5 * x * (1.0 + np.tanh(inner))
+    t = gelu_tanh(x) if t is None else t
+    return 0.5 * x * (1.0 + t)
 
 
-def gelu_backward(grad: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Gradient of :func:`gelu` with respect to its input."""
-    inner = _GELU_C * (x + 0.044715 * x**3)
-    t = np.tanh(inner)
-    dinner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
-    return grad * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner)
+def gelu_backward(grad: np.ndarray, x: np.ndarray,
+                  t: np.ndarray | None = None) -> np.ndarray:
+    """Gradient of :func:`gelu`; ``t`` is the forward's :func:`gelu_tanh`."""
+    t = gelu_tanh(x) if t is None else t
+    dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
+    return grad * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
 
 
 def tanh(x: np.ndarray) -> np.ndarray:

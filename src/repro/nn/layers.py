@@ -256,16 +256,19 @@ class ReLU(Module):
 
 
 class GELU(Module):
+    """GELU; keeps the forward's tanh so backward evaluates no transcendental."""
+
     def __init__(self):
         super().__init__()
         self._x: np.ndarray | None = None
+        self._t: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
-        return F.gelu(x)
+        self._x, self._t = x, F.gelu_tanh(x)
+        return F.gelu(x, self._t)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        return F.gelu_backward(grad, self._x)
+        return F.gelu_backward(grad, self._x, self._t)
 
 
 class Tanh(Module):

@@ -1,5 +1,7 @@
 """Unit tests for the primitive ops and their backward rules."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -115,3 +117,19 @@ def test_gelu_matches_reference_points():
     # gelu(0) == 0 and gelu is close to identity for large positive x
     assert F.gelu(np.array([0.0]))[0] == 0.0
     np.testing.assert_allclose(F.gelu(np.array([10.0]))[0], 10.0, rtol=1e-5)
+
+
+def test_gelu_float32_within_4_ulps_of_float64_reference():
+    """float32 in, float32 out, within 4 float32 ulps of the float64 tanh
+    formula over [-10, 10].  The ulps are taken at ``|x|``, which bounds
+    ``|gelu(x)|``: for very negative ``x`` the output is ``x`` times the
+    tiny ``1 + tanh(...)``, which no float32 evaluation of the tanh form
+    resolves relative to itself, only relative to ``x``."""
+    x = np.linspace(-10.0, 10.0, 100_001, dtype=np.float32)
+    x64 = x.astype(np.float64)
+    reference = 0.5 * x64 * (
+        1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x64 + 0.044715 * x64**3)))
+    out = F.gelu(x)
+    assert out.dtype == np.float32
+    ulps = np.abs(out - reference) / np.spacing(np.abs(x)).astype(np.float64)
+    assert float(np.max(ulps)) <= 4.0

@@ -19,6 +19,7 @@ from repro.nn import (
     Residual,
     Sequential,
 )
+from repro.nn import functional as F
 
 
 def check_param_gradient(layer, x, param_name, idx, eps=1e-3, rtol=5e-2):
@@ -261,3 +262,18 @@ def test_gelu_module_backward_matches_function():
     layer = GELU()
     x = rng.normal(size=(5, 5)).astype(np.float32)
     check_input_gradient(layer, x)
+
+
+def test_gelu_module_backward_reuses_forward_tanh(monkeypatch):
+    rng = np.random.default_rng(19)
+    layer = GELU()
+    x = rng.normal(scale=3.0, size=(4, 8, 16)).astype(np.float32)
+    grad = rng.normal(size=x.shape).astype(np.float32)
+    expected = F.gelu_backward(grad, x)
+    layer(x)
+
+    def no_tanh(_x):
+        raise AssertionError("GELU.backward re-evaluated the tanh")
+
+    monkeypatch.setattr(F, "gelu_tanh", no_tanh)
+    np.testing.assert_allclose(layer.backward(grad), expected, rtol=1e-6)
