@@ -468,8 +468,8 @@ def _certify_metric_degenerates(path: str = "<sched:degenerate>"
 
 #: calls that schedule work on the shared pool and must carry a job tag
 _TAGGED_CALLS = {
-    "transfer", "run_kernel", "schedule",
-    "schedule_path", "time_allreduce", "time_partial_allreduce",
+    "transfer", "run_kernel", "schedule", "schedule_path", "commit_route",
+    "time_allreduce", "time_partial_allreduce",
 }
 
 #: functions allowed to schedule untagged: bandwidth probes run on a

@@ -12,13 +12,29 @@ and other models' throughputs are interpolated consistently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from repro.models import ModelSpec, build_spec
 
-__all__ = ["GPUSpec", "GPUS", "get_gpu"]
+__all__ = ["GPUSpec", "GPUS", "get_gpu", "anchor_flops_per_item"]
 
 #: forward+backward training FLOPs as a multiple of forward FLOPs
 TRAIN_FLOP_FACTOR = 3.0
+
+#: model class -> the Table 1 model its throughput anchor was measured on
+ANCHOR_MODELS = {"cnn": "resnet50", "transformer": "transformer_xl"}
+
+
+@cache
+def anchor_flops_per_item(model_class: str) -> float:
+    """Forward FLOPs per item of a class's anchor model, built once.
+
+    The anchors are constants of the catalog, so the spec is built on the
+    first call per class and only its ``flops_per_item`` is kept.
+    """
+    if model_class not in ANCHOR_MODELS:
+        raise ValueError(f"unknown model class {model_class!r}")
+    return build_spec(ANCHOR_MODELS[model_class]).flops_per_item
 
 
 @dataclass(frozen=True)
@@ -37,15 +53,10 @@ class GPUSpec:
 
     def effective_rate(self, model_class: str) -> float:
         """Effective training FLOP/s for a model class (cnn | transformer)."""
-        if model_class == "cnn":
-            anchor = build_spec("resnet50")
-            throughput = self.resnet50_imgs_per_s
-        elif model_class == "transformer":
-            anchor = build_spec("transformer_xl")
-            throughput = self.txl_tokens_per_s
-        else:
-            raise ValueError(f"unknown model class {model_class!r}")
-        return anchor.flops_per_item * TRAIN_FLOP_FACTOR * throughput
+        throughput = (self.resnet50_imgs_per_s if model_class == "cnn"
+                      else self.txl_tokens_per_s)
+        return anchor_flops_per_item(model_class) * TRAIN_FLOP_FACTOR \
+            * throughput
 
     def step_compute_time(self, spec: ModelSpec, batch_per_gpu: int) -> float:
         """Seconds of forward+backward compute for one local batch."""

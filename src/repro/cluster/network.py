@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import simclock
 from .backends import BackendModel, get_backend
 from .simclock import Resource, ResourcePool
 from .topology import Topology
@@ -145,57 +146,55 @@ class Network:
 
     # -- transfers ---------------------------------------------------------
     def transfer(self, src: int, dst: int, nbytes: int, ready: float,
-                 job: int | None = None) -> float:
+                 job: int | None = None, slow: float = 1.0) -> float:
         """Send ``nbytes`` from GPU ``src`` to ``dst``; returns end time.
 
         ``job`` tags the transfer for shared (multi-job) networks: link
         busy time is attributed to the job, the job's throttle rate
         scales its effective bandwidth, and trace records land in the
-        job's lane.
-        """
-        if src == dst:
-            return ready
-        return self._walk(src, dst, nbytes, ready, job, 1.0)
+        job's lane.  A message to itself costs nothing and returns
+        ``ready``.
 
-    def _walk(self, src: int, dst: int, nbytes: int, ready: float,
-              job: int | None, slow: float) -> float:
-        """The one link walk: route, per-link service, ledgers, trace.
-
-        Store-and-forward: the message traverses its route link by link,
-        occupying each link only for that link's own service time
-        (``bytes / link_bandwidth + latency``).  On direct NVLink paths
-        this equals cut-through; on commodity routes it charges the
+        This is the one link walk (route, per-link service, ledgers,
+        trace).  Store-and-forward: the message traverses its route link
+        by link, occupying each link only for that link's own service
+        time (``bytes / link_bandwidth + latency``).  On direct NVLink
+        paths this equals cut-through; on commodity routes it charges the
         extra host-memory staging hop that missing GPUDirect implies,
         and concurrent flows through a shared link serialize there —
         which is how 14 GB/s point-to-point collapses toward ~1 GB/s of
         8-way all-reduce bandwidth.
 
-        ``slow`` (private to fault-aware subclasses) stretches every
-        link's service time; ``1.0 * x == x`` keeps plain ones bit-exact.
+        ``slow`` stretches every link's service time; it carries a fault
+        plan's link slowdown (``FaultyNetwork``), and ``1.0 * x == x``
+        keeps plain transfers bit-exact.
         """
+        if src == dst:
+            return ready
         backend = self.backend
         start_overall = ready + backend.alpha
         scaled = nbytes * backend.copy_factor
-        # read per call, never bound into the route: throttles come and go
-        throttle = self.job_throttle(job)
+        # job_throttle(job) without the call; read per call, never bound
+        # into the route: throttles come and go
+        throttle = 1.0 if job is None else self._job_throttle.get(job, 1.0)
         candidates = self._routes.get((src, dst)) \
             or self._resolve_route(src, dst)
         route = candidates[0]
         if len(candidates) > 1:
             route = self._earliest_route(candidates, start_overall, scaled,
                                          throttle, slow)
-        binned = self._load_bin_width
-        t = start_overall
-        for resource, bandwidth, latency in route:
-            start, t = resource.schedule(
-                t, slow * (scaled / (bandwidth * throttle) + latency), job)
-            if binned:
-                self._bin_load(resource.name, start, t)
+        end = simclock.commit_route(
+            route, start_overall, scaled, throttle, slow, job,
+            self._bin_load if self._load_bin_width else None)
         self._job_bytes[job] = self._job_bytes.get(job, 0) + nbytes
         if self._trace_enabled:
             self.trace.append(
-                TransferRecord(src, dst, nbytes, start_overall, t, job))
-        return t
+                TransferRecord(src, dst, nbytes, start_overall, end, job))
+        return end
+
+    #: the same walk under a name the per-message counters do not wrap:
+    #: ``FaultyNetwork`` walks a route once per retry of one message
+    _walk = transfer
 
     def _resolve_route(self, src: int, dst: int) -> tuple[_Route, ...]:
         """Bind ``src -> dst`` to its link resources, once per network.
@@ -209,7 +208,7 @@ class Network:
         topology = self.topology
         paths = [topology.path(src, dst)]
         if self.route_policy == "adaptive":
-            # no candidates means src == dst: keep the one empty route
+            # no candidates means an empty primary: keep the one route
             paths = topology.candidate_paths(src, dst) or paths
         candidates = tuple(
             tuple((self.pool.get(link.name), link.bandwidth, link.latency)

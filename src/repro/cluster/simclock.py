@@ -21,13 +21,19 @@ replays those ledgers bit-for-bit against the live float counters and
 sums untagged entries in :class:`fractions.Fraction` arithmetic (every
 float is an exact rational), so conservation holds with **equality**
 or not at all.
+
+Only this module writes a timeline, a per-job counter or a ledger:
+:meth:`Resource.schedule` occupies one resource, and :func:`commit_route`
+occupies a message's whole store-and-forward route in one call, doing on
+each hop exactly what ``schedule`` does.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable, Sequence
 
-__all__ = ["Resource", "ResourcePool"]
+__all__ = ["Resource", "ResourcePool", "commit_route"]
 
 
 class Resource:
@@ -103,6 +109,43 @@ class Resource:
         self.busy_by_job.clear()
         if self.ledger is not None:
             self.ledger.clear()
+
+
+def commit_route(route: Sequence[tuple[Resource, float, float]],
+                 ready: float, nbytes: float, rate: float, slow: float,
+                 job: int | None,
+                 on_hop: Callable[[str, float, float], None] | None = None
+                 ) -> float:
+    """Occupy every hop of a route in turn (store-and-forward).
+
+    ``route`` holds ``(resource, bandwidth, latency)`` per hop; hop *i*
+    starts once the message has left hop *i - 1* and the resource is
+    free, and is held for ``slow * (nbytes / (bandwidth * rate) +
+    latency)``.  Each hop is :meth:`Resource.schedule` inlined — the same
+    duration check, ``busy_until``, ``busy_time``, ``busy_by_job`` and
+    ledger writes in the same order, bit for bit — and ``on_hop`` (if
+    given) receives the hop's ``(name, start, end)``.  Returns the time
+    the message leaves the last hop (``ready`` for an empty route).
+    """
+    t = ready
+    for resource, bandwidth, latency in route:
+        duration = slow * (nbytes / (bandwidth * rate) + latency)
+        if not duration >= 0:   # negative or NaN: either poisons busy_until
+            raise ValueError(
+                f"resource {resource.name}: invalid duration {duration}")
+        busy = resource.busy_until
+        start = busy if busy > t else t
+        t = start + duration
+        resource.busy_until = t
+        resource.busy_time += duration
+        if job is not None:
+            by_job = resource.busy_by_job
+            by_job[job] = by_job.get(job, 0.0) + duration
+        if resource.ledger is not None:
+            resource.ledger.append((job, duration))
+        if on_hop is not None:
+            on_hop(resource.name, start, t)
+    return t
 
 
 class ResourcePool:

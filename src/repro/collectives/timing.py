@@ -46,7 +46,15 @@ def _chunk_sizes(numel: int, n_chunks: int) -> list[int]:
 
 
 class _Scheduler:
-    """Shared helpers binding a network, a spec and kernel accounting."""
+    """One collective's binding of a network, a spec and its accounting.
+
+    Whatever stays fixed for the collective is bound here once — the
+    network's two entry points as bound methods, the compression engine
+    names, and each distinct chunk size's price — so a message or kernel
+    costs its entry-point call and a few integer updates.  The schemes
+    price their chunks once (:meth:`price`) and hand :meth:`kernel` and
+    :meth:`send` the seconds and bytes directly.
+    """
 
     def __init__(self, network: Network, spec: CompressionSpec,
                  streams: int = 1, kernel_factor: float = 1.0,
@@ -65,28 +73,34 @@ class _Scheduler:
         #: chunk numel -> (kernel seconds, wire bytes); a collective has
         #: one or two distinct chunk sizes, each priced once
         self._prices: dict[int, tuple[float, int]] = {}
+        # the counted entry points, bound once (never the walk behind them)
+        self._transfer = network.transfer
+        self._run_kernel = network.run_kernel
 
-    def _price(self, numel: int) -> tuple[float, int]:
-        price = self._prices[numel] = (
-            self.kernel_factor * kernel_seconds(numel * 4),
-            self.spec.wire_bytes(numel))
+    def price(self, numel: int) -> tuple[float, int]:
+        """``(kernel seconds, wire bytes)`` of a ``numel``-element chunk."""
+        price = self._prices.get(numel)
+        if price is None:
+            price = self._prices[numel] = (
+                self.kernel_factor * kernel_seconds(numel * 4),
+                self.spec.wire_bytes(numel))
         return price
 
-    def kernel(self, gpu: int, numel: int, ready: float) -> float:
+    def kernel(self, gpu: int, seconds: float, ready: float) -> float:
         """Charge one compress/decompress kernel; returns end time."""
         if not self.compressing:
             return ready
-        duration, _ = self._prices.get(numel) or self._price(numel)
-        stream = self._stream_rr.get(gpu, 0)
-        self._stream_rr[gpu] = (stream + 1) % self.streams
+        rr = self._stream_rr
+        stream = rr.get(gpu, 0)
+        rr[gpu] = (stream + 1) % self.streams
         self.kernel_calls += 1
-        return self.net.run_kernel(gpu, self._engine_names[stream], duration,
-                                   ready, job=self.job)
+        return self._run_kernel(gpu, self._engine_names[stream], seconds,
+                                ready, self.job)
 
-    def send(self, src: int, dst: int, numel: int, ready: float) -> float:
-        _, nbytes = self._prices.get(numel) or self._price(numel)
+    def send(self, src: int, dst: int, nbytes: int, ready: float) -> float:
+        """Put one ``nbytes`` message on the network; returns arrival."""
         self.wire_bytes += nbytes
-        return self.net.transfer(src, dst, nbytes, ready, job=self.job)
+        return self._transfer(src, dst, nbytes, ready, self.job)
 
     def op_start(self, ready: float) -> float:
         backend = self.net.backend
@@ -144,96 +158,106 @@ def time_allreduce(
 def _time_sra(sched: _Scheduler, ranks: list[int], numel: int,
               start: list[float]) -> list[float]:
     world = len(ranks)
-    chunks = _chunk_sizes(numel, world)
+    prices = [sched.price(size) for size in _chunk_sizes(numel, world)]
+    kernel, send = sched.kernel, sched.send
 
     # Phase 1: each rank compresses and sends every foreign chunk.
-    arrivals: dict[int, list[float]] = {o: [] for o in range(world)}
+    arrivals: list[list[float]] = [[] for _ in range(world)]
     for sender in range(world):
+        src = ranks[sender]
         t = start[sender]
         for owner in range(world):
             if owner == sender:
                 continue
-            t = sched.kernel(ranks[sender], chunks[owner], t)
-            arrive = sched.send(ranks[sender], ranks[owner], chunks[owner], t)
-            arrivals[owner].append(arrive)
+            seconds, nbytes = prices[owner]
+            t = kernel(src, seconds, t)
+            arrivals[owner].append(send(src, ranks[owner], nbytes, t))
 
     # Owners decompress+accumulate each arrival, then compress the
-    # aggregate and broadcast it.
-    final_arrival = [start[r] for r in range(world)]
+    # aggregate and broadcast it.  (``a if a > b else b`` is ``max(b, a)``
+    # without the call, ties and NaN included.)
+    final_arrival = list(start)
     for owner in range(world):
+        gpu = ranks[owner]
+        seconds, nbytes = prices[owner]
         t = start[owner]
         for arrive in sorted(arrivals[owner]):
-            t = sched.kernel(ranks[owner], chunks[owner], max(t, arrive))
-        t = sched.kernel(ranks[owner], chunks[owner], t)  # encode aggregate
+            t = kernel(gpu, seconds, arrive if arrive > t else t)
+        t = kernel(gpu, seconds, t)  # encode aggregate
         for receiver in range(world):
             if receiver == owner:
                 continue
-            arrive = sched.send(ranks[owner], ranks[receiver], chunks[owner], t)
-            done = sched.kernel(ranks[receiver], chunks[owner], arrive)
-            final_arrival[receiver] = max(final_arrival[receiver], done)
-        final_arrival[owner] = max(final_arrival[owner], t)
+            peer = ranks[receiver]
+            done = kernel(peer, seconds, send(gpu, peer, nbytes, t))
+            if done > final_arrival[receiver]:
+                final_arrival[receiver] = done
+        if t > final_arrival[owner]:
+            final_arrival[owner] = t
     return final_arrival
 
 
 def _time_ring(sched: _Scheduler, ranks: list[int], numel: int,
                start: list[float]) -> list[float]:
     world = len(ranks)
-    chunks = _chunk_sizes(numel, world)
+    prices = [sched.price(size) for size in _chunk_sizes(numel, world)]
+    kernel, send = sched.kernel, sched.send
     t = list(start)
 
     # Reduce-scatter: N-1 rounds of neighbor sends with re-compression.
     for step in range(world - 1):
         arrivals = [0.0] * world
         for rank in range(world):
-            chunk_id = (rank - step) % world
-            ready = sched.kernel(ranks[rank], chunks[chunk_id], t[rank])
-            arrivals[(rank + 1) % world] = sched.send(
-                ranks[rank], ranks[(rank + 1) % world], chunks[chunk_id], ready
-            )
+            seconds, nbytes = prices[(rank - step) % world]
+            right = (rank + 1) % world
+            ready = kernel(ranks[rank], seconds, t[rank])
+            arrivals[right] = send(ranks[rank], ranks[right], nbytes, ready)
         for rank in range(world):
-            chunk_id = (rank - 1 - step) % world
-            t[rank] = sched.kernel(ranks[rank], chunks[chunk_id],
-                                   max(t[rank], arrivals[rank]))
+            arrive, held = arrivals[rank], t[rank]
+            t[rank] = kernel(ranks[rank], prices[(rank - 1 - step) % world][0],
+                             arrive if arrive > held else held)
 
     # Allgather: N-1 rounds forwarding final payloads (no re-encode after
     # the first hop; decompress once on arrival of each chunk).
     for rank in range(world):
-        t[rank] = sched.kernel(ranks[rank], chunks[(rank + 1) % world], t[rank])
+        t[rank] = kernel(ranks[rank], prices[(rank + 1) % world][0], t[rank])
     for step in range(world - 1):
         arrivals = [0.0] * world
         for rank in range(world):
-            chunk_id = (rank + 1 - step) % world
-            arrivals[(rank + 1) % world] = sched.send(
-                ranks[rank], ranks[(rank + 1) % world], chunks[chunk_id], t[rank]
-            )
+            right = (rank + 1) % world
+            arrivals[right] = send(ranks[rank], ranks[right],
+                                   prices[(rank + 1 - step) % world][1],
+                                   t[rank])
         for rank in range(world):
-            chunk_id = (rank - step) % world
-            t[rank] = sched.kernel(ranks[rank], chunks[chunk_id],
-                                   max(t[rank], arrivals[rank]))
+            arrive, held = arrivals[rank], t[rank]
+            t[rank] = kernel(ranks[rank], prices[(rank - step) % world][0],
+                             arrive if arrive > held else held)
     return t
 
 
 def _time_tree(sched: _Scheduler, ranks: list[int], numel: int,
                start: list[float]) -> list[float]:
     world = len(ranks)
+    seconds, nbytes = sched.price(numel)
+    kernel, send = sched.kernel, sched.send
     t = list(start)
     stride = 1
     while stride < world:
         for receiver in range(0, world - stride, 2 * stride):
             sender = receiver + stride
-            ready = sched.kernel(ranks[sender], numel, t[sender])
-            arrive = sched.send(ranks[sender], ranks[receiver], numel, ready)
-            t[receiver] = sched.kernel(ranks[receiver], numel,
-                                       max(t[receiver], arrive))
+            ready = kernel(ranks[sender], seconds, t[sender])
+            arrive = send(ranks[sender], ranks[receiver], nbytes, ready)
+            held = t[receiver]
+            t[receiver] = kernel(ranks[receiver], seconds,
+                                 arrive if arrive > held else held)
         stride *= 2
     # Broadcast down the same tree.
-    t[0] = sched.kernel(ranks[0], numel, t[0])
+    t[0] = kernel(ranks[0], seconds, t[0])
     stride //= 2
     while stride >= 1:
         for sender in range(0, world - stride, 2 * stride):
             receiver = sender + stride
-            arrive = sched.send(ranks[sender], ranks[receiver], numel, t[sender])
-            t[receiver] = sched.kernel(ranks[receiver], numel, arrive)
+            arrive = send(ranks[sender], ranks[receiver], nbytes, t[sender])
+            t[receiver] = kernel(ranks[receiver], seconds, arrive)
         stride //= 2
     return t
 
@@ -241,32 +265,38 @@ def _time_tree(sched: _Scheduler, ranks: list[int], numel: int,
 def _time_allgather(sched: _Scheduler, ranks: list[int], numel: int,
                     start: list[float]) -> list[float]:
     world = len(ranks)
-    encoded = [sched.kernel(ranks[r], numel, start[r]) for r in range(world)]
+    seconds, nbytes = sched.price(numel)
+    kernel, send = sched.kernel, sched.send
+    encoded = [kernel(ranks[r], seconds, start[r]) for r in range(world)]
     done = list(encoded)
     for sender in range(world):
+        src, ready = ranks[sender], encoded[sender]
         for receiver in range(world):
             if receiver == sender:
                 continue
-            arrive = sched.send(ranks[sender], ranks[receiver], numel,
-                                encoded[sender])
-            decoded = sched.kernel(ranks[receiver], numel, arrive)
-            done[receiver] = max(done[receiver], decoded)
+            peer = ranks[receiver]
+            decoded = kernel(peer, seconds, send(src, peer, nbytes, ready))
+            if decoded > done[receiver]:
+                done[receiver] = decoded
     return done
 
 
 def _time_ps(sched: _Scheduler, ranks: list[int], numel: int,
              start: list[float]) -> list[float]:
     world = len(ranks)
+    seconds, nbytes = sched.price(numel)
+    kernel, send = sched.kernel, sched.send
+    root = ranks[0]
     t_root = start[0]
     for sender in range(1, world):
-        ready = sched.kernel(ranks[sender], numel, start[sender])
-        arrive = sched.send(ranks[sender], ranks[0], numel, ready)
-        t_root = sched.kernel(ranks[0], numel, max(t_root, arrive))
-    t_root = sched.kernel(ranks[0], numel, t_root)
+        ready = kernel(ranks[sender], seconds, start[sender])
+        arrive = send(ranks[sender], root, nbytes, ready)
+        t_root = kernel(root, seconds, arrive if arrive > t_root else t_root)
+    t_root = kernel(root, seconds, t_root)
     done = [t_root] * world
     for receiver in range(1, world):
-        arrive = sched.send(ranks[0], ranks[receiver], numel, t_root)
-        done[receiver] = sched.kernel(ranks[receiver], numel, arrive)
+        peer = ranks[receiver]
+        done[receiver] = kernel(peer, seconds, send(root, peer, nbytes, t_root))
     return done
 
 
@@ -307,14 +337,16 @@ def _time_hier(sched: _Scheduler, ranks: list[int], numel: int,
         t[i] = end
 
     # Stage 3: leaders broadcast the final payload to local peers.
+    seconds, nbytes = sched.price(numel)
+    kernel, send = sched.kernel, sched.send
     for node, leader in zip(sorted(by_node), leaders):
-        ready = sched.kernel(ranks[leader], numel, t[leader])
-        t[leader] = ready
+        src = ranks[leader]
+        ready = t[leader] = kernel(src, seconds, t[leader])
         for i in by_node[node]:
             if i == leader:
                 continue
-            arrive = sched.send(ranks[leader], ranks[i], numel, ready)
-            t[i] = sched.kernel(ranks[i], numel, arrive)
+            t[i] = kernel(ranks[i], seconds,
+                          send(src, ranks[i], nbytes, ready))
     return t
 
 
@@ -491,11 +523,10 @@ def time_partial_allreduce(
     for idx, end in zip(members, member_end):
         end_times[idx] = end
     source = members[0]
-    encode_done = sched.kernel(ranks[source], dense_numel,
-                               end_times[source])
+    seconds, nbytes = sched.price(dense_numel)
+    encode_done = sched.kernel(ranks[source], seconds, end_times[source])
     for idx in laggards:
-        arrive = sched.send(ranks[source], ranks[idx], dense_numel,
-                            encode_done)
-        done = sched.kernel(ranks[idx], dense_numel, arrive)
+        arrive = sched.send(ranks[source], ranks[idx], nbytes, encode_done)
+        done = sched.kernel(ranks[idx], seconds, arrive)
         end_times[idx] = max(ready[idx], done)
     return CollectiveTiming(end_times, sched.wire_bytes, sched.kernel_calls)

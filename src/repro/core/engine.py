@@ -17,6 +17,7 @@ accuracy experiments and the timed path in :mod:`repro.training.perf`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,8 +40,11 @@ class Package:
     layers: tuple[LayerInfo, ...]
     spec: CompressionSpec
 
-    @property
+    @cached_property
     def numel(self) -> int:
+        # computed on first read and kept in the instance ``__dict__``
+        # (``cached_property`` bypasses the frozen ``__setattr__``); not a
+        # field, so equality and hashing still see name, layers and spec
         return sum(layer.numel for layer in self.layers)
 
     def wire_bytes(self) -> int:

@@ -182,12 +182,13 @@ class FaultyNetwork(Network):
                 faults.link_slow_factor(src, dst), p_fail)
 
     def transfer(self, src: int, dst: int, nbytes: int, ready: float,
-                 job: int | None = None) -> float:
+                 job: int | None = None, slow: float = 1.0) -> float:
         if src == dst:
             return ready
         runtime = self.runtime
         policy = runtime.policy
-        down, slow, p_fail = self._route_faults(src, dst)
+        down, plan_slow, p_fail = self._route_faults(src, dst)
+        slow *= plan_slow   # 1.0 * x == x: the plan's stretch, bit for bit
         if down:
             runtime.record("link_down_hit", src=src, dst=dst)
             raise LinkDownError(

@@ -1,6 +1,6 @@
 """SCD007 fixture: scheduling calls with and without job tags.
 
-The four untagged calls below must each be flagged; the tagged calls,
+The five untagged calls below must each be flagged; the tagged calls,
 the exempt bandwidth probe and the unqualified name must stay silent.
 """
 
@@ -14,6 +14,14 @@ class LeakyRunner:
 
     def leaky_path(self, pool, names, ready, duration):
         return pool.schedule_path(names, ready, duration)  # flagged
+
+    def leaky_route(self, simclock, route, ready, nbytes):
+        return simclock.commit_route(route, ready, nbytes, 1.0, 1.0,
+                                     None)  # flagged
+
+    def tagged_route(self, simclock, route, ready, nbytes, job):
+        return simclock.commit_route(route, ready, nbytes, 1.0, 1.0,
+                                     job)  # tagged: silent
 
     def tagged_kwarg(self, network, src, dst, nbytes, ready, state):
         return network.transfer(src, dst, nbytes, ready,

@@ -452,10 +452,13 @@ def test_scd007_fixture_flags_only_the_untagged_calls():
         source = handle.read()
     findings = lint_job_tagging_source(source, FIXTURE)
     assert rules_of(findings) == {"SCD007"}
-    assert len(findings) == 4
+    assert len(findings) == 5
     assert all("carries no job tag" in f.message for f in findings)
     flagged = {f.snippet for f in findings}
     assert any("leaky_transfer" in s or "transfer" in s for s in flagged)
+    # the route commit occupies links like a transfer: audited the same way
+    assert any("simclock.commit_route" in f.message
+               and "leaky_route" in f.message for f in findings)
     # tagged calls, the exempt probe and unqualified names stay silent
     assert not any("job=state.spec.job_id" in s for s in flagged)
 

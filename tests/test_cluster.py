@@ -1,6 +1,7 @@
 """Tests for the cluster simulator: GPUs, topologies, networks, machines."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import (
     BACKENDS,
@@ -17,7 +18,10 @@ from repro.cluster import (
     nvlink_mesh,
     pcie_dual_root,
 )
+import repro.cluster.gpu as gpu_module
+from repro.cluster.gpu import TRAIN_FLOP_FACTOR
 from repro.cluster.network import ROUTE_POLICIES
+from repro.cluster.simclock import commit_route
 from repro.models import build_spec
 
 
@@ -72,9 +76,68 @@ def test_pool_schedule_path_waits_for_all():
     assert pool.get("b").busy_until == 4.0
 
 
+def _resource_state(resource: Resource) -> tuple:
+    """Everything an occupation writes, floats as ``hex`` (bit for bit)."""
+    return (resource.busy_until.hex(), resource.busy_time.hex(),
+            {job: seconds.hex()
+             for job, seconds in resource.busy_by_job.items()},
+            None if resource.ledger is None
+            else [(job, seconds.hex()) for job, seconds in resource.ledger])
+
+
+_HOP = st.tuples(st.integers(0, 3),                       # resource index
+                 st.floats(1e8, 1e11),                    # bandwidth
+                 st.floats(0.0, 1e-4))                    # latency
+_MESSAGE = st.tuples(st.lists(_HOP, max_size=5),          # route
+                     st.floats(0.0, 2.0),                 # ready
+                     st.floats(0.0, 1e9),                 # bytes
+                     st.sampled_from([1.0, 0.5, 0.375]),  # throttle rate
+                     st.sampled_from([1.0, 2.5]),         # fault stretch
+                     st.sampled_from([None, 1, 2]))       # job
+
+
+@settings(max_examples=150, deadline=None)
+@given(messages=st.lists(_MESSAGE, max_size=12), audit=st.booleans())
+def test_commit_route_is_hop_by_hop_schedule(messages, audit):
+    committed = [Resource(f"r{i}", audit=audit) for i in range(4)]
+    reference = [Resource(f"r{i}", audit=audit) for i in range(4)]
+    for route, ready, nbytes, rate, slow, job in messages:
+        hops: list[tuple] = []
+        end = commit_route([(committed[i], bw, lat) for i, bw, lat in route],
+                           ready, nbytes, rate, slow, job,
+                           lambda *hop: hops.append(hop))
+        t = ready
+        want = []
+        for i, bandwidth, latency in route:
+            start, t = reference[i].schedule(
+                t, slow * (nbytes / (bandwidth * rate) + latency), job)
+            want.append((reference[i].name, start.hex(), t.hex()))
+        assert end.hex() == t.hex()
+        assert [(name, a.hex(), b.hex()) for name, a, b in hops] == want
+    for fast, slow_ in zip(committed, reference):
+        assert _resource_state(fast) == _resource_state(slow_)
+
+
+def test_commit_route_rejects_a_bad_hop_where_schedule_does():
+    # the check runs per hop: earlier hops stay committed, exactly as the
+    # hop-by-hop loop leaves them
+    for bad in (float("nan"), -1.0):
+        committed = [Resource("a", audit=True), Resource("b", audit=True)]
+        reference = [Resource("a", audit=True), Resource("b", audit=True)]
+        with pytest.raises(ValueError, match="resource b: invalid duration"):
+            commit_route([(committed[0], 1e9, 0.0), (committed[1], 1e9, bad)],
+                         0.0, 1e6, 1.0, 1.0, 3)
+        start, end = reference[0].schedule(0.0, 1e6 / 1e9, 3)
+        with pytest.raises(ValueError, match="resource b: invalid duration"):
+            reference[1].schedule(end, 1e6 / 1e9 + bad, 3)
+        assert [_resource_state(r) for r in committed] \
+            == [_resource_state(r) for r in reference]
+
+
 def test_audit_ledgers_replay_the_live_counters_under_mixed_traffic():
-    # every occupation goes through Resource.schedule, so no writer can
-    # bump a counter without appending to the ledger (SCD003's premise)
+    # every occupation goes through simclock (Resource.schedule or
+    # commit_route), so no writer can bump a counter without appending to
+    # the ledger (SCD003's premise)
     net = Network(pcie_dual_root(4))
     net.enable_conservation_audit()
     pool = net.pool
@@ -101,6 +164,33 @@ def test_pool_reset_and_utilization():
 
 
 # -- GPUs ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(GPUS))
+def test_effective_rate_is_the_anchor_model_formula(name):
+    gpu = GPUS[name]
+    anchors = {"cnn": ("resnet50", gpu.resnet50_imgs_per_s),
+               "transformer": ("transformer_xl", gpu.txl_tokens_per_s)}
+    for model_class, (model, throughput) in anchors.items():
+        want = build_spec(model).flops_per_item * TRAIN_FLOP_FACTOR \
+            * throughput
+        assert gpu.effective_rate(model_class).hex() == want.hex()
+    with pytest.raises(ValueError, match="unknown model class 'rnn'"):
+        gpu.effective_rate("rnn")
+
+
+def test_effective_rate_builds_no_spec_once_warm(monkeypatch):
+    for model_class in ("cnn", "transformer"):
+        gpu_module.anchor_flops_per_item(model_class)
+
+    def no_build(name):
+        raise AssertionError(f"build_spec({name!r}) on the compute path")
+
+    monkeypatch.setattr(gpu_module, "build_spec", no_build)
+    spec = build_spec("bert")
+    for gpu in GPUS.values():
+        assert gpu.step_compute_time(spec, 4) > 0
+        assert gpu.effective_rate("cnn") > 0
+
 
 def test_gpu_catalog_matches_table1():
     v100 = get_gpu("V100")

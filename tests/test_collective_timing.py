@@ -166,3 +166,57 @@ def test_hier_on_single_node_equals_sra():
     sra = time_allreduce(net_a, list(range(8)), 1 << 22, Q4, "sra").end
     hier = time_allreduce(net_b, list(range(8)), 1 << 22, Q4, "hier").end
     assert hier == pytest.approx(sra)
+
+
+# -- the counted entry points --------------------------------------------------
+
+def _messages(scheme: str, groups: list[int]) -> int:
+    """Messages a scheme sends over ranks split into per-node ``groups``."""
+    world = sum(groups)
+    flat = {"sra": 2 * world * (world - 1), "ring": 2 * world * (world - 1),
+            "tree": 2 * (world - 1), "allgather": world * (world - 1),
+            "ps": 2 * (world - 1)}
+    if scheme != "hier":
+        return flat[scheme]
+    if len(groups) == 1:
+        return flat["sra"]
+    nodes = len(groups)
+    return (sum(2 * g * (g - 1) for g in groups)     # intra-node SRAs
+            + 2 * nodes * (nodes - 1)                # leader SRA
+            + sum(g - 1 for g in groups))            # leader broadcasts
+
+
+@pytest.mark.parametrize("scheme", ["sra", "ring", "tree", "allgather", "ps",
+                                    "hier"])
+@pytest.mark.parametrize("world", [2, 3, 4, 8])
+@pytest.mark.parametrize("spec", [DENSE, Q4], ids=["none", "qsgd4"])
+def test_one_counted_call_per_message_and_per_kernel(monkeypatch, scheme,
+                                                     world, spec):
+    # wrap the class attributes exactly as the benchmark tracer does: a
+    # timed path that reached the walk or an engine any other way would
+    # leave these counts short
+    sent: list[int] = []
+    kernels = [0]
+    transfer, run_kernel = Network.transfer, Network.run_kernel
+
+    def counted_transfer(self, src, dst, nbytes, ready, *args, **kwargs):
+        sent.append(nbytes)
+        return transfer(self, src, dst, nbytes, ready, *args, **kwargs)
+
+    def counted_kernel(self, *args, **kwargs):
+        kernels[0] += 1
+        return run_kernel(self, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "transfer", counted_transfer)
+    monkeypatch.setattr(Network, "run_kernel", counted_kernel)
+    # ranks straddle two nodes, so hier runs all three of its stages
+    local = (world + 1) // 2
+    ranks = list(range(local)) + list(range(8, 8 + world - local))
+    net = Network(make_cluster("rtx3090-8x", 2))
+    timing = time_allreduce(net, ranks, 1_000_003, spec, scheme,
+                            ready=[0.001 * r for r in range(world)],
+                            chunk_streams=2, job=4)
+    assert len(sent) == _messages(scheme, [local, world - local])
+    assert timing.wire_bytes == sum(sent)
+    assert kernels[0] == timing.kernel_calls
+    assert (timing.kernel_calls > 0) == (spec is Q4)

@@ -1,5 +1,7 @@
 """Tests for layer filters, package planning, and the engine data path."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.core import (
     CommunicationEngine,
     LayerFilter,
     LayerInfo,
+    Package,
 )
 
 L = LayerInfo
@@ -96,6 +99,25 @@ def test_package_wire_bytes():
     pkg = CommunicationEngine(CGXConfig.cgx_default()).plan(
         layers_example())[0]
     assert pkg.wire_bytes() == pkg.spec.wire_bytes(pkg.numel)
+
+
+def test_package_numel_is_the_layer_sum_and_no_field():
+    fused = CGXConfig.baseline_nccl()
+    fused.fusion_bytes = 300_000
+    plans = [CommunicationEngine(CGXConfig.cgx_default()).plan(
+                 layers_example(), mode="cgx"),
+             CommunicationEngine(fused).plan(layers_example(), mode="fused")]
+    for pkg in (pkg for plan in plans for pkg in plan):
+        for _ in range(2):   # computed, then read back from the instance
+            assert pkg.numel == sum(layer.numel for layer in pkg.layers)
+    # equality, hashing and the field list ignore whether it was read
+    read, unread = (Package("p", tuple(layers_example()[:3]),
+                            CompressionSpec("none")) for _ in range(2))
+    assert read.numel == 10_164
+    assert read == unread and hash(read) == hash(unread)
+    assert repr(read) == repr(unread)
+    assert [f.name for f in dataclasses.fields(Package)] \
+        == ["name", "layers", "spec"]
 
 
 # -- data path -----------------------------------------------------------------

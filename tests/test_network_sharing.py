@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Network, make_cluster, nvlink_mesh
+from repro.cluster.simclock import commit_route
 
 MB = 1 << 20
 
@@ -221,13 +222,21 @@ def test_peeking_a_detour_leaves_it_untouched():
 
 @pytest.mark.parametrize("policy", ["static", "adaptive"])
 def test_a_pair_with_no_links_binds_to_one_empty_route(policy):
-    # transfer() returns before the walk when src == dst; a subclass
-    # that walks anyway must find a route under either policy
+    # the walk's src == dst contract: a message to itself is free — it
+    # returns ``ready`` from either name of the walk and leaves no binding,
+    # no resource, no byte and no trace record behind
     net = Network(nvlink_mesh(4), route_policy=policy)
-    for _ in range(2):   # resolved, then served from the binding
-        assert net._walk(2, 2, 64, 1.0, None, 1.0) == 1.0 + net.backend.alpha
-    assert net._routes[(2, 2)] == ((),)
-    assert net.pool.resources() == {}
+    net.enable_trace()
+    for walk in (net.transfer, net._walk):
+        assert walk(2, 2, 64, 1.0, job=5) == 1.0
+        assert walk(2, 2, 64, 1.0, None, 0.5) == 1.0
+    assert net._routes == {} and net.pool.resources() == {}
+    assert net.job_byte_tags() == {} and net.trace == []
+    # the binder itself still gives such a pair one empty route, under
+    # either policy, and committing it costs nothing
+    route, = net._resolve_route(2, 2)
+    assert route == () and net.pool.resources() == {}
+    assert commit_route(route, 1.0, 64, 1.0, 1.0, 5) == 1.0
 
 
 def test_throttle_set_between_transfers_applies_to_the_second():

@@ -16,6 +16,13 @@ at PR 24, which moved the isolated baselines onto the fleet's routing
 (``isolated_step_time`` / ``slowdown`` per job, hence ``fairness`` and
 ``mean_slowdown``, and nothing else in that document; its ``log`` and
 ``busy_seconds`` and the three static campaigns are a9329bf's).
+
+The whole file was re-recorded at 2e530bd, when ``steps`` grew from
+twelve 8-GPU cells to the full Fig. 3 grid below (keys now carry the
+GPU count); every entry it already held came out unchanged.  Re-record
+with
+``python tests/fixtures/record_timing_golden.py <clean checkout of the
+old tree>``.
 """
 
 import dataclasses
@@ -27,7 +34,7 @@ import pytest
 
 from repro.cluster import Network, get_backend, get_machine, make_cluster
 from repro.collectives import TimedBucket, time_overlapped_step
-from repro.core import CGXConfig
+from repro.core import CGXConfig, qnccl_config
 from repro.faults import FaultyNetwork, PlanRuntime, make_campaign
 from repro.models import build_spec
 from repro.sched import FleetSimulator, compute_metrics, sample_fleet
@@ -43,9 +50,14 @@ CAMPAIGNS = {
     "numa": ("rtx3090-8x", "RTX3090", "numa", "static"),
     "adaptive": ("dgx1", "V100", "packed", "adaptive"),
 }
-STEP_MODELS = ("resnet50", "bert", "transformer_xl")
-STEP_MACHINES = ("rtx3090-8x", "dgx1")
+#: the Fig. 3 grid the benchmark's ``paper_sweep`` simulates: every model,
+#: machine, width and method — QNCCL is the one cell with a non-unit
+#: ``kernel_factor`` (``QNCCL_KERNEL_OVERHEAD_FACTOR``)
+STEP_MODELS = ("resnet50", "vgg16", "vit", "bert", "transformer_xl", "gpt2")
+STEP_MACHINES = ("rtx3090-8x", "rtx2080-8x", "dgx1", "a6000-8x")
+STEP_GPUS = (2, 4, 8)
 STEP_METHODS = {"nccl": (CGXConfig.baseline_nccl, "fused"),
+                "qnccl": (qnccl_config, "fused"),
                 "cgx": (CGXConfig.cgx_default, "cgx")}
 
 
@@ -96,10 +108,12 @@ def replay_steps() -> dict:
     for model in STEP_MODELS:
         spec = build_spec(model)
         for machine in STEP_MACHINES:
-            for method, (config, plan_mode) in STEP_METHODS.items():
-                rows[f"{model}|{machine}|{method}"] = _hex_fields(
-                    perf.simulate_machine_step(get_machine(machine), spec,
-                                               config(), plan_mode=plan_mode))
+            for gpus in STEP_GPUS:
+                for method, (config, plan_mode) in STEP_METHODS.items():
+                    rows[f"{model}|{machine}|{gpus}|{method}"] = _hex_fields(
+                        perf.simulate_machine_step(
+                            get_machine(machine), spec, config(),
+                            n_gpus=gpus, plan_mode=plan_mode))
     hier = CGXConfig.cgx_default()
     hier.scheme = "hier"
     rows["resnet50|2 nodes|hier"] = _hex_fields(perf.simulate_step(
