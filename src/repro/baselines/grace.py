@@ -35,7 +35,6 @@ def grace_config(bits: int = 4) -> CGXConfig:
         compression=spec,
         filtered_keywords=(),   # GRACE compresses every tensor uniformly
         min_compress_numel=0,
-        fuse_filtered=False,
         chunk_streams=1,
         overlap=False,          # hook fires after backward completes
     )

@@ -84,8 +84,8 @@ class Network:
         self._job_bytes: dict[int | None, int] = {}
 
     # -- configuration ----------------------------------------------------
-    def enable_trace(self, enabled: bool = True) -> None:
-        self._trace_enabled = enabled
+    def enable_trace(self) -> None:
+        self._trace_enabled = True
 
     def enable_conservation_audit(self) -> None:
         """Record the exact occupation ledger the SCD003 conservation
@@ -119,28 +119,14 @@ class Network:
             return 1.0
         return self._job_throttle.get(job, 1.0)
 
-    def clear_trace(self, job: int | None = None) -> None:
-        """Drop trace records — all of them, or only one job's.
-
-        Draining a finished job must not wipe other jobs' in-flight
-        accounting, so the fleet scheduler clears per job; ``reset()``
-        remains the full fresh-start (pool *and* trace) for single-job
-        use.
-        """
-        if job is None:
-            self.trace.clear()
-        else:
-            self.trace = [r for r in self.trace if r.job != job]
-
     def reset(self) -> None:
         """Fresh start: resets resource timelines and clears all traces.
 
-        Never call this to retire one job of a shared network — use
-        :meth:`clear_trace` with a job id; resetting the pool would
-        erase every other job's busy timelines mid-flight.
+        This clears every job's accounting at once; never call it to
+        retire one job of a shared network.
         """
         self.pool.reset()
-        self.clear_trace()
+        self.trace.clear()
         self._load_bins.clear()
         self._job_bytes.clear()
 
@@ -245,8 +231,9 @@ class Network:
         for route in candidates:
             t = start
             for resource, bandwidth, latency in route:
-                # Resource.peek, inlined: the call is 17% of an adaptive
-                # fleet campaign (paired CPU time, 10 of 10; CHANGES.md)
+                # earliest start without a call: a peek call was 17% of an
+                # adaptive fleet campaign (paired CPU time, 10 of 10;
+                # CHANGES.md)
                 busy = resource.busy_until
                 t = (busy if busy > t else t) + slow * (
                     scaled / (bandwidth * throttle) + latency)

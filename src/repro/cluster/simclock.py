@@ -62,8 +62,8 @@ class Resource:
             raise ValueError(
                 f"resource {self.name}: invalid duration {duration}")
         busy = self.busy_until
-        # peek(ready) without the calls: max() here is 14% of a fleet
-        # campaign's CPU time (paired, 9 of 10; CHANGES.md)
+        # no max() call: it was 14% of a fleet campaign's CPU time
+        # (paired, 9 of 10; CHANGES.md)
         start = busy if busy > ready else ready
         end = start + duration
         self.busy_until = end
@@ -98,10 +98,6 @@ class Resource:
             if job is not None:
                 by_job[job] = by_job.get(job, 0.0) + duration
         return total, by_job
-
-    def peek(self, ready: float) -> float:
-        """Earliest start time without committing."""
-        return max(ready, self.busy_until)
 
     def reset(self) -> None:
         self.busy_until = 0.0
@@ -179,23 +175,6 @@ class ResourcePool:
             resource = Resource(name, audit=self._audit)
             self._resources[name] = resource
         return resource
-
-    def schedule_path(
-        self, names: list[str], ready: float, duration: float,
-        job: int | None = None
-    ) -> tuple[float, float]:
-        """Occupy several resources simultaneously for one task.
-
-        All resources in ``names`` are held for the same interval; the
-        start time is the earliest instant at which every one is free.
-        """
-        resources = [self.get(n) for n in names]
-        start = ready
-        for resource in resources:
-            start = resource.peek(start)
-        for resource in resources:   # every one is free at ``start``
-            resource.schedule(start, duration, job)
-        return start, start + duration
 
     def reset(self) -> None:
         for resource in self._resources.values():

@@ -56,6 +56,9 @@ _QSGD_C = 1.12
 DEFAULT_BITWIDTHS = (2, 3, 4, 8)
 #: bucket size paired with each bit-width when re-assigning
 BUCKET_FOR_BITS = {2: 64, 3: 128, 4: 128, 5: 256, 6: 256, 8: 512}
+#: share of a layer's accumulated-gradient values, largest magnitudes
+#: first, whose L2 norm is its ``LayerStat.grad_norm``
+_TOP_FRACTION = 0.01
 
 
 @dataclass(frozen=True)
@@ -495,8 +498,7 @@ class AdaptiveController:
 
     def __init__(self, config, method: str = "kmeans",
                  bitwidths: tuple[int, ...] = DEFAULT_BITWIDTHS,
-                 alpha: float = 2.0, period: int = 20,
-                 top_fraction: float = 0.01):
+                 alpha: float = 2.0, period: int = 20):
         if method not in ASSIGNERS:
             raise KeyError(f"unknown adaptive method {method!r}; "
                            f"choose from {sorted(ASSIGNERS)}")
@@ -509,7 +511,6 @@ class AdaptiveController:
         self.bitwidths = bitwidths
         self.alpha = alpha
         self.period = period
-        self.top_fraction = top_fraction
         self._accumulated: dict[str, np.ndarray] = {}
         self._steps = 0
         self.assignments: dict[str, int] = {}
@@ -544,7 +545,7 @@ class AdaptiveController:
     def _stats(self) -> list[LayerStat]:
         stats = []
         for name, acc in self._accumulated.items():
-            k = max(1, int(acc.size * self.top_fraction))
+            k = max(1, int(acc.size * _TOP_FRACTION))
             top = np.partition(acc, acc.size - k)[-k:]
             stats.append(LayerStat(name, acc.size, float(np.linalg.norm(top))))
         return stats
@@ -600,15 +601,14 @@ class AdaptiveController:
         return self.reassign(trigger=f"composition:world={world}")
 
 
-def synthetic_stats_for_spec(spec, exclude_kinds=("norm", "bias"),
-                             top_fraction: float = 0.01) -> list[LayerStat]:
+def synthetic_stats_for_spec(spec) -> list[LayerStat]:
     """Layer statistics for a full-size ModelSpec, for perf experiments.
 
     Accuracy experiments collect real accumulated-gradient statistics;
     the performance benches need statistics for the *full-size* models,
     whose gradients we never materialize.  The generator reproduces the
     structure observed in our scaled training runs: the top-values norm
-    grows with sqrt(top_fraction * numel), scaled by a per-kind
+    grows with sqrt(_TOP_FRACTION * numel), scaled by a per-kind
     sensitivity factor (embeddings' gradients are sparse and small per
     element; norm/bias layers are the most sensitive but are filtered
     out of the assignment problem anyway).
@@ -617,9 +617,9 @@ def synthetic_stats_for_spec(spec, exclude_kinds=("norm", "bias"),
                "norm": 2.0, "bias": 2.0}
     stats = []
     for tensor in spec.tensors:
-        if tensor.kind in exclude_kinds:
+        if tensor.kind in ("norm", "bias"):
             continue
-        base = float(np.sqrt(max(1.0, top_fraction * tensor.numel)))
+        base = float(np.sqrt(max(1.0, _TOP_FRACTION * tensor.numel)))
         stats.append(LayerStat(tensor.name, tensor.numel,
                                base * factors.get(tensor.kind, 1.0)))
     return stats

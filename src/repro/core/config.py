@@ -34,10 +34,11 @@ class CGXConfig:
             (CNNs).
         filtered_keywords: name substrings always reduced in fp32.
         min_compress_numel: tensors smaller than this are treated like
-            filtered layers (compression kernels don't pay off).
+            filtered layers (compression kernels don't pay off).  The
+            ``cgx`` plan packs every filtered tensor into one fp32
+            package; the ``fused`` plan ignores filters.
         per_layer: name -> spec overrides (the adaptive algorithm and the
             public API write here).
-        fuse_filtered: pack all filtered tensors into one fp32 package.
         fusion_bytes: fusion-buffer size for blob-mode engines (NCCL
             baseline and QNCCL); CGX itself reduces per layer.
         chunk_streams: parallel GPU streams for SRA chunks (+5% in the
@@ -57,7 +58,6 @@ class CGXConfig:
     filtered_keywords: tuple[str, ...] = DEFAULT_FILTERED_KEYWORDS
     min_compress_numel: int = 2048
     per_layer: dict[str, CompressionSpec] = field(default_factory=dict)
-    fuse_filtered: bool = True
     fusion_bytes: int = 25 * 1024 * 1024
     chunk_streams: int = 4
     cross_barrier: bool = False
@@ -82,7 +82,6 @@ class CGXConfig:
             scheme="ring",
             compression=CompressionSpec("none"),
             filtered_keywords=(),
-            fuse_filtered=False,
             chunk_streams=1,
         )
 

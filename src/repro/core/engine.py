@@ -126,13 +126,8 @@ class CommunicationEngine:
             for layer in compressed
         ]
         if filtered:
-            fp32 = CompressionSpec("none")
-            if self.config.fuse_filtered:
-                packages.append(Package("filtered", tuple(filtered), fp32))
-            else:
-                packages.extend(
-                    Package(layer.name, (layer,), fp32) for layer in filtered
-                )
+            packages.append(Package("filtered", tuple(filtered),
+                                    CompressionSpec("none")))
         return packages
 
     def _plan_fused(self, layers: list[LayerInfo]) -> list[Package]:

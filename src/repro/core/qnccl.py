@@ -39,6 +39,5 @@ def qnccl_config(bits: int = 4, bucket_size: int = 128) -> CGXConfig:
         compression=CompressionSpec("qsgd", bits=bits, bucket_size=bucket_size),
         filtered_keywords=(),      # transport level: cannot filter layers
         min_compress_numel=0,
-        fuse_filtered=False,
         chunk_streams=1,
     )

@@ -58,7 +58,6 @@ def config_to_dict(config: CGXConfig) -> dict:
         "min_compress_numel": config.min_compress_numel,
         "per_layer": {name: spec_to_dict(spec)
                       for name, spec in config.per_layer.items()},
-        "fuse_filtered": config.fuse_filtered,
         "fusion_bytes": config.fusion_bytes,
         "chunk_streams": config.chunk_streams,
         "cross_barrier": config.cross_barrier,

@@ -122,8 +122,7 @@ class ElasticCoordinator:
     """
 
     def __init__(self, runtime: PlanRuntime, world: int,
-                 supervised: bool = False,
-                 default_gpu: str = DEFAULT_GPU) -> None:
+                 supervised: bool = False) -> None:
         plan = runtime.plan
         if plan.world != world:
             raise ValueError(f"plan is for world {plan.world}, "
@@ -134,7 +133,7 @@ class ElasticCoordinator:
         self.capacity = plan.max_world
         self.supervised = supervised
         self.members: set[int] = set(range(world))
-        self.rank_gpus: dict[int, str] = {r: default_gpu
+        self.rank_gpus: dict[int, str] = {r: DEFAULT_GPU
                                           for r in range(world)}
         self.draining: dict[int, int] = {}   # member -> deadline step
         self.departed: set[int] = set()

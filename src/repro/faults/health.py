@@ -42,7 +42,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.cluster.topology import Topology, nvlink_mesh
+from repro.cluster.topology import nvlink_mesh
 
 from .inject import FaultyNetwork
 from .plan import PlanRuntime
@@ -337,26 +337,23 @@ class HeartbeatTransport:
     slowdowns delay it, downed routes and one-shot loss draws drop it,
     and a crashed rank emits nothing at all.  The transport is the
     *environment*: it reads the plan because it simulates reality — the
-    supervisor only ever sees the resulting arrival times.
+    supervisor only ever sees the resulting arrival times.  The monitor
+    is rank 0, whose own beat is loopback.
     """
 
     def __init__(self, runtime: PlanRuntime, world: int,
-                 health: HealthPolicy | None = None, monitor_rank: int = 0,
-                 topology: Topology | None = None,
+                 health: HealthPolicy | None = None,
                  capacity: int | None = None) -> None:
-        if not 0 <= monitor_rank < world:
-            raise ValueError("monitor_rank out of range")
         if capacity is not None and capacity < world:
             raise ValueError("capacity must be >= world")
         self.runtime = runtime
         self.world = world
         self.capacity = capacity or world
         self.health = health or HealthPolicy()
-        self.monitor_rank = monitor_rank
         # the fabric is provisioned for the elastic peak up front, so a
         # machine joining mid-run finds its links already modeled
         self.network = FaultyNetwork(
-            topology or nvlink_mesh(max(2, self.capacity)), "shm", runtime)
+            nvlink_mesh(max(2, self.capacity)), "shm", runtime)
 
     def beats(self, step: int, ranks: "list[int] | None" = None,
               compute_scale_of: "Callable[[int], float] | None" = None
@@ -389,11 +386,11 @@ class HeartbeatTransport:
         # pool serves requests in call order, so a straggler's late beat
         # must not queue ahead of a healthy rank's earlier one
         for emit, rank in sorted(emits):
-            if rank == self.monitor_rank:
+            if rank == 0:
                 arrival: float | None = emit   # loopback never drops
             else:
                 arrival = self.network.transfer_unreliable(
-                    rank, self.monitor_rank, h.heartbeat_bytes, emit)
+                    rank, 0, h.heartbeat_bytes, emit)
             if arrival is None:
                 runtime.counters.heartbeat_misses += 1
                 runtime.record("hb_lost", rank=rank)

@@ -15,7 +15,7 @@ links).  The mechanisms that *apply* these decisions are in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, Collection, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -103,7 +103,6 @@ class FaultCounters:
     retransmit_bytes: int = 0    # extra wire bytes from retransmission
     forced_deliveries: int = 0   # retry budget exhausted, non-strict
     quorum_steps: int = 0        # steps reduced over a strict subset
-    fallbacks: int = 0           # timed-path scheme/route fallbacks
     crashes: int = 0
     rejoins: int = 0
     crashed_steps: int = 0       # steps with at least one dead rank
@@ -127,22 +126,16 @@ class FaultCounters:
     provisions: int = 0          # autoscale machines announced
     provision_admissions: int = 0  # provisioned ranks admitted to the world
     respecs: int = 0             # adaptive respecs on composition change
-    extra: dict = field(default_factory=dict)
 
-    # counter fields are everything except the free-form ``extra`` dict;
     # derived from the dataclass itself so a new counter cannot be
     # silently dropped from merge()/to_dict()
-    def _counter_names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(self) if f.name != "extra")
-
     def merge(self, other: "FaultCounters") -> None:
-        for name in self._counter_names():
-            setattr(self, name, getattr(self, name) + getattr(other, name))
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name)
+                    + getattr(other, f.name))
 
     def to_dict(self) -> dict:
-        out = {name: getattr(self, name) for name in self._counter_names()}
-        out.update(self.extra)
-        return out
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def quorum_floor(pool: Iterable[int], dead: Collection[int],

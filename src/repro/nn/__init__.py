@@ -1,7 +1,7 @@
 """Mini deep-learning framework: the training substrate CGX plugs into.
 
 Public surface re-exports the pieces most users need; submodules hold the
-rest (``repro.nn.functional``, ``repro.nn.data``, ``repro.nn.amp``).
+rest (``repro.nn.functional``, ``repro.nn.data``, ``repro.nn.loss``).
 """
 
 from .attention import MultiHeadSelfAttention, TransformerBlock

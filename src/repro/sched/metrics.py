@@ -90,6 +90,7 @@ class FleetMetrics:
     max_slowdown: float
     total_wire_bytes: int
     per_job: list[dict] = field(default_factory=list)
+    #: the eight links with the most busy seconds, GPU engines excluded
     busiest_links: list[tuple[str, float]] = field(default_factory=list)
     link_timelines: dict[str, dict[int, float]] = field(default_factory=dict)
     link_load_bin: float = 0.0
@@ -129,7 +130,7 @@ def isolated_step_times(result: FleetResult) -> dict[int, float]:
             for job_id, runner in result.runners.items()}
 
 
-def compute_metrics(result: FleetResult, top_links: int = 8) -> FleetMetrics:
+def compute_metrics(result: FleetResult) -> FleetMetrics:
     """Reduce a :class:`FleetResult` to fleet-level numbers."""
     baselines = isolated_step_times(result)
     waits = [s.queue_wait for s in result.states if s.queue_wait is not None]
@@ -189,7 +190,7 @@ def compute_metrics(result: FleetResult, top_links: int = 8) -> FleetMetrics:
         max_slowdown=max(slowdowns) if slowdowns else 1.0,
         total_wire_bytes=total_wire,
         per_job=per_job,
-        busiest_links=busy[:top_links],
+        busiest_links=busy[:8],
         link_timelines=result.network.link_loads(),
         link_load_bin=result.network.load_bin_width,
     )

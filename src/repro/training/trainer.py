@@ -23,7 +23,6 @@ from repro.faults import (DRAIN_TOLERANCE, CheckpointStore, ElasticCoordinator,
                           HeartbeatTransport, PlanRuntime, ResiliencePolicy,
                           Supervisor, SupervisorDecision, fleet_alpha_scale,
                           inject_data_path, oracle_guard, select_members)
-from repro.nn.amp import AmpLevel, apply_grad_precision
 from repro.nn.optim import Adam, SGD, clip_grad_norm
 
 from .recipes import Recipe, get_recipe
@@ -74,7 +73,6 @@ class DataParallelTrainer:
         mode: str = "cgx",
         seed: int = 0,
         adaptive: AdaptiveController | None = None,
-        amp_level: AmpLevel = AmpLevel.O0,
         fault_plan: FaultPlan | None = None,
         policy: ResiliencePolicy | None = None,
         supervised: bool = False,
@@ -89,7 +87,6 @@ class DataParallelTrainer:
         self.world_size = world_size
         self.seed = seed
         self.adaptive = adaptive
-        self.amp_level = amp_level
         self.replicas = [task.build_model(seed) for _ in range(world_size)]
         self.ddp = CGXDistributedDataParallel(self.replicas, self.config,
                                               mode=mode, seed=seed)
@@ -278,11 +275,6 @@ class DataParallelTrainer:
             logits = replica(batch[0])
             loss, grad = self.task.loss_and_grad(logits, batch)
             replica.backward(grad)
-            if self.amp_level is not AmpLevel.O0:
-                for _, param in replica.named_parameters():
-                    if param.grad is not None:
-                        param.grad = apply_grad_precision(param.grad,
-                                                          self.amp_level)
             losses.append(loss)
 
         with nullcontext() if self.fault_runtime is None \

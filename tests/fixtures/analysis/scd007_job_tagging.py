@@ -1,6 +1,6 @@
 """SCD007 fixture: scheduling calls with and without job tags.
 
-The five untagged calls below must each be flagged; the tagged calls,
+The four untagged calls below must each be flagged; the tagged calls,
 the exempt bandwidth probe and the unqualified name must stay silent.
 """
 
@@ -11,9 +11,6 @@ class LeakyRunner:
 
     def leaky_kernel(self, pool, gpu, ready, duration):
         return pool.run_kernel(gpu, ready, duration)  # flagged
-
-    def leaky_path(self, pool, names, ready, duration):
-        return pool.schedule_path(names, ready, duration)  # flagged
 
     def leaky_route(self, simclock, route, ready, nbytes):
         return simclock.commit_route(route, ready, nbytes, 1.0, 1.0,

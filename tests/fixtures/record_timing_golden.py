@@ -24,9 +24,11 @@ HERE = Path(__file__).resolve().parent
 REPO = HERE.parent.parent
 
 
-def main(argv: list[str]) -> int:
+def record(argv: list[str], test_module: str, usage: str) -> int:
+    """Dump ``<test_module>.replay_all()``, run on ``<old tree>/src``, to
+    the module's ``GOLDEN`` path."""
     if len(argv) != 1:
-        print(__doc__, file=sys.stderr)
+        print(usage, file=sys.stderr)
         return 2
     old = Path(argv[0]).resolve()
     if old == REPO:
@@ -41,7 +43,7 @@ def main(argv: list[str]) -> int:
         print(f"repro resolved to {source}, not {old}", file=sys.stderr)
         return 2
     spec = importlib.util.spec_from_file_location(
-        "timing_golden", HERE.parent / "test_timing_golden.py")
+        test_module, HERE.parent / f"{test_module}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     with open(module.GOLDEN, "w") as handle:
@@ -52,4 +54,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(record(sys.argv[1:], "test_timing_golden", __doc__))

@@ -68,14 +68,6 @@ def test_network_transfer_rejects_nan_bytes():
         assert set(net.pool.busy_seconds().values()) == {0.0}
 
 
-def test_pool_schedule_path_waits_for_all():
-    pool = ResourcePool()
-    pool.get("a").schedule(0.0, 3.0)
-    start, end = pool.schedule_path(["a", "b"], 0.0, 1.0)
-    assert start == 3.0 and end == 4.0
-    assert pool.get("b").busy_until == 4.0
-
-
 def _resource_state(resource: Resource) -> tuple:
     """Everything an occupation writes, floats as ``hex`` (bit for bit)."""
     return (resource.busy_until.hex(), resource.busy_time.hex(),
@@ -142,9 +134,9 @@ def test_audit_ledgers_replay_the_live_counters_under_mixed_traffic():
     net.enable_conservation_audit()
     pool = net.pool
     pool.get("pcie.g0.up").schedule(0.0, 0.1, job=1)
-    pool.schedule_path(["pcie.g0.up", "hostmem.r0.up", "scratch"], 0.0, 0.3,
-                       job=2)
-    pool.schedule_path(["scratch"], 0.0, 0.7)            # untagged
+    for name in ("pcie.g0.up", "hostmem.r0.up", "scratch"):
+        pool.get(name).schedule(0.0, 0.3, job=2)
+    pool.get("scratch").schedule(0.0, 0.7)               # untagged
     net.run_kernel(0, "compress0", 0.2, 0.0, job=1)
     net.transfer(0, 3, 1 << 20, 0.0, job=2)
     net.transfer(3, 0, 1 << 18, 0.0)

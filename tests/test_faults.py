@@ -624,8 +624,7 @@ def test_fault_counters_round_trip_every_field():
 
     from repro.faults import FaultCounters
 
-    names = [f.name for f in dataclasses.fields(FaultCounters)
-             if f.name != "extra"]
+    names = [f.name for f in dataclasses.fields(FaultCounters)]
     # give every counter a distinct value; merge and to_dict must see all
     a = FaultCounters(**{name: i + 1 for i, name in enumerate(names)})
     b = FaultCounters(**{name: 100 for name in names})

@@ -34,24 +34,6 @@ def test_transfers_attribute_busy_time_per_job():
     assert net.job_link_seconds(99) == {}
 
 
-def test_clear_trace_is_per_job():
-    net = Network(nvlink_mesh(4))
-    net.enable_trace()
-    net.transfer(0, 1, MB, 0.0, job=1)
-    net.transfer(1, 2, MB, 0.0, job=2)
-    net.transfer(2, 3, MB, 0.0)
-    assert len(net.trace) == 3
-    horizon = net.pool.get("nvlink.g0g1.up").busy_until
-
-    net.clear_trace(job=1)   # drain one job...
-    assert [r.job for r in net.trace] == [2, None]
-    # ...without touching the pool: other jobs' timelines survive
-    assert net.pool.get("nvlink.g0g1.up").busy_until == horizon
-
-    net.clear_trace()        # and the full clear still clears everything
-    assert net.trace == []
-
-
 def test_reset_clears_pool_and_trace():
     net = Network(nvlink_mesh(4))
     net.enable_trace()

@@ -1,11 +1,10 @@
 """dtype contract of :mod:`repro.nn`: float32 in, float32 everywhere.
 
-The paper trains in fp32 (or AMP, emulated in ``nn/amp.py``), never in
-float64.  Under NumPy 2's promotion rules (NEP 50) a numpy float64
-*scalar* is strongly typed, so one ``np.sqrt(...)`` constant multiplied
-into an activation silently promotes it and everything downstream to
-float64, while ``Parameter.accumulate_grad`` casts the gradients back and
-hides it.  These tests run one batch of every task family with every
+The paper trains in fp32 (or fp16 under AMP), never in float64.  Under
+NumPy 2's promotion rules (NEP 50) a numpy float64 *scalar* is strongly
+typed, so one ``np.sqrt(...)`` constant multiplied into an activation
+silently promotes it and everything downstream to float64, while
+``Parameter.accumulate_grad`` casts the gradients back and hides it.  These tests run one batch of every task family with every
 ``repro.nn`` module's ``forward``/``backward`` wrapped and reject any
 floating array that is not float32.
 """
