@@ -2,8 +2,8 @@
 
 Each pass is one row of :data:`repro.analysis.registry.REGISTRY`; the
 per-pillar prose and rule catalogs live in ``docs/analysis.md``.  Run
-``python -m repro.analysis`` (or ``python -m repro analyze``); the
-baseline workflow and output formats live in :mod:`repro.analysis.cli`.
+``python -m repro.analysis`` (or ``python -m repro analyze``); pass
+selection and output formats live in :mod:`repro.analysis.cli`.
 The passes:
 
 """
@@ -12,13 +12,11 @@ from .abstract import (BehaviorObservation, RoundtripObservation,
                        default_registry, execute_behavior,
                        execute_roundtrips, probe_specs,
                        replay_adaptive_respec, replay_engine_wiring)
-from .baseline import load_baseline, split_baselined, write_baseline
 from .cli import main
 from .contracts import CONTRACT_RULES, check_engine_wiring, verify_contracts
 from .elastic import ELA_RULES, ELASTIC_CAMPAIGNS, verify_elastic
-from .explore import (ExploreResult, FairRunResult, GreedyResult, Op,
-                      build_programs, explore, fair_schedule, greedy_run,
-                      interleaving_bound, phase_segments)
+from .explore import (FairRunResult, Op, build_programs, fair_schedule,
+                      phase_segments)
 from .findings import JSON_REPORT_SCHEMA, Finding, sort_findings
 from .liveness import (DLV_RULES, analyze_trace_liveness, lint_blocking,
                        verify_liveness)
@@ -63,9 +61,7 @@ __all__ = [
     "DLV_RULES", "analyze_trace_liveness", "lint_blocking",
     "verify_liveness",
     "ELA_RULES", "ELASTIC_CAMPAIGNS", "verify_elastic",
-    "Op", "GreedyResult", "ExploreResult", "FairRunResult",
-    "build_programs", "phase_segments", "greedy_run", "explore",
-    "fair_schedule", "interleaving_bound",
-    "load_baseline", "write_baseline", "split_baselined",
+    "Op", "FairRunResult", "build_programs", "phase_segments",
+    "fair_schedule",
     "main",
 ]

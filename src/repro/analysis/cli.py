@@ -14,8 +14,6 @@ import sys
 from collections import Counter
 from typing import Sequence, TextIO
 
-from .baseline import (DEFAULT_BASELINE_PATH, load_baseline, split_baselined,
-                       write_baseline)
 from .findings import Finding, sort_findings
 from .registry import REGISTRY, pass_summary
 
@@ -24,8 +22,8 @@ __all__ = ["build_parser", "main", "select_passes"]
 __doc__ = (__doc__ or "") + pass_summary() + """
 
 Pass selection is documented once, in ``docs/analysis.md`` (and
-``--help``).  Exit status: 0 when clean (or all findings baselined),
-1 when new findings exist, 2 on usage errors.
+``--help``).  Every finding fails the run: exit status 0 when clean,
+1 when any finding exists, 2 on usage errors.
 """
 
 PASSES = tuple(row.name for row in REGISTRY if row.default)
@@ -46,12 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="files/directories to lint (default: src)")
     parser.add_argument("--format", dest="fmt", default="text",
                         choices=("text", "json"), help="output format")
-    parser.add_argument("--baseline", default=DEFAULT_BASELINE_PATH,
-                        help="allowlist file of grandfathered findings "
-                             f"(default: {DEFAULT_BASELINE_PATH})")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="record current findings as the baseline "
-                             "and exit 0")
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--no-schedule", action="store_true",
                       help="skip the collective-schedule verifier")
@@ -92,30 +84,25 @@ def select_passes(args: argparse.Namespace) -> tuple[str, ...]:
     return PASSES
 
 
-def _report(new: list[Finding], baselined: list[Finding], fmt: str,
-            out: TextIO) -> None:
+def _report(findings: list[Finding], fmt: str, out: TextIO) -> None:
     if fmt == "json":
         summary = {
-            "total": len(new) + len(baselined),
-            "new": len(new),
-            "baselined": len(baselined),
-            "by_rule": dict(sorted(Counter(f.rule for f in new).items())),
+            "total": len(findings),
+            "by_rule": dict(sorted(Counter(f.rule for f in findings).items())),
         }
         payload = {
-            "version": 1,
-            "findings": [f.to_dict() for f in new],
+            "version": 2,
+            "findings": [f.to_dict() for f in findings],
             "summary": summary,
         }
         print(json.dumps(payload, indent=2), file=out)
         return
-    for finding in new:
+    for finding in findings:
         print(finding.render(), file=out)
-    if new:
-        print(f"{len(new)} finding(s) ({len(baselined)} baselined)",
-              file=out)
+    if findings:
+        print(f"{len(findings)} finding(s)", file=out)
     else:
-        print(f"clean: no new findings ({len(baselined)} baselined)",
-              file=out)
+        print("clean: no findings", file=out)
 
 
 def main(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
@@ -138,17 +125,8 @@ def main(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
     for row in selected:
         findings.extend(row.run(args.paths))
     findings = sort_findings(findings)
-
-    if args.write_baseline:
-        count = write_baseline(findings, args.baseline)
-        print(f"baseline written: {count} fingerprint(s) -> {args.baseline}",
-              file=out)
-        return 0
-
-    baseline = load_baseline(args.baseline)
-    new, baselined = split_baselined(findings, baseline)
-    _report(new, baselined, args.fmt, out)
-    return 1 if new else 0
+    _report(findings, args.fmt, out)
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,50 +1,39 @@
-"""Small-world interleaving explorer for abstracted collective schedules.
+"""The execution model behind the liveness certifier.
 
 The data-path collectives execute in-process and therefore in one fixed
 order, but the schedules they emit will eventually run on real
 transports where rank interleaving is up to the scheduler.  This module
 abstracts a captured :class:`~repro.collectives.trace.ScheduleTrace`
 into per-rank **programs** of eager (buffered, non-blocking) sends and
-blocking receives, then model-checks the abstraction:
+blocking receives, and executes them once, with :func:`fair_schedule`.
 
-* :func:`greedy_run` — the maximal-progress execution.  Eager-send /
-  blocking-recv message passing is *monotone* (firing a transition
-  never disables another: sends only add messages, and two receives
-  can never compete for one message because a match key names its
-  destination rank), so the greedy run either completes — proving every
-  fair execution completes — or gets stuck on the unique blocked set,
-  from which the caller builds a wait-for graph.
-* :func:`explore` — a DPOR-style depth-first search over rank
-  interleavings with **sleep-set pruning**: transitions on different
-  ranks and different match keys commute, so each Mazurkiewicz trace
-  (equivalence class of interleavings) is explored once instead of
-  once per permutation.  Certifies that every interleaving terminates
-  and that all of them reach the same conserved message residue.
-* :func:`fair_schedule` — a round-robin scheduler that measures, for
-  every blocked receive, how many full scheduler rounds pass before its
-  matching send arrives.  The liveness certifier's bounded-wait rule
-  (DLV005) asserts this stays under
-  ``max(16, 4 * world, 2 * longest_program + world)`` — see
-  :meth:`FairRunResult.bound`.
+One execution decides every interleaving.  Eager-send / blocking-recv
+message passing is *monotone*: firing an operation never disables
+another, because sends only add messages and two receives never compete
+for one message (a match key names its destination rank, and only that
+rank consumes it).  So every maximal execution of a phase ends in the
+same state — the same stuck ranks on the same blocked receives, and the
+same residue of unconsumed messages (Kahn's determinism result).  The
+round-robin run reaches that state and, on the way, measures for every
+blocked receive how many full scheduler rounds pass before its matching
+send arrives; the bounded-wait rule (DLV005) holds this under
+``max(16, 4 * world, 2 * longest_program + world)`` — see
+:meth:`FairRunResult.bound`.
 
-The findings layer over these primitives lives in
+The findings layer over this model lives in
 :mod:`repro.analysis.liveness`.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.collectives.trace import ScheduleTrace, TraceEvent
 
-__all__ = [
-    "Op", "GreedyResult", "ExploreResult", "FairRunResult",
-    "build_programs", "phase_segments", "greedy_run", "explore",
-    "fair_schedule", "interleaving_bound",
-]
+__all__ = ["Op", "FairRunResult", "build_programs", "phase_segments",
+           "fair_schedule"]
 
 #: a match key: (src, dst, step, nbytes, tag)
 Key = tuple
@@ -127,180 +116,27 @@ def phase_segments(trace: ScheduleTrace
     return [(label, events) for label, events in segments if events]
 
 
-# -- maximal-progress execution ----------------------------------------------
-
-@dataclass
-class GreedyResult:
-    """Outcome of the maximal-progress run over one segment."""
-
-    completed: bool
-    #: rank -> the blocking recv it is stuck on (only when not completed)
-    blocked: dict[int, Op] = field(default_factory=dict)
-    #: remaining (unexecuted) ops per rank at the fixpoint
-    remaining: dict[int, tuple[Op, ...]] = field(default_factory=dict)
-    #: messages deposited but never consumed (orphan sends)
-    residue: Counter = field(default_factory=Counter)
-
-
-def greedy_run(programs: Mapping[int, Sequence[Op]]) -> GreedyResult:
-    """Run every rank as far as it can go; the fixpoint is unique.
-
-    Sends are executed eagerly, receives as soon as their key is
-    pending.  Because transitions never disable each other, the blocked
-    set at the fixpoint does not depend on the visit order.
-    """
-    pcs = {rank: 0 for rank in programs}
-    mailbox: Counter = Counter()
-    progressed = True
-    while progressed:
-        progressed = False
-        for rank in sorted(programs):
-            ops = programs[rank]
-            while pcs[rank] < len(ops):
-                op = ops[pcs[rank]]
-                if op.kind == "send":
-                    mailbox[op.key] += 1
-                elif mailbox[op.key] > 0:
-                    mailbox[op.key] -= 1
-                else:
-                    break
-                pcs[rank] += 1
-                progressed = True
-    blocked = {rank: programs[rank][pcs[rank]]
-               for rank in programs if pcs[rank] < len(programs[rank])}
-    remaining = {rank: tuple(programs[rank][pcs[rank]:])
-                 for rank in programs if pcs[rank] < len(programs[rank])}
-    return GreedyResult(completed=not blocked, blocked=blocked,
-                        remaining=remaining,
-                        residue=+mailbox)
-
-
-# -- DPOR exploration ---------------------------------------------------------
-
-@dataclass
-class ExploreResult:
-    """Outcome of the sleep-set DFS over one segment."""
-
-    interleavings: int          # complete executions reached (post-pruning)
-    transitions: int            # transitions fired during the search
-    sleep_pruned: int           # subtrees cut by sleep sets
-    deadlocks: list[dict[int, Op]]   # distinct blocked sets reached
-    residues: list[tuple]       # distinct final message residues
-    budget_exhausted: bool
-
-    @property
-    def deadlock_free(self) -> bool:
-        return not self.deadlocks and not self.budget_exhausted
-
-    @property
-    def conserved(self) -> bool:
-        """All explored executions end with one and the same residue."""
-        return len(self.residues) <= 1 and not self.budget_exhausted
-
-
-def _independent(op_a: Op, rank_a: int, op_b: Op, rank_b: int) -> bool:
-    """Whether two co-enabled transitions commute.
-
-    Conservative: operations of one rank are program-ordered, and two
-    operations on the same match key race for the same mailbox slot.
-    Everything else touches disjoint state.
-    """
-    return rank_a != rank_b and op_a.key != op_b.key
-
-
-def explore(programs: Mapping[int, Sequence[Op]],
-            budget: int = 250_000) -> ExploreResult:
-    """Sleep-set DFS over all rank interleavings of ``programs``.
-
-    Explores one representative per Mazurkiewicz trace: after a branch
-    ``t`` is fully explored, ``t`` enters the *sleep set* of its sibling
-    subtrees and is only woken by a dependent transition, so orderings
-    that merely commute independent operations are never re-visited.
-    ``budget`` caps fired transitions; exhausting it is reported (and
-    treated as a certification failure by the caller), never silent.
-    """
-    ranks = sorted(programs)
-    progs = {rank: tuple(programs[rank]) for rank in ranks}
-    result = ExploreResult(interleavings=0, transitions=0, sleep_pruned=0,
-                           deadlocks=[], residues=[], budget_exhausted=False)
-    seen_deadlocks: set = set()
-
-    def enabled(pcs: tuple, mailbox: dict) -> list[tuple[int, Op]]:
-        out = []
-        for i, rank in enumerate(ranks):
-            if pcs[i] >= len(progs[rank]):
-                continue
-            op = progs[rank][pcs[i]]
-            if op.kind == "send" or mailbox.get(op.key, 0) > 0:
-                out.append((i, op))
-        return out
-
-    def dfs(pcs: tuple, mailbox: dict, sleep: frozenset) -> None:
-        if result.budget_exhausted:
-            return
-        moves = enabled(pcs, mailbox)
-        if not moves:
-            if all(pcs[i] >= len(progs[rank])
-                   for i, rank in enumerate(ranks)):
-                result.interleavings += 1
-                residue = tuple(sorted(mailbox.items()))
-                if residue not in result.residues:
-                    result.residues.append(residue)
-            else:
-                blocked = {ranks[i]: progs[ranks[i]][pcs[i]]
-                           for i in range(len(ranks))
-                           if pcs[i] < len(progs[ranks[i]])}
-                fingerprint = tuple(sorted(
-                    (rank, op.key) for rank, op in blocked.items()))
-                if fingerprint not in seen_deadlocks:
-                    seen_deadlocks.add(fingerprint)
-                    result.deadlocks.append(blocked)
-            return
-        branch = [(i, op) for i, op in moves if (i, pcs[i]) not in sleep]
-        if not branch:
-            result.sleep_pruned += 1
-            return
-        done: set[tuple[int, int]] = set()
-        for i, op in branch:
-            if result.transitions >= budget:
-                result.budget_exhausted = True
-                return
-            result.transitions += 1
-            next_pcs = list(pcs)
-            next_pcs[i] += 1
-            next_mailbox = dict(mailbox)
-            if op.kind == "send":
-                next_mailbox[op.key] = next_mailbox.get(op.key, 0) + 1
-            else:
-                count = next_mailbox[op.key] - 1
-                if count:
-                    next_mailbox[op.key] = count
-                else:
-                    del next_mailbox[op.key]
-            # explored siblings go to sleep in this subtree; a dependent
-            # transition wakes them (drops them from the sleep set)
-            next_sleep = frozenset(
-                (j, pc) for j, pc in sleep | done
-                if _independent(progs[ranks[j]][pc], ranks[j], op, ranks[i]))
-            dfs(tuple(next_pcs), next_mailbox, next_sleep)
-            done.add((i, pcs[i]))
-        return
-
-    dfs(tuple(0 for _ in ranks), {}, frozenset())
-    return result
-
-
-# -- fair (round-robin) progress measurement ----------------------------------
+# -- the one execution --------------------------------------------------------
 
 @dataclass
 class FairRunResult:
-    """Outcome of the round-robin run over one segment."""
+    """Terminal state of the round-robin run over one segment."""
 
-    completed: bool
     max_wait: int                    # worst blocked-recv wait, in rounds
-    rounds: int                      # scheduler rounds to completion
-    stuck: tuple[int, ...] = ()      # ranks blocked forever
-    longest: int = 0                 # longest per-rank program, in ops
+    longest: int                     # longest per-rank program, in ops
+    #: unexecuted ops per stuck rank, starting with its blocked recv
+    remaining: dict[int, tuple[Op, ...]]
+    #: messages deposited but never consumed (orphan sends)
+    residue: Counter
+
+    @property
+    def completed(self) -> bool:
+        return not self.remaining
+
+    @property
+    def blocked(self) -> dict[int, Op]:
+        """Stuck rank -> the recv it waits on forever."""
+        return {rank: ops[0] for rank, ops in self.remaining.items()}
 
     def bound(self, world: int) -> int:
         """The DLV005 wait budget for a ``world``-rank schedule.
@@ -320,27 +156,23 @@ class FairRunResult:
 def fair_schedule(programs: Mapping[int, Sequence[Op]]) -> FairRunResult:
     """Round-robin execution: one operation per unblocked rank per round.
 
-    Measures how long any blocked receive waits for its matching send
-    under a maximally fair scheduler — the bounded-wait certificate
-    (every blocked recv's send is *reachable*, and reached within the
-    returned ``max_wait`` rounds).
+    Runs until a whole round makes no progress — every rank finished,
+    or every unfinished rank blocked on a receive whose message never
+    comes — and returns that terminal state together with the longest
+    any receive waited for its matching send.
     """
     ranks = sorted(programs)
     pcs = {rank: 0 for rank in ranks}
     waits = {rank: 0 for rank in ranks}
     mailbox: Counter = Counter()
-    longest = max((len(programs[rank]) for rank in ranks), default=0)
     max_wait = 0
-    rounds = 0
-    while True:
-        rounds += 1
+    progressed = True
+    while progressed:
         progressed = False
-        alldone = True
         for rank in ranks:
             ops = programs[rank]
             if pcs[rank] >= len(ops):
                 continue
-            alldone = False
             op = ops[pcs[rank]]
             if op.kind == "send":
                 mailbox[op.key] += 1
@@ -353,27 +185,9 @@ def fair_schedule(programs: Mapping[int, Sequence[Op]]) -> FairRunResult:
             pcs[rank] += 1
             waits[rank] = 0
             progressed = True
-        if alldone:
-            return FairRunResult(completed=True, max_wait=max_wait,
-                                 rounds=rounds, longest=longest)
-        if not progressed:
-            stuck = tuple(rank for rank in ranks
-                          if pcs[rank] < len(programs[rank]))
-            return FairRunResult(completed=False, max_wait=max_wait,
-                                 rounds=rounds, stuck=stuck,
-                                 longest=longest)
-
-
-def interleaving_bound(programs: Mapping[int, Sequence[Op]]) -> int:
-    """Rank interleavings of the programs, ignoring all blocking.
-
-    The multinomial ``total! / prod(len_r!)`` counts every way to
-    interleave the per-rank sequences — the space a naive scheduler
-    enumeration would face, against which the DPOR exploration count is
-    compared.
-    """
-    total = sum(len(ops) for ops in programs.values())
-    bound = math.factorial(total)
-    for ops in programs.values():
-        bound //= math.factorial(len(ops))
-    return bound
+    return FairRunResult(
+        max_wait=max_wait,
+        longest=max((len(programs[rank]) for rank in ranks), default=0),
+        remaining={rank: tuple(programs[rank][pcs[rank]:]) for rank in ranks
+                   if pcs[rank] < len(programs[rank])},
+        residue=+mailbox)

@@ -4,9 +4,9 @@ A :class:`Finding` is one diagnostic: a rule id, a location (file:line
 for lint findings; a ``<pass:scheme@world=N[/cell]>`` pseudo-path for
 the semantic passes) and a message.  How a semantic finding renders and
 what its fingerprint hashes is data — the per-source :data:`SOURCES`
-table — not a branch per pass.  Findings carry a stable *fingerprint*
-so a baseline file can grandfather existing ones while still failing
-the build on anything new (see :mod:`repro.analysis.baseline`).
+table — not a branch per pass.  Findings carry a stable *fingerprint*:
+an identity that survives unrelated line shifts, so a finding can be
+tracked across runs and tests can pin it.
 """
 
 from __future__ import annotations
@@ -178,11 +178,9 @@ JSON_REPORT_SCHEMA = {
         },
         "summary": {
             "type": "object",
-            "required": ["total", "new", "baselined", "by_rule"],
+            "required": ["total", "by_rule"],
             "properties": {
                 "total": {"type": "integer"},
-                "new": {"type": "integer"},
-                "baselined": {"type": "integer"},
                 "by_rule": {"type": "object"},
             },
         },

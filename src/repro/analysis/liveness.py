@@ -6,7 +6,7 @@ progress* — under fault campaigns that reshape them and under any rank
 interleaving a real transport might pick.  The execution model is
 eager sends, blocking recvs and a barrier between
 :func:`~repro.collectives.trace.phase_scope` spans; the battery lives
-in :mod:`repro.faults.cases`, the exploration machinery in
+in :mod:`repro.faults.cases`, the execution model in
 :mod:`repro.analysis.explore`.  The rules:
 
 """
@@ -20,29 +20,21 @@ from typing import Iterable, Mapping, Sequence
 from repro.collectives.trace import (ScheduleTrace, TraceEvent,
                                      match_messages)
 
-from .explore import (build_programs, explore, fair_schedule, greedy_run,
-                      phase_segments)
+from .explore import build_programs, fair_schedule, phase_segments
 from .findings import CellFindings, Finding, rule_table, sort_findings
 from .rules import SourceFile, call_name, lint_roots
 
-__all__ = ["DLV_RULES", "DEFAULT_EXPLORE_BUDGET", "analyze_segment",
-           "analyze_trace_liveness", "lint_blocking", "verify_liveness",
-           "blocking_default_roots"]
+__all__ = ["DLV_RULES", "analyze_segment", "analyze_trace_liveness",
+           "lint_blocking", "verify_liveness", "blocking_default_roots"]
 
 DLV_RULES = {
     "DLV001": "wait-for cycle among blocked ranks (potential deadlock)",
     "DLV002": "blocking endpoint that can never match in its phase",
     "DLV003": "event names a quorum-excluded rank",
-    "DLV004": "interleaving exploration failed to certify the segment",
     "DLV005": "bounded wait violated or carries left undrained",
     "DLV006": "blocking call bypasses the deliver_chunk/trace hooks",
 }
 __doc__ = rule_table(__doc__, DLV_RULES)
-
-#: transition budget per explored segment; clean segments are linear in
-#: their event count, so hitting this means something is very wrong —
-#: and it is reported as DLV004, never swallowed
-DEFAULT_EXPLORE_BUDGET = 200_000
 
 
 # -- wait-for graph over one barrier phase ------------------------------------
@@ -65,7 +57,7 @@ def _find_cycle(edges: dict[int, list[int]]) -> list[int]:
 def analyze_segment(label: str, events: Sequence[TraceEvent], path: str,
                     scheme: str = "", world: int = 0,
                     excluded: Iterable[int] = ()) -> list[Finding]:
-    """DLV001/002/003 over one barrier phase of a trace."""
+    """DLV001/002/003/005 over one barrier phase of a trace."""
     out = CellFindings("liveness", DLV_RULES, scheme, world, path)
     excluded_set = set(excluded)
 
@@ -99,15 +91,17 @@ def analyze_segment(label: str, events: Sequence[TraceEvent], path: str,
                      f"{src}->{dst} (tag {tag!r}, step {step}) are never "
                      f"received in the phase")
 
-    # DLV001: run to the (unique) maximal-progress fixpoint; a stuck
-    # rank whose sender exists is waiting on another stuck rank, so the
-    # blocked set carries a wait-for cycle.
-    greedy = greedy_run(build_programs(events))
-    if not greedy.completed:
+    # DLV001: the one execution's terminal state is every interleaving's
+    # (explore.py); a stuck rank whose sender exists is waiting on
+    # another stuck rank, so the blocked set carries a wait-for cycle.
+    programs = build_programs(events)
+    run = fair_schedule(programs)
+    blocked = run.blocked
+    if not run.completed:
         edges: dict[int, list[int]] = {}
-        for rank, op in sorted(greedy.blocked.items()):
+        for rank, op in sorted(blocked.items()):
             senders = sorted(
-                other for other, ops in greedy.remaining.items()
+                other for other, ops in run.remaining.items()
                 if any(o.kind == "send" and o.key == op.key for o in ops))
             if senders:
                 edges[rank] = senders
@@ -115,62 +109,27 @@ def analyze_segment(label: str, events: Sequence[TraceEvent], path: str,
         if cycle:
             chain = " -> ".join(str(r) for r in cycle + [cycle[0]])
             waits = "; ".join(
-                f"rank {r} blocked on {greedy.blocked[r].describe()}"
+                f"rank {r} blocked on {blocked[r].describe()}"
                 for r in cycle)
             out.emit("DLV001",
                      f"phase {label!r}: wait-for cycle {chain} ({waits})")
         elif not any(f.rule == "DLV002" for f in out):
             # defensive: stuck without a cycle or an orphan should be
             # impossible; surface it rather than certifying
-            blocked = ", ".join(
-                f"rank {r} on {op.describe()}"
-                for r, op in sorted(greedy.blocked.items()))
+            stuck = ", ".join(f"rank {r} on {op.describe()}"
+                              for r, op in sorted(blocked.items()))
             out.emit("DLV001",
                      f"phase {label!r}: execution stuck without a wait-for "
-                     f"cycle ({blocked})")
-    return out
-
-
-def explore_segment(label: str, events: Sequence[TraceEvent], path: str,
-                    scheme: str = "", world: int = 0,
-                    budget: int = DEFAULT_EXPLORE_BUDGET) -> list[Finding]:
-    """DLV004: certify every interleaving of one phase terminates."""
-    out = CellFindings("liveness", DLV_RULES, scheme, world, path)
-    result = explore(build_programs(events), budget=budget)
-    if result.budget_exhausted:
-        out.emit("DLV004",
-                 f"phase {label!r}: exploration budget of {budget} "
-                 f"transitions exhausted after {result.interleavings} "
-                 f"complete interleaving(s) — termination not certified")
+                     f"cycle ({stuck})")
         return out
-    for blocked in result.deadlocks:
-        detail = ", ".join(f"rank {r} on {op.describe()}"
-                           for r, op in sorted(blocked.items()))
-        out.emit("DLV004", f"phase {label!r}: a reachable interleaving "
-                           f"deadlocks ({detail})")
-    if len(result.residues) > 1:
-        out.emit("DLV004",
-                 f"phase {label!r}: {len(result.residues)} distinct final "
-                 f"message residues across interleavings — message counts "
-                 f"are not conserved")
-    return out
 
-
-def fair_segment(label: str, events: Sequence[TraceEvent], path: str,
-                 scheme: str = "", world: int = 0) -> list[Finding]:
-    """DLV005: bounded wait under a fair round-robin scheduler."""
-    out = CellFindings("liveness", DLV_RULES, scheme, world, path)
-    programs = build_programs(events)
-    result = fair_schedule(programs)
-    # an incomplete run is the wait-for analysis's to report (DLV001/2)
-    if result.completed:
-        bound = result.bound(world or (max(programs) + 1 if programs else 1))
-        if result.max_wait > bound:
-            out.emit("DLV005",
-                     f"phase {label!r}: a blocked recv waited "
-                     f"{result.max_wait} fair scheduler rounds (bound "
-                     f"{bound} for longest program {result.longest}) for "
-                     f"its matching send")
+    # DLV005: bounded wait under the fair round-robin scheduler
+    bound = run.bound(world or max(programs, default=0) + 1)
+    if run.max_wait > bound:
+        out.emit("DLV005",
+                 f"phase {label!r}: a blocked recv waited {run.max_wait} "
+                 f"fair scheduler rounds (bound {bound} for longest program "
+                 f"{run.longest}) for its matching send")
     return out
 
 
@@ -179,7 +138,6 @@ def analyze_trace_liveness(trace: ScheduleTrace, path: str,
                            excluded_by_phase:
                            Mapping[str, Iterable[int]] | None = None,
                            undrained_carries: bool = False,
-                           budget: int = DEFAULT_EXPLORE_BUDGET,
                            ) -> list[Finding]:
     """All dynamic DLV rules over one captured multi-phase trace.
 
@@ -194,9 +152,6 @@ def analyze_trace_liveness(trace: ScheduleTrace, path: str,
         out.extend(analyze_segment(
             label, events, path, scheme, world,
             excluded_by_phase.get(label, ())))
-        out.extend(explore_segment(label, events, path, scheme,
-                                   world, budget))
-        out.extend(fair_segment(label, events, path, scheme, world))
     if undrained_carries:
         out.emit("DLV005",
                  "carries remain banked after the drain phase — a skipped "
@@ -271,15 +226,14 @@ def lint_blocking_source(source: str, path: str) -> list[Finding]:
 def lint_blocking(roots: Sequence[str] | None = None) -> list[Finding]:
     """DLV006 over every python file under ``roots`` (default: the
     collectives and faults packages), occurrence-numbered for stable
-    baseline fingerprints."""
+    fingerprints."""
     return lint_roots(roots if roots is not None
                       else blocking_default_roots(), lint_blocking_source)
 
 
 # -- the full battery ---------------------------------------------------------
 
-def verify_liveness(worlds: tuple[int, ...] = (2, 3, 4),
-                    budget: int = DEFAULT_EXPLORE_BUDGET) -> list[Finding]:
+def verify_liveness(worlds: tuple[int, ...] = (2, 3, 4)) -> list[Finding]:
     """Certify every (scheme x world x campaign) cell; [] means clean."""
     from repro.faults.cases import liveness_cases, trace_liveness_case
 
@@ -289,6 +243,6 @@ def verify_liveness(worlds: tuple[int, ...] = (2, 3, 4),
         findings.extend(analyze_trace_liveness(
             trace, case.path, scheme=case.scheme, world=case.world,
             excluded_by_phase=aux.phase_excluded,
-            undrained_carries=aux.undrained_carries, budget=budget))
+            undrained_carries=aux.undrained_carries))
     findings.extend(lint_blocking())
     return sort_findings(findings)

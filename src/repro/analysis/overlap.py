@@ -568,7 +568,7 @@ def lint_grad_consumer_source(source: str, path: str) -> list[Finding]:
 
 def lint_grad_consumers(roots: Sequence[str] | None = None) -> list[Finding]:
     """OVL006 over the consumer-path modules (or explicit files/dirs),
-    occurrence-numbered for stable baseline fingerprints."""
+    occurrence-numbered for stable fingerprints."""
     return lint_roots(roots if roots is not None
                       else consumer_default_roots(),
                       lint_grad_consumer_source)

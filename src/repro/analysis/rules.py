@@ -408,7 +408,7 @@ def lint_roots(roots: Iterable[str],
 
     The one file-walk → lint → sort → number pipeline behind the static
     rule families (REP, DLV006, OVL006, SCD007).  Occurrence numbers
-    disambiguate identical (rule, path, snippet) lines so baseline
+    disambiguate identical (rule, path, snippet) lines so
     fingerprints stay stable; ``relative`` reports paths relative to
     the working directory, which keeps those fingerprints independent
     of where the package is installed.

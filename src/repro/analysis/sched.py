@@ -497,7 +497,7 @@ def lint_job_tagging_source(source: str, path: str) -> list[Finding]:
 
 def lint_job_tagging(roots: Sequence[str] | None = None) -> list[Finding]:
     """SCD007 over the scheduler package and ``cluster/network.py``,
-    occurrence-numbered for stable baseline fingerprints."""
+    occurrence-numbered for stable fingerprints."""
     return lint_roots(roots if roots is not None
                       else tagging_default_roots(), lint_job_tagging_source)
 

@@ -14,17 +14,16 @@ calibration sweep against real serialized payloads.  Long form:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
-
-import numpy as np
+import math
+from dataclasses import dataclass
+from typing import Callable, Mapping, Sequence
 
 from repro.compression import CompressionSpec, Compressor
 from repro.core import CGXConfig, CommunicationEngine, Package
-from repro.core.serialization import measured_wire_bytes
 from repro.models import ModelSpec, available_specs, build_spec
 
-from .abstract import PROBE_SHAPES, default_registry, probe_specs
+from .abstract import (PROBE_SHAPES, default_registry, execute_roundtrips,
+                       probe_specs)
 from .findings import CellFindings, Finding, rule_table
 
 __all__ = [
@@ -227,36 +226,31 @@ def calibrate_payload_model(
 ) -> list[Finding]:
     """Ground the symbolic layout against real serialized payloads.
 
-    Runs every registered method's probe specs over small real tensors
-    and compares :func:`measured_wire_bytes` (actual serialized length)
-    and the decompressed dtype against the symbolic model.  A mismatch
+    Grades the contract checker's roundtrip probes
+    (:func:`~repro.analysis.abstract.execute_roundtrips` over every
+    registered method's probe specs) against the symbolic model: the
+    measured serialized length and the decompressed dtype.  A mismatch
     here means the *model* is wrong — every SHP003/SHP005 verdict at
     full model scale would be built on sand.
     """
     registry = registry or default_registry()
-    rng = np.random.default_rng(7)
     out = CellFindings("shape", SHAPE_RULES, path="<shape:calibration>")
     for method in sorted(registry):
         for spec in probe_specs(method):
-            compressor = registry[method](spec)
-            for shape in shapes:
-                array = rng.normal(size=shape).astype(np.float32)
-                compressed = compressor.compress(array, rng,
-                                                 key=("cal", shape))
+            for obs in execute_roundtrips(registry[method], spec,
+                                          tuple(shapes)):
                 symbolic = symbolic_wire_bytes(
-                    symbolic_payload(spec, array.size, shape))
-                measured = measured_wire_bytes(compressed)
-                if symbolic != measured:
+                    symbolic_payload(spec, math.prod(obs.shape), obs.shape))
+                if symbolic != obs.measured_bytes:
                     out.emit("SHP003",
                              f"symbolic model predicts {symbolic}B for "
-                             f"{method} on shape {shape}, real payload "
-                             f"serializes to {measured}B", method)
-                decoded = compressor.decompress(compressed)
-                if str(decoded.dtype) != "float32":
+                             f"{method} on shape {obs.shape}, real payload "
+                             f"serializes to {obs.measured_bytes}B", method)
+                if obs.out_dtype != "float32":
                     out.emit("SHP002",
-                             f"{method} decompress returned {decoded.dtype} "
-                             f"on shape {shape}; the accumulate path is fp32",
-                             method)
+                             f"{method} decompress returned {obs.out_dtype} "
+                             f"on shape {obs.shape}; the accumulate path is "
+                             f"fp32", method)
     return out
 
 

@@ -34,6 +34,7 @@ from repro.compression import CompressionSpec
 from repro.core import CGXConfig
 from repro.core.qnccl import qnccl_config
 from repro.models import available_specs, build_spec
+from repro.sched.placement import PLACEMENT_POLICIES
 
 __all__ = ["main", "build_parser"]
 
@@ -127,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     sch.add_argument("--nodes", type=int, default=2,
                      help="identical machines joined by Ethernet")
     sch.add_argument("--policy", default="packed",
-                     help="placement policy (packed/spread/numa)")
+                     choices=PLACEMENT_POLICIES, help="placement policy")
     sch.add_argument("--routing", default="static",
                      choices=("static", "adaptive"))
     sch.add_argument("--seed", type=int, default=0,
@@ -281,18 +282,25 @@ def _cmd_faults(args, out) -> int:
     from repro.faults import CAMPAIGNS, ResiliencePolicy, make_campaign
     from repro.training import RECIPES, train_family
 
-    if args.list_all or args.campaign is None:
-        print("available campaigns:", file=out)
-        for name in sorted(CAMPAIGNS):
-            plan = make_campaign(name, world=args.world, seed=args.seed)
-            kinds = sorted({e.kind for e in plan.events})
-            print(f"  {name:14s} {len(plan.events)} event(s): "
-                  f"{', '.join(kinds)}", file=out)
-        return 0
-    if args.campaign not in CAMPAIGNS:
+    listing = args.list_all or args.campaign is None
+    if not listing and args.campaign not in CAMPAIGNS:
         print(f"unknown campaign {args.campaign!r}; run with --list",
               file=sys.stderr)
         return 2
+    try:   # a campaign refuses a world it cannot run at
+        plans = [make_campaign(name, world=args.world, seed=args.seed)
+                 for name in (sorted(CAMPAIGNS) if listing
+                              else [args.campaign])]
+    except ValueError as exc:
+        print(f"--world {args.world}: {exc}", file=sys.stderr)
+        return 2
+    if listing:
+        print("available campaigns:", file=out)
+        for plan in plans:
+            kinds = sorted({e.kind for e in plan.events})
+            print(f"  {plan.name:14s} {len(plan.events)} event(s): "
+                  f"{', '.join(kinds)}", file=out)
+        return 0
     if args.family not in RECIPES:
         print(f"unknown family {args.family!r}; "
               f"choose from {sorted(RECIPES)}", file=sys.stderr)
@@ -301,7 +309,7 @@ def _cmd_faults(args, out) -> int:
     from repro.training.tasks import make_task
     from repro.training.trainer import DataParallelTrainer
 
-    plan = make_campaign(args.campaign, world=args.world, seed=args.seed)
+    (plan,) = plans
     policy = ResiliencePolicy(crc_check=not args.no_crc, strict=args.strict)
     recipe = RECIPES[args.family]
     bucket = recipe.bucket_size
@@ -356,12 +364,22 @@ def _cmd_sched(args, out) -> int:
     from repro.cluster import export_chrome_trace, get_machine, make_cluster
     from repro.sched import FleetSimulator, sample_fleet
 
-    machine = get_machine(args.machine)
-    topology = make_cluster(machine, args.nodes)
     kwargs = {}
     if args.models:
         kwargs["models"] = tuple(args.models.split(","))
-    worlds = tuple(int(w) for w in args.worlds.split(","))
+        unknown = sorted(set(kwargs["models"]) - set(available_specs()))
+        if unknown:
+            print(f"unknown model spec(s) {unknown}; "
+                  f"choose from {available_specs()}", file=sys.stderr)
+            return 2
+    try:
+        worlds = tuple(int(w) for w in args.worlds.split(","))
+    except ValueError:
+        print(f"--worlds takes comma-separated integers, got "
+              f"{args.worlds!r}", file=sys.stderr)
+        return 2
+    machine = get_machine(args.machine)
+    topology = make_cluster(machine, args.nodes)
     jobs = sample_fleet(args.jobs, seed=args.seed, worlds=worlds,
                         mean_interarrival=args.mean_interarrival, **kwargs)
     sim = FleetSimulator(topology, jobs, gpu=machine.gpu,

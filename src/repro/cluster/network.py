@@ -297,10 +297,6 @@ class Network:
         """
         return self._job_bytes.get(job, 0)
 
-    def job_byte_tags(self) -> dict[int | None, int]:
-        """Bytes per job tag (``None`` = untagged), as recorded."""
-        return dict(self._job_bytes)
-
 
 def export_chrome_trace(network: Network, path: str) -> int:
     """Write the network's transfer trace as a Chrome/Perfetto trace file.

@@ -28,7 +28,8 @@ class CGXConfig:
 
     Attributes:
         backend: point-to-point transport (``shm | nccl | mpi``).
-        scheme: reduction algorithm (``sra | ring | tree | allgather | ps``).
+        scheme: reduction algorithm
+            (``sra | ring | tree | allgather | ps | hier``).
         compression: default spec for non-filtered layers.  The paper's
             baseline is 4-bit QSGD, bucket 128 (Transformers) or 1024
             (CNNs).

@@ -240,16 +240,16 @@ def simulate_step(
     if batch_per_gpu is None:
         batch_per_gpu = gpu.max_batch_per_gpu(spec)
     compute_time = gpu.step_compute_time(spec, batch_per_gpu)
+    items = n_gpus * batch_per_gpu * spec.items_per_sample
+    ideal = single_gpu_step_time(spec, gpu, batch_per_gpu)
+
+    if n_gpus == 1:   # no gradient exchange, so nothing to compress
+        return StepTiming(1, batch_per_gpu, compute_time, ideal, 0.0, 0, 0,
+                          items, ideal)
     if config.compression.method == "powersgd":
         # PowerSGD forces fp32 training (incompatible with fp16 gradients),
         # forfeiting the AMP speedup the recipe otherwise uses.
         compute_time *= spec.fp32_compute_factor
-    items = n_gpus * batch_per_gpu * spec.items_per_sample
-    ideal = single_gpu_step_time(spec, gpu, batch_per_gpu)
-
-    if n_gpus == 1:
-        return StepTiming(1, batch_per_gpu, compute_time, ideal, 0.0, 0, 0,
-                          items, ideal)
 
     net = network or Network(topology, get_backend(config.backend))
     if compute_jitter is None:

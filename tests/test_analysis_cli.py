@@ -1,9 +1,8 @@
-"""Tests for the analysis CLI: formats, exit codes, baseline workflow."""
+"""Tests for the analysis CLI: formats, exit codes, pass selection."""
 
 import io
 import json
 import os
-import shutil
 
 import pytest
 
@@ -40,7 +39,7 @@ def _validate(value, schema, where="$"):
 def test_clean_tree_exits_zero_with_schedule_verification():
     code, out = run_cli([SRC, "--format", "text"])
     assert code == 0
-    assert "clean" in out
+    assert out == "clean: no findings\n"
 
 
 def test_fixture_files_exit_nonzero_and_name_every_rule():
@@ -55,8 +54,14 @@ def test_json_output_matches_schema():
     assert code == 1
     report = json.loads(out)
     _validate(report, JSON_REPORT_SCHEMA)
-    assert report["summary"]["new"] == len(report["findings"]) > 0
+    assert report["version"] == 2
+    assert set(report["summary"]) == {"total", "by_rule"}
+    assert report["summary"]["total"] == len(report["findings"]) > 0
+    assert sum(report["summary"]["by_rule"].values()) \
+        == report["summary"]["total"]
     assert report["summary"]["by_rule"]["REP001"] == 1
+    code, text = run_cli([FIXTURES, "--no-schedule"])
+    assert text.endswith(f"\n{len(report['findings'])} finding(s)\n")
 
 
 def test_schedule_only_skips_lint_paths():
@@ -71,37 +76,13 @@ def test_missing_lint_path_is_a_usage_error():
     assert code == 2
 
 
-def test_baseline_grandfathers_old_findings_but_fails_new_ones(tmp_path):
-    victim = tmp_path / "victim.py"
-    shutil.copy(os.path.join(FIXTURES, "rep001_float_eq.py"), victim)
-    baseline = tmp_path / "baseline.json"
-
-    code, out = run_cli([str(victim), "--no-schedule",
-                         "--baseline", str(baseline), "--write-baseline"])
-    assert code == 0 and "baseline written" in out
-
-    # grandfathered: same finding no longer fails the run
-    code, out = run_cli([str(victim), "--no-schedule",
-                         "--baseline", str(baseline)])
-    assert code == 0
-    assert "(1 baselined)" in out
-
-    # a new violation still fails, and only the new one is reported
-    victim.write_text(victim.read_text() + "\n\ndef f(x, acc=[]):\n"
-                      "    acc.append(x)\n    return acc\n")
-    code, out = run_cli([str(victim), "--no-schedule",
-                         "--baseline", str(baseline)])
-    assert code == 1
-    assert "REP004" in out and "REP001" not in out
-
-
 def test_repro_analyze_subcommand_forwards(capsys):
     out = io.StringIO()
     code = repro_main(["analyze", SRC, "--format", "json"], out=out)
     assert code == 0
     report = json.loads(out.getvalue())
     _validate(report, JSON_REPORT_SCHEMA)
-    assert report["summary"]["new"] == 0
+    assert report["summary"]["total"] == 0
 
 
 # -- pass selection (contracts / races) ----------------------------------------
@@ -128,7 +109,7 @@ def test_no_schedule_rejects_contracts_combination():
     assert code == 2
 
 
-def test_contract_findings_flow_through_baseline(tmp_path, monkeypatch):
+def test_contract_findings_flow_through_baseline(monkeypatch):
     import repro.analysis.schedule as schedule_mod
     from repro.analysis.findings import Finding
 
@@ -136,16 +117,12 @@ def test_contract_findings_flow_through_baseline(tmp_path, monkeypatch):
                                  "qsgd")]
     # splice a synthetic contract finding into the schedule row's runner
     # (the registry resolves it by module attribute at call time) so the
-    # full report/baseline path exercises the new source kind
+    # full report path exercises the source kind; with no allowlist to
+    # pass through, the finding fails the run
     monkeypatch.setattr(schedule_mod, "verify_schedules", lambda: injected)
-    baseline = tmp_path / "base.json"
-    code, out = run_cli(["--schedule-only", "--baseline", str(baseline),
-                         "--write-baseline"])
-    assert code == 0
-    code, out = run_cli(["--schedule-only", "--baseline", str(baseline)])
-    assert code == 0 and "(1 baselined)" in out
     code, out = run_cli(["--schedule-only"])
-    assert code == 1 and "contract[qsgd]: CON003" in out
+    assert code == 1
+    assert out == "contract[qsgd]: CON003 synthetic drift\n1 finding(s)\n"
 
 
 def test_json_report_includes_contract_and_race_findings():
@@ -232,8 +209,7 @@ def test_all_flag_runs_every_battery(monkeypatch, tmp_path):
     assert "plan[kmeans]: BWP001" in out
 
 
-def test_plan_findings_round_trip_through_json_and_baseline(tmp_path,
-                                                            monkeypatch):
+def test_plan_findings_round_trip_through_json_and_baseline(monkeypatch):
     import repro.analysis.plans as plans_mod
     from repro.analysis import JSON_REPORT_SCHEMA
     from repro.analysis.findings import Finding
@@ -248,13 +224,6 @@ def test_plan_findings_round_trip_through_json_and_baseline(tmp_path,
     report = json.loads(raw)
     _validate(report, JSON_REPORT_SCHEMA)
     assert report["findings"][0]["source"] == "plan"
-
-    baseline = tmp_path / "base.json"
-    code, _ = run_cli(["--plans", "--baseline", str(baseline),
-                       "--write-baseline"])
-    assert code == 0
-    code, out = run_cli(["--plans", "--baseline", str(baseline)])
-    assert code == 0 and "(1 baselined)" in out
 
 
 def test_shape_findings_render_with_world(monkeypatch):
@@ -298,8 +267,7 @@ def test_liveness_flag_skips_lint_paths():
     assert code == 0
 
 
-def test_liveness_findings_round_trip_through_json_and_baseline(tmp_path,
-                                                                monkeypatch):
+def test_liveness_findings_round_trip_through_json_and_baseline(monkeypatch):
     import repro.analysis.liveness as liveness_mod
     from repro.analysis.findings import Finding
 
@@ -314,13 +282,6 @@ def test_liveness_findings_round_trip_through_json_and_baseline(tmp_path,
     report = json.loads(raw)
     _validate(report, JSON_REPORT_SCHEMA)
     assert report["findings"][0]["source"] == "liveness"
-
-    baseline = tmp_path / "base.json"
-    code, _ = run_cli(["--liveness", "--baseline", str(baseline),
-                       "--write-baseline"])
-    assert code == 0
-    code, out = run_cli(["--liveness", "--baseline", str(baseline)])
-    assert code == 0 and "(1 baselined)" in out
 
 
 def test_liveness_battery_findings_render_with_scheme_and_world(monkeypatch):
@@ -373,8 +334,7 @@ def test_sched_battery_findings_render_with_scheme_and_jobs(monkeypatch):
     assert "sched[packed-static@jobs=12]: SCD005" in out
 
 
-def test_sched_findings_round_trip_through_json_and_baseline(tmp_path,
-                                                             monkeypatch):
+def test_sched_findings_round_trip_through_json_and_baseline(monkeypatch):
     import repro.analysis.sched as sched_mod
     from repro.analysis.findings import Finding
 
@@ -389,13 +349,6 @@ def test_sched_findings_round_trip_through_json_and_baseline(tmp_path,
     report = json.loads(raw)
     _validate(report, JSON_REPORT_SCHEMA)
     assert report["findings"][0]["source"] == "sched"
-
-    baseline = tmp_path / "base.json"
-    code, _ = run_cli(["--sched", "--baseline", str(baseline),
-                       "--write-baseline"])
-    assert code == 0
-    code, out = run_cli(["--sched", "--baseline", str(baseline)])
-    assert code == 0 and "(1 baselined)" in out
 
 
 # -- a finding's presentation is a table row -----------------------------------
@@ -497,7 +450,7 @@ def test_repro_analyze_equals_python_m_repro_analysis(argv, stubbed,
     assert (code, out.getvalue()) == (direct_code, direct_out)
     assert capsys.readouterr().err == direct_err
     if stubbed:
-        assert code == 1 and json.loads(direct_out)["summary"]["new"] == 1
+        assert code == 1 and json.loads(direct_out)["summary"]["total"] == 1
 
 
 def test_repro_cli_declares_no_analysis_flag_of_its_own():

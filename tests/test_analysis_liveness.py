@@ -1,27 +1,24 @@
-"""Liveness certifier: every DLV rule fires on a fixture, the DPOR
-explorer prunes the interleaving space to a sliver of the factorial
-bound, and the full (scheme x world x campaign) battery certifies
-clean."""
+"""Liveness certifier: every DLV rule fires on a fixture, the one fair
+execution ends where every interleaving ends (checked against a
+brute-force enumeration), and the full (scheme x world x campaign)
+battery certifies clean."""
 
+import functools
 import textwrap
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.explore import (
     Op,
     build_programs,
-    explore,
     fair_schedule,
-    greedy_run,
-    interleaving_bound,
     phase_segments,
 )
 from repro.analysis.liveness import (
     DLV_RULES,
     analyze_segment,
     analyze_trace_liveness,
-    explore_segment,
-    fair_segment,
     lint_blocking,
     lint_blocking_source,
     verify_liveness,
@@ -88,23 +85,31 @@ def test_dlv001_cyclic_deadlock_flagged():
 
 
 def test_dlv001_through_full_trace_pipeline():
-    trace = trace_of(lambda: None)
     with capture() as trace:
         with phase_scope("step"):
+            # a matched exchange first: the cycle is reached after progress
+            emit_send(0, 1, 8, step=0, tag="warmup")
+            emit_recv(1, 0, 8, step=0, tag="warmup")
             cyclic_deadlock()
     findings = analyze_trace_liveness(trace, CASE_PATH, scheme="toy",
                                       world=2)
-    # the wait-for analysis diagnoses the cycle; the explorer
-    # independently certifies a deadlocking interleaving is reachable
-    assert {"DLV001", "DLV004"} <= rules_of(findings)
+    # one execution decides every interleaving: the cycle is reported
+    # once, by the wait-for analysis
+    assert rules_of(findings) == {"DLV001"}
+    (finding,) = findings
+    assert "wait-for cycle 0 -> 1 -> 0" in finding.message
+    assert "recv 1->0 step 0 (tag 'x'" in finding.message
 
 
 def test_greedy_run_is_stuck_on_the_cycle():
     trace = trace_of(cyclic_deadlock)
-    result = greedy_run(build_programs(trace.events))
+    result = fair_schedule(build_programs(trace.events))
     assert not result.completed
     assert set(result.blocked) == {0, 1}
     assert all(op.kind == "recv" for op in result.blocked.values())
+    # each stuck rank still holds the send its peer waits on
+    assert [op.kind for op in result.remaining[0]] == ["recv", "send"]
+    assert not result.residue
 
 
 # -- DLV002: orphan endpoints --------------------------------------------------
@@ -161,64 +166,79 @@ def test_dlv003_not_applied_outside_excluded_phases():
     assert "DLV003" not in rules_of(findings)
 
 
-# -- DLV004: interleaving exploration ------------------------------------------
+# -- one execution decides every interleaving ----------------------------------
 
-def test_explorer_reaches_the_deadlock():
-    trace = trace_of(cyclic_deadlock)
-    findings = explore_segment("step", trace.events, CASE_PATH)
-    assert rules_of(findings) == {"DLV004"}
-    assert any("deadlocks" in f.message for f in findings)
+@st.composite
+def message_programs(draw):
+    """Eager-send / blocking-recv programs: 2-3 ranks, at most 8 ops.
 
-
-def test_explorer_budget_exhaustion_is_reported_not_swallowed():
-    # a real scheme trace needs dozens of transitions; a budget of one
-    # cannot certify it and must say so
-    trace, _ = trace_case(SchemeCase("sra", 3))
-    findings = explore_segment("verify", trace.events, CASE_PATH, budget=1)
-    assert rules_of(findings) == {"DLV004"}
-    assert any("budget" in f.message for f in findings)
-
-
-def test_duplicate_keys_branch_clean_traces_do_not():
-    """Two same-key sends racing two same-key recvs genuinely branch
-    (send-send-recv-recv vs send-recv-send-recv); unique-key schedules
-    collapse to a single Mazurkiewicz trace."""
-    def duplicated():
-        emit_send(0, 1, 8, 0, "k")
-        emit_send(0, 1, 8, 0, "k")
-        emit_recv(1, 0, 8, 0, "k")
-        emit_recv(1, 0, 8, 0, "k")
-
-    programs = build_programs(trace_of(duplicated).events)
-    result = explore(programs)
-    assert result.interleavings == 2
-    assert result.deadlock_free and result.conserved
-    assert interleaving_bound(programs) == 6
+    Two tags and one step make duplicate match keys common; a send and
+    a recv are drawn independently, so orphan endpoints are too.
+    """
+    world = draw(st.integers(2, 3))
+    programs = {rank: [] for rank in range(world)}
+    for _ in range(draw(st.integers(0, 8))):
+        owner = draw(st.integers(0, world - 1))
+        peer = draw(st.integers(0, world - 2))
+        peer += peer >= owner                       # any rank but the owner
+        kind = draw(st.sampled_from(("send", "recv")))
+        src, dst = (owner, peer) if kind == "send" else (peer, owner)
+        programs[owner].append(Op(kind, (src, dst, 0, 8,
+                                         draw(st.sampled_from("ab")))))
+    return {rank: tuple(ops) for rank, ops in programs.items()}
 
 
-@pytest.mark.parametrize("scheme", ["ring", "tree"])
-def test_dpor_count_is_a_sliver_of_the_factorial_bound(scheme):
-    trace, _ = trace_case(SchemeCase(scheme, 4))
-    programs = build_programs(trace.events)
-    result = explore(programs)
-    assert result.deadlock_free and result.conserved
-    bound = interleaving_bound(programs)
-    # unique match keys: one representative interleaving suffices, out
-    # of an astronomically larger naive schedule space (sleep sets
-    # still *fire* transitions into branches before cutting them, so
-    # compare work done, not just completions)
-    assert result.interleavings == 1
-    assert bound > 10 ** 5                     # tree ~2e5, ring ~1e25
-    assert result.transitions < 10_000
-    assert result.transitions * 20 < bound
-    assert result.sleep_pruned > 0
+def every_terminal_state(programs):
+    """``(remaining, residue)`` at the end of every maximal interleaving.
+
+    The brute-force reference: a depth-first walk over every enabled
+    operation of every rank, memoized on the (program counters,
+    mailbox) state, so each state's set of reachable ends is computed
+    once.  ``remaining`` lists each unfinished rank's unexecuted ops.
+    """
+    ranks = sorted(programs)
+
+    @functools.lru_cache(maxsize=None)
+    def ends(pcs, mailbox):
+        box = dict(mailbox)
+        out = set()
+        for i, rank in enumerate(ranks):
+            if pcs[i] == len(programs[rank]):
+                continue
+            op = programs[rank][pcs[i]]
+            if op.kind == "recv" and not box.get(op.key):
+                continue
+            after = dict(box)
+            after[op.key] = after.get(op.key, 0) + (
+                1 if op.kind == "send" else -1)
+            after = {key: n for key, n in after.items() if n}
+            out |= ends(pcs[:i] + (pcs[i] + 1,) + pcs[i + 1:],
+                        tuple(sorted(after.items())))
+        if not out:                        # nothing enabled: maximal
+            remaining = tuple((rank, programs[rank][pc:])
+                              for rank, pc in zip(ranks, pcs)
+                              if pc < len(programs[rank]))
+            out = {(remaining, mailbox)}
+        return frozenset(out)
+
+    return ends(tuple(0 for _ in ranks), ())
 
 
-def test_explored_residue_counts_are_conserved():
-    trace, _ = trace_case(SchemeCase("sra", 3))
-    result = explore(build_programs(trace.events))
-    assert result.conserved
-    assert result.residues == [()]  # every send consumed, all orders
+@settings(max_examples=300, deadline=None)
+@given(message_programs())
+def test_the_fair_run_ends_where_every_interleaving_ends(programs):
+    run = fair_schedule(programs)
+    fair_end = (tuple(sorted(run.remaining.items())),
+                tuple(sorted(run.residue.items())))
+    ends = every_terminal_state(programs)
+    stuck = {end for end in ends if end[0]}
+    # some interleaving deadlocks exactly when the fair run is stuck
+    assert bool(stuck) == (not run.completed)
+    # every stuck maximal interleaving ends in the fair run's state
+    assert stuck <= {fair_end}
+    # every completing interleaving leaves the fair run's residue
+    assert all(residue == fair_end[1]
+               for remaining, residue in ends if not remaining)
 
 
 # -- DLV005: bounded wait + carry drains ---------------------------------------
@@ -228,9 +248,9 @@ def test_fair_schedule_completes_within_bound_for_real_schemes():
     for label, events in phase_segments(trace):
         programs = build_programs(events)
         result = fair_schedule(programs)
-        assert result.completed
+        assert result.completed and not result.residue
         assert result.max_wait <= result.bound(4)
-    assert fair_segment("step", trace.events, CASE_PATH, world=4) == []
+        assert analyze_segment(label, events, CASE_PATH, world=4) == []
 
 
 def test_dlv005_convoy_wait_beyond_bound_flagged():
@@ -245,8 +265,8 @@ def test_dlv005_convoy_wait_beyond_bound_flagged():
             emit_send(i, i + 1, 8, 0, f"chain{i}")
         emit_recv(links, links - 1, 8, 0, f"chain{links - 1}")
 
-    findings = fair_segment("step", trace_of(relay).events, CASE_PATH,
-                            world=2)
+    findings = analyze_segment("step", trace_of(relay).events, CASE_PATH,
+                               world=2)
     assert rules_of(findings) == {"DLV005"}
     assert any("fair scheduler rounds" in f.message for f in findings)
 

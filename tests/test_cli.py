@@ -195,3 +195,23 @@ def test_faults_prints_every_nonzero_counter(monkeypatch):
     assert printed == {name: value for name, value in summary.items()
                        if value}
     assert printed["corrupt_delivered"] > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["sched", "--models", "nope"],
+    ["sched", "--worlds", "2,x"],
+    ["faults", "spot-churn", "--world", "2"],
+    ["faults", "--list", "--world", "2"],
+], ids=["sched-model", "sched-worlds", "faults-world", "faults-list-world"])
+def test_bad_input_is_a_one_line_usage_error(argv, capsys):
+    code, text = run_cli(argv)
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_sched_policy_is_a_parser_choice(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sched", "--policy", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err

@@ -213,7 +213,8 @@ def test_a_pair_with_no_links_binds_to_one_empty_route(policy):
         assert walk(2, 2, 64, 1.0, job=5) == 1.0
         assert walk(2, 2, 64, 1.0, None, 0.5) == 1.0
     assert net._routes == {} and net.pool.resources() == {}
-    assert net.job_byte_tags() == {} and net.trace == []
+    assert net.total_transferred_bytes() == 0 and net.trace == []
+    assert net.transferred_bytes(5) == net.transferred_bytes(None) == 0
     # the binder itself still gives such a pair one empty route, under
     # either policy, and committing it costs nothing
     route, = net._resolve_route(2, 2)

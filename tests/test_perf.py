@@ -1,12 +1,15 @@
 """Tests for the step-time performance model against the paper's shapes."""
 
+import argparse
+
 import pytest
 
+from repro.cli import METHODS, _method_setup
 from repro.cluster import get_machine, make_cluster
 from repro.compression import CompressionSpec
 from repro.core import CGXConfig
 from repro.core.qnccl import qnccl_config
-from repro.models import build_spec
+from repro.models import available_specs, build_spec
 from repro.training import (
     simulate_machine_step,
     simulate_step,
@@ -26,6 +29,19 @@ def test_single_gpu_has_no_comm():
     t = run(RTX, "resnet50", CGXConfig.cgx_default(), n_gpus=1)
     assert t.wire_bytes == 0
     assert t.scaling_efficiency == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_one_gpu_step_is_never_shorter_than_its_compute(method):
+    """One GPU exchanges no gradient, so no method may shorten the step
+    below its compute (PowerSGD's fp32 penalty used to apply to the
+    compute but not to the step)."""
+    config, mode = _method_setup(argparse.Namespace(method=method, bits=4,
+                                                    bucket_size=128))
+    for model in available_specs():
+        t = run(RTX, model, config, n_gpus=1, plan_mode=mode)
+        assert t.step_time >= t.compute_time, model
+        assert t.step_time == t.ideal_step_time
 
 
 def test_efficiency_bounded_by_one():
