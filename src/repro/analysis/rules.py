@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import ast
 import os
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import replace
 from typing import Callable, Iterable, Iterator
 
@@ -166,6 +166,7 @@ class _FileChecker:
         self.findings.append(self.file.finding(rule, node, message))
 
     def run(self) -> list[Finding]:
+        functions: list[ast.FunctionDef | ast.AsyncFunctionDef] = []
         for node in ast.walk(self.file.tree):
             if isinstance(node, ast.Compare):
                 self._check_float_equality(node)
@@ -173,19 +174,19 @@ class _FileChecker:
                 self._check_default_dtype(node)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._check_mutable_defaults(node)
+                functions.append(node)
             elif isinstance(node, ast.ExceptHandler) and node.type is None:
                 self.emit("REP005", node,
                           "bare 'except:' swallows every error including "
                           "KeyboardInterrupt; name the exceptions")
         self._check_scope(self.file.tree.body, params=())
-        for node in ast.walk(self.file.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                args = node.args
-                params = tuple(
-                    a.arg for a in (args.posonlyargs + args.args
-                                    + args.kwonlyargs)
-                ) + tuple(a.arg for a in (args.vararg, args.kwarg) if a)
-                self._check_scope(node.body, params=params)
+        for node in functions:
+            args = node.args
+            params = tuple(
+                a.arg for a in (args.posonlyargs + args.args
+                                + args.kwonlyargs)
+            ) + tuple(a.arg for a in (args.vararg, args.kwarg) if a)
+            self._check_scope(node.body, params=params)
         return self.findings
 
     # -- REP001 ------------------------------------------------------
@@ -252,7 +253,7 @@ class _FileChecker:
             if isinstance(stmt, ast.Assign):
                 self._track_assign(stmt, aliases, fresh, views)
                 self._check_state_alias(stmt, aliases, fresh)
-            elif isinstance(stmt, ast.For):
+            elif isinstance(stmt, (ast.For, ast.AsyncFor)):
                 self._track_loop(stmt, views)
             elif isinstance(stmt, ast.AugAssign):
                 root = _root_name(stmt.target)
@@ -263,22 +264,24 @@ class _FileChecker:
                               "on a .copy() or write via a fresh output")
 
     def _scope_statements(self, body: list[ast.stmt]) -> Iterator[ast.stmt]:
-        """All statements in this scope, not descending into defs."""
-        stack = list(body)
-        while stack:
-            stmt = stack.pop(0)
+        """All statements in this scope, not descending into defs.
+
+        Breadth-first: a block's statements, then its nested blocks, then
+        the bodies of its ``except``/``except*`` handlers and ``match``
+        cases.
+        """
+        queue = deque(body)
+        while queue:
+            stmt = queue.popleft()
             yield stmt
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
                 continue
-            for field_body in ("body", "orelse", "finalbody", "handlers"):
-                children = getattr(stmt, field_body, None)
-                if children:
-                    stack.extend(
-                        c for c in children if isinstance(c, ast.stmt))
-            if isinstance(stmt, (ast.Try,)):
-                for handler in stmt.handlers:
-                    stack.extend(handler.body)
+            for field_body in ("body", "orelse", "finalbody"):
+                queue.extend(getattr(stmt, field_body, ()))
+            for clause in (*getattr(stmt, "handlers", ()),
+                           *getattr(stmt, "cases", ())):
+                queue.extend(clause.body)
 
     def _track_assign(self, stmt: ast.Assign, aliases: set[str],
                       fresh: set[str], views: set[str]) -> None:
@@ -299,7 +302,8 @@ class _FileChecker:
                 else:
                     fresh.add(name)
 
-    def _track_loop(self, stmt: ast.For, views: set[str]) -> None:
+    def _track_loop(self, stmt: ast.For | ast.AsyncFor,
+                    views: set[str]) -> None:
         it = stmt.iter
         over_views = (
             _is_split_chunks_call(it)

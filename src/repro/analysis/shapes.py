@@ -15,11 +15,12 @@ calibration sweep against real serialized payloads.  Long form:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from repro.compression import CompressionSpec, Compressor
-from repro.core import CGXConfig, CommunicationEngine, Package
+from repro.core import CGXConfig, CommunicationEngine
 from repro.models import ModelSpec, available_specs, build_spec
 
 from .abstract import (PROBE_SHAPES, default_registry, execute_roundtrips,
@@ -273,7 +274,8 @@ def _check_plan(model_name: str, model: ModelSpec, packages: list,
     if dropped:
         out.emit("SHP001",
                  f"plan drops {len(dropped)} tensor(s): {dropped[:5]}")
-    duplicated = sorted({name for name in seen if seen.count(name) > 1})
+    duplicated = sorted(name for name, count in Counter(seen).items()
+                        if count > 1)
     if duplicated:
         out.emit("SHP001", f"plan reduces tensor(s) twice: {duplicated[:5]}")
     for layer_name in seen:
@@ -313,59 +315,67 @@ def _check_plan(model_name: str, model: ModelSpec, packages: list,
     return out
 
 
-def _check_chunks(model_name: str, package: Package, scheme: SchemeModel,
-                  world: int, method: str,
-                  node_of: "list[int] | None") -> list[Finding]:
-    """SHP003/SHP004: per-scheme chunk checks for one package."""
-    out = CellFindings("shape", SHAPE_RULES, f"{method}/{scheme.name}", world,
-                       f"<shape:{model_name}>")
-    numel = package.numel
-    whole_bytes = package.spec.wire_bytes(numel)
-    for phase, bounds in scheme.phases(numel, world, node_of):
-        where = f"package {package.name!r} phase {phase}"
+#: one chunk verdict: ``(rule, phase, detail)`` per violation, rendered
+#: per package as ``package <name> phase <phase>: <detail>``
+ChunkVerdict = tuple[tuple[str, str, str], ...]
+
+
+def _check_chunks(spec: CompressionSpec, numel: int, scheme: SchemeModel,
+                  world: int, node_of: "tuple[int, ...] | None"
+                  ) -> ChunkVerdict:
+    """SHP003/SHP004: per-scheme chunk checks for one package.
+
+    The verdict depends on exactly these arguments — never on the
+    package's name or the model it comes from — so it is decided once
+    per distinct fact and rendered per package by the caller.
+    """
+    out: list[tuple[str, str, str]] = []
+    whole_bytes = spec.wire_bytes(numel)
+    # the fact keys the node map as a tuple; a partition takes a list
+    nodes = list(node_of) if node_of is not None else None
+    for phase, bounds in scheme.phases(numel, world, nodes):
         cursor = 0
         sound = True
         if len(bounds) > world:
             extra = sum(
                 symbolic_wire_bytes(
-                    symbolic_payload(package.spec, end - start,
-                                     (end - start,)))
+                    symbolic_payload(spec, end - start, (end - start,)))
                 for start, end in bounds) - whole_bytes
-            out.emit("SHP004",
-                     f"{where}: partitions into {len(bounds)} chunks for "
-                     f"{world} ranks; per-chunk metadata inflates the wire "
-                     f"by {max(extra, 0)}B over the whole-buffer "
-                     f"{whole_bytes}B")
+            out.append(("SHP004", phase,
+                        f"partitions into {len(bounds)} chunks for "
+                        f"{world} ranks; per-chunk metadata inflates the wire "
+                        f"by {max(extra, 0)}B over the whole-buffer "
+                        f"{whole_bytes}B"))
             continue
         for start, end in bounds:
             if start != cursor or end < start:
-                out.emit("SHP004",
-                         f"{where}: chunk [{start}, {end}) breaks contiguous "
-                         f"coverage at offset {cursor}")
+                out.append(("SHP004", phase,
+                            f"chunk [{start}, {end}) breaks contiguous "
+                            f"coverage at offset {cursor}"))
                 sound = False
                 break
             if end == start and numel >= len(bounds):
-                out.emit("SHP004",
-                         f"{where}: empty chunk at offset {start} despite "
-                         f"{numel} elements across {len(bounds)} chunks")
+                out.append(("SHP004", phase,
+                            f"empty chunk at offset {start} despite "
+                            f"{numel} elements across {len(bounds)} chunks"))
                 sound = False
             cursor = end
         if sound and cursor != numel:
-            out.emit("SHP004",
-                     f"{where}: chunks cover {cursor} of {numel} elements")
+            out.append(("SHP004", phase,
+                        f"chunks cover {cursor} of {numel} elements"))
             sound = False
         if not sound:
             continue
         for start, end in bounds:
             chunk_numel = end - start
-            claimed = package.spec.wire_bytes(chunk_numel)
+            claimed = spec.wire_bytes(chunk_numel)
             symbolic = symbolic_wire_bytes(
-                symbolic_payload(package.spec, chunk_numel, (chunk_numel,)))
+                symbolic_payload(spec, chunk_numel, (chunk_numel,)))
             if claimed != symbolic:
-                out.emit("SHP003",
-                         f"{where}: chunk [{start}, {end}) claims {claimed}B "
-                         f"on the wire but serializes to {symbolic}B")
-    return out
+                out.append(("SHP003", phase,
+                            f"chunk [{start}, {end}) claims {claimed}B "
+                            f"on the wire but serializes to {symbolic}B"))
+    return tuple(out)
 
 
 def interpret_pipeline(
@@ -375,11 +385,19 @@ def interpret_pipeline(
     worlds: Sequence[int] = (4, 5),
     registry: "dict[str, type[Compressor]] | None" = None,
     model: ModelSpec | None = None,
+    verdicts: "dict[tuple, ChunkVerdict] | None" = None,
 ) -> list[Finding]:
-    """Abstractly execute one model through one config, all schemes."""
+    """Abstractly execute one model through one config, all schemes.
+
+    ``verdicts`` maps each chunk fact — ``_check_chunks``'s arguments —
+    to its verdict; :func:`verify_shapes` shares one map across its
+    battery, so each distinct fact is checked once, and a non-clean
+    verdict is still reported once per package.
+    """
     registry = registry or default_registry()
     schemes = schemes if schemes is not None else SCHEME_MODELS
     model = model or build_spec(model_name)
+    verdicts = {} if verdicts is None else verdicts
     method = config.compression.method
     engine = CommunicationEngine(config)
     packages = engine.plan(model.layer_infos())
@@ -387,17 +405,24 @@ def interpret_pipeline(
 
     for scheme in schemes.values():
         for world in worlds:
-            node_of = [rank // 2 for rank in range(world)] \
+            node_of = tuple(rank // 2 for rank in range(world)) \
                 if scheme.name == "hier" else None
+            cell = CellFindings("shape", SHAPE_RULES,
+                                f"{method}/{scheme.name}", world,
+                                f"<shape:{model_name}>")
             if scheme.accumulator_dtype != "float32":
-                out.append(Finding.semantic(
-                    "shape", "SHP002",
-                    f"scheme accumulates decoded chunks into "
-                    f"{scheme.accumulator_dtype}; gradients are fp32",
-                    f"{method}/{scheme.name}", world, f"<shape:{model_name}>"))
+                cell.emit("SHP002",
+                          f"scheme accumulates decoded chunks into "
+                          f"{scheme.accumulator_dtype}; gradients are fp32")
             for package in packages:
-                out.extend(_check_chunks(
-                    model_name, package, scheme, world, method, node_of))
+                fact = (package.spec, package.numel, scheme, world, node_of)
+                verdict = verdicts.get(fact)
+                if verdict is None:
+                    verdict = verdicts[fact] = _check_chunks(*fact)
+                for rule, phase, detail in verdict:
+                    cell.emit(rule, f"package {package.name!r} phase "
+                                    f"{phase}: {detail}")
+            out.extend(cell)
     return out
 
 
@@ -441,18 +466,19 @@ def verify_shapes(
         findings.extend(calibrate_payload_model(registry))
     names = list(models) if models is not None else available_specs()
     battery = list(specs) if specs is not None else battery_specs()
+    verdicts: dict[tuple, ChunkVerdict] = {}
     for name in names:
         model = build_spec(name)
         for spec in battery:
             config = CGXConfig(compression=spec)
             findings.extend(interpret_pipeline(
                 name, config, schemes=schemes, worlds=worlds,
-                registry=registry, model=model))
+                registry=registry, model=model, verdicts=verdicts))
     if include_adaptive:
         findings.extend(interpret_pipeline(
             "transformer_xl:adaptive",
             _adaptive_config(CompressionSpec("qsgd", bits=4,
                                              bucket_size=128)),
             schemes=schemes, worlds=worlds, registry=registry,
-            model=build_spec("transformer_xl")))
+            model=build_spec("transformer_xl"), verdicts=verdicts))
     return findings

@@ -25,6 +25,7 @@ tests/test_adaptive.py which re-validates the constant).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -114,24 +115,54 @@ def assignment_wire_fraction(stats: list[LayerStat],
 # alpha, the calibrated constant) is lifted to its exact binary value via
 # ``Fraction``, and the budget comparison is done on *squared* errors so
 # no irrational square root ever enters.  ``repro.analysis.plans``
-# (rule BWP001) certifies every solver through these hooks.
+# (rule BWP001) certifies every solver through these hooks.  A model-wide
+# error is a sum over layers of ``norm^2 * rel_err(width)^2``; the widths
+# are at most the seven of the quantizer ladder, so the squared norms are
+# summed per width first and each sum meets its width constant once.
 
-def exact_relative_error_sq(bits: int) -> Fraction:
-    """Squared relative QSGD error at a bit-width, as an exact rational."""
+def _exact_relative_error_sq(bits: int) -> Fraction:
     levels = 2 ** (bits - 1) - 1
     if levels < 1:
         raise ValueError(f"bits={bits} has no quantization levels")
     return (Fraction(_QSGD_C) / levels) ** 2
 
 
+_EXACT_REL_ERR_SQ = {bits: _exact_relative_error_sq(bits)
+                     for bits in range(2, 9)}
+
+
+def exact_relative_error_sq(bits: int) -> Fraction:
+    """Squared relative QSGD error at a bit-width, as an exact rational."""
+    known = _EXACT_REL_ERR_SQ.get(bits)
+    return known if known is not None else _exact_relative_error_sq(bits)
+
+
+def _norm_sq_per_width(stats: list[LayerStat],
+                       bits: dict[str, int]) -> dict[int, Fraction]:
+    """Exact sum of squared layer norms per assigned width.
+
+    Each norm is lifted to its exact ratio once; a width's terms are
+    summed as integers over their common denominator, so only one
+    ``Fraction`` is built per width.
+    """
+    terms: dict[int, list[tuple[int, int]]] = {}
+    for stat in stats:
+        num, den = stat.grad_norm.as_integer_ratio()
+        terms.setdefault(bits[stat.name], []).append((num * num, den * den))
+    sums: dict[int, Fraction] = {}
+    for width, squares in terms.items():
+        common = math.lcm(*(den for _, den in squares))
+        sums[width] = Fraction(sum(num * (common // den)
+                                   for num, den in squares), common)
+    return sums
+
+
 def exact_assignment_error_sq(stats: list[LayerStat],
                               bits: dict[str, int]) -> Fraction:
     """Exact squared model-wide error under a bit assignment."""
-    total = Fraction(0)
-    for stat in stats:
-        total += Fraction(stat.grad_norm) ** 2 \
-            * exact_relative_error_sq(bits[stat.name])
-    return total
+    return sum((total * exact_relative_error_sq(width)
+                for width, total in _norm_sq_per_width(stats, bits).items()),
+               Fraction(0))
 
 
 def exact_uniform_error_sq(stats: list[LayerStat], bits: int = 4) -> Fraction:
@@ -182,41 +213,44 @@ def brute_force_assign(
     budget_sq = Fraction(alpha) ** 2 * exact_uniform_error_sq(stats, 4)
     # large layers first: their cost dominates, so good bounds come early
     order = sorted(stats, key=lambda s: -s.numel)
-    err_sq = {  # per layer, per width: exact squared error contribution
-        s.name: [Fraction(s.grad_norm) ** 2 * exact_relative_error_sq(b)
-                 for b in ladder]
-        for s in order
-    }
+    rel_sq = [exact_relative_error_sq(b) for b in ladder]
+    exact = [[Fraction(s.grad_norm) ** 2 * r for r in rel_sq] for s in order]
+    # per layer, per width: exact squared error contribution, scaled with
+    # the budget to one common denominator so the search adds integers
+    scale = math.lcm(budget_sq.denominator,
+                     *(x.denominator for row in exact for x in row))
+    budget = budget_sq.numerator * (scale // budget_sq.denominator)
+    err_sq = [[x.numerator * (scale // x.denominator) for x in row]
+              for row in exact]
     # suffix lower bounds: cheapest possible remaining cost / lowest
     # possible remaining error, used to prune dominated branches
     n = len(order)
     min_cost_suffix = [0] * (n + 1)
-    min_err_suffix = [Fraction(0)] * (n + 1)
+    min_err_suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         min_cost_suffix[i] = min_cost_suffix[i + 1] + ladder[0] * order[i].numel
-        min_err_suffix[i] = min_err_suffix[i + 1] + err_sq[order[i].name][-1]
+        min_err_suffix[i] = min_err_suffix[i + 1] + err_sq[i][-1]
 
     best_cost = [assignment_cost_bits(stats, {s.name: ladder[-1]
                                               for s in stats}) + 1]
     best_choice: list[list[int]] = [[len(ladder) - 1] * n]
     choice = [0] * n
 
-    def descend(i: int, cost: int, err: Fraction) -> None:
+    def descend(i: int, cost: int, err: int) -> None:
         if cost + min_cost_suffix[i] >= best_cost[0]:
             return
-        if err + min_err_suffix[i] > budget_sq:
+        if err + min_err_suffix[i] > budget:
             return
         if i == n:
             best_cost[0] = cost
             best_choice[0] = choice.copy()
             return
-        layer = order[i]
+        numel, row = order[i].numel, err_sq[i]
         for level, width in enumerate(ladder):
             choice[i] = level
-            descend(i + 1, cost + width * layer.numel,
-                    err + err_sq[layer.name][level])
+            descend(i + 1, cost + width * numel, err + row[level])
 
-    descend(0, 0, Fraction(0))
+    descend(0, 0, 0)
     return {layer.name: ladder[best_choice[0][i]]
             for i, layer in enumerate(order)}
 
@@ -259,18 +293,25 @@ def _enforce_constraint(stats: list[LayerStat], bits: dict[str, int],
     budget_sq = Fraction(alpha) ** 2 \
         * exact_uniform_error_sq(stats, reference_bits)
     err_sq = exact_assignment_error_sq(stats, bits)
+    # (layer position, ladder level) -> float score of the bump from that
+    # level, filled on first use: a bump's score never changes
+    gains: dict[tuple[int, int], float] = {}
     for _ in range(len(stats) * len(ladder)):
         if err_sq <= budget_sq:
             break
         best, best_gain = None, 0.0
-        for stat in stats:
+        for pos, stat in enumerate(stats):
             idx = ladder.index(bits[stat.name])
             if idx == len(ladder) - 1:
                 continue
-            err_now = stat.grad_norm * estimate_relative_error(ladder[idx])
-            err_next = stat.grad_norm * estimate_relative_error(ladder[idx + 1])
-            cost = (ladder[idx + 1] - ladder[idx]) * stat.numel
-            gain = (err_now**2 - err_next**2) / max(1, cost)
+            gain = gains.get((pos, idx))
+            if gain is None:
+                err_now = stat.grad_norm * estimate_relative_error(ladder[idx])
+                err_next = stat.grad_norm * estimate_relative_error(
+                    ladder[idx + 1])
+                cost = (ladder[idx + 1] - ladder[idx]) * stat.numel
+                gain = gains[pos, idx] = (err_now**2 - err_next**2) \
+                    / max(1, cost)
             if gain > best_gain:
                 best, best_gain = stat, gain
         if best is None:

@@ -1,11 +1,16 @@
 """Race detector: every RACE rule fires on a fixture, message ordering
 suppresses false positives, and all registered schemes are race-free."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.analysis.findings import CellFindings, sort_findings
 from repro.analysis.races import (
     RACE_RULES,
+    _ancestor_sets,
     analyze_callable,
     analyze_trace,
     verify_races,
@@ -18,6 +23,9 @@ from repro.collectives import (
     store_chunk,
 )
 from repro.collectives.trace import (
+    BufferAccess,
+    ScheduleTrace,
+    TraceEvent,
     capture,
     emit_buffer_read,
     emit_buffer_write,
@@ -190,6 +198,88 @@ def test_injected_aliasing_bug_in_toy_reduction_caught():
     assert len(findings) == 1  # exactly the ranks the off-by-one aliases
     assert "rank 1" in findings[0].message
     assert "rank 2" in findings[0].message
+
+
+# -- alias-first pairing equals the all-pairs definition -----------------------
+
+def all_pairs_reference(trace, scheme, world):
+    """The detector by definition: test every pair of buffer accesses."""
+    out = CellFindings("race", RACE_RULES, scheme, world)
+    anc = _ancestor_sets(trace.timeline)
+    nodes = [(i, item) for i, item in enumerate(trace.timeline)
+             if isinstance(item, BufferAccess)]
+    races = Counter()
+    for pos, (i, a) in enumerate(nodes):
+        for j, b in nodes[pos + 1:]:
+            if a.rank == b.rank or not (a.is_write or b.is_write):
+                continue
+            if not a.aliases(b) or (anc[j] >> i) & 1 or (anc[i] >> j) & 1:
+                continue
+            rule = ("RACE003" if a.space == "state" else
+                    "RACE001" if a.is_write and b.is_write else "RACE002")
+            races[rule, a.kind, b.kind, a.rank, b.rank, a.buffer,
+                  b.buffer] += 1
+    for (rule, kind_a, kind_b, rank_a, rank_b, buf_a, buf_b), count \
+            in sorted(races.items()):
+        where = (f"state key {buf_a}" if rule == "RACE003"
+                 else f"aliased memory ({buf_a!r} / {buf_b!r})")
+        out.emit(rule, f"rank {rank_a} {kind_a} and rank {rank_b} {kind_b} "
+                       f"on {where} with no happens-before ordering "
+                       f"({count} occurrence(s))")
+    return sort_findings(out)
+
+
+@st.composite
+def random_timelines(draw):
+    """2-4 ranks; mem spans fresh, equal, nested, adjacent or empty;
+    repeated state labels; sends each matched by a later recv."""
+    world = draw(st.integers(2, 4))
+    rank = st.integers(0, world - 1)
+    trace = ScheduleTrace()
+    spans = [(0, 8)]
+    in_flight = []
+    for step in range(draw(st.integers(0, 30))):
+        op = draw(st.sampled_from(["mem", "mem", "state", "send", "recv"]))
+        if op == "mem":
+            start, end = draw(st.sampled_from(spans))
+            shape = draw(st.sampled_from(
+                ["fresh", "equal", "nested", "adjacent", "empty"]))
+            if shape == "fresh":
+                start = draw(st.integers(0, 24))
+                end = start + draw(st.integers(1, 8))
+            elif shape == "nested" and end - start > 1:
+                start, end = start + 1, end - 1
+            elif shape == "adjacent":
+                start, end = end, end + draw(st.integers(1, 4))
+            elif shape == "empty":
+                end = start = draw(st.integers(start, end))
+            spans.append((start, end))
+            trace.record_access(BufferAccess(
+                draw(st.sampled_from(["read", "write", "update"])),
+                draw(rank), "mem", f"buf{start}", start, end, "t"))
+        elif op == "state":
+            trace.record_access(BufferAccess(
+                draw(st.sampled_from(["read", "update"])), draw(rank),
+                "state", draw(st.sampled_from(["k0", "k1", "k2"])), 0, 0,
+                "t"))
+        elif op == "send":
+            src, dst = draw(rank), draw(rank)
+            message = TraceEvent("send", step, src, dst, 8, "m")
+            trace.record(message)
+            in_flight.append(message)
+        elif in_flight:
+            sent = in_flight.pop(draw(st.integers(0, len(in_flight) - 1)))
+            trace.record(TraceEvent("recv", sent.step, sent.src, sent.dst,
+                                    8, "m"))
+    return trace, world
+
+
+@given(random_timelines())
+@settings(max_examples=150, deadline=None)
+def test_alias_first_pairing_matches_all_pairs(case):
+    trace, world = case
+    assert analyze_trace(trace, "fuzz", world) == \
+        all_pairs_reference(trace, "fuzz", world)
 
 
 # -- registered schemes are race-free ------------------------------------------

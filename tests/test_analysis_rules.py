@@ -111,6 +111,54 @@ def test_rep006_copies_and_output_stores_are_clean():
     assert [f.rule for f in lint_source(loop)] == ["REP006"]
 
 
+VIEW_SETUP = (
+    "def f(buf, mode):\n"
+    "    chunks = split_chunks(buf, 4)\n"
+)
+
+
+@pytest.mark.parametrize("block", [
+    "    match mode:\n"
+    "        case 1:\n"
+    "            chunks[0] += 1\n",
+    "    try:\n"
+    "        pass\n"
+    "    except* ValueError:\n"
+    "        chunks[0] += 1\n",
+    "    try:\n"
+    "        pass\n"
+    "    except ValueError:\n"
+    "        chunks[0] += 1\n",
+], ids=["match", "except-star", "except"])
+def test_rep006_reaches_match_cases_and_every_handler(block):
+    src = VIEW_SETUP + block
+    found = lint_source(src)
+    # the in-place statement is the block's last line
+    assert [(f.rule, f.line) for f in found] == [("REP006", src.count("\n"))]
+
+
+def test_rep003_reaches_match_cases_and_star_handlers():
+    for block in ("    match mode:\n"
+                  "        case _:\n"
+                  "            self._residuals[mode] = grad\n",
+                  "    try:\n"
+                  "        pass\n"
+                  "    except* KeyError:\n"
+                  "        self._residuals[mode] = grad\n"):
+        src = "def put(self, grad, mode):\n" + block
+        assert [(f.rule, f.line) for f in lint_source(src)] == [
+            ("REP003", src.count("\n"))]
+
+
+def test_rep006_tracks_async_for_views():
+    src = (
+        "async def f(buf):\n"
+        "    async for view in split_chunks(buf, 4):\n"
+        "        view += 1\n"
+    )
+    assert [(f.rule, f.line) for f in lint_source(src)] == [("REP006", 3)]
+
+
 def test_fingerprints_are_stable_across_line_shifts():
     a = lint_source("x = 1.0 == y\n", path="m.py")[0]
     b = lint_source("# moved down\n\nx = 1.0 == y\n", path="m.py")[0]

@@ -147,22 +147,17 @@ def test_short_partition_fires_shp004():
 def test_shattering_partition_fires_metadata_inflation():
     # 64-element chunks for 4 ranks: every chunk pays the max(1, ...)
     # sparsifier floor, and the chunk count is unmoored from the world
-    from types import SimpleNamespace
-
     from repro.analysis.shapes import _check_chunks
-
-    package = SimpleNamespace(name="fc", numel=100_000,
-                              spec=CompressionSpec("topk", density=0.001))
 
     def shatter(numel, world, node_of):
         return [("shatter", [(i, min(i + 64, numel))
                              for i in range(0, numel, 64)])]
 
-    findings = _check_chunks("tiny", package,
-                             SchemeModel("shatter", shatter),
-                             4, "topk", None)
-    assert "SHP004" in rules_of(findings)
-    assert any("inflates" in f.message for f in findings)
+    verdict = _check_chunks(CompressionSpec("topk", density=0.001), 100_000,
+                            SchemeModel("shatter", shatter), 4, None)
+    assert [(rule, phase) for rule, phase, _ in verdict] == [
+        ("SHP004", "shatter")]
+    assert "inflates" in verdict[0][2]
 
 
 def test_fp16_accumulator_fires_shp002():
@@ -254,3 +249,72 @@ def test_findings_carry_shape_source_and_world():
     assert sample.source == "shape"
     assert sample.path == "<shape:vgg16>"
     assert all(f.world in (0, 4) for f in findings)
+
+
+# -- one verdict per distinct chunk fact --------------------------------------
+
+def gappy(numel, world, node_of):
+    half = numel // 2
+    return [("gap", [(0, half), (half + 1, numel)])]
+
+
+def per_package_reference(model_name, spec, schemes, worlds):
+    """The battery by definition: every package checked on its own."""
+    from repro.analysis.shapes import _check_chunks, _check_plan
+    from repro.analysis.findings import Finding
+    from repro.core import CommunicationEngine
+    from repro.models import build_spec
+
+    model = build_spec(model_name)
+    packages = CommunicationEngine(CGXConfig(compression=spec)).plan(
+        model.layer_infos())
+    facts = {(p.spec, p.numel) for p in packages}
+    assert len(facts) < len(packages)  # repeated sizes: the memo is hit
+    out = list(_check_plan(model_name, model, packages, spec.method,
+                           default_registry()))
+    for scheme in schemes.values():
+        for world in worlds:
+            node_of = tuple(rank // 2 for rank in range(world)) \
+                if scheme.name == "hier" else None
+            for package in packages:
+                for rule, phase, detail in _check_chunks(
+                        package.spec, package.numel, scheme, world, node_of):
+                    out.append(Finding.semantic(
+                        "shape", rule,
+                        f"package {package.name!r} phase {phase}: {detail}",
+                        f"{spec.method}/{scheme.name}", world,
+                        f"<shape:{model_name}>"))
+    return out
+
+
+@pytest.mark.parametrize("model_name", ["vgg16", "resnet50"])
+@pytest.mark.parametrize("tamper", ["gappy", "overclaiming"])
+def test_shared_verdicts_render_per_package_findings(model_name, tamper):
+    if tamper == "gappy":
+        spec, schemes = CompressionSpec("qsgd"), {
+            "gap": SchemeModel("gap", gappy)}
+    else:
+        spec, schemes = OverclaimingSpec("qsgd", bits=4), SCHEME_MODELS
+    findings = verify_shapes(models=[model_name], specs=[spec],
+                             schemes=schemes, worlds=(4, 5), calibrate=False,
+                             include_adaptive=False)
+    expected = per_package_reference(model_name, spec, schemes, (4, 5))
+    assert findings  # the tamper is caught
+    assert [(f.rule, f.message, f.scheme, f.world, f.path)
+            for f in findings] == [(f.rule, f.message, f.scheme, f.world,
+                                    f.path) for f in expected]
+
+
+def test_default_battery_checks_each_chunk_fact_once(monkeypatch):
+    from repro.analysis import shapes
+
+    calls = []
+    check = shapes._check_chunks
+
+    def counting(*fact):
+        calls.append(fact)
+        return check(*fact)
+
+    monkeypatch.setattr(shapes, "_check_chunks", counting)
+    assert verify_shapes() == []
+    assert len(calls) == len(set(calls)) == 4056
