@@ -12,7 +12,7 @@ from repro.compression import Compressor
 
 from .allgather import allgather_allreduce
 from .base import (ReduceStats, accumulate_chunk, check_buffers, chunk_bounds,
-                   compress_chunk, decompress_chunk, split_chunks, store_chunk)
+                   split_chunks, store_chunk)
 from .hierarchical import hierarchical_allreduce
 from .parameter_server import ps_allreduce
 from .partial import PartialAllreduce
@@ -142,7 +142,7 @@ def run_cell(cell: SchemeCell, buffers: list[np.ndarray],
 
 __all__ = [
     "ReduceStats", "chunk_bounds", "check_buffers", "split_chunks",
-    "compress_chunk", "decompress_chunk", "accumulate_chunk", "store_chunk",
+    "accumulate_chunk", "store_chunk",
     "sra_allreduce", "ring_allreduce", "tree_allreduce",
     "allgather_allreduce", "ps_allreduce", "hierarchical_allreduce",
     "ALGORITHMS", "allreduce",

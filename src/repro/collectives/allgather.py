@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.compression import Compressor
 
-from .base import ReduceStats, broadcast_chunk, check_buffers
+from .base import Broadcast, ReduceStats, broadcast_chunks, check_buffers
 from .trace import declare_buffer
 
 __all__ = ["allgather_allreduce"]
@@ -35,12 +35,11 @@ def allgather_allreduce(
         declare_buffer(rank, buf, name=f"{key}/input")
 
     # one encode per rank, broadcast to its world-1 peers
-    decoded = [
-        broadcast_chunk(compressor, rng, stats, buffers[rank].ravel(),
-                        f"{key}/{rank}", rank,
-                        [(rank, dst, 0) for dst in range(world) if dst != rank],
-                        f"bcast/{rank}")
-        for rank in range(world)]
+    decoded = broadcast_chunks(compressor, rng, stats, [
+        Broadcast(buffers[rank].ravel(), f"{key}/{rank}", rank,
+                  [(rank, dst, 0) for dst in range(world) if dst != rank],
+                  f"bcast/{rank}")
+        for rank in range(world)])
 
     total = np.sum(decoded, axis=0, dtype=np.float32)
     stats.max_recompressions = 1

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, NamedTuple, Protocol, Sequence
+from typing import Iterator, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -28,9 +28,9 @@ from .trace import (emit_buffer_read, emit_buffer_update, emit_buffer_write,
                     emit_recv, emit_send, emit_state_use, tracing_active)
 
 __all__ = ["ReduceStats", "chunk_bounds", "split_chunks", "check_buffers",
-           "compress_chunk", "decompress_chunk", "accumulate_chunk",
-           "store_chunk", "wire_faults", "deliver_chunk",
-           "Message", "send_chunks", "broadcast_chunk"]
+           "accumulate_chunk", "store_chunk", "wire_faults", "deliver_chunk",
+           "Message", "send_chunks", "Broadcast", "broadcast_chunks",
+           "broadcast_chunk"]
 
 
 @dataclass
@@ -158,30 +158,30 @@ def _uses_keyed_state(compressor: Compressor) -> bool:
     return bool(contract is not None and contract.stateful)
 
 
-def compress_chunk(compressor: Compressor, chunk: np.ndarray,
-                   rng: np.random.Generator, key: str, stats: ReduceStats,
-                   rank: int | None = None, tag: str = "") -> Compressed:
-    """Compress one chunk, counting the kernel call; returns the wire
-    object.  No bytes are booked here — an encoding nobody receives
-    crosses no wire; the message primitives book per send.
-
-    ``rank`` attributes the access under an active trace: a buffer read
-    of ``chunk``, plus a state use of ``key`` when the compressor keeps
-    per-key state (error feedback, PowerSGD/DGC accumulators).
-    """
-    if rank is not None and tracing_active():
-        emit_buffer_read(rank, chunk, tag=tag or str(key))
-        if _uses_keyed_state(compressor):
-            emit_state_use(rank, key, tag=tag or str(key))
-    compressed = compressor.compress(chunk, rng, key=key)
-    stats.compress_calls += 1
-    return compressed
+def _encode(compressor: Compressor, rng: np.random.Generator,
+            stats: ReduceStats, chunks: Sequence[np.ndarray],
+            keys: Sequence[str]) -> list[Compressed]:
+    """Encode ``chunks`` in one pass, counting one kernel call a chunk.
+    No bytes are booked here — an encoding nobody receives crosses no
+    wire; the message primitives book per send."""
+    stats.compress_calls += len(chunks)
+    return compressor.compress_many(chunks, rng, keys)
 
 
-def decompress_chunk(compressor: Compressor, compressed: Compressed,
-                     stats: ReduceStats) -> np.ndarray:
-    stats.decompress_calls += 1
-    return compressor.decompress(compressed)
+def _decode(compressor: Compressor, stats: ReduceStats,
+            wires: Sequence[Compressed]) -> list[np.ndarray]:
+    stats.decompress_calls += len(wires)
+    return compressor.decompress_many(wires)
+
+
+def _emit_encode(keyed: bool, rank: int, chunk: np.ndarray, key: str,
+                 tag: str) -> None:
+    """The accesses one encode makes under an active trace: a buffer
+    read of ``chunk``, plus a state use of ``key`` when the compressor
+    keeps per-key state (error feedback, PowerSGD/DGC accumulators)."""
+    emit_buffer_read(rank, chunk, tag=tag or key)
+    if keyed:
+        emit_state_use(rank, key, tag=tag or key)
 
 
 def accumulate_chunk(target: np.ndarray, value: np.ndarray,
@@ -209,10 +209,18 @@ def store_chunk(target: np.ndarray, value: np.ndarray,
 # here: encode -> book the bytes per edge -> emit_send -> deliver_chunk
 # -> decode -> emit_recv.  Bytes are booked where they are sent, so
 # ``wire_bytes`` equals the traced send bytes on every cell.
+#
+# A call encodes every chunk it is handed in one compress_many and
+# decodes every delivered payload in one decompress_many: the quantizer
+# runs once per round, not once per chunk.  The trace records only name
+# byte spans, so they are emitted in schedule order apart from the
+# arithmetic, and the channel sees each payload where it always did.
 
 class Message(NamedTuple):
     """One point-to-point payload: ``chunk`` of ``src``, encoded under the
-    compressor state ``key``, for ``dst`` at schedule ``step``."""
+    compressor state ``key``, for ``dst`` at schedule ``step``; ``dst``
+    adds the decode into its buffer ``into`` (an update tagged
+    ``into_tag``)."""
 
     chunk: np.ndarray
     key: str
@@ -220,51 +228,107 @@ class Message(NamedTuple):
     dst: int
     step: int
     tag: str
+    into: np.ndarray
+    into_tag: str
 
 
 def send_chunks(compressor: Compressor, rng: np.random.Generator,
-                stats: ReduceStats, messages: Iterable[Message],
-                ) -> Iterator[np.ndarray]:
-    """Point-to-point: what each receiver decodes, in ``messages`` order.
+                stats: ReduceStats, rounds: Sequence[Sequence[Message]],
+                ) -> None:
+    """Point-to-point: deliver every message and fold each decode into
+    its receiver's ``into``, in order.
 
-    Post half, for the whole round before anything lands (ranks of a
-    simultaneous round all encode their pre-round state): encode, book,
-    ``emit_send``.  Land half, one message per iteration so the receiver
-    folds each payload in before the next lands: the fault channel, the
-    ``recv`` endpoint, the decode of whatever the channel delivered.
+    Each inner sequence is one simultaneous round, emitted as it runs:
+    a post half (every sender encodes its pre-round state: read,
+    ``emit_send``) before a land half (per message: the fault channel,
+    the ``recv`` endpoint, the receiver's update).  Rounds follow each
+    other, so ``[[m] for m in messages]`` is a sequence of lone sends.
+    All chunks are encoded up front, so no message's ``chunk`` may be
+    another's ``into``.  Every payload is decoded as the channel
+    delivered it (a corrupted one included), and the folds run in
+    message order.
     """
-    posted = []
-    for chunk, key, src, dst, step, tag in messages:
-        wire = compress_chunk(compressor, chunk, rng, key, stats,
-                              rank=src, tag=tag)
-        stats.record_send(wire.nbytes)
-        emit_send(src, dst, wire.nbytes, step, tag)
-        posted.append((wire, src, dst, step, tag))
-    for wire, src, dst, step, tag in posted:
-        wire = deliver_chunk(wire, stats, src, dst, step, tag)
-        emit_recv(dst, src, wire.nbytes, step, tag)
-        yield decompress_chunk(compressor, wire, stats)
+    messages = [msg for round_ in rounds for msg in round_]
+    wires = _encode(compressor, rng, stats, [m.chunk for m in messages],
+                    [m.key for m in messages])
+    traced = tracing_active()
+    keyed = traced and _uses_keyed_state(compressor)
+    delivered: list[Compressed] = []
+    posted = iter(wires)
+    for round_ in rounds:
+        landing: list[Compressed] = []
+        for msg, wire in zip(round_, posted):
+            if traced:
+                _emit_encode(keyed, msg.src, msg.chunk, msg.key, msg.tag)
+                emit_send(msg.src, msg.dst, wire.nbytes, msg.step, msg.tag)
+            stats.record_send(wire.nbytes)
+            landing.append(wire)
+        for msg, wire in zip(round_, landing):
+            wire = deliver_chunk(wire, stats, msg.src, msg.dst, msg.step,
+                                 msg.tag)
+            if traced:
+                emit_recv(msg.dst, msg.src, wire.nbytes, msg.step, msg.tag)
+                emit_buffer_update(msg.dst, msg.into, tag=msg.into_tag)
+            delivered.append(wire)
+    for msg, value in zip(messages, _decode(compressor, stats, delivered)):
+        target = msg.into
+        target += value
+
+
+class Broadcast(NamedTuple):
+    """One fan-out: ``root`` encodes ``chunk`` once and the payload is
+    forwarded verbatim along ``edges`` (``(src, dst, step)``, in sending
+    order — a star, a ring's hop chain, a tree's edge list); each
+    ``(view, rank)`` of ``into`` receives a copy of the decode (a write
+    tagged ``into_tag``)."""
+
+    chunk: np.ndarray
+    key: str
+    root: int
+    edges: Sequence[tuple[int, int, int]]
+    tag: str
+    into: Sequence[tuple[np.ndarray, int]] = ()
+    into_tag: str = ""
+
+
+def broadcast_chunks(compressor: Compressor, rng: np.random.Generator,
+                     stats: ReduceStats, casts: Sequence[Broadcast],
+                     ) -> list[np.ndarray]:
+    """Fan-outs, one after another: the canonical decode of each.
+
+    Every edge is booked and passes the fault channel (retransmissions
+    are per receiver), but all ranks adopt the one canonical decode, so
+    replicas stay bit-identical whatever a link did.  The payloads are
+    encoded in one pass and decoded in one.
+    """
+    wires = _encode(compressor, rng, stats, [c.chunk for c in casts],
+                    [c.key for c in casts])
+    traced = tracing_active()
+    keyed = traced and _uses_keyed_state(compressor)
+    for cast, wire in zip(casts, wires):
+        if traced:
+            _emit_encode(keyed, cast.root, cast.chunk, cast.key, cast.tag)
+        for src, dst, step in cast.edges:
+            stats.record_send(wire.nbytes)
+            emit_send(src, dst, wire.nbytes, step, cast.tag)
+            deliver_chunk(wire, stats, src, dst, step, cast.tag)
+        if traced:
+            for src, dst, step in cast.edges:
+                emit_recv(dst, src, wire.nbytes, step, cast.tag)
+            for view, rank in cast.into:
+                emit_buffer_write(rank, view, tag=cast.into_tag)
+    decoded = _decode(compressor, stats, wires)
+    for cast, value in zip(casts, decoded):
+        for view, _ in cast.into:
+            view[:] = value
+    return decoded
 
 
 def broadcast_chunk(compressor: Compressor, rng: np.random.Generator,
                     stats: ReduceStats, chunk: np.ndarray, key: str,
                     root: int, edges: Sequence[tuple[int, int, int]],
                     tag: str) -> np.ndarray:
-    """Fan-out: ``root`` encodes ``chunk`` once and the payload is
-    forwarded verbatim along ``edges`` (``(src, dst, step)``, in sending
-    order — a star, a ring's hop chain, a tree's edge list).
-
-    Every edge is booked and passes the fault channel (retransmissions
-    are per receiver), but all ranks adopt the one canonical decode
-    returned here, so replicas stay bit-identical whatever a link did.
-    """
-    wire = compress_chunk(compressor, chunk, rng, key, stats,
-                          rank=root, tag=tag)
-    for src, dst, step in edges:
-        stats.record_send(wire.nbytes)
-        emit_send(src, dst, wire.nbytes, step, tag)
-        deliver_chunk(wire, stats, src, dst, step, tag)
-    decoded = decompress_chunk(compressor, wire, stats)
-    for src, dst, step in edges:
-        emit_recv(dst, src, wire.nbytes, step, tag)
+    """One fan-out (see :class:`Broadcast`): its canonical decode."""
+    (decoded,) = broadcast_chunks(compressor, rng, stats,
+                                  [Broadcast(chunk, key, root, edges, tag)])
     return decoded

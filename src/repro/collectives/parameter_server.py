@@ -13,8 +13,8 @@ import numpy as np
 
 from repro.compression import Compressor
 
-from .base import (Message, ReduceStats, accumulate_chunk, broadcast_chunk,
-                   check_buffers, send_chunks)
+from .base import (Message, ReduceStats, broadcast_chunk, check_buffers,
+                   send_chunks)
 from .trace import declare_buffer
 
 __all__ = ["ps_allreduce"]
@@ -34,11 +34,10 @@ def ps_allreduce(
         declare_buffer(rank, buf, name=f"{key}/input")
 
     total = buffers[0].astype(np.float32).ravel().copy()
-    for rank in range(1, world):
-        (value,) = send_chunks(compressor, rng, stats, [Message(
-            buffers[rank].ravel(), f"{key}/push/{rank}", rank, 0, 0,
-            f"push/{rank}")])
-        accumulate_chunk(total, value, rank=0, tag="push/agg")
+    send_chunks(compressor, rng, stats, [
+        [Message(buffers[rank].ravel(), f"{key}/push/{rank}", rank, 0, 0,
+                 f"push/{rank}", total, "push/agg")]
+        for rank in range(1, world)])
 
     result = broadcast_chunk(compressor, rng, stats, total, f"{key}/bcast", 0,
                              [(0, rank, 1) for rank in range(1, world)],

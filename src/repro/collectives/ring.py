@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.compression import Compressor
 
-from .base import (Message, ReduceStats, accumulate_chunk, broadcast_chunk,
+from .base import (Broadcast, Message, ReduceStats, broadcast_chunks,
                    check_buffers, send_chunks, split_chunks, store_chunk)
 from .trace import declare_buffer
 
@@ -46,25 +46,25 @@ def ring_allreduce(
     # Phase 1: reduce-scatter.  In step s, rank r sends chunk (r - s) mod N
     # to rank r+1, which accumulates it; a step is one simultaneous round.
     for step in range(world - 1):
-        round_ = [Message(work[rank][(rank - step) % world],
-                          f"{key}/rs/{step}/{rank}", rank, (rank + 1) % world,
-                          step, f"rs/{step}/{rank}") for rank in range(world)]
-        for msg, value in zip(round_, send_chunks(compressor, rng, stats,
-                                                  round_)):
-            accumulate_chunk(work[msg.dst][(msg.src - step) % world], value,
-                             rank=msg.dst, tag=f"rs/acc/{step}/{msg.dst}")
+        round_ = []
+        for rank in range(world):
+            dst, chunk = (rank + 1) % world, (rank - step) % world
+            round_.append(Message(work[rank][chunk], f"{key}/rs/{step}/{rank}",
+                                  rank, dst, step, f"rs/{step}/{rank}",
+                                  work[dst][chunk], f"rs/acc/{step}/{dst}"))
+        send_chunks(compressor, rng, stats, [round_])
 
     # After N-1 steps, rank r holds the full sum of chunk (r + 1) mod N.
     # Phase 2: allgather.  Each owner compresses its final chunk once and
     # the payload hops the ring verbatim: rank -> rank+1 -> ... (N-1 hops).
-    final_payloads = {}
-    for rank in range(world):
-        owned = (rank + 1) % world
-        final_payloads[owned] = broadcast_chunk(
-            compressor, rng, stats, work[rank][owned], f"{key}/ag/{rank}",
-            rank, [((rank + hop) % world, (rank + hop + 1) % world,
+    decoded = broadcast_chunks(compressor, rng, stats, [
+        Broadcast(work[rank][(rank + 1) % world], f"{key}/ag/{rank}", rank,
+                  [((rank + hop) % world, (rank + hop + 1) % world,
                     world - 1 + hop) for hop in range(world - 1)],
-            f"ag/{owned}")
+                  f"ag/{(rank + 1) % world}")
+        for rank in range(world)])
+    final_payloads = {(rank + 1) % world: value
+                      for rank, value in enumerate(decoded)}
 
     outputs = []
     for rank in range(world):

@@ -19,8 +19,8 @@ import numpy as np
 
 from repro.compression import Compressor
 
-from .base import (Message, ReduceStats, accumulate_chunk, broadcast_chunk,
-                   check_buffers, send_chunks, split_chunks, store_chunk)
+from .base import (Broadcast, Message, ReduceStats, broadcast_chunks,
+                   check_buffers, chunk_bounds, send_chunks)
 from .trace import declare_buffer
 
 __all__ = ["sra_allreduce"]
@@ -48,36 +48,34 @@ def sra_allreduce(
     stats = ReduceStats("sra", world, numel)
     for rank, buf in enumerate(buffers):
         declare_buffer(rank, buf, name=f"{key}/input")
-    per_rank_chunks = [split_chunks(buf, world) for buf in buffers]
+    bounds = chunk_bounds(numel, world)
+    flats = [buf.ravel() for buf in buffers]
+    per_rank_chunks = [[flat[a:b] for a, b in bounds] for flat in flats]
 
-    # Round 1: scatter-reduce.  Owner o aggregates chunk o of every rank.
-    aggregated: list[np.ndarray] = []
-    for owner in range(world):
-        total = per_rank_chunks[owner][owner].astype(np.float32).copy()
-        for rank in range(world):
-            if rank == owner:
-                continue
-            tag = f"sr/{owner}/{rank}"
-            (value,) = send_chunks(compressor, rng, stats, [Message(
-                per_rank_chunks[rank][owner], f"{key}/{tag}", rank, owner,
-                0, tag)])
-            accumulate_chunk(total, value, rank=owner, tag=f"sr/agg/{owner}")
-        aggregated.append(total)
+    # Round 1: scatter-reduce.  Owner o aggregates chunk o of every rank;
+    # the w(w-1) foreign chunks are one encode pass and one decode pass,
+    # owner-major, folded in that order.
+    aggregated = [per_rank_chunks[owner][owner].astype(np.float32)
+                  for owner in range(world)]
+    send_chunks(compressor, rng, stats, [
+        [Message(per_rank_chunks[rank][owner], f"{key}/sr/{owner}/{rank}",
+                 rank, owner, 0, f"sr/{owner}/{rank}", aggregated[owner],
+                 f"sr/agg/{owner}")]
+        for owner in range(world) for rank in range(world) if rank != owner])
 
     # Round 2: allgather.  Owner compresses its aggregate once; all ranks
     # (owner included) adopt the same decode.  A lone rank still encodes
     # and decodes its aggregate (the quantization is the scheme's), but
     # with nobody to send to it books no bytes.
     outputs = [np.empty(numel, dtype=np.float32) for _ in range(world)]
-    out_chunks = [split_chunks(out, world) for out in outputs]
-    for owner in range(world):
-        decoded = broadcast_chunk(
-            compressor, rng, stats, aggregated[owner], f"{key}/ag/{owner}",
-            owner, [(owner, dst, 1) for dst in range(world) if dst != owner],
-            f"ag/{owner}")
-        for rank in range(world):
-            store_chunk(out_chunks[rank][owner], decoded, rank=rank,
-                        tag=f"ag/out/{owner}")
+    out_chunks = [[out[a:b] for a, b in bounds] for out in outputs]
+    broadcast_chunks(compressor, rng, stats, [
+        Broadcast(aggregated[owner], f"{key}/ag/{owner}", owner,
+                  [(owner, dst, 1) for dst in range(world) if dst != owner],
+                  f"ag/{owner}",
+                  [(out_chunks[rank][owner], rank) for rank in range(world)],
+                  f"ag/out/{owner}")
+        for owner in range(world)])
     stats.max_recompressions = 2
     shaped = [out.reshape(buffers[0].shape) for out in outputs]
     return shaped, stats

@@ -4,12 +4,13 @@ The collectives in this package execute the *data path* of each
 reduction scheme in-process, so there is no real transport whose
 send/recv calls could be intercepted.  Instead the two message
 primitives every scheme is written on (:func:`~repro.collectives.base
-.send_chunks`, :func:`~repro.collectives.base.broadcast_chunk`) emit one
+.send_chunks`, :func:`~repro.collectives.base.broadcast_chunks`) emit one
 ``send`` event where a payload is transmitted and one ``recv`` event
 where it is consumed, per logical point-to-point message (broadcasts
-emit one event pair per receiving rank); the line that emits a send
-also books its bytes, so ``ReduceStats.wire_bytes`` is the traced send
-bytes.
+emit one event pair per receiving rank), in schedule order even though
+a call encodes and decodes all its payloads in one pass each; the
+message that is sent also has its bytes booked, so
+``ReduceStats.wire_bytes`` is the traced send bytes.
 
 The hooks are no-ops unless a :class:`ScheduleTrace` has been installed
 with :func:`capture`, so the data path pays one ``None`` check per

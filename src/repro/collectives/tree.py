@@ -14,8 +14,8 @@ import numpy as np
 
 from repro.compression import Compressor
 
-from .base import (Message, ReduceStats, accumulate_chunk, broadcast_chunk,
-                   check_buffers, send_chunks)
+from .base import (Message, ReduceStats, broadcast_chunk, check_buffers,
+                   send_chunks)
 from .trace import declare_buffer
 
 __all__ = ["tree_allreduce"]
@@ -40,15 +40,16 @@ def tree_allreduce(
     depth = 0
     edges: list[tuple[int, int, int]] = []  # (parent, child, reduce step)
     while stride < world:
+        # a level's senders are no receivers of it: one pass per level
+        level = []
         for receiver in range(0, world - stride, 2 * stride):
             sender = receiver + stride
             tag = f"up/{stride}/{sender}"
-            (value,) = send_chunks(compressor, rng, stats, [Message(
-                partial[sender], f"{key}/{tag}", sender, receiver, depth,
-                tag)])
-            accumulate_chunk(partial[receiver], value, rank=receiver,
-                             tag=f"up/acc/{receiver}")
+            level.append([Message(partial[sender], f"{key}/{tag}", sender,
+                                  receiver, depth, tag, partial[receiver],
+                                  f"up/acc/{receiver}")])
             edges.append((receiver, sender, depth))
+        send_chunks(compressor, rng, stats, level)
         stride *= 2
         depth += 1
 

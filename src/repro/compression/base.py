@@ -20,16 +20,22 @@ which is the 4-bit + metadata layout CGX transmits.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, ClassVar, Optional, TypeVar
+from typing import Any, ClassVar, Optional, Sequence, TypeVar
 
 import numpy as np
 
 from .contracts import CompressorContract
 
 __all__ = ["CompressionSpec", "Compressed", "Compressor", "METHODS",
-           "register", "make_compressor"]
+           "register", "make_compressor", "BATCH_ELEMENTS", "batch_runs"]
 
 FP32_BYTES = 4
+#: element budget of one batched pass: :meth:`Compressor.compress_many`
+#: encodes a run of consecutive chunks together while their element
+#: total stays within it, and a larger chunk alone.  It bounds the
+#: pass's temporaries (the float64 rounding draws alone are 8 bytes an
+#: element) to what one large chunk already costs.
+BATCH_ELEMENTS = 1 << 14
 Shape = Optional[tuple[int, ...]]
 
 #: the one ``method -> operator class`` table, filled by :func:`register`
@@ -42,6 +48,22 @@ def operator_class(method: str) -> type[Compressor]:
         return METHODS[method]
     except KeyError:
         raise ValueError(f"unknown compression method {method!r}") from None
+
+
+def batch_runs(sizes: Sequence[int]) -> list[tuple[int, int]]:
+    """``(start, stop)`` runs covering ``sizes`` in order: each run's
+    total stays within :data:`BATCH_ELEMENTS`, except a run of one
+    larger item."""
+    if sum(sizes) <= BATCH_ELEMENTS:
+        return [(0, len(sizes))] if sizes else []
+    runs: list[tuple[int, int]] = []
+    start, total = 0, 0
+    for index, size in enumerate(sizes):
+        if index > start and total + size > BATCH_ELEMENTS:
+            runs.append((start, index))
+            start, total = index, 0
+        total += size
+    return runs + [(start, len(sizes))]
 
 
 @dataclass(frozen=True)
@@ -154,6 +176,55 @@ class Compressor:
 
     def decompress(self, compressed: Compressed) -> np.ndarray:
         raise NotImplementedError
+
+    #: a frame's batched kernels: ``_compress_run(arrays, rng)`` and
+    #: ``_decompress_run(compressed)`` compute a run of chunks in one
+    #: pass, exactly as ``compress``/``decompress`` would one by one
+    _compress_run: Any = None
+    _decompress_run: Any = None
+
+    @classmethod
+    def _batches(cls, method: str, kernel: str) -> bool:
+        """Whether ``kernel`` stands in for ``method``: the class that
+        defines ``method`` must define ``kernel`` too, so a subclass
+        overriding ``compress`` is never bypassed by its frame's pass."""
+        for klass in cls.__mro__:
+            if method in vars(klass):
+                return vars(klass).get(kernel) is not None
+        return False
+
+    def compress_many(self, arrays: Sequence[np.ndarray],
+                      rng: np.random.Generator,
+                      keys: Sequence[Any] | None = None) -> list[Compressed]:
+        """``[compress(a, rng, key=k) for a, k in zip(arrays, keys)]``,
+        bit for bit (payload bytes, ``nbytes``, shapes and the generator
+        state afterwards), in as few passes as :data:`BATCH_ELEMENTS`
+        allows.  Payload arrays may be views of one shared buffer."""
+        if keys is None:
+            keys = [None] * len(arrays)
+        if not self._batches("compress", "_compress_run"):
+            return [self.compress(array, rng, key=key)
+                    for array, key in zip(arrays, keys)]
+        out: list[Compressed] = []
+        for start, stop in batch_runs([np.asarray(a).size for a in arrays]):
+            if stop - start == 1:   # a lone chunk is the per-chunk call
+                out.append(self.compress(arrays[start], rng, key=keys[start]))
+            else:
+                out.extend(self._compress_run(arrays[start:stop], rng))
+        return out
+
+    def decompress_many(self, compressed: Sequence[Compressed]
+                        ) -> list[np.ndarray]:
+        """``[decompress(c) for c in compressed]``, bit for bit."""
+        if not self._batches("decompress", "_decompress_run"):
+            return [self.decompress(c) for c in compressed]
+        out: list[np.ndarray] = []
+        for start, stop in batch_runs([c.numel for c in compressed]):
+            if stop - start == 1:
+                out.append(self.decompress(compressed[start]))
+            else:
+                out.extend(self._decompress_run(compressed[start:stop]))
+        return out
 
     def roundtrip(self, array: np.ndarray, rng: np.random.Generator,
                   key: Any = None) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, ClassVar
+from typing import Any, ClassVar, Sequence
 
 import numpy as np
 
@@ -24,14 +24,28 @@ class DenseCast(Compressor):
 
     def compress(self, array: np.ndarray, rng: np.random.Generator,
                  key: Any = None) -> Compressed:
-        flat = np.asarray(array, dtype=np.float32).ravel()
-        return Compressed(self.spec, flat.size, tuple(np.shape(array)),
-                          {"values": flat.astype(self.dtype)},
-                          self.spec.wire_bytes(flat.size))
+        return self._compress_run([array], rng)[0]
 
     def decompress(self, compressed: Compressed) -> np.ndarray:
+        # per chunk: slicing a batched cast back apart costs what the
+        # small casts it would replace do
         return compressed.payload["values"].astype(np.float32).reshape(
             compressed.shape)
+
+    def _compress_run(self, arrays: Sequence[np.ndarray],
+                      rng: np.random.Generator) -> list[Compressed]:
+        """One cast for the whole run; each payload is a view of it."""
+        dense = [np.asarray(a, dtype=np.float32) for a in arrays]
+        cast = np.concatenate([d.ravel() for d in dense], dtype=self.dtype)
+        wire = {n: self.spec.wire_bytes(n) for n in {d.size for d in dense}}
+        out: list[Compressed] = []
+        start = 0
+        for d in dense:
+            stop = start + d.size
+            out.append(Compressed(self.spec, d.size, d.shape,
+                                  {"values": cast[start:stop]}, wire[d.size]))
+            start = stop
+        return out
 
 
 @register

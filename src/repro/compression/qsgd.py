@@ -20,7 +20,8 @@ bucketing.
 
 from __future__ import annotations
 
-from typing import Any
+from itertools import accumulate
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -202,6 +203,17 @@ class BucketQuantizer(Compressor):
         sign_mask = np.uint8(1 << (spec.bits - 1))
         signs = np.where(codes & sign_mask, -1.0, 1.0).astype(np.float32)
         self._values = signs * self._dequantize(codes & (sign_mask - np.uint8(1)))
+        # at 4 and 8 bits a byte holds whole codes: decoding gathers one
+        # 8-byte float32 pair (one float32) per packed byte, code by code
+        # MSB-first, where unpacking would touch every code twice
+        self._byte_values: np.ndarray | None = None
+        if spec.bits == 4:
+            byte = np.arange(256, dtype=np.int64)
+            self._byte_values = np.stack(
+                [self._values[byte >> 4], self._values[byte & 15]],
+                axis=1).view(np.uint64).reshape(-1)
+        elif spec.bits == 8:
+            self._byte_values = self._values
 
     def _quantize(self, normalized: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
@@ -214,39 +226,141 @@ class BucketQuantizer(Compressor):
 
     def compress(self, array: np.ndarray, rng: np.random.Generator,
                  key: Any = None) -> Compressed:
-        spec = self.spec
-        flat = np.asarray(array, dtype=np.float32).ravel()
-        buckets = bucketize(flat, spec.bucket_size)
-        magnitudes = np.abs(buckets)
-        if spec.scaling == "l2":
-            norms = np.linalg.norm(buckets, axis=1)
-        else:
-            norms = np.max(magnitudes, axis=1)
-        finite = np.isfinite(norms)
-        if not finite.all():
-            # a NaN/Inf bucket carries its non-finite scale and level-0
-            # codes, not whatever the platform casts NaN to
-            magnitudes[~finite] = 0.0
-        magnitudes /= np.where(norms > 0, norms, 1.0)[:, None]
-        level = self._quantize(magnitudes, rng)
-        sign_bit = (buckets < 0).view(np.uint8)
-        sign_bit <<= spec.bits - 1
-        level |= sign_bit
-        codes = level.reshape(-1)[: flat.size]  # drop tail padding codes
-        payload = {
-            "codes": pack_codes(codes, spec.bits),
-            "norms": norms.astype(np.float32),
-        }
-        return Compressed(spec, flat.size, tuple(np.shape(array)), payload,
-                          spec.wire_bytes(flat.size))
+        return self._compress_run([array], rng)[0]
 
     def decompress(self, compressed: Compressed) -> np.ndarray:
-        spec = compressed.spec
-        codes = unpack_codes(compressed.payload["codes"], spec.bits,
-                             compressed.numel)
-        values = self._values.take(codes)
-        scale_buckets(values, compressed.payload["norms"], spec.bucket_size)
-        return values.reshape(compressed.shape)
+        return self._decompress_run([compressed])[0]
+
+    def _compress_run(self, arrays: Sequence[np.ndarray],
+                      rng: np.random.Generator) -> list[Compressed]:
+        """Encode a run of chunks in one pass.
+
+        Each chunk is zero-padded to whole buckets of its own clamped
+        size and the run laid out flat, so the rounding draws cover the
+        concatenated padded layouts — the same float64 stream the
+        chunks draw one by one.  The codes are packed once, each chunk
+        starting on a whole code group, and sliced per chunk.
+        """
+        spec = self.spec
+        dense = [np.asarray(a, dtype=np.float32) for a in arrays]
+        flats = [d.ravel() for d in dense]
+        numels = [flat.size for flat in flats]
+        # a collective's chunks come in one or two sizes
+        distinct = {n: _bucket_shape(n, spec.bucket_size) for n in set(numels)}
+        shapes = [distinct[n] for n in numels]
+        padded = [n_buckets * size for n_buckets, size in shapes]
+        starts = list(accumulate(padded, initial=0))
+        if padded == numels:
+            values = flats[0] if len(flats) == 1 else np.concatenate(flats)
+        else:
+            values = np.zeros(starts[-1], dtype=np.float32)
+            for flat, start in zip(flats, starts):
+                values[start:start + flat.size] = flat
+        magnitudes = np.abs(values)
+        norms: np.ndarray
+        size = shapes[0][1]
+        if all(shape[1] == size for shape in shapes):
+            # one bucket size: the run is a (buckets, size) matrix
+            magnitudes = magnitudes.reshape(-1, size)
+            if spec.scaling == "l2":
+                norms = np.linalg.norm(values.reshape(-1, size), axis=1)
+            else:
+                norms = np.maximum.reduce(magnitudes, axis=1)
+            finite = np.isfinite(norms)
+            if not finite.all():
+                # a NaN/Inf bucket carries its non-finite scale and
+                # level-0 codes, not whatever the platform casts NaN to
+                magnitudes[~finite] = 0.0
+            magnitudes /= np.where(norms > 0, norms, 1.0)[:, None]
+        else:
+            lengths = np.repeat([shape[1] for shape in shapes],
+                                [shape[0] for shape in shapes])
+            if spec.scaling == "l2":
+                # linalg.norm's pairwise sums, one bucket matrix a chunk
+                norms = np.concatenate([
+                    np.linalg.norm(bucketize(flat, spec.bucket_size), axis=1)
+                    for flat in flats])
+            else:
+                norms = np.maximum.reduceat(
+                    magnitudes, np.cumsum(lengths) - lengths)
+            finite = np.isfinite(norms)
+            if not finite.all():
+                magnitudes[np.repeat(~finite, lengths)] = 0.0
+            magnitudes /= np.repeat(np.where(norms > 0, norms, 1.0), lengths)
+        level = self._quantize(magnitudes, rng).reshape(-1)
+        sign_bit = (values < 0).view(np.uint8)
+        sign_bit *= np.uint8(1 << (spec.bits - 1))  # uint8 shifts are slow
+        level |= sign_bit
+
+        group, width, _ = _layout(spec.bits)
+        if all(span == n and n % group == 0
+               for span, n in zip(padded[:-1], numels)):
+            # every chunk already starts on a whole code group (the last
+            # one's tail is pack_codes' to pad)
+            codes = level[:starts[-2] + numels[-1]]
+        else:
+            grouped = list(accumulate((-(-n // group) * group for n in numels),
+                                      initial=0))
+            codes = np.zeros(grouped[-1], dtype=np.uint8)
+            for n, at, start in zip(numels, grouped, starts):
+                codes[at:at + n] = level[start:start + n]
+            starts = grouped
+        packed = pack_codes(codes, spec.bits)
+        norms = norms.astype(np.float32)
+
+        wire = {n: spec.wire_bytes(n) for n in distinct}
+        out: list[Compressed] = []
+        bucket = 0
+        for d, n, (n_buckets, _), at in zip(dense, numels, shapes, starts):
+            byte = at // group * width
+            payload = {"codes": packed[byte:byte - (-n * spec.bits // 8)],
+                       "norms": norms[bucket:bucket + n_buckets]}
+            bucket += n_buckets
+            out.append(Compressed(spec, n, d.shape, payload, wire[n]))
+        return out
+
+    def _decompress_run(self, compressed: Sequence[Compressed]
+                        ) -> list[np.ndarray]:
+        """Decode a run of chunks in one gather and one scaling pass."""
+        spec = compressed[0].spec
+        if any(c.spec is not spec and c.spec != spec for c in compressed):
+            return [v for c in compressed for v in self._decompress_run([c])]
+        bits = spec.bits
+        numels = [c.numel for c in compressed]
+        codes = [c.payload["codes"] for c in compressed]
+        norms = [c.payload["norms"] for c in compressed]
+        table = self._byte_values if bits == self.spec.bits else None
+        if table is not None and all(
+                code.size == -(-n * bits // 8) for code, n in zip(codes, numels)):
+            packed = codes[0] if len(codes) == 1 else np.concatenate(codes)
+            values = table[packed].view(np.float32)
+            # a chunk's last byte may carry tail codes past its numel
+            spans = [code.size * (8 // bits) for code in codes]
+        else:
+            unpacked = [unpack_codes(code, bits, n)
+                        for code, n in zip(codes, numels)]
+            values = self._values.take(unpacked[0] if len(unpacked) == 1
+                                       else np.concatenate(unpacked))
+            spans = numels
+        starts = list(accumulate(spans, initial=0))
+        distinct = {n: _bucket_shape(n, spec.bucket_size) for n in set(numels)}
+        shapes = [distinct[n] for n in numels]
+        if len(compressed) == 1 or any(
+                norm.size != shape[0] for norm, shape in zip(norms, shapes)):
+            for norm, n, start in zip(norms, numels, starts):
+                scale_buckets(values[start:start + n], norm, spec.bucket_size)
+        else:
+            # one scale an element: a chunk's slack past its numel rides
+            # on its last bucket and is sliced off below
+            lengths: list[int] = []
+            for (n_buckets, size), span in zip(shapes, spans):
+                if n_buckets:
+                    lengths += [size] * (n_buckets - 1)
+                    lengths.append(span - (n_buckets - 1) * size)
+            with np.errstate(invalid="ignore"):  # 0 * inf: a diverged bucket
+                values *= np.repeat(np.concatenate(norms), lengths)
+        return [values[start:start + n].reshape(c.shape)
+                for c, n, start in zip(compressed, numels, starts)]
 
 
 @register
@@ -266,8 +380,14 @@ class QSGDCompressor(BucketQuantizer):
         normalized *= self.levels
         lower = np.floor(normalized)
         normalized -= lower  # probability of rounding up
-        lower += rng.random(size=lower.shape) < normalized
-        return np.minimum(lower, self.levels, out=lower).astype(np.uint8)
+        round_up = rng.random(size=lower.shape) < normalized
+        # normalized is finite and below 2 * levels (a max scale bounds
+        # it by levels; an L2 norm undershoots the bucket max only by
+        # subnormal rounding, by at most sqrt(1.5)), so the level and its
+        # round-up are exact in uint8 and the clamp can run there
+        level = lower.astype(np.uint8)
+        level += round_up
+        return np.minimum(level, self.levels, out=level)
 
     def _dequantize(self, level: np.ndarray) -> np.ndarray:
         return level.astype(np.float32) / self.levels

@@ -11,7 +11,7 @@ model and training stalls, which our tests verify.
 from __future__ import annotations
 
 import ast
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -105,6 +105,22 @@ class ErrorFeedback:
 
     def decompress(self, compressed: Compressed) -> np.ndarray:
         return self.compressor.decompress(compressed)
+
+    def compress_many(self, arrays: Sequence[np.ndarray],
+                      rng: np.random.Generator,
+                      keys: Sequence[Any] | None = None) -> list[Compressed]:
+        """One :meth:`compress` per chunk, in order: each folds in and
+        replaces its key's residual, so a repeated key sees the residual
+        its earlier chunk left."""
+        if keys is None:
+            keys = [None] * len(arrays)
+        return [self.compress(array, rng, key=key)
+                for array, key in zip(arrays, keys)]
+
+    def decompress_many(self, compressed: Sequence[Compressed]
+                        ) -> list[np.ndarray]:
+        """Decoding keeps no state: the wrapped operator's batched pass."""
+        return self.compressor.decompress_many(compressed)
 
     def roundtrip(self, array: np.ndarray, rng: np.random.Generator,
                   key: Any = None) -> np.ndarray:

@@ -24,6 +24,7 @@ sends there instead).
 import hashlib
 import json
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import astuple
 from pathlib import Path
 
@@ -98,8 +99,9 @@ def _describe(item) -> tuple:
     return (item.kind, item.space, item.buffer, item.tag)
 
 
-def run_golden_cell(cell, method, numel, mode):
-    """Run one cell: ``(trace, [(outputs, stats)] per call, rng, runtime)``."""
+def run_golden_cell(cell, method, numel, mode, traced=True):
+    """Run one cell: ``(trace, [(outputs, stats)] per call, rng, runtime)``
+    (``trace`` is ``None`` when ``traced`` is false: no capture runs)."""
     spec = METHODS[method]
     compressor = make_compressor(spec)
     if spec.error_feedback:
@@ -114,7 +116,7 @@ def run_golden_cell(cell, method, numel, mode):
             "lossy-link", world=max(2, cell.world), seed=3))
         runtime.advance(4)
     results = []
-    with capture() as trace:
+    with capture() if traced else nullcontext() as trace:
         for _ in range(CALLS):
             buffers = [data.standard_normal(numel).astype(np.float32)
                        for _ in range(cell.world)]
@@ -128,29 +130,40 @@ def run_golden_cell(cell, method, numel, mode):
     return trace, results, rng, runtime
 
 
-def record_of(cell, trace, results, rng, runtime) -> dict:
-    """The fixture's record layout for one :func:`run_golden_cell` run."""
-    match = match_messages(trace.events)
-    per_rank: dict[int, list] = {rank: [] for rank in range(cell.world)}
-    for item in trace.timeline:
-        per_rank[_owner(item)].append(_describe(item))
+#: the record fields a run without a capture still produces
+TRACE_FREE = ("calls", "rng", "faults")
+
+
+def trace_free_record(results, rng, runtime) -> dict:
+    """The record's ``calls``, ``rng`` and (under a campaign) ``faults``."""
     state = rng.bit_generator.state["state"]
     record = {
         "calls": [[[_sha(np.ascontiguousarray(out).tobytes())
                     for out in outputs], list(astuple(stats))]
                   for outputs, stats in results],
         "rng": _sha(repr((state["state"], state["inc"])).encode()),
-        "match": [len(match.pairs), sum(match.orphan_sends.values()),
-                  sum(match.orphan_recvs.values()), match.early_recvs,
-                  _sha(repr(match.pairs).encode())],
-        "trace": [_sha(repr(per_rank[rank]).encode())
-                  for rank in range(cell.world)],
     }
     if runtime is not None:
         counters = runtime.counters.to_dict()
         record["faults"] = [_sha(runtime.log_bytes()),
                             {k: v for k, v in counters.items() if v}]
     return record
+
+
+def record_of(cell, trace, results, rng, runtime) -> dict:
+    """The fixture's record layout for one :func:`run_golden_cell` run."""
+    match = match_messages(trace.events)
+    per_rank: dict[int, list] = {rank: [] for rank in range(cell.world)}
+    for item in trace.timeline:
+        per_rank[_owner(item)].append(_describe(item))
+    return {
+        **trace_free_record(results, rng, runtime),
+        "match": [len(match.pairs), sum(match.orphan_sends.values()),
+                  sum(match.orphan_recvs.values()), match.early_recvs,
+                  _sha(repr(match.pairs).encode())],
+        "trace": [_sha(repr(per_rank[rank]).encode())
+                  for rank in range(cell.world)],
+    }
 
 
 def replay_cell(cell, method, numel, mode) -> dict:
@@ -200,3 +213,21 @@ def test_scheme_replays_the_parent_bit_for_bit(cell, recorded):
             == sum(e.nbytes for e in retry_sends), key
         if runtime is not None:
             assert len(retry_sends) == runtime.counters.retries, key
+
+
+@pytest.mark.parametrize("cell", probed_cells(),
+                         ids=lambda c: cell_id(c, "", "", "").split("|")[0])
+def test_scheme_replays_the_parent_untraced(cell, recorded):
+    """The same cells with no capture installed: outputs, stats, the
+    generator and the fault log match the one fixture the traced replay
+    reads, so a traced and an untraced run of the data path cannot
+    drift apart."""
+    for key in (k for k in golden_cells() if k[0] == cell):
+        trace, results, rng, runtime = run_golden_cell(*key, traced=False)
+        assert trace is None
+        record = trace_free_record(results, rng, runtime)
+        want = {k: v for k, v in recorded[cell_id(*key)].items()
+                if k in TRACE_FREE}
+        mode = key[3]
+        assert masked(record, cell, mode) == masked(want, cell, mode), \
+            cell_id(*key)

@@ -8,6 +8,7 @@ from repro.compression import (
     METHODS,
     CompressionSpec,
     Compressor,
+    ErrorFeedback,
     IdentityCompressor,
     make_compressor,
     register,
@@ -16,6 +17,7 @@ from repro.compression import (
     kernel_seconds,
     relative_error,
 )
+from repro.compression.base import BATCH_ELEMENTS
 
 ALL_SPECS = [
     CompressionSpec("none"),
@@ -201,3 +203,82 @@ def test_measure_error_stats_fields():
     assert stats.numel == 256
     assert stats.grad_norm == pytest.approx(float(np.linalg.norm(x)), rel=1e-5)
     assert 0 < stats.relative < 1
+
+
+# -- the batched pair: compress_many/decompress_many ---------------------------
+
+def _batched_specs():
+    """Every registered method at each width it supports, plus the
+    variants the frames branch on (L2 scaling, the GRACE wire) and the
+    error-feedback wrapper."""
+    cases = []
+    for method, cls in sorted(METHODS.items()):
+        for bits in cls.contract.supported_bits or (4,):
+            cases.append((CompressionSpec(method, bits=bits, bucket_size=8),
+                          False))
+    for method in ("qsgd", "nuq"):
+        cases.append((CompressionSpec(method, bucket_size=8, scaling="l2"),
+                      False))
+    for wire in (8, 16):
+        cases.append((CompressionSpec("qsgd", bucket_size=8,
+                                      wire_dtype_bits=wire), False))
+    for method in ("topk", "qsgd", "onebit"):
+        cases.append((CompressionSpec(method, bucket_size=8), True))
+    return cases
+
+
+def _build(spec, feedback):
+    compressor = make_compressor(spec)
+    return ErrorFeedback(compressor) if feedback else compressor
+
+
+#: chunk sizes around a bucket of 8 and around the batch budget
+_SIZES = st.sampled_from([0, 1, 5, 8, 9, 16, 17, 100,
+                          BATCH_ELEMENTS - 3, BATCH_ELEMENTS,
+                          BATCH_ELEMENTS + 1])
+#: per-bucket value patterns: normal, all zero, one NaN, one +-Inf
+_FILLS = st.sampled_from(["normal", "normal", "zero", "nan", "inf", "-inf"])
+
+
+def _chunk(data, size, fill):
+    values = data.standard_normal(size).astype(np.float32) * 3
+    if size and fill != "normal":
+        hit = slice(0, min(size, 8))
+        if fill == "zero":
+            values[hit] = 0.0
+        else:
+            values[int(data.integers(min(size, 8)))] = float(fill)
+    return values
+
+
+@pytest.mark.parametrize("spec, feedback", _batched_specs(),
+                         ids=lambda c: str(c) if isinstance(c, bool) else
+                         f"{c.method}{c.bits}/{c.scaling}/w{c.wire_dtype_bits}")
+@given(chunks=st.lists(st.tuples(_SIZES, _FILLS), min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 16))
+@settings(max_examples=12, deadline=None)
+def test_batched_pair_equals_the_per_chunk_loop(spec, feedback, chunks, seed):
+    data = np.random.default_rng(seed)
+    arrays = [_chunk(data, size, fill) for size, fill in chunks]
+    keys = [f"k{i % 3}" for i in range(len(arrays))]   # repeats share state
+    looped, batched = _build(spec, feedback), _build(spec, feedback)
+    rng_loop, rng_many = (np.random.default_rng(seed + 1) for _ in range(2))
+    with np.errstate(all="ignore"):
+        for _ in range(2):      # the second call sees the stored state
+            want = [looped.compress(a, rng_loop, key=k)
+                    for a, k in zip(arrays, keys)]
+            got = batched.compress_many(arrays, rng_many, keys)
+            assert rng_many.bit_generator.state == rng_loop.bit_generator.state
+            assert len(got) == len(want)
+            for w, g in zip(want, got):
+                assert (g.numel, g.shape, g.nbytes) == (w.numel, w.shape,
+                                                        w.nbytes)
+                assert list(g.payload) == list(w.payload)
+                for name in w.payload:
+                    assert g.payload[name].dtype == w.payload[name].dtype
+                    assert g.payload[name].tobytes() == w.payload[name].tobytes()
+            decoded = batched.decompress_many(got)
+            for w, d in zip(want, decoded):
+                r = looped.decompress(w)
+                assert (d.dtype, d.shape) == (r.dtype, r.shape)
+                assert d.tobytes() == r.tobytes()
