@@ -19,7 +19,7 @@ from common import emit, format_table, run_once, write_bench_json
 
 from repro.compression import CompressionSpec
 from repro.core import CGXConfig
-from repro.faults import ResiliencePolicy, make_campaign
+from repro.faults import make_campaign
 from repro.training import train_family
 
 FAMILY = "mlp"
@@ -49,10 +49,8 @@ def campaign():
     for name in EXPECTED_ENGAGEMENT:   # the fixed-world campaigns; the
         # elastic ones have their own bench (bench_elastic_campaigns.py)
         plan = make_campaign(name, world=WORLD, seed=SEED)
-        policy = ResiliencePolicy()
         result = train_family(FAMILY, world_size=WORLD, config=_config(),
-                              steps=STEPS, seed=SEED,
-                              fault_plan=plan, policy=policy)
+                              steps=STEPS, seed=SEED, fault_plan=plan)
         counters = result.fault_summary or {}
         engaged = ",".join(f"{k}={counters[k]}"
                            for k in EXPECTED_ENGAGEMENT[name]
@@ -65,7 +63,7 @@ def campaign():
                                   steps=STEPS, seed=SEED,
                                   fault_plan=make_campaign(name, world=WORLD,
                                                            seed=SEED),
-                                  policy=ResiliencePolicy(), supervised=True)
+                                  supervised=True)
         counters = supervised.fault_summary or {}
         detected = ",".join(f"{k}={counters[k]}"
                             for k in ("suspected_crashes",

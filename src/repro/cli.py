@@ -40,6 +40,26 @@ __all__ = ["main", "build_parser"]
 
 METHODS = ("nccl", "qnccl", "cgx", "powersgd", "grace")
 
+#: QSGD widths the compressor accepts
+BITS = range(2, 9)
+
+
+def _number(kind: type, low: float, strict: bool = False):
+    """An argparse type: a ``kind`` value >= ``low`` (> ``low`` when
+    ``strict``), so an out-of-range number is a usage error."""
+    def parse(text: str):
+        value = kind(text)
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__   # argparse says "invalid int value"
+    return parse
+
+
+_positive_int = _number(int, 1)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -53,8 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--machine", required=True, choices=sorted(MACHINES))
     sim.add_argument("--method", default="cgx", choices=METHODS)
     sim.add_argument("--gpus", type=int, default=None)
-    sim.add_argument("--bits", type=int, default=4)
-    sim.add_argument("--bucket-size", type=int, default=128)
+    sim.add_argument("--bits", type=int, default=4, choices=BITS)
+    sim.add_argument("--bucket-size", type=_positive_int, default=128)
     sim.add_argument("--scheme", default=None,
                      help="override reduction scheme (sra/ring/tree/...)")
     sim.add_argument("--config", default=None,
@@ -62,10 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train", help="run a scaled accuracy experiment")
     train.add_argument("--family", required=True)
-    train.add_argument("--world", type=int, default=4)
-    train.add_argument("--bits", type=int, default=4)
-    train.add_argument("--bucket-size", type=int, default=None)
-    train.add_argument("--steps", type=int, default=None)
+    train.add_argument("--world", type=_positive_int, default=4)
+    train.add_argument("--bits", type=int, default=4, choices=BITS)
+    train.add_argument("--bucket-size", type=_positive_int, default=None)
+    train.add_argument("--steps", type=_positive_int, default=None)
     train.add_argument("--baseline", action="store_true",
                        help="train uncompressed instead")
     train.add_argument("--adaptive", default=None,
@@ -100,9 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     flt.add_argument("--family", default="mlp",
                      help="model family to train under faults")
     flt.add_argument("--world", type=int, default=4)
-    flt.add_argument("--steps", type=int, default=30)
+    flt.add_argument("--steps", type=_positive_int, default=30)
     flt.add_argument("--seed", type=int, default=0)
-    flt.add_argument("--bits", type=int, default=4)
+    flt.add_argument("--bits", type=int, default=4, choices=BITS)
     flt.add_argument("--no-crc", action="store_true",
                      help="disable CRC checks (corruptions are delivered)")
     flt.add_argument("--strict", action="store_true",
@@ -121,11 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
     sch = sub.add_parser("sched",
                          help="run a multi-tenant fleet of concurrent "
                               "training jobs on one shared cluster")
-    sch.add_argument("--jobs", type=int, default=24,
+    sch.add_argument("--jobs", type=_positive_int, default=24,
                      help="number of jobs in the seeded workload")
     sch.add_argument("--machine", default="rtx3090-8x",
                      choices=sorted(MACHINES))
-    sch.add_argument("--nodes", type=int, default=2,
+    sch.add_argument("--nodes", type=_positive_int, default=2,
                      help="identical machines joined by Ethernet")
     sch.add_argument("--policy", default="packed",
                      choices=PLACEMENT_POLICIES, help="placement policy")
@@ -134,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     sch.add_argument("--seed", type=int, default=0,
                      help="workload seed (same seed = same fleet, byte "
                           "for byte)")
-    sch.add_argument("--mean-interarrival", type=float, default=0.05,
+    sch.add_argument("--mean-interarrival", type=_number(float, 0, True),
+                     default=0.05,
                      help="mean seconds between job arrivals")
     sch.add_argument("--models", default=None,
                      help="comma-separated model specs for the workload "
@@ -146,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     sch.add_argument("--trace", default=None,
                      help="write a Chrome/Perfetto trace with per-job "
                           "lanes here")
-    sch.add_argument("--link-load-bin", type=float, default=0.0,
+    sch.add_argument("--link-load-bin", type=_number(float, 0),
+                     default=0.0,
                      help="track per-link load timelines in bins of this "
                           "width (seconds)")
     sch.add_argument("--json", action="store_true", dest="as_json",
@@ -191,6 +213,11 @@ def _cmd_simulate(args, out) -> int:
         config, mode = _method_setup(args)
     if args.scheme:
         config.scheme = args.scheme
+    try:   # the machine refuses a GPU count it does not have
+        machine.topology(args.gpus)
+    except ValueError as exc:
+        print(f"--gpus {args.gpus}: {exc}", file=sys.stderr)
+        return 2
     timing = simulate_machine_step(machine, spec, config, n_gpus=args.gpus,
                                    plan_mode=mode)
     print(f"model      {spec.name} "
@@ -428,7 +455,11 @@ def _cmd_sched(args, out) -> int:
 
 def _cmd_topology(args, out) -> int:
     machine = get_machine(args.machine)
-    topo = machine.topology(args.gpus)
+    try:   # the machine refuses a GPU count it does not have
+        topo = machine.topology(args.gpus)
+    except ValueError as exc:
+        print(f"--gpus {args.gpus}: {exc}", file=sys.stderr)
+        return 2
     print(topo.describe(), file=out)
     print(f"\nGPU: {machine.gpu.name} ({machine.gpu.memory_gb} GB, "
           f"GPUDirect: {machine.gpu.gpu_direct})", file=out)

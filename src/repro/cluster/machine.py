@@ -39,8 +39,8 @@ class Machine:
         return get_gpu(self.gpu_name)
 
     def topology(self, n_gpus: int | None = None) -> Topology:
-        n = n_gpus or self.n_gpus
-        if n > self.n_gpus:
+        n = self.n_gpus if n_gpus is None else n_gpus
+        if not 1 <= n <= self.n_gpus:
             raise ValueError(
                 f"{self.name} has {self.n_gpus} GPUs, requested {n}"
             )

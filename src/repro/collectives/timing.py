@@ -493,7 +493,6 @@ def time_partial_allreduce(
     quorum: int,
     ready: list[float],
     chunk_streams: int = 1,
-    job: int | None = None,
 ) -> CollectiveTiming:
     """Timed quorum reduction: reduce over the first ``quorum`` ready
     ranks, then ship the result to the laggards.
@@ -514,7 +513,7 @@ def time_partial_allreduce(
     members = order[:quorum]
     laggards = order[quorum:]
 
-    sched = _Scheduler(network, spec, streams=chunk_streams, job=job)
+    sched = _Scheduler(network, spec, streams=chunk_streams)
     member_ranks = [ranks[i] for i in members]
     member_start = [sched.op_start(ready[i]) for i in members]
     member_end = _time_sra(sched, member_ranks, dense_numel, member_start)

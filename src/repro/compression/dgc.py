@@ -7,10 +7,6 @@ The strongest sparsifier the paper discusses — ">100x compression" but
 * **momentum correction** — local momentum accumulates *before*
   sparsification, and both the momentum and the velocity accumulators
   are masked where values are transmitted;
-* **density warm-up** — compression ramps exponentially from a gentle
-  starting density to the aggressive target over the first epochs,
-  which is exactly the kind of extra schedule ("hyper-parameter
-  tuning") CGX's Goal 2 forbids for itself;
 * velocity accumulation doubles as error feedback.
 
 Stateful per key (worker, layer): do not share one instance across
@@ -29,38 +25,22 @@ from .topk import Sparsifier, top_indices
 
 __all__ = ["DGCCompressor"]
 
+#: local momentum coefficient, accumulated before sparsification
+MOMENTUM = 0.9
+
 
 @register
 class DGCCompressor(Sparsifier):
-    """TopK with momentum correction and density warm-up."""
+    """TopK with momentum correction."""
 
     contract = CompressorContract("dgc", stateful=True,
                                   requires_error_feedback=True,
                                   self_error_feedback=True)
 
-    def __init__(self, spec: CompressionSpec, momentum: float = 0.9,
-                 warmup_steps: int = 0, initial_density: float = 0.25
-                 ) -> None:
+    def __init__(self, spec: CompressionSpec) -> None:
         super().__init__(spec)
-        if not 0 <= momentum < 1:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self.warmup_steps = warmup_steps
-        self.initial_density = initial_density
         self._momentum_buf: dict = {}
         self._velocity: dict = {}
-        self._steps: dict = {}
-
-    def current_density(self, key: Any) -> float:
-        """Warm-up schedule: exponential ramp to the target density."""
-        step = self._steps.get(key, 0)
-        if self.warmup_steps <= 0 or step >= self.warmup_steps:
-            return self.spec.density
-        # geometric interpolation initial -> target
-        frac = step / self.warmup_steps
-        log_density = (np.log(self.initial_density) * (1 - frac)
-                       + np.log(self.spec.density) * frac)
-        return float(np.exp(log_density))
 
     def compress(self, array: np.ndarray, rng: np.random.Generator,
                  key: Any = None) -> Compressed:
@@ -69,13 +49,12 @@ class DGCCompressor(Sparsifier):
         if momentum is None or momentum.shape != flat.shape:
             momentum = np.zeros_like(flat)
             self._velocity[key] = np.zeros_like(flat)
-            self._steps[key] = 0
         velocity = self._velocity[key]
 
-        momentum = self.momentum * momentum + flat
+        momentum = MOMENTUM * momentum + flat
         velocity = velocity + momentum
 
-        indices = top_indices(velocity, self.current_density(key))
+        indices = top_indices(velocity, self.spec.density)
         values = velocity[indices].copy()
 
         # masking: transmitted coordinates reset both accumulators
@@ -83,7 +62,6 @@ class DGCCompressor(Sparsifier):
         velocity[indices] = 0.0
         self._momentum_buf[key] = momentum
         self._velocity[key] = velocity
-        self._steps[key] = self._steps.get(key, 0) + 1
 
         payload = {"indices": indices, "values": values}
         return Compressed(self.spec, flat.size, tuple(np.shape(array)),
@@ -92,4 +70,3 @@ class DGCCompressor(Sparsifier):
     def reset(self) -> None:
         self._momentum_buf.clear()
         self._velocity.clear()
-        self._steps.clear()

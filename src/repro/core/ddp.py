@@ -8,9 +8,11 @@ every replica holds bit-identical averaged gradients, so identical
 optimizers keep the replicas in lock-step (asserted by
 :meth:`check_in_sync`, and by the test suite).
 
-PowerSGD takes a separate path (:mod:`repro.baselines.powersgd_ddp`)
-because its aggregation is associative over the P/Q factors rather than
-over gradients.
+PowerSGD runs through the same engine as every other method: a
+``powersgd`` config reduces each matrix package with the engine's
+:class:`~repro.compression.powersgd.PowerSGDCompressor`, and its
+packages are never fused with others, since the low-rank factors are
+per matrix.
 """
 
 from __future__ import annotations

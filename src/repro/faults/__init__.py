@@ -8,8 +8,8 @@ mechanism and policy:
   a byte-reproducible event log.  Named chaos campaigns live here, as
   does the :func:`oracle_guard` tripwire separating simulation physics
   from recovery decisions.
-* :mod:`~repro.faults.policy` — the recovery knobs
-  (:class:`ResiliencePolicy`), campaign accounting
+* :mod:`~repro.faults.policy` — the recovery switches
+  (:class:`ResiliencePolicy`) and constants, campaign accounting
   (:class:`FaultCounters`), and the pure decision functions
   (:func:`select_members` over the shared :func:`quorum_floor` rule,
   :func:`plan_fallback`).
@@ -46,9 +46,9 @@ from .elastic import (DEFAULT_GPU, DRAIN_TOLERANCE, ElasticCoordinator,
                       ElasticDecision, autoscale_burst_campaign,
                       check_drain_protocol, fleet_alpha_scale,
                       gpu_compute_scale, spot_churn_campaign)
-from .health import (VERDICTS, HealthMonitor, HealthPolicy,
-                     HeartbeatTransport, PhiAccrualDetector, RankHealth,
-                     Supervisor, SupervisorDecision)
+from .health import (VERDICTS, HealthMonitor, HeartbeatTransport,
+                     PhiAccrualDetector, RankHealth, Supervisor,
+                     SupervisorDecision)
 from .inject import (FaultChannel, FaultyNetwork, corrupt_payload,
                      inject_data_path, payload_crc)
 from .plan import (CAMPAIGNS, FaultEvent, FaultPlan, FaultRecord, PlanRuntime,
@@ -73,7 +73,7 @@ __all__ = [
     "autoscale_burst_campaign",
     "FaultChannel", "FaultyNetwork", "inject_data_path", "payload_crc",
     "corrupt_payload",
-    "VERDICTS", "HealthPolicy", "PhiAccrualDetector", "RankHealth",
+    "VERDICTS", "PhiAccrualDetector", "RankHealth",
     "HealthMonitor", "HeartbeatTransport", "Supervisor",
     "SupervisorDecision",
     "CheckpointStore", "CheckpointCorrupt",

@@ -42,7 +42,7 @@ from repro.cluster.gpu import get_gpu
 
 from .plan import (CAMPAIGNS, FaultPlan, FaultRecord, PlanRuntime, StepFaults,
                    preempt_warning, provision, records_of, straggler)
-from .policy import ResiliencePolicy
+from .policy import MIN_QUORUM_FRACTION
 
 __all__ = ["DEFAULT_GPU", "DRAIN_TOLERANCE", "ElasticDecision",
            "ElasticCoordinator", "fleet_alpha_scale",
@@ -116,7 +116,7 @@ class ElasticCoordinator:
     are keyed by buffer index, so resizing the buffer list with mass
     banked would orphan delivered-late gradients (ELA001 certifies none
     ever is).  Graceful exits additionally respect the quorum floor —
-    shrinking below ``min_quorum_fraction`` of the initial world is
+    shrinking below ``MIN_QUORUM_FRACTION`` of the initial world is
     deferred until growth restores headroom (the provider can still
     force-reclaim at the deadline; that is the degrade-to-crash path).
     """
@@ -128,7 +128,6 @@ class ElasticCoordinator:
             raise ValueError(f"plan is for world {plan.world}, "
                              f"coordinator built for {world}")
         self.runtime = runtime
-        self.policy: ResiliencePolicy = runtime.policy
         self.world = world
         self.capacity = plan.max_world
         self.supervised = supervised
@@ -145,7 +144,7 @@ class ElasticCoordinator:
         #: per-step membership trace, ``(step, members)`` — ELA001 input
         self.history: list[tuple[int, tuple[int, ...]]] = []
         self.min_members = max(1, math.ceil(
-            self.policy.min_quorum_fraction * world))
+            MIN_QUORUM_FRACTION * world))
 
     # -- queries ------------------------------------------------------------
     def member_list(self) -> list[int]:

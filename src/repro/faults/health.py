@@ -17,15 +17,15 @@ three pieces a real cluster uses:
   yields a suspicion score ``phi = -log10 P(gap this long | history)``,
   classified into ``healthy`` / ``flaky`` / ``straggler`` / ``crashed``.
   Straggler classification is cross-sectional: a rank whose
-  schedule-relative arrival offset exceeds ``straggler_ratio`` times
-  the fleet median for ``straggler_patience`` consecutive assessments
+  schedule-relative arrival offset exceeds ``STRAGGLER_RATIO`` times
+  the fleet median for ``STRAGGLER_PATIENCE`` consecutive assessments
   is demoted-eligible.  Everything is seeded and deterministic.
 * :class:`Supervisor` — consumes detector verdicts (never the fault
   plan) and decides: the step's quorum, straggler demotions, rejoin
-  admission after ``rejoin_confirmations`` healthy beats (the trainer
+  admission after ``REJOIN_CONFIRMATIONS`` healthy beats (the trainer
   then runs peer state transfer), and escalation to a durable
   checkpoint restore once a rank has flapped crash/rejoin
-  ``escalation_flaps`` times.
+  ``ESCALATION_FLAPS`` times.
 
 The :class:`~repro.training.trainer.DataParallelTrainer` wires these in
 behind ``supervised=True``; the oracle path stays as the calibration
@@ -46,9 +46,9 @@ from repro.cluster.topology import nvlink_mesh
 
 from .inject import FaultyNetwork
 from .plan import PlanRuntime
-from .policy import ResiliencePolicy, quorum_floor
+from .policy import MIN_QUORUM_FRACTION, quorum_floor
 
-__all__ = ["VERDICTS", "HealthPolicy", "PhiAccrualDetector", "RankHealth",
+__all__ = ["VERDICTS", "PhiAccrualDetector", "RankHealth",
            "HealthMonitor", "HeartbeatTransport", "Supervisor",
            "SupervisorDecision"]
 
@@ -56,75 +56,46 @@ __all__ = ["VERDICTS", "HealthPolicy", "PhiAccrualDetector", "RankHealth",
 VERDICTS = ("healthy", "flaky", "straggler", "crashed")
 
 
-@dataclass(frozen=True)
-class HealthPolicy:
-    """Detector and supervision tuning for one supervised campaign.
+# The detector's settings.  Every supervised campaign runs these values,
+# and the HLT battery certifies its latency bounds at exactly them.
 
-    Attributes:
-        interval: nominal heartbeat period in simulated seconds (one
-            beat per training step).
-        compute_cost: fraction of ``interval`` a healthy step spends
-            before its beat is emitted; a rank whose compute is
-            stretched by factor *f* emits at ``f * compute_cost``
-            intervals, which is the signal straggler detection reads.
-        heartbeat_bytes: wire size of one beat (tiny — transit time is
-            negligible next to compute, by design).
-        window: inter-arrival samples the phi estimator keeps per rank.
-        min_history: beats required before the sample mean replaces the
-            nominal interval in the phi model.
-        sigma_floor: lower bound on the inter-arrival std-dev, as a
-            fraction of ``interval``; keeps phi finite when the history
-            is metronome-regular.
-        phi_suspect: phi at which a rank is classified ``flaky``.
-        phi_crash: phi at which a rank is classified ``crashed``
-            (defaults require roughly two consecutive missed beats).
-        bootstrap_timeout: intervals a never-heard-from rank is granted
-            before it is declared crashed-from-start.
-        reset_gap: silence longer than this many mean intervals resets
-            a rank's history when beats resume (rejoin), so the outage
-            gap does not poison the phi model.
-        straggler_ratio: schedule-offset multiple of the fleet median
-            beyond which a rank counts as late.
-        straggler_patience: consecutive late assessments before the
-            ``straggler`` verdict is issued.
-        rejoin_confirmations: healthy assessments a believed-crashed
-            rank must string together before re-admission.
-        escalation_flaps: crash suspicions for one rank before the
-            supervisor escalates to a durable checkpoint restore.
-        checkpoint_every: steps between durable checkpoints when a
-            store is attached to the trainer.
-    """
-
-    interval: float = 1.0
-    compute_cost: float = 0.5
-    heartbeat_bytes: int = 256
-    window: int = 16
-    min_history: int = 3
-    sigma_floor: float = 0.3
-    phi_suspect: float = 1.5
-    phi_crash: float = 5.0
-    bootstrap_timeout: float = 3.0
-    reset_gap: float = 3.0
-    straggler_ratio: float = 2.0
-    straggler_patience: int = 2
-    rejoin_confirmations: int = 2
-    escalation_flaps: int = 3
-    checkpoint_every: int = 5
-
-    def __post_init__(self) -> None:
-        for name in ("interval", "compute_cost", "sigma_floor",
-                     "bootstrap_timeout", "reset_gap"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("heartbeat_bytes", "window", "min_history",
-                     "straggler_patience", "rejoin_confirmations",
-                     "escalation_flaps", "checkpoint_every"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.phi_suspect <= 0 or self.phi_crash <= self.phi_suspect:
-            raise ValueError("need 0 < phi_suspect < phi_crash")
-        if self.straggler_ratio <= 1.0:
-            raise ValueError("straggler_ratio must be > 1")
+#: nominal heartbeat period in simulated seconds (one beat per step)
+INTERVAL = 1.0
+#: fraction of ``INTERVAL`` a healthy step spends before its beat is
+#: emitted; a rank whose compute is stretched by factor *f* emits at
+#: ``f * COMPUTE_COST`` intervals, which is the signal straggler
+#: detection reads
+COMPUTE_COST = 0.5
+#: wire size of one beat (tiny: transit is negligible next to compute)
+HEARTBEAT_BYTES = 256
+#: inter-arrival samples the phi estimator keeps per rank
+WINDOW = 16
+#: beats required before the sample mean replaces ``INTERVAL``
+MIN_HISTORY = 3
+#: lower bound on the inter-arrival std-dev, as a fraction of
+#: ``INTERVAL``; keeps phi finite when the history is metronome-regular
+SIGMA_FLOOR = 0.3
+#: phi at which a rank is classified ``flaky``
+PHI_SUSPECT = 1.5
+#: phi at which a rank is classified ``crashed`` (roughly two
+#: consecutive missed beats)
+PHI_CRASH = 5.0
+#: intervals a never-heard-from rank is granted before it is declared
+#: crashed-from-start
+BOOTSTRAP_TIMEOUT = 3.0
+#: silence longer than this many mean intervals resets a rank's history
+#: when beats resume (rejoin), so the outage gap does not poison phi
+RESET_GAP = 3.0
+#: schedule-offset multiple of the fleet median beyond which a rank is late
+STRAGGLER_RATIO = 2.0
+#: consecutive late assessments before the ``straggler`` verdict
+STRAGGLER_PATIENCE = 2
+#: healthy assessments a believed-crashed rank must string together
+#: before re-admission
+REJOIN_CONFIRMATIONS = 2
+#: crash suspicions for one rank before the supervisor escalates to a
+#: durable checkpoint restore
+ESCALATION_FLAPS = 3
 
 
 class PhiAccrualDetector:
@@ -136,10 +107,9 @@ class PhiAccrualDetector:
     phi ~ 1 means a 10% chance the rank is fine, ~3 means 0.1%.
     """
 
-    def __init__(self, policy: HealthPolicy) -> None:
-        self.policy = policy
+    def __init__(self) -> None:
         self.last: float | None = None
-        self.intervals: deque[float] = deque(maxlen=policy.window)
+        self.intervals: deque[float] = deque(maxlen=WINDOW)
 
     @property
     def beats_seen(self) -> int:
@@ -160,13 +130,13 @@ class PhiAccrualDetector:
         self.last = None
 
     def mean_interval(self) -> float:
-        if len(self.intervals) >= self.policy.min_history:
+        if len(self.intervals) >= MIN_HISTORY:
             return statistics.fmean(self.intervals)
-        return self.policy.interval
+        return INTERVAL
 
     def _sigma(self) -> float:
-        floor = self.policy.sigma_floor * self.policy.interval
-        if len(self.intervals) >= self.policy.min_history:
+        floor = SIGMA_FLOOR * INTERVAL
+        if len(self.intervals) >= MIN_HISTORY:
             return max(statistics.pstdev(self.intervals), floor)
         return floor
 
@@ -207,14 +177,11 @@ class HealthMonitor:
     the window's end.
     """
 
-    def __init__(self, world: int,
-                 health: HealthPolicy | None = None) -> None:
+    def __init__(self, world: int) -> None:
         if world < 1:
             raise ValueError("world must be >= 1")
         self.world = world
-        self.health = health or HealthPolicy()
-        self._detectors = [PhiAccrualDetector(self.health)
-                           for _ in range(world)]
+        self._detectors = [PhiAccrualDetector() for _ in range(world)]
         self._pending: list[tuple[float, int, int]] = []  # (arrival, seq, rank)
         self._offset: list[float | None] = [None] * world
         self._late_streak = [0] * world
@@ -226,7 +193,7 @@ class HealthMonitor:
     def grow(self, world: int) -> None:
         """Extend the detector arrays to a larger elastic capacity."""
         while self.world < world:
-            self._detectors.append(PhiAccrualDetector(self.health))
+            self._detectors.append(PhiAccrualDetector())
             self._offset.append(None)
             self._late_streak.append(0)
             self._activated.append(0.0)
@@ -237,11 +204,11 @@ class HealthMonitor:
         clock there instead of at the beginning of the run."""
         if rank >= self.world:
             self.grow(rank + 1)
-        self._activated[rank] = step * self.health.interval
+        self._activated[rank] = step * INTERVAL
 
     def deactivate(self, rank: int) -> None:
         """Forget a departed rank's history entirely (graceful exit)."""
-        self._detectors[rank] = PhiAccrualDetector(self.health)
+        self._detectors[rank] = PhiAccrualDetector()
         self._offset[rank] = None
         self._late_streak[rank] = 0
         self._activated[rank] = 0.0
@@ -254,8 +221,7 @@ class HealthMonitor:
         when the beat was lost or never emitted), as produced by
         :meth:`HeartbeatTransport.beats`.
         """
-        h = self.health
-        assess_t = (step + 1) * h.interval
+        assess_t = (step + 1) * INTERVAL
         for rank in sorted(arrivals):
             arrival = arrivals[rank]
             if arrival is not None:
@@ -265,14 +231,14 @@ class HealthMonitor:
         for arrival, seq, rank in due:
             detector = self._detectors[rank]
             if detector.last is not None and \
-                    arrival - detector.last > h.reset_gap * max(
-                        detector.mean_interval(), h.interval):
+                    arrival - detector.last > RESET_GAP * max(
+                        detector.mean_interval(), INTERVAL):
                 # beats resumed after a long outage: the gap is not an
                 # inter-arrival sample, it is a rejoin edge
                 detector.reset()
                 self._offset[rank] = None
             detector.heartbeat(arrival)
-            offset = max(arrival - seq * h.interval, 0.0)
+            offset = max(arrival - seq * INTERVAL, 0.0)
             prev = self._offset[rank]
             self._offset[rank] = offset if prev is None \
                 else 0.5 * prev + 0.5 * offset
@@ -285,33 +251,32 @@ class HealthMonitor:
     def _base_offset(self) -> float:
         known = [o for o in self._offset if o is not None]
         if not known:
-            return self.health.compute_cost * self.health.interval
+            return COMPUTE_COST * INTERVAL
         return max(statistics.median(known), 1e-9)
 
     def _assess(self, rank: int, assess_t: float) -> RankHealth:
-        h = self.health
         detector = self._detectors[rank]
         if detector.beats_seen == 0:
             # never heard from: grant the bootstrap grace (counted from
             # the rank's boot time), then declare it crashed-from-start
             crashed = assess_t - self._activated[rank] \
-                >= h.bootstrap_timeout * h.interval
+                >= BOOTSTRAP_TIMEOUT * INTERVAL
             return RankHealth(rank, "crashed" if crashed else "healthy",
                               float("inf") if crashed else 0.0, 1.0, 0, None)
         phi = detector.phi(assess_t)
         offset = self._offset[rank]
         lag = 1.0 if offset is None else offset / self._base_offset()
-        if phi >= h.phi_crash:
+        if phi >= PHI_CRASH:
             self._late_streak[rank] = 0
             return RankHealth(rank, "crashed", phi, lag,
                               detector.beats_seen, detector.last)
-        if lag >= h.straggler_ratio:
+        if lag >= STRAGGLER_RATIO:
             self._late_streak[rank] += 1
         else:
             self._late_streak[rank] = 0
-        if self._late_streak[rank] >= h.straggler_patience:
+        if self._late_streak[rank] >= STRAGGLER_PATIENCE:
             verdict = "straggler"
-        elif phi >= h.phi_suspect:
+        elif phi >= PHI_SUSPECT:
             verdict = "flaky"
         else:
             verdict = "healthy"
@@ -320,8 +285,7 @@ class HealthMonitor:
 
     def reset(self) -> None:
         """Fresh detectors (after an escalation restore rewinds time)."""
-        self._detectors = [PhiAccrualDetector(self.health)
-                           for _ in range(self.world)]
+        self._detectors = [PhiAccrualDetector() for _ in range(self.world)]
         self._pending.clear()
         self._offset = [None] * self.world
         self._late_streak = [0] * self.world
@@ -342,14 +306,12 @@ class HeartbeatTransport:
     """
 
     def __init__(self, runtime: PlanRuntime, world: int,
-                 health: HealthPolicy | None = None,
                  capacity: int | None = None) -> None:
         if capacity is not None and capacity < world:
             raise ValueError("capacity must be >= world")
         self.runtime = runtime
         self.world = world
         self.capacity = capacity or world
-        self.health = health or HealthPolicy()
         # the fabric is provisioned for the elastic peak up front, so a
         # machine joining mid-run finds its links already modeled
         self.network = FaultyNetwork(
@@ -367,10 +329,9 @@ class HeartbeatTransport:
         provisioned machine emits later, which is exactly the signal
         the cross-sectional straggler detector reads.
         """
-        h = self.health
         runtime = self.runtime
         faults = runtime.faults()
-        now = step * h.interval
+        now = step * INTERVAL
         dead = faults.dead_ranks()
         out: dict[int, float | None] = {}
         emits = []
@@ -381,7 +342,7 @@ class HeartbeatTransport:
             scale = faults.compute_scale(rank)
             if compute_scale_of is not None:
                 scale *= compute_scale_of(rank)
-            emits.append((now + h.compute_cost * h.interval * scale, rank))
+            emits.append((now + COMPUTE_COST * INTERVAL * scale, rank))
         # beats enter the wire in emission order: the store-and-forward
         # pool serves requests in call order, so a straggler's late beat
         # must not queue ahead of a healthy rank's earlier one
@@ -390,7 +351,7 @@ class HeartbeatTransport:
                 arrival: float | None = emit   # loopback never drops
             else:
                 arrival = self.network.transfer_unreliable(
-                    rank, 0, h.heartbeat_bytes, emit)
+                    rank, 0, HEARTBEAT_BYTES, emit)
             if arrival is None:
                 runtime.counters.heartbeat_misses += 1
                 runtime.record("hb_lost", rank=rank)
@@ -422,12 +383,9 @@ class Supervisor:
     events are appended to the runtime's deterministic log.
     """
 
-    def __init__(self, world: int, policy: ResiliencePolicy | None = None,
-                 health: HealthPolicy | None = None,
+    def __init__(self, world: int,
                  runtime: PlanRuntime | None = None) -> None:
         self.world = world
-        self.policy = policy or ResiliencePolicy()
-        self.health = health or HealthPolicy()
         self.runtime = runtime
         self.believed_dead: set[int] = set()
         self.flaps: dict[int, int] = defaultdict(int)
@@ -440,7 +398,7 @@ class Supervisor:
 
     def register_provision(self, rank: int) -> None:
         """A provisioned machine is booting: vet it through the rejoin
-        confirmation path (``rejoin_confirmations`` healthy beats)
+        confirmation path (``REJOIN_CONFIRMATIONS`` healthy beats)
         before the coordinator may admit it — world growth is driven by
         observed heartbeats, never by the plan."""
         self._provisional.add(rank)
@@ -465,7 +423,7 @@ class Supervisor:
                 if card.verdict == "healthy":
                     self._pending_rejoin[rank] += 1
                     if self._pending_rejoin[rank] \
-                            >= self.health.rejoin_confirmations:
+                            >= REJOIN_CONFIRMATIONS:
                         self.believed_dead.discard(rank)
                         self._pending_rejoin[rank] = 0
                         admitted.append(rank)
@@ -495,7 +453,7 @@ class Supervisor:
                       and cards[r].verdict == "straggler"]
         participants = quorum_floor(
             assessed, self.believed_dead, stragglers,
-            self.policy.min_quorum_fraction, lambda r: cards[r].lag)
+            MIN_QUORUM_FRACTION, lambda r: cards[r].lag)
         demoted = [r for r in stragglers if r not in participants]
         if not participants:   # everyone is believed dead
             participants = assessed[:1] or [0]
@@ -506,7 +464,7 @@ class Supervisor:
 
         escalate = False
         for rank in sorted(self.flaps):
-            if self.flaps[rank] >= self.health.escalation_flaps:
+            if self.flaps[rank] >= ESCALATION_FLAPS:
                 escalate = True
                 self.flaps[rank] = 0
                 self._record("escalate", rank=rank)

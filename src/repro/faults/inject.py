@@ -20,9 +20,11 @@ Two injectors, one plan:
   :class:`~repro.cluster.network.Network`: link slowdowns stretch
   per-link service times, downed routes raise
   :class:`~repro.faults.policy.LinkDownError` (callers consult
-  :func:`~repro.faults.policy.plan_fallback` first), lost or corrupted
-  transfers re-traverse their route after a timeout-plus-backoff wait,
-  and straggler scaling stretches per-GPU kernels.
+  :func:`~repro.faults.policy.plan_fallback` first), lost transfers
+  (and corrupted ones, while CRC checking is on) re-traverse their
+  route after a timeout-plus-backoff wait, an exhausted retry budget
+  raises under ``strict``, and straggler scaling stretches per-GPU
+  kernels.
 
 Both injectors log every occurrence into the shared
 :class:`~repro.faults.plan.PlanRuntime`, so the makespan model and the
@@ -45,7 +47,8 @@ from repro.compression.base import Compressed
 from repro.core.serialization import serialize_payload
 
 from .plan import PlanRuntime
-from .policy import FaultBudgetExceeded, LinkDownError
+from .policy import (MAX_RETRIES, TIMEOUT, FaultBudgetExceeded, LinkDownError,
+                     backoff)
 
 __all__ = ["FaultChannel", "FaultyNetwork", "inject_data_path",
            "payload_crc", "corrupt_payload"]
@@ -127,12 +130,11 @@ class FaultChannel:
                 counters.corrupt_detected += 1
 
             attempt += 1
-            if attempt > policy.max_retries:
+            if attempt > MAX_RETRIES:
                 if policy.strict:
                     raise FaultBudgetExceeded(
                         f"{tag}: {gsrc}->{gdst} failed "
-                        f"{attempt} deliveries (budget "
-                        f"{policy.max_retries})")
+                        f"{attempt} deliveries (budget {MAX_RETRIES})")
                 counters.forced_deliveries += 1
                 runtime.record("forced_delivery", src=gsrc, dst=gdst,
                                tag=tag)
@@ -173,13 +175,19 @@ class FaultyNetwork(Network):
         super().__init__(topology, backend)
         self.runtime = runtime
 
-    def _route_faults(self, src: int, dst: int) -> tuple[bool, float, float]:
-        """``(down, slowdown, p_fail)`` of ``src -> dst`` at this step."""
+    def _route_faults(self, src: int, dst: int
+                      ) -> tuple[bool, float, float, float]:
+        """``(down, slowdown, p_loss, p_fail)`` of ``src -> dst`` now.
+
+        One draw below ``p_loss`` is a loss; one in ``[p_loss, p_fail)``
+        is a corruption of a message that was not lost.
+        """
         faults = self.runtime.faults()
-        p_fail = 1.0 - (1.0 - faults.loss_probability(src, dst)) \
+        p_loss = faults.loss_probability(src, dst)
+        p_fail = 1.0 - (1.0 - p_loss) \
             * (1.0 - faults.corrupt_probability(src, dst))
         return (faults.route_down(src, dst),
-                faults.link_slow_factor(src, dst), p_fail)
+                faults.link_slow_factor(src, dst), p_loss, p_fail)
 
     def transfer(self, src: int, dst: int, nbytes: int, ready: float,
                  job: int | None = None, slow: float = 1.0) -> float:
@@ -187,7 +195,10 @@ class FaultyNetwork(Network):
             return ready
         runtime = self.runtime
         policy = runtime.policy
-        down, plan_slow, p_fail = self._route_faults(src, dst)
+        down, plan_slow, p_loss, p_fail = self._route_faults(src, dst)
+        # without CRC checking a corruption goes unnoticed: only a loss
+        # is retransmitted, and the draw per attempt stays the same
+        p_retry = p_fail if policy.crc_check else p_loss
         slow *= plan_slow   # 1.0 * x == x: the plan's stretch, bit for bit
         if down:
             runtime.record("link_down_hit", src=src, dst=dst)
@@ -198,16 +209,25 @@ class FaultyNetwork(Network):
         t = ready
         while True:
             end = self._walk(src, dst, nbytes, t, job, slow)
-            if p_fail <= 0.0 or float(runtime.rng.random()) >= p_fail:
+            if p_fail <= 0.0:
+                return end
+            draw = float(runtime.rng.random())
+            if draw >= p_retry:
+                if draw < p_fail:
+                    runtime.counters.corrupt_delivered += 1
                 return end
             runtime.record("timed_retry", src=src, dst=dst, attempt=attempt)
             attempt += 1
-            if attempt > policy.max_retries:
+            if attempt > MAX_RETRIES:
+                if policy.strict:
+                    raise FaultBudgetExceeded(
+                        f"timed {src}->{dst} failed {attempt} deliveries "
+                        f"(budget {MAX_RETRIES})")
                 runtime.counters.forced_deliveries += 1
                 return end
             runtime.counters.retries += 1
             runtime.counters.retransmit_bytes += nbytes
-            t = end + policy.timeout + policy.backoff(attempt)
+            t = end + TIMEOUT + backoff(attempt)
 
     def transfer_unreliable(self, src: int, dst: int, nbytes: int,
                             ready: float) -> float | None:
@@ -221,7 +241,7 @@ class FaultyNetwork(Network):
         """
         if src == dst:
             return ready
-        down, slow, p_fail = self._route_faults(src, dst)
+        down, slow, _, p_fail = self._route_faults(src, dst)
         if down:
             return None
         end = self._walk(src, dst, nbytes, ready, None, slow)

@@ -1,9 +1,11 @@
 """Resilience policies: what training does about injected faults.
 
-A :class:`ResiliencePolicy` bundles the recovery knobs — bounded retry
-with exponential backoff, CRC verification of payloads, the straggler
-budget beyond which a rank is demoted to quorum (carry-buffer) mode,
-and the minimum quorum the engine will accept.  Pure decision logic
+A :class:`ResiliencePolicy` holds the two recovery switches: CRC
+verification of payloads, and whether an exhausted retry budget raises.
+The rest of the recovery rules are module constants: bounded retry with
+exponential :func:`backoff`, the straggler budget beyond which a rank
+is demoted to quorum (carry-buffer) mode, and the minimum quorum the
+engine will accept.  Pure decision logic
 lives here too: :func:`select_members` (who contributes this step, over
 the one :func:`quorum_floor` rule the heartbeat supervisor shares) and
 :func:`plan_fallback` (how the timed collective routes around dead
@@ -22,7 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .plan import StepFaults
 
 __all__ = ["ResiliencePolicy", "FaultCounters", "FaultBudgetExceeded",
-           "LinkDownError", "quorum_floor", "select_members",
+           "LinkDownError", "backoff", "quorum_floor", "select_members",
            "plan_fallback"]
 
 
@@ -34,61 +36,49 @@ class LinkDownError(RuntimeError):
     """A timed transfer was scheduled over a downed route."""
 
 
+#: bounded retransmit attempts per logical message
+MAX_RETRIES = 4
+#: seconds a timed sender waits before declaring a loss
+TIMEOUT = 2e-3
+#: first retry delay (seconds, timed path)
+BACKOFF_BASE = 1e-3
+#: multiplier per further retry (exponential)
+BACKOFF_FACTOR = 2.0
+#: cap on any single retry delay: exponential growth is unbounded
+#: otherwise, and retries must degrade to steady ones, not
+#: multi-second stalls
+BACKOFF_MAX = 0.25
+#: compute-scale factor beyond which a live rank is dropped from the
+#: step's quorum (its gradient rides the carry buffer instead of being
+#: waited for)
+STRAGGLER_BUDGET = 2.0
+#: never reduce over fewer than this fraction of the world, even if the
+#: budget says to drop more ranks
+MIN_QUORUM_FRACTION = 0.5
+
+
+def backoff(attempt: int) -> float:
+    """Delay before retry ``attempt`` (1-based), in seconds.
+
+    Exponential in ``attempt`` but capped at :data:`BACKOFF_MAX`.
+    """
+    return min(BACKOFF_BASE * BACKOFF_FACTOR ** (attempt - 1), BACKOFF_MAX)
+
+
 @dataclass(frozen=True)
 class ResiliencePolicy:
-    """Recovery configuration for one campaign.
+    """The two recovery switches of one campaign.
 
     Attributes:
-        max_retries: bounded retransmit attempts per logical message.
-        timeout: seconds a timed sender waits before declaring a loss.
-        backoff_base: first retry delay (seconds, timed path).
-        backoff_factor: multiplier per further retry (exponential).
-        backoff_max: cap on any single retry delay — exponential growth
-            is unbounded otherwise, and a mistuned ``backoff_factor``
-            must degrade to steady retries, not multi-second stalls.
         crc_check: verify payload CRCs and retransmit on mismatch; with
             this off, corrupted payloads are *delivered* and training
             absorbs the error.
-        straggler_budget: compute-scale factor beyond which a live rank
-            is dropped from the step's quorum (its gradient rides the
-            carry buffer instead of being waited for).
-        min_quorum_fraction: never reduce over fewer than this fraction
-            of the world, even if the budget says to drop more ranks.
         strict: raise :class:`FaultBudgetExceeded` when retries run out
             instead of forcing the delivery through.
     """
 
-    max_retries: int = 4
-    timeout: float = 2e-3
-    backoff_base: float = 1e-3
-    backoff_factor: float = 2.0
-    backoff_max: float = 0.25
     crc_check: bool = True
-    straggler_budget: float = 2.0
-    min_quorum_fraction: float = 0.5
     strict: bool = False
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        for name in ("timeout", "backoff_base", "backoff_factor",
-                     "backoff_max"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.backoff_max < self.backoff_base:
-            raise ValueError("backoff_max must be >= backoff_base")
-        if not 0.0 < self.min_quorum_fraction <= 1.0:
-            raise ValueError("min_quorum_fraction must be in (0, 1]")
-        if self.straggler_budget < 1.0:
-            raise ValueError("straggler_budget must be >= 1")
-
-    def backoff(self, attempt: int) -> float:
-        """Delay before retry ``attempt`` (1-based), in seconds.
-
-        Exponential in ``attempt`` but capped at ``backoff_max``.
-        """
-        return min(self.backoff_base * self.backoff_factor ** (attempt - 1),
-                   self.backoff_max)
 
 
 @dataclass
@@ -159,12 +149,12 @@ def quorum_floor(pool: Iterable[int], dead: Collection[int],
     return sorted(kept + readmit[:max(0, floor - len(kept))])
 
 
-def select_members(faults: "StepFaults", policy: ResiliencePolicy,
+def select_members(faults: "StepFaults",
                    members: Iterable[int]) -> list[int]:
     """Which of ``members`` contribute to this step's reduction (oracle).
 
     Dead ranks are excluded; live ranks whose compute scale exceeds
-    ``policy.straggler_budget`` are demoted to carry mode, the least
+    :data:`STRAGGLER_BUDGET` are demoted to carry mode, the least
     slow re-admitted first when :func:`quorum_floor` binds.  ``members``
     is the coordinator's current membership, so provisioned ranks join
     the straggler budget once admitted and departed ranks never
@@ -173,8 +163,8 @@ def select_members(faults: "StepFaults", policy: ResiliencePolicy,
     pool = sorted(set(members))
     dead = faults.dead_ranks()
     slow = [r for r in pool if r not in dead
-            and faults.compute_scale(r) > policy.straggler_budget]
-    return quorum_floor(pool, dead, slow, policy.min_quorum_fraction,
+            and faults.compute_scale(r) > STRAGGLER_BUDGET]
+    return quorum_floor(pool, dead, slow, MIN_QUORUM_FRACTION,
                         faults.compute_scale)
 
 

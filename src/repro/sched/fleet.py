@@ -46,6 +46,10 @@ __all__ = ["FleetSimulator", "FleetResult", "JobRunner", "FLEET_LOG_VERSION"]
 
 FLEET_LOG_VERSION = 1
 
+#: transport cost model of the shared fleet network (the log header
+#: records it)
+BACKEND = "shm"
+
 
 class JobRunner:
     """One job's precomputed step model, replayed on a shared network.
@@ -93,7 +97,6 @@ class FleetResult:
 
     policy: str
     routing: str
-    backend_name: str
     seed: int | None
     topology: Topology
     states: list[JobState]
@@ -117,7 +120,7 @@ class FleetResult:
             "fleet": {
                 "policy": self.policy,
                 "routing": self.routing,
-                "backend": self.backend_name,
+                "backend": BACKEND,
                 "seed": self.seed,
                 "topology": self.topology.name,
                 "n_gpus": self.topology.n_gpus,
@@ -188,7 +191,6 @@ class FleetSimulator:
             .sample_fleet`).
         gpu: compute envelope of every fleet GPU (name or spec).
         policy: placement policy (:data:`PLACEMENT_POLICIES`).
-        backend: transport cost model for the shared network.
         routing: ``static`` or ``adaptive`` route selection.
         seed: recorded in the canonical log header (the workload
             generator's seed; the loop itself draws no randomness).
@@ -204,7 +206,7 @@ class FleetSimulator:
 
     def __init__(self, topology: Topology, jobs: list[JobSpec],
                  gpu: GPUSpec | str = "RTX3090", policy: str = "packed",
-                 backend: str = "shm", routing: str = "static",
+                 routing: str = "static",
                  seed: int | None = None, trace: bool = False,
                  link_load_bin: float = 0.0,
                  spec_library: dict[str, ModelSpec] | None = None,
@@ -223,11 +225,10 @@ class FleetSimulator:
         self.jobs = sorted(jobs, key=lambda s: (s.arrival, s.job_id))
         self.gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
         self.policy = policy
-        self.backend = get_backend(backend)
-        self.backend_name = backend
         self.routing = routing
         self.seed = seed
-        self.network = Network(topology, self.backend, route_policy=routing)
+        self.network = Network(topology, get_backend(BACKEND),
+                               route_policy=routing)
         if trace:
             self.network.enable_trace()
         if link_load_bin:
@@ -318,8 +319,7 @@ class FleetSimulator:
                     heapq.heappush(heap, (end, job_id))
 
         return FleetResult(
-            policy=self.policy, routing=self.routing,
-            backend_name=self.backend_name, seed=self.seed,
+            policy=self.policy, routing=self.routing, seed=self.seed,
             topology=self.topology,
             states=[states[spec.job_id] for spec in self.jobs],
             records=records, network=self.network, runners=runners,

@@ -31,6 +31,12 @@ JOB_METHODS = ("cgx", "nccl")
 #: different gradient sizes plus the embedding-heavy Transformer-XL
 DEFAULT_FLEET_MODELS = ("resnet50", "vgg16", "transformer_xl")
 
+#: QSGD bit-widths a sampled ``cgx`` job draws from
+BITS_CHOICES = (2, 4, 8)
+
+#: share of sampled jobs that run the uncompressed ``nccl`` baseline
+NCCL_FRACTION = 0.25
+
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -140,8 +146,6 @@ def sample_fleet(
     worlds: tuple[int, ...] = (2, 4, 8),
     mean_interarrival: float = 0.05,
     steps_range: tuple[int, int] = (2, 5),
-    bits_choices: tuple[int, ...] = (2, 4, 8),
-    nccl_fraction: float = 0.25,
 ) -> list[JobSpec]:
     """Draw a seeded fleet: Poisson arrivals over a mixed job population.
 
@@ -152,6 +156,9 @@ def sample_fleet(
     """
     if n_jobs < 1:
         raise ValueError("n_jobs must be >= 1")
+    if not mean_interarrival > 0:   # NaN too
+        raise ValueError(
+            f"mean_interarrival must be > 0, got {mean_interarrival}")
     known = set(available_specs())
     for model in models:
         if model not in known:
@@ -161,7 +168,7 @@ def sample_fleet(
     specs: list[JobSpec] = []
     for job_id in range(1, n_jobs + 1):
         t += rng.expovariate(1.0 / mean_interarrival)
-        method = "nccl" if rng.random() < nccl_fraction else "cgx"
+        method = "nccl" if rng.random() < NCCL_FRACTION else "cgx"
         specs.append(JobSpec(
             job_id=job_id,
             model=rng.choice(models),
@@ -169,6 +176,6 @@ def sample_fleet(
             arrival=t,
             steps=rng.randint(*steps_range),
             method=method,
-            bits=rng.choice(bits_choices),
+            bits=rng.choice(BITS_CHOICES),
         ))
     return specs

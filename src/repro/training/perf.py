@@ -329,8 +329,7 @@ def simulate_machine_step(
     kernel_factor: float | None = None,
 ) -> StepTiming:
     """Convenience wrapper: simulate a step on a catalog machine."""
-    n = n_gpus or machine.n_gpus
-    topology = machine.topology(n)
+    topology = machine.topology(n_gpus)
     if kernel_factor is None:
         kernel_factor = (QNCCL_KERNEL_OVERHEAD_FACTOR
                          if plan_mode == "fused"

@@ -19,9 +19,9 @@ import numpy as np
 from repro.core import AdaptiveController, CGXConfig, \
     CGXDistributedDataParallel, OverlapDelays
 from repro.faults import (DRAIN_TOLERANCE, CheckpointStore, ElasticCoordinator,
-                          FaultPlan, HealthMonitor, HealthPolicy,
-                          HeartbeatTransport, PlanRuntime, ResiliencePolicy,
-                          Supervisor, SupervisorDecision, fleet_alpha_scale,
+                          FaultPlan, HealthMonitor, HeartbeatTransport,
+                          PlanRuntime, ResiliencePolicy, Supervisor,
+                          SupervisorDecision, fleet_alpha_scale,
                           inject_data_path, oracle_guard, select_members)
 from repro.nn.optim import Adam, SGD, clip_grad_norm
 
@@ -29,6 +29,9 @@ from .recipes import Recipe, get_recipe
 from .tasks import Task, make_task
 
 __all__ = ["TrainResult", "DataParallelTrainer", "train_family"]
+
+#: steps between durable checkpoints of a supervised run with a store
+CHECKPOINT_EVERY = 5
 
 
 def _clone_tree(node):
@@ -76,7 +79,6 @@ class DataParallelTrainer:
         fault_plan: FaultPlan | None = None,
         policy: ResiliencePolicy | None = None,
         supervised: bool = False,
-        health: HealthPolicy | None = None,
         store: CheckpointStore | None = None,
         overlap: bool = False,
         overlap_delays: OverlapDelays | None = None,
@@ -110,7 +112,6 @@ class DataParallelTrainer:
             self.elastic = ElasticCoordinator(self.fault_runtime, world_size,
                                               supervised=supervised)
         self.supervised = supervised
-        self.health = health or HealthPolicy()
         self.store = store
         self.heartbeat: HeartbeatTransport | None = None
         self.monitor: HealthMonitor | None = None
@@ -119,12 +120,10 @@ class DataParallelTrainer:
             assert self.fault_runtime is not None
             capacity = self.fault_runtime.plan.max_world
             self.heartbeat = HeartbeatTransport(self.fault_runtime,
-                                                world_size, self.health,
+                                                world_size,
                                                 capacity=capacity)
-            self.monitor = HealthMonitor(world_size, self.health)
-            self.supervisor = Supervisor(world_size,
-                                         self.fault_runtime.policy,
-                                         self.health, self.fault_runtime)
+            self.monitor = HealthMonitor(world_size)
+            self.supervisor = Supervisor(world_size, self.fault_runtime)
         self._pending_escalation = False
         self._step_index = 0
         self._batches_drawn = 0
@@ -226,8 +225,7 @@ class DataParallelTrainer:
             # the oracle fills the same record from the plan's physics
             decision = SupervisorDecision(
                 step=step,
-                participants=tuple(select_members(faults, runtime.policy,
-                                                  members)),
+                participants=tuple(select_members(faults, members)),
                 believed_dead=frozenset(dead),
                 admitted=tuple(sorted(self._dead_prev - dead)),
                 demoted=(), newly_suspected=(), escalate=False)
@@ -252,7 +250,7 @@ class DataParallelTrainer:
         loss = self._run_members(members, participants, average_over, dead)
         self._elastic_end_step(coord, runtime, joined, dead)
         if self.supervised and self.store is not None \
-                and step % self.health.checkpoint_every == 0:
+                and step % CHECKPOINT_EVERY == 0:
             self.store.save(self.capture_state(), step)
             runtime.counters.store_writes += 1
             runtime.record("store_write")
@@ -475,7 +473,9 @@ class DataParallelTrainer:
     def train(self, steps: int | None = None,
               eval_every: int = 25) -> TrainResult:
         """Run the recipe (or ``steps``) and return the final metric."""
-        steps = steps or self.recipe.steps
+        steps = self.recipe.steps if steps is None else steps
+        if steps < 1:
+            raise ValueError(f"steps must be >= 1, got {steps}")
         history = []
         wire_total = 0
         retries_total = 0
@@ -518,17 +518,14 @@ def train_family(
     adaptive_method: str | None = None,
     eval_every: int = 25,
     fault_plan: FaultPlan | None = None,
-    policy: ResiliencePolicy | None = None,
     supervised: bool = False,
-    health: HealthPolicy | None = None,
-    store: CheckpointStore | None = None,
-    overlap: bool = False,
-    overlap_delays: OverlapDelays | None = None,
 ) -> TrainResult:
     """Convenience: build the task from its recipe and train it.
 
     ``config=None`` trains the uncompressed baseline (fp32, no engine
-    side effects beyond averaging).
+    side effects beyond averaging).  A run that needs a recovery
+    policy, a checkpoint store or the overlapped engine builds
+    :class:`DataParallelTrainer` itself.
     """
     recipe = get_recipe(family)
     task = make_task(family, batch_size=recipe.batch_size, **recipe.kwargs())
@@ -542,8 +539,5 @@ def train_family(
     trainer = DataParallelTrainer(task, world_size=world_size, config=config,
                                   recipe=recipe, seed=seed, mode=mode,
                                   adaptive=adaptive, fault_plan=fault_plan,
-                                  policy=policy, supervised=supervised,
-                                  health=health, store=store,
-                                  overlap=overlap,
-                                  overlap_delays=overlap_delays)
+                                  supervised=supervised)
     return trainer.train(steps=steps, eval_every=eval_every)

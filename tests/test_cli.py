@@ -197,12 +197,21 @@ def test_faults_prints_every_nonzero_counter(monkeypatch):
     assert printed["corrupt_delivered"] > 0
 
 
+SIMULATE = ["simulate", "--model", "resnet50", "--machine", "rtx3090-8x"]
+
+
 @pytest.mark.parametrize("argv", [
     ["sched", "--models", "nope"],
     ["sched", "--worlds", "2,x"],
     ["faults", "spot-churn", "--world", "2"],
     ["faults", "--list", "--world", "2"],
-], ids=["sched-model", "sched-worlds", "faults-world", "faults-list-world"])
+    SIMULATE + ["--gpus", "0"],
+    SIMULATE + ["--gpus", "99"],
+    ["topology", "--machine", "rtx3090-8x", "--gpus", "0"],
+    ["topology", "--machine", "rtx3090-8x", "--gpus", "99"],
+], ids=["sched-model", "sched-worlds", "faults-world", "faults-list-world",
+        "simulate-gpus-0", "simulate-gpus-99", "topology-gpus-0",
+        "topology-gpus-99"])
 def test_bad_input_is_a_one_line_usage_error(argv, capsys):
     code, text = run_cli(argv)
     assert code == 2 and text == ""
@@ -215,3 +224,24 @@ def test_sched_policy_is_a_parser_choice(capsys):
         run_cli(["sched", "--policy", "bogus"])
     assert exc.value.code == 2
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (SIMULATE + ["--bits", "9"], "argument --bits: invalid choice: 9"),
+    (SIMULATE + ["--bucket-size", "0"], "argument --bucket-size: must be >= 1"),
+    (["train", "--family", "mlp", "--world", "0"], "argument --world"),
+    (["train", "--family", "mlp", "--steps", "0"], "argument --steps"),
+    (["faults", "lossy-link", "--steps", "0"], "argument --steps"),
+    (["sched", "--jobs", "0"], "argument --jobs: must be >= 1"),
+    (["sched", "--link-load-bin", "-1"], "argument --link-load-bin: must be >= 0"),
+    (["sched", "--mean-interarrival", "0"],
+     "argument --mean-interarrival: must be > 0"),
+], ids=["simulate-bits", "simulate-bucket-size", "train-world", "train-steps",
+        "faults-steps", "sched-jobs", "sched-link-load-bin",
+        "sched-mean-interarrival"])
+def test_out_of_range_number_is_a_parser_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err

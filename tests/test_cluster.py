@@ -420,6 +420,13 @@ def test_machine_subset_topologies():
         m.topology(16)
 
 
+@pytest.mark.parametrize("n_gpus", [0, -1])
+def test_machine_topology_rejects_fewer_than_one_gpu(n_gpus):
+    # 0 used to read as "all GPUs" (``n_gpus or self.n_gpus``)
+    with pytest.raises(ValueError, match="requested"):
+        get_machine("rtx3090-8x").topology(n_gpus)
+
+
 def test_single_gpu_topology_degenerate():
     topo = get_machine("dgx1").topology(1)
     assert topo.n_gpus == 1 and not topo.links

@@ -206,23 +206,25 @@ def test_draining_rank_exits_before_deadline():
 
 
 def test_drain_blocked_by_quorum_floor_degrades_at_deadline():
-    from repro.faults import ResiliencePolicy
-
-    # floor == world: the exit is never allowed, so the rank must
-    # degrade to the crash path (never worse than a plain crash)
-    plan = FaultPlan("p", 2, 0,
-                     (preempt_warning(rank=1, at=1, deadline_steps=2),))
-    runtime = PlanRuntime(plan, ResiliencePolicy(min_quorum_fraction=1.0))
-    coord = ElasticCoordinator(runtime, 2)
+    # two of three ranks warned for one deadline under the 0.5 floor
+    # (ceil(0.5 * 3) = 2 members): rank 1 drains out, which leaves no
+    # headroom for rank 2, so it must degrade to the crash path (never
+    # worse than a plain crash)
+    plan = FaultPlan("p", 3, 0,
+                     (preempt_warning(rank=1, at=1, deadline_steps=2),
+                      preempt_warning(rank=2, at=1, deadline_steps=2)))
+    runtime = PlanRuntime(plan)
+    coord = ElasticCoordinator(runtime, 3)
+    assert coord.min_members == 2
     for step in (1, 2, 3):
         faults = runtime.advance(step)
         coord.poll_notices(step, faults)
         coord.admit(step, drained=True)
         coord.end_step(step, drained=True, dead=faults.dead_ranks())
-    assert coord.member_list() == [0, 1]   # slot remains; physics kills it
-    assert coord.degraded == {1}
+    assert coord.member_list() == [0, 2]   # slot remains; physics kills it
+    assert coord.degraded == {2}
     assert runtime.counters.drain_missed == 1
-    assert runtime.counters.graceful_exits == 0
+    assert runtime.counters.graceful_exits == 1
     assert check_drain_protocol(plan, runtime.records) == []
 
 

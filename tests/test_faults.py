@@ -33,7 +33,9 @@ from repro.faults import (
     select_members,
     straggler,
 )
+from repro.faults.health import COMPUTE_COST, HEARTBEAT_BYTES, INTERVAL
 from repro.faults.plan import FIXED_WORLD_CAMPAIGNS
+from repro.faults.policy import backoff
 from repro.training import train_family
 from repro.training.recipes import get_recipe
 from repro.training.tasks import make_task
@@ -131,18 +133,9 @@ def test_runtime_logs_crash_and_rejoin_edges():
 # -- policy ------------------------------------------------------------------
 
 def test_backoff_is_exponential():
-    policy = ResiliencePolicy(backoff_base=1e-3, backoff_factor=2.0)
-    assert policy.backoff(1) == 1e-3
-    assert policy.backoff(3) == 4e-3
-
-
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        ResiliencePolicy(max_retries=-1)
-    with pytest.raises(ValueError):
-        ResiliencePolicy(min_quorum_fraction=0.0)
-    with pytest.raises(ValueError):
-        ResiliencePolicy(straggler_budget=0.5)
+    assert backoff(1) == 1e-3
+    assert backoff(2) == 2e-3
+    assert backoff(3) == 4e-3
 
 
 def test_select_participants_excludes_dead_and_demotes_stragglers():
@@ -150,7 +143,7 @@ def test_select_participants_excludes_dead_and_demotes_stragglers():
         crash(rank=2, at=0),
         straggler(0, None, rank=3, factor=3.0),
     ))
-    kept = select_members(plan.at_step(0), ResiliencePolicy(), range(4))
+    kept = select_members(plan.at_step(0), range(4))
     assert kept == [0, 1]
 
 
@@ -158,7 +151,7 @@ def test_select_participants_respects_quorum_floor():
     # every live rank is over budget; the floor re-admits the least slow
     plan = FaultPlan("floor", 4, 0, tuple(
         straggler(0, None, rank=r, factor=2.5 + r) for r in range(4)))
-    kept = select_members(plan.at_step(0), ResiliencePolicy(), range(4))
+    kept = select_members(plan.at_step(0), range(4))
     assert kept == [0, 1]   # ceil(0.5 * 4) = 2, slowest dropped first
 
 
@@ -230,10 +223,13 @@ def test_sparsifier_decode_drops_out_of_range_indices():
 def test_topk_trains_through_undetected_corruption(seed):
     config = CGXConfig(compression=CompressionSpec(
         "topk", density=0.25, error_feedback=True))
-    result = train_family(
-        "mlp", world_size=4, config=config, steps=20, seed=seed,
+    recipe = get_recipe("mlp")
+    task = make_task("mlp", batch_size=recipe.batch_size, **recipe.kwargs())
+    trainer = DataParallelTrainer(
+        task, world_size=4, config=config, recipe=recipe, seed=seed,
         fault_plan=make_campaign("lossy-link", world=4, seed=seed),
         policy=ResiliencePolicy(crc_check=False))
+    result = trainer.train(steps=20)
     assert result.steps == 20
     assert result.fault_summary["corrupt_delivered"] > 0
 
@@ -331,8 +327,10 @@ def test_corruption_drawn_on_an_empty_chunk_arrives_intact():
 def test_strict_policy_raises_when_budget_exhausted():
     world = 4
     bufs = make_buffers(world)
+    # five failed draws in a row (0.95 ** 5 = 0.77) exhaust the four
+    # retries at least once over the reduction's messages
     runtime = PlanRuntime(lossy_plan(world, p_loss=0.95),
-                          ResiliencePolicy(max_retries=1, strict=True))
+                          ResiliencePolicy(strict=True))
     with inject_data_path(runtime), pytest.raises(FaultBudgetExceeded):
         allreduce("sra", bufs, make_compressor(CompressionSpec()),
                   np.random.default_rng(0))
@@ -343,7 +341,7 @@ def test_nonstrict_budget_forces_delivery_through():
     bufs = make_buffers(world)
     exact = np.sum(bufs, axis=0, dtype=np.float64)
     runtime = PlanRuntime(lossy_plan(world, p_loss=0.95),
-                          ResiliencePolicy(max_retries=1, strict=False))
+                          ResiliencePolicy(strict=False))
     with inject_data_path(runtime):
         outs, _ = allreduce("sra", bufs, make_compressor(CompressionSpec()),
                             np.random.default_rng(0))
@@ -434,6 +432,59 @@ def test_faulty_network_retry_counts_bytes_per_traversal():
     assert runtime.counters.retransmit_bytes == nbytes * (traversals - 1)
 
 
+def test_faulty_network_strict_raises_when_budget_exhausted():
+    # the data path's FaultChannel raises under strict; the timed path
+    # used to force every exhausted transfer through
+    plan = FaultPlan("strict", 4, 0,
+                     (message_loss(0, None, probability=0.95, src=0, dst=1),))
+    runtime = PlanRuntime(plan, ResiliencePolicy(strict=True))
+    net = FaultyNetwork(nvlink_mesh(4), "shm", runtime)
+    with pytest.raises(FaultBudgetExceeded):
+        for _ in range(20):
+            net.transfer(0, 1, 4096, 0.0)
+    assert runtime.counters.forced_deliveries == 0
+
+
+def test_faulty_network_without_crc_delivers_corruptions():
+    # with CRC off nothing notices a corruption, so the timed path must
+    # not retransmit it; each transfer is still exactly one draw
+    plan = FaultPlan("nocrc", 4, 0,
+                     (payload_corruption(0, None, probability=0.9,
+                                         src=0, dst=1),))
+    runtime = PlanRuntime(plan, ResiliencePolicy(crc_check=False))
+    net = FaultyNetwork(nvlink_mesh(4), "shm", runtime)
+    plain = Network(nvlink_mesh(4))
+    for _ in range(20):
+        assert net.transfer(0, 1, 4096, 0.0) == plain.transfer(0, 1, 4096,
+                                                               0.0)
+    assert runtime.counters.retries == 0
+    assert runtime.counters.corrupt_delivered > 0
+    assert runtime.records == []
+    reference = np.random.default_rng(plan.seed)
+    reference.random(20)
+    assert runtime.rng.bit_generator.state \
+        == reference.bit_generator.state
+
+
+def test_faulty_network_without_crc_still_retries_losses():
+    # one draw splits into a loss band and a corruption band: without
+    # CRC only the loss band retransmits
+    plan = FaultPlan("mixed", 4, 0,
+                     (message_loss(0, None, probability=0.5, src=0, dst=1),
+                      payload_corruption(0, None, probability=0.5,
+                                         src=0, dst=1)))
+    runs = {}
+    for crc in (True, False):
+        runtime = PlanRuntime(plan, ResiliencePolicy(crc_check=crc))
+        net = FaultyNetwork(nvlink_mesh(4), "shm", runtime)
+        for _ in range(40):
+            net.transfer(0, 1, 4096, 0.0)
+        runs[crc] = runtime.counters
+    assert 0 < runs[False].retries < runs[True].retries
+    assert runs[False].corrupt_delivered > 0
+    assert runs[True].corrupt_delivered == 0
+
+
 def test_heartbeat_arrivals_match_a_plain_network_replay():
     # crash-rejoin degrades no link, so every beat's arrival is the
     # plain store-and-forward time of the same send sequence, a dead
@@ -442,18 +493,16 @@ def test_heartbeat_arrivals_match_a_plain_network_replay():
     runtime = PlanRuntime(make_campaign("crash-rejoin", world=world))
     transport = HeartbeatTransport(runtime, world)
     plain = Network(nvlink_mesh(world))
-    health = transport.health
     for step in range(1, 21):
         faults = runtime.advance(step)
         arrivals = transport.beats(step)
         emits = sorted(
-            (step * health.interval + health.compute_cost * health.interval
+            (step * INTERVAL + COMPUTE_COST * INTERVAL
              * faults.compute_scale(rank), rank)
             for rank in range(world) if rank not in faults.dead_ranks())
         expected = {rank: None for rank in faults.dead_ranks()}
         for emit, rank in emits:
-            expected[rank] = plain.transfer(rank, 0, health.heartbeat_bytes,
-                                            emit)
+            expected[rank] = plain.transfer(rank, 0, HEARTBEAT_BYTES, emit)
         assert arrivals == expected
     assert not any(runtime.records_of("hb_lost"))
     assert runtime.counters.heartbeat_misses == 0
@@ -600,23 +649,10 @@ def test_measure_p2p_bandwidth_is_side_effect_free():
 # -- PR 5 satellites: policy hardening + counters ----------------------------
 
 def test_backoff_is_capped():
-    policy = ResiliencePolicy(backoff_base=1e-3, backoff_factor=2.0,
-                              backoff_max=5e-3)
-    # exponential until the cap, then flat
-    assert policy.backoff(3) == 4e-3
-    assert policy.backoff(4) == 5e-3
-    assert policy.backoff(50) == 5e-3
-    # the default cap never kicks in for the first few attempts
-    assert ResiliencePolicy().backoff(3) == 4e-3
-
-
-def test_policy_validates_timing_knobs():
-    for kwargs in ({"timeout": 0.0}, {"timeout": -1.0},
-                   {"backoff_base": 0.0}, {"backoff_factor": -2.0},
-                   {"backoff_max": 0.0},
-                   {"backoff_base": 1e-2, "backoff_max": 1e-3}):
-        with pytest.raises(ValueError):
-            ResiliencePolicy(**kwargs)
+    # exponential until the 0.25 s cap, then flat
+    assert backoff(8) == 0.128
+    assert backoff(9) == 0.25
+    assert backoff(50) == 0.25
 
 
 def test_fault_counters_round_trip_every_field():

@@ -9,7 +9,6 @@ from repro.faults import (
     CheckpointStore,
     FaultPlan,
     HealthMonitor,
-    HealthPolicy,
     HeartbeatTransport,
     PlanRuntime,
     RankHealth,
@@ -18,7 +17,9 @@ from repro.faults import (
     message_loss,
     straggler,
 )
-from repro.faults.health import PhiAccrualDetector
+from repro.faults.health import (BOOTSTRAP_TIMEOUT, ESCALATION_FLAPS,
+                                 PHI_CRASH, STRAGGLER_PATIENCE,
+                                 PhiAccrualDetector)
 from repro.training.recipes import get_recipe
 from repro.training.tasks import make_task
 from repro.training.trainer import DataParallelTrainer
@@ -28,26 +29,10 @@ def card(rank, verdict, lag=1.0, phi=0.0, beats=5, last=1.0):
     return RankHealth(rank, verdict, phi, lag, beats, last)
 
 
-# -- HealthPolicy ------------------------------------------------------------
-
-def test_health_policy_validates_knobs():
-    HealthPolicy()  # defaults are self-consistent
-    bad = [dict(interval=0.0), dict(compute_cost=-1.0), dict(window=0),
-           dict(min_history=0), dict(sigma_floor=0.0),
-           dict(phi_suspect=0.0), dict(phi_crash=1.0, phi_suspect=1.5),
-           dict(bootstrap_timeout=0.0), dict(reset_gap=-2.0),
-           dict(straggler_ratio=1.0), dict(straggler_patience=0),
-           dict(rejoin_confirmations=0), dict(escalation_flaps=0),
-           dict(checkpoint_every=0)]
-    for kwargs in bad:
-        with pytest.raises(ValueError):
-            HealthPolicy(**kwargs)
-
-
 # -- PhiAccrualDetector ------------------------------------------------------
 
 def test_phi_is_zero_on_time_and_grows_with_silence():
-    det = PhiAccrualDetector(HealthPolicy())
+    det = PhiAccrualDetector()
     for t in (1.0, 2.0, 3.0, 4.0):
         det.heartbeat(t)
     assert det.beats_seen == 4
@@ -55,12 +40,11 @@ def test_phi_is_zero_on_time_and_grows_with_silence():
     assert det.phi(4.5) == 0.0          # gap shorter than the mean
     phis = [det.phi(4.0 + gap) for gap in (1.5, 2.0, 3.0, 5.0)]
     assert phis == sorted(phis) and phis[0] > 0.0
-    policy = HealthPolicy()
-    assert det.phi(4.0 + 3.0) >= policy.phi_crash  # two missed beats
+    assert det.phi(4.0 + 3.0) >= PHI_CRASH  # two missed beats
 
 
 def test_phi_before_any_beat_is_zero_and_reset_forgets_history():
-    det = PhiAccrualDetector(HealthPolicy())
+    det = PhiAccrualDetector()
     assert det.phi(100.0) == 0.0
     det.heartbeat(1.0)
     det.heartbeat(2.0)
@@ -70,7 +54,7 @@ def test_phi_before_any_beat_is_zero_and_reset_forgets_history():
 
 
 def test_sigma_floor_keeps_metronome_history_finite():
-    det = PhiAccrualDetector(HealthPolicy())
+    det = PhiAccrualDetector()
     for t in range(1, 12):
         det.heartbeat(float(t))          # zero-variance inter-arrivals
     assert np.isfinite(det.phi(11.0 + 2.4))
@@ -82,7 +66,7 @@ def test_monitor_bootstrap_grace_then_crashed_from_start():
     monitor = HealthMonitor(2)
     for step in range(5):
         cards = monitor.observe(step, {0: step + 0.5, 1: None})
-        if (step + 1) < HealthPolicy().bootstrap_timeout:
+        if (step + 1) < BOOTSTRAP_TIMEOUT:
             assert cards[1].verdict == "healthy"   # still in grace
         else:
             assert cards[1].verdict == "crashed"
@@ -101,8 +85,7 @@ def test_monitor_holds_late_beat_for_next_window():
 
 
 def test_monitor_straggler_needs_patience():
-    policy = HealthPolicy()
-    monitor = HealthMonitor(4, policy)
+    monitor = HealthMonitor(4)
     verdicts = []
     for step in range(6):
         base = step + 0.5
@@ -113,12 +96,12 @@ def test_monitor_straggler_needs_patience():
     assert "straggler" in verdicts
     first = verdicts.index("straggler")
     assert all(v != "straggler" for v in verdicts[:first])
-    assert first + 1 >= policy.straggler_patience
+    assert first + 1 >= STRAGGLER_PATIENCE
     assert all(v == "straggler" for v in verdicts[first:])
 
 
 def test_monitor_resets_history_on_rejoin_gap():
-    monitor = HealthMonitor(1, HealthPolicy())
+    monitor = HealthMonitor(1)
     for step in range(4):
         monitor.observe(step, {0: step + 0.5})
     # long silence, then beats resume: the outage gap must not enter
@@ -213,10 +196,9 @@ def test_supervisor_quorum_floor_readmits_least_slow_straggler():
 
 
 def test_supervisor_escalates_after_repeated_flaps():
-    policy = HealthPolicy()
     sup = Supervisor(2)
     escalated = []
-    for cycle in range(policy.escalation_flaps):
+    for cycle in range(ESCALATION_FLAPS):
         d = sup.decide(2 * cycle,
                        {0: card(0, "healthy"), 1: card(1, "crashed")})
         escalated.append(d.escalate)

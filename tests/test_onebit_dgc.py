@@ -74,8 +74,8 @@ def test_onebit_zero_bucket_safe():
 
 # -- DGC --------------------------------------------------------------------------
 
-def _dgc(density=0.1, **kwargs):
-    return DGCCompressor(CompressionSpec("dgc", density=density), **kwargs)
+def _dgc(density=0.1):
+    return DGCCompressor(CompressionSpec("dgc", density=density))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -134,19 +134,6 @@ def test_dgc_masking_resets_transmitted_coordinates():
     assert comp._velocity["m"][1] != 0.0
 
 
-def test_dgc_warmup_schedule_monotone():
-    comp = _dgc(density=0.01, warmup_steps=10, initial_density=0.25)
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=1000).astype(np.float32)
-    densities = []
-    for _ in range(12):
-        densities.append(comp.current_density("k"))
-        comp.compress(x, rng, key="k")
-    assert densities[0] == pytest.approx(0.25)
-    assert densities[-1] == pytest.approx(0.01)
-    assert all(a >= b - 1e-9 for a, b in zip(densities, densities[1:]))
-
-
 def test_dgc_keys_independent():
     rng = np.random.default_rng(8)
     comp = _dgc(density=0.2)
@@ -163,11 +150,6 @@ def test_dgc_reset():
                    np.random.default_rng(0), key="k")
     comp.reset()
     assert not comp._velocity and not comp._momentum_buf
-
-
-def test_dgc_momentum_validation():
-    with pytest.raises(ValueError):
-        DGCCompressor(CompressionSpec("dgc", density=0.1), momentum=1.5)
 
 
 def test_dgc_wire_matches_topk():

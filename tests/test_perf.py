@@ -25,6 +25,12 @@ def run(machine, model, config, **kwargs):
     return simulate_machine_step(machine, build_spec(model), config, **kwargs)
 
 
+def test_simulate_machine_step_rejects_zero_gpus():
+    # 0 used to simulate the whole machine
+    with pytest.raises(ValueError):
+        run(RTX, "resnet50", CGXConfig.cgx_default(), n_gpus=0)
+
+
 def test_single_gpu_has_no_comm():
     t = run(RTX, "resnet50", CGXConfig.cgx_default(), n_gpus=1)
     assert t.wire_bytes == 0

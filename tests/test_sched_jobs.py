@@ -76,3 +76,10 @@ def test_sample_fleet_rejects_bad_inputs():
         sample_fleet(0)
     with pytest.raises(KeyError):
         sample_fleet(5, models=("not_a_model",))
+
+
+@pytest.mark.parametrize("mean", [0.0, -0.05, float("nan")])
+def test_sample_fleet_rejects_a_non_positive_mean_interarrival(mean):
+    # 0 used to divide by zero, and a negative mean ran arrivals backwards
+    with pytest.raises(ValueError, match="mean_interarrival"):
+        sample_fleet(5, mean_interarrival=mean)

@@ -182,3 +182,15 @@ def test_trainer_wire_accounting_grows():
     result = trainer.train(steps=5, eval_every=5)
     assert result.wire_bytes_total > 0
     assert result.steps == 5
+
+
+@pytest.mark.parametrize("steps", [0, -3])
+def test_trainer_rejects_fewer_than_one_step(steps):
+    # 0 used to read as "train the recipe's steps" (``steps or ...``)
+    task = make_task("mlp", batch_size=16)
+    trainer = DataParallelTrainer(task, world_size=2,
+                                  config=CGXConfig.cgx_default(),
+                                  recipe=get_recipe("mlp"))
+    with pytest.raises(ValueError, match="steps"):
+        trainer.train(steps=steps)
+    assert trainer._step_index == 0
