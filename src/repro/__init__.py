@@ -6,7 +6,8 @@ Subpackages:
 
 * :mod:`repro.core` — the CGX engine, DDP wrapper, layer filters,
   adaptive layer-wise compression (Algorithm 1), QNCCL configuration.
-* :mod:`repro.compression` — QSGD, TopK+EF, PowerSGD, fake compression.
+* :mod:`repro.compression` — QSGD, TopK+EF, PowerSGD (also the
+  PyTorch-native comparison point of Table 6), fake compression.
 * :mod:`repro.collectives` — compression-aware SRA/Ring/Tree/Allgather/
   PS/hierarchical allreduce: real data paths and timed schedules.
 * :mod:`repro.cluster` — the commodity/cloud multi-GPU simulator.
@@ -14,7 +15,7 @@ Subpackages:
 * :mod:`repro.models` — full-size layer inventories of the paper's models.
 * :mod:`repro.training` — trainers, recipes, tasks and the step-time
   performance model.
-* :mod:`repro.baselines` — GRACE and PowerSGD-DDP comparison points.
+* :mod:`repro.baselines` — the GRACE comparison point.
 """
 
 from repro.compression import CompressionSpec

@@ -16,7 +16,9 @@ from typing import Any, Callable, Sequence, TypeVar
 
 from repro.cluster.network import Network
 from repro.compression import CompressionSpec
+from repro.compression.base import Shape, operator_class
 from repro.compression.metrics import kernel_seconds
+from repro.compression.powersgd import _factor_shape
 
 from .base import chunk_bounds
 
@@ -25,6 +27,8 @@ __all__ = ["CollectiveTiming", "time_allreduce",
            "TimedBucket", "OverlapStepTiming", "time_overlapped_step"]
 
 T = TypeVar("T")
+#: what a factored operator's P and Q factors travel as
+_DENSE = CompressionSpec("none")
 
 
 @dataclass
@@ -97,6 +101,13 @@ class _Scheduler:
         return self._run_kernel(gpu, self._engine_names[stream], seconds,
                                 ready, self.job)
 
+    def factor_kernel(self, gpu: int, seconds: float, ready: float) -> float:
+        """Charge one power-iteration kernel of a factored operator on the
+        first compression engine; returns end time."""
+        self.kernel_calls += 1
+        return self._run_kernel(gpu, self._engine_names[0], seconds, ready,
+                                self.job)
+
     def send(self, src: int, dst: int, nbytes: int, ready: float) -> float:
         """Put one ``nbytes`` message on the network; returns arrival."""
         self.wire_bytes += nbytes
@@ -106,11 +117,22 @@ class _Scheduler:
         backend = self.net.backend
         return ready + backend.per_op_overhead + backend.sync_per_op
 
+    def allreduce(self, scheme: str, ranks: list[int], numel: int,
+                  ready: list[float]) -> list[float]:
+        """Per-rank end times of one ``scheme`` collective of ``numel``
+        elements launched at ``ready``."""
+        if len(ranks) == 1:
+            return [ready[0]]
+        start = [self.op_start(t) for t in ready]
+        if scheme not in _TIMED_SCHEMES:
+            raise KeyError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+        return _TIMED_SCHEMES[scheme](self, ranks, numel, start)
+
 
 def time_allreduce(
     network: Network,
     ranks: list[int],
-    dense_numel: int,
+    dense_numel: int | tuple[int, Shape],
     spec: CompressionSpec,
     scheme: str = "sra",
     ready: list[float] | float = 0.0,
@@ -124,8 +146,13 @@ def time_allreduce(
         network: simulated network (links + per-GPU engines are shared
             state across calls, giving inter-collective contention).
         ranks: participating GPU ids.
-        dense_numel: uncompressed element count of the buffer.
-        spec: compression applied to transmitted chunks.
+        dense_numel: uncompressed element count of the buffer, or the
+            ``(numel, shape)`` pair of one tensor, as
+            :meth:`CompressionSpec.wire_bytes` takes it — the shape is
+            what a factored operator (PowerSGD) factors.
+        spec: compression applied to transmitted chunks.  A factored
+            operator's collective is its dependent P -> Q pair instead
+            (:func:`_time_factor_pair`).
         scheme: one of :data:`SCHEMES`.
         ready: per-rank gradient-ready times (scalar = same for all).
         chunk_streams: parallel compression streams per GPU (the SRA
@@ -143,15 +170,49 @@ def time_allreduce(
         ready = [float(ready)] * world
     if len(ready) != world:
         raise ValueError("ready times must match rank count")
-    if world == 1:
-        return CollectiveTiming([ready[0]], 0, 0)
-
+    numel, shape = dense_numel if isinstance(dense_numel, tuple) \
+        else (dense_numel, None)
+    if operator_class(spec.method).factored:
+        return _time_factor_pair(network, ranks, numel, shape, spec, scheme,
+                                 max(ready), job)
     sched = _Scheduler(network, spec, chunk_streams, kernel_factor, job=job)
-    start = [sched.op_start(t) for t in ready]
+    end_times = sched.allreduce(scheme, ranks, numel, ready)
+    return CollectiveTiming(end_times, sched.wire_bytes, sched.kernel_calls)
 
-    if scheme not in _TIMED_SCHEMES:
-        raise KeyError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-    end_times = _TIMED_SCHEMES[scheme](sched, ranks, dense_numel, start)
+
+def _time_factor_pair(network: Network, ranks: list[int], numel: int,
+                      shape: Shape, spec: CompressionSpec, scheme: str,
+                      ready: float, job: int | None) -> CollectiveTiming:
+    """PowerSGD's collective: P-allreduce -> orthonormalize -> Q-allreduce.
+
+    Every rank computes P = MQ (one kernel), the P factors are averaged
+    by a dense allreduce, every rank orthonormalizes P and computes
+    Q = M^T P (a second kernel), and a second dense allreduce averages
+    the Q factors (the PyTorch hook's structure).  The factors are
+    associative, so both collectives move fp32 and run no kernel of
+    their own: the cost is the power-iteration matmuls (Technical
+    Issue 1) and the rank-r factor sizes.  The pair launches when the
+    last rank is ready, on one compression engine with unscaled
+    kernels; a rank-0 tensor (1-D, a row or a column) is one dense
+    allreduce.
+    """
+    rows, cols, rank = _factor_shape(spec, numel, shape)
+    sched = _Scheduler(network, _DENSE, job=job)
+    if not rank:
+        end_times = sched.allreduce(scheme, ranks, numel,
+                                    [ready] * len(ranks))
+        return CollectiveTiming(end_times, sched.wire_bytes,
+                                sched.kernel_calls)
+    p_seconds = kernel_seconds(numel * 4,
+                               extra_flops=2.0 * rows * cols * rank)
+    q_seconds = kernel_seconds(
+        numel * 4,
+        extra_flops=2.0 * rows * rank * rank + 2.0 * rows * cols * rank)
+    t = [sched.factor_kernel(gpu, p_seconds, ready) for gpu in ranks]
+    t = sched.allreduce(scheme, ranks, rows * rank, t)
+    t = [sched.factor_kernel(gpu, q_seconds, end)
+         for gpu, end in zip(ranks, t)]
+    end_times = sched.allreduce(scheme, ranks, cols * rank, t)
     return CollectiveTiming(end_times, sched.wire_bytes, sched.kernel_calls)
 
 

@@ -151,6 +151,14 @@ class Compressor:
     #: concatenation of these arrays' bytes (a field the payload omits,
     #: like PowerSGD's 1-D fallback, is skipped)
     fields: ClassVar[tuple[str, ...]] = ()
+    #: the operator cannot take fp16 gradients (``compress`` raises
+    #: ``TypeError``), so a run that uses it trains in fp32
+    fp32_only: ClassVar[bool] = False
+    #: the operator factors each matrix into associative P and Q factors:
+    #: its packages never group (the factors are per matrix), and its
+    #: collective is the dependent pair P-allreduce -> orthonormalize
+    #: kernel -> Q-allreduce, which ``collectives.time_allreduce`` prices
+    factored: ClassVar[bool] = False
 
     def __init__(self, spec: CompressionSpec) -> None:
         self.spec = spec

@@ -10,9 +10,13 @@ Reproduced behaviours the paper relies on:
 
 * 1-D tensors (biases, norms) stay uncompressed.
 * Error feedback is required for accuracy.
-* fp16 incompatibility: the orthogonalization is numerically fragile at
-  half precision (paper: PowerSGD "can lead to divergence" under fp16);
-  see :func:`orthonormalize` whose epsilon handling our tests probe.
+* fp16 incompatibility: the power iteration diverges at half precision
+  (paper: PowerSGD "can lead to divergence" under fp16), so
+  :meth:`PowerSGDCompressor.compress` rejects float16 gradients and a
+  PowerSGD run trains in fp32 (``fp32_only``).
+* The factors are per matrix and associative (``factored``): PowerSGD
+  packages never group, and the timed path prices each one as the
+  dependent pair P-allreduce -> orthonormalize -> Q-allreduce.
 """
 
 from __future__ import annotations
@@ -61,6 +65,8 @@ class PowerSGDCompressor(Compressor):
     contract = CompressorContract("powersgd", stateful=True,
                                   requires_error_feedback=True)
     fields = ("dense", "p", "q")  # 1-D tensors send "dense" only
+    fp32_only = True
+    factored = True
 
     @classmethod
     def validate(cls, spec: CompressionSpec) -> None:
@@ -93,6 +99,9 @@ class PowerSGDCompressor(Compressor):
 
     def compress(self, array: np.ndarray, rng: np.random.Generator,
                  key: Any = None) -> Compressed:
+        if np.asarray(array).dtype == np.float16:
+            raise TypeError("PowerSGD is incompatible with fp16 gradients "
+                            "(power iteration diverges at half precision)")
         shape = tuple(np.shape(array))
         numel = int(np.size(array))
         rows, cols, rank = _factor_shape(self.spec, numel, shape)

@@ -8,11 +8,14 @@ every replica holds bit-identical averaged gradients, so identical
 optimizers keep the replicas in lock-step (asserted by
 :meth:`check_in_sync`, and by the test suite).
 
-PowerSGD runs through the same engine as every other method: a
-``powersgd`` config reduces each matrix package with the engine's
-:class:`~repro.compression.powersgd.PowerSGDCompressor`, and its
-packages are never fused with others, since the low-rank factors are
-per matrix.
+PowerSGD runs through the same engine as every other method, one
+package per layer (a factored operator's packages never group).  The
+data path is dense, though: the engine gathers each package into a
+flat buffer and the scheme cuts it into 1-D chunks, which
+:class:`~repro.compression.powersgd.PowerSGDCompressor` sends
+uncompressed, so a ``powersgd`` reduction moves dense bytes and
+returns the full-rank mean.  Only the timed path (:func:`repro.collectives.time_allreduce`)
+prices the rank-r P -> Q factor pair.
 """
 
 from __future__ import annotations

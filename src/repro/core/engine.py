@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.collectives import PartialAllreduce, ReduceStats, allreduce
 from repro.compression import CompressionSpec, Compressor, make_compressor
+from repro.compression.base import Shape, operator_class
 from repro.compression.topk import ErrorFeedback
 
 from .config import CGXConfig
@@ -46,6 +47,13 @@ class Package:
         # (``cached_property`` bypasses the frozen ``__setattr__``); not a
         # field, so equality and hashing still see name, layers and spec
         return sum(layer.numel for layer in self.layers)
+
+    @property
+    def shape(self) -> Shape:
+        """The one layer's shape; ``None`` (flat) for a multi-layer
+        package.  With :attr:`numel` it is the ``(numel, shape)`` pair
+        the timed path prices."""
+        return self.layers[0].shape if len(self.layers) == 1 else None
 
     def wire_bytes(self) -> int:
         return self.spec.wire_bytes(self.numel)
@@ -495,8 +503,10 @@ def group_for_transmission(packages: list[Package],
         if (pending and (package.spec != pending[0].spec
                          or pending_bytes + dense > fusion_bytes)):
             flush()
-        # PowerSGD factors are per-matrix; those packages never group
-        if dense > fusion_bytes or package.spec.method == "powersgd":
+        # a factored operator's factors are per matrix (PowerSGD): its
+        # packages never group
+        if (dense > fusion_bytes
+                or operator_class(package.spec.method).factored):
             flush()
             grouped.append(package)
             continue

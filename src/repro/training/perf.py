@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from repro.cluster import Machine, Network, Topology, get_backend
 from repro.cluster.gpu import GPUSpec
 from repro.collectives import time_allreduce
-from repro.compression import CompressionSpec
-from repro.compression.metrics import kernel_seconds
+from repro.compression.base import operator_class
 from repro.core import CGXConfig, CommunicationEngine, LayerInfo, Package
 from repro.core.engine import group_for_transmission
 from repro.core.qnccl import QNCCL_KERNEL_OVERHEAD_FACTOR
@@ -172,7 +171,9 @@ def replay_step(net: Network, ranks: list[int],
     earlier packages of this step, and on a shared fleet network other
     jobs' steps.  ``start`` is the step origin on the network clock (a
     fleet job's current time), ``job`` scopes every transfer and kernel
-    to the owning job.
+    to the owning job.  Each package is one :func:`time_allreduce` call
+    on its ``(numel, shape)``, so a factored operator's P -> Q pair
+    (PowerSGD) is priced there too.
 
     Returns ``(last package end, wire bytes, kernel calls)``; the end
     is ``start`` when the plan is empty.
@@ -182,22 +183,16 @@ def replay_step(net: Network, ranks: list[int],
     wire_total = 0
     kernel_total = 0
     for package, offset in plan:
-        pkg_ready = [start + offset * scale for scale in scales]
-        if package.spec.method == "powersgd":
-            end, wire, kernels = _schedule_powersgd(
-                net, ranks, package, max(pkg_ready), config, job=job)
-        else:
-            timing = time_allreduce(
-                net, ranks, package.numel, package.spec,
-                scheme=config.scheme, ready=pkg_ready,
-                chunk_streams=config.chunk_streams,
-                kernel_factor=kernel_factor, job=job,
-            )
-            end, wire, kernels = timing.end, timing.wire_bytes, \
-                timing.kernel_calls
-        last_end = max(last_end, end)
-        wire_total += wire
-        kernel_total += kernels
+        timing = time_allreduce(
+            net, ranks, (package.numel, package.shape), package.spec,
+            scheme=config.scheme,
+            ready=[start + offset * scale for scale in scales],
+            chunk_streams=config.chunk_streams,
+            kernel_factor=kernel_factor, job=job,
+        )
+        last_end = max(last_end, timing.end)
+        wire_total += timing.wire_bytes
+        kernel_total += timing.kernel_calls
     return last_end, wire_total, kernel_total
 
 
@@ -246,9 +241,10 @@ def simulate_step(
     if n_gpus == 1:   # no gradient exchange, so nothing to compress
         return StepTiming(1, batch_per_gpu, compute_time, ideal, 0.0, 0, 0,
                           items, ideal)
-    if config.compression.method == "powersgd":
-        # PowerSGD forces fp32 training (incompatible with fp16 gradients),
-        # forfeiting the AMP speedup the recipe otherwise uses.
+    if operator_class(config.compression.method).fp32_only:
+        # an operator that cannot take fp16 gradients (PowerSGD) forces
+        # fp32 training, forfeiting the AMP speedup the recipe otherwise
+        # uses
         compute_time *= spec.fp32_compute_factor
 
     net = network or Network(topology, get_backend(config.backend))
@@ -279,46 +275,6 @@ def simulate_step(
                       comm_tail, wire_total, kernel_total, items, ideal)
 
 
-def _schedule_powersgd(net: Network, ranks: list[int], package: Package,
-                       pkg_ready: float, config: CGXConfig,
-                       job: int | None = None) -> tuple[float, int, int]:
-    """PowerSGD path: power-iteration kernels + dense allreduce of P, Q.
-
-    The factors are associative, so they ride a *dense* collective; the
-    cost lives in the per-step matmuls (Technical Issue 1) and in the
-    rank-r factor sizes.
-    """
-    layer = package.layers[0]
-    rows = layer.shape[0] if len(layer.shape) >= 2 else 1
-    cols = layer.numel // rows if rows > 1 else layer.numel
-    if rows == 1 or cols == 1:
-        timing = time_allreduce(net, ranks, layer.numel,
-                                CompressionSpec("none"),
-                                scheme=config.scheme, ready=pkg_ready,
-                                job=job)
-        return timing.end, timing.wire_bytes, timing.kernel_calls
-    rank_r = min(package.spec.rank, rows, cols)
-    # two *dependent* collectives per matrix: allreduce P, orthonormalize,
-    # compute Q = M^T P, allreduce Q (the PyTorch hook structure).
-    mq_flops = 2.0 * rows * cols * rank_r
-    kernel_p = kernel_seconds(layer.numel * 4, extra_flops=mq_flops)
-    starts = [net.run_kernel(g, "compress0", kernel_p, pkg_ready, job=job)
-              for g in ranks]
-    p_timing = time_allreduce(net, ranks, rows * rank_r,
-                              CompressionSpec("none"),
-                              scheme=config.scheme, ready=starts, job=job)
-    ortho_flops = 2.0 * rows * rank_r * rank_r + 2.0 * rows * cols * rank_r
-    kernel_q = kernel_seconds(layer.numel * 4, extra_flops=ortho_flops)
-    mid = [net.run_kernel(g, "compress0", kernel_q, t, job=job)
-           for g, t in zip(ranks, p_timing.end_times)]
-    q_timing = time_allreduce(net, ranks, cols * rank_r,
-                              CompressionSpec("none"),
-                              scheme=config.scheme, ready=mid, job=job)
-    wire = p_timing.wire_bytes + q_timing.wire_bytes
-    kernels = p_timing.kernel_calls + q_timing.kernel_calls + 2 * len(ranks)
-    return q_timing.end, wire, kernels
-
-
 def simulate_machine_step(
     machine: Machine,
     spec: ModelSpec,
@@ -326,14 +282,16 @@ def simulate_machine_step(
     n_gpus: int | None = None,
     plan_mode: str = "cgx",
     batch_per_gpu: int | None = None,
-    kernel_factor: float | None = None,
 ) -> StepTiming:
-    """Convenience wrapper: simulate a step on a catalog machine."""
+    """Convenience wrapper: simulate a step on a catalog machine.
+
+    A compressed fused-mode step (QNCCL) pays
+    :data:`~repro.core.qnccl.QNCCL_KERNEL_OVERHEAD_FACTOR` on its kernels.
+    """
     topology = machine.topology(n_gpus)
-    if kernel_factor is None:
-        kernel_factor = (QNCCL_KERNEL_OVERHEAD_FACTOR
-                         if plan_mode == "fused"
-                         and config.compression.method != "none" else 1.0)
+    kernel_factor = (QNCCL_KERNEL_OVERHEAD_FACTOR
+                     if plan_mode == "fused"
+                     and config.compression.method != "none" else 1.0)
     return simulate_step(spec, machine.gpu, topology, config,
                          plan_mode=plan_mode, batch_per_gpu=batch_per_gpu,
                          kernel_factor=kernel_factor)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core import AdaptiveController, CGXConfig, \
-    CGXDistributedDataParallel, OverlapDelays
+    CGXDistributedDataParallel
 from repro.faults import (DRAIN_TOLERANCE, CheckpointStore, ElasticCoordinator,
                           FaultPlan, HealthMonitor, HeartbeatTransport,
                           PlanRuntime, ResiliencePolicy, Supervisor,
@@ -81,7 +81,6 @@ class DataParallelTrainer:
         supervised: bool = False,
         store: CheckpointStore | None = None,
         overlap: bool = False,
-        overlap_delays: OverlapDelays | None = None,
     ):
         self.task = task
         self.recipe = recipe or get_recipe(task.name)
@@ -134,7 +133,6 @@ class DataParallelTrainer:
         # perf model) so existing sequential runs keep their exact
         # rng-consumption order.
         self.overlap = overlap
-        self.overlap_delays = overlap_delays
         self._ready_order: list[str] = []
         self._ready_seen: set[str] = set()
         if overlap:
@@ -281,7 +279,7 @@ class DataParallelTrainer:
                 report = self.ddp.synchronize_overlapped(
                     ready_order=self._complete_ready_order(),
                     participants=participants, average_over=average_over,
-                    step=self._step_index, delays=self.overlap_delays,
+                    step=self._step_index,
                     members=members)
                 # completion barrier: every consumer below (adaptive
                 # observation, clipping, optimizer) runs only after all

@@ -1,10 +1,10 @@
-"""Tests for the GRACE and PowerSGD-DDP baselines."""
+"""Tests for the GRACE baseline and the PowerSGD facts Table 6 relies on."""
 
 import numpy as np
 import pytest
 
-from repro.baselines import GRACE_NO_BUCKETING, PowerSGDReducer, grace_config
-from repro.compression import CompressionSpec, make_compressor
+from repro.baselines import GRACE_NO_BUCKETING, grace_config
+from repro.compression import CompressionSpec, PowerSGDCompressor, make_compressor
 
 
 # -- GRACE -------------------------------------------------------------------
@@ -36,7 +36,7 @@ def test_grace_unbucketed_error_worse_than_cgx():
     assert err_grace > 1.5 * err_cgx
 
 
-# -- PowerSGD reducer -------------------------------------------------------------
+# -- PowerSGD operator (the Table 6 baseline) -------------------------------------
 
 def worker_grads(world=4, seed=0):
     out = []
@@ -49,79 +49,48 @@ def worker_grads(world=4, seed=0):
     return out
 
 
-def test_powersgd_outputs_identical_across_workers():
-    reducer = PowerSGDReducer(rank=4)
-    outs = reducer.reduce(worker_grads())
-    for w in range(1, 4):
-        for name in outs[0]:
-            np.testing.assert_array_equal(outs[0][name], outs[w][name])
+def _powersgd(rank):
+    return PowerSGDCompressor(CompressionSpec("powersgd", rank=rank))
 
 
 def test_powersgd_bias_reduced_densely_and_exactly():
     grads = worker_grads()
-    outs = PowerSGDReducer(rank=4).reduce(grads)
+    comp = _powersgd(4)
+    rng = np.random.default_rng(0)
+    sent = [comp.roundtrip(g["fc.bias"], rng, key="fc.bias") for g in grads]
     expected = np.mean([g["fc.bias"] for g in grads], axis=0)
-    np.testing.assert_allclose(outs[0]["fc.bias"], expected, rtol=1e-5)
+    np.testing.assert_allclose(np.mean(sent, axis=0), expected, rtol=1e-5)
 
 
 def test_powersgd_matrix_result_is_low_rank():
-    grads = worker_grads()
-    outs = PowerSGDReducer(rank=2).reduce(grads)
-    singular_values = np.linalg.svd(outs[0]["fc.weight"],
-                                    compute_uv=False)
-    assert np.sum(singular_values > 1e-4) <= 2
-
-
-def test_powersgd_error_feedback_mean_converges():
-    """On a constant full-rank gradient, a rank-2 transmission cannot be
-    exact per step, but error feedback guarantees the *cumulative mean*
-    of the transmitted updates converges to the true gradient."""
-    rng = np.random.default_rng(1)
-    target = rng.normal(size=(32, 16)).astype(np.float32)
-    reducer = PowerSGDReducer(rank=2)
-    steps = 60
-    total = np.zeros_like(target)
-    errors = []
-    for step in range(1, steps + 1):
-        out = reducer.reduce([{"w": target.copy()} for _ in range(2)])[0]["w"]
-        total += out
-        errors.append(float(np.linalg.norm(total / step - target)))
-    assert errors[-1] < 0.25 * errors[0]
-    assert errors[-1] < 0.2 * np.linalg.norm(target)
-
-
-def test_powersgd_rejects_fp16():
-    reducer = PowerSGDReducer(rank=2)
-    grads = [{"w": np.ones((8, 8), dtype=np.float16)}]
-    with pytest.raises(TypeError):
-        reducer.reduce(grads)
-    PowerSGDReducer(rank=2, allow_fp16=True).reduce(
-        [{"w": np.ones((8, 8), dtype=np.float16)}])
+    comp = _powersgd(2)
+    rng = np.random.default_rng(0)
+    for g in worker_grads():
+        out = comp.roundtrip(g["fc.weight"], rng, key="fc.weight")
+        singular_values = np.linalg.svd(out, compute_uv=False)
+        assert np.sum(singular_values > 1e-4) <= 2
 
 
 def test_powersgd_wire_accounting():
-    reducer = PowerSGDReducer(rank=4)
-    reducer.reduce(worker_grads())
+    comp = _powersgd(4)
+    rng = np.random.default_rng(0)
+    grads = worker_grads()[0]
+    wire = sum(comp.compress(g, rng, key=name).nbytes
+               for name, g in grads.items())
     # fc.weight factors (32+16)*4*4 bytes + dense bias 32*4
-    assert reducer.wire_bytes_last == (32 + 16) * 4 * 4 + 32 * 4
-
-
-def test_powersgd_sum_mode():
-    grads = worker_grads(world=3)
-    avg = PowerSGDReducer(rank=4, seed=1).reduce(grads, average=True)
-    total = PowerSGDReducer(rank=4, seed=1).reduce(grads, average=False)
-    np.testing.assert_allclose(total[0]["fc.weight"],
-                               3.0 * avg[0]["fc.weight"], rtol=1e-5)
+    assert wire == (32 + 16) * 4 * 4 + 32 * 4
 
 
 def test_powersgd_invalid_rank():
     with pytest.raises(ValueError):
-        PowerSGDReducer(rank=0)
+        CompressionSpec("powersgd", rank=0)
 
 
 def test_powersgd_reset():
-    reducer = PowerSGDReducer(rank=2)
-    reducer.reduce(worker_grads())
-    assert reducer._q and reducer._errors
-    reducer.reset()
-    assert not reducer._q and not reducer._errors
+    comp = _powersgd(2)
+    rng = np.random.default_rng(0)
+    for name, g in worker_grads()[0].items():
+        comp.compress(g, rng, key=name)
+    assert comp._q_memory
+    comp.reset()
+    assert not comp._q_memory

@@ -414,7 +414,8 @@ def test_restore_state_regrows_elastic_replicas(tmp_path):
 @pytest.mark.parametrize("campaign", ["spot-churn", "autoscale-burst",
                                       "straggler", "lossy-link",
                                       "crash-rejoin"])
-def test_elastic_campaign_runs_overlapped(campaign, supervised):
+def test_elastic_campaign_runs_overlapped(campaign, supervised,
+                                          monkeypatch):
     """Elastic x overlap: membership changes between steps while every
     step still hides injected comm under injected compute (the
     patch-a-known-delay, assert-the-step-time-bound idiom of pytorch's
@@ -429,6 +430,10 @@ def test_elastic_campaign_runs_overlapped(campaign, supervised):
     task = make_task("mlp", batch_size=recipe.batch_size, **recipe.kwargs())
     names = [name for name, _ in task.build_model(0).named_parameters()]
     delays = OverlapDelays.uniform(names, compute=1e-3, comm_latency=2e-3)
+    # the engine's delay model, patched as pytorch's test patches the
+    # collective
+    monkeypatch.setattr("repro.core.overlap.OverlapDelays.default_for",
+                        staticmethod(lambda numels: delays))
     # deterministic compressor, one package per layer: both engine modes
     # sum the same chunks in the same order
     config = CGXConfig(
@@ -440,8 +445,7 @@ def test_elastic_campaign_runs_overlapped(campaign, supervised):
         plan = make_campaign(campaign, WORLD)
         trainer = DataParallelTrainer(
             task, world_size=WORLD, config=config, recipe=recipe, seed=0,
-            fault_plan=plan, supervised=supervised, overlap=overlap,
-            overlap_delays=delays)
+            fault_plan=plan, supervised=supervised, overlap=overlap)
         losses, reports = [], []
         for _ in range(STEPS):
             losses.append(trainer.train_step())

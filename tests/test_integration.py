@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from repro.baselines import PowerSGDReducer
 from repro.core import (
     AdaptiveController,
     CGXConfig,
@@ -84,38 +83,34 @@ def test_adaptive_training_changes_bits_and_keeps_accuracy():
 
 
 def test_powersgd_end_to_end_training():
-    """PowerSGD reducer replacing the CGX engine keeps replicas in sync
-    and converges on the MLP task."""
+    """The engine's PowerSGD (Table 6's config plus error feedback, as
+    the CLI runs it) keeps replicas in sync and converges on the MLP
+    task."""
+    from repro.compression import CompressionSpec
     from repro.nn import SGD
     from repro.nn.data import SyntheticVectors
     from repro.nn.loss import softmax_cross_entropy
 
     replicas = [build_model("mlp", seed=4) for _ in range(2)]
-    reducer = PowerSGDReducer(rank=4)
+    ddp = CGXDistributedDataParallel(replicas, CGXConfig(
+        compression=CompressionSpec("powersgd", rank=4,
+                                    error_feedback=True)))
     opts = [SGD(r.parameters(), lr=0.1, momentum=0.9) for r in replicas]
     data = SyntheticVectors(seed=0)
     rng = np.random.default_rng(5)
     for _ in range(60):
-        per_worker = []
         for r in replicas:
             r.zero_grad()
             x, y = data.sample(32, rng)
             _, grad = softmax_cross_entropy(r(x), y)
             r.backward(grad)
-            per_worker.append({n: p.grad
-                               for n, p in r.named_parameters()})
-        reduced = reducer.reduce(per_worker)
-        for r, grads in zip(replicas, reduced):
-            for n, p in r.named_parameters():
-                p.grad = grads[n]
+        ddp.synchronize()
         for o in opts:
             o.step()
     xe, ye = data.eval_set(256)
     acc = float((replicas[0](xe).argmax(-1) == ye).mean())
     assert acc > 0.9
-    for (_, pa), (_, pb) in zip(replicas[0].named_parameters(),
-                                replicas[1].named_parameters()):
-        np.testing.assert_array_equal(pa.data, pb.data)
+    assert ddp.check_in_sync()
 
 
 def test_scheme_accuracy_equivalence_under_compression():

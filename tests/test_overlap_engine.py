@@ -307,10 +307,13 @@ def test_synchronize_overlapped_requires_cgx_mode():
 
 # -- the injected-delay trainer campaign --------------------------------------
 
-def test_trainer_overlap_hides_injected_delays_and_matches_sequential():
+def test_trainer_overlap_hides_injected_delays_and_matches_sequential(
+        monkeypatch):
     """FSDP-style check: under balanced injected delays the overlapped
     step beats the synchronize-at-the-end baseline by >= 1.25x, while
-    the trained weights stay bit-identical to sequential mode."""
+    the trained weights stay bit-identical to sequential mode.  The
+    delays are injected at the engine, as pytorch's
+    test_fully_shard_overlap patches the collective."""
     steps = 3
 
     def train(overlap):
@@ -319,9 +322,10 @@ def test_trainer_overlap_hides_injected_delays_and_matches_sequential():
         names = [name for name, _ in task.build_model(0).named_parameters()]
         delays = OverlapDelays.uniform(names, compute=1e-3,
                                        comm_latency=2e-3, comm_per_byte=0.0)
+        monkeypatch.setattr("repro.core.overlap.OverlapDelays.default_for",
+                            staticmethod(lambda numels: delays))
         trainer = DataParallelTrainer(task, world_size=3, config=config,
-                                      seed=0, overlap=overlap,
-                                      overlap_delays=delays)
+                                      seed=0, overlap=overlap)
         reports = []
         for _ in range(steps):
             trainer.train_step()

@@ -7,7 +7,7 @@ from repro.cluster import get_machine
 from repro.compression import CompressionSpec
 from repro.core import CGXConfig, CommunicationEngine, LayerInfo
 from repro.models import build_spec
-from repro.training import simulate_machine_step
+from repro.training import simulate_machine_step, simulate_step
 from repro.training.perf import plan_step, replay_step
 from repro.core.engine import group_for_transmission as _group_for_transmission
 
@@ -130,11 +130,15 @@ def test_grace_no_overlap_shows_in_tail():
 
 
 def test_qnccl_kernel_factor_applied_via_wrapper():
-    from repro.core.qnccl import qnccl_config
+    from repro.core.qnccl import QNCCL_KERNEL_OVERHEAD_FACTOR, qnccl_config
 
     spec = build_spec("resnet50")
     qn = simulate_machine_step(RTX, spec, qnccl_config(), plan_mode="fused")
+
+    def step(kernel_factor):
+        return simulate_step(spec, RTX.gpu, RTX.topology(), qnccl_config(),
+                             plan_mode="fused", kernel_factor=kernel_factor)
+
+    assert qn == step(QNCCL_KERNEL_OVERHEAD_FACTOR)
     # same config but without the kernel-overhead factor
-    fast = simulate_machine_step(RTX, spec, qnccl_config(),
-                                 plan_mode="fused", kernel_factor=1.0)
-    assert qn.step_time >= fast.step_time
+    assert qn.step_time >= step(1.0).step_time

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.cluster import get_machine
+from repro.collectives import time_allreduce
 from repro.compression import (
     CompressionSpec,
     PowerSGDCompressor,
     orthonormalize,
 )
+from repro.core import CGXConfig, CommunicationEngine
 
 
 def _spec(rank=4):
@@ -112,3 +115,34 @@ def test_reset_clears_warm_start():
 def test_rank_validation():
     with pytest.raises(ValueError):
         CompressionSpec("powersgd", rank=0)
+
+
+def test_powersgd_rejects_fp16():
+    """The power iteration diverges at half precision, so the operator
+    refuses fp16 gradients and declares itself fp32-only: the step model
+    charges a PowerSGD run its model's fp32 compute factor (Table 6)."""
+    comp = PowerSGDCompressor(_spec(rank=2))
+    rng = np.random.default_rng(7)
+    for shape in ((8, 8), (8,)):
+        with pytest.raises(TypeError, match="fp16"):
+            comp.compress(np.ones(shape, dtype=np.float16), rng)
+    assert PowerSGDCompressor.fp32_only
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the engine feeds PowerSGD flat 1-D chunks, so "
+                          "its data path is dense (ROADMAP item 2)")
+def test_data_path_wire_bytes_match_the_timed_factor_pair():
+    """One 256x128 rank-4 layer, world 4, SRA: the timed pair moves the
+    P and Q factors (36,864 bytes); the data path should move the same."""
+    config = CGXConfig(scheme="sra", compression=_spec(rank=4),
+                       filtered_keywords=(), min_compress_numel=0)
+    rng = np.random.default_rng(8)
+    grads = [{"w": rng.standard_normal((256, 128)).astype(np.float32)}
+             for _ in range(4)]
+    _, report = CommunicationEngine(config).reduce(
+        grads, np.random.default_rng(0))
+    timed = time_allreduce(get_machine("rtx3090-8x").network(), [0, 1, 2, 3],
+                           (256 * 128, (256, 128)), config.compression)
+    assert timed.wire_bytes == 36_864
+    assert report.wire_bytes == timed.wire_bytes

@@ -23,6 +23,13 @@ GPU count); every entry it already held came out unchanged.  Re-record
 with
 ``python tests/fixtures/record_timing_golden.py <clean checkout of the
 old tree>``.
+
+The ``powersgd`` cells were added at 3edb7e9 and recorded there (every
+older entry came out unchanged), before PowerSGD's P→Q pair moved from
+``training.perf`` into ``collectives.timing``: Table 6's configs and the
+CLI's on rtx3090-8x at 2, 4 and 8 GPUs, a 2-node ``hier`` step, a
+straggler step, two jobs replayed on one shared network, and a plan of
+rank-0 (1-D) PowerSGD packages.
 """
 
 import dataclasses
@@ -34,7 +41,8 @@ import pytest
 
 from repro.cluster import Network, get_backend, get_machine, make_cluster
 from repro.collectives import TimedBucket, time_overlapped_step
-from repro.core import CGXConfig, qnccl_config
+from repro.compression import CompressionSpec
+from repro.core import CGXConfig, LayerInfo, Package, qnccl_config
 from repro.faults import FaultyNetwork, PlanRuntime, make_campaign
 from repro.models import build_spec
 from repro.sched import FleetSimulator, compute_metrics, sample_fleet
@@ -59,6 +67,8 @@ STEP_GPUS = (2, 4, 8)
 STEP_METHODS = {"nccl": (CGXConfig.baseline_nccl, "fused"),
                 "qnccl": (qnccl_config, "fused"),
                 "cgx": (CGXConfig.cgx_default, "cgx")}
+#: Table 6's PowerSGD rank per model (``bench_table6_frameworks.MODELS``)
+POWERSGD_RANKS = {"resnet50": 4, "transformer_xl": 8, "bert": 8}
 
 
 def _sha(data) -> str:
@@ -122,6 +132,69 @@ def replay_steps() -> dict:
     return rows
 
 
+def _powersgd(rank: int, error_feedback: bool = False,
+              scheme: str = "sra") -> CGXConfig:
+    """Table 6's PowerSGD config; ``rank=4, error_feedback=True`` is the
+    CLI's ``simulate --method powersgd``."""
+    return CGXConfig(backend="shm", scheme=scheme,
+                     compression=CompressionSpec(
+                         "powersgd", rank=rank,
+                         error_feedback=error_feedback))
+
+
+def _hex_replay(replayed: tuple[float, int, int]) -> dict:
+    end, wire, kernels = replayed
+    return {"end": end.hex(), "wire_bytes": wire, "kernel_calls": kernels}
+
+
+def replay_powersgd() -> dict:
+    rows = {}
+    machine = get_machine("rtx3090-8x")
+    for model, rank in POWERSGD_RANKS.items():
+        spec = build_spec(model)
+        for gpus in STEP_GPUS:
+            for name, config in (("table6", _powersgd(rank)),
+                                 ("cli", _powersgd(4, error_feedback=True))):
+                rows[f"{model}|{gpus}|{name}"] = _hex_fields(
+                    perf.simulate_machine_step(machine, spec, config,
+                                               n_gpus=gpus))
+    resnet = build_spec("resnet50")
+    rows["resnet50|2 nodes|hier"] = _hex_fields(perf.simulate_step(
+        resnet, machine.gpu, make_cluster("rtx3090-8x", 2),
+        _powersgd(4, scheme="hier")))
+    rows["resnet50|4|straggler"] = _hex_fields(perf.simulate_step(
+        resnet, machine.gpu, machine.topology(4), _powersgd(4),
+        compute_jitter=[0.0, 0.0, 0.5, 0.0]))
+
+    # two jobs on one network, sharing GPUs 2 and 3
+    net = Network(machine.topology(), get_backend("shm"))
+    for job, (model, ranks, start) in enumerate(
+            (("resnet50", [0, 1, 2, 3], 0.0),
+             ("transformer_xl", [2, 3, 4, 5], 0.01)), start=1):
+        spec, config = build_spec(model), _powersgd(POWERSGD_RANKS[model])
+        compute = machine.gpu.step_compute_time(
+            spec, machine.gpu.max_batch_per_gpu(spec))
+        plan = perf.plan_step(spec, config, compute)
+        rows[f"shared|job{job}"] = _hex_replay(perf.replay_step(
+            net, ranks, plan, config, start=start, job=job))
+        rows[f"shared|job{job}|busy"] = _sha(
+            repr(list(net.pool.job_busy_seconds(job).items())))
+    rows["shared|busy_seconds"] = _sha(
+        repr(list(net.pool.busy_seconds().items())))
+
+    # rank-0 packages (a 1-D vector, a row and a column) run dense
+    config = _powersgd(4)
+    plan = [(Package(name, (LayerInfo(name, 4096, shape),),
+                     config.compression), offset)
+            for name, shape, offset in (("bias", (4096,), 0.0),
+                                        ("row", (1, 4096), 1e-3),
+                                        ("column", (4096, 1), 2e-3))]
+    rows["rank0|4"] = _hex_replay(perf.replay_step(
+        Network(machine.topology(4), get_backend("shm")), list(range(4)),
+        plan, config, rank_scale=[1.0, 1.0, 1.5, 1.0]))
+    return rows
+
+
 def replay_overlapped_step() -> dict:
     machine, spec = get_machine("rtx3090-8x"), build_spec("vgg16")
     config = CGXConfig.cgx_default()
@@ -170,6 +243,7 @@ def replay_all() -> dict:
     record["link_loads|packed"] = replay_link_loads()
     record["ledgers|packed"] = replay_ledgers()
     record["steps"] = replay_steps()
+    record["powersgd"] = replay_powersgd()
     record["overlapped_step|vgg16"] = replay_overlapped_step()
     record["faulty_step|lossy-link"] = replay_faulty_step()
     return record
@@ -193,6 +267,10 @@ def test_link_loads_and_ledgers_replay_the_parent(recorded):
 def test_simulated_steps_replay_the_parent(recorded):
     assert replay_steps() == recorded["steps"]
     assert replay_overlapped_step() == recorded["overlapped_step|vgg16"]
+
+
+def test_powersgd_steps_replay_the_parent(recorded):
+    assert replay_powersgd() == recorded["powersgd"]
 
 
 def test_faulty_network_step_replays_the_parent(recorded):
