@@ -444,10 +444,6 @@ _TAGGED_CALLS = {
     "time_allreduce", "time_partial_allreduce",
 }
 
-#: functions allowed to schedule untagged: bandwidth probes run on a
-#: scratch network that no job shares
-_TAG_EXEMPT_FUNCTIONS = {"measure_p2p_bandwidth"}
-
 
 def tagging_default_roots() -> tuple[str, ...]:
     """What SCD007 audits: the scheduler package + the shared network."""
@@ -478,8 +474,6 @@ def lint_job_tagging_source(source: str, path: str) -> list[Finding]:
     findings: list[Finding] = []
     file = SourceFile(source, path)
     for func, nodes in file.functions():
-        if func.name in _TAG_EXEMPT_FUNCTIONS:
-            continue
         for call in nodes:
             if not isinstance(call, ast.Call):
                 continue

@@ -24,6 +24,9 @@ TRAIN_FLOP_FACTOR = 3.0
 #: model class -> the Table 1 model its throughput anchor was measured on
 ANCHOR_MODELS = {"cnn": "resnet50", "transformer": "transformer_xl"}
 
+#: GPU memory the models' default local batches are tuned for (RTX 3090)
+REFERENCE_MEMORY_GB = 24.0
+
 
 @cache
 def anchor_flops_per_item(model_class: str) -> float:
@@ -65,16 +68,15 @@ class GPUSpec:
         return flops / (self.effective_rate(spec.model_class)
                         * spec.rate_scale)
 
-    def max_batch_per_gpu(self, spec: ModelSpec, reference_gb: float = 24.0,
-                          reference_batch: int | None = None) -> int:
+    def max_batch_per_gpu(self, spec: ModelSpec) -> int:
         """Scale the default batch by available GPU memory.
 
         The paper notes RTX 2080 Ti throughput suffers from its 10 GB
         limiting the local batch; we reproduce that by scaling the
         default (tuned-for-24GB) batch linearly in memory.
         """
-        base = reference_batch or spec.default_batch_per_gpu
-        scaled = int(base * min(1.0, self.memory_gb / reference_gb))
+        scaled = int(spec.default_batch_per_gpu
+                     * min(1.0, self.memory_gb / REFERENCE_MEMORY_GB))
         return max(1, scaled)
 
 

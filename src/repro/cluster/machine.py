@@ -1,15 +1,18 @@
 """Machine catalog: the paper's Table 2 systems and cloud instances.
 
 Each :class:`Machine` binds a GPU type, an interconnect topology builder
-and (for the cloud experiments) an hourly price.  Topologies for GPU
-subsets follow the physical layout: up to four GPUs of a commodity box
-sit on one NUMA root; the full eight span two roots bridged by QPI —
-which is why the paper observes the worst scaling cliff from 4 to 8.
+and (for the cloud experiments) an hourly price.  A machine states only
+what sets it apart — its PCIe and host-memory bandwidths; the QPI,
+NVLink and Ethernet links every box shares are constants of
+:mod:`repro.cluster.topology`.  Topologies for GPU subsets follow the
+physical layout: up to four GPUs of a commodity box sit on one NUMA
+root; the full eight span two roots bridged by QPI — which is why the
+paper observes the worst scaling cliff from 4 to 8.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .backends import BackendModel
 from .gpu import GPUSpec, get_gpu
@@ -29,10 +32,8 @@ class Machine:
     interconnect: str              # "pcie" | "nvlink"
     pcie_bandwidth: float = 14e9   # per-GPU PCIe bandwidth (pcie machines)
     host_bandwidth: float = 24e9
-    nvlink_bandwidth: float = 100e9
     price_per_hour: float = 0.0    # 0 = not a cloud offering
     description: str = ""
-    extra: dict = field(default_factory=dict)
 
     @property
     def gpu(self) -> GPUSpec:
@@ -44,26 +45,22 @@ class Machine:
             raise ValueError(
                 f"{self.name} has {self.n_gpus} GPUs, requested {n}"
             )
-        if self.interconnect == "nvlink":
-            if n == 1:
-                # degenerate single-GPU "topology" with no links
-                return Topology(f"{self.name}-1gpu", 1, {}, {})
-            return nvlink_mesh(n, link_bandwidth=self.nvlink_bandwidth,
-                               name=f"{self.name}-{n}gpu")
-        roots = 2 if n > 4 else 1
+        name = f"{self.name}-{n}gpu"
         if n == 1:
-            return Topology(f"{self.name}-1gpu", 1, {}, {})
+            # degenerate single-GPU "topology" with no links
+            return Topology(name, 1, {}, {})
+        if self.interconnect == "nvlink":
+            return nvlink_mesh(n, name=name)
         return pcie_dual_root(
             n,
             pcie_bandwidth=self.pcie_bandwidth,
             host_bandwidth=self.host_bandwidth,
-            roots=roots,
-            name=f"{self.name}-{n}gpu",
+            roots=2 if n > 4 else 1,
+            name=name,
         )
 
-    def network(self, backend: BackendModel | str = "shm",
-                n_gpus: int | None = None) -> Network:
-        return Network(self.topology(n_gpus), backend)
+    def network(self, backend: BackendModel | str = "shm") -> Network:
+        return Network(self.topology(), backend)
 
 
 MACHINES: dict[str, Machine] = {
@@ -103,19 +100,13 @@ def get_machine(name: str) -> Machine:
     return MACHINES[name]
 
 
-def make_cluster(machine: Machine | str, n_nodes: int,
-                 inter_bandwidth: float = 0.625e9,
-                 inter_latency: float = 30e-6) -> Topology:
+def make_cluster(machine: Machine | str, n_nodes: int) -> Topology:
     """Multi-node cluster of identical machines joined by Ethernet.
 
-    Reproduces the Table 5 setting: four Genesis 4x3090 nodes with
-    "5 GBps" inter-node links — 5 gigabit/s of TCP throughput, i.e.
-    ~0.625 GB/s, which is what makes the uncompressed multi-node
-    baseline collapse and gives CGX its up-to-10x speedups there.
+    Reproduces the Table 5 setting: four Genesis 4x3090 nodes on the
+    "5 GBps" links of :data:`repro.cluster.topology.ETHERNET_BANDWIDTH`.
     """
     if isinstance(machine, str):
         machine = get_machine(machine)
     nodes = [machine.topology() for _ in range(n_nodes)]
-    return multinode(nodes, inter_bandwidth=inter_bandwidth,
-                     inter_latency=inter_latency,
-                     name=f"{machine.name}-x{n_nodes}")
+    return multinode(nodes, name=f"{machine.name}-x{n_nodes}")

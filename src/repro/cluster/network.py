@@ -257,18 +257,6 @@ class Network:
         return resource.schedule(ready, duration, job)[1]
 
     # -- measurements -------------------------------------------------------
-    def measure_p2p_bandwidth(self, src: int, dst: int,
-                              nbytes: int = 256 * 1024 * 1024) -> float:
-        """Effective point-to-point bandwidth in bytes/s.
-
-        Probes on a scratch network over the same topology and backend,
-        so measuring never clobbers this network's busy timelines or
-        transfer trace mid-simulation.
-        """
-        probe = Network(self.topology, self.backend)
-        end = probe.transfer(src, dst, nbytes, 0.0)
-        return nbytes / end
-
     def link_loads(self) -> dict[str, dict[int, float]]:
         """Per-link busy seconds per time bin (requires
         :meth:`enable_link_loads`); bin ``b`` covers

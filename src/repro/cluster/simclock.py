@@ -147,9 +147,9 @@ def commit_route(route: Sequence[tuple[Resource, float, float]],
 class ResourcePool:
     """Named collection of resources, created on first use."""
 
-    def __init__(self, audit: bool = False) -> None:
+    def __init__(self) -> None:
         self._resources: dict[str, Resource] = {}
-        self._audit = audit
+        self._audit = False
 
     def enable_audit(self) -> None:
         """Record exact occupation ledgers on every resource.

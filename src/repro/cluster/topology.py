@@ -13,6 +13,12 @@ transfer occupies.  Builders reproduce the paper's machines:
   dedicated GPU-to-GPU links, no host staging.
 * :func:`multinode` — several single-node topologies joined by Ethernet
   NICs (the Genesis multi-node experiments of Table 5).
+
+Every link fact the machines share is one constant below; the per-box
+PCIe and host-memory bandwidths are :class:`~repro.cluster.machine.Machine`
+fields, because Table 2's boxes differ in them.  A topology only states
+links and routes: :meth:`repro.cluster.network.Network.transfer` is the
+one place a message is priced.
 """
 
 from __future__ import annotations
@@ -20,6 +26,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 __all__ = ["Link", "Topology", "pcie_dual_root", "nvlink_mesh", "multinode"]
+
+#: PCIe hop latency (GPU <-> root complex)
+PCIE_LATENCY = 2e-6
+#: host-memory staging hop latency, per NUMA root
+HOST_MEMORY_LATENCY = 0.5e-6
+#: the QPI bridge between the two NUMA roots of a commodity box
+QPI_BANDWIDTH = 11e9
+QPI_LATENCY = 1.5e-6
+#: one NVLink ring edge (Table 2: DGX-1 and A6000 boxes, 100 GBps)
+NVLINK_BANDWIDTH = 100e9
+NVLINK_LATENCY = 1e-6
+#: Table 5's inter-node Ethernet: "5 GBps" is 5 gigabit/s of TCP
+#: throughput, ~0.625 GB/s — what collapses the uncompressed multi-node
+#: baseline and gives CGX its up-to-10x speedups there
+ETHERNET_BANDWIDTH = 0.625e9
+ETHERNET_LATENCY = 30e-6
 
 
 @dataclass(frozen=True)
@@ -102,9 +124,6 @@ class Topology:
             return float("inf")
         return min(link.bandwidth for link in path)
 
-    def path_latency(self, src: int, dst: int) -> float:
-        return sum(link.latency for link in self.path(src, dst))
-
     def n_nodes(self) -> int:
         return max(self.node_of) + 1
 
@@ -145,9 +164,6 @@ def pcie_dual_root(
     n_gpus: int = 8,
     pcie_bandwidth: float = 14e9,
     host_bandwidth: float = 24e9,
-    qpi_bandwidth: float = 11e9,
-    pcie_latency: float = 2e-6,
-    qpi_latency: float = 1.5e-6,
     roots: int = 2,
     name: str = "pcie-dual-root",
 ) -> Topology:
@@ -166,11 +182,12 @@ def pcie_dual_root(
     half = n_gpus // roots
     links: dict[str, Link] = {}
     for gpu in range(n_gpus):
-        _bidirectional(links, f"pcie.g{gpu}", pcie_bandwidth, pcie_latency)
+        _bidirectional(links, f"pcie.g{gpu}", pcie_bandwidth, PCIE_LATENCY)
     for root in range(roots):
-        _bidirectional(links, f"hostmem.r{root}", host_bandwidth, 0.5e-6)
+        _bidirectional(links, f"hostmem.r{root}", host_bandwidth,
+                       HOST_MEMORY_LATENCY)
     if roots == 2:
-        _bidirectional(links, "qpi", qpi_bandwidth, qpi_latency)
+        _bidirectional(links, "qpi", QPI_BANDWIDTH, QPI_LATENCY)
 
     routes: dict[tuple[int, int], list[str]] = {}
     numa_of = [0 if gpu < half else 1 for gpu in range(n_gpus)]
@@ -190,12 +207,7 @@ def pcie_dual_root(
                     staged_through_host=True)
 
 
-def nvlink_mesh(
-    n_gpus: int = 8,
-    link_bandwidth: float = 100e9,
-    link_latency: float = 1e-6,
-    name: str = "nvlink-mesh",
-) -> Topology:
+def nvlink_mesh(n_gpus: int = 8, name: str = "nvlink-mesh") -> Topology:
     """DGX-style NVLink fabric: dedicated peer links, GPUDirect enabled.
 
     The DGX-1 backbone-ring-in-hypercube-mesh is modeled as dedicated
@@ -205,7 +217,8 @@ def nvlink_mesh(
     links: dict[str, Link] = {}
     for gpu in range(n_gpus):
         nxt = (gpu + 1) % n_gpus
-        _bidirectional(links, f"nvlink.g{gpu}g{nxt}", link_bandwidth, link_latency)
+        _bidirectional(links, f"nvlink.g{gpu}g{nxt}", NVLINK_BANDWIDTH,
+                       NVLINK_LATENCY)
 
     def edge(a: int, b: int) -> str:
         """Directed link name for the ring edge between neighbors a->b."""
@@ -242,12 +255,8 @@ def nvlink_mesh(
                     staged_through_host=False, alt_routes=alt_routes)
 
 
-def multinode(
-    node_topologies: list[Topology],
-    inter_bandwidth: float = 5e9,
-    inter_latency: float = 15e-6,
-    name: str = "multinode",
-) -> Topology:
+def multinode(node_topologies: list[Topology],
+              name: str = "multinode") -> Topology:
     """Join single-node topologies with per-node Ethernet NICs.
 
     Cross-node transfers traverse: source node exit path -> source NIC
@@ -272,7 +281,8 @@ def multinode(
         for (src, dst), paths in topo.alt_routes.items():
             alt_routes[(total + src, total + dst)] = \
                 [[prefix + p for p in path] for path in paths]
-        _bidirectional(links, f"eth.n{node_idx}", inter_bandwidth, inter_latency)
+        _bidirectional(links, f"eth.n{node_idx}", ETHERNET_BANDWIDTH,
+                       ETHERNET_LATENCY)
         node_of.extend([node_idx] * topo.n_gpus)
         numa_of.extend(topo.numa_of)
         total += topo.n_gpus

@@ -23,6 +23,8 @@ __all__ = ["LayerErrorStats", "measure_error", "relative_error",
 COMPRESSION_THROUGHPUT = 700e9
 #: fixed CUDA kernel launch + stream sync cost per compression call.
 KERNEL_LAUNCH_OVERHEAD = 8e-6
+#: arithmetic rate for a kernel's extra compute (PowerSGD's matmuls)
+KERNEL_FLOP_RATE = 20e12
 
 
 @dataclass(frozen=True)
@@ -75,8 +77,7 @@ def model_wire_bytes(specs: dict[str, CompressionSpec],
     return total
 
 
-def kernel_seconds(nbytes_in: int, extra_flops: float = 0.0,
-                   flop_rate: float = 20e12) -> float:
+def kernel_seconds(nbytes_in: int, extra_flops: float = 0.0) -> float:
     """Simulated GPU time of one compression/decompression kernel.
 
     Memory-bound byte traffic plus any extra compute (PowerSGD matmuls)
@@ -85,4 +86,4 @@ def kernel_seconds(nbytes_in: int, extra_flops: float = 0.0,
     """
     return (KERNEL_LAUNCH_OVERHEAD
             + nbytes_in / COMPRESSION_THROUGHPUT
-            + extra_flops / flop_rate)
+            + extra_flops / KERNEL_FLOP_RATE)

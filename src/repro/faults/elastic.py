@@ -52,13 +52,17 @@ __all__ = ["DEFAULT_GPU", "DRAIN_TOLERANCE", "ElasticDecision",
 #: the homogeneous baseline fleet (the paper's commodity 8x3090 testbed)
 DEFAULT_GPU = "RTX3090"
 
+#: clamp on :func:`fleet_alpha_scale` — respecs retune the error budget
+#: without leaving the paper's calibrated regime
+ALPHA_SCALE_BOUNDS = (0.75, 1.5)
+
 #: banked carry mass at or below this is "drained" — real gradient
 #: norms are many orders of magnitude larger; dead members bank exact
 #: zeros, which must not block composition changes
 DRAIN_TOLERANCE = 1e-12
 
 
-def gpu_compute_scale(gpu: str, reference: str = DEFAULT_GPU) -> float:
+def gpu_compute_scale(gpu: str) -> float:
     """Compute-time multiplier of ``gpu`` relative to the reference fleet.
 
     Anchored on the measured ResNet50 throughput column of Table 1 (the
@@ -67,12 +71,11 @@ def gpu_compute_scale(gpu: str, reference: str = DEFAULT_GPU) -> float:
     RTX 2080 Ti looks like a mild persistent straggler to the detector,
     exactly as it would in a real mixed fleet.
     """
-    return (get_gpu(reference).resnet50_imgs_per_s
+    return (get_gpu(DEFAULT_GPU).resnet50_imgs_per_s
             / get_gpu(gpu).resnet50_imgs_per_s)
 
 
-def fleet_alpha_scale(gpus: Iterable[str], reference: str = DEFAULT_GPU,
-                      lo: float = 0.75, hi: float = 1.5) -> float:
+def fleet_alpha_scale(gpus: Iterable[str]) -> float:
     """Adaptive error-budget multiplier for a fleet composition.
 
     A faster fleet finishes compute sooner and sits communication-bound,
@@ -80,14 +83,14 @@ def fleet_alpha_scale(gpus: Iterable[str], reference: str = DEFAULT_GPU,
     wire bytes (larger effective ``alpha``); a slower fleet hides
     communication behind compute and should keep gradients crisper.
     The scale is the fleet's mean Table 1 throughput over the reference
-    GPU's, clamped to ``[lo, hi]`` so respecs retune the budget without
-    ever abandoning the paper's calibrated regime.
+    GPU's, clamped to :data:`ALPHA_SCALE_BOUNDS`.
     """
     names = list(gpus)
     if not names:
         return 1.0
-    ref = get_gpu(reference).resnet50_imgs_per_s
+    ref = get_gpu(DEFAULT_GPU).resnet50_imgs_per_s
     mean = sum(get_gpu(g).resnet50_imgs_per_s for g in names) / len(names)
+    lo, hi = ALPHA_SCALE_BOUNDS
     return min(hi, max(lo, mean / ref))
 
 

@@ -3,7 +3,7 @@
 The paper's key constraint (Goal 2, "hyperparameter freedom") is that
 compressed training must work under the *uncompressed* recipes, so the
 optimizers here match the standard PyTorch semantics the recipes assume:
-SGD with Nesterov/heavy-ball momentum and weight decay, Adam with bias
+SGD with heavy-ball momentum and weight decay, Adam with bias
 correction, and global-norm gradient clipping (the Technical Issue 3
 interaction the paper discusses).
 """
@@ -20,6 +20,10 @@ __all__ = ["SGD", "Adam", "clip_grad_norm", "global_grad_norm",
            "grad_consumer"]
 
 _F = TypeVar("_F", bound=Callable)
+
+#: Adam's moment decay rates and denominator epsilon (the PyTorch defaults)
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 
 def grad_consumer(fn: _F) -> _F:
@@ -74,14 +78,10 @@ class SGD(Optimizer):
         lr: float,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
-        nesterov: bool = False,
     ):
         super().__init__(params, lr)
-        if nesterov and momentum <= 0:
-            raise ValueError("nesterov momentum requires momentum > 0")
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.nesterov = nesterov
         self._velocity: dict[int, np.ndarray] = {}
 
     @grad_consumer
@@ -99,7 +99,7 @@ class SGD(Optimizer):
                 vel *= self.momentum
                 vel += grad
                 self._velocity[i] = vel
-                grad = grad + self.momentum * vel if self.nesterov else vel
+                grad = vel
             param.data -= self.lr * grad
 
     def state_dict(self) -> dict:
@@ -118,13 +118,9 @@ class Adam(Optimizer):
         self,
         params: list[Parameter],
         lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
         super().__init__(params, lr)
-        self.betas = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self._step_count = 0
         self._m: dict[int, np.ndarray] = {}
@@ -133,7 +129,7 @@ class Adam(Optimizer):
     @grad_consumer
     def step(self) -> None:
         self._step_count += 1
-        beta1, beta2 = self.betas
+        beta1, beta2 = ADAM_BETAS
         bias1 = 1.0 - beta1**self._step_count
         bias2 = 1.0 - beta2**self._step_count
         for i, param in enumerate(self.params):
@@ -154,7 +150,7 @@ class Adam(Optimizer):
             v += (1.0 - beta2) * grad**2
             m_hat = m / bias1
             v_hat = v / bias2
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     def state_dict(self) -> dict:
         return {"step_count": self._step_count,

@@ -1,7 +1,7 @@
 """SCD007 fixture: scheduling calls with and without job tags.
 
-The four untagged calls below must each be flagged; the tagged calls,
-the exempt bandwidth probe and the unqualified name must stay silent.
+The four untagged calls below must each be flagged; the tagged calls
+and the unqualified name must stay silent.
 """
 
 
@@ -34,11 +34,6 @@ class LeakyRunner:
 
 def leaky_collective(net, ranks, numel, spec):
     return net.time_allreduce(ranks, numel, spec)  # flagged
-
-
-def measure_p2p_bandwidth(network, nbytes):
-    # probes run on a scratch network no job shares: exempt
-    return network.transfer(0, 1, nbytes, 0.0)
 
 
 def unqualified_helper(transfer):

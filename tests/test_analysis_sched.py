@@ -447,7 +447,7 @@ def test_scd007_fixture_flags_only_the_untagged_calls():
     # the route commit occupies links like a transfer: audited the same way
     assert any("simclock.commit_route" in f.message
                and "leaky_route" in f.message for f in findings)
-    # tagged calls, the exempt probe and unqualified names stay silent
+    # tagged calls and unqualified names stay silent
     assert not any("job=state.spec.job_id" in s for s in flagged)
 
 

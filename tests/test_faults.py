@@ -632,20 +632,6 @@ def test_partial_full_participation_skips_late_broadcast():
     assert not reducer.has_carries()
 
 
-def test_measure_p2p_bandwidth_is_side_effect_free():
-    net = Network(nvlink_mesh(4))
-    net.enable_trace()
-    end1 = net.transfer(0, 1, 1 << 20, 0.0)
-    bw = net.measure_p2p_bandwidth(0, 1)
-    assert bw > 0
-    # neither the trace nor the busy timelines were clobbered
-    assert len(net.trace) == 1
-    reference = Network(nvlink_mesh(4))
-    reference.transfer(0, 1, 1 << 20, 0.0)
-    assert net.transfer(0, 1, 1 << 20, end1) \
-        == reference.transfer(0, 1, 1 << 20, end1)
-
-
 # -- PR 5 satellites: policy hardening + counters ----------------------------
 
 def test_backoff_is_capped():

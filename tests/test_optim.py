@@ -41,11 +41,6 @@ def test_sgd_weight_decay():
     np.testing.assert_allclose(p.data, [10.0 - 0.1 * 0.5 * 10.0])
 
 
-def test_sgd_nesterov_requires_momentum():
-    with pytest.raises(ValueError):
-        SGD([make_param([1.0])], lr=0.1, nesterov=True)
-
-
 def test_sgd_skips_missing_gradients():
     p = Parameter(np.ones(2, dtype=np.float32))
     SGD([p], lr=0.1).step()
