@@ -78,6 +78,15 @@ def pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:
         # a 1-bit code is a bit: packbits is already the word-level
         # kernel (5x the column loop below at every size)
         return np.packbits(codes & np.uint8(1))
+    if bits == 4 and count % 2 == 0 and codes.flags.c_contiguous:
+        # a code pair is one little-endian 16-bit lane ``first | second
+        # << 8``; ``lane << 4 | lane >> 8`` puts ``first << 4 | second``
+        # in its low byte (5x the column loop at gradient sizes)
+        lanes = np.bitwise_and(codes.reshape(-1).view("<u2"), np.uint16(0x0F0F))
+        second = lanes >> 8
+        lanes <<= 4
+        lanes |= second
+        return lanes.astype(np.uint8)
     n_groups = -(-count // group)
     columns = np.zeros((n_groups, group), dtype=np.uint8)  # tail codes 0
     np.bitwise_and(codes, np.uint8((1 << bits) - 1),
@@ -138,6 +147,24 @@ def bucketize(flat: np.ndarray, bucket_size: int) -> np.ndarray:
     padded = np.zeros(n_buckets * size, dtype=flat.dtype)
     padded[: flat.size] = flat
     return padded.reshape(n_buckets, size)
+
+
+def bucket_maxima(magnitudes: np.ndarray) -> np.ndarray:
+    """``np.maximum.reduce(magnitudes, axis=1)``, bit for bit, for a
+    float32 ``(buckets, size)`` matrix of absolute values.
+
+    A float with a clear sign bit orders like its int32 bit pattern —
+    +0 below the subnormals, inf above every finite value and NaN above
+    inf — so the integer reduce finds the same maxima at a third of the
+    float reduce's cost.  The two may keep different payloads of a
+    bucket's NaNs, so the non-finite buckets are reduced again as floats
+    and the scale that travels stays the float reduce's.
+    """
+    maxima = np.maximum.reduce(magnitudes.view(np.int32), axis=1).view(np.float32)
+    rows = ~np.isfinite(maxima)
+    if rows.any():
+        maxima[rows] = np.maximum.reduce(magnitudes[rows], axis=1)
+    return maxima
 
 
 def scale_buckets(values: np.ndarray, norms: np.ndarray,
@@ -218,7 +245,9 @@ class BucketQuantizer(Compressor):
     def _quantize(self, normalized: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
         """Levels of ``normalized`` (a scratch array the rule may
-        overwrite), drawing one float64 per element from ``rng``."""
+        overwrite), drawing one float64 per element from ``rng``.  Every
+        level is at most ``2^(bits-1) - 1``: the sign bit is OR-ed in
+        above it and the level is not masked."""
         raise NotImplementedError
 
     def _dequantize(self, level: np.ndarray) -> np.ndarray:
@@ -265,7 +294,7 @@ class BucketQuantizer(Compressor):
             if spec.scaling == "l2":
                 norms = np.linalg.norm(values.reshape(-1, size), axis=1)
             else:
-                norms = np.maximum.reduce(magnitudes, axis=1)
+                norms = bucket_maxima(magnitudes)
             finite = np.isfinite(norms)
             if not finite.all():
                 # a NaN/Inf bucket carries its non-finite scale and
@@ -322,18 +351,21 @@ class BucketQuantizer(Compressor):
     def _decompress_run(self, compressed: Sequence[Compressed]
                         ) -> list[np.ndarray]:
         """Decode a run of chunks in one gather and one scaling pass."""
-        spec = compressed[0].spec
-        if any(c.spec is not spec and c.spec != spec for c in compressed):
-            return [v for c in compressed for v in self._decompress_run([c])]
+        spec = self.spec
+        for c in compressed:
+            if c.spec is not spec and c.spec != spec:
+                # the code table is this operator's own level rule
+                raise ValueError(f"{type(self).__name__} for {spec} cannot "
+                                 f"decode a payload of {c.spec}")
         bits = spec.bits
         numels = [c.numel for c in compressed]
         codes = [c.payload["codes"] for c in compressed]
         norms = [c.payload["norms"] for c in compressed]
-        table = self._byte_values if bits == self.spec.bits else None
+        table = self._byte_values
         if table is not None and all(
                 code.size == -(-n * bits // 8) for code, n in zip(codes, numels)):
             packed = codes[0] if len(codes) == 1 else np.concatenate(codes)
-            values = table[packed].view(np.float32)
+            values = table.take(packed).view(np.float32)
             # a chunk's last byte may carry tail codes past its numel
             spans = [code.size * (8 // bits) for code in codes]
         else:
@@ -381,13 +413,18 @@ class QSGDCompressor(BucketQuantizer):
         lower = np.floor(normalized)
         normalized -= lower  # probability of rounding up
         round_up = rng.random(size=lower.shape) < normalized
-        # normalized is finite and below 2 * levels (a max scale bounds
-        # it by levels; an L2 norm undershoots the bucket max only by
-        # subnormal rounding, by at most sqrt(1.5)), so the level and its
-        # round-up are exact in uint8 and the clamp can run there
+        # under a max scale no level passes ``levels``: |x| <= max, so
+        # the correctly rounded |x| / max <= 1 and its correctly rounded
+        # product with ``levels`` <= levels; a value at the top has a zero
+        # fraction, and a draw in [0, 1) never rounds it up.  An L2 norm
+        # undershoots the bucket max only by subnormal rounding (by at
+        # most sqrt(1.5)), so there the value stays below 2 * levels: the
+        # level and its round-up are exact in uint8 and clamped there
         level = lower.astype(np.uint8)
         level += round_up
-        return np.minimum(level, self.levels, out=level)
+        if self.spec.scaling == "l2":
+            np.minimum(level, self.levels, out=level)
+        return level
 
     def _dequantize(self, level: np.ndarray) -> np.ndarray:
         return level.astype(np.float32) / self.levels

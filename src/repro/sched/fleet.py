@@ -10,8 +10,8 @@ intra-job contention does in the single-job model, and per-job throttle
 rates and adaptive route selection (the psim-style knobs) apply on top.
 
 Each job's step plan (engine packages + gradient-ready offsets) is
-computed once at admission by :class:`JobRunner` and replayed per step
-with the job's current clock as the origin — the same
+computed once per job shape in a run, and :class:`JobRunner` replays it
+per step with the job's current clock as the origin — the same
 ``repro.training.perf.plan_step`` / ``replay_step`` pair that
 ``simulate_step`` runs once from time zero on a private network.
 
@@ -55,13 +55,17 @@ class JobRunner:
     """One job's precomputed step model, replayed on a shared network.
 
     Planning (engine packages, fusion, gradient-ready offsets) happens
-    once; each :meth:`run_step` then replays the plan with the job's
-    current clock as origin, occupying the shared pool under the job's
-    tag.
+    once per job shape: ``plans`` maps each ``(model, method, bits,
+    scheme, batch)`` — everything the plan reads — to the plan the
+    run's first job of that shape made, so same-shape runners share
+    one plan object.  Each :meth:`run_step` then replays the plan with
+    the job's current clock as origin, occupying the shared pool under
+    the job's tag.
     """
 
     def __init__(self, spec: JobSpec, model: ModelSpec, gpu: GPUSpec,
-                 ranks: list[int], network: Network) -> None:
+                 ranks: list[int], network: Network,
+                 plans: dict[tuple, list]) -> None:
         self.spec = spec
         self.ranks = list(ranks)
         self.network = network
@@ -71,8 +75,13 @@ class JobRunner:
         self.compute_time = gpu.step_compute_time(model, batch)
         self.optimizer_time = optimizer_time(model)
         self.items_per_step = len(ranks) * batch * model.items_per_sample
-        self.plan = plan_step(model, self.config, self.compute_time,
-                              plan_mode) if len(ranks) > 1 else []
+        self.plan: list = []
+        if len(ranks) > 1:
+            shape = (spec.model, spec.method, spec.bits, spec.scheme, batch)
+            if shape not in plans:
+                plans[shape] = plan_step(model, self.config,
+                                         self.compute_time, plan_mode)
+            self.plan = plans[shape]
 
     def run_step(self, start: float,
                  network: Network | None = None) -> tuple[float, int]:
@@ -248,6 +257,7 @@ class FleetSimulator:
         """Advance the fleet until every submitted job has departed."""
         states = {spec.job_id: JobState(spec) for spec in self.jobs}
         runners: dict[int, JobRunner] = {}
+        plans: dict[tuple, list] = {}        # job shape -> its one plan
         records: list[dict] = []
         pending = deque(self.jobs)
         queue: deque[int] = deque()
@@ -281,7 +291,7 @@ class FleetSimulator:
                     self.network.set_job_throttle(spec.job_id, spec.throttle)
                 runners[spec.job_id] = JobRunner(
                     spec, self._model(spec.model), self.gpu, ranks,
-                    self.network)
+                    self.network, plans)
                 records.append({"event": "admit", "job": spec.job_id,
                                 "t": start, "ranks": list(ranks)})
                 heapq.heappush(heap, (start, spec.job_id))

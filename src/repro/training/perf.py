@@ -148,8 +148,8 @@ def plan_step(spec: ModelSpec, config: CGXConfig, compute_time: float,
               plan_mode: str = "cgx") -> list[tuple[Package, float]]:
     """One step's launch plan: ``(package, ready offset)`` in seal order.
 
-    Pure in its arguments, so the fleet scheduler's per-job runners
-    (``repro.sched.fleet``) plan once at admission and hand the same
+    Pure in its arguments, so the fleet scheduler (``repro.sched.fleet``)
+    plans each job shape once per run and its runners hand the same
     plan to :func:`replay_step` every step; :func:`simulate_step` plans
     and replays once.
     """

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compression import CompressionSpec, QSGDCompressor, make_compressor
-from repro.compression.qsgd import pack_codes, unpack_codes
+from repro.compression.qsgd import (bucket_maxima, bucketize, pack_codes,
+                                    unpack_codes)
 
 
 @given(
@@ -89,6 +90,94 @@ def test_out_of_range_codes_are_masked_not_bled_into_neighbours():
                                       _reference_pack(wide, bits))
     # wider integer dtypes wrap to a byte first, as before
     np.testing.assert_array_equal(pack_codes(np.array([300, 1]), 4), [0xC1])
+
+
+@given(
+    codes=st.lists(st.integers(0, 255), min_size=0, max_size=300),
+    stride=st.sampled_from([1, 1, 2, 3]),
+    offset=st.integers(0, 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_lane_pack_of_4_bit_codes_matches_the_reference(codes, stride, offset):
+    # even and odd counts, codes above 15 (masked, never bled into the
+    # neighbour) and strided or offset views take the same byte stream
+    whole = np.array(codes, dtype=np.uint8)
+    view = whole[offset::stride]
+    np.testing.assert_array_equal(pack_codes(view, 4), _reference_pack(view, 4))
+    np.testing.assert_array_equal(pack_codes(view.astype(np.int64), 4),
+                                  _reference_pack(view, 4))
+
+
+#: int32 bit patterns of the awkward float32 values: +-0, the smallest
+#: and largest subnormals, the smallest normal, 1, the largest finite,
+#: +-inf and NaNs of several payloads, quiet and signalling
+_SPECIAL_BITS = [0, -2 ** 31, 1, 0x007FFFFF, -2 ** 31 + 0x007FFFFF, 0x00800000,
+                 0x3F800000, 0x7F7FFFFF, 0x7F800000, -2 ** 31 + 0x7F800000,
+                 0x7FC00000, 0x7F800001, 0x7FFFFFFF, 0x7FA5A5A5,
+                 -2 ** 31 + 0x7FC00001]
+
+
+@given(
+    data=st.data(),
+    buckets=st.integers(1, 6),
+    size=st.integers(1, 40),
+)
+@settings(max_examples=200, deadline=None)
+def test_int_view_bucket_maxima_equal_the_float_reduce_bit_for_bit(
+        data, buckets, size):
+    bit_patterns = data.draw(st.lists(
+        st.one_of(st.sampled_from(_SPECIAL_BITS),
+                  st.integers(-2 ** 31, 2 ** 31 - 1)),
+        min_size=buckets * size, max_size=buckets * size))
+    x = np.array(bit_patterns, dtype=np.int32).view(np.float32)
+    # ties at the maximum: copy a bucket's largest element elsewhere
+    ties = data.draw(st.lists(st.integers(0, buckets * size - 1), max_size=4))
+    for at in ties:
+        bucket = x[at - at % size: at - at % size + size]
+        bucket[at % size] = bucket[np.argmax(np.abs(bucket).view(np.int32))]
+    magnitudes = np.abs(x).reshape(buckets, size)
+    want = np.maximum.reduce(magnitudes, axis=1)
+    np.testing.assert_array_equal(bucket_maxima(magnitudes).view(np.int32),
+                                  want.view(np.int32))
+    # and the scale that travels is the float reduce's, NaN payloads too
+    comp = make_compressor(_spec(bucket=size))
+    with np.errstate(invalid="ignore"):
+        norms = comp.compress(x, np.random.default_rng(0)).payload["norms"]
+    np.testing.assert_array_equal(norms.view(np.int32), want.view(np.int32))
+
+
+@given(
+    bits=st.integers(2, 8),
+    size=st.integers(1, 64),
+    values=st.lists(st.one_of(
+        st.floats(width=32, allow_nan=False, allow_infinity=False),
+        st.sampled_from([2.0 ** k for k in (-149, -126, -20, -1, 0, 1, 7, 127)]),
+    ), min_size=1, max_size=200),
+    ties=st.lists(st.integers(0, 199), max_size=6),
+)
+@settings(max_examples=200, deadline=None)
+def test_max_scaled_qsgd_levels_never_pass_the_top(bits, size, values, ties):
+    # no clamp runs under max scaling: the proof in QSGDCompressor's
+    # _quantize must hold for elements equal to their bucket maximum,
+    # powers of two and subnormal scales
+    x = np.array(values, dtype=np.float32)
+    for at in ties:
+        if at < x.size:
+            start = at - at % size
+            bucket = x[start:start + size]
+            x[at] = -bucket[np.argmax(np.abs(bucket))]
+    comp = make_compressor(_spec(bits=bits, bucket=size))
+    magnitudes = np.abs(bucketize(x, size))
+    norms = bucket_maxima(magnitudes)
+    normalized = magnitudes / np.where(norms > 0, norms, 1.0)[:, None]
+    for seed in range(3):
+        level = comp._quantize(normalized.copy(), np.random.default_rng(seed))
+        assert level.max() <= comp.levels
+    # end to end, an element at its bucket's maximum decodes exactly
+    out = comp.roundtrip(x, np.random.default_rng(0))
+    peaks = np.abs(bucketize(x, size)) == norms[:, None]
+    peaks = peaks.reshape(-1)[:x.size] & (x != 0)
+    np.testing.assert_array_equal(out[peaks], x[peaks])
 
 
 @pytest.mark.parametrize("bits", [0, 9, -1])
@@ -284,3 +373,34 @@ def test_non_finite_bucket_gets_level_zero_codes_and_keeps_its_scale(
     for bucket in (slice(0, 128), slice(256, 300)):
         np.testing.assert_array_equal(codes[bucket], clean_codes[bucket])
         assert np.isfinite(out[bucket]).all()
+
+
+@pytest.mark.parametrize("ours,theirs", [(8, 4), (4, 8), (4, 3)])
+def test_a_payload_of_another_spec_is_refused_naming_both(ours, theirs):
+    # the code table is the operator's own: an 8-bit operator once
+    # decoded a 4-bit payload to silently wrong values
+    x = np.random.default_rng(0).standard_normal(300).astype(np.float32)
+    foreign = make_compressor(_spec(bits=theirs)).compress(
+        x, np.random.default_rng(1))
+    comp = make_compressor(_spec(bits=ours))
+    own = comp.compress(x, np.random.default_rng(1))
+    pattern = rf"bits={ours}.*cannot decode.*bits={theirs}"
+    with pytest.raises(ValueError, match=pattern):
+        comp.decompress(foreign)
+    with pytest.raises(ValueError, match=pattern):
+        comp.decompress_many([own, foreign, own])
+
+
+def test_a_payload_of_another_method_or_bucket_is_refused():
+    x = np.random.default_rng(0).standard_normal(300).astype(np.float32)
+    comp = make_compressor(_spec())
+    for other in (CompressionSpec("nuq", bits=4, bucket_size=128),
+                  _spec(bucket=64)):
+        foreign = make_compressor(other).compress(x, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="cannot decode"):
+            comp.decompress(foreign)
+    # an equal spec built separately is the operator's own
+    same = make_compressor(_spec()).compress(x, np.random.default_rng(1))
+    np.testing.assert_array_equal(
+        comp.decompress(same),
+        comp.decompress(comp.compress(x, np.random.default_rng(1))))

@@ -10,6 +10,7 @@ competitor's occupancy of the hot link.
 
 import pytest
 
+import repro.sched.fleet as fleet
 from repro.cluster import Network, get_gpu, get_machine, make_cluster
 from repro.models import ModelSpec, TensorSpec, build_spec
 from repro.sched import (FleetSimulator, JobSpec, compute_metrics,
@@ -145,6 +146,37 @@ def test_same_seed_logs_are_byte_identical():
     other = FleetSimulator(topo, sample_fleet(16, seed=6), policy="spread",
                            seed=6).run()
     assert campaign().log_bytes() != other.log_bytes()
+
+
+def test_each_job_shape_is_planned_once_per_run(monkeypatch):
+    planned = []
+    plan_step = fleet.plan_step
+
+    def counting_plan_step(*args, **kwargs):
+        planned.append(args)
+        return plan_step(*args, **kwargs)
+
+    monkeypatch.setattr(fleet, "plan_step", counting_plan_step)
+    jobs = [JobSpec(1, "tinynet", 2, 0.0, 2),
+            JobSpec(2, "tinynet", 2, 0.0, 2),
+            JobSpec(3, "tinynet", 4, 0.5, 1),        # world is not read
+            JobSpec(4, "tinynet", 2, 0.0, 1, bits=8),
+            JobSpec(5, "tinynet", 2, 0.0, 1, scheme="ring"),
+            JobSpec(6, "tinynet", 2, 0.0, 1, batch_per_gpu=2),
+            JobSpec(7, "tinynet", 2, 0.0, 1, method="nccl"),
+            JobSpec(8, "tinynet", 1, 0.0, 1)]        # one rank: no plan
+    simulator = FleetSimulator(make_cluster("rtx3090-8x", 2), jobs,
+                               spec_library=LIB)
+    result = simulator.run()
+    plans = {job: runner.plan for job, runner in result.runners.items()}
+    assert plans[1] is plans[2] is plans[3]
+    assert len({id(plans[job]) for job in range(1, 8)}) == 5
+    assert plans[8] == []
+    assert len(planned) == 5
+    # each run keeps its own table
+    again = simulator.run()
+    assert len(planned) == 10
+    assert again.runners[1].plan is not plans[1]
 
 
 def test_throttled_job_is_slower():
