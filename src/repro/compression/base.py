@@ -33,8 +33,9 @@ FP32_BYTES = 4
 #: element budget of one batched pass: :meth:`Compressor.compress_many`
 #: encodes a run of consecutive chunks together while their element
 #: total stays within it, and a larger chunk alone.  It bounds the
-#: pass's temporaries (the float64 rounding draws alone are 8 bytes an
-#: element) to what one large chunk already costs.
+#: pass's temporaries (the float32 magnitudes and the int32 fixed-point
+#: levels are 4 bytes an element each) to what one large chunk already
+#: costs.
 BATCH_ELEMENTS = 1 << 14
 Shape = Optional[tuple[int, ...]]
 

@@ -57,15 +57,17 @@ class NUQSGDCompressor(BucketQuantizer):
         super().__init__(spec)
 
     def _quantize(self, normalized: np.ndarray,
-                  rng: np.random.Generator) -> np.ndarray:
-        # stochastic rounding between the surrounding exponential levels
+                  draws: np.ndarray) -> np.ndarray:
+        # stochastic rounding between the surrounding exponential levels:
+        # ceil(prob_up * 2^16) of the 2^16 draws round up, so the rounded
+        # value overshoots by less than 2^-16 of the gap it rounds in
         idx_hi = np.searchsorted(self.levels, normalized, side="left")
         idx_hi = np.clip(idx_hi, 1, len(self.levels) - 1)
         lo = self.levels[idx_hi - 1]
         hi = self.levels[idx_hi]
-        span = np.maximum(hi - lo, 1e-12)
-        prob_up = np.clip((normalized - lo) / span, 0.0, 1.0)
-        go_up = rng.random(size=normalized.shape) < prob_up
+        # the ladder strictly increases down to 2^-126, so no gap is 0
+        prob_up = np.clip((normalized - lo) / (hi - lo), 0.0, 1.0)
+        go_up = draws < prob_up * 65536.0
         return (idx_hi - 1 + go_up).astype(np.uint8)
 
     def _dequantize(self, level: np.ndarray) -> np.ndarray:

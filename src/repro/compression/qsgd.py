@@ -243,11 +243,13 @@ class BucketQuantizer(Compressor):
             self._byte_values = self._values
 
     def _quantize(self, normalized: np.ndarray,
-                  rng: np.random.Generator) -> np.ndarray:
+                  draws: np.ndarray) -> np.ndarray:
         """Levels of ``normalized`` (a scratch array the rule may
-        overwrite), drawing one float64 per element from ``rng``.  Every
-        level is at most ``2^(bits-1) - 1``: the sign bit is OR-ed in
-        above it and the level is not masked."""
+        overwrite), rounding with ``draws``: one uniform uint16 per
+        element, so a level rounds up with its fraction's probability to
+        within 2^-16 (a bias of at most ``Δ * 2^-16`` for a level gap
+        ``Δ``).  Every level is at most ``2^(bits-1) - 1``: the sign bit
+        is OR-ed in above it and the level is not masked."""
         raise NotImplementedError
 
     def _dequantize(self, level: np.ndarray) -> np.ndarray:
@@ -265,10 +267,12 @@ class BucketQuantizer(Compressor):
         """Encode a run of chunks in one pass.
 
         Each chunk is zero-padded to whole buckets of its own clamped
-        size and the run laid out flat, so the rounding draws cover the
-        concatenated padded layouts — the same float64 stream the
-        chunks draw one by one.  The codes are packed once, each chunk
-        starting on a whole code group, and sliced per chunk.
+        size and the run laid out flat.  A chunk rounds with 16-bit
+        draws, four to a ``random_raw`` word, and takes its own
+        ``ceil(padded / 4)`` words, so the run draws the words the chunks
+        draw one by one and leaves the generator where they leave it.
+        The codes are packed once, each chunk starting on a whole code
+        group, and sliced per chunk.
         """
         spec = self.spec
         dense = [np.asarray(a, dtype=np.float32) for a in arrays]
@@ -316,7 +320,18 @@ class BucketQuantizer(Compressor):
             if not finite.all():
                 magnitudes[np.repeat(~finite, lengths)] = 0.0
             magnitudes /= np.repeat(np.where(norms > 0, norms, 1.0), lengths)
-        level = self._quantize(magnitudes, rng).reshape(-1)
+        words = [-(-span // 4) for span in padded]
+        # draw k of a word is its bits 16k..16k+15 on every platform
+        draws = rng.bit_generator.random_raw(sum(words)).astype(
+            "<u8", copy=False).view("<u2")
+        if all(span % 4 == 0 for span in padded[:-1]):
+            draws = draws[:starts[-1]]
+        else:
+            draws = np.concatenate([
+                draws[4 * at:4 * at + span]
+                for at, span in zip(accumulate(words, initial=0), padded)])
+        level = self._quantize(magnitudes,
+                               draws.reshape(magnitudes.shape)).reshape(-1)
         sign_bit = (values < 0).view(np.uint8)
         sign_bit *= np.uint8(1 << (spec.bits - 1))  # uint8 shifts are slow
         level |= sign_bit
@@ -408,20 +423,23 @@ class QSGDCompressor(BucketQuantizer):
         super().__init__(spec)
 
     def _quantize(self, normalized: np.ndarray,
-                  rng: np.random.Generator) -> np.ndarray:
-        normalized *= self.levels
-        lower = np.floor(normalized)
-        normalized -= lower  # probability of rounding up
-        round_up = rng.random(size=lower.shape) < normalized
+                  draws: np.ndarray) -> np.ndarray:
+        # the level is ``(floor(v * levels * 2^16) + draw) >> 16``: over
+        # the 2^16 draws the levels sum to the fixed-point value exactly,
+        # which is within 1 of v * levels * 2^16 (a float32 product
+        # below 2^23 carries at least one fraction bit)
+        normalized *= self.levels * 65536.0
+        fixed = normalized.astype(np.int32)  # converts faster than uint32
+        fixed += draws
+        fixed >>= 16
         # under a max scale no level passes ``levels``: |x| <= max, so
         # the correctly rounded |x| / max <= 1 and its correctly rounded
-        # product with ``levels`` <= levels; a value at the top has a zero
-        # fraction, and a draw in [0, 1) never rounds it up.  An L2 norm
-        # undershoots the bucket max only by subnormal rounding (by at
-        # most sqrt(1.5)), so there the value stays below 2 * levels: the
-        # level and its round-up are exact in uint8 and clamped there
-        level = lower.astype(np.uint8)
-        level += round_up
+        # product with ``levels * 2^16`` <= levels * 2^16; a value at the
+        # top has a zero fraction, and a draw below 2^16 never carries it
+        # up.  An L2 norm undershoots the bucket max only by subnormal
+        # rounding (by at most sqrt(1.5)), so there the value stays below
+        # 2 * levels: the level is exact in uint8 and clamped there
+        level = fixed.astype(np.uint8)
         if self.spec.scaling == "l2":
             np.minimum(level, self.levels, out=level)
         return level

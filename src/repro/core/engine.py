@@ -311,8 +311,12 @@ class CommunicationEngine:
         reduced, stats = self._reduce_package(
             package, buffers, red.rng, red.quorum,
             subset=len(red.quorum) < world)
+        # every scheme returns each worker a buffer of its own, apart
+        # from the other workers' and the caller's gradients
+        # (tests/test_engine_aliasing.py), so the average scales in place
         for w in range(world):
-            _scatter_package(red.outputs[w], reduced[w] * red.scale, package)
+            reduced[w] *= red.scale
+            _scatter_package(red.outputs[w], reduced[w], package)
         report = red.report
         report.packages += 1
         report.wire_bytes += stats.wire_bytes

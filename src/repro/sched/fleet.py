@@ -236,14 +236,9 @@ class FleetSimulator:
         self.policy = policy
         self.routing = routing
         self.seed = seed
-        self.network = Network(topology, get_backend(BACKEND),
-                               route_policy=routing)
-        if trace:
-            self.network.enable_trace()
-        if link_load_bin:
-            self.network.enable_link_loads(link_load_bin)
-        if audit:
-            self.network.enable_conservation_audit()
+        self.trace = trace
+        self.link_load_bin = link_load_bin
+        self.audit = audit
         self._specs: dict[str, ModelSpec] = dict(spec_library or {})
 
     def _model(self, name: str) -> ModelSpec:
@@ -254,7 +249,19 @@ class FleetSimulator:
         return spec
 
     def run(self) -> FleetResult:
-        """Advance the fleet until every submitted job has departed."""
+        """Advance the fleet until every submitted job has departed.
+
+        Each run replays onto a network of its own, so a second run of
+        one simulator repeats the first instead of queueing behind its
+        link occupancy."""
+        network = Network(self.topology, get_backend(BACKEND),
+                          route_policy=self.routing)
+        if self.trace:
+            network.enable_trace()
+        if self.link_load_bin:
+            network.enable_link_loads(self.link_load_bin)
+        if self.audit:
+            network.enable_conservation_audit()
         states = {spec.job_id: JobState(spec) for spec in self.jobs}
         runners: dict[int, JobRunner] = {}
         plans: dict[tuple, list] = {}        # job shape -> its one plan
@@ -288,10 +295,10 @@ class FleetSimulator:
                 state.admit_time = start
                 occupied.update(ranks)
                 if spec.throttle < 1.0:
-                    self.network.set_job_throttle(spec.job_id, spec.throttle)
+                    network.set_job_throttle(spec.job_id, spec.throttle)
                 runners[spec.job_id] = JobRunner(
                     spec, self._model(spec.model), self.gpu, ranks,
-                    self.network, plans)
+                    network, plans)
                 records.append({"event": "admit", "job": spec.job_id,
                                 "t": start, "ranks": list(ranks)})
                 heapq.heappush(heap, (start, spec.job_id))
@@ -321,7 +328,7 @@ class FleetSimulator:
                     occupied.difference_update(state.ranks)
                     for gpu in state.ranks:
                         free_at[gpu] = end
-                    self.network.clear_job_throttle(job_id)
+                    network.clear_job_throttle(job_id)
                     records.append({"event": "finish", "job": job_id,
                                     "t": end})
                     admit(end)
@@ -332,5 +339,5 @@ class FleetSimulator:
             policy=self.policy, routing=self.routing, seed=self.seed,
             topology=self.topology,
             states=[states[spec.job_id] for spec in self.jobs],
-            records=records, network=self.network, runners=runners,
+            records=records, network=network, runners=runners,
         )

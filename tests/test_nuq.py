@@ -1,7 +1,10 @@
 """Tests for NUQSGD (exponential-level quantization) and scaling modes."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.compression import (
     CompressionSpec,
@@ -44,17 +47,27 @@ def test_nuq_zero_vector_exact():
                                   x)
 
 
-def test_nuq_unbiased():
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=256).astype(np.float32)
-    comp = make_compressor(CompressionSpec("nuq", bits=4, bucket_size=128))
-    mean = np.zeros_like(x)
-    trials = 400
-    for i in range(trials):
-        mean += comp.roundtrip(x, np.random.default_rng(i))
-    mean /= trials
-    assert float(np.abs(mean - x).mean()) < 0.03 * float(np.abs(x).mean()) \
-        + 0.01
+@given(bits=st.integers(2, 8), v=st.floats(0.0, 1.0, width=32))
+@example(bits=4, v=1.0)
+@example(bits=4, v=0.375)
+@example(bits=8, v=2.0 ** -149)
+@settings(max_examples=60, deadline=None)
+def test_nuq_unbiased(bits, v):
+    # of the 2^16 draws exactly ceil(prob_up * 2^16) round up, so the
+    # expected value overshoots v by less than 2^-16 of its level gap Δ
+    # (a bias of at most Δ * 2^-16)
+    comp = NUQSGDCompressor(CompressionSpec("nuq", bits=bits, bucket_size=128))
+    levels = comp.levels
+    level = comp._quantize(np.full(1 << 16, v, dtype=np.float32),
+                           np.arange(1 << 16, dtype=np.uint16))
+    hi = min(max(int(np.searchsorted(levels, v)), 1), len(levels) - 1)
+    gap = levels[hi] - levels[hi - 1]
+    prob_up = min(max((v - levels[hi - 1]) / gap, 0.0), 1.0)
+    assert set(np.unique(level)) <= {hi - 1, hi}
+    ups = int(np.count_nonzero(level == hi))
+    assert ups == math.ceil(prob_up * 65536)
+    mean = levels[hi - 1] + gap * ups / 65536
+    assert 0.0 <= mean - v <= gap * 2.0 ** -16
 
 
 def test_nuq_values_on_the_level_grid():

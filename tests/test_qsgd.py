@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.compression import CompressionSpec, QSGDCompressor, make_compressor
 from repro.compression.qsgd import (bucket_maxima, bucketize, pack_codes,
@@ -171,8 +171,14 @@ def test_max_scaled_qsgd_levels_never_pass_the_top(bits, size, values, ties):
     norms = bucket_maxima(magnitudes)
     normalized = magnitudes / np.where(norms > 0, norms, 1.0)[:, None]
     for seed in range(3):
-        level = comp._quantize(normalized.copy(), np.random.default_rng(seed))
+        draws = np.random.default_rng(seed).integers(
+            1 << 16, size=normalized.shape, dtype=np.uint16)
+        level = comp._quantize(normalized.copy(), draws)
         assert level.max() <= comp.levels
+    # the worst case: every draw carries a nonzero fraction up
+    level = comp._quantize(normalized.copy(),
+                           np.full(normalized.shape, 0xFFFF, dtype=np.uint16))
+    assert level.max() <= comp.levels
     # end to end, an element at its bucket's maximum decodes exactly
     out = comp.roundtrip(x, np.random.default_rng(0))
     peaks = np.abs(bucketize(x, size)) == norms[:, None]
@@ -235,17 +241,50 @@ def test_zero_vector_exact():
                                   x)
 
 
-def test_quantization_is_unbiased():
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=512).astype(np.float32)
-    comp = make_compressor(_spec())
-    mean = np.zeros_like(x)
-    trials = 400
-    for i in range(trials):
-        mean += comp.roundtrip(x, np.random.default_rng(i))
-    mean /= trials
-    bias = float(np.abs(mean - x).mean())
-    assert bias < 0.02 * float(np.abs(x).mean()) + 0.01
+@given(bits=st.integers(2, 8), v=st.floats(0.0, 1.0, width=32))
+@example(bits=4, v=1.0)
+@example(bits=8, v=float(np.nextafter(np.float32(1), np.float32(0))))
+@example(bits=2, v=2.0 ** -149)
+@settings(max_examples=60, deadline=None)
+def test_quantization_is_unbiased(bits, v):
+    # over every one of the 2^16 draws the levels sum to the fixed-point
+    # value floor(v * L * 2^16) exactly, which is within 1 of v * L * 2^16:
+    # the expected level is v * L to within 2^-16 of a level, a bias of
+    # at most Δ * 2^-16 for the level gap Δ = scale / L
+    comp = make_compressor(_spec(bits=bits))
+    draws = np.arange(1 << 16, dtype=np.uint16)
+    level = comp._quantize(np.full(1 << 16, v, dtype=np.float32), draws)
+    target = int(np.float32(v) * np.float32(comp.levels * 65536))
+    assert int(level.sum(dtype=np.int64)) == target
+    assert abs(target - v * comp.levels * 65536) < 1
+    assert set(np.unique(level)) <= {target >> 16, (target >> 16) + 1}
+
+
+def _words(numel: int, bucket: int) -> int:
+    """``random_raw`` words a chunk draws: four per padded element."""
+    size = min(bucket, max(1, numel))
+    return -(-(-(-numel // size) * size) // 4)
+
+
+@pytest.mark.parametrize("method", ["qsgd", "nuq"])
+@pytest.mark.parametrize("bucket", [1, 7, 128, 2 ** 30])
+@pytest.mark.parametrize("numel", [1, 5, 8, 128, 129, 301, 1001])
+def test_a_chunk_draws_a_word_per_four_padded_elements(method, bucket, numel):
+    # one random_raw word carries four 16-bit draws; a per-element
+    # float64 draw (a word an element) fails this for every chunk of
+    # more than one padded element
+    comp = make_compressor(CompressionSpec(method, bits=4, bucket_size=bucket))
+    x = np.random.default_rng(numel).normal(size=numel).astype(np.float32)
+    rng, fresh = np.random.default_rng(5), np.random.default_rng(5)
+    comp.compress(x, rng)
+    fresh.bit_generator.random_raw(_words(numel, bucket))
+    assert rng.bit_generator.state == fresh.bit_generator.state
+    # a batched run draws each chunk's words in turn
+    chunks = [x, x[:3], x[: numel // 2]]
+    comp.compress_many(chunks, rng)
+    for chunk in chunks:
+        fresh.bit_generator.random_raw(_words(chunk.size, bucket))
+    assert rng.bit_generator.state == fresh.bit_generator.state
 
 
 def test_error_decreases_with_bits():

@@ -179,6 +179,21 @@ def test_each_job_shape_is_planned_once_per_run(monkeypatch):
     assert again.runners[1].plan is not plans[1]
 
 
+@pytest.mark.parametrize("options", [{}, {"link_load_bin": 0.01},
+                                     {"trace": True, "audit": True}],
+                         ids=["plain", "binned", "traced"])
+def test_a_second_run_of_one_simulator_repeats_the_first(options):
+    # each run builds its own network: a run that replayed onto the last
+    # run's link occupancy logged other step times
+    simulator = FleetSimulator(make_cluster("rtx3090-8x", 2),
+                               sample_fleet(16, seed=5), policy="packed",
+                               seed=5, **options)
+    first, second = simulator.run(), simulator.run()
+    assert first.log_bytes() == second.log_bytes()
+    assert first.network is not second.network
+    assert first.metrics().to_dict() == second.metrics().to_dict()
+
+
 def test_throttled_job_is_slower():
     topo = get_machine("rtx3090-8x").topology()
     free = _run([JobSpec(1, "tinynet", 2, 0.0, 1)], topo)
