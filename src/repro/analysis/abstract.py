@@ -114,20 +114,19 @@ class BehaviorObservation:
     rng_sensitive: bool   # fresh instances, different rng seeds
 
 
-def _probe_array(shape: tuple[int, ...], seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
+def _probe_array(shape: tuple[int, ...]) -> np.ndarray:
+    rng = np.random.default_rng(0)
     return rng.standard_normal(shape).astype(np.float32)
 
 
-def execute_roundtrips(cls: type[Compressor], spec: CompressionSpec,
-                       shapes: tuple[tuple[int, ...], ...] = PROBE_SHAPES,
-                       seed: int = 0) -> list[RoundtripObservation]:
+def execute_roundtrips(cls: type[Compressor], spec: CompressionSpec
+                       ) -> list[RoundtripObservation]:
     """Run the shape battery through one operator class."""
     observations = []
-    for shape in shapes:
+    for shape in PROBE_SHAPES:
         compressor = cls(spec)
-        array = _probe_array(shape, seed)
-        compressed = compressor.compress(array, np.random.default_rng(seed),
+        array = _probe_array(shape)
+        compressed = compressor.compress(array, np.random.default_rng(0),
                                          key="probe")
         restored = compressor.decompress(compressed)
         observations.append(RoundtripObservation(
@@ -144,9 +143,8 @@ def execute_roundtrips(cls: type[Compressor], spec: CompressionSpec,
     return observations
 
 
-def execute_behavior(cls: type[Compressor], spec: CompressionSpec,
-                     shape: tuple[int, ...] = (64, 32),
-                     seed: int = 0) -> BehaviorObservation:
+def execute_behavior(cls: type[Compressor], spec: CompressionSpec
+                     ) -> BehaviorObservation:
     """Probe statefulness and rng sensitivity of one operator class.
 
     Statefulness: one instance compresses the same tensor twice, each
@@ -155,19 +153,18 @@ def execute_behavior(cls: type[Compressor], spec: CompressionSpec,
     fresh instances compress the same tensor under different seeds — a
     payload difference means the operator draws from the generator.
     """
-    array = _probe_array(shape, seed)
+    array = _probe_array((64, 32))
 
     instance = cls(spec)
     first = serialize_payload(
-        instance.compress(array, np.random.default_rng(seed), key="probe"))
+        instance.compress(array, np.random.default_rng(0), key="probe"))
     second = serialize_payload(
-        instance.compress(array, np.random.default_rng(seed), key="probe"))
+        instance.compress(array, np.random.default_rng(0), key="probe"))
 
     seed_a = serialize_payload(
-        cls(spec).compress(array, np.random.default_rng(seed), key="probe"))
+        cls(spec).compress(array, np.random.default_rng(0), key="probe"))
     seed_b = serialize_payload(
-        cls(spec).compress(array, np.random.default_rng(seed + 1),
-                           key="probe"))
+        cls(spec).compress(array, np.random.default_rng(1), key="probe"))
 
     return BehaviorObservation(
         spec=spec,
@@ -189,7 +186,6 @@ SYNTHETIC_LAYERS = (
 def replay_engine_wiring(
     config: CGXConfig,
     engine_cls: type[CommunicationEngine] = CommunicationEngine,
-    mode: str = "cgx",
 ) -> list[tuple[Package, Compressor]]:
     """Plan packages for the synthetic model and build each compressor.
 
@@ -199,13 +195,12 @@ def replay_engine_wiring(
     :class:`ErrorFeedback`) without running a reduction.
     """
     engine = engine_cls(config)
-    packages = engine.plan(list(SYNTHETIC_LAYERS), mode=mode)
+    packages = engine.plan(list(SYNTHETIC_LAYERS))
     return [(package, engine._compressor_for(package)) for package in packages]
 
 
 def replay_adaptive_respec(
     engine_cls: type[CommunicationEngine] = CommunicationEngine,
-    seed: int = 0,
 ) -> dict:
     """Replay the adaptive respec-while-training sequence.
 
@@ -224,7 +219,7 @@ def replay_adaptive_respec(
     spec = CompressionSpec("topk", density=0.1, error_feedback=True)
     config = CGXConfig(compression=spec)
     engine = engine_cls(config)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     world = 2
     grads = [
         {"fc.weight": rng.standard_normal((64, 48)).astype(np.float32)}

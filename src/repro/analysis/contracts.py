@@ -27,7 +27,8 @@ from .abstract import (
 )
 from .findings import CellFindings, Finding, rule_table
 
-__all__ = ["CONTRACT_RULES", "verify_contracts", "check_engine_wiring"]
+__all__ = ["CONTRACT_RULES", "verify_contracts", "check_operator",
+           "check_engine_wiring"]
 
 CONTRACT_RULES = {
     "CON001": "missing or mismatched compressor contract",
@@ -53,7 +54,7 @@ def _spec_label(spec: CompressionSpec) -> str:
     return " ".join(parts)
 
 
-def _check_operator(method: str, cls: type[Compressor]) -> list[Finding]:
+def check_operator(method: str, cls: type[Compressor]) -> list[Finding]:
     """CON001..CON005 + CON008 for one registered operator class."""
     out = CellFindings("contract", CONTRACT_RULES, method)
     contract = getattr(cls, "contract", None)
@@ -116,7 +117,6 @@ def _check_operator(method: str, cls: type[Compressor]) -> list[Finding]:
 def check_engine_wiring(
     configs: list[CGXConfig] | None = None,
     engine_cls: type[CommunicationEngine] = CommunicationEngine,
-    registry: dict[str, type[Compressor]] | None = None,
 ) -> list[Finding]:
     """CON006/CON007: replay engine planning and adaptive respec.
 
@@ -127,9 +127,10 @@ def check_engine_wiring(
             residual), so every wiring path is exercised.
         engine_cls: injectable for fixtures (a legacy engine class that
             drops residuals triggers CON007).
-        registry: method -> class map; contracts are read from it.
+
+    Contracts are read from the real registry.
     """
-    registry = registry or default_registry()
+    registry = default_registry()
     if configs is None:
         configs = [CGXConfig.cgx_default(128)]
         for method, cls in registry.items():
@@ -169,22 +170,16 @@ def check_engine_wiring(
     return out
 
 
-def verify_contracts(
-    registry: dict[str, type[Compressor]] | None = None,
-    engine_cls: type[CommunicationEngine] = CommunicationEngine,
-    check_wiring: bool = True,
-) -> list[Finding]:
+def verify_contracts() -> list[Finding]:
     """Run every contract rule over the registered operators.
 
-    Defaults replay the real registry (:func:`make_compressor`'s table)
-    and the real engine; tests inject broken registries/engines to
-    exercise each rule.
+    Replays the real registry (:func:`make_compressor`'s table) and the
+    real engine; tests hand broken operators to :func:`check_operator`
+    and broken engines to :func:`check_engine_wiring`.
     """
-    registry = registry or default_registry()
+    registry = default_registry()
     findings: list[Finding] = []
     for method in sorted(registry):
-        findings.extend(_check_operator(method, registry[method]))
-    if check_wiring:
-        findings.extend(check_engine_wiring(engine_cls=engine_cls,
-                                            registry=registry))
+        findings.extend(check_operator(method, registry[method]))
+    findings.extend(check_engine_wiring())
     return findings

@@ -223,22 +223,20 @@ def lint_blocking_source(source: str, path: str) -> list[Finding]:
     return findings
 
 
-def lint_blocking(roots: Sequence[str] | None = None) -> list[Finding]:
-    """DLV006 over every python file under ``roots`` (default: the
-    collectives and faults packages), occurrence-numbered for stable
-    fingerprints."""
-    return lint_roots(roots if roots is not None
-                      else blocking_default_roots(), lint_blocking_source)
+def lint_blocking() -> list[Finding]:
+    """DLV006 over every python file of the collectives and faults
+    packages, occurrence-numbered for stable fingerprints."""
+    return lint_roots(blocking_default_roots(), lint_blocking_source)
 
 
 # -- the full battery ---------------------------------------------------------
 
-def verify_liveness(worlds: tuple[int, ...] = (2, 3, 4)) -> list[Finding]:
+def verify_liveness() -> list[Finding]:
     """Certify every (scheme x world x campaign) cell; [] means clean."""
     from repro.faults.cases import liveness_cases, trace_liveness_case
 
     findings: list[Finding] = []
-    for case in liveness_cases(worlds):
+    for case in liveness_cases():
         trace, aux = trace_liveness_case(case)
         findings.extend(analyze_trace_liveness(
             trace, case.path, scheme=case.scheme, world=case.world,

@@ -21,7 +21,8 @@ from repro.compression import CompressionSpec, Compressor
 from repro.core import CGXConfig
 from repro.core.adaptive import (
     ASSIGNERS,
-    DEFAULT_BITWIDTHS,
+    BITWIDTHS,
+    REFERENCE_BITS,
     AdaptiveController,
     LayerStat,
     assignment_cost_bits,
@@ -43,6 +44,7 @@ __all__ = [
     "default_instances",
     "certify_solver",
     "certify_optimality",
+    "certify_monotonicity",
     "certify_controller_stability",
     "certify_plan_contracts",
     "verify_plans",
@@ -77,6 +79,9 @@ OPTIMALITY_RATCHET: dict[str, float] = {
 #: layers above this count are skipped by the brute-force reference
 SMALL_INSTANCE_LAYERS = 12
 
+#: BWP006 replays two respecs of this period
+RESPEC_PERIOD = 2
+
 
 class PlanInstance:
     """One named battery instance: layer statistics + brute-force flag."""
@@ -93,10 +98,10 @@ class PlanInstance:
         return f"PlanInstance({self.name}, L={len(self.stats)})"
 
 
-def _txl_like(seed: int = 0) -> list[LayerStat]:
+def _txl_like() -> list[LayerStat]:
     """The canonical hard instance: one huge insensitive embedding, a
     blob of near-identical matrices, a few small sensitive layers."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     stats = [LayerStat("embed", 137_000_000,
                        0.25 * float(np.sqrt(0.01 * 137e6)))]
     for i in range(32):
@@ -109,7 +114,7 @@ def _txl_like(seed: int = 0) -> list[LayerStat]:
     return stats
 
 
-def default_instances(seed: int = 2024) -> list[PlanInstance]:
+def default_instances() -> list[PlanInstance]:
     """The seeded certification battery.
 
     Full-size statistics for every model in ``models/specs.py``, the
@@ -123,7 +128,7 @@ def default_instances(seed: int = 2024) -> list[PlanInstance]:
         for name in available_specs()
     ]
     instances.append(PlanInstance("txl-like", _txl_like()))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(2024)
     for i in range(6):
         layer_count = int(rng.integers(2, 28))
         stats = [
@@ -202,11 +207,9 @@ class PlanSolutions:
 
 def certify_solver(solver: str, assigner: Assigner,
                    instance: PlanInstance, alpha: float,
-                   bitwidths: tuple[int, ...] | None = None,
                    solutions: PlanSolutions | None = None,
                    ) -> "tuple[dict[str, int] | None, list[Finding]]":
     """BWP001/BWP002/BWP004 for one (solver, instance, alpha) cell."""
-    ladder = tuple(sorted(set(bitwidths or DEFAULT_BITWIDTHS)))
     solutions = solutions or PlanSolutions({solver: assigner})
     bits, crashed = solutions.solve(solver, instance, alpha)
     if bits is None:
@@ -218,13 +221,13 @@ def certify_solver(solver: str, assigner: Assigner,
         out.emit("BWP002", f"{instance.name} alpha={alpha}: assignment covers "
                            f"{len(bits)} layers, instance has {len(expected)}")
         return bits, out
-    stray = sorted({b for b in bits.values() if b not in ladder})
+    stray = sorted({b for b in bits.values() if b not in BITWIDTHS})
     if stray:
         out.emit("BWP002",
                  f"{instance.name} alpha={alpha}: emitted bit-width(s) "
-                 f"{stray} outside the requested ladder {ladder}")
+                 f"{stray} outside the requested ladder {BITWIDTHS}")
     static_cost = assignment_cost_bits(
-        instance.stats, {s.name: 4 for s in instance.stats})
+        instance.stats, {s.name: REFERENCE_BITS for s in instance.stats})
     cost = assignment_cost_bits(instance.stats, bits)
     if cost > static_cost:
         out.emit("BWP002",
@@ -279,11 +282,11 @@ def certify_optimality(solver: str, assigner: Assigner,
     return out
 
 
-def _certify_monotonicity(solver: str, assigner: Assigner,
-                          instance: PlanInstance,
-                          alphas: Sequence[float],
-                          solutions: PlanSolutions | None = None
-                          ) -> list[Finding]:
+def certify_monotonicity(solver: str, assigner: Assigner,
+                         instance: PlanInstance,
+                         alphas: Sequence[float] = DEFAULT_ALPHAS,
+                         solutions: PlanSolutions | None = None
+                         ) -> list[Finding]:
     """BWP005: transmitted bytes must not grow with the error budget."""
     solutions = solutions or PlanSolutions({solver: assigner})
     costs: list[tuple[float, int]] = []
@@ -301,8 +304,8 @@ def _certify_monotonicity(solver: str, assigner: Assigner,
     return out
 
 
-def _stationary_grads(seed: int = 0) -> "dict[str, np.ndarray]":
-    rng = np.random.default_rng(seed)
+def _stationary_grads() -> "dict[str, np.ndarray]":
+    rng = np.random.default_rng(0)
     return {
         "embed.weight": rng.normal(scale=0.01,
                                    size=(2000, 16)).astype(np.float32),
@@ -314,8 +317,6 @@ def _stationary_grads(seed: int = 0) -> "dict[str, np.ndarray]":
 def certify_controller_stability(
     solver: str,
     controller_cls: type[AdaptiveController] = AdaptiveController,
-    period: int = 2,
-    seed: int = 0,
 ) -> list[Finding]:
     """BWP006: replay ``AdaptiveController.reassign`` under stationary stats.
 
@@ -327,16 +328,17 @@ def certify_controller_stability(
     """
     out = CellFindings("plan", PLAN_RULES, solver)
     config = CGXConfig.cgx_default()
-    controller = controller_cls(config, method=solver, period=period)
-    grads = _stationary_grads(seed)
+    controller = controller_cls(config, method=solver, period=RESPEC_PERIOD)
+    grads = _stationary_grads()
     observed: list[dict[str, int]] = []
-    for _ in range(2 * period):
+    for _ in range(2 * RESPEC_PERIOD):
         if controller.observe(dict(grads)):
             observed.append(dict(controller.assignments))
     if len(observed) < 2:
         out.emit("BWP006",
                  f"controller produced {len(observed)} reassignments in "
-                 f"{2 * period} stationary steps (period={period})")
+                 f"{2 * RESPEC_PERIOD} stationary steps "
+                 f"(period={RESPEC_PERIOD})")
         return out
     if observed[0] != observed[1]:
         flipped = sorted(name for name in observed[0]
@@ -393,40 +395,29 @@ def certify_plan_contracts(
     return out
 
 
-def verify_plans(
-    assigners: "Mapping[str, Assigner] | None" = None,
-    instances: Sequence[PlanInstance] | None = None,
-    alphas: Sequence[float] = DEFAULT_ALPHAS,
-    ratchet: Mapping[str, float] | None = None,
-    registry: "dict[str, type[Compressor]] | None" = None,
-    controller_cls: type[AdaptiveController] = AdaptiveController,
-) -> list[Finding]:
+def verify_plans() -> list[Finding]:
     """Run the full BWP battery; everything is seeded and deterministic.
 
-    Defaults certify the real solvers (:data:`ASSIGNERS`) over
-    :func:`default_instances`; tests inject broken solvers, registries
-    and controllers to exercise every rule.
+    Certifies the real solvers (:data:`ASSIGNERS`) over
+    :func:`default_instances` at :data:`DEFAULT_ALPHAS`; tests hand
+    broken solvers, registries and controllers to the per-cell checks.
     """
-    assigners = assigners or dict(ASSIGNERS)
-    instances = list(instances) if instances is not None \
-        else default_instances()
-    solutions = PlanSolutions(assigners)
+    instances = default_instances()
+    solutions = PlanSolutions(ASSIGNERS)
     findings: list[Finding] = []
-    for solver in sorted(assigners):
-        assigner = assigners[solver]
+    for solver in sorted(ASSIGNERS):
+        assigner = ASSIGNERS[solver]
         for instance in instances:
-            for alpha in alphas:
+            for alpha in DEFAULT_ALPHAS:
                 bits, cell = certify_solver(solver, assigner, instance, alpha,
                                             solutions=solutions)
                 findings.extend(cell)
                 if bits is not None and not cell:
                     findings.extend(certify_plan_contracts(
-                        solver, bits, instance, alpha, registry=registry))
-            findings.extend(_certify_monotonicity(
-                solver, assigner, instance, alphas, solutions))
+                        solver, bits, instance, alpha))
+            findings.extend(certify_monotonicity(
+                solver, assigner, instance, solutions=solutions))
         findings.extend(certify_optimality(solver, assigner, instances,
-                                           alphas, ratchet, solutions))
-        if solver in ASSIGNERS and controller_cls is not None:
-            findings.extend(certify_controller_stability(
-                solver, controller_cls=controller_cls))
+                                           solutions=solutions))
+        findings.extend(certify_controller_stability(solver))
     return findings

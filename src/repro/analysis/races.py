@@ -17,15 +17,14 @@ Long form: ``docs/analysis.md`` pillar 4.  The rules:
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Union
 
 from repro.collectives.trace import (BufferAccess, ScheduleTrace, TraceEvent,
                                      match_messages)
 from repro.compression import CompressionSpec
 
 from .findings import CellFindings, Finding, rule_table, sort_findings
-from .schedule import (SchemeCase, default_cases, trace_case,
-                       trace_collective)
+from .schedule import default_cases, trace_case, trace_collective
 
 __all__ = ["RACE_RULES", "analyze_trace", "verify_races",
            "analyze_callable"]
@@ -164,26 +163,23 @@ _RACE_SPECS = (
 )
 
 
-def verify_races(cases: Sequence[SchemeCase] | None = None,
-                 specs: Sequence[CompressionSpec] = _RACE_SPECS,
-                 ) -> list[Finding]:
+def verify_races() -> list[Finding]:
     """Race-check every registered scheme (all worlds x all specs)."""
     findings: list[Finding] = []
-    for case in (default_cases() if cases is None else cases):
-        for spec in specs:
+    for case in default_cases():
+        for spec in _RACE_SPECS:
             trace, _ = trace_case(case, spec=spec)
             findings.extend(analyze_trace(trace, case.scheme, case.world))
     return sort_findings(findings)
 
 
-def analyze_callable(fn: Callable, world: int, scheme: str = "custom",
-                     numel: int = 97, seed: int = 0,
-                     spec: CompressionSpec | None = None) -> list[Finding]:
+def analyze_callable(fn: Callable, world: int,
+                     scheme: str = "custom") -> list[Finding]:
     """Race-check an unregistered collective with the standard signature.
 
     Mirror of :func:`repro.analysis.schedule.verify_callable` — the hook
     for toy schemes (the negative-control tests inject a deliberately
     racy reduction here and assert the detector catches it).
     """
-    trace, _ = trace_collective(fn, world, numel, spec, seed)
+    trace, _ = trace_collective(fn, world)
     return analyze_trace(trace, scheme, world)

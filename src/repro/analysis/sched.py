@@ -404,12 +404,11 @@ def _certify_fairness(result: FleetResult, path: str) -> list[Finding]:
     return out
 
 
-def _certify_metric_degenerates(path: str = "<sched:degenerate>"
-                                ) -> list[Finding]:
+def _certify_metric_degenerates() -> list[Finding]:
     """SCD006 on the metric helpers' degenerate inputs (once per run)."""
     from repro.sched.metrics import jain_fairness, percentile
 
-    out = CellFindings("sched", SCD_RULES, path=path)
+    out = CellFindings("sched", SCD_RULES, path="<sched:degenerate>")
     emit = partial(out.emit, "SCD006")
 
     probes: list[tuple[str, Callable[[], float], float]] = [
@@ -498,18 +497,11 @@ def lint_job_tagging(roots: Sequence[str] | None = None) -> list[Finding]:
 
 # -- one cell, and the full battery -------------------------------------------
 
-def certify_fleet(result: FleetResult, path: str,
-                  network_cls: Callable[..., Network] | None = None
-                  ) -> list[Finding]:
-    """All dynamic SCD rules (001–006) over one finished fleet campaign.
-
-    ``network_cls`` is the probe-network seam SCD004 builds its
-    throttle probes from; tests inject a doctored class to prove the
-    rule fires.
-    """
+def certify_fleet(result: FleetResult, path: str) -> list[Finding]:
+    """All dynamic SCD rules (001–006) over one finished fleet campaign."""
     return sort_findings([*_certify_log(result, path),
                           *_certify_conservation(result, path),
-                          *_certify_throttles(result, path, network_cls),
+                          *_certify_throttles(result, path),
                           *_certify_isolation(result, path),
                           *_certify_fairness(result, path)])
 

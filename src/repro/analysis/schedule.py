@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
@@ -55,6 +55,9 @@ SchemeCase = SchemeCell
 #: are swept by tier-1, not by this battery
 _SCHEME_WORLDS = {"hier": (4, 6), "partial": (4,)}
 
+#: elements per fake rank's buffer in every traced collective
+TRACE_NUMEL = 97
+
 
 def default_cases() -> list[SchemeCase]:
     """Every registered scheme at several world sizes."""
@@ -75,7 +78,7 @@ def expected_recompression_bound(scheme: str, world: int) -> int:
     return world  # unknown scheme: the loosest defensible bound
 
 
-def trace_collective(fn: Callable, world: int, numel: int = 97,
+def trace_collective(fn: Callable, world: int,
                      spec: CompressionSpec | None = None, seed: int = 0,
                      ) -> tuple[ScheduleTrace, Any]:
     """Run ``fn(buffers, compressor, rng, key=...)`` on synthetic
@@ -88,19 +91,18 @@ def trace_collective(fn: Callable, world: int, numel: int = 97,
     compressor = make_compressor(
         spec or CompressionSpec("qsgd", bits=4, bucket_size=32))
     rng = np.random.default_rng(seed)
-    buffers = [np.asarray(rng.normal(size=numel), dtype=np.float32)
+    buffers = [np.asarray(rng.normal(size=TRACE_NUMEL), dtype=np.float32)
                for _ in range(world)]
     with capture() as trace:
         result = fn(buffers, compressor, rng, key="verify")
     return trace, result
 
 
-def trace_case(case: SchemeCase, numel: int = 97,
-               spec: CompressionSpec | None = None, seed: int = 0,
-               ) -> tuple[ScheduleTrace, ReduceStats]:
+def trace_case(case: SchemeCase, spec: CompressionSpec | None = None,
+               seed: int = 0) -> tuple[ScheduleTrace, ReduceStats]:
     """Run one registered scheme on fake ranks, capturing events."""
     trace, (_, stats) = trace_collective(partial(run_cell, case), case.world,
-                                         numel, spec, seed)
+                                         spec, seed)
     return trace, stats
 
 
@@ -143,27 +145,26 @@ def verify_trace(trace: ScheduleTrace, stats: ReduceStats,
     return sort_findings(out)
 
 
-def verify_case(case: SchemeCase, **trace_kwargs: Any) -> list[Finding]:
-    trace, stats = trace_case(case, **trace_kwargs)
+def verify_case(case: SchemeCase) -> list[Finding]:
+    trace, stats = trace_case(case)
     return verify_trace(trace, stats, case)
 
 
-def verify_schedules(cases: Sequence[SchemeCase] | None = None,
-                     ) -> list[Finding]:
-    """Verify every case (default: all registered schemes); [] = clean."""
+def verify_schedules() -> list[Finding]:
+    """Verify every registered scheme's cells; [] = clean."""
     findings: list[Finding] = []
-    for case in (default_cases() if cases is None else cases):
+    for case in default_cases():
         findings.extend(verify_case(case))
     return sort_findings(findings)
 
 
-def verify_callable(fn: Callable, world: int, scheme: str = "custom",
-                    numel: int = 97, seed: int = 0) -> list[Finding]:
+def verify_callable(fn: Callable, world: int,
+                    scheme: str = "custom") -> list[Finding]:
     """Verify an unregistered collective with the standard signature.
 
     ``fn(buffers, compressor, rng, key=...) -> (outputs, ReduceStats)`` —
     the hook for testing toy or third-party schemes without touching the
     :data:`~repro.collectives.ALGORITHMS` registry.
     """
-    trace, (_, stats) = trace_collective(fn, world, numel, seed=seed)
+    trace, (_, stats) = trace_collective(fn, world)
     return verify_trace(trace, stats, SchemeCase(scheme, world))

@@ -23,8 +23,7 @@ from repro.compression import CompressionSpec, Compressor
 from repro.core import CGXConfig, CommunicationEngine
 from repro.models import ModelSpec, available_specs, build_spec
 
-from .abstract import (PROBE_SHAPES, default_registry, execute_roundtrips,
-                       probe_specs)
+from .abstract import default_registry, execute_roundtrips, probe_specs
 from .findings import CellFindings, Finding, rule_table
 
 __all__ = [
@@ -223,7 +222,6 @@ def battery_specs() -> list[CompressionSpec]:
 
 def calibrate_payload_model(
     registry: "dict[str, type[Compressor]] | None" = None,
-    shapes: Sequence[tuple[int, ...]] = PROBE_SHAPES,
 ) -> list[Finding]:
     """Ground the symbolic layout against real serialized payloads.
 
@@ -238,8 +236,7 @@ def calibrate_payload_model(
     out = CellFindings("shape", SHAPE_RULES, path="<shape:calibration>")
     for method in sorted(registry):
         for spec in probe_specs(method):
-            for obs in execute_roundtrips(registry[method], spec,
-                                          tuple(shapes)):
+            for obs in execute_roundtrips(registry[method], spec):
                 symbolic = symbolic_wire_bytes(
                     symbolic_payload(spec, math.prod(obs.shape), obs.shape))
                 if symbolic != obs.measured_bytes:
@@ -444,41 +441,29 @@ def _adaptive_config(base: CompressionSpec) -> CGXConfig:
     return CGXConfig(compression=base, per_layer=per_layer)
 
 
-def verify_shapes(
-    models: Sequence[str] | None = None,
-    specs: Sequence[CompressionSpec] | None = None,
-    schemes: "Mapping[str, SchemeModel] | None" = None,
-    worlds: Sequence[int] = (4, 5),
-    registry: "dict[str, type[Compressor]] | None" = None,
-    calibrate: bool = True,
-    include_adaptive: bool = True,
-) -> list[Finding]:
+def verify_shapes() -> list[Finding]:
     """Run the full SHP battery.
 
-    Defaults sweep every model spec × every battery compressor × every
-    scheme model at full tensor scale, plus the calibration pass and one
-    adaptively-respecced config; tests inject broken specs, registries
-    and scheme models to exercise every rule.
+    Sweeps every model spec × every battery compressor × every scheme
+    model at full tensor scale, plus the calibration pass and one
+    adaptively-respecced config; tests hand broken specs, registries
+    and scheme models to :func:`interpret_pipeline` and
+    :func:`calibrate_payload_model`.
     """
-    registry = registry or default_registry()
-    findings: list[Finding] = []
-    if calibrate:
-        findings.extend(calibrate_payload_model(registry))
-    names = list(models) if models is not None else available_specs()
-    battery = list(specs) if specs is not None else battery_specs()
+    registry = default_registry()
+    findings = list(calibrate_payload_model(registry))
+    battery = battery_specs()
     verdicts: dict[tuple, ChunkVerdict] = {}
-    for name in names:
+    for name in available_specs():
         model = build_spec(name)
         for spec in battery:
             config = CGXConfig(compression=spec)
             findings.extend(interpret_pipeline(
-                name, config, schemes=schemes, worlds=worlds,
-                registry=registry, model=model, verdicts=verdicts))
-    if include_adaptive:
-        findings.extend(interpret_pipeline(
-            "transformer_xl:adaptive",
-            _adaptive_config(CompressionSpec("qsgd", bits=4,
-                                             bucket_size=128)),
-            schemes=schemes, worlds=worlds, registry=registry,
-            model=build_spec("transformer_xl"), verdicts=verdicts))
+                name, config, registry=registry, model=model,
+                verdicts=verdicts))
+    findings.extend(interpret_pipeline(
+        "transformer_xl:adaptive",
+        _adaptive_config(CompressionSpec("qsgd", bits=4, bucket_size=128)),
+        registry=registry, model=build_spec("transformer_xl"),
+        verdicts=verdicts))
     return findings

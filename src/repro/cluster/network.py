@@ -68,7 +68,7 @@ class Network:
         #: names are resolved to pool resources on first use and the
         #: objects walked thereafter: per ``(src, dst)`` the candidate
         #: routes, per ``(gpu, engine)`` the engine (the pool never drops
-        #: a resource, so ``reset()`` leaves both valid).  Invariant: the
+        #: a resource, so both stay valid).  Invariant: the
         #: topology (routes, detours, link bandwidth/latency) and
         #: ``route_policy`` are frozen once the first transfer has run —
         #: a pair already bound does not see a later change
@@ -118,17 +118,6 @@ class Network:
         if job is None:
             return 1.0
         return self._job_throttle.get(job, 1.0)
-
-    def reset(self) -> None:
-        """Fresh start: resets resource timelines and clears all traces.
-
-        This clears every job's accounting at once; never call it to
-        retire one job of a shared network.
-        """
-        self.pool.reset()
-        self.trace.clear()
-        self._load_bins.clear()
-        self._job_bytes.clear()
 
     # -- transfers ---------------------------------------------------------
     def transfer(self, src: int, dst: int, nbytes: int, ready: float,

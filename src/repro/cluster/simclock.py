@@ -99,13 +99,6 @@ class Resource:
                 by_job[job] = by_job.get(job, 0.0) + duration
         return total, by_job
 
-    def reset(self) -> None:
-        self.busy_until = 0.0
-        self.busy_time = 0.0
-        self.busy_by_job.clear()
-        if self.ledger is not None:
-            self.ledger.clear()
-
 
 def commit_route(route: Sequence[tuple[Resource, float, float]],
                  ready: float, nbytes: float, rate: float, slow: float,
@@ -175,10 +168,6 @@ class ResourcePool:
             resource = Resource(name, audit=self._audit)
             self._resources[name] = resource
         return resource
-
-    def reset(self) -> None:
-        for resource in self._resources.values():
-            resource.reset()
 
     def utilization(self, horizon: float) -> dict[str, float]:
         """Fraction of ``horizon`` each resource was busy."""

@@ -144,6 +144,3 @@ class PartialAllreduce:
         entries, never real gradient).
         """
         return float(sum(np.linalg.norm(c) for c in self._carry.values()))
-
-    def reset(self) -> None:
-        self._carry.clear()

@@ -66,7 +66,3 @@ class DGCCompressor(Sparsifier):
         payload = {"indices": indices, "values": values}
         return Compressed(self.spec, flat.size, tuple(np.shape(array)),
                           payload, int(indices.size * 8))
-
-    def reset(self) -> None:
-        self._momentum_buf.clear()
-        self._velocity.clear()

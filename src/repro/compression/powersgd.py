@@ -42,14 +42,18 @@ def _factor_shape(spec: CompressionSpec, numel: int, shape: Shape
     return rows, cols, 0 if 1 in (rows, cols) else min(spec.rank, rows, cols)
 
 
-def orthonormalize(matrix: np.ndarray, eps: float = 1e-8) -> np.ndarray:
+#: a column whose residual norm falls below this is degenerate
+_ORTHO_EPS = 1e-8
+
+
+def orthonormalize(matrix: np.ndarray) -> np.ndarray:
     """Gram-Schmidt orthonormalization of the columns of ``matrix``."""
     out = matrix.astype(np.float32, copy=True)
     for col in range(out.shape[1]):
         for prev in range(col):
             out[:, col] -= (out[:, prev] @ out[:, col]) * out[:, prev]
         norm = np.linalg.norm(out[:, col])
-        if norm < eps:
+        if norm < _ORTHO_EPS:
             # degenerate direction: re-seed deterministically
             out[:, col] = 0.0
             out[col % out.shape[0], col] = 1.0
@@ -132,6 +136,3 @@ class PowerSGDCompressor(Compressor):
         matmuls = 3 * 2.0 * rows * cols * rank     # MQ, M^T P, P Q^T
         gram_schmidt = 2.0 * rows * rank * rank
         return matmuls + gram_schmidt
-
-    def reset(self) -> None:
-        self._q_memory.clear()

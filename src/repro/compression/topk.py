@@ -161,6 +161,3 @@ class ErrorFeedback:
         """L2 norm over all keyed residuals (collectives key per chunk)."""
         total = sum(float(np.sum(r * r)) for r in self._residuals.values())
         return float(np.sqrt(total))
-
-    def reset(self) -> None:
-        self._residuals.clear()

@@ -54,7 +54,11 @@ __all__ = [
 
 #: calibrated QSGD error constant: rel_err(bits) = _QSGD_C / (2^(bits-1) - 1)
 _QSGD_C = 1.12
-DEFAULT_BITWIDTHS = (2, 3, 4, 8)
+#: the width ladder every assigner picks from, narrowest first
+BITWIDTHS = (2, 3, 4, 8)
+#: the reference width: ``E4``, the error of uniform 4-bit compression,
+#: sets the budget ``alpha * E4`` and the static size never to exceed
+REFERENCE_BITS = 4
 #: bucket size paired with each bit-width when re-assigning
 BUCKET_FOR_BITS = {2: 64, 3: 128, 4: 128, 5: 256, 6: 256, 8: 512}
 #: share of a layer's accumulated-gradient values, largest magnitudes
@@ -92,17 +96,17 @@ def assignment_error(stats: list[LayerStat], bits: dict[str, int]) -> float:
     return float(np.sqrt(total_sq))
 
 
-def uniform_error(stats: list[LayerStat], bits: int = 4) -> float:
+def uniform_error(stats: list[LayerStat],
+                  bits: int = REFERENCE_BITS) -> float:
     """E_b: error when every layer is compressed to ``bits`` bits."""
     return assignment_error(stats, {s.name: bits for s in stats})
 
 
 def assignment_wire_fraction(stats: list[LayerStat],
-                             bits: dict[str, int],
-                             reference_bits: int = 4) -> float:
+                             bits: dict[str, int]) -> float:
     """Compressed size relative to the uniform static assignment."""
     assigned = sum(bits[s.name] * s.numel for s in stats)
-    reference = sum(reference_bits * s.numel for s in stats)
+    reference = sum(REFERENCE_BITS * s.numel for s in stats)
     return assigned / reference
 
 
@@ -165,13 +169,15 @@ def exact_assignment_error_sq(stats: list[LayerStat],
                Fraction(0))
 
 
-def exact_uniform_error_sq(stats: list[LayerStat], bits: int = 4) -> Fraction:
+def exact_uniform_error_sq(stats: list[LayerStat],
+                           bits: int = REFERENCE_BITS) -> Fraction:
     """Exact squared ``E_b``: every layer compressed to ``bits`` bits."""
     return exact_assignment_error_sq(stats, {s.name: bits for s in stats})
 
 
 def certify_assignment(stats: list[LayerStat], bits: dict[str, int],
-                       alpha: float, reference_bits: int = 4) -> bool:
+                       alpha: float,
+                       reference_bits: int = REFERENCE_BITS) -> bool:
     """Exact proof that ``assignment_error <= alpha * E_ref`` holds.
 
     Compares squared errors as rationals, so the answer is not subject
@@ -190,7 +196,7 @@ def assignment_cost_bits(stats: list[LayerStat], bits: dict[str, int]) -> int:
 
 def brute_force_assign(
     stats: list[LayerStat],
-    bitwidths: tuple[int, ...] = DEFAULT_BITWIDTHS,
+    bitwidths: tuple[int, ...] = BITWIDTHS,
     alpha: float = 2.0,
     max_layers: int = 16,
 ) -> dict[str, int]:
@@ -210,7 +216,8 @@ def brute_force_assign(
         raise ValueError(
             f"brute force limited to {max_layers} layers, got {len(stats)}")
     ladder = sorted(set(bitwidths))
-    budget_sq = Fraction(alpha) ** 2 * exact_uniform_error_sq(stats, 4)
+    budget_sq = Fraction(alpha) ** 2 \
+        * exact_uniform_error_sq(stats, REFERENCE_BITS)
     # large layers first: their cost dominates, so good bounds come early
     order = sorted(stats, key=lambda s: -s.numel)
     rel_sq = [exact_relative_error_sq(b) for b in ladder]
@@ -276,9 +283,7 @@ def resolve_bucket(bits: int) -> int:
 
 
 def _enforce_constraint(stats: list[LayerStat], bits: dict[str, int],
-                        alpha: float,
-                        bitwidths: tuple[int, ...],
-                        reference_bits: int = 4) -> dict[str, int]:
+                        alpha: float) -> dict[str, int]:
     """Raise bit-widths until the error budget is met, cheapest first.
 
     Each candidate bump is scored by squared-error reduction per added
@@ -288,28 +293,27 @@ def _enforce_constraint(stats: list[LayerStat], bits: dict[str, int],
     returned assignment is certifiably within the budget, never just
     within float rounding of it.
     """
-    ladder = sorted(set(bitwidths))
     bits = dict(bits)
     budget_sq = Fraction(alpha) ** 2 \
-        * exact_uniform_error_sq(stats, reference_bits)
+        * exact_uniform_error_sq(stats, REFERENCE_BITS)
     err_sq = exact_assignment_error_sq(stats, bits)
     # (layer position, ladder level) -> float score of the bump from that
     # level, filled on first use: a bump's score never changes
     gains: dict[tuple[int, int], float] = {}
-    for _ in range(len(stats) * len(ladder)):
+    for _ in range(len(stats) * len(BITWIDTHS)):
         if err_sq <= budget_sq:
             break
         best, best_gain = None, 0.0
         for pos, stat in enumerate(stats):
-            idx = ladder.index(bits[stat.name])
-            if idx == len(ladder) - 1:
+            idx = BITWIDTHS.index(bits[stat.name])
+            if idx == len(BITWIDTHS) - 1:
                 continue
             gain = gains.get((pos, idx))
             if gain is None:
-                err_now = stat.grad_norm * estimate_relative_error(ladder[idx])
+                err_now = stat.grad_norm * estimate_relative_error(BITWIDTHS[idx])
                 err_next = stat.grad_norm * estimate_relative_error(
-                    ladder[idx + 1])
-                cost = (ladder[idx + 1] - ladder[idx]) * stat.numel
+                    BITWIDTHS[idx + 1])
+                cost = (BITWIDTHS[idx + 1] - BITWIDTHS[idx]) * stat.numel
                 gain = gains[pos, idx] = (err_now**2 - err_next**2) \
                     / max(1, cost)
             if gain > best_gain:
@@ -319,29 +323,28 @@ def _enforce_constraint(stats: list[LayerStat], bits: dict[str, int],
             # scoring in exact arithmetic before declaring infeasibility
             best_exact = Fraction(0)
             for stat in stats:
-                idx = ladder.index(bits[stat.name])
-                if idx == len(ladder) - 1:
+                idx = BITWIDTHS.index(bits[stat.name])
+                if idx == len(BITWIDTHS) - 1:
                     continue
                 drop = Fraction(stat.grad_norm) ** 2 * (
-                    exact_relative_error_sq(ladder[idx])
-                    - exact_relative_error_sq(ladder[idx + 1]))
-                exact_gain = drop / ((ladder[idx + 1] - ladder[idx])
+                    exact_relative_error_sq(BITWIDTHS[idx])
+                    - exact_relative_error_sq(BITWIDTHS[idx + 1]))
+                exact_gain = drop / ((BITWIDTHS[idx + 1] - BITWIDTHS[idx])
                                      * stat.numel)
                 if exact_gain > best_exact:
                     best, best_exact = stat, exact_gain
         if best is None:
             break
         old = bits[best.name]
-        bits[best.name] = ladder[ladder.index(old) + 1]
+        bits[best.name] = BITWIDTHS[BITWIDTHS.index(old) + 1]
         err_sq += Fraction(best.grad_norm) ** 2 * (
             exact_relative_error_sq(bits[best.name])
             - exact_relative_error_sq(old))
     return bits
 
 
-def _finalize(stats: list[LayerStat], bits: dict[str, int], alpha: float,
-              bitwidths: tuple[int, ...],
-              reference_bits: int = 4) -> dict[str, int]:
+def _finalize(stats: list[LayerStat], bits: dict[str, int],
+              alpha: float) -> dict[str, int]:
     """Enforce the error budget; never return worse-than-static size.
 
     Also guards the solver output structurally: any emitted width below
@@ -352,9 +355,9 @@ def _finalize(stats: list[LayerStat], bits: dict[str, int], alpha: float,
     if bad:
         raise ValueError(
             f"assignment emits bit-width(s) {bad} below the 2-bit floor")
-    bits = _enforce_constraint(stats, bits, alpha, bitwidths, reference_bits)
-    if assignment_wire_fraction(stats, bits, reference_bits) > 1.0:
-        return {s.name: reference_bits for s in stats}
+    bits = _enforce_constraint(stats, bits, alpha)
+    if assignment_wire_fraction(stats, bits) > 1.0:
+        return {s.name: REFERENCE_BITS for s in stats}
     return bits
 
 
@@ -372,7 +375,11 @@ def _features(stats: list[LayerStat]) -> np.ndarray:
     return np.column_stack([size, norm])
 
 
-def _kmeans(points: np.ndarray, k: int, iterations: int = 60) -> np.ndarray:
+#: Lloyd iterations :func:`_kmeans` runs at most
+_KMEANS_ITERATIONS = 60
+
+
+def _kmeans(points: np.ndarray, k: int) -> np.ndarray:
     """Deterministic Lloyd's k-means; returns a label per point.
 
     Initialized on quantiles of the (norm - size) score so repeated runs
@@ -385,7 +392,7 @@ def _kmeans(points: np.ndarray, k: int, iterations: int = 60) -> np.ndarray:
     seeds = [order[int(round(q * (n - 1)))] for q in np.linspace(0, 1, k)]
     centroids = points[seeds].astype(np.float64).copy()
     labels = np.zeros(n, dtype=np.int64)
-    for _ in range(iterations):
+    for _ in range(_KMEANS_ITERATIONS):
         distances = np.linalg.norm(points[:, None, :] - centroids[None], axis=2)
         new_labels = distances.argmin(axis=1)
         if np.array_equal(new_labels, labels) and _ > 0:
@@ -401,11 +408,8 @@ def _kmeans(points: np.ndarray, k: int, iterations: int = 60) -> np.ndarray:
     return labels
 
 
-def kmeans_assign(
-    stats: list[LayerStat],
-    bitwidths: tuple[int, ...] = DEFAULT_BITWIDTHS,
-    alpha: float = 2.0,
-) -> dict[str, int]:
+def kmeans_assign(stats: list[LayerStat],
+                  alpha: float = 2.0) -> dict[str, int]:
     """Algorithm 1: k-means clustering of (size, norm) -> bit-widths.
 
     Clusters are sorted by ``norm(C) - size(C)``; the lowest-scoring
@@ -415,9 +419,8 @@ def kmeans_assign(
     """
     if not stats:
         return {}
-    ladder = sorted(set(bitwidths))
     points = _features(stats)
-    labels = _kmeans(points, k=len(ladder))
+    labels = _kmeans(points, k=len(BITWIDTHS))
     used = sorted(set(labels.tolist()))
     centroids = {c: points[labels == c].mean(axis=0) for c in used}
     # sort clusters: score = norm - size, ascending -> lowest bits first
@@ -425,41 +428,36 @@ def kmeans_assign(
     ladder_for_cluster = {}
     for i, cluster in enumerate(ranked):
         if len(ranked) == 1:
-            ladder_for_cluster[cluster] = ladder[-1]
+            ladder_for_cluster[cluster] = BITWIDTHS[-1]
         else:
-            idx = round(i * (len(ladder) - 1) / (len(ranked) - 1))
-            ladder_for_cluster[cluster] = ladder[idx]
+            idx = round(i * (len(BITWIDTHS) - 1) / (len(ranked) - 1))
+            ladder_for_cluster[cluster] = BITWIDTHS[idx]
     bits = {stat.name: ladder_for_cluster[label]
             for stat, label in zip(stats, labels)}
-    return _finalize(stats, bits, alpha, bitwidths)
+    return _finalize(stats, bits, alpha)
 
 
-def linear_assign(
-    stats: list[LayerStat],
-    bitwidths: tuple[int, ...] = DEFAULT_BITWIDTHS,
-    alpha: float = 2.0,
-) -> dict[str, int]:
+def linear_assign(stats: list[LayerStat],
+                  alpha: float = 2.0) -> dict[str, int]:
     """Sort by gradient-magnitude/size ratio; interpolate bit-widths."""
     if not stats:
         return {}
-    ladder = sorted(set(bitwidths))
     ratio = sorted(stats, key=lambda s: s.grad_norm / max(1, s.numel))
     bits = {}
     for rank, stat in enumerate(ratio):
         position = rank / max(1, len(ratio) - 1)
-        bits[stat.name] = ladder[
-            min(int(position * len(ladder)), len(ladder) - 1)
+        bits[stat.name] = BITWIDTHS[
+            min(int(position * len(BITWIDTHS)), len(BITWIDTHS) - 1)
         ]
-    return _finalize(stats, bits, alpha, bitwidths)
+    return _finalize(stats, bits, alpha)
 
 
-def bayes_assign(
-    stats: list[LayerStat],
-    bitwidths: tuple[int, ...] = DEFAULT_BITWIDTHS,
-    alpha: float = 2.0,
-    samples: int = 80,
-    seed: int = 0,
-) -> dict[str, int]:
+#: candidate threshold pairs :func:`bayes_assign` evaluates
+_BAYES_SAMPLES = 80
+
+
+def bayes_assign(stats: list[LayerStat], alpha: float = 2.0,
+                 seed: int = 0) -> dict[str, int]:
     """Surrogate-based optimization over a two-threshold family.
 
     Candidate assignments map each layer's standardized score
@@ -470,11 +468,10 @@ def bayes_assign(
     """
     if not stats:
         return {}
-    ladder = sorted(set(bitwidths))
     points = _features(stats)
     score = points[:, 1] - points[:, 0]
     rng = np.random.default_rng(seed)
-    budget = alpha * uniform_error(stats, 4)
+    budget = alpha * uniform_error(stats, REFERENCE_BITS)
 
     def realize(t_low: float, t_high: float) -> dict[str, int]:
         lo, hi = min(t_low, t_high), max(t_low, t_high)
@@ -483,11 +480,11 @@ def bayes_assign(
             if s <= lo:
                 level = 0
             elif s >= hi:
-                level = len(ladder) - 1
+                level = len(BITWIDTHS) - 1
             else:
                 frac = (s - lo) / max(1e-12, hi - lo)
-                level = min(int(frac * len(ladder)), len(ladder) - 1)
-            bits[stat.name] = ladder[level]
+                level = min(int(frac * len(BITWIDTHS)), len(BITWIDTHS) - 1)
+            bits[stat.name] = BITWIDTHS[level]
         return bits
 
     def objective(bits: dict[str, int]) -> float:
@@ -504,8 +501,8 @@ def bayes_assign(
     best_params = (lo0, hi0)
     best_bits = realize(*best_params)
     best_cost = objective(best_bits)
-    for trial in range(samples):
-        if trial < samples // 2:
+    for trial in range(_BAYES_SAMPLES):
+        if trial < _BAYES_SAMPLES // 2:
             candidate = tuple(rng.uniform(lo0 - 0.5, hi0 + 0.5, size=2))
         else:  # refine around incumbent
             candidate = tuple(np.asarray(best_params)
@@ -515,10 +512,10 @@ def bayes_assign(
         if cost < best_cost:
             best_params, best_bits, best_cost = candidate, bits, cost
     # the uniform static assignment is always feasible; never do worse
-    uniform = {s.name: 4 for s in stats}
+    uniform = {s.name: REFERENCE_BITS for s in stats}
     if objective(uniform) < best_cost:
         best_bits = uniform
-    return _finalize(stats, best_bits, alpha, bitwidths)
+    return _finalize(stats, best_bits, alpha)
 
 
 ASSIGNERS = {
@@ -538,7 +535,6 @@ class AdaptiveController:
     """
 
     def __init__(self, config, method: str = "kmeans",
-                 bitwidths: tuple[int, ...] = DEFAULT_BITWIDTHS,
                  alpha: float = 2.0, period: int = 20):
         if method not in ASSIGNERS:
             raise KeyError(f"unknown adaptive method {method!r}; "
@@ -549,7 +545,6 @@ class AdaptiveController:
         self._layer_info = LayerInfo
         self.config = config
         self.method = method
-        self.bitwidths = bitwidths
         self.alpha = alpha
         self.period = period
         self._accumulated: dict[str, np.ndarray] = {}
@@ -607,9 +602,7 @@ class AdaptiveController:
         if not stats:
             return {}
         alpha = self.effective_alpha
-        self.assignments = ASSIGNERS[self.method](
-            stats, bitwidths=self.bitwidths, alpha=alpha
-        )
+        self.assignments = ASSIGNERS[self.method](stats, alpha=alpha)
         base = self.config.compression
         for name, bits in self.assignments.items():
             self.config.per_layer[name] = base.with_bits(bits,

@@ -29,7 +29,7 @@ from repro.nn.module import Module
 
 from .config import CGXConfig
 from .engine import CommunicationEngine, ReductionReport
-from .overlap import OverlapDelays, OverlapReport
+from .overlap import OverlapReport
 
 __all__ = ["CGXDistributedDataParallel"]
 
@@ -116,7 +116,7 @@ class CGXDistributedDataParallel:
                     grads[name] = param.grad
             per_worker.append(grads)
 
-        reduced, report = reduce(per_worker, self.rng, average=True,
+        reduced, report = reduce(per_worker, self.rng,
                                  participants=local_participants,
                                  **mode_args)
         for rank in ranks:
@@ -158,7 +158,6 @@ class CGXDistributedDataParallel:
         participants: list[int] | None = None,
         average_over: int | None = None,
         step: int = 0,
-        delays: OverlapDelays | None = None,
         members: list[int] | None = None,
     ) -> OverlapReport:
         """Overlapped-mode :meth:`synchronize` (cgx planning only).
@@ -180,8 +179,7 @@ class CGXDistributedDataParallel:
                 f"buffers, which cannot enqueue per layer)")
         report = self._reduce_members(
             self.engine.reduce_overlapped, participants, members,
-            ready_order=ready_order, average_over=average_over, step=step,
-            delays=delays)
+            ready_order=ready_order, average_over=average_over, step=step)
         self._landed = {name for name, _
                         in self.replicas[0].named_parameters()}
         self._landed_step = step
@@ -206,14 +204,13 @@ class CGXDistributedDataParallel:
                     f"{self._landed_step})")
             emit_overlap("grad_consumed", step, t, layer=name)
 
-    def check_in_sync(self, atol: float = 0.0,
-                      members: list[int] | None = None) -> bool:
-        """True if all (member) replicas hold (near-)identical weights."""
+    def check_in_sync(self, members: list[int] | None = None) -> bool:
+        """True if all (member) replicas hold identical weights."""
         ranks = self._member_ranks(members)
         reference = dict(self.replicas[ranks[0]].named_parameters())
         for rank in ranks[1:]:
             for name, param in self.replicas[rank].named_parameters():
-                if not np.allclose(param.data, reference[name].data, atol=atol,
+                if not np.allclose(param.data, reference[name].data, atol=0.0,
                                    rtol=0.0):
                     return False
         return True

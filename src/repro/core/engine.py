@@ -30,7 +30,7 @@ from .config import CGXConfig
 from .filters import LayerFilter, LayerInfo
 
 __all__ = ["Package", "CommunicationEngine", "ReductionReport",
-           "group_for_transmission"]
+           "group_for_transmission", "fuse_group"]
 
 
 @dataclass(frozen=True)
@@ -368,7 +368,6 @@ class CommunicationEngine:
         per_worker_grads: list[dict[str, np.ndarray]],
         rng: np.random.Generator,
         ready_order: list[str] | None = None,
-        average: bool = True,
         participants: list[int] | None = None,
         average_over: int | None = None,
         step: int = 0,
@@ -376,9 +375,10 @@ class CommunicationEngine:
     ):
         """Overlapped-mode reduction: per-layer enqueue, fused buckets.
 
-        The async counterpart of :meth:`reduce` (cgx planning only).
-        Each layer becomes its own package the moment its gradient is
-        emitted (``ready_order``, default reverse forward order);
+        The async counterpart of :meth:`reduce` (cgx planning only); it
+        always averages, over ``average_over`` or the world.  Each layer
+        becomes its own package the moment its gradient is emitted
+        (``ready_order``, default reverse forward order);
         consecutive same-spec packages fuse into ``fusion_bytes``
         transmission buckets, and buckets drain over one simulated
         communication channel in first-needed-first-sent order.  The
@@ -404,7 +404,7 @@ class CommunicationEngine:
 
         report = OverlapReport()
         red = self._begin_reduction(per_worker_grads, rng, participants,
-                                    average, average_over, report)
+                                    True, average_over, report)
         layers = {layer.name: layer for layer in red.layers}
         if ready_order is None:
             ready_order = list(reversed(layers))
@@ -471,8 +471,8 @@ class CommunicationEngine:
 
 
 def group_for_transmission(packages: list[Package],
-                           fusion_bytes: int) -> list[Package]:
-    """Fuse consecutive same-spec compressed packages into one collective.
+                           fusion_bytes: int) -> list[list[Package]]:
+    """Group consecutive same-spec compressed packages into one collective.
 
     CGX compresses *per layer* (each layer keeps its own buckets and
     spec) but groups the transmissions of consecutive small layers so a
@@ -481,25 +481,18 @@ def group_for_transmission(packages: list[Package],
     remove extra kernel calls "without notable increase of communication
     costs").  Packages above the fusion threshold travel alone.
 
-    Shared by the timed perf model (group-per-collective scheduling)
-    and the overlapped engine mode (transmission buckets).
+    Returns the member packages of each collective, in order.  Shared
+    by the timed perf model (group-per-collective scheduling) and the
+    overlapped engine mode (transmission buckets).
     """
-    grouped: list[Package] = []
+    grouped: list[list[Package]] = []
     pending: list[Package] = []
     pending_bytes = 0
 
     def flush() -> None:
         nonlocal pending, pending_bytes
-        if not pending:
-            return
-        if len(pending) == 1:
-            grouped.append(pending[0])
-        else:
-            fused = tuple(l for pkg in pending for l in pkg.layers)
-            grouped.append(
-                Package(f"group[{pending[0].name}..{pending[-1].name}]",
-                        fused, pending[0].spec)
-            )
+        if pending:
+            grouped.append(pending)
         pending, pending_bytes = [], 0
 
     for package in packages:
@@ -512,12 +505,22 @@ def group_for_transmission(packages: list[Package],
         if (dense > fusion_bytes
                 or operator_class(package.spec.method).factored):
             flush()
-            grouped.append(package)
+            grouped.append([package])
             continue
         pending.append(package)
         pending_bytes += dense
     flush()
     return grouped
+
+
+def fuse_group(group: list[Package]) -> Package:
+    """One collective's package: a lone member as is, a run of several
+    fused into ``group[first..last]``."""
+    if len(group) == 1:
+        return group[0]
+    return Package(f"group[{group[0].name}..{group[-1].name}]",
+                   tuple(l for pkg in group for l in pkg.layers),
+                   group[0].spec)
 
 
 def _gather_package(grads: dict[str, np.ndarray], package: Package) -> np.ndarray:

@@ -166,22 +166,13 @@ def assemble_buckets(packages: Sequence[Package],
     overlapped data path and the step-time projections agree on what
     one collective carries.
     """
-    from .engine import group_for_transmission
+    from .engine import fuse_group, group_for_transmission
 
-    grouped = group_for_transmission(list(packages), fusion_bytes)
     buckets: list[OverlapBucket] = []
     emitted = 0
-    for i, pkg in enumerate(grouped):
-        members: list[Package] = []
-        covered = 0
-        while covered < len(pkg.layers):
-            inner = packages[emitted + len(members)]
-            members.append(inner)
-            covered += len(inner.layers)
-        if covered != len(pkg.layers):
-            raise AssertionError(
-                f"bucket {pkg.name!r} does not align with the per-layer "
-                f"package run starting at {emitted}")
+    for i, members in enumerate(
+            group_for_transmission(list(packages), fusion_bytes)):
+        pkg = fuse_group(members)
         positions = [forward_pos[layer.name] for layer in pkg.layers]
         buckets.append(OverlapBucket(
             name=f"bucket{i}[{pkg.name}]",

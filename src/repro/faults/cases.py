@@ -59,6 +59,9 @@ LIVENESS_CAMPAIGNS = ("none",) + FIXED_WORLD_CAMPAIGNS
 #: straggler window of straggler)
 _FAULT_STEP = 4
 
+#: elements per fake rank's buffer, as in the schedule battery
+_NUMEL = 97
+
 #: the step after every campaign's crash events have ended
 _REJOIN_STEP = 9
 
@@ -117,13 +120,13 @@ def liveness_cases(worlds: Sequence[int] = (2, 3, 4)
 class _CaseRunner:
     """Executes one battery cell phase by phase (shared rng/compressor)."""
 
-    def __init__(self, case: LivenessCase, numel: int):
+    def __init__(self, case: LivenessCase):
         self.case = case
         self.compressor: Compressor = make_compressor(
             CompressionSpec("qsgd", bits=4, bucket_size=32))
         self.rng = np.random.default_rng(case.seed)
         self.buffers = [
-            np.asarray(self.rng.normal(size=numel), dtype=np.float32)
+            np.asarray(self.rng.normal(size=_NUMEL), dtype=np.float32)
             for _ in range(case.world)]
         # the quorum column keeps one reducer so the drain phase can
         # fold in the carries the quorum phase banked
@@ -207,10 +210,10 @@ def _rebalance_nodes(node_of: tuple[int, ...]) -> tuple[int, ...]:
     return node_of
 
 
-def trace_liveness_case(case: LivenessCase, numel: int = 97,
+def trace_liveness_case(case: LivenessCase
                         ) -> tuple[ScheduleTrace, LivenessAux]:
     """Execute one battery cell, capturing its multi-phase trace."""
-    runner = _CaseRunner(case, numel)
+    runner = _CaseRunner(case)
     with capture() as trace:
         if case.campaign == "none":
             runner.run_steady(inject_step=None, runtime=None)

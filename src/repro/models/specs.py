@@ -135,13 +135,12 @@ class _SpecBuilder:
         )
         self._position += 1
 
-    def linear(self, name: str, fan_in: int, fan_out: int, tokens: float,
-               bias: bool = True) -> None:
+    def linear(self, name: str, fan_in: int, fan_out: int,
+               tokens: float) -> None:
         flops = 2.0 * fan_in * fan_out * tokens
         self.add(f"{name}.weight", "linear", fan_in * fan_out, flops,
                  shape=(fan_out, fan_in))
-        if bias:
-            self.add(f"{name}.bias", "bias", fan_out, shape=(fan_out,))
+        self.add(f"{name}.bias", "bias", fan_out, shape=(fan_out,))
 
     def conv(self, name: str, c_in: int, c_out: int, k: int, out_hw: int,
              bias: bool = False) -> None:

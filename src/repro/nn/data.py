@@ -18,6 +18,10 @@ __all__ = [
     "SyntheticQA",
 ]
 
+#: every dataset's held-out set is drawn from this seed, apart from
+#: the training stream's
+EVAL_SEED = 10_000
+
 
 class SyntheticVectors:
     """Gaussian-mixture vector classification (for MLPs)."""
@@ -43,8 +47,8 @@ class SyntheticVectors:
         x = self.prototypes[labels] + noise.astype(np.float32)
         return x.astype(np.float32), labels
 
-    def eval_set(self, n: int, seed: int = 10_000):
-        return self.sample(n, np.random.default_rng(seed))
+    def eval_set(self, n: int):
+        return self.sample(n, np.random.default_rng(EVAL_SEED))
 
 
 class SyntheticImages:
@@ -83,8 +87,8 @@ class SyntheticImages:
         x += rng.normal(scale=0.1, size=(batch_size, 1, 1, 1)).astype(np.float32)
         return x, labels
 
-    def eval_set(self, n: int, seed: int = 10_000):
-        return self.sample(n, np.random.default_rng(seed))
+    def eval_set(self, n: int):
+        return self.sample(n, np.random.default_rng(EVAL_SEED))
 
 
 class MarkovText:
@@ -130,8 +134,8 @@ class MarkovText:
             stream[:, t] = self._roll(stream[:, t - 2], stream[:, t - 1], rng)
         return stream[:, :-1], stream[:, 1:]
 
-    def eval_set(self, n: int, seed: int = 10_000):
-        return self.sample(n, np.random.default_rng(seed))
+    def eval_set(self, n: int):
+        return self.sample(n, np.random.default_rng(EVAL_SEED))
 
 
 class SyntheticQA:
@@ -164,5 +168,5 @@ class SyntheticQA:
         tokens[rows, ends] = self.END
         return tokens, starts, ends
 
-    def eval_set(self, n: int, seed: int = 10_000):
-        return self.sample(n, np.random.default_rng(seed))
+    def eval_set(self, n: int):
+        return self.sample(n, np.random.default_rng(EVAL_SEED))

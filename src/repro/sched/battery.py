@@ -63,8 +63,7 @@ class FleetCase:
         return specs
 
 
-def apply_throttles(specs: list[JobSpec], stride: int = 3,
-                    shares: tuple[float, ...] = DYADIC_SHARES
+def apply_throttles(specs: list[JobSpec], stride: int = 3
                     ) -> list[JobSpec]:
     """Throttle every ``stride``-th job to a cycling dyadic share."""
     if stride < 1:
@@ -74,7 +73,7 @@ def apply_throttles(specs: list[JobSpec], stride: int = 3,
     for index, spec in enumerate(specs):
         if index % stride == 0:
             spec = dataclasses.replace(
-                spec, throttle=shares[hit % len(shares)])
+                spec, throttle=DYADIC_SHARES[hit % len(DYADIC_SHARES)])
             hit += 1
         out.append(spec)
     return out

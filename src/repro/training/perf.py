@@ -30,7 +30,7 @@ from repro.cluster.gpu import GPUSpec
 from repro.collectives import time_allreduce
 from repro.compression.base import operator_class
 from repro.core import CGXConfig, CommunicationEngine, LayerInfo, Package
-from repro.core.engine import group_for_transmission
+from repro.core.engine import fuse_group, group_for_transmission
 from repro.core.qnccl import QNCCL_KERNEL_OVERHEAD_FACTOR
 from repro.models import ModelSpec
 
@@ -100,7 +100,8 @@ def plan_step_packages(spec: ModelSpec, config: CGXConfig,
     ]
     packages = engine.plan(layers, mode=plan_mode)
     if plan_mode == "cgx":
-        packages = group_for_transmission(packages, config.fusion_bytes)
+        packages = [fuse_group(group) for group in
+                    group_for_transmission(packages, config.fusion_bytes)]
     return packages
 
 

@@ -122,11 +122,12 @@ def test_empty_stats():
 
 
 def test_assignments_use_allowed_bitwidths_only():
+    from repro.core.adaptive import BITWIDTHS
+
     stats = txl_like_stats()
-    ladder = (3, 5, 8)
     for assigner in ASSIGNERS.values():
-        bits = assigner(stats, bitwidths=ladder, alpha=2.0)
-        assert set(bits.values()) <= set(ladder)
+        bits = assigner(stats, alpha=2.0)
+        assert set(bits.values()) <= set(BITWIDTHS)
 
 
 def test_small_sensitive_layers_get_high_bits_under_kmeans():
@@ -302,13 +303,13 @@ def test_finalize_rejects_sub_two_bit_assignments():
 
     stats = txl_like_stats()[:4]
     with pytest.raises(ValueError, match="2-bit floor"):
-        _finalize(stats, {s.name: 1 for s in stats}, 2.0, (1, 2, 4))
+        _finalize(stats, {s.name: 1 for s in stats}, 2.0)
 
 
 def test_controller_buckets_resolve_for_every_default_width():
     from repro.core import resolve_bucket
-    from repro.core.adaptive import DEFAULT_BITWIDTHS
+    from repro.core.adaptive import BITWIDTHS
 
-    for bits in DEFAULT_BITWIDTHS:
+    for bits in BITWIDTHS:
         bucket = resolve_bucket(bits)
         CompressionSpec("qsgd", bits=bits, bucket_size=bucket)

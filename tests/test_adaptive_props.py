@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import (ASSIGNERS, LayerStat, brute_force_assign,
                         certify_assignment, exact_assignment_error_sq,
                         exact_uniform_error_sq)
-from repro.core.adaptive import DEFAULT_BITWIDTHS
+from repro.core.adaptive import BITWIDTHS
 
 
 @st.composite
@@ -58,7 +58,7 @@ def test_assigners_respect_exact_budget(method, stats, alpha):
 def test_assigners_cover_layers_with_ladder_widths(method, stats, alpha):
     bits = ASSIGNERS[method](stats, alpha=alpha)
     assert set(bits) == {s.name for s in stats}
-    assert set(bits.values()) <= set(DEFAULT_BITWIDTHS)
+    assert set(bits.values()) <= set(BITWIDTHS)
 
 
 @pytest.mark.parametrize("method", sorted(ASSIGNERS))
@@ -71,7 +71,7 @@ def test_single_layer_instances(method, alpha, numel, norm):
     stats = [LayerStat("only", numel, norm)]
     bits = ASSIGNERS[method](stats, alpha=alpha)
     assert set(bits) == {"only"}
-    assert bits["only"] in DEFAULT_BITWIDTHS
+    assert bits["only"] in BITWIDTHS
     assert certify_assignment(stats, bits, alpha)
 
 

@@ -15,6 +15,7 @@ from repro.analysis.abstract import (
 from repro.analysis.contracts import (
     CONTRACT_RULES,
     check_engine_wiring,
+    check_operator,
     verify_contracts,
 )
 from repro.compression import (
@@ -46,9 +47,8 @@ def test_every_registered_method_has_probe_specs():
 
 
 def test_findings_carry_contract_source_and_path():
-    fixture = {"none": type("NoContract", (IdentityCompressor,),
-                            {"contract": None})}
-    findings = verify_contracts(registry=fixture, check_wiring=False)
+    fixture = type("NoContract", (IdentityCompressor,), {"contract": None})
+    findings = check_operator("none", fixture)
     assert findings
     for f in findings:
         assert f.source == "contract"
@@ -60,16 +60,15 @@ def test_findings_carry_contract_source_and_path():
 # -- CON001: missing/mismatched declaration -----------------------------------
 
 def test_con001_missing_contract():
-    fixture = {"none": type("NoContract", (IdentityCompressor,),
-                            {"contract": None})}
-    findings = verify_contracts(registry=fixture, check_wiring=False)
+    fixture = type("NoContract", (IdentityCompressor,), {"contract": None})
+    findings = check_operator("none", fixture)
     assert rules_of(findings) == {"CON001"}
 
 
 def test_con001_mismatched_method():
-    fixture = {"none": type("WrongMethod", (IdentityCompressor,),
-                            {"contract": CompressorContract("qsgd")})}
-    findings = verify_contracts(registry=fixture, check_wiring=False)
+    fixture = type("WrongMethod", (IdentityCompressor,),
+                   {"contract": CompressorContract("qsgd")})
+    findings = check_operator("none", fixture)
     assert rules_of(findings) == {"CON001"}
 
 
@@ -90,14 +89,12 @@ class Float64Compressor(IdentityCompressor):
 
 
 def test_con002_shape_violation():
-    findings = verify_contracts(registry={"none": FlatteningCompressor},
-                                check_wiring=False)
+    findings = check_operator("none", FlatteningCompressor)
     assert "CON002" in rules_of(findings)
 
 
 def test_con002_dtype_violation():
-    findings = verify_contracts(registry={"none": Float64Compressor},
-                                check_wiring=False)
+    findings = check_operator("none", Float64Compressor)
     assert "CON002" in rules_of(findings)
 
 
@@ -114,8 +111,7 @@ class InflatedClaimCompressor(IdentityCompressor):
 
 
 def test_con003_wire_drift():
-    findings = verify_contracts(registry={"none": InflatedClaimCompressor},
-                                check_wiring=False)
+    findings = check_operator("none", InflatedClaimCompressor)
     assert rules_of(findings) == {"CON003"}
     assert any("16" in f.message or "payload declares" in f.message
                for f in findings)
@@ -140,14 +136,12 @@ class FalselyStatefulCompressor(IdentityCompressor):
 
 
 def test_con004_undeclared_state():
-    findings = verify_contracts(
-        registry={"none": SecretlyStatefulCompressor}, check_wiring=False)
+    findings = check_operator("none", SecretlyStatefulCompressor)
     assert "CON004" in rules_of(findings)
 
 
 def test_con004_stale_stateful_declaration():
-    findings = verify_contracts(
-        registry={"none": FalselyStatefulCompressor}, check_wiring=False)
+    findings = check_operator("none", FalselyStatefulCompressor)
     assert "CON004" in rules_of(findings)
 
 
@@ -167,14 +161,12 @@ class FalselyStochasticCompressor(IdentityCompressor):
 
 
 def test_con005_undeclared_rng_use():
-    findings = verify_contracts(
-        registry={"none": SecretlyStochasticCompressor}, check_wiring=False)
+    findings = check_operator("none", SecretlyStochasticCompressor)
     assert "CON005" in rules_of(findings)
 
 
 def test_con005_stale_rng_declaration():
-    findings = verify_contracts(
-        registry={"none": FalselyStochasticCompressor}, check_wiring=False)
+    findings = check_operator("none", FalselyStochasticCompressor)
     assert "CON005" in rules_of(findings)
 
 
@@ -302,8 +294,7 @@ class RoundingCompressor(IdentityCompressor):
 
 
 def test_con008_lossless_violation():
-    findings = verify_contracts(registry={"none": RoundingCompressor},
-                                check_wiring=False)
+    findings = check_operator("none", RoundingCompressor)
     assert rules_of(findings) == {"CON008"}
 
 

@@ -8,7 +8,9 @@ from repro.analysis.plans import (
     OPTIMALITY_RATCHET,
     PLAN_RULES,
     PlanInstance,
+    PlanSolutions,
     certify_controller_stability,
+    certify_monotonicity,
     certify_optimality,
     certify_plan_contracts,
     certify_solver,
@@ -27,6 +29,28 @@ SMALL = PlanInstance("tiny", [
 
 def rules_of(findings):
     return sorted({f.rule for f in findings})
+
+
+def certify_assigners(assigners, ratchet=None):
+    """``verify_plans``'s loop over its per-cell checks, for fake solvers
+    on SMALL (BWP006's controller replay needs a registered method)."""
+    solutions = PlanSolutions(assigners)
+    findings = []
+    for solver in sorted(assigners):
+        assigner = assigners[solver]
+        for alpha in DEFAULT_ALPHAS:
+            bits, cell = certify_solver(solver, assigner, SMALL, alpha,
+                                        solutions=solutions)
+            findings.extend(cell)
+            if bits is not None and not cell:
+                findings.extend(certify_plan_contracts(solver, bits, SMALL,
+                                                       alpha))
+        findings.extend(certify_monotonicity(solver, assigner, SMALL,
+                                             solutions=solutions))
+        findings.extend(certify_optimality(solver, assigner, [SMALL],
+                                           ratchet=ratchet,
+                                           solutions=solutions))
+    return findings
 
 
 # -- the real repo certifies cleanly ------------------------------------------
@@ -57,31 +81,31 @@ def test_every_rule_has_a_description():
 
 # -- regression: broken solvers must be caught --------------------------------
 
-def budget_buster(stats, alpha=2.0, bitwidths=None):
+def budget_buster(stats, alpha=2.0):
     """Assigns 2 bits everywhere: violates any reasonable budget."""
     return {s.name: 2 for s in stats}
 
 
-def ladder_escaper(stats, alpha=2.0, bitwidths=None):
+def ladder_escaper(stats, alpha=2.0):
     """Emits a width outside the requested ladder (and every bucket map)."""
     return {s.name: 9 for s in stats}
 
 
-def layer_loser(stats, alpha=2.0, bitwidths=None):
+def layer_loser(stats, alpha=2.0):
     bits = kmeans_assign(stats, alpha=alpha)
     bits.pop(next(iter(bits)))
     return bits
 
 
-def crasher(stats, alpha=2.0, bitwidths=None):
+def crasher(stats, alpha=2.0):
     raise RuntimeError("solver exploded")
 
 
-def wasteful(stats, alpha=2.0, bitwidths=None):
+def wasteful(stats, alpha=2.0):
     return {s.name: 8 for s in stats}  # always feasible, never frugal
 
 
-def moody(stats, alpha=2.0, bitwidths=None):
+def moody(stats, alpha=2.0):
     width = 8 if alpha > 2.0 else 4  # more budget -> more bytes
     return {s.name: width for s in stats}
 
@@ -117,14 +141,12 @@ def test_wasteful_solver_fires_bwp003():
 
 
 def test_non_monotone_solver_fires_bwp005():
-    findings = verify_plans(assigners={"moody": moody}, instances=[SMALL],
-                            alphas=(1.5, 3.0), controller_cls=None)
+    findings = certify_monotonicity("moody", moody, SMALL, alphas=(1.5, 3.0))
     assert "BWP005" in rules_of(findings)
 
 
 def test_verify_plans_end_to_end_on_broken_solver():
-    findings = verify_plans(assigners={"bad": budget_buster},
-                            instances=[SMALL], controller_cls=None)
+    findings = certify_assigners({"bad": budget_buster})
     assert "BWP001" in rules_of(findings)
     assert all(f.source == "plan" and f.scheme == "bad" for f in findings)
     assert all(f.path == "<plan:bad>" for f in findings)
@@ -144,7 +166,7 @@ def test_verify_plans_solves_each_cell_once(monkeypatch):
     solved, optima = Counter(), Counter()
 
     def counting(solver, assigner):
-        def wrapped(stats, alpha=2.0, bitwidths=None):
+        def wrapped(stats, alpha=2.0):
             solved[solver, name_of[id(stats)], alpha] += 1
             return assigner(stats, alpha=alpha)
         return wrapped
@@ -155,9 +177,10 @@ def test_verify_plans_solves_each_cell_once(monkeypatch):
 
     brute_force = plans.brute_force_assign
     monkeypatch.setattr(plans, "brute_force_assign", counting_brute_force)
-    assert verify_plans(
-        assigners={name: counting(name, fn) for name, fn in ASSIGNERS.items()},
-        instances=instances) == []
+    monkeypatch.setattr(plans, "ASSIGNERS", {
+        name: counting(name, fn) for name, fn in ASSIGNERS.items()})
+    monkeypatch.setattr(plans, "default_instances", lambda: instances)
+    assert verify_plans() == []
     small = [i for i in instances if i.small]
     assert set(solved.values()) == set(optima.values()) == {1}
     assert len(solved) == len(ASSIGNERS) * len(instances) * len(DEFAULT_ALPHAS)
@@ -183,9 +206,7 @@ def test_shared_record_reports_what_the_per_check_solves_reported():
     broken = {fn.__name__: fn for fn in (budget_buster, ladder_escaper,
                                          layer_loser, crasher, wasteful,
                                          moody)}
-    findings = verify_plans(assigners=broken, instances=[SMALL],
-                            ratchet=dict.fromkeys(broken, 1.25),
-                            controller_cls=None)
+    findings = certify_assigners(broken, ratchet=dict.fromkeys(broken, 1.25))
     assert [f.fingerprint for f in findings] == BROKEN_SOLVER_FINGERPRINTS
     assert rules_of(findings) == ["BWP001", "BWP002", "BWP003", "BWP004",
                                   "BWP005"]
@@ -253,10 +274,8 @@ def test_unknown_method_fires_bwp007():
 # -- determinism --------------------------------------------------------------
 
 def test_verify_plans_is_deterministic():
-    first = verify_plans(assigners={"bad": budget_buster},
-                         instances=[SMALL], controller_cls=None)
-    second = verify_plans(assigners={"bad": budget_buster},
-                          instances=[SMALL], controller_cls=None)
+    first = certify_assigners({"bad": budget_buster})
+    second = certify_assigners({"bad": budget_buster})
     assert [f.fingerprint for f in first] == [f.fingerprint for f in second]
 
 

@@ -114,9 +114,9 @@ class OverclaimingSpec(CompressionSpec):
 
 
 def test_wire_claim_mismatch_fires_shp003_and_shp005():
-    findings = verify_shapes(
-        models=["vgg16"], specs=[OverclaimingSpec("qsgd", bits=4)],
-        worlds=(4,), calibrate=False, include_adaptive=False)
+    findings = interpret_pipeline(
+        "vgg16", CGXConfig(compression=OverclaimingSpec("qsgd", bits=4)),
+        worlds=(4,))
     assert {"SHP003", "SHP005"} <= set(rules_of(findings))
 
 
@@ -125,10 +125,9 @@ def test_gappy_partition_fires_shp004():
         half = numel // 2
         return [("gap", [(0, half), (half + 1, numel)])]
 
-    findings = verify_shapes(
-        models=["vgg16"], specs=[CompressionSpec("qsgd")],
-        schemes={"gap": SchemeModel("gap", gappy)},
-        worlds=(4,), calibrate=False, include_adaptive=False)
+    findings = interpret_pipeline(
+        "vgg16", CGXConfig(compression=CompressionSpec("qsgd")),
+        schemes={"gap": SchemeModel("gap", gappy)}, worlds=(4,))
     assert rules_of(findings) == ["SHP004"]
     assert "contiguous" in findings[0].message
 
@@ -137,10 +136,9 @@ def test_short_partition_fires_shp004():
     def short(numel, world, node_of):
         return [("short", [(0, numel - 1)])]
 
-    findings = verify_shapes(
-        models=["vgg16"], specs=[CompressionSpec("none")],
-        schemes={"short": SchemeModel("short", short)},
-        worlds=(4,), calibrate=False, include_adaptive=False)
+    findings = interpret_pipeline(
+        "vgg16", CGXConfig(compression=CompressionSpec("none")),
+        schemes={"short": SchemeModel("short", short)}, worlds=(4,))
     assert rules_of(findings) == ["SHP004"]
 
 
@@ -166,9 +164,9 @@ def test_fp16_accumulator_fires_shp002():
 
     narrow = {"half": SchemeModel("half", whole,
                                   accumulator_dtype="float16")}
-    findings = verify_shapes(
-        models=["vgg16"], specs=[CompressionSpec("qsgd")], schemes=narrow,
-        worlds=(4,), calibrate=False, include_adaptive=False)
+    findings = interpret_pipeline(
+        "vgg16", CGXConfig(compression=CompressionSpec("qsgd")),
+        schemes=narrow, worlds=(4,))
     assert "SHP002" in rules_of(findings)
 
 
@@ -183,10 +181,9 @@ def test_narrowing_contract_fires_shp002():
 
     registry = dict(default_registry())
     registry["qsgd"] = NarrowQSGD
-    findings = verify_shapes(
-        models=["vgg16"], specs=[CompressionSpec("qsgd")],
-        registry=registry, worlds=(4,), calibrate=False,
-        include_adaptive=False)
+    findings = interpret_pipeline(
+        "vgg16", CGXConfig(compression=CompressionSpec("qsgd")),
+        worlds=(4,), registry=registry)
     assert "SHP002" in rules_of(findings)
 
 
@@ -236,15 +233,19 @@ def test_hier_degrades_to_sra_on_one_node():
 
 
 def test_adaptive_config_battery_is_clean():
-    findings = verify_shapes(models=[], calibrate=False,
-                             include_adaptive=True)
-    assert findings == []
+    from repro.analysis.shapes import _adaptive_config
+    from repro.models import build_spec
+
+    config = _adaptive_config(CompressionSpec("qsgd", bits=4, bucket_size=128))
+    assert config.per_layer
+    assert interpret_pipeline("transformer_xl:adaptive", config,
+                              model=build_spec("transformer_xl")) == []
 
 
 def test_findings_carry_shape_source_and_world():
-    findings = verify_shapes(
-        models=["vgg16"], specs=[OverclaimingSpec("qsgd", bits=4)],
-        worlds=(4,), calibrate=False, include_adaptive=False)
+    findings = interpret_pipeline(
+        "vgg16", CGXConfig(compression=OverclaimingSpec("qsgd", bits=4)),
+        worlds=(4,))
     sample = findings[0]
     assert sample.source == "shape"
     assert sample.path == "<shape:vgg16>"
@@ -295,9 +296,8 @@ def test_shared_verdicts_render_per_package_findings(model_name, tamper):
             "gap": SchemeModel("gap", gappy)}
     else:
         spec, schemes = OverclaimingSpec("qsgd", bits=4), SCHEME_MODELS
-    findings = verify_shapes(models=[model_name], specs=[spec],
-                             schemes=schemes, worlds=(4, 5), calibrate=False,
-                             include_adaptive=False)
+    findings = interpret_pipeline(model_name, CGXConfig(compression=spec),
+                                  schemes=schemes, worlds=(4, 5))
     expected = per_package_reference(model_name, spec, schemes, (4, 5))
     assert findings  # the tamper is caught
     assert [(f.rule, f.message, f.scheme, f.world, f.path)

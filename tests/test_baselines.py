@@ -84,13 +84,3 @@ def test_powersgd_wire_accounting():
 def test_powersgd_invalid_rank():
     with pytest.raises(ValueError):
         CompressionSpec("powersgd", rank=0)
-
-
-def test_powersgd_reset():
-    comp = _powersgd(2)
-    rng = np.random.default_rng(0)
-    for name, g in worker_grads()[0].items():
-        comp.compress(g, rng, key=name)
-    assert comp._q_memory
-    comp.reset()
-    assert not comp._q_memory

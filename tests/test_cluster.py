@@ -150,12 +150,10 @@ def test_audit_ledgers_replay_the_live_counters_under_mixed_traffic():
             for n in ("pcie.g0.up", "scratch", "gpu0.compress0")] == [3, 2, 1]
 
 
-def test_pool_reset_and_utilization():
+def test_pool_utilization():
     pool = ResourcePool()
     pool.get("a").schedule(0.0, 2.0)
     assert pool.utilization(4.0)["a"] == pytest.approx(0.5)
-    pool.reset()
-    assert pool.get("a").busy_until == 0.0
 
 
 # -- GPUs ----------------------------------------------------------------------
@@ -318,29 +316,28 @@ def test_multinode_uses_the_table5_ethernet():
 # -- network --------------------------------------------------------------------
 
 def test_transfer_time_scales_with_bytes():
-    net = get_machine("rtx3090-8x").network("shm")
-    t_small = net.transfer(0, 1, 1 << 20, 0.0)
-    net.reset()
-    t_large = net.transfer(0, 1, 1 << 26, 0.0)
+    machine = get_machine("rtx3090-8x")
+    t_small = machine.network("shm").transfer(0, 1, 1 << 20, 0.0)
+    t_large = machine.network("shm").transfer(0, 1, 1 << 26, 0.0)
     assert t_large > t_small * 10
 
 
 def test_concurrent_transfers_contend_on_shared_links():
     """Two flows through the same host-memory bridge serialize there."""
-    net = get_machine("rtx3090-8x").network("shm")
+    machine = get_machine("rtx3090-8x")
     nbytes = 1 << 26
-    solo = net.transfer(0, 1, nbytes, 0.0)
-    net.reset()
+    solo = machine.network("shm").transfer(0, 1, nbytes, 0.0)
+    net = machine.network("shm")
     net.transfer(0, 1, nbytes, 0.0)
     contended = net.transfer(2, 3, nbytes, 0.0)  # same NUMA root
     assert contended > solo * 1.15
 
 
 def test_disjoint_paths_do_not_contend():
-    net = get_machine("dgx1").network("nccl")
+    machine = get_machine("dgx1")
     nbytes = 1 << 26
-    solo = net.transfer(0, 1, nbytes, 0.0)
-    net.reset()
+    solo = machine.network("nccl").transfer(0, 1, nbytes, 0.0)
+    net = machine.network("nccl")
     net.transfer(0, 1, nbytes, 0.0)
     other = net.transfer(4, 5, nbytes, 0.0)  # different nvlink pair
     assert other == pytest.approx(solo, rel=1e-6)

@@ -735,3 +735,46 @@ def test_checkpoint_snapshot_survives_live_state_dict_refs(monkeypatch):
         np.testing.assert_array_equal(
             snapshot["optimizers"][0]["velocity"][k], v)
     del real_state
+
+
+# -- the two paths' failure rate per attempt ----------------------------------
+
+class _ScriptedDraws:
+    """A generator whose ``random()`` replays ``draws`` first."""
+
+    def __init__(self, draws, rng):
+        self.draws, self.rng = list(draws), rng
+
+    def random(self):
+        return self.draws.pop(0) if self.draws else self.rng.random()
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FaultyNetwork prices loss and corruption as independent hazards, "
+    "1 - (1 - p_loss)(1 - p_corrupt) = 0.1904 per attempt on lossy-link; "
+    "FaultChannel.deliver fails a draw below p_loss + p_corrupt = 0.20"))
+def test_data_path_fails_a_message_at_the_timed_path_rate():
+    from repro.collectives.base import ReduceStats
+    from repro.faults.inject import FaultChannel
+
+    draw = 0.195
+    timed, data = (PlanRuntime(make_campaign("lossy-link", world=4, seed=0))
+                   for _ in range(2))
+    for runtime in (timed, data):
+        runtime.advance(4)
+        runtime.rng = _ScriptedDraws([draw], runtime.rng)
+    faults = timed.faults()
+    p_loss = faults.loss_probability(0, 1)
+    p_corrupt = faults.corrupt_probability(0, 1)
+    assert 1.0 - (1.0 - p_loss) * (1.0 - p_corrupt) < draw < p_loss + p_corrupt
+
+    FaultyNetwork(nvlink_mesh(4), "shm", timed).transfer(0, 1, 1 << 10, 0.0)
+    assert timed.counters.retries == 0       # the timed path delivers
+
+    wire = make_compressor(CompressionSpec("none")).compress(
+        np.ones(8, dtype=np.float32), np.random.default_rng(0))
+    FaultChannel(data).deliver(wire, ReduceStats("sra", 4, 8), 0, 1, 4, "t")
+    assert data.counters.corrupt_detected == data.counters.lost == 0

@@ -34,16 +34,6 @@ def test_transfers_attribute_busy_time_per_job():
     assert net.job_link_seconds(99) == {}
 
 
-def test_reset_clears_pool_and_trace():
-    net = Network(nvlink_mesh(4))
-    net.enable_trace()
-    net.transfer(0, 1, MB, 0.0, job=1)
-    net.reset()
-    assert net.trace == []
-    assert net.pool.get("nvlink.g0g1.up").busy_until == 0.0
-    assert net.job_link_seconds(1) == {}
-
-
 def test_job_throttle_scales_service_time():
     topo = make_cluster("rtx3090-8x", 2)
     free_end = Network(topo).transfer(0, 8, 16 * MB, 0.0, job=1)
@@ -171,21 +161,6 @@ def test_networks_on_one_topology_share_no_resource():
     assert set(mine) == set(theirs)
     assert not any(mine[name] is theirs[name] for name in mine)
     assert probe.pool.busy_seconds()["gpu0.compress0"] == 0.1
-
-
-@pytest.mark.parametrize("policy", ["static", "adaptive"])
-def test_transfer_after_reset_equals_a_fresh_network(policy):
-    topo = make_cluster("dgx1", 2)
-    fresh, reused = (Network(topo, route_policy=policy) for _ in range(2))
-    reused.transfer(0, 9, 32 * MB, 0.0, job=1)
-    reused.run_kernel(0, "compress0", 0.25, 0.0, job=1)
-    reused.reset()
-    assert reused.transfer(0, 9, 4 * MB, 0.0, job=2) \
-        == fresh.transfer(0, 9, 4 * MB, 0.0, job=2)
-    assert reused.run_kernel(0, "compress0", 0.5, 0.0, job=2) \
-        == fresh.run_kernel(0, "compress0", 0.5, 0.0, job=2)
-    assert reused.pool.busy_seconds() == fresh.pool.busy_seconds()
-    assert reused.job_link_seconds(1) == {}
 
 
 def test_peeking_a_detour_leaves_it_untouched():

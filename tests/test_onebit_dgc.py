@@ -144,14 +144,6 @@ def test_dgc_keys_independent():
     assert set(comp._velocity) == {"a", "b"}
 
 
-def test_dgc_reset():
-    comp = _dgc()
-    comp.roundtrip(np.ones(10, dtype=np.float32),
-                   np.random.default_rng(0), key="k")
-    comp.reset()
-    assert not comp._velocity and not comp._momentum_buf
-
-
 def test_dgc_wire_matches_topk():
     dgc = CompressionSpec("dgc", density=0.05)
     topk = CompressionSpec("topk", density=0.05)

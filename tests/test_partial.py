@@ -97,14 +97,6 @@ def test_validation():
         PartialAllreduce(0)
 
 
-def test_reset_clears_carries():
-    pa = PartialAllreduce(2)
-    pa.reduce(make_buffers(2), [0], dense(), np.random.default_rng(0),
-              key="r")
-    pa.reset()
-    assert pa.carry_norm("r", 1) == 0.0
-
-
 # -- timing ----------------------------------------------------------------------
 
 def test_timed_partial_does_not_wait_for_straggler():

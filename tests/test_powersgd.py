@@ -102,16 +102,6 @@ def test_flops_model_positive_for_matrices_zero_for_vectors():
     assert comp.flops(100, (100,)) == 0.0
 
 
-def test_reset_clears_warm_start():
-    rng = np.random.default_rng(6)
-    m = rng.normal(size=(16, 16)).astype(np.float32)
-    comp = PowerSGDCompressor(_spec())
-    comp.roundtrip(m, rng, key="k")
-    assert comp._q_memory
-    comp.reset()
-    assert not comp._q_memory
-
-
 def test_rank_validation():
     with pytest.raises(ValueError):
         CompressionSpec("powersgd", rank=0)
