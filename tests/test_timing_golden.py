@@ -40,7 +40,9 @@ from pathlib import Path
 import pytest
 
 from repro.cluster import Network, get_backend, get_machine, make_cluster
-from repro.collectives import TimedBucket, time_overlapped_step
+from repro.collectives import (EXPLICIT_CELLS, SINGLE_MEMBER_CELLS,
+                               TimedBucket, scheme_cells, time_allreduce,
+                               time_overlapped_step, time_partial_allreduce)
 from repro.compression import CompressionSpec
 from repro.core import CGXConfig, LayerInfo, Package, qnccl_config
 from repro.faults import FaultyNetwork, PlanRuntime, make_campaign
@@ -67,6 +69,14 @@ STEP_GPUS = (2, 4, 8)
 STEP_METHODS = {"nccl": (CGXConfig.baseline_nccl, "fused"),
                 "qnccl": (qnccl_config, "fused"),
                 "cgx": (CGXConfig.cgx_default, "cgx")}
+#: the ``schemes`` entry's axes: every cell-table row at these worlds,
+#: the explicit and single-member rows, each under three operators x two
+#: stream counts x two kernel factors
+SCHEME_WORLDS = (1, 2, 3, 4, 5, 8)
+SCHEME_SPECS = {"none": CompressionSpec("none"),
+                "qsgd4": CompressionSpec("qsgd", bits=4, bucket_size=128),
+                "topk": CompressionSpec("topk", density=0.1)}
+SCHEME_NUMEL = 10_007
 #: Table 6's PowerSGD rank per model (``bench_table6_frameworks.MODELS``)
 POWERSGD_RANKS = {"resnet50": 4, "transformer_xl": 8, "bert": 8}
 
@@ -237,6 +247,75 @@ def replay_faulty_step() -> dict:
             "log": _sha(runtime.log_bytes())}
 
 
+def _scheme_ranks(node_of) -> list[int]:
+    """GPU per rank on the 2-node rtx3090-8x cluster: rank ``r`` takes the
+    next free GPU of node ``node_of[r]`` (node 0 when unplaced)."""
+    taken = [0, 0]
+    ranks = []
+    for node in node_of:
+        ranks.append(8 * node + taken[node])
+        taken[node] += 1
+    return ranks
+
+
+def _scheme_ready(cell) -> list[float]:
+    """Staggered ready times; a quorum row's participants are ready first
+    (in reverse rank order, so the earliest-ready member is not the
+    lowest rank), then its laggards."""
+    world = cell.world
+    if cell.participants is None:
+        return [1e-4 * ((5 * rank + 2) % 7) for rank in range(world)]
+    late = [r for r in range(world) if r not in cell.participants]
+    order = [*reversed(cell.participants), *reversed(late)]
+    ready = [0.0] * world
+    for position, rank in enumerate(order):
+        ready[rank] = 1e-4 * (position + 1)
+    return ready
+
+
+def replay_schemes() -> dict:
+    """Every scheme's timed schedule, pinned bit-for-bit: per run the end
+    times, the accounting, and the pool's resources in creation order
+    with their audit ledgers."""
+    cells = [*scheme_cells(SCHEME_WORLDS), *EXPLICIT_CELLS,
+             *SINGLE_MEMBER_CELLS.values()]
+    rows = {}
+    for cell in cells:
+        ranks = _scheme_ranks(cell.node_of or (0,) * cell.world)
+        ready = _scheme_ready(cell)
+        for name, spec in SCHEME_SPECS.items():
+            for streams in (1, 2):
+                for factor in (1.0, 2.0):
+                    if cell.scheme == "partial" and factor != 1.0:
+                        continue  # the quorum reducer has no kernel factor
+                    net = Network(make_cluster("rtx3090-8x", 2))
+                    net.enable_conservation_audit()
+                    if cell.scheme == "partial":
+                        timing = time_partial_allreduce(
+                            net, ranks, SCHEME_NUMEL, spec,
+                            len(cell.participants), ready,
+                            chunk_streams=streams)
+                    else:
+                        timing = time_allreduce(
+                            net, ranks, SCHEME_NUMEL, spec, cell.scheme,
+                            ready=ready, chunk_streams=streams,
+                            kernel_factor=factor, job=3)
+                    pool = net.pool
+                    key = (f"{cell.scheme}|{cell.world}|{cell.node_of}|"
+                           f"{cell.participants}|{name}|{streams}|{factor}")
+                    rows[key] = {
+                        "end_times": [t.hex() for t in timing.end_times],
+                        "wire_bytes": timing.wire_bytes,
+                        "kernel_calls": timing.kernel_calls,
+                        "busy_seconds": _sha(
+                            repr(list(pool.busy_seconds().items()))),
+                        "ledgers": _sha(repr(
+                            [(res_name, res.audit_ledger())
+                             for res_name, res in pool.resources().items()])),
+                    }
+    return rows
+
+
 def replay_all() -> dict:
     """Everything the fixture records (the recorder dumps this as JSON)."""
     record = {f"campaign|{name}": replay_campaign(name) for name in CAMPAIGNS}
@@ -246,6 +325,7 @@ def replay_all() -> dict:
     record["powersgd"] = replay_powersgd()
     record["overlapped_step|vgg16"] = replay_overlapped_step()
     record["faulty_step|lossy-link"] = replay_faulty_step()
+    record["schemes"] = replay_schemes()
     return record
 
 
@@ -271,6 +351,10 @@ def test_simulated_steps_replay_the_parent(recorded):
 
 def test_powersgd_steps_replay_the_parent(recorded):
     assert replay_powersgd() == recorded["powersgd"]
+
+
+def test_scheme_schedules_replay_the_parent(recorded):
+    assert replay_schemes() == recorded["schemes"]
 
 
 def test_faulty_network_step_replays_the_parent(recorded):
