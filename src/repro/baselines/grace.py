@@ -14,8 +14,6 @@ implementation choices, all reproduced here:
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.compression import CompressionSpec
 from repro.core import CGXConfig
 
@@ -38,8 +36,3 @@ def grace_config(bits: int = 4) -> CGXConfig:
         chunk_streams=1,
         overlap=False,          # hook fires after backward completes
     )
-
-
-def grace_spec(bits: int = 4) -> CompressionSpec:
-    """The GRACE wire spec alone (INT8-coded, unbucketed QSGD)."""
-    return replace(grace_config(bits).compression)

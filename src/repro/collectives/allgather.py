@@ -15,8 +15,8 @@ import numpy as np
 
 from repro.compression import Compressor
 
-from .base import Broadcast, ReduceStats, broadcast_chunks, check_buffers
-from .trace import declare_buffer
+from .base import Broadcast, ReduceStats, broadcast_chunks, open_reduction
+from .schedules import allgather_schedule
 
 __all__ = ["allgather_allreduce"]
 
@@ -28,18 +28,12 @@ def allgather_allreduce(
     key: str = "",
 ) -> tuple[list[np.ndarray], ReduceStats]:
     """Sum ``buffers`` by all-gathering compressed gradients."""
-    numel = check_buffers(buffers)
-    world = len(buffers)
-    stats = ReduceStats("allgather", world, numel)
-    for rank, buf in enumerate(buffers):
-        declare_buffer(rank, buf, name=f"{key}/input")
+    numel, world, stats = open_reduction("allgather", buffers, key)
 
     # one encode per rank, broadcast to its world-1 peers
     decoded = broadcast_chunks(compressor, rng, stats, [
-        Broadcast(buffers[rank].ravel(), f"{key}/{rank}", rank,
-                  [(rank, dst, 0) for dst in range(world) if dst != rank],
-                  f"bcast/{rank}")
-        for rank in range(world)])
+        Broadcast(c, buffers[c.root].ravel(), f"{key}/{c.root}")
+        for c in allgather_schedule(world).rounds[0].casts])
 
     total = np.sum(decoded, axis=0, dtype=np.float32)
     stats.max_recompressions = 1

@@ -24,13 +24,15 @@ from repro.compression import Compressor
 from repro.compression.base import Compressed
 from repro.compression.topk import ErrorFeedback
 
-from .trace import (emit_buffer_read, emit_buffer_update, emit_buffer_write,
-                    emit_recv, emit_send, emit_state_use, tracing_active)
+from .schedules import Cast, Send
+from .trace import (declare_buffer, emit_buffer_read, emit_buffer_update,
+                    emit_buffer_write, emit_recv, emit_send, emit_state_use,
+                    tracing_active)
 
 __all__ = ["ReduceStats", "chunk_bounds", "split_chunks", "check_buffers",
-           "accumulate_chunk", "store_chunk", "wire_faults", "deliver_chunk",
-           "Message", "send_chunks", "Broadcast", "broadcast_chunks",
-           "broadcast_chunk"]
+           "open_reduction", "accumulate_chunk", "store_chunk", "wire_faults",
+           "deliver_chunk", "Message", "send_chunks", "Broadcast",
+           "broadcast_chunks", "broadcast_chunk"]
 
 
 @dataclass
@@ -150,6 +152,16 @@ def check_buffers(buffers: list[np.ndarray]) -> int:
     return numel
 
 
+def open_reduction(scheme: str, buffers: list[np.ndarray],
+                   key: str) -> tuple[int, int, ReduceStats]:
+    """Validate ``buffers`` and declare each as its rank's input:
+    ``(numel, world, stats)`` of one ``scheme`` call."""
+    numel = check_buffers(buffers)
+    for rank, buf in enumerate(buffers):
+        declare_buffer(rank, buf, name=f"{key}/input")
+    return numel, len(buffers), ReduceStats(scheme, len(buffers), numel)
+
+
 def _uses_keyed_state(compressor: Compressor) -> bool:
     """Whether compressing under a key touches per-key mutable state."""
     if isinstance(compressor, ErrorFeedback):
@@ -217,17 +229,14 @@ def store_chunk(target: np.ndarray, value: np.ndarray,
 # arithmetic, and the channel sees each payload where it always did.
 
 class Message(NamedTuple):
-    """One point-to-point payload: ``chunk`` of ``src``, encoded under the
-    compressor state ``key``, for ``dst`` at schedule ``step``; ``dst``
+    """One point-to-point payload of a schedule's ``send``: ``chunk`` of
+    its source, encoded under the compressor state ``key``; its receiver
     adds the decode into its buffer ``into`` (an update tagged
     ``into_tag``)."""
 
+    send: Send
     chunk: np.ndarray
     key: str
-    src: int
-    dst: int
-    step: int
-    tag: str
     into: np.ndarray
     into_tag: str
 
@@ -259,16 +268,17 @@ def send_chunks(compressor: Compressor, rng: np.random.Generator,
         landing: list[Compressed] = []
         for msg, wire in zip(round_, posted):
             if traced:
-                _emit_encode(keyed, msg.src, msg.chunk, msg.key, msg.tag)
-                emit_send(msg.src, msg.dst, wire.nbytes, msg.step, msg.tag)
+                src, dst, _, step, tag = msg.send
+                _emit_encode(keyed, src, msg.chunk, msg.key, tag)
+                emit_send(src, dst, wire.nbytes, step, tag)
             stats.record_send(wire.nbytes)
             landing.append(wire)
         for msg, wire in zip(round_, landing):
-            wire = deliver_chunk(wire, stats, msg.src, msg.dst, msg.step,
-                                 msg.tag)
+            src, dst, _, step, tag = msg.send
+            wire = deliver_chunk(wire, stats, src, dst, step, tag)
             if traced:
-                emit_recv(msg.dst, msg.src, wire.nbytes, msg.step, msg.tag)
-                emit_buffer_update(msg.dst, msg.into, tag=msg.into_tag)
+                emit_recv(dst, src, wire.nbytes, step, tag)
+                emit_buffer_update(dst, msg.into, tag=msg.into_tag)
             delivered.append(wire)
     for msg, value in zip(messages, _decode(compressor, stats, delivered)):
         target = msg.into
@@ -276,23 +286,21 @@ def send_chunks(compressor: Compressor, rng: np.random.Generator,
 
 
 class Broadcast(NamedTuple):
-    """One fan-out: ``root`` encodes ``chunk`` once and the payload is
-    forwarded verbatim along ``edges`` (``(src, dst, step)``, in sending
-    order — a star, a ring's hop chain, a tree's edge list); each
-    ``(view, rank)`` of ``into`` receives a copy of the decode (a write
-    tagged ``into_tag``)."""
+    """One fan-out of a schedule's ``cast``: its root encodes ``chunk``
+    once under ``key`` and the payload is forwarded verbatim along the
+    cast's edges (in sending order — a star, a ring's hop chain, a tree's
+    edge list); each ``(view, rank)`` of ``into`` receives a copy of the
+    decode (a write tagged ``into_tag``)."""
 
+    cast: Cast
     chunk: np.ndarray
     key: str
-    root: int
-    edges: Sequence[tuple[int, int, int]]
-    tag: str
     into: Sequence[tuple[np.ndarray, int]] = ()
     into_tag: str = ""
 
 
 def broadcast_chunks(compressor: Compressor, rng: np.random.Generator,
-                     stats: ReduceStats, casts: Sequence[Broadcast],
+                     stats: ReduceStats, fans: Sequence[Broadcast],
                      ) -> list[np.ndarray]:
     """Fan-outs, one after another: the canonical decode of each.
 
@@ -301,34 +309,34 @@ def broadcast_chunks(compressor: Compressor, rng: np.random.Generator,
     replicas stay bit-identical whatever a link did.  The payloads are
     encoded in one pass and decoded in one.
     """
-    wires = _encode(compressor, rng, stats, [c.chunk for c in casts],
-                    [c.key for c in casts])
+    wires = _encode(compressor, rng, stats, [f.chunk for f in fans],
+                    [f.key for f in fans])
     traced = tracing_active()
     keyed = traced and _uses_keyed_state(compressor)
-    for cast, wire in zip(casts, wires):
+    for fan, wire in zip(fans, wires):
+        root, _, edges, tag = fan.cast
         if traced:
-            _emit_encode(keyed, cast.root, cast.chunk, cast.key, cast.tag)
-        for src, dst, step in cast.edges:
+            _emit_encode(keyed, root, fan.chunk, fan.key, tag)
+        for src, dst, step in edges:
             stats.record_send(wire.nbytes)
-            emit_send(src, dst, wire.nbytes, step, cast.tag)
-            deliver_chunk(wire, stats, src, dst, step, cast.tag)
+            emit_send(src, dst, wire.nbytes, step, tag)
+            deliver_chunk(wire, stats, src, dst, step, tag)
         if traced:
-            for src, dst, step in cast.edges:
-                emit_recv(dst, src, wire.nbytes, step, cast.tag)
-            for view, rank in cast.into:
-                emit_buffer_write(rank, view, tag=cast.into_tag)
+            for src, dst, step in edges:
+                emit_recv(dst, src, wire.nbytes, step, tag)
+            for view, rank in fan.into:
+                emit_buffer_write(rank, view, tag=fan.into_tag)
     decoded = _decode(compressor, stats, wires)
-    for cast, value in zip(casts, decoded):
-        for view, _ in cast.into:
+    for fan, value in zip(fans, decoded):
+        for view, _ in fan.into:
             view[:] = value
     return decoded
 
 
 def broadcast_chunk(compressor: Compressor, rng: np.random.Generator,
-                    stats: ReduceStats, chunk: np.ndarray, key: str,
-                    root: int, edges: Sequence[tuple[int, int, int]],
-                    tag: str) -> np.ndarray:
+                    stats: ReduceStats, cast: Cast, chunk: np.ndarray,
+                    key: str) -> np.ndarray:
     """One fan-out (see :class:`Broadcast`): its canonical decode."""
     (decoded,) = broadcast_chunks(compressor, rng, stats,
-                                  [Broadcast(chunk, key, root, edges, tag)])
+                                  [Broadcast(cast, chunk, key)])
     return decoded

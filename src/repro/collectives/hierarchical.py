@@ -22,6 +22,7 @@ import numpy as np
 from repro.compression import Compressor
 
 from .base import ReduceStats, broadcast_chunk, check_buffers
+from .schedules import Cast, Stage, hier_schedule
 from .sra import sra_allreduce
 from .trace import phase_scope, rank_scope
 
@@ -43,47 +44,38 @@ def hierarchical_allreduce(
     """
     numel = check_buffers(buffers)
     world = len(buffers)
-    if node_of is None:
-        node_of = [0] * world
-    if len(node_of) != world:
+    if node_of is not None and len(node_of) != world:
         raise ValueError("node_of must give a node per rank")
-    nodes = sorted(set(node_of))
-    if len(nodes) == 1:
+    if node_of is None or len(set(node_of)) == 1:
         return sra_allreduce(buffers, compressor, rng, key=key)
+    schedule = hier_schedule(tuple(node_of))
 
+    # Stage 1: intra-node allreduce, leaving each node's sum with its
+    # leader; stage 2: inter-node allreduce among the leaders.
     stats = ReduceStats("hier", world, numel)
-    members = {node: [r for r in range(world) if node_of[r] == node]
-               for node in nodes}
-
-    # Stage 1: intra-node allreduce (leaders end up with the node sum).
-    node_sum: dict[int, np.ndarray] = {}
-    for node in nodes:
-        local = [buffers[r] for r in members[node]]
-        with phase_scope(f"hier/intra{node}"), rank_scope(members[node]):
-            reduced, sub = sra_allreduce(local, compressor, rng,
-                                         key=f"{key}/intra{node}")
+    held = list(buffers)
+    for stage in (part for part in schedule.rounds
+                  if isinstance(part, Stage)):
+        with phase_scope(f"hier/{stage.label}"), rank_scope(stage.members):
+            reduced, sub = sra_allreduce([held[r] for r in stage.members],
+                                         compressor, rng,
+                                         key=f"{key}/{stage.label}")
         stats.absorb(sub)
-        node_sum[node] = reduced[0]
-
-    # Stage 2: inter-node allreduce among the leaders.
-    leaders = [members[node][0] for node in nodes]
-    leader_buffers = [node_sum[node] for node in nodes]
-    with phase_scope("hier/inter"), rank_scope(leaders):
-        reduced, sub = sra_allreduce(leader_buffers, compressor, rng,
-                                     key=f"{key}/inter")
-    stats.absorb(sub)
+        held[stage.members[0]] = reduced[0]
 
     # Stage 3: leaders broadcast the global sum to their local peers.
     # The payload is encoded once and forwarded verbatim (equivalently:
     # leaders hold identical inputs and share the quantization seed), so
     # every rank on every node decodes bit-identical values — replicas
     # must not diverge across nodes.
+    casts = [part.casts[0] for part in schedule.rounds
+             if not isinstance(part, Stage)]
+    root = casts[0].root
     with phase_scope("hier/bcast"):
         decoded = broadcast_chunk(
-            compressor, rng, stats, reduced[0].ravel(), f"{key}/bcast",
-            leaders[0], [(members[node][0], peer, 2) for node in nodes
-                         for peer in members[node][1:]],
-            "bcast").reshape(buffers[0].shape)
+            compressor, rng, stats,
+            Cast(root, 0, sum((cast.edges for cast in casts), ()), "bcast"),
+            held[root].ravel(), f"{key}/bcast").reshape(buffers[0].shape)
     outputs = [decoded.copy() for _ in range(world)]
     stats.max_recompressions = 5
     return outputs, stats

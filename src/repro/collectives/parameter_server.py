@@ -13,9 +13,9 @@ import numpy as np
 
 from repro.compression import Compressor
 
-from .base import (Message, ReduceStats, broadcast_chunk, check_buffers,
+from .base import (Message, ReduceStats, broadcast_chunk, open_reduction,
                    send_chunks)
-from .trace import declare_buffer
+from .schedules import ps_schedule
 
 __all__ = ["ps_allreduce"]
 
@@ -27,21 +27,15 @@ def ps_allreduce(
     key: str = "",
 ) -> tuple[list[np.ndarray], ReduceStats]:
     """Sum ``buffers`` through a single aggregator at rank 0."""
-    numel = check_buffers(buffers)
-    world = len(buffers)
-    stats = ReduceStats("ps", world, numel)
-    for rank, buf in enumerate(buffers):
-        declare_buffer(rank, buf, name=f"{key}/input")
+    numel, world, stats = open_reduction("ps", buffers, key)
 
+    (round_,) = ps_schedule(world).rounds
     total = buffers[0].astype(np.float32).ravel().copy()
     send_chunks(compressor, rng, stats, [
-        [Message(buffers[rank].ravel(), f"{key}/push/{rank}", rank, 0, 0,
-                 f"push/{rank}", total, "push/agg")]
-        for rank in range(1, world)])
-
-    result = broadcast_chunk(compressor, rng, stats, total, f"{key}/bcast", 0,
-                             [(0, rank, 1) for rank in range(1, world)],
-                             "bcast")
+        [Message(m, buffers[m.src].ravel(), f"{key}/{m.tag}", total,
+                 "push/agg")] for m in round_.sends])
+    result = broadcast_chunk(compressor, rng, stats, round_.casts[0], total,
+                             f"{key}/bcast")
     stats.max_recompressions = 2
     shaped = result.reshape(buffers[0].shape)
     return [shaped.copy() for _ in range(world)], stats

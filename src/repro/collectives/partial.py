@@ -9,7 +9,9 @@ skipped contribution is not lost — each worker folds its unsent gradient
 into its next contribution via a local carry buffer, so the estimator
 stays unbiased over time (elastic consistency).
 
-Data path here; the timed schedule lives in
+Both paths read one declared schedule
+(:func:`~repro.collectives.schedules.partial_schedule`): the data path
+here, the timed one in
 :func:`repro.collectives.timing.time_partial_allreduce`.
 """
 
@@ -22,6 +24,7 @@ import numpy as np
 from repro.compression import Compressor
 
 from .base import ReduceStats, broadcast_chunk, check_buffers
+from .schedules import partial_schedule
 from .sra import sra_allreduce
 from .trace import emit_state_use, phase_scope, rank_scope
 
@@ -85,13 +88,15 @@ class PartialAllreduce:
                 else carry + grad
 
         # reduce among the quorum, then one broadcast payload for everyone
+        quorum, late = partial_schedule(tuple(participants), tuple(
+            r for r in range(self.world) if r not in participants)).rounds
         stats = ReduceStats("partial", len(participants), numel)
-        with phase_scope("partial/quorum"), rank_scope(participants):
+        with phase_scope(f"partial/{quorum.label}"), rank_scope(quorum.members):
             reduced, sub = sra_allreduce(contributions, compressor, rng,
-                                         key=f"{key}/quorum")
+                                         key=f"{key}/{quorum.label}")
         stats.absorb(sub)
-        late_ranks = [r for r in range(self.world) if r not in participants]
-        if not late_ranks:
+        (cast,) = late.casts
+        if not cast.edges:
             # full participation: the quorum SRA already delivered
             # identical results to every rank — encoding a late
             # broadcast here would add a third quantization round
@@ -99,12 +104,10 @@ class PartialAllreduce:
             stats.max_recompressions = 2
             return reduced, stats
 
-        with phase_scope("partial/late"):
+        with phase_scope(f"partial/{cast.tag}"):
             decoded = broadcast_chunk(
-                compressor, rng, stats, reduced[0].ravel(), f"{key}/late",
-                participants[0],
-                [(participants[0], rank, 2) for rank in late_ranks],
-                "late").reshape(buffers[0].shape)
+                compressor, rng, stats, cast, reduced[0].ravel(),
+                f"{key}/{cast.tag}").reshape(buffers[0].shape)
         # every rank adopts the identical decoded payload
         outputs = [decoded.copy() for _ in range(self.world)]
         # quorum SRA quantizes twice; the late broadcast re-encodes once more

@@ -17,6 +17,7 @@ from repro.compression import Compressor
 
 from .base import (Broadcast, Message, ReduceStats, broadcast_chunks,
                    check_buffers, send_chunks, split_chunks, store_chunk)
+from .schedules import ring_schedule
 from .trace import declare_buffer
 
 __all__ = ["ring_allreduce"]
@@ -43,28 +44,24 @@ def ring_allreduce(
         for buf in buffers
     ]
 
-    # Phase 1: reduce-scatter.  In step s, rank r sends chunk (r - s) mod N
-    # to rank r+1, which accumulates it; a step is one simultaneous round.
-    for step in range(world - 1):
-        round_ = []
-        for rank in range(world):
-            dst, chunk = (rank + 1) % world, (rank - step) % world
-            round_.append(Message(work[rank][chunk], f"{key}/rs/{step}/{rank}",
-                                  rank, dst, step, f"rs/{step}/{rank}",
-                                  work[dst][chunk], f"rs/acc/{step}/{dst}"))
-        send_chunks(compressor, rng, stats, [round_])
+    # Phase 1: reduce-scatter, one simultaneous round a step.
+    rounds = ring_schedule(world).rounds
+    for round_ in rounds[:world - 1]:
+        send_chunks(compressor, rng, stats, [[
+            Message(m, work[m.src][m.chunk], f"{key}/{m.tag}",
+                    work[m.dst][m.chunk], f"rs/acc/{m.step}/{m.dst}")
+            for m in round_.sends]])
 
     # After N-1 steps, rank r holds the full sum of chunk (r + 1) mod N.
     # Phase 2: allgather.  Each owner compresses its final chunk once and
     # the payload hops the ring verbatim: rank -> rank+1 -> ... (N-1 hops).
+    owners, *hops = rounds[world - 1:]
     decoded = broadcast_chunks(compressor, rng, stats, [
-        Broadcast(work[rank][(rank + 1) % world], f"{key}/ag/{rank}", rank,
-                  [((rank + hop) % world, (rank + hop + 1) % world,
-                    world - 1 + hop) for hop in range(world - 1)],
-                  f"ag/{(rank + 1) % world}")
-        for rank in range(world)])
-    final_payloads = {(rank + 1) % world: value
-                      for rank, value in enumerate(decoded)}
+        Broadcast(c._replace(edges=[(m.src, m.dst, m.step) for hop in hops
+                                    for m in hop.sends if m.chunk == c.chunk]),
+                  work[c.root][c.chunk], f"{key}/ag/{c.root}")
+        for c in owners.casts])
+    final_payloads = {c.chunk: value for c, value in zip(owners.casts, decoded)}
 
     outputs = []
     for rank in range(world):

@@ -15,13 +15,15 @@ bit-identical.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 import numpy as np
 
 from repro.compression import Compressor
 
 from .base import (Broadcast, Message, ReduceStats, broadcast_chunks,
-                   check_buffers, chunk_bounds, send_chunks)
-from .trace import declare_buffer
+                   chunk_bounds, open_reduction, send_chunks)
+from .schedules import sra_schedule
 
 __all__ = ["sra_allreduce"]
 
@@ -43,25 +45,22 @@ def sra_allreduce(
     Returns:
         (per-rank summed buffers, transfer/kernel statistics).
     """
-    numel = check_buffers(buffers)
-    world = len(buffers)
-    stats = ReduceStats("sra", world, numel)
-    for rank, buf in enumerate(buffers):
-        declare_buffer(rank, buf, name=f"{key}/input")
+    numel, world, stats = open_reduction("sra", buffers, key)
+    (round_,) = sra_schedule(world).rounds
     bounds = chunk_bounds(numel, world)
     flats = [buf.ravel() for buf in buffers]
     per_rank_chunks = [[flat[a:b] for a, b in bounds] for flat in flats]
 
     # Round 1: scatter-reduce.  Owner o aggregates chunk o of every rank;
     # the w(w-1) foreign chunks are one encode pass and one decode pass,
-    # owner-major, folded in that order.
+    # owner-major (the order the quantizer draws its randomness), folded
+    # in that order.
     aggregated = [per_rank_chunks[owner][owner].astype(np.float32)
                   for owner in range(world)]
     send_chunks(compressor, rng, stats, [
-        [Message(per_rank_chunks[rank][owner], f"{key}/sr/{owner}/{rank}",
-                 rank, owner, 0, f"sr/{owner}/{rank}", aggregated[owner],
-                 f"sr/agg/{owner}")]
-        for owner in range(world) for rank in range(world) if rank != owner])
+        [Message(m, per_rank_chunks[m.src][m.chunk], f"{key}/{m.tag}",
+                 aggregated[m.dst], f"sr/agg/{m.dst}")]
+        for m in sorted(round_.sends, key=attrgetter("dst"))])
 
     # Round 2: allgather.  Owner compresses its aggregate once; all ranks
     # (owner included) adopt the same decode.  A lone rank still encodes
@@ -70,12 +69,9 @@ def sra_allreduce(
     outputs = [np.empty(numel, dtype=np.float32) for _ in range(world)]
     out_chunks = [[out[a:b] for a, b in bounds] for out in outputs]
     broadcast_chunks(compressor, rng, stats, [
-        Broadcast(aggregated[owner], f"{key}/ag/{owner}", owner,
-                  [(owner, dst, 1) for dst in range(world) if dst != owner],
-                  f"ag/{owner}",
-                  [(out_chunks[rank][owner], rank) for rank in range(world)],
-                  f"ag/out/{owner}")
-        for owner in range(world)])
+        Broadcast(c, aggregated[c.root], f"{key}/{c.tag}",
+                  [(out_chunks[rank][c.chunk], rank) for rank in range(world)],
+                  f"ag/out/{c.chunk}") for c in round_.casts])
     stats.max_recompressions = 2
     shaped = [out.reshape(buffers[0].shape) for out in outputs]
     return shaped, stats

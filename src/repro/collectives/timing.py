@@ -1,9 +1,11 @@
-"""Timed collective schedules over the simulated network.
+"""Timed collectives: the declared schedules priced on the simulated network.
 
 The data-path modules in this package measure *what* a scheme computes;
-this module measures *when*.  Each ``time_*`` function replays the exact
-transfer/kernel pattern of its scheme onto a
-:class:`~repro.cluster.network.Network`, occupying links and per-GPU
+this module measures *when*.  It has no per-scheme code: a scheme's
+rounds are declared once (:mod:`.schedules`), and :class:`_Scheduler`
+is their timed interpreter — it issues each round's transfers and
+compression kernels onto a :class:`~repro.cluster.network.Network` in
+the order the round's discipline states, occupying links and per-GPU
 compression engines, and returns per-rank completion times.  The
 performance model (``repro.training.perf``) composes these per fusion
 buffer to obtain end-to-end step times.
@@ -12,7 +14,8 @@ buffer to obtain end-to-end step times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence, TypeVar
+from itertools import cycle
+from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 from repro.cluster.network import Network
 from repro.compression import CompressionSpec
@@ -21,6 +24,8 @@ from repro.compression.metrics import kernel_seconds
 from repro.compression.powersgd import _factor_shape
 
 from .base import chunk_bounds
+from .schedules import (EXCHANGE, FLAT_SCHEDULES, Cast, Round, Schedule,
+                        Stage, hier_schedule, partial_schedule)
 
 __all__ = ["CollectiveTiming", "time_allreduce",
            "time_partial_allreduce", "SCHEMES", "drain_channel",
@@ -29,6 +34,8 @@ __all__ = ["CollectiveTiming", "time_allreduce",
 T = TypeVar("T")
 #: what a factored operator's P and Q factors travel as
 _DENSE = CompressionSpec("none")
+#: the end of a rank no fan-out of the round has reached
+_NEVER = float("-inf")
 
 
 @dataclass
@@ -44,20 +51,24 @@ class CollectiveTiming:
         return max(self.end_times)
 
 
-def _chunk_sizes(numel: int, n_chunks: int) -> list[int]:
-    """Element counts of the data path's chunks (one chunking rule)."""
-    return [end - start for start, end in chunk_bounds(numel, n_chunks)]
-
-
 class _Scheduler:
-    """One collective's binding of a network, a spec and its accounting.
+    """One collective's binding of a network, a spec and its accounting,
+    and the timed interpreter of a declared schedule (:meth:`run`).
 
     Whatever stays fixed for the collective is bound here once — the
     network's two entry points as bound methods, the compression engine
     names, and each distinct chunk size's price — so a message or kernel
-    costs its entry-point call and a few integer updates.  The schemes
-    price their chunks once (:meth:`price`) and hand :meth:`kernel` and
-    :meth:`send` the seconds and bytes directly.
+    costs its entry-point call and a few integer updates.  :meth:`run`
+    prices a schedule's chunks once (:meth:`price`) and hands
+    :meth:`kernel` and :meth:`send` the seconds and bytes directly.
+
+    Kernels follow one rule: a fresh send is encoded by its sender and
+    decoded by its receiver, a cast's root encodes once and each
+    receiver decodes (a decode per receiver), and a nested stage of one
+    rank costs nothing (a lone leader already holds its node's sum).
+    The issue order is part of the contract: a ``Network`` creates a
+    resource on first touch, and ``busy_seconds()`` iterates in creation
+    order; each GPU's kernels alternate over its streams in issue order.
     """
 
     def __init__(self, network: Network, spec: CompressionSpec,
@@ -72,7 +83,7 @@ class _Scheduler:
         self.job = job
         self.wire_bytes = 0
         self.kernel_calls = 0
-        self._stream_rr: dict[int, int] = {}
+        self._streams: dict[int, Iterator[str]] = {}
         self._engine_names = [f"compress{s}" for s in range(self.streams)]
         #: chunk numel -> (kernel seconds, wire bytes); a collective has
         #: one or two distinct chunk sizes, each priced once
@@ -94,12 +105,11 @@ class _Scheduler:
         """Charge one compress/decompress kernel; returns end time."""
         if not self.compressing:
             return ready
-        rr = self._stream_rr
-        stream = rr.get(gpu, 0)
-        rr[gpu] = (stream + 1) % self.streams
+        streams = self._streams.get(gpu)
+        if streams is None:  # each GPU takes its streams round-robin
+            streams = self._streams[gpu] = cycle(self._engine_names)
         self.kernel_calls += 1
-        return self._run_kernel(gpu, self._engine_names[stream], seconds,
-                                ready, self.job)
+        return self._run_kernel(gpu, next(streams), seconds, ready, self.job)
 
     def factor_kernel(self, gpu: int, seconds: float, ready: float) -> float:
         """Charge one power-iteration kernel of a factored operator on the
@@ -123,10 +133,116 @@ class _Scheduler:
         elements launched at ``ready``."""
         if len(ranks) == 1:
             return [ready[0]]
-        start = [self.op_start(t) for t in ready]
-        if scheme not in _TIMED_SCHEMES:
-            raise KeyError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-        return _TIMED_SCHEMES[scheme](self, ranks, numel, start)
+        schedule = FLAT_SCHEDULES[scheme](len(ranks)) if scheme != "hier" \
+            else hier_schedule(tuple(self.net.topology.node_of[r] for r in ranks))
+        return self.run(schedule, ranks, numel,
+                        [self.op_start(t) for t in ready])
+
+    def run(self, schedule: Schedule, gpus: Sequence[int], numel: int,
+            t: list[float]) -> list[float]:
+        """Price ``schedule`` with its rank ``i`` on GPU ``gpus[i]``, from
+        the per-rank clocks ``t``; returns ``t`` advanced to each rank's
+        end."""
+        prices = [self.price(end - start)
+                  for start, end in chunk_bounds(numel, schedule.parts)]
+        for part in schedule.rounds:
+            if isinstance(part, Stage):
+                if len(part.members) > 1:  # nothing for a lone leader
+                    ends = self.run(part.schedule,
+                                    [gpus[i] for i in part.members], numel,
+                                    [t[i] for i in part.members])
+                    for i, end in zip(part.members, ends):
+                        t[i] = end
+            elif part.order == EXCHANGE:
+                self._exchange(part, gpus, prices, t)
+            else:
+                self._chain(part, gpus, prices, t)
+        return t
+
+    def _exchange(self, round_: Round, gpus: Sequence[int],
+                  prices: list[tuple[float, int]], t: list[float]) -> None:
+        """Post every send in listed order, each fresh one encoded behind
+        its sender's previous encode; then land receiver by receiver in
+        rank order — arrivals in arrival order, behind its clock.  In a
+        round with casts (SRA) every receiver roots one: it lands, encodes
+        the chunk from its landed clock and fans it out before the next
+        receiver lands.  (``a if a > b else b`` is ``max(b, a)`` without
+        the call, ties and NaN included.)"""
+        kernel, send, forward = self.kernel, self.send, round_.forward
+        if not round_.casts:  # a step: each rank sends and receives once
+            landed: list[float | None] = [None] * len(gpus)
+            decode = [0.0] * len(gpus)
+            for src, dst, chunk, _, _ in round_.sends:
+                seconds, nbytes = prices[chunk]
+                ready = t[src] if forward else kernel(gpus[src], seconds, t[src])
+                landed[dst] = send(gpus[src], gpus[dst], nbytes, ready)
+                decode[dst] = seconds
+            for rank, arrive in enumerate(landed):
+                if arrive is not None:
+                    held = t[rank]
+                    t[rank] = kernel(gpus[rank], decode[rank],
+                                     arrive if arrive > held else held)
+            return
+        inbox: list[list[float]] = [[] for _ in gpus]
+        sender, ready = -1, 0.0
+        for src, dst, chunk, _, _ in round_.sends:
+            seconds, nbytes = prices[chunk]
+            if src != sender:
+                sender, ready = src, t[src]
+            ready = kernel(gpus[src], seconds, ready)
+            inbox[dst].append(send(gpus[src], gpus[dst], nbytes, ready))
+        done = [_NEVER] * len(gpus)
+        for cast in round_.casts:  # listed by root
+            rank, seconds = cast.root, prices[cast.chunk][0]
+            clock = t[rank]
+            for arrive in sorted(inbox[rank]):
+                clock = kernel(gpus[rank], seconds,
+                               arrive if arrive > clock else clock)
+            ready = kernel(gpus[rank], seconds, clock)
+            if ready > done[rank]:
+                done[rank] = ready
+            self._deliver(cast, ready, gpus, prices, done)
+        _adopt(t, done)
+
+    def _chain(self, round_: Round, gpus: Sequence[int],
+               prices: list[tuple[float, int]], t: list[float]) -> None:
+        """Sends one at a time, each landing behind its receiver's clock;
+        then every root encodes and each cast is delivered in turn."""
+        kernel, send, fresh = self.kernel, self.send, not round_.forward
+        for src, dst, chunk, _, _ in round_.sends:
+            seconds, nbytes = prices[chunk]
+            ready = kernel(gpus[src], seconds, t[src]) if fresh else t[src]
+            arrive = send(gpus[src], gpus[dst], nbytes, ready)
+            held = t[dst]
+            t[dst] = kernel(gpus[dst], seconds,
+                            arrive if arrive > held else held)
+        if round_.casts:
+            done = [_NEVER] * len(gpus)
+            for root, chunk, _, _ in round_.casts:  # a rank roots one cast
+                done[root] = kernel(gpus[root], prices[chunk][0], t[root])
+            sent = list(done)
+            for cast in round_.casts:
+                if cast.edges:
+                    self._deliver(cast, sent[cast.root], gpus, prices, done)
+            _adopt(t, done)
+
+    def _deliver(self, cast: Cast, ready: float, gpus: Sequence[int],
+                 prices: list[tuple[float, int]], done: list[float]) -> None:
+        """``cast``'s receivers, one at a time, decode the payload its root
+        encoded by ``ready``; ``done`` keeps each rank's latest decode."""
+        kernel, send = self.kernel, self.send
+        seconds, nbytes = prices[cast.chunk]
+        root = gpus[cast.root]
+        for _, dst, _ in cast.edges:
+            gpu = gpus[dst]
+            end = kernel(gpu, seconds, send(root, gpu, nbytes, ready))
+            if end > done[dst]:
+                done[dst] = end
+
+
+def _adopt(t: list[float], done: list[float]) -> None:
+    """A rank a fan-out reached ends at its latest encode or decode."""
+    t[:] = [held if end == _NEVER else end for held, end in zip(t, done)]
 
 
 def time_allreduce(
@@ -163,6 +279,8 @@ def time_allreduce(
             transfer and kernel of this collective is scoped to the job
             for throttling, tracing and per-job accounting.
     """
+    if scheme not in SCHEMES:
+        raise KeyError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     world = len(ranks)
     if world < 1:
         raise ValueError("need at least one rank")
@@ -216,205 +334,7 @@ def _time_factor_pair(network: Network, ranks: list[int], numel: int,
     return CollectiveTiming(end_times, sched.wire_bytes, sched.kernel_calls)
 
 
-def _time_sra(sched: _Scheduler, ranks: list[int], numel: int,
-              start: list[float]) -> list[float]:
-    world = len(ranks)
-    prices = [sched.price(size) for size in _chunk_sizes(numel, world)]
-    kernel, send = sched.kernel, sched.send
-
-    # Phase 1: each rank compresses and sends every foreign chunk.
-    arrivals: list[list[float]] = [[] for _ in range(world)]
-    for sender in range(world):
-        src = ranks[sender]
-        t = start[sender]
-        for owner in range(world):
-            if owner == sender:
-                continue
-            seconds, nbytes = prices[owner]
-            t = kernel(src, seconds, t)
-            arrivals[owner].append(send(src, ranks[owner], nbytes, t))
-
-    # Owners decompress+accumulate each arrival, then compress the
-    # aggregate and broadcast it.  (``a if a > b else b`` is ``max(b, a)``
-    # without the call, ties and NaN included.)
-    final_arrival = list(start)
-    for owner in range(world):
-        gpu = ranks[owner]
-        seconds, nbytes = prices[owner]
-        t = start[owner]
-        for arrive in sorted(arrivals[owner]):
-            t = kernel(gpu, seconds, arrive if arrive > t else t)
-        t = kernel(gpu, seconds, t)  # encode aggregate
-        for receiver in range(world):
-            if receiver == owner:
-                continue
-            peer = ranks[receiver]
-            done = kernel(peer, seconds, send(gpu, peer, nbytes, t))
-            if done > final_arrival[receiver]:
-                final_arrival[receiver] = done
-        if t > final_arrival[owner]:
-            final_arrival[owner] = t
-    return final_arrival
-
-
-def _time_ring(sched: _Scheduler, ranks: list[int], numel: int,
-               start: list[float]) -> list[float]:
-    world = len(ranks)
-    prices = [sched.price(size) for size in _chunk_sizes(numel, world)]
-    kernel, send = sched.kernel, sched.send
-    t = list(start)
-
-    # Reduce-scatter: N-1 rounds of neighbor sends with re-compression.
-    for step in range(world - 1):
-        arrivals = [0.0] * world
-        for rank in range(world):
-            seconds, nbytes = prices[(rank - step) % world]
-            right = (rank + 1) % world
-            ready = kernel(ranks[rank], seconds, t[rank])
-            arrivals[right] = send(ranks[rank], ranks[right], nbytes, ready)
-        for rank in range(world):
-            arrive, held = arrivals[rank], t[rank]
-            t[rank] = kernel(ranks[rank], prices[(rank - 1 - step) % world][0],
-                             arrive if arrive > held else held)
-
-    # Allgather: N-1 rounds forwarding final payloads (no re-encode after
-    # the first hop; decompress once on arrival of each chunk).
-    for rank in range(world):
-        t[rank] = kernel(ranks[rank], prices[(rank + 1) % world][0], t[rank])
-    for step in range(world - 1):
-        arrivals = [0.0] * world
-        for rank in range(world):
-            right = (rank + 1) % world
-            arrivals[right] = send(ranks[rank], ranks[right],
-                                   prices[(rank + 1 - step) % world][1],
-                                   t[rank])
-        for rank in range(world):
-            arrive, held = arrivals[rank], t[rank]
-            t[rank] = kernel(ranks[rank], prices[(rank - step) % world][0],
-                             arrive if arrive > held else held)
-    return t
-
-
-def _time_tree(sched: _Scheduler, ranks: list[int], numel: int,
-               start: list[float]) -> list[float]:
-    world = len(ranks)
-    seconds, nbytes = sched.price(numel)
-    kernel, send = sched.kernel, sched.send
-    t = list(start)
-    stride = 1
-    while stride < world:
-        for receiver in range(0, world - stride, 2 * stride):
-            sender = receiver + stride
-            ready = kernel(ranks[sender], seconds, t[sender])
-            arrive = send(ranks[sender], ranks[receiver], nbytes, ready)
-            held = t[receiver]
-            t[receiver] = kernel(ranks[receiver], seconds,
-                                 arrive if arrive > held else held)
-        stride *= 2
-    # Broadcast down the same tree.
-    t[0] = kernel(ranks[0], seconds, t[0])
-    stride //= 2
-    while stride >= 1:
-        for sender in range(0, world - stride, 2 * stride):
-            receiver = sender + stride
-            arrive = send(ranks[sender], ranks[receiver], nbytes, t[sender])
-            t[receiver] = kernel(ranks[receiver], seconds, arrive)
-        stride //= 2
-    return t
-
-
-def _time_allgather(sched: _Scheduler, ranks: list[int], numel: int,
-                    start: list[float]) -> list[float]:
-    world = len(ranks)
-    seconds, nbytes = sched.price(numel)
-    kernel, send = sched.kernel, sched.send
-    encoded = [kernel(ranks[r], seconds, start[r]) for r in range(world)]
-    done = list(encoded)
-    for sender in range(world):
-        src, ready = ranks[sender], encoded[sender]
-        for receiver in range(world):
-            if receiver == sender:
-                continue
-            peer = ranks[receiver]
-            decoded = kernel(peer, seconds, send(src, peer, nbytes, ready))
-            if decoded > done[receiver]:
-                done[receiver] = decoded
-    return done
-
-
-def _time_ps(sched: _Scheduler, ranks: list[int], numel: int,
-             start: list[float]) -> list[float]:
-    world = len(ranks)
-    seconds, nbytes = sched.price(numel)
-    kernel, send = sched.kernel, sched.send
-    root = ranks[0]
-    t_root = start[0]
-    for sender in range(1, world):
-        ready = kernel(ranks[sender], seconds, start[sender])
-        arrive = send(ranks[sender], root, nbytes, ready)
-        t_root = kernel(root, seconds, arrive if arrive > t_root else t_root)
-    t_root = kernel(root, seconds, t_root)
-    done = [t_root] * world
-    for receiver in range(1, world):
-        peer = ranks[receiver]
-        done[receiver] = kernel(peer, seconds, send(root, peer, nbytes, t_root))
-    return done
-
-
-def _time_hier(sched: _Scheduler, ranks: list[int], numel: int,
-               start: list[float]) -> list[float]:
-    """Hierarchical: intra-node SRA, inter-node SRA of leaders, broadcast.
-
-    Falls back to flat SRA when all ranks share a node.  Inter-node
-    traffic is one compressed gradient per node instead of one per GPU,
-    which is what keeps gigabit inter-node links usable (Table 5).
-    """
-    node_of = sched.net.topology.node_of
-    by_node: dict[int, list[int]] = {}
-    for idx, rank in enumerate(ranks):
-        by_node.setdefault(node_of[rank], []).append(idx)
-    if len(by_node) == 1:
-        return _time_sra(sched, ranks, numel, start)
-
-    # Stage 1: intra-node allreduce (SRA inside each node).
-    t = list(start)
-    leaders: list[int] = []
-    for node in sorted(by_node):
-        local = by_node[node]
-        leaders.append(local[0])
-        if len(local) == 1:
-            continue
-        local_ranks = [ranks[i] for i in local]
-        local_start = [t[i] for i in local]
-        local_end = _time_sra(sched, local_ranks, numel, local_start)
-        for i, end in zip(local, local_end):
-            t[i] = end
-
-    # Stage 2: inter-node allreduce among leaders.
-    leader_ranks = [ranks[i] for i in leaders]
-    leader_start = [t[i] for i in leaders]
-    leader_end = _time_sra(sched, leader_ranks, numel, leader_start)
-    for i, end in zip(leaders, leader_end):
-        t[i] = end
-
-    # Stage 3: leaders broadcast the final payload to local peers.
-    seconds, nbytes = sched.price(numel)
-    kernel, send = sched.kernel, sched.send
-    for node, leader in zip(sorted(by_node), leaders):
-        src = ranks[leader]
-        ready = t[leader] = kernel(src, seconds, t[leader])
-        for i in by_node[node]:
-            if i == leader:
-                continue
-            t[i] = kernel(ranks[i], seconds,
-                          send(src, ranks[i], nbytes, ready))
-    return t
-
-
-_TIMED_SCHEMES = {"sra": _time_sra, "ring": _time_ring, "tree": _time_tree,
-                  "allgather": _time_allgather, "ps": _time_ps,
-                  "hier": _time_hier}
-SCHEMES = tuple(_TIMED_SCHEMES)
+SCHEMES = (*FLAT_SCHEDULES, "hier")
 
 
 def drain_channel(items: Sequence[T], ready: Callable[[T], float],
@@ -558,9 +478,15 @@ def time_partial_allreduce(
     """Timed quorum reduction: reduce over the first ``quorum`` ready
     ranks, then ship the result to the laggards.
 
-    Fast ranks finish at the quorum-SRA end; laggards finish at
-    ``max(own readiness, broadcast arrival)`` — they are never waited
-    for, which is the whole point (straggler mitigation).
+    Prices :func:`~.schedules.partial_schedule` with the ranks ordered by
+    readiness (ties by rank): the quorum is the ``quorum`` earliest, its
+    earliest member is rank 0 of the quorum SRA and sends the late
+    broadcast, and the laggards receive it in ready order.  The quorum
+    reduces even when it is one rank (its aggregate is still encoded).
+    Fast ranks finish at the quorum-SRA end — the late broadcast's
+    encode is off their books; laggards finish at ``max(own readiness,
+    broadcast arrival)`` — they are never waited for, which is the whole
+    point (straggler mitigation).
     """
     world = len(ranks)
     if not 1 <= quorum <= world:
@@ -571,22 +497,16 @@ def time_partial_allreduce(
         return CollectiveTiming([ready[0]], 0, 0)
 
     order = sorted(range(world), key=lambda i: ready[i])
-    members = order[:quorum]
-    laggards = order[quorum:]
-
+    stage, late = partial_schedule(tuple(order[:quorum]),
+                                   tuple(order[quorum:])).rounds
     sched = _Scheduler(network, spec, streams=chunk_streams)
-    member_ranks = [ranks[i] for i in members]
-    member_start = [sched.op_start(ready[i]) for i in members]
-    member_end = _time_sra(sched, member_ranks, dense_numel, member_start)
-
-    end_times = [0.0] * world
-    for idx, end in zip(members, member_end):
+    members, end_times = stage.members, list(ready)
+    for idx, end in zip(members, sched.run(
+            stage.schedule, [ranks[i] for i in members], dense_numel,
+            [sched.op_start(ready[i]) for i in members])):
         end_times[idx] = end
-    source = members[0]
-    seconds, nbytes = sched.price(dense_numel)
-    encode_done = sched.kernel(ranks[source], seconds, end_times[source])
-    for idx in laggards:
-        arrive = sched.send(ranks[source], ranks[idx], nbytes, encode_done)
-        done = sched.kernel(ranks[idx], seconds, arrive)
-        end_times[idx] = max(ready[idx], done)
+    late_ends = list(end_times)
+    sched._chain(late, ranks, [sched.price(dense_numel)], late_ends)
+    for idx in order[quorum:]:
+        end_times[idx] = max(ready[idx], late_ends[idx])
     return CollectiveTiming(end_times, sched.wire_bytes, sched.kernel_calls)

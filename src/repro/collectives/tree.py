@@ -14,9 +14,9 @@ import numpy as np
 
 from repro.compression import Compressor
 
-from .base import (Message, ReduceStats, broadcast_chunk, check_buffers,
+from .base import (Message, ReduceStats, broadcast_chunk, open_reduction,
                    send_chunks)
-from .trace import declare_buffer
+from .schedules import tree_schedule
 
 __all__ = ["tree_allreduce"]
 
@@ -28,39 +28,24 @@ def tree_allreduce(
     key: str = "",
 ) -> tuple[list[np.ndarray], ReduceStats]:
     """Sum ``buffers`` across ranks via a binary reduction tree."""
-    numel = check_buffers(buffers)
-    world = len(buffers)
-    stats = ReduceStats("tree", world, numel)
-    for rank, buf in enumerate(buffers):
-        declare_buffer(rank, buf, name=f"{key}/input")
+    numel, world, stats = open_reduction("tree", buffers, key)
     partial = [buf.astype(np.float32).ravel().copy() for buf in buffers]
 
-    # Reduce phase: at stride s, rank r (multiple of 2s) absorbs rank r+s.
-    stride = 1
-    depth = 0
-    edges: list[tuple[int, int, int]] = []  # (parent, child, reduce step)
-    while stride < world:
-        # a level's senders are no receivers of it: one pass per level
-        level = []
-        for receiver in range(0, world - stride, 2 * stride):
-            sender = receiver + stride
-            tag = f"up/{stride}/{sender}"
-            level.append([Message(partial[sender], f"{key}/{tag}", sender,
-                                  receiver, depth, tag, partial[receiver],
-                                  f"up/acc/{receiver}")])
-            edges.append((receiver, sender, depth))
-        send_chunks(compressor, rng, stats, level)
-        stride *= 2
-        depth += 1
-
-    # Broadcast phase: the root compresses once; the payload is forwarded
-    # down the tree verbatim so every rank decodes the same values.  The
-    # forwarding retraces the reduce edges parent->child in reverse stride
-    # order (the edge reduced at step k is broadcast at step 2*depth-1-k).
-    result = broadcast_chunk(
-        compressor, rng, stats, partial[0], f"{key}/down", 0,
-        [(parent, child, 2 * depth - 1 - k)
-         for parent, child, k in reversed(edges)], "down")
-    stats.max_recompressions = depth + 1
+    # Reduce phase: a level's senders are no receivers of it, so each
+    # level is one pass.  The root then compresses once and the payload is
+    # forwarded down the tree verbatim, so every rank decodes the same
+    # values; the data path emits each level's edges in reverse sender
+    # order (retracing the reduce edges).
+    *levels, encode, down = tree_schedule(world).rounds
+    for level in levels:
+        send_chunks(compressor, rng, stats, [
+            [Message(m, partial[m.src], f"{key}/{m.tag}", partial[m.dst],
+                     f"up/acc/{m.dst}")]
+            for m in level.sends])
+    (root,) = encode.casts
+    result = broadcast_chunk(compressor, rng, stats, root._replace(edges=sorted(
+        ((m.src, m.dst, m.step) for m in down.sends),
+        key=lambda edge: (edge[2], -edge[0]))), partial[0], f"{key}/{root.tag}")
+    stats.max_recompressions = len(levels) + 1
     shaped = result.reshape(buffers[0].shape)
     return [shaped.copy() for _ in range(world)], stats

@@ -2,9 +2,18 @@
 
 import pytest
 
+from collections import Counter
+
+import numpy as np
+
 from repro.cluster import get_machine, make_cluster, Network
-from repro.collectives import time_allreduce
-from repro.compression import CompressionSpec
+from repro.collectives import (EXPLICIT_CELLS, SINGLE_MEMBER_CELLS, run_cell,
+                               scheme_cells, time_allreduce,
+                               time_partial_allreduce)
+from repro.collectives.schedules import (FLAT_SCHEDULES, Schedule, Stage,
+                                         hier_schedule)
+from repro.collectives.trace import capture
+from repro.compression import CompressionSpec, make_compressor
 
 DENSE = CompressionSpec("none")
 Q4 = CompressionSpec("qsgd", bits=4, bucket_size=128)
@@ -170,20 +179,12 @@ def test_hier_on_single_node_equals_sra():
 
 # -- the counted entry points --------------------------------------------------
 
-def _messages(scheme: str, groups: list[int]) -> int:
-    """Messages a scheme sends over ranks split into per-node ``groups``."""
-    world = sum(groups)
-    flat = {"sra": 2 * world * (world - 1), "ring": 2 * world * (world - 1),
-            "tree": 2 * (world - 1), "allgather": world * (world - 1),
-            "ps": 2 * (world - 1)}
-    if scheme != "hier":
-        return flat[scheme]
-    if len(groups) == 1:
-        return flat["sra"]
-    nodes = len(groups)
-    return (sum(2 * g * (g - 1) for g in groups)     # intra-node SRAs
-            + 2 * nodes * (nodes - 1)                # leader SRA
-            + sum(g - 1 for g in groups))            # leader broadcasts
+def _messages(schedule: Schedule) -> int:
+    """Messages a declared schedule puts on the wire (its stages'
+    included): each send, and each edge of each cast."""
+    return sum(_messages(part.schedule) if isinstance(part, Stage)
+               else len(part.sends) + sum(len(c.edges) for c in part.casts)
+               for part in schedule.rounds)
 
 
 @pytest.mark.parametrize("scheme", ["sra", "ring", "tree", "allgather", "ps",
@@ -216,7 +217,79 @@ def test_one_counted_call_per_message_and_per_kernel(monkeypatch, scheme,
     timing = time_allreduce(net, ranks, 1_000_003, spec, scheme,
                             ready=[0.001 * r for r in range(world)],
                             chunk_streams=2, job=4)
-    assert len(sent) == _messages(scheme, [local, world - local])
+    node_of = tuple(net.topology.node_of[rank] for rank in ranks)
+    schedule = hier_schedule(node_of) if scheme == "hier" \
+        else FLAT_SCHEDULES[scheme](world)
+    assert len(sent) == _messages(schedule)
     assert timing.wire_bytes == sum(sent)
     assert kernels[0] == timing.kernel_calls
     assert (timing.kernel_calls > 0) == (spec is Q4)
+
+
+# -- one declared schedule, two interpreters ----------------------------------
+
+TIMED_CELLS = [*scheme_cells(range(1, 9)), *EXPLICIT_CELLS,
+               *SINGLE_MEMBER_CELLS.values()]
+
+
+def _timed_sends(cell, spec: CompressionSpec, numel: int,
+                 monkeypatch) -> Counter:
+    """``(src, dst, bytes)`` of every ``Network.transfer`` the timed path
+    calls for ``cell``, in the cell's ranks (hier runs on two nodes placed
+    per the row's ``node_of``; a quorum row's participants are ready
+    first, in rank order, so the earliest-ready member is the lowest)."""
+    node_of = cell.node_of or (0,) * cell.world
+    taken = [0, 0]
+    gpus = []
+    for node in node_of:
+        gpus.append(8 * node + taken[node])
+        taken[node] += 1
+    sent: Counter = Counter()
+    transfer = Network.transfer
+
+    def counted(self, src, dst, nbytes, ready, *args, **kwargs):
+        sent[gpus.index(src), gpus.index(dst), nbytes] += 1
+        return transfer(self, src, dst, nbytes, ready, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "transfer", counted)
+    net = Network(make_cluster("rtx3090-8x", 2))
+    if cell.scheme == "partial":
+        order = [*cell.participants,
+                 *(r for r in range(cell.world) if r not in cell.participants)]
+        ready = [1e-4 * order.index(rank) for rank in range(cell.world)]
+        time_partial_allreduce(net, gpus, numel, spec,
+                               len(cell.participants), ready)
+    else:
+        time_allreduce(net, gpus, numel, spec, cell.scheme)
+    return sent
+
+
+@pytest.mark.parametrize("spec", [DENSE, Q4], ids=["none", "qsgd4"])
+@pytest.mark.parametrize("cell", TIMED_CELLS, ids=lambda cell: (
+    f"{cell.scheme}-{cell.world}-{cell.node_of}-{cell.participants}"))
+def test_timed_path_sends_what_the_data_path_sends(cell, spec, monkeypatch):
+    """Both interpreters of a scheme's declared schedule put the same
+    messages on the wire: the data path's traced sends equal the timed
+    path's transfers as a multiset of (src, dst, bytes)."""
+    numel = 97
+    rng = np.random.default_rng(0)
+    buffers = [rng.standard_normal(numel).astype(np.float32)
+               for _ in range(cell.world)]
+    with capture() as trace:
+        run_cell(cell, buffers, make_compressor(spec), rng)
+    traced = Counter((e.src, e.dst, e.nbytes) for e in trace.sends)
+    assert traced == _timed_sends(cell, spec, numel, monkeypatch)
+
+
+@pytest.mark.parametrize("world", [1, 4])
+@pytest.mark.parametrize("spec", [Q4, CompressionSpec("powersgd", rank=4)],
+                         ids=["qsgd4", "powersgd"])
+def test_unknown_scheme_is_refused_at_every_world(world, spec):
+    """A world of one returns before any message, but not before the
+    scheme is checked — as the data path's ``allreduce`` refuses it — and
+    a factored operator charges no kernel first."""
+    net = fresh()
+    with pytest.raises(KeyError, match="bogus"):
+        time_allreduce(net, list(range(world)), (4096 * 3, (4096, 3)),
+                       spec, scheme="bogus")
+    assert net.pool.busy_seconds() == {}
